@@ -33,7 +33,9 @@ def priced(store, epoch, lo, hi, io):
     res = store.query(epoch, lo, hi)
     entries = store.overlapping_entries(epoch, lo, hi)
     sources = len({i for i, _ in entries})
-    read = io.read_time(res.cost.bytes_read, res.cost.read_requests,
+    # the model prices the paper's whole-SST client: candidate bytes,
+    # one request per SST (cost.bytes_read is what keys-first probes touched)
+    read = io.read_time(res.cost.candidate_bytes, res.cost.ssts_read,
                         sources=max(sources, 1))
     return read + res.cost.merge_time, sources
 

@@ -40,7 +40,7 @@ def test_ext_columnar_pruning(benchmark, bench_carp, bench_streams, tmp_path):
         for path in list_logs(bench_carp["dir"]):
             with LogReader(path) as reader:
                 for entry in reader.entries_for(epoch=LATE_TS):
-                    partitioned.append(reader.read_sst(entry))
+                    partitioned.append(reader.read_sst(entry).batch)
         write_columnar(tmp_path / "carp.col", partitioned, 1024)
         write_columnar(tmp_path / "raw.col", bench_streams[LATE_TS], 1024)
         keys = np.concatenate([b.keys for b in bench_streams[LATE_TS]])

@@ -145,7 +145,7 @@ def point_query(
             continue
         with LogReader(path) as reader:
             for entry in reader.entries_for(epoch=epoch):
-                batch = reader.read_sst(entry)
+                batch = reader.read_sst(entry).batch
                 bytes_read += entry.length
                 hit = batch.rids == np.uint64(rid)
                 if hit.any():

@@ -159,9 +159,15 @@ def koidb_apply(
 class LogProbeResult:
     """Per-log probe output, in the log's candidate-entry order."""
 
+    #: bytes the probe actually touched (Σ of the reader's spans)
     bytes_read: int
     scanned: int
+    #: spans the probe actually issued
     requests: int
+    #: candidate SSTs probed, and the bytes a client that fetches each
+    #: of them whole would move — what the I/O model prices
+    ssts: int
+    candidate_bytes: int
     runs: list[RecordBatch]
     key_runs: list[np.ndarray]
 
@@ -213,35 +219,45 @@ def probe_entries(
     wraps it for the shard-worker fan-out — same read sizes, same
     masks, same run order, so concatenating per-log results (in
     reader-index order) lands on the identical merged ``QueryResult``.
-    """
-    from repro.storage.blocks import key_block_size
-    from repro.storage.sstable import HEADER_SIZE
 
+    Full-record probes are keys-first (``LogReader.read_sst`` with
+    bounds): value bytes are fetched only for matched rows.  Bytes and
+    requests are summed from what each read call reports it touched —
+    never from the reader's shared counters, which other threads of a
+    serving plane advance too.
+    """
     bytes_read = 0
+    requests = 0
+    candidate_bytes = 0
     scanned = 0
     runs: list[RecordBatch] = []
     key_runs: list[np.ndarray] = []
     for entry in entries:
         if keys_only:
-            _info, sst_keys = reader.read_sst_keys(entry)
-            bytes_read += min(
-                HEADER_SIZE + key_block_size(entry.count), entry.length
-            )
+            _info, sst_keys, nbytes = reader.read_sst_keys(entry)
+            # a keys-only client fetches exactly this prefix: the
+            # touched bytes are the priced bytes
+            bytes_read += nbytes
+            candidate_bytes += nbytes
+            requests += 1
             scanned += len(sst_keys)
             mask = range_mask(sst_keys, lo, hi)
             if mask.any():
                 key_runs.append(sst_keys[mask])
         else:
-            batch = reader.read_sst(entry)
-            bytes_read += entry.length
-            scanned += len(batch)
-            mask = range_mask(batch.keys, lo, hi)
-            if mask.any():
-                runs.append(batch.select(mask))
+            read = reader.read_sst(entry, lo, hi)
+            bytes_read += read.bytes_read
+            requests += read.requests
+            candidate_bytes += entry.length
+            scanned += entry.count
+            if len(read.batch):
+                runs.append(read.batch)
     return LogProbeResult(
         bytes_read=bytes_read,
         scanned=scanned,
-        requests=len(entries),
+        requests=requests,
+        ssts=len(entries),
+        candidate_bytes=candidate_bytes,
         runs=runs,
         key_runs=key_runs,
     )
@@ -281,7 +297,9 @@ def read_epoch_log(state: dict[str, Any], path: str, epoch: int) -> RecordBatch 
     for the epoch.
     """
     with LogReader(Path(path)) as reader:
-        batches = [reader.read_sst(e) for e in reader.entries_for(epoch=epoch)]
+        batches = [
+            reader.read_sst(e).batch for e in reader.entries_for(epoch=epoch)
+        ]
     if not batches:
         return None
     return RecordBatch.concat(batches)

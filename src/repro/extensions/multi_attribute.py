@@ -166,7 +166,7 @@ class MultiAttributeIngest:
             rank = log_rank(path)
             with LogReader(path) as reader:
                 for entry in reader.entries_for(epoch=epoch):
-                    batch = reader.read_sst(entry)
+                    batch = reader.read_sst(entry).batch
                     rids.append(batch.rids)
                     parts.append(np.full(len(batch), rank, dtype=np.int32))
         return RowLocator(np.concatenate(rids), np.concatenate(parts))
@@ -257,7 +257,7 @@ class AuxiliaryIndexReader:
                     continue
                 with LogReader(log_path) as reader:
                     for entry in reader.entries_for(epoch=epoch):
-                        batch = reader.read_sst(entry)
+                        batch = reader.read_sst(entry).batch
                         idx = np.searchsorted(want, batch.rids)
                         idx = np.clip(idx, 0, len(want) - 1)
                         hit = want[idx] == batch.rids

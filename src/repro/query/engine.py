@@ -8,8 +8,13 @@ ordered range-query semantics.  The same engine reads fully sorted
 compactor output — there the overlapping-run merge degenerates to
 concatenation, which is exactly why sorted layouts pay no merge cost.
 
-All byte/request counts are measured on the real files; the
-:class:`~repro.sim.iomodel.IOModel` then prices them at paper scale.
+Probes are keys-first: an SST's head (header, key block, chunk CRC
+table) is read and range-masked, and only the value chunks covering the
+matched rows are fetched — ``QueryCost.bytes_read`` / ``read_requests``
+are those touched spans, measured on the real files.  The
+:class:`~repro.sim.iomodel.IOModel` keeps pricing the paper's client,
+which fetches each candidate SST whole (``QueryCost.candidate_bytes``,
+one request per SST), at paper scale.
 """
 
 from __future__ import annotations
@@ -46,13 +51,23 @@ class QueryCost:
 
     ssts_considered: int
     ssts_read: int
+    #: bytes the probes actually touched, in ``read_requests`` spans
     bytes_read: int
     read_requests: int
+    #: bytes of the candidate SSTs fetched whole (key prefixes for a
+    #: keys-only query) — what ``read_time``/``merge_time`` price: the
+    #: model keeps costing the paper's whole-SST client (§VII-A)
+    candidate_bytes: int
     records_scanned: int
     records_matched: int
     merge_bytes: int
     read_time: float
     merge_time: float
+
+    @property
+    def bytes_skipped(self) -> int:
+        """Candidate bytes the keys-first probes never touched."""
+        return self.candidate_bytes - self.bytes_read
 
     @property
     def latency(self) -> float:
@@ -204,8 +219,9 @@ class PartitionedStore:
     ) -> QueryResult:
         """Execute a range query for keys in ``[lo, hi]``.
 
-        Fetches every SST whose manifest range overlaps the query,
-        filters to the range, and merge-sorts the surviving records.
+        Probes every SST whose manifest range overlaps the query
+        (keys first, then the value chunks of the matched rows), and
+        merge-sorts the surviving records.
 
         ``keys_only=True`` reads just the key sub-blocks — the paper's
         query client fetches key blocks first (§VII-A), and analyses
@@ -219,39 +235,29 @@ class PartitionedStore:
         if hi < lo:
             raise ValueError(f"empty query range [{lo}, {hi}]")
         candidates = self.overlapping_entries(epoch, lo, hi)
-        considered = len(self.entries(epoch))
-        spans = [(e.kmin, e.kmax, e.length) for _, e in candidates]
-
         probes = self._probe(candidates, lo, hi, keys_only)
-        bytes_read = sum(p.bytes_read for _, p in probes)
-        requests = sum(p.requests for _, p in probes)
-        scanned = sum(p.scanned for _, p in probes)
         runs = [r for _, p in probes for r in p.runs]
         key_runs = [k for _, p in probes for k in p.key_runs]
 
-        merge_bytes = _overlapping_run_bytes(spans)
         if keys_only:
             keys = (np.sort(np.concatenate(key_runs))
                     if key_runs else np.empty(0, dtype=np.float32))
             rids = np.zeros(len(keys), dtype=np.uint64)
         elif runs:
-            merged = RecordBatch.concat(runs).sorted_by_key()
+            merged = RecordBatch.concat(runs)
+            # pairwise-disjoint sorted runs in ascending order (always so
+            # on compacted output) concatenate already ordered, and the
+            # stable argsort of an ordered array is the identity
+            if not np.all(merged.keys[:-1] <= merged.keys[1:]):
+                merged = merged.sorted_by_key()
             keys, rids = merged.keys, merged.rids
         else:
             keys = np.empty(0, dtype=np.float32)
             rids = np.empty(0, dtype=np.uint64)
 
-        cost = QueryCost(
-            ssts_considered=considered,
-            ssts_read=len(candidates),
-            bytes_read=bytes_read,
-            read_requests=requests,
-            records_scanned=scanned,
-            records_matched=len(keys),
-            merge_bytes=merge_bytes,
-            read_time=self.io.read_time(bytes_read, requests),
-            merge_time=self.io.merge_time(merge_bytes)
-            + self.io.scan_time(bytes_read),
+        cost = self._cost(
+            len(self.entries(epoch)), candidates, [p for _, p in probes],
+            len(keys),
         )
         if self.obs.enabled:
             rid = ctx.request_id if ctx is not None else None
@@ -271,12 +277,12 @@ class PartitionedStore:
                 self.obs.tracer.complete(
                     self.obs.track("query", self._paths[reader_idx].name),
                     "probe", t0,
-                    self.io.read_time(probe.bytes_read, probe.requests),
+                    self.io.read_time(probe.candidate_bytes, probe.ssts),
                     probe_args,
                 )
             query_args: dict[str, object] = {
                 "epoch": epoch, "lo": lo, "hi": hi,
-                "ssts_read": cost.ssts_read, "bytes_read": bytes_read,
+                "ssts_read": cost.ssts_read, "bytes_read": cost.bytes_read,
                 "matched": len(keys), "keys_only": keys_only,
             }
             if rid is not None:
@@ -284,17 +290,47 @@ class PartitionedStore:
             self.obs.tracer.complete(
                 self._tr_query, "query", t0, cost.latency, query_args,
             )
-            self._m_probe_bytes.add(bytes_read)
-            self._m_requests.add(requests)
+            self._m_probe_bytes.add(cost.bytes_read)
+            self._m_requests.add(cost.read_requests)
             self._m_ssts_read.add(len(candidates))
             self._m_matched.add(len(keys))
-            self._m_io_bytes.add(bytes_read)
+            self._m_io_bytes.add(cost.candidate_bytes)
             self._m_latency.observe(cost.latency)
             if ctx is not None:
                 # queries run outside ingest barriers, so the registry
                 # is fully merged here on every backend
                 self.obs.telemetry.sample("query", request=rid)
         return QueryResult(lo, hi, epoch, keys, rids, cost)
+
+    def _cost(
+        self,
+        considered: int,
+        candidates: list[tuple[int, ManifestEntry]],
+        probes: list[LogProbeResult],
+        matched: int,
+    ) -> QueryCost:
+        """The one place a query's measurements become a :class:`QueryCost`.
+
+        Measured fields report what the probes touched; the modeled
+        times price the candidate SSTs fetched whole, one request each.
+        """
+        candidate_bytes = sum(p.candidate_bytes for p in probes)
+        merge_bytes = _overlapping_run_bytes(
+            [(e.kmin, e.kmax, e.length) for _, e in candidates]
+        )
+        return QueryCost(
+            ssts_considered=considered,
+            ssts_read=len(candidates),
+            bytes_read=sum(p.bytes_read for p in probes),
+            read_requests=sum(p.requests for p in probes),
+            candidate_bytes=candidate_bytes,
+            records_scanned=sum(p.scanned for p in probes),
+            records_matched=matched,
+            merge_bytes=merge_bytes,
+            read_time=self.io.read_time(candidate_bytes, len(candidates)),
+            merge_time=self.io.merge_time(merge_bytes)
+            + self.io.scan_time(candidate_bytes),
+        )
 
     def _probe(
         self,
@@ -370,7 +406,6 @@ class PartitionedStore:
             raise ValueError(f"empty query range [{lo}, {hi}]")
         all_entries = self.entries(epoch)
         candidates = self.overlapping_entries(epoch, lo, hi)
-        spans = [(e.kmin, e.kmax, e.length) for _, e in candidates]
         probes = dict(self._probe(candidates, lo, hi, keys_only))
         by_reader_all: dict[int, list[ManifestEntry]] = {}
         for reader_idx, entry in all_entries:
@@ -387,26 +422,16 @@ class PartitionedStore:
                 ssts_read=len(by_reader_cand.get(reader_idx, [])),
                 bytes_read=probe.bytes_read if probe else 0,
                 read_requests=probe.requests if probe else 0,
+                candidate_bytes=probe.candidate_bytes if probe else 0,
                 records_scanned=probe.scanned if probe else 0,
                 records_matched=probe.matched if probe else 0,
-                read_time=(self.io.read_time(probe.bytes_read, probe.requests)
+                read_time=(self.io.read_time(probe.candidate_bytes, probe.ssts)
                            if probe else 0.0),
                 entries=tuple(by_reader_cand.get(reader_idx, [])),
             ))
-        bytes_read = sum(p.bytes_read for p in probes.values())
-        requests = sum(p.requests for p in probes.values())
-        merge_bytes = _overlapping_run_bytes(spans)
-        cost = QueryCost(
-            ssts_considered=len(all_entries),
-            ssts_read=len(candidates),
-            bytes_read=bytes_read,
-            read_requests=requests,
-            records_scanned=sum(p.scanned for p in probes.values()),
-            records_matched=sum(p.matched for p in probes.values()),
-            merge_bytes=merge_bytes,
-            read_time=self.io.read_time(bytes_read, requests),
-            merge_time=self.io.merge_time(merge_bytes)
-            + self.io.scan_time(bytes_read),
+        cost = self._cost(
+            len(all_entries), candidates, list(probes.values()),
+            sum(p.matched for p in probes.values()),
         )
         if ctx is not None and self.obs.enabled:
             # zero-duration: EXPLAIN spends no virtual time, the span

@@ -4,8 +4,9 @@
 would this query do, and why does it cost what it costs" — the
 CARMI-style idea that a cost model should be a first-class, queryable
 artifact rather than a side effect of execution.  The report carries
-per-log attribution (SSTs considered vs. read, bytes, records scanned
-vs. matched, modeled read time) plus the exact :class:`QueryCost` the
+per-log attribution (SSTs considered vs. read, candidate bytes vs.
+bytes touched vs. skipped, records scanned vs. matched, modeled read
+time) plus the exact :class:`QueryCost` the
 real query path would compute, and :meth:`QueryExplain.reconcile`
 proves the two agree: every per-log column must sum to the matching
 cost field, and an independently measured ``QueryCost`` must match
@@ -31,14 +32,21 @@ class LogExplain:
     ssts_read: int
     bytes_read: int
     read_requests: int
+    #: Bytes of this log's candidate SSTs fetched whole; the probe
+    #: touched ``bytes_read`` of them and skipped the rest.
+    candidate_bytes: int
     records_scanned: int
     records_matched: int
-    #: Modeled time to fetch this log's bytes in isolation (the value
-    #: the per-log "probe" trace span carries as its duration).
+    #: Modeled time to fetch this log's candidates whole, in isolation
+    #: (the value the per-log "probe" trace span carries as its duration).
     read_time: float
     #: The candidate SSTs this query reads from the log, in manifest
     #: order.
     entries: tuple[ManifestEntry, ...]
+
+    @property
+    def bytes_skipped(self) -> int:
+        return self.candidate_bytes - self.bytes_read
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -47,6 +55,8 @@ class LogExplain:
             "ssts_read": self.ssts_read,
             "bytes_read": self.bytes_read,
             "read_requests": self.read_requests,
+            "candidate_bytes": self.candidate_bytes,
+            "bytes_skipped": self.bytes_skipped,
             "records_scanned": self.records_scanned,
             "records_matched": self.records_matched,
             "read_time": self.read_time,
@@ -91,6 +101,7 @@ class QueryExplain:
             "ssts_read": sum(l.ssts_read for l in self.logs),
             "bytes_read": sum(l.bytes_read for l in self.logs),
             "read_requests": sum(l.read_requests for l in self.logs),
+            "candidate_bytes": sum(l.candidate_bytes for l in self.logs),
             "records_scanned": sum(l.records_scanned for l in self.logs),
             "records_matched": sum(l.records_matched for l in self.logs),
         }
@@ -123,6 +134,8 @@ class QueryExplain:
                 "ssts_read": self.cost.ssts_read,
                 "bytes_read": self.cost.bytes_read,
                 "read_requests": self.cost.read_requests,
+                "candidate_bytes": self.cost.candidate_bytes,
+                "bytes_skipped": self.cost.bytes_skipped,
                 "records_scanned": self.cost.records_scanned,
                 "records_matched": self.cost.records_matched,
                 "merge_bytes": self.cost.merge_bytes,
@@ -142,11 +155,12 @@ class QueryExplain:
             f"({mode}) over {self.directory}",
             "",
             render_table(
-                ("log", "ssts", "read", "bytes", "reqs",
-                 "scanned", "matched", "read time"),
+                ("log", "ssts", "read", "candidate", "bytes", "skipped",
+                 "reqs", "scanned", "matched", "read time"),
                 [
                     (l.log, l.ssts_considered, l.ssts_read,
-                     fmt_bytes(l.bytes_read), l.read_requests,
+                     fmt_bytes(l.candidate_bytes), fmt_bytes(l.bytes_read),
+                     fmt_bytes(l.bytes_skipped), l.read_requests,
                      l.records_scanned, l.records_matched,
                      fmt_seconds(l.read_time))
                     for l in self.logs
@@ -156,9 +170,11 @@ class QueryExplain:
             f"ssts: {cost.ssts_read}/{cost.ssts_considered} read, "
             f"selectivity {cost.records_matched}/{cost.records_scanned} "
             "records",
-            f"io:   {fmt_bytes(cost.bytes_read)} in "
-            f"{cost.read_requests} requests -> "
-            f"{fmt_seconds(cost.read_time)} read",
+            f"io:   {fmt_bytes(cost.bytes_read)} touched in "
+            f"{cost.read_requests} requests, "
+            f"{fmt_bytes(cost.bytes_skipped)} skipped",
+            f"      {fmt_bytes(cost.candidate_bytes)} in {cost.ssts_read} "
+            f"whole-SST fetches modeled -> {fmt_seconds(cost.read_time)} read",
             f"cpu:  {fmt_bytes(cost.merge_bytes)} overlapping to merge -> "
             f"{fmt_seconds(cost.merge_time)} merge+scan",
             f"total modeled latency: {fmt_seconds(cost.latency)}",

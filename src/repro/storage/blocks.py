@@ -2,8 +2,12 @@
 
 KoiDB serializes the keys and values of an SSTable into separate
 sub-blocks (paper Fig. 6) so that query clients can fetch and parse key
-blocks alone when deciding which records match.  Both block types carry
-a trailing CRC32 so corruption/truncation is detected at read time.
+blocks alone when deciding which records match.  A key block carries a
+trailing CRC32.  A value block *leads* with a table of one CRC32 per
+:data:`CHUNK_RECORDS`-record chunk of its payload (the table has a
+trailing CRC32 of its own), so a reader that needs rows ``[a, b)``
+verifies and decodes only the chunks covering them — integrity follows
+the slice — while a full read verifies every chunk.
 
 Values are deterministic functions of the record id: the rid itself
 (8 bytes, little-endian) followed by filler bytes derived from the rid.
@@ -32,17 +36,30 @@ from repro.kernels.vector import make_filler
 
 __all__ = [
     "CRC_BYTES",
+    "CHUNK_RECORDS",
     "BlockCorruptionError",
     "key_block_size",
+    "chunk_count",
+    "chunk_table_size",
     "value_block_size",
     "encode_key_block",
     "decode_key_block",
     "make_filler",
+    "encode_chunk_table",
+    "decode_chunk_table",
     "encode_value_block",
+    "decode_value_chunks",
     "decode_value_block",
 ]
 
 CRC_BYTES = 4
+
+#: Records per value chunk — the unit of value-side integrity.  A format
+#: constant (written in the SST header so a reader can refuse a file
+#: built with another), not a tunable.
+CHUNK_RECORDS = 256
+
+_CRC_DTYPE = np.dtype("<u4")
 
 _Buffer = bytes | bytearray | memoryview
 
@@ -69,9 +86,19 @@ def key_block_size(count: int) -> int:
     return count * KEY_DTYPE.itemsize + CRC_BYTES
 
 
+def chunk_count(count: int) -> int:
+    """Value chunks an SST of ``count`` records has (the last may be short)."""
+    return -(-count // CHUNK_RECORDS)
+
+
+def chunk_table_size(count: int) -> int:
+    """On-disk size of the chunk CRC table: one CRC per chunk + its own."""
+    return (chunk_count(count) + 1) * CRC_BYTES
+
+
 def value_block_size(count: int, value_size: int) -> int:
     """On-disk size of a value block holding ``count`` values."""
-    return count * value_size + CRC_BYTES
+    return chunk_table_size(count) + count * value_size
 
 
 def encode_key_block(keys: np.ndarray) -> bytes:
@@ -88,25 +115,72 @@ def decode_key_block(data: _Buffer) -> np.ndarray:
     return active_kernels().decode_keys(payload)
 
 
+def _chunk_crcs(payload: _Buffer, value_size: int) -> np.ndarray:
+    """CRC32 of every ``CHUNK_RECORDS``-record slice of a value payload."""
+    view = memoryview(payload)
+    step = CHUNK_RECORDS * value_size
+    return np.array(
+        [zlib.crc32(view[i : i + step]) for i in range(0, len(view), step)],
+        dtype=_CRC_DTYPE,
+    )
+
+
+def encode_chunk_table(payload: _Buffer, value_size: int) -> bytes:
+    """The chunk CRC table of a value payload, with its trailing CRC."""
+    table = _chunk_crcs(payload, value_size).tobytes()
+    return table + _crc(table)
+
+
+def decode_chunk_table(data: _Buffer, count: int) -> np.ndarray:
+    """CRC-verify a chunk table; return the per-chunk CRCs of ``count`` records."""
+    table = _check_crc(data, "chunk CRC table")
+    if len(table) != chunk_count(count) * CRC_BYTES:
+        raise BlockCorruptionError("chunk CRC table does not match record count")
+    return np.frombuffer(table, dtype=_CRC_DTYPE).copy()
+
+
 def encode_value_block(rids: np.ndarray, value_size: int) -> bytes:
-    """Serialize values: per record, rid (8 B LE) + filler + block CRC."""
+    """Serialize values: chunk CRC table, then per record rid (8 B LE) + filler."""
     if value_size - RID_DTYPE.itemsize < 0:
         raise ValueError(f"value_size {value_size} smaller than a rid")
     payload = active_kernels().encode_values(
         np.ascontiguousarray(rids, dtype=RID_DTYPE), value_size
     )
-    return payload + _crc(payload)
+    return encode_chunk_table(payload, value_size) + payload
 
 
-def decode_value_block(
-    data: _Buffer, value_size: int, verify_filler: bool = False
+def decode_value_chunks(
+    payload: _Buffer,
+    crcs: np.ndarray,
+    value_size: int,
+    verify_filler: bool = False,
 ) -> np.ndarray:
-    """Parse and CRC-verify a value block; return the rid array."""
-    payload = _check_crc(data, "value block")
+    """Verify and decode consecutive whole value chunks; return their rids.
+
+    ``payload`` is the value bytes of the chunks and ``crcs`` their
+    entries of an already-verified chunk table; every chunk handed in
+    is CRC-checked, so every rid returned was verified.
+    """
     if value_size <= 0 or len(payload) % value_size:
-        raise BlockCorruptionError("value block payload not a multiple of value size")
+        raise BlockCorruptionError("value payload not a multiple of value size")
+    if chunk_count(len(payload) // value_size) != len(crcs):
+        raise BlockCorruptionError("value payload does not match its chunk table")
+    bad = np.flatnonzero(_chunk_crcs(payload, value_size) != crcs)
+    if len(bad):
+        raise BlockCorruptionError(f"value chunk {int(bad[0])}: CRC mismatch")
     kernels = active_kernels()
     rids = kernels.decode_values(payload, value_size)
     if verify_filler and not kernels.filler_matches(payload, rids, value_size):
         raise BlockCorruptionError("value block filler mismatch")
     return rids
+
+
+def decode_value_block(
+    data: _Buffer, value_size: int, count: int, verify_filler: bool = False
+) -> np.ndarray:
+    """Parse a value block of ``count`` records, verifying every chunk."""
+    if value_size <= 0 or len(data) != value_block_size(count, value_size):
+        raise BlockCorruptionError("value block length does not match record count")
+    table_len = chunk_table_size(count)
+    crcs = decode_chunk_table(data[:table_len], count)
+    return decode_value_chunks(data[table_len:], crcs, value_size, verify_filler)

@@ -51,7 +51,7 @@ def read_epoch(
             for path in logs:
                 with LogReader(path) as reader:
                     for entry in reader.entries_for(epoch=epoch):
-                        batches.append(reader.read_sst(entry))
+                        batches.append(reader.read_sst(entry).batch)
     finally:
         if owned:
             exec_.close()

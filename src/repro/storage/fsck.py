@@ -130,7 +130,7 @@ def _walk(directory: Path, deep: bool, recover: bool) -> FsckReport:
                 if not deep:
                     continue
                 try:
-                    batch = reader.read_sst(entry)
+                    batch = reader.read_sst(entry).batch
                 except (BlockCorruptionError, ManifestError, OSError) as exc:
                     report.errors.append(
                         f"{path.name}@{entry.offset}: corrupt SST: {exc}"

@@ -15,11 +15,11 @@ from __future__ import annotations
 import mmap
 import os
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from repro.core.records import RecordBatch
+from repro.core.records import RecordBatch, range_mask
 from repro.faults.plan import (
     ACTION_CRASH,
     SITE_MANIFEST_WRITE,
@@ -27,7 +27,11 @@ from repro.faults.plan import (
     FaultInjector,
     InjectedCrashError,
 )
-from repro.storage.blocks import BlockCorruptionError, key_block_size
+from repro.storage.blocks import (
+    CHUNK_RECORDS,
+    BlockCorruptionError,
+    decode_value_chunks,
+)
 from repro.storage.manifest import (
     FOOTER_SIZE,
     ManifestCorruptionError,
@@ -45,11 +49,14 @@ from repro.storage.recovery import (
     walk_manifest_chain,
 )
 from repro.storage.sstable import (
-    HEADER_SIZE,
     SSTableInfo,
     build_sstable,
+    head_span_len,
+    keys_span_len,
+    parse_head,
     parse_keys_only,
     parse_sstable,
+    value_chunks_span,
 )
 
 LOG_PREFIX = "RDB-"
@@ -229,6 +236,25 @@ class LogWriter:
         self.close()
 
 
+class SSTRead(NamedTuple):
+    """What one :meth:`LogReader.read_sst` call returned and touched."""
+
+    #: the SST's records — all of them, or those with keys in ``[lo, hi]``
+    batch: RecordBatch
+    #: bytes of the spans this call consulted
+    bytes_read: int
+    #: spans this call issued
+    requests: int
+
+
+class SSTKeysRead(NamedTuple):
+    """What one :meth:`LogReader.read_sst_keys` call returned and touched."""
+
+    info: SSTableInfo
+    keys: np.ndarray
+    bytes_read: int
+
+
 class LogReader:
     """Read-only, mmap-backed access to a KoiDB log.
 
@@ -286,10 +312,11 @@ class LogReader:
         self.bytes_read = 0
         #: Number of distinct read requests issued (proxy for seeks).
         self.read_requests = 0
-        #: (offset, length) of every span actually consulted, in read
-        #: order — the ground truth for bytes-attribution tests that
-        #: probes touch only in-range SST byte ranges.
-        self.touched: list[tuple[int, int]] = []
+        #: Attach a list to record the (offset, length) of every span
+        #: consulted, in read order — the ground truth for the
+        #: bytes-attribution tests.  ``None`` (the default) records
+        #: nothing, so a long-lived serve reader does not grow.
+        self.touched: list[tuple[int, int]] | None = None
 
     def _load_entries(self, fh: BinaryIO, recover: bool) -> list[ManifestEntry]:
         if self._size < FOOTER_SIZE:
@@ -341,14 +368,32 @@ class LogReader:
         # short read() at end-of-file would have returned
         self.bytes_read += len(view)
         self.read_requests += 1
-        self.touched.append((offset, len(view)))
+        if self.touched is not None:
+            self.touched.append((offset, len(view)))
         return view
 
-    def read_sst(self, entry: ManifestEntry) -> RecordBatch:
-        """Read and parse a full SSTable (key + value blocks)."""
+    def read_sst(
+        self,
+        entry: ManifestEntry,
+        lo: float | None = None,
+        hi: float | None = None,
+    ) -> SSTRead:
+        """Read an SSTable: all of it, or the records with keys in ``[lo, hi]``.
+
+        Without bounds the whole SST is one span and every block and
+        value chunk is verified.  With bounds the read is keys-first:
+        the head (header, key block, chunk CRC table — each verified)
+        is fetched and range-masked, and only the value chunks covering
+        the matched rows are fetched, verified and decoded — none at
+        all when nothing matches.  Either way every byte returned was
+        CRC-checked by this call.
+        """
         err: BlockCorruptionError | None = None
         try:
-            _info, batch = parse_sstable(self._span(entry.offset, entry.length))
+            if lo is None or hi is None:
+                read = self._read_whole(entry)
+            else:
+                read = self._read_range(entry, lo, hi)
         except BlockCorruptionError as exc:
             # re-raised outside the handler so the original traceback —
             # whose frames hold memoryview slices of the map — is
@@ -356,22 +401,47 @@ class LogReader:
             err = BlockCorruptionError(*exc.args)
         if err is not None:
             raise err
-        return batch
+        return read
 
-    def read_sst_keys(self, entry: ManifestEntry) -> tuple[SSTableInfo, np.ndarray]:
+    def _read_whole(self, entry: ManifestEntry) -> SSTRead:
+        view = self._span(entry.offset, entry.length)
+        _info, batch = parse_sstable(view)
+        return SSTRead(batch, len(view), 1)
+
+    def _read_range(self, entry: ManifestEntry, lo: float, hi: float) -> SSTRead:
+        head = self._span(
+            entry.offset, min(head_span_len(entry.count), entry.length)
+        )
+        info, keys, crcs = parse_head(head)
+        rows = np.flatnonzero(range_mask(keys, lo, hi))
+        if not len(rows):
+            return SSTRead(RecordBatch.empty(info.value_size), len(head), 1)
+        # one span over the chunks covering the matched rows: contiguous
+        # for a sorted SST, first-to-last match for an unsorted one
+        first = int(rows[0]) // CHUNK_RECORDS
+        stop = int(rows[-1]) // CHUNK_RECORDS + 1
+        offset, length = value_chunks_span(info, first, stop)
+        values = self._span(entry.offset + offset, length)
+        rids = decode_value_chunks(values, crcs[first:stop], info.value_size)
+        batch = RecordBatch(
+            keys[rows], rids[rows - first * CHUNK_RECORDS], info.value_size
+        )
+        return SSTRead(batch, len(head) + len(values), 2)
+
+    def read_sst_keys(self, entry: ManifestEntry) -> SSTKeysRead:
         """Read just an SSTable's header and key block."""
         # header + key block length is derivable from the entry count
-        span = HEADER_SIZE + key_block_size(entry.count)
         err: BlockCorruptionError | None = None
         try:
-            info, keys = parse_keys_only(
-                self._span(entry.offset, min(span, entry.length))
+            view = self._span(
+                entry.offset, min(keys_span_len(entry.count), entry.length)
             )
+            info, keys = parse_keys_only(view)
         except BlockCorruptionError as exc:
             err = BlockCorruptionError(*exc.args)
         if err is not None:
             raise err
-        return info, keys
+        return SSTKeysRead(info, keys, len(view))
 
     def close(self) -> None:
         if self._map is not None and not self._map.closed:

@@ -5,6 +5,15 @@ value block.  The header records the key range, the epoch, flags
 (sorted / stray) and a subpartition id, and is protected by its own
 CRC.  SSTables are append-only: once written to a log they are never
 modified.
+
+Format v2 — the value block leads with its chunk CRC table, so the
+*head* (everything a reader needs to decide which values to fetch, and
+to verify them once fetched) is one contiguous span::
+
+    | header 64 B | keys 4 B x n | CRC | chunk CRCs 4 B x ceil(n/256) | CRC | values value_size x n |
+    |<--------- keys span -------->|
+    |<------------------------------ head span ----------------------------->|
+                                   |<---------------------- value block -------------------------->|
 """
 
 from __future__ import annotations
@@ -17,7 +26,10 @@ import numpy as np
 
 from repro.core.records import RecordBatch
 from repro.storage.blocks import (
+    CHUNK_RECORDS,
     BlockCorruptionError,
+    chunk_table_size,
+    decode_chunk_table,
     decode_key_block,
     decode_value_block,
     encode_key_block,
@@ -28,11 +40,12 @@ from repro.storage.blocks import (
 _Buffer = bytes | bytearray | memoryview
 
 SST_MAGIC = b"KSST"
-SST_FORMAT_VERSION = 1
+SST_FORMAT_VERSION = 2
 
 #: Header layout: magic, format version, flags, epoch, sub_id, count,
-#: kmin, kmax, key block len, value block len, value size, header CRC.
-_HEADER_FMT = "<4sHHIIQddQQII"
+#: kmin, kmax, key block len, value block len, value size, records per
+#: value chunk, header CRC.
+_HEADER_FMT = "<4sHHIIQddQQHHI"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 #: SST flag bits.
@@ -82,6 +95,8 @@ def build_sstable(
     """
     if len(batch) == 0:
         raise ValueError("cannot build an empty SSTable")
+    if batch.value_size > 0xFFFF:
+        raise ValueError(f"value_size {batch.value_size} does not fit the header")
     if sort:
         batch = batch.sorted_by_key()
     flags = (FLAG_SORTED if sort else 0) | (FLAG_STRAY if stray else 0)
@@ -111,6 +126,7 @@ def build_sstable(
         info.key_block_len,
         info.val_block_len,
         info.value_size,
+        CHUNK_RECORDS,
         0,
     )[:-4]
     crc = zlib.crc32(header_wo_crc) & 0xFFFFFFFF
@@ -128,7 +144,7 @@ def parse_header(data: _Buffer) -> SSTableInfo:
         raise BlockCorruptionError("truncated SSTable header")
     fields = struct.unpack(_HEADER_FMT, data[:HEADER_SIZE])
     (magic, fmt, flags, epoch, sub_id, count, kmin, kmax, kb_len, vb_len,
-     value_size, crc) = fields
+     value_size, chunk_records, crc) = fields
     if magic != SST_MAGIC:
         raise BlockCorruptionError(f"bad SSTable magic {magic!r}")
     if fmt != SST_FORMAT_VERSION:
@@ -136,28 +152,28 @@ def parse_header(data: _Buffer) -> SSTableInfo:
     expect = zlib.crc32(data[: HEADER_SIZE - 4]) & 0xFFFFFFFF
     if crc != expect:
         raise BlockCorruptionError("SSTable header CRC mismatch")
+    if chunk_records != CHUNK_RECORDS:
+        raise BlockCorruptionError(
+            f"unsupported value chunk size {chunk_records} records"
+        )
     return SSTableInfo(flags, epoch, sub_id, count, kmin, kmax, kb_len, vb_len,
                        value_size)
 
 
 def parse_sstable(data: _Buffer) -> tuple[SSTableInfo, RecordBatch]:
-    """Parse a complete SSTable (header + key block + value block).
+    """Parse a complete SSTable, verifying every block and value chunk.
 
     Accepts any buffer; the returned batch owns its arrays (the block
     decoders copy), so the input may be an mmap slice that is unmapped
     right after the call.
     """
-    info = parse_header(data)
+    info, keys = parse_keys_only(data)
     if len(data) < info.total_len:
         raise BlockCorruptionError("truncated SSTable body")
-    kb_start = HEADER_SIZE
-    vb_start = kb_start + info.key_block_len
-    keys = decode_key_block(data[kb_start:vb_start])
+    vb_start = HEADER_SIZE + info.key_block_len
     rids = decode_value_block(
-        data[vb_start : vb_start + info.val_block_len], info.value_size
+        data[vb_start : vb_start + info.val_block_len], info.value_size, info.count
     )
-    if len(keys) != info.count or len(rids) != info.count:
-        raise BlockCorruptionError("SSTable count does not match block contents")
     return info, RecordBatch(keys, rids, info.value_size)
 
 
@@ -178,11 +194,33 @@ def parse_keys_only(data: _Buffer) -> tuple[SSTableInfo, np.ndarray]:
     return info, keys
 
 
-def key_block_span(info: SSTableInfo) -> tuple[int, int]:
-    """(offset, length) of the key block relative to the SST start."""
-    return HEADER_SIZE, info.key_block_len
+def keys_span_len(count: int) -> int:
+    """Length of header + key block for an SST of ``count`` records."""
+    return HEADER_SIZE + key_block_size(count)
 
 
-def expected_key_block_len(count: int) -> int:
-    """Key block length an SST with ``count`` records must have."""
-    return key_block_size(count)
+def head_span_len(count: int) -> int:
+    """Length of header + key block + chunk CRC table (the SST *head*)."""
+    return keys_span_len(count) + chunk_table_size(count)
+
+
+def value_chunks_span(info: SSTableInfo, first: int, stop: int) -> tuple[int, int]:
+    """(offset, length), relative to the SST start, of value chunks ``[first, stop)``."""
+    values_start = HEADER_SIZE + info.key_block_len + chunk_table_size(info.count)
+    begin = first * CHUNK_RECORDS * info.value_size
+    end = min(stop * CHUNK_RECORDS, info.count) * info.value_size
+    return values_start + begin, end - begin
+
+
+def parse_head(data: _Buffer) -> tuple[SSTableInfo, np.ndarray, np.ndarray]:
+    """Parse header, key block and chunk CRC table — each CRC-verified.
+
+    The third result is what :func:`~repro.storage.blocks.decode_value_chunks`
+    checks fetched value chunks against.
+    """
+    info, keys = parse_keys_only(data)
+    table_start = HEADER_SIZE + info.key_block_len
+    table_end = table_start + chunk_table_size(info.count)
+    if len(data) < table_end:
+        raise BlockCorruptionError("truncated SSTable chunk CRC table")
+    return info, keys, decode_chunk_table(data[table_start:table_end], info.count)

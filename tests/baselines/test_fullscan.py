@@ -30,7 +30,7 @@ class TestWriteUnpartitioned:
         from repro.storage.log import LogReader, list_logs
 
         with LogReader(list_logs(tmp_path)[0]) as r:
-            batch = r.read_sst(r.entries[0])
+            batch = r.read_sst(r.entries[0]).batch
         assert np.array_equal(batch.keys, s[0].keys)
 
     def test_sst_chunking(self, tmp_path):

@@ -56,7 +56,7 @@ class TestIngestEpoch:
         for path in list_logs(tmp_path):
             with LogReader(path) as r:
                 for e in r.entries_for(epoch=0):
-                    got.extend(r.read_sst(e).rids.tolist())
+                    got.extend(r.read_sst(e).batch.rids.tolist())
         assert sorted(got) == expect
 
     def test_bootstrap_renegotiation_always_happens(self, tmp_path):

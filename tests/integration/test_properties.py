@@ -50,7 +50,7 @@ class TestCarpConservation:
         for path in list_logs(tmp):
             with LogReader(path) as reader:
                 for entry in reader.entries:
-                    batch = reader.read_sst(entry)
+                    batch = reader.read_sst(entry).batch
                     for rid, key in zip(batch.rids.tolist(),
                                         batch.keys.tolist()):
                         assert rid not in stored, "duplicate record"
@@ -92,7 +92,7 @@ class TestManifestConsistency:
         for path in list_logs(tmp):
             with LogReader(path) as reader:
                 for entry in reader.entries:
-                    batch = reader.read_sst(entry)
+                    batch = reader.read_sst(entry).batch
                     assert float(batch.keys.min()) == entry.kmin
                     assert float(batch.keys.max()) == entry.kmax
                     assert len(batch) == entry.count

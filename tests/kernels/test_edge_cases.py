@@ -210,8 +210,8 @@ def test_query_straddling_sst_boundaries(tmp_path):
     with LogReader(log_path) as reader:
         entries = [e for e in reader.entries_for(epoch=0) if e.count]
         assert len(entries) >= 2, "edge ingest must flush multiple SSTs"
-        first = reader.read_sst(entries[0])
-        second = reader.read_sst(entries[1])
+        first = reader.read_sst(entries[0]).batch
+        second = reader.read_sst(entries[1]).batch
     lo = float(first.keys[len(first) // 2])
     hi = float(second.keys[len(second) // 2])
     if hi < lo:

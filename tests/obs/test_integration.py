@@ -128,7 +128,8 @@ class TestMetricsReconciliation:
         assert m.counter_value("query.read_requests") == res.cost.read_requests
         assert m.counter_value("query.probe_bytes") == res.cost.bytes_read
         assert m.counter_value("query.ssts_read") == res.cost.ssts_read
-        assert m.counter_value("io.bytes_charged") == res.cost.bytes_read
+        # the I/O model prices whole candidate SSTs, not the touched spans
+        assert m.counter_value("io.bytes_charged") == res.cost.candidate_bytes
 
 
 class TestDisabledPath:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.query.engine import PartitionedStore, _overlapping_run_bytes
+from repro.storage.sstable import head_span_len
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +85,43 @@ class TestCosts:
         assert res.cost.bytes_read < store.total_bytes(0) * 0.7
 
     def test_bytes_read_matches_entries(self, store):
+        """Touched bytes sit between the heads and the whole candidates."""
         res = store.query(0, 0.2, 0.4)
         entries = store.overlapping_entries(0, 0.2, 0.4)
-        assert res.cost.bytes_read == sum(e.length for _, e in entries)
-        assert res.cost.read_requests == len(entries)
+        cost = res.cost
+        assert cost.candidate_bytes == sum(e.length for _, e in entries)
+        heads = sum(head_span_len(e.count) for _, e in entries)
+        assert heads < cost.bytes_read <= cost.candidate_bytes
+        assert len(entries) <= cost.read_requests <= 2 * len(entries)
+
+    def test_scan_touches_every_candidate_byte(self, store):
+        cost = store.scan(0).cost
+        assert cost.bytes_read == cost.candidate_bytes == store.total_bytes(0)
+        assert cost.read_requests == 2 * cost.ssts_read
+
+    def test_no_match_touches_heads_only(self, store):
+        """A candidate whose key block holds no match costs its head."""
+        reader_idx, entry = next(
+            (i, e) for i, e in store.entries(0) if e.kmin < e.kmax
+        )
+        reader = store._readers[reader_idx]
+        keys = np.sort(reader.read_sst_keys(entry).keys)
+        gaps = np.flatnonzero(np.diff(keys) > 0)
+        lo = float(np.nextafter(keys[gaps[0]], np.float32(np.inf)))
+        hi = float(np.nextafter(keys[gaps[0] + 1], np.float32(-np.inf)))
+        if hi < lo:
+            pytest.skip("no representable gap between adjacent keys")
+        read = reader.read_sst(entry, lo, hi)
+        assert len(read.batch) == 0
+        assert (read.bytes_read, read.requests) == (head_span_len(entry.count), 1)
+
+    def test_modeled_times_price_whole_candidates(self, store):
+        cost = store.query(0, 0.2, 0.4).cost
+        io = store.io
+        assert cost.read_time == io.read_time(cost.candidate_bytes, cost.ssts_read)
+        assert cost.merge_time == (
+            io.merge_time(cost.merge_bytes) + io.scan_time(cost.candidate_bytes)
+        )
 
     def test_latency_positive_and_composed(self, store):
         res = store.query(0, 0.1, 1.0)

@@ -108,3 +108,29 @@ def test_session_explain_passthrough(tmp_path):
         report = session.explain(0, 0.5, 2.0)
         assert isinstance(report, QueryExplain)
         assert report.reconcile(session.query(0, 0.5, 2.0).cost) == []
+
+
+def test_report_shows_touched_vs_skipped(store):
+    """Candidate bytes, bytes read and the difference, per log and total."""
+    report = store.explain(0, 0.5, 0.6)
+    measured = store.query(0, 0.5, 0.6).cost
+    assert report.reconcile(measured) == []
+    cost = report.cost
+    assert 0 < cost.bytes_read < cost.candidate_bytes
+    assert sum(l.candidate_bytes for l in report.logs) == cost.candidate_bytes
+    for log in report.logs:
+        assert log.candidate_bytes == sum(e.length for e in log.entries)
+        assert log.bytes_skipped == log.candidate_bytes - log.bytes_read >= 0
+    doc = report.to_dict()
+    assert doc["cost"]["bytes_skipped"] == cost.candidate_bytes - cost.bytes_read
+    assert [l["bytes_skipped"] for l in doc["logs"]] == [
+        l.bytes_skipped for l in report.logs
+    ]
+    text = report.render_text()
+    assert "candidate" in text and "skipped" in text
+    # a tampered per-log candidate column is caught like any other
+    bad = dataclasses.replace(
+        report.logs[0], candidate_bytes=report.logs[0].candidate_bytes + 1
+    )
+    tampered = dataclasses.replace(report, logs=(bad,) + report.logs[1:])
+    assert any("candidate_bytes" in e for e in tampered.reconcile())

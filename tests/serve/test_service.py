@@ -420,3 +420,47 @@ class TestExplainIds:
             assert legacy_explain.cost == legacy.cost
             with pytest.raises(TypeError, match="not both"):
                 session.query(QueryRequest(lo=lo, hi=hi), lo=lo, hi=hi)
+
+
+class TestByteAccounting:
+    def test_response_bytes_are_the_spans_the_workers_touched(
+        self, tmp_path, monkeypatch
+    ):
+        """Σ ``response.cost.bytes_read`` == Σ touched span lengths.
+
+        Two serve workers answer interleaved requests; every reader
+        they open records its spans into one shared list.  Per-probe
+        accounting is summed from what each read call returns, so the
+        responses account for exactly the bytes touched — no more (a
+        probe never sees another thread's reads), no fewer.
+        """
+        from repro.storage.log import LogReader
+
+        touched: list[tuple[int, int]] = []
+        opened = LogReader.__init__
+
+        def recording_init(self, *args, **kwargs):
+            opened(self, *args, **kwargs)
+            self.touched = touched  # list.append is atomic under the GIL
+
+        monkeypatch.setattr(LogReader, "__init__", recording_init)
+        with Session(TRACE.nranks, tmp_path, OPTIONS) as session:
+            session.ingest_epoch(0, streams(0))
+            service = session.serve(workers=2)
+            responses = _run_clients(service, {
+                f"client-{c}": [
+                    QueryRequest(lo=lo, hi=hi, client=f"client-{c}",
+                                 keys_only=bool(q % 2))
+                    for q in range(6)
+                    for lo, hi in [_window(c, q)]
+                ]
+                for c in range(4)
+            })
+            service.close()
+        flat = [r for mine in responses.values() for r in mine]
+        assert len(flat) == 24 and all(r.ok and not r.cached for r in flat)
+        assert sum(r.cost.bytes_read for r in flat) == sum(
+            length for _offset, length in touched
+        )
+        assert sum(r.cost.read_requests for r in flat) == len(touched)
+        assert any(r.cost.bytes_read < r.cost.candidate_bytes for r in flat)

@@ -59,7 +59,7 @@ class TestValueBlocks:
     def test_roundtrip(self):
         rids = make_rids(3, 100, 5)
         data = encode_value_block(rids, value_size=16)
-        assert np.array_equal(decode_value_block(data, 16), rids)
+        assert np.array_equal(decode_value_block(data, 16, 5), rids)
 
     def test_size_accounting(self):
         rids = make_rids(0, 0, 7)
@@ -68,12 +68,14 @@ class TestValueBlocks:
     def test_paper_value_size(self):
         rids = make_rids(1, 0, 3)
         data = encode_value_block(rids, value_size=56)
-        assert np.array_equal(decode_value_block(data, 56, verify_filler=True), rids)
+        assert np.array_equal(
+            decode_value_block(data, 56, 3, verify_filler=True), rids
+        )
 
     def test_minimal_value_size(self):
         rids = make_rids(0, 0, 4)
         data = encode_value_block(rids, value_size=8)
-        assert np.array_equal(decode_value_block(data, 8), rids)
+        assert np.array_equal(decode_value_block(data, 8, 4), rids)
 
     def test_too_small_value_size(self):
         with pytest.raises(ValueError):
@@ -89,18 +91,18 @@ class TestValueBlocks:
         # flip a filler byte and fix up nothing: CRC catches it first
         data[10] ^= 0x01
         with pytest.raises(BlockCorruptionError):
-            decode_value_block(bytes(data), 16, verify_filler=True)
+            decode_value_block(bytes(data), 16, 2, verify_filler=True)
 
     def test_crc_detects_corruption(self):
         data = bytearray(encode_value_block(make_rids(0, 0, 2), 8))
         data[3] ^= 0x80
         with pytest.raises(BlockCorruptionError, match="CRC"):
-            decode_value_block(bytes(data), 8)
+            decode_value_block(bytes(data), 8, 2)
 
     def test_wrong_value_size_detected(self):
         data = encode_value_block(make_rids(0, 0, 3), 8)
         with pytest.raises(BlockCorruptionError):
-            decode_value_block(data, 16)
+            decode_value_block(data, 16, 3)
 
     @given(rank=st.integers(0, 100), count=st.integers(0, 50),
            vsize=st.sampled_from([8, 12, 56, 60]))
@@ -109,5 +111,5 @@ class TestValueBlocks:
         rids = make_rids(rank, 0, count)
         data = encode_value_block(rids, vsize)
         assert np.array_equal(
-            decode_value_block(data, vsize, verify_filler=True), rids
+            decode_value_block(data, vsize, count, verify_filler=True), rids
         )

@@ -53,7 +53,7 @@ class TestCompactEpoch:
             prev_max = -np.inf
             total = 0
             for e in sorted(r.entries, key=lambda e: e.offset):
-                b = r.read_sst(e)
+                b = r.read_sst(e).batch
                 assert np.all(np.diff(b.keys) >= 0)
                 assert b.keys[0] >= prev_max  # globally sorted across SSTs
                 prev_max = b.keys[-1]

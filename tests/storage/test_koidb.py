@@ -25,7 +25,7 @@ def read_all(tmp_path, rank=0):
     out = []
     with LogReader(tmp_path / log_name(rank)) as r:
         for e in r.entries:
-            out.append((e, r.read_sst(e)))
+            out.append((e, r.read_sst(e).batch))
     return out
 
 

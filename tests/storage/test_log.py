@@ -41,8 +41,8 @@ class TestWriteRead:
             w.flush_epoch(0)
         with LogReader(path) as r:
             assert len(r.entries) == 2
-            assert r.read_sst(r.entries[0]).keys.tolist() == [1.0, 2.0]
-            assert r.read_sst(r.entries[1]).keys.tolist() == [3.0]
+            assert r.read_sst(r.entries[0]).batch.keys.tolist() == [1.0, 2.0]
+            assert r.read_sst(r.entries[1]).batch.keys.tolist() == [3.0]
 
     def test_multi_epoch_chain(self, tmp_path):
         path = tmp_path / log_name(0)
@@ -85,7 +85,7 @@ class TestWriteRead:
             w.flush_epoch(0)
         with LogReader(path) as r:
             entry = r.entries[0]
-            info, keys = r.read_sst_keys(entry)
+            info, keys, _nbytes = r.read_sst_keys(entry)
             assert len(keys) == 100
             assert r.bytes_read < entry.length
 
@@ -187,7 +187,7 @@ class TestRecovery:
         path = self._torn_log(tmp_path)
         with LogReader(path, recover=True) as r:
             assert [e.epoch for e in r.entries] == [0]
-            assert r.read_sst(r.entries[0]).keys.tolist() == [1.0, 2.0]
+            assert r.read_sst(r.entries[0]).batch.keys.tolist() == [1.0, 2.0]
             assert r.recovered_bytes_dropped > 0
 
     def test_without_recover_fails(self, tmp_path):

@@ -65,7 +65,7 @@ def log_dir(tmp_path_factory):
 def test_close_releases_map(log_dir):
     reader = LogReader(list_logs(log_dir)[0])
     entry = reader.entries[0]
-    assert len(reader.read_sst(entry)) == entry.count
+    assert len(reader.read_sst(entry).batch) == entry.count
     assert reader._map is not None and not reader._map.closed
     reader.close()
     assert reader._map.closed
@@ -143,7 +143,7 @@ def test_pinned_open_ignores_bytes_past_the_pin(log_dir, tmp_path):
         assert [e.offset for e in reader.entries] == [
             e.offset for e in state.entries
         ]
-        batch = reader.read_sst(reader.entries[0])
+        batch = reader.read_sst(reader.entries[0]).batch
         assert len(batch) == reader.entries[0].count
     # the worker task takes the same pinned path through its cache
     worker_state: dict = {}

@@ -22,7 +22,7 @@ def test_obs_overhead(benchmark):
     spec = WORKLOADS["obs-overhead"]
     metrics = benchmark.pedantic(
         lambda: run_workload(spec), rounds=1, iterations=1
-    )
+    ).metrics
     by_name = {m.name: m for m in metrics}
 
     headers = ["metric", "value", "unit", "kind"]

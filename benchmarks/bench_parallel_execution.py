@@ -2,8 +2,8 @@
 
 The paper motivates CARP's per-rank logs with parallel processing
 (§VII-A); ``repro.exec`` makes that executable.  This benchmark runs
-the same seeded ingest+query pipeline under the serial, thread, and
-process backends, reporting wall-clock speedups while *proving* the
+the same seeded ingest+query pipeline under the serial and process
+backends, reporting wall-clock speedups while *proving* the
 outputs identical (log hashes and query digests) — speed may vary with
 the host, bytes must not.
 
@@ -23,7 +23,7 @@ from repro.bench.results import emit
 from repro.bench.tables import banner, fmt_seconds, render_table
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
 from repro.query.engine import PartitionedStore
 from repro.storage.log import list_logs
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
@@ -53,7 +53,6 @@ WORKERS = 4
 
 BACKENDS = (
     ("serial", SerialExecutor),
-    ("thread", lambda: ThreadExecutor(WORKERS)),
     ("process", lambda: ProcessExecutor(WORKERS)),
 )
 

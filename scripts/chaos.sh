@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Crash-recovery chaos trials (docs/FAULTS.md): seeded ingest → kill →
-# recover → query loops across all three executor backends.  Exits
+# recover → query loops across both executor backends.  Exits
 # nonzero on committed-data loss or cross-executor divergence; failing
 # seeds leave repro bundles under chaos-bundles/.
 #

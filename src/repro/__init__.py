@@ -32,7 +32,6 @@ from repro.exec import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from repro.query.engine import PartitionedStore, QueryResult
@@ -73,7 +72,6 @@ __all__ = [
     "Session",
     "Snapshot",
     "TEST_OPTIONS",
-    "ThreadExecutor",
     "compact_all_epochs",
     "compact_epoch",
     "load_stddev",

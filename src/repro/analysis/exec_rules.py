@@ -1,8 +1,8 @@
 """Parallel-execution rules (P-family).
 
-``repro.exec`` task functions run under three interchangeable backends
-— inline, threads, and worker processes — and the repo's determinism
-contract requires all three to produce bit-identical output.  Two
+``repro.exec`` task functions run under two interchangeable backends
+— inline and worker processes — and the repo's determinism
+contract requires both to produce bit-identical output.  Two
 statically checkable properties make that hold:
 
 Rules
@@ -11,8 +11,8 @@ P601
     Module-level mutable state in ``repro.exec``.  A task function
     closing over a module-level ``dict``/``list``/``set`` behaves
     differently under :class:`ProcessExecutor` (each worker has its own
-    copy of the module) than under threads or serial execution (one
-    shared object), so results silently diverge across backends.  All
+    copy of the module) than under serial execution (one shared
+    object), so results silently diverge across backends.  All
     mutable task state must live in the executor-managed per-shard
     ``state`` mapping.  Module-level constants (numbers, strings,
     tuples) are fine; ``global`` statements are flagged for the same
@@ -75,7 +75,7 @@ class ModuleMutableStateRule(Rule):
     name = "exec-module-mutable-state"
     description = (
         "module-level mutable state in repro.exec — invisible to process "
-        "workers, shared by thread workers; results diverge across backends"
+        "workers, shared by inline tasks; results diverge across backends"
     )
     scope = EXEC_SCOPE
 

@@ -28,7 +28,7 @@ from repro.core.rank import CarpRankState
 from repro.core.records import RecordBatch
 from repro.core.renegotiation import RenegStats, negotiate
 from repro.core.triggers import PeriodicTrigger, TriggerLog, TriggerReason
-from repro.exec.api import Executor
+from repro.exec.api import SERIAL_EXEC, Executor, SerialExecutor
 from repro.exec.factory import resolve_executor
 from repro.exec.shards import KoiDBProxy, KoiDBShardClient
 from repro.faults.plan import (
@@ -36,7 +36,6 @@ from repro.faults.plan import (
     SITE_SHUFFLE_SEND,
     FaultInjector,
     FaultPlan,
-    InjectedCrashError,
 )
 from repro.obs import (
     MESSAGE_TICK,
@@ -48,7 +47,6 @@ from repro.obs import (
 )
 from repro.shuffle.flow import DelayQueue, ShuffleMessage
 from repro.shuffle.router import range_route, split_by_destination
-from repro.storage.koidb import KoiDB
 
 _MAX_ROUTE_RETRIES = 64
 
@@ -137,7 +135,6 @@ class CarpRun:
         self.options = options or CarpOptions()
         self.out_dir = Path(out_dir)
         self.obs = obs if obs is not None else NULL_OBS
-        self._obs_on = self.obs.enabled
         # track handles and instruments are resolved once; with the
         # null stack these are shared no-op objects
         self._tr_route = [
@@ -146,9 +143,9 @@ class CarpRun:
         self._tr_shuffle = self.obs.track("shuffle", "fabric")
         self._tr_reneg = self.obs.track("renegotiate", "driver")
         self._tr_epoch = self.obs.track("epoch", "driver")
-        # flush-track layout is driver-owned for *both* execution paths:
-        # KoiDB instances record onto rank-local buffering tracers (see
-        # below), so they never declare driver tracks themselves
+        # flush-track layout is driver-owned: KoiDB instances record
+        # onto rank-local buffering tracers inside koidb_apply, so they
+        # never declare driver tracks themselves
         for r in range(self.nreceivers):
             self.obs.track("flush", f"rank {r}")
         metrics = self.obs.metrics
@@ -164,12 +161,16 @@ class CarpRun:
         )
         self._g_in_flight = metrics.gauge("shuffle.in_flight_records")
         self.ranks = [CarpRankState(r, self.options) for r in range(nranks)]
-        # with a parallel executor each receiver rank's KoiDB lives on
-        # its sticky shard worker; the driver holds command-buffering
-        # proxies instead and syncs them at epoch barriers — the
-        # per-rank command streams replayed there are exactly the
-        # serial call sequence, so the log bytes are identical
+        # each receiver rank's KoiDB lives in its sticky shard state on
+        # the executor; the driver holds command-buffering proxies and
+        # syncs them at epoch barriers.  The per-rank command stream is
+        # what determines a log's bytes, so they are identical whether
+        # koidb_apply replays it inline or on a worker process
         self._executor, self._exec_owned = resolve_executor(executor)
+        if self._executor is SERIAL_EXEC:
+            # the shared default is for stateless use; KoiDBs are sticky
+            # state, and two live runs must not meet on one shard key
+            self._executor, self._exec_owned = SerialExecutor(), True
         # a fault plan arms the injection sites (see repro.faults): the
         # driver hosts the shuffle.send site, each receiver rank's KoiDB
         # hosts the storage sites.  With faults=None every hook below is
@@ -180,37 +181,11 @@ class CarpRun:
             FaultInjector(shuffle_specs, obs=self.obs)
             if shuffle_specs else None
         )
-        self.koidbs: list[KoiDB] | list[KoiDBProxy]
-        if self._executor.is_serial:
-            self._shards: KoiDBShardClient | None = None
-            # each KoiDB records onto its own rank-local timeline (clock
-            # at zero, buffering tracer) — exactly the stack a shard
-            # worker would use — while sharing the driver's metrics
-            # registry; :meth:`_sync_storage_trace` merges the buffered
-            # spans at the same barrier points a parallel run uses, so
-            # trace.json is identical on every backend
-            self._rank_obs: list[Obs] = [
-                Obs.deltas(metrics=self.obs.metrics)
-                if self._obs_on else NULL_OBS
-                for _ in range(self.nreceivers)
-            ]
-            self.koidbs = [
-                KoiDB(
-                    r, self.out_dir, self.options, obs=self._rank_obs[r],
-                    faults=(
-                        faults.specs_for_rank(r)
-                        if faults is not None else None
-                    ),
-                )
-                for r in range(self.nreceivers)
-            ]
-        else:
-            self._rank_obs = []
-            self._shards = KoiDBShardClient(
-                self._executor, self.out_dir, self.options,
-                self.nreceivers, obs=self.obs, faults=faults,
-            )
-            self.koidbs = self._shards.proxies
+        self._shards = KoiDBShardClient(
+            self._executor, self.out_dir, self.options,
+            self.nreceivers, obs=self.obs, faults=faults,
+        )
+        self.koidbs: list[KoiDBProxy] = self._shards.proxies
         self.table: PartitionTable | None = None
         self._version = 0
         self._flow: DelayQueue | None = None
@@ -222,28 +197,9 @@ class CarpRun:
     # ----------------------------------------------------------- plumbing
 
     def close(self) -> None:
-        if self._shards is not None:
-            self._shards.close()
-        else:
-            for db in self.koidbs:
-                db.close()
-            self._sync_storage_trace()
+        self._shards.close()
         if self._exec_owned:
             self._executor.close()
-
-    def _sync_storage_trace(self) -> None:
-        """Merge serial rank-local KoiDB spans into the driver trace.
-
-        The serial twin of :meth:`KoiDBShardClient.barrier`'s span
-        merge: drains each rank's buffering tracer in ascending rank
-        order at the same points a parallel run barriers, so the
-        driver-side event sequence (and hence the written trace.json)
-        is bit-identical across executors.
-        """
-        for rank_obs in self._rank_obs:
-            records = rank_obs.tracer.drain()
-            if records:
-                self.obs.tracer.merge_events(records)
 
     def __enter__(self) -> "CarpRun":
         return self
@@ -352,13 +308,14 @@ class CarpRun:
         total_records = sum(len(s) for s in streams)
         if total_records == 0:
             raise ValueError("cannot ingest an empty epoch")
+        obs = self.obs
         rid = ctx.request_id if ctx is not None else None
-        if self._obs_on and rid is not None:
+        if obs.enabled and rid is not None:
             # driver-side spans pick the id up from the obs stack;
-            # storage-side spans via set_request, which the serial path
-            # applies immediately and the parallel path replays as a
-            # ("ctx", rid) command at the same stream position
-            self.obs.request_id = rid
+            # storage-side spans via a ("ctx", rid) command replayed at
+            # this position of each rank's stream.  Guarded: a request
+            # id must never be assigned on the shared NULL_OBS
+            obs.request_id = rid
             for db in self.koidbs:
                 db.set_request(rid)
 
@@ -392,7 +349,6 @@ class CarpRun:
         stats = EpochStats(epoch=epoch)
         self._epoch_stats = stats
         self._round_idx = 0
-        obs = self.obs
         # a crashed epoch leaves this span open, marking the crash
         # point.  The per-epoch span name is bounded by the epoch
         # count, the sanctioned exception to static instrument names.
@@ -408,12 +364,10 @@ class CarpRun:
         n_rounds = max(-(-len(s) // chunk) for s in streams)
         for round_idx in range(n_rounds):
             self._round_idx = round_idx
-            if self._obs_on:
-                obs.clock.advance(ROUND_TICK)
-                # interval telemetry: driver-scoped counters only, so
-                # the sample is identical whether worker deltas merge
-                # live (serial) or at barriers (parallel)
-                obs.telemetry.tick()
+            obs.clock.advance(ROUND_TICK)
+            # interval telemetry: driver-scoped counters only — worker
+            # deltas merge at barriers, never mid-epoch
+            obs.telemetry.tick()
             pending: dict[int, RecordBatch] = {}
             round_records = 0
             for r, stream in enumerate(streams):
@@ -439,8 +393,7 @@ class CarpRun:
             else:
                 raise RuntimeError("bootstrap routing did not converge")
             stats.records += round_records
-            if self._obs_on:
-                self._m_records.add(round_records)
+            self._m_records.add(round_records)
             self._deliver(self._flow.tick())
             if self.table is not None and self._external_reneg_requested:
                 self._renegotiate(TriggerReason.EXTERNAL)
@@ -467,24 +420,16 @@ class CarpRun:
         self._deliver(self._flow.drain())
         if self.faults is not None:
             # determinacy point for crash injection: surface any
-            # mid-epoch worker failure *before* the first finish
-            # command, so a crashed epoch commits on no rank — the
-            # same all-or-per-rank outcome the serial path produces by
-            # aborting instantly.  (Gated on a fault plan so fault-free
-            # runs keep today's exact barrier/trace schedule.)
-            if self._shards is not None:
-                self._shards.barrier()
-            else:
-                self._sync_storage_trace()
-        self._finish_all_ranks()
-        if self._shards is not None:
-            # the barrier replays outstanding command streams on the
-            # shard workers and syncs proxy stats/offsets/metrics (and
-            # merges worker spans), so the reads below see the finished
-            # epoch
+            # mid-epoch task failure *before* the first finish command,
+            # so a crashed epoch commits on no rank.  (Gated on a fault
+            # plan so fault-free runs keep their barrier/trace schedule.)
             self._shards.barrier()
-        else:
-            self._sync_storage_trace()
+        for db in self.koidbs:
+            db.finish_epoch()
+        # the barrier replays outstanding command streams and syncs
+        # proxy stats/offsets/metrics (and merges rank-local spans), so
+        # the reads below see the finished epoch
+        self._shards.barrier()
 
         stats.partition_loads = np.array(
             [db.stats.records_in - before for db, before in zip(self.koidbs, records_before)],
@@ -502,38 +447,15 @@ class CarpRun:
             {"strays": stats.stray_records,
              "renegotiations": stats.renegotiations},
         )
-        if self._obs_on:
+        if obs.enabled:
             # barrier-aligned full sample: worker deltas just merged,
             # so the whole registry is deterministic here
             obs.telemetry.sample(
                 "epoch", epoch=epoch, request=rid,
                 derived={"retries_done": float(self._executor.retries_done)},
             )
-            self.obs.request_id = None
+            obs.request_id = None
         return stats
-
-    def _finish_all_ranks(self) -> None:
-        """Issue ``finish_epoch`` on every rank, fail-stop per rank.
-
-        Under a fault plan the serial path defers an injected crash
-        until every other rank has finished: a parallel run's finish
-        commands execute independently per shard worker, so one rank's
-        torn epoch flush must not prevent the others from committing —
-        per-rank fail-stop, identical log bytes on every backend.
-        """
-        if self.faults is None or self._shards is not None:
-            for db in self.koidbs:
-                db.finish_epoch()
-            return
-        first_crash: InjectedCrashError | None = None
-        for db in self.koidbs:
-            try:
-                db.finish_epoch()
-            except InjectedCrashError as exc:
-                if first_crash is None:
-                    first_crash = exc
-        if first_crash is not None:
-            raise first_crash
 
     # ------------------------------------------------------------ routing
 
@@ -547,8 +469,7 @@ class CarpRun:
         the leftover batch is returned so the run driver can wait for
         all ranks to contribute their buffered keys first.
         """
-        if not self._obs_on:
-            return self._route_impl(r, batch)
+        assert self._flow is not None
         self._m_route_hist.observe(len(batch))
         # counts every record a route pass handled — including OOB
         # leftovers re-routed after a renegotiation, so it exceeds
@@ -556,40 +477,36 @@ class CarpRun:
         # route span args carry the same quantity and carp-profile
         # joins the two (RECONCILIATIONS in repro.obs.profile)
         self._m_routed.add(len(batch))
+        rank = self.ranks[r]
+        pending = batch
         with self.obs.span(
             self._tr_route[r], "route", dur=len(batch) * RECORD_TICK,
             args={"rank": r, "records": len(batch)},
         ):
-            return self._route_impl(r, batch)
-
-    def _route_impl(self, r: int, batch: RecordBatch) -> RecordBatch:
-        assert self._flow is not None
-        rank = self.ranks[r]
-        pending = batch
-        for _attempt in range(_MAX_ROUTE_RETRIES):
-            if len(pending) == 0:
-                return pending
-            if self.table is None:
-                left = rank.oob.add(pending)
-                if self._obs_on:
+            for _attempt in range(_MAX_ROUTE_RETRIES):
+                if len(pending) == 0:
+                    return pending
+                if self.table is None:
+                    left = rank.oob.add(pending)
                     self._m_oob.add(len(pending) - len(left))
-                return left
-            dests = range_route(pending, self.table)
-            per_dest, oob_batch = split_by_destination(pending, dests)
-            in_bounds = len(pending) - len(oob_batch)
-            if in_bounds:
-                sent_keys = np.concatenate([b.keys for b in per_dest.values()])
-                rank.observe_sent(sent_keys)
-                for dest, sub in per_dest.items():
-                    self._send(dest, sub)
-            if len(oob_batch) == 0:
-                return oob_batch
-            overflow = rank.oob.add(oob_batch)
-            if self._obs_on:
+                    return left
+                dests = range_route(pending, self.table)
+                per_dest, oob_batch = split_by_destination(pending, dests)
+                in_bounds = len(pending) - len(oob_batch)
+                if in_bounds:
+                    sent_keys = np.concatenate(
+                        [b.keys for b in per_dest.values()]
+                    )
+                    rank.observe_sent(sent_keys)
+                    for dest, sub in per_dest.items():
+                        self._send(dest, sub)
+                if len(oob_batch) == 0:
+                    return oob_batch
+                overflow = rank.oob.add(oob_batch)
                 self._m_oob.add(len(oob_batch) - len(overflow))
-            if rank.oob.is_full:
-                self._renegotiate(TriggerReason.OOB_FULL)
-            pending = overflow
+                if rank.oob.is_full:
+                    self._renegotiate(TriggerReason.OOB_FULL)
+                pending = overflow
         raise RuntimeError("routing did not converge (OOB thrashing)")
 
     def _send(self, dest: int, batch: RecordBatch) -> None:
@@ -600,8 +517,7 @@ class CarpRun:
         so no stray keys can form.
         """
         assert self._flow is not None and self.table is not None
-        if self._obs_on:
-            self._m_shuffled.add(len(batch))
+        self._m_shuffled.add(len(batch))
         if self._shuffle_injector is not None:
             spec = self._shuffle_injector.check(SITE_SHUFFLE_SEND)
             if spec is not None:
@@ -647,11 +563,10 @@ class CarpRun:
             fanout=self.options.trp_fanout,
             obs=self.obs,
         )
-        if self._obs_on:
-            obs.clock.advance(MESSAGE_TICK)  # table broadcast
-            self._m_reneg_rounds.add(1)
-            self._m_reneg_msgs.add(reneg.total_messages)
-            self._m_reneg_bytes.add(reneg.total_bytes)
+        obs.clock.advance(MESSAGE_TICK)  # table broadcast
+        self._m_reneg_rounds.add(1)
+        self._m_reneg_msgs.add(reneg.total_messages)
+        self._m_reneg_bytes.add(reneg.total_bytes)
         self._version += 1
         self.table = PartitionTable.from_quantile_points(bounds, version=self._version)
         for rank in self.ranks:
@@ -691,10 +606,9 @@ class CarpRun:
     # ----------------------------------------------------------- delivery
 
     def _deliver(self, messages: list[ShuffleMessage]) -> None:
-        if not self._obs_on or not messages:
-            for msg in messages:
-                self.koidbs[msg.dest].ingest(msg.batch)
+        if not messages:
             return
+        assert self._flow is not None
         delivered = sum(len(m.batch) for m in messages)
         with self.obs.span(
             self._tr_shuffle, "deliver", dur=delivered * RECORD_TICK,
@@ -702,5 +616,4 @@ class CarpRun:
         ):
             for msg in messages:
                 self.koidbs[msg.dest].ingest(msg.batch)
-        assert self._flow is not None
         self._g_in_flight.set(self._flow.in_flight)

@@ -4,17 +4,18 @@ CARP's per-rank logs are a natural shard boundary (paper §VII-A: the
 layout exists to "allow for parallel processing of a query"); this
 package makes that executable.  An :class:`Executor` runs *shard
 tasks* — module-level functions bound to sticky, worker-exclusive
-per-shard state — with three interchangeable backends:
+per-shard state — with two interchangeable backends:
 
-* :class:`SerialExecutor` — the zero-overhead default, inline.
-* :class:`ThreadExecutor` — a thread pool; wins when tasks release the
-  GIL (file I/O, NumPy kernels).
+* :class:`SerialExecutor` — the default; runs each task inline at
+  ``submit``.
 * :class:`ProcessExecutor` — a process pool; fully shared-nothing,
   sidesteps the GIL at a pickling cost.
 
-The hot paths (``CarpRun.ingest_epoch``, ``PartitionedStore.query``,
-the compactor) accept ``executor=`` exactly like ``obs=`` and produce
-bit-identical output on every backend; ``CARP_EXECUTOR`` /
+Ingest has one path: ``CarpRun`` buffers each rank's KoiDB command
+stream and ``koidb_apply`` replays it, inline or on a worker.  The
+hot paths (``CarpRun.ingest_epoch``, ``PartitionedStore.query``, the
+compactor) accept ``executor=`` exactly like ``obs=`` and produce
+bit-identical output on both backends; ``CARP_EXECUTOR`` /
 ``CARP_WORKERS`` select a backend environment-wide.  The model, the
 ownership rules, and the determinism contract are documented in
 ``docs/PARALLELISM.md``; carp-lint's P6xx family enforces the worker
@@ -43,12 +44,11 @@ from repro.exec.factory import (
     make_executor,
     resolve_executor,
 )
-from repro.exec.pools import ProcessExecutor, ThreadExecutor
+from repro.exec.pools import ProcessExecutor
 
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "SERIAL_EXEC",
     "TaskFn",

@@ -101,7 +101,7 @@ def worker_of(shard: int, workers: int) -> int:
 class Executor(abc.ABC):
     """Deterministic shard-task executor (see module docstring)."""
 
-    #: Human-readable backend name (``serial`` / ``thread`` / ``process``).
+    #: Human-readable backend name (``serial`` / ``process``).
     name: str = ""
     #: Number of workers tasks are spread across.
     workers: int = 1
@@ -116,8 +116,12 @@ class Executor(abc.ABC):
     def is_serial(self) -> bool:
         """True when tasks run inline on the calling thread.
 
-        Hot paths use this to keep their zero-overhead direct code path
-        instead of routing through the task machinery.
+        Consulted only by the three *stateless* fan-outs (the query
+        probe and the compactor's two), which skip the task machinery
+        there because the caller already holds what the task would
+        rebuild (open readers) or is itself running inside a task.
+        Ingest never asks: it replays the same ``koidb_apply`` command
+        stream on every backend.
         """
         return False
 
@@ -169,12 +173,11 @@ class Executor(abc.ABC):
 class SerialExecutor(Executor):
     """Run every task inline on the calling thread.
 
-    The default backend everywhere: consumers check
-    :attr:`Executor.is_serial` and keep their direct code path, so a
-    serial run pays a single attribute check.  When tasks *are*
-    submitted (e.g. exercising worker functions in tests) they run
-    immediately with the same sticky-state semantics as the parallel
-    backends.
+    The default backend everywhere.  ``submit`` executes the task
+    before returning, against the same sticky per-shard state and with
+    the same failure semantics as the process pool: a failed task does
+    not stop later submissions from running, and ``drain`` raises the
+    submission-order-first failure.
     """
 
     name = "serial"
@@ -192,10 +195,9 @@ class SerialExecutor(Executor):
         return True
 
     def submit(self, shard: int, fn: TaskFn, /, *args: Any) -> None:
-        if self._failure is not None:
-            return  # drain will raise; mirror parallel fail-fast drains
         state = self._states.setdefault(shard, {})
         retries = 0
+        failure: ExecutorError
         while True:
             try:
                 self._results.append(fn(state, *args))
@@ -205,17 +207,20 @@ class SerialExecutor(Executor):
                     retries += 1
                     self.retries_done += 1
                     continue
-                self._failure = WorkerCrashError(
+                failure = WorkerCrashError(
                     f"task on shard {shard} crashed"
                     f"{f' after {retries} retries' if retries else ''}: "
                     f"{exc}"
                 )
-                return
             except Exception as exc:  # noqa: BLE001 - uniform worker semantics
-                self._failure = WorkerTaskError(
+                failure = WorkerTaskError(
                     shard, repr(exc), traceback.format_exc()
                 )
-                return
+            # later tasks keep running, as they would on a pool worker;
+            # drain raises the first failure in submission order
+            if self._failure is None:
+                self._failure = failure
+            return
 
     def drain(self) -> list[Any]:
         results, self._results = self._results, []
@@ -230,7 +235,8 @@ class SerialExecutor(Executor):
         self._failure = None
 
 
-#: Shared default executor.  Stateless use only (the built-in serial
-#: paths never submit tasks to it); anything needing sticky shard state
-#: should own a fresh executor instance.
+#: Shared default executor.  Stateless use only: anything that keeps
+#: sticky shard state (``CarpRun``'s per-rank KoiDBs) owns a private
+#: ``SerialExecutor()`` instead, so two runs in one process never
+#: share shard keys.
 SERIAL_EXEC = SerialExecutor()

@@ -1,9 +1,9 @@
 """Executor construction: by name, from the environment, from a CLI.
 
 The injection convention mirrors ``obs=``: every parallelizable entry
-point takes ``executor=`` and defaults to the zero-overhead serial
+point takes ``executor=`` and defaults to the inline serial
 backend.  ``executor=None`` additionally consults the environment —
-``CARP_EXECUTOR={serial,thread,process}`` and ``CARP_WORKERS=N`` — so a
+``CARP_EXECUTOR={serial,process}`` and ``CARP_WORKERS=N`` — so a
 CI leg can push a whole test suite through the process pool without
 touching call sites.  :func:`resolve_executor` reports whether the
 consumer owns (and must close) the executor it got back.
@@ -15,10 +15,10 @@ import argparse
 import os
 
 from repro.exec.api import SERIAL_EXEC, Executor, SerialExecutor
-from repro.exec.pools import ProcessExecutor, ThreadExecutor
+from repro.exec.pools import ProcessExecutor
 
 #: Recognized ``CARP_EXECUTOR`` / ``--executor`` backend names.
-EXECUTOR_KINDS = ("serial", "thread", "process")
+EXECUTOR_KINDS = ("serial", "process")
 
 ENV_EXECUTOR = "CARP_EXECUTOR"
 ENV_WORKERS = "CARP_WORKERS"
@@ -41,7 +41,7 @@ def make_executor(
 ) -> Executor:
     """Construct a backend by name.
 
-    ``workers`` defaults to the CPU count for the pool backends and is
+    ``workers`` defaults to the CPU count for the process pool and is
     ignored for ``serial``.  ``task_retries`` is the per-task
     :class:`~repro.exec.api.WorkerCrashError` retry budget (default:
     ``CARP_TASK_RETRIES`` or 0).  Workers spawn lazily, so an executor
@@ -50,10 +50,8 @@ def make_executor(
     retries = task_retries if task_retries is not None else default_task_retries()
     if kind == "serial":
         return SerialExecutor(task_retries=retries)
-    n = workers if workers is not None else default_worker_count()
-    if kind == "thread":
-        return ThreadExecutor(n, task_retries=retries)
     if kind == "process":
+        n = workers if workers is not None else default_worker_count()
         return ProcessExecutor(n, task_retries=retries)
     raise ValueError(
         f"unknown executor kind {kind!r} (expected one of {EXECUTOR_KINDS})"
@@ -64,7 +62,7 @@ def default_executor() -> Executor:
     """The environment-selected executor.
 
     Returns the shared :data:`~repro.exec.api.SERIAL_EXEC` unless
-    ``CARP_EXECUTOR`` names a pool backend; ``CARP_WORKERS`` sizes it.
+    ``CARP_EXECUTOR=process``; ``CARP_WORKERS`` sizes the pool.
     """
     kind = os.environ.get(ENV_EXECUTOR, "").strip().lower()
     if not kind or kind == "serial":
@@ -104,7 +102,7 @@ def add_executor_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help=f"worker count for pool backends (default: ${ENV_WORKERS} or CPU count)",
+        help=f"worker count for the process pool (default: ${ENV_WORKERS} or CPU count)",
     )
 
 

@@ -1,20 +1,17 @@
-"""Thread- and process-pool executors with sticky shard ownership.
+"""The process-pool executor with sticky shard ownership.
 
-Both pools share one architecture: each worker owns a private task
-queue and the shards assigned to it by :func:`~repro.exec.api.worker_of`
-never migrate, so per-shard state (an open KoiDB, a reader cache) is
-touched by exactly one worker for the executor's lifetime.  Results
-flow back over a single shared queue tagged with submission tickets;
-:meth:`drain` reorders them into submission order, which is the whole
-reason callers can merge worker output deterministically.
+Each worker owns a private task queue and the shards assigned to it by
+:func:`~repro.exec.api.worker_of` never migrate, so per-shard state (an
+open KoiDB, a reader cache) is touched by exactly one worker for the
+executor's lifetime.  Results flow back over a single shared queue
+tagged with submission tickets; :meth:`ProcessExecutor.drain` reorders
+them into submission order, which is the whole reason callers can merge
+worker output deterministically.
 
-``ThreadExecutor`` shares the caller's address space — per-shard state
-holds live objects, nothing is pickled, but the GIL serializes pure-
-Python work (NumPy kernels and file I/O release it).
 ``ProcessExecutor`` is fully shared-nothing: task functions must be
 module-level (pickled by reference; lint rule P601 keeps them free of
 module-level mutable state) and arguments/results cross a pickle
-boundary.  See ``docs/PARALLELISM.md`` for when each wins.
+boundary.  See ``docs/PARALLELISM.md`` for what that costs.
 
 Workers spawn lazily on the first submit, so constructing an executor
 — e.g. the default from ``CARP_EXECUTOR`` — costs nothing until it is
@@ -25,7 +22,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue
-import threading
 import traceback
 from typing import Any
 
@@ -57,7 +53,7 @@ def _run_task(
 ) -> None:
     """Execute one ticketed task, retrying crashes inline.
 
-    Shared by both worker loops.  Retrying *inside* the worker (rather
+    Retrying *inside* the worker (rather
     than re-enqueueing at the driver) preserves per-shard submission
     order: a retried task still finishes before any later task for the
     same shard is picked up.  Every message echoes the submission's
@@ -91,26 +87,12 @@ def _run_task(
             return
 
 
-def _thread_worker_main(
-    task_q: "queue.SimpleQueue[tuple[int, int, int, TaskFn, tuple[Any, ...]] | None]",
-    result_q: "queue.SimpleQueue[tuple[Any, ...]]",
-    task_retries: int = 0,
-) -> None:
-    """Worker loop shared by every :class:`ThreadExecutor` thread."""
-    states: dict[int, dict[str, Any]] = {}
-    while True:
-        item = task_q.get()
-        if item is None:
-            return
-        _run_task(states, result_q, item, task_retries)
-
-
 def _process_worker_main(task_q: Any, result_q: Any, task_retries: int = 0) -> None:
     """Worker loop run inside every :class:`ProcessExecutor` child.
 
-    Identical protocol to the thread loop, but everything crossing the
-    queues is pickled, so task results must serialize cleanly and task
-    functions must be importable module-level callables.
+    Everything crossing the queues is pickled, so task results must
+    serialize cleanly and task functions must be importable
+    module-level callables.
     """
     states: dict[int, dict[str, Any]] = {}
     while True:
@@ -120,8 +102,16 @@ def _process_worker_main(task_q: Any, result_q: Any, task_retries: int = 0) -> N
         _run_task(states, result_q, item, task_retries)
 
 
-class _PoolExecutor(Executor):
-    """Ticketed submit/drain machinery shared by both pool backends."""
+class ProcessExecutor(Executor):
+    """Shard tasks on a pool of worker processes (shared-nothing).
+
+    Each worker process owns the per-shard state for its shards; tasks
+    and results cross a pickle boundary.  This sidesteps the GIL
+    entirely, at the price of serialization and process startup — see
+    ``docs/PARALLELISM.md`` for the measured trade-off.
+    """
+
+    name = "process"
 
     def __init__(self, workers: int, task_retries: int = 0) -> None:
         if workers < 1:
@@ -131,59 +121,66 @@ class _PoolExecutor(Executor):
         self.workers = workers
         self.task_retries = task_retries
         self.retries_done = 0
-        self._started = False
         self._closed = False
         self._next_tid = 0
         # tid -> (attempt, shard, fn, args) for every task since the
-        # last drain; keeping the full task lets ProcessExecutor
-        # resubmit after a real worker death, and the attempt counter
-        # lets the drain discard a result the dead worker managed to
-        # enqueue before dying (the resubmission would otherwise be
+        # last drain; keeping the full task lets a respawn resubmit
+        # after a real worker death, and the attempt counter lets the
+        # drain discard a result the dead worker managed to enqueue
+        # before dying (the resubmission would otherwise be
         # double-counted).
         self._pending: dict[int, tuple[int, int, TaskFn, tuple[Any, ...]]] = {}
         # the drain in progress exposes its completed tickets here so
         # _check_workers_alive knows what not to resubmit
         self._drain_done: dict[int, tuple[Any, ...]] = {}
+        # fork avoids re-importing the world per worker where the OS
+        # supports it; tasks are spawn-safe regardless (P601 bans the
+        # module-global state that fork would otherwise paper over).
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+        self._task_qs: list[Any] = []
+        self._result_q: Any = None
+        self._procs: list[Any] = []
+        self._respawns_left = task_retries
 
-    # ------------------------------------------------------ subclass API
-
-    def _start(self) -> None:
-        """Spawn workers and create queues (called once, lazily)."""
-        raise NotImplementedError
-
-    def _enqueue(self, worker: int, item: tuple[Any, ...]) -> None:
-        raise NotImplementedError
-
-    def _result_get(self) -> tuple[Any, ...]:
-        """Blocking result fetch; may raise ``queue.Empty`` on timeout."""
-        raise NotImplementedError
-
-    def _check_workers_alive(self) -> None:
-        """Raise :class:`WorkerCrashError` if any worker died."""
-
-    def _shutdown(self) -> None:
-        """Tear down workers (sentinels already sent by :meth:`close`)."""
-        raise NotImplementedError
+    def _spawn(self, worker: int) -> tuple[Any, Any]:
+        """Start one worker process on a fresh task queue."""
+        task_q = self._ctx.Queue()
+        proc = self._ctx.Process(
+            target=_process_worker_main,
+            args=(task_q, self._result_q, self.task_retries),
+            name=f"carp-exec-{worker}",
+            daemon=True,
+        )
+        proc.start()
+        return task_q, proc
 
     # --------------------------------------------------------- Executor
 
     def submit(self, shard: int, fn: TaskFn, /, *args: Any) -> None:
         if self._closed:
             raise ExecutorError(f"{type(self).__name__} is closed")
-        if not self._started:
-            self._start()
-            self._started = True
+        if not self._procs:  # workers spawn lazily, on first use
+            self._result_q = self._ctx.Queue()
+            for i in range(self.workers):
+                task_q, proc = self._spawn(i)
+                self._task_qs.append(task_q)
+                self._procs.append(proc)
         tid = self._next_tid
         self._next_tid += 1
         self._pending[tid] = (0, shard, fn, args)
-        self._enqueue(worker_of(shard, self.workers), (tid, 0, shard, fn, args))
+        self._task_qs[worker_of(shard, self.workers)].put(
+            (tid, 0, shard, fn, args)
+        )
 
     def drain(self) -> list[Any]:
         outcomes: dict[int, tuple[Any, ...]] = {}
         self._drain_done = outcomes
         while len(outcomes) < len(self._pending):
             try:
-                msg = self._result_get()
+                msg = self._result_q.get(timeout=_POLL_TIMEOUT)
             except queue.Empty:
                 self._check_workers_alive()
                 continue
@@ -223,101 +220,10 @@ class _PoolExecutor(Executor):
         if self._closed:
             return
         self._closed = True
-        if self._started:
-            self._shutdown()
+        self._shutdown()
         self._pending.clear()
 
-
-class ThreadExecutor(_PoolExecutor):
-    """Shard tasks on a fixed pool of daemon threads.
-
-    Best when tasks spend their time outside the GIL — file reads,
-    NumPy sorting/searching — or when task state (open file handles,
-    live objects) cannot cross a process boundary.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int, task_retries: int = 0) -> None:
-        super().__init__(workers, task_retries)
-        self._task_qs: list[queue.SimpleQueue[Any]] = []
-        self._result_q: queue.SimpleQueue[tuple[Any, ...]] = queue.SimpleQueue()
-        self._threads: list[threading.Thread] = []
-
-    def _start(self) -> None:
-        for i in range(self.workers):
-            task_q: queue.SimpleQueue[Any] = queue.SimpleQueue()
-            thread = threading.Thread(
-                target=_thread_worker_main,
-                args=(task_q, self._result_q, self.task_retries),
-                name=f"carp-exec-{i}",
-                daemon=True,
-            )
-            self._task_qs.append(task_q)
-            self._threads.append(thread)
-            thread.start()
-
-    def _enqueue(self, worker: int, item: tuple[Any, ...]) -> None:
-        self._task_qs[worker].put(item)
-
-    def _result_get(self) -> tuple[Any, ...]:
-        return self._result_q.get(timeout=_POLL_TIMEOUT)
-
-    def _shutdown(self) -> None:
-        for task_q in self._task_qs:
-            task_q.put(None)
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._task_qs.clear()
-        self._threads.clear()
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Shard tasks on a pool of worker processes (shared-nothing).
-
-    Each worker process owns the per-shard state for its shards; tasks
-    and results cross a pickle boundary.  This sidesteps the GIL
-    entirely, at the price of serialization and process startup — see
-    ``docs/PARALLELISM.md`` for the trade-off against threads.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int, task_retries: int = 0) -> None:
-        super().__init__(workers, task_retries)
-        # fork avoids re-importing the world per worker where the OS
-        # supports it; tasks are spawn-safe regardless (P601 bans the
-        # module-global state that fork would otherwise paper over).
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        self._task_qs: list[Any] = []
-        self._result_q: Any = None
-        self._procs: list[Any] = []
-        self._respawns_left = task_retries
-
-    def _start(self) -> None:
-        self._result_q = self._ctx.Queue()
-        for i in range(self.workers):
-            task_q = self._ctx.Queue()
-            proc = self._ctx.Process(
-                target=_process_worker_main,
-                args=(task_q, self._result_q, self.task_retries),
-                name=f"carp-exec-{i}",
-                daemon=True,
-            )
-            self._task_qs.append(task_q)
-            self._procs.append(proc)
-            proc.start()
-
-    def _enqueue(self, worker: int, item: tuple[Any, ...]) -> None:
-        self._task_qs[worker].put(item)
-
-    def _result_get(self) -> tuple[Any, ...]:
-        assert self._result_q is not None
-        msg: tuple[Any, ...] = self._result_q.get(timeout=_POLL_TIMEOUT)
-        return msg
+    # ----------------------------------------------------- worker death
 
     def _unfinished_for(self, worker: int) -> list[int]:
         """Tickets owned by ``worker`` with no result received yet."""
@@ -329,6 +235,7 @@ class ProcessExecutor(_PoolExecutor):
         ]
 
     def _check_workers_alive(self) -> None:
+        """Respawn dead workers within budget, else fail the drain."""
         dead = [
             i for i, proc in enumerate(self._procs)
             if not proc.is_alive() and proc.exitcode not in (0, None)
@@ -389,16 +296,9 @@ class ProcessExecutor(_PoolExecutor):
         re-run, which is the standard at-least-once caveat of crash
         retry.
         """
-        task_q = self._ctx.Queue()
-        proc = self._ctx.Process(
-            target=_process_worker_main,
-            args=(task_q, self._result_q, self.task_retries),
-            name=f"carp-exec-{worker}",
-            daemon=True,
-        )
+        task_q, proc = self._spawn(worker)
         self._task_qs[worker] = task_q
         self._procs[worker] = proc
-        proc.start()
         self.retries_done += 1
         for tid in self._unfinished_for(worker):
             attempt, shard, fn, args = self._pending[tid]

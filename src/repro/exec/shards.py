@@ -1,17 +1,17 @@
-"""Driver-side shard plumbing for parallel KoiDB ingest.
+"""Driver-side shard plumbing for KoiDB ingest — the one ingest path.
 
-``CarpRun`` routing never depends on a KoiDB response, so a parallel
-run can treat each destination rank's KoiDB as a *replayed command
-stream*: the driver buffers the per-rank sequence of
-begin / set_owned_range / ingest / finish / close calls and ships it to
-the shard worker that owns the rank, where
-:func:`repro.exec.work.koidb_apply` replays it against a real KoiDB.
-Because the per-rank sequence is identical to what a serial run would
-have executed, the rank's log bytes come out identical — that is the
-whole determinism argument.
+``CarpRun`` routing never depends on a KoiDB response, so every run
+treats each destination rank's KoiDB as a *replayed command stream*:
+the driver buffers the per-rank sequence of
+begin / set_owned_range / ingest / finish / close calls and submits it
+to the shard that owns the rank, where
+:func:`repro.exec.work.koidb_apply` replays it against a real KoiDB —
+inline on ``SerialExecutor``, in a worker on ``ProcessExecutor``.
+The per-rank sequence does not depend on the backend, so the rank's
+log bytes do not either — that is the whole determinism argument.
 
-:class:`KoiDBProxy` is the drop-in stand-in ``CarpRun`` holds instead
-of a live ``KoiDB``; it exposes the same call surface plus the
+:class:`KoiDBProxy` is the stand-in ``CarpRun`` holds instead of a
+live ``KoiDB``; it exposes the same call surface plus the
 driver-visible read side (``stats``, ``log.offset``), refreshed at
 every :meth:`KoiDBShardClient.barrier`.  Driver code must only read
 proxy state after a barrier — ``CarpRun`` barriers after the
@@ -41,7 +41,7 @@ class _ProxyLog:
 
 
 class KoiDBProxy:
-    """Command-buffering stand-in for one rank's worker-held KoiDB."""
+    """Command-buffering stand-in for one rank's shard-held KoiDB."""
 
     __slots__ = ("rank", "stats", "log", "_client")
 
@@ -66,23 +66,19 @@ class KoiDBProxy:
     def set_request(self, request_id: str | None) -> None:
         """Enqueue a request-context switch into the command stream.
 
-        Replayed by ``koidb_apply`` as ``obs.request_id = request_id``
-        at the same stream position where a serial driver would call
-        ``KoiDB.set_request``, so worker-side flush spans carry the
-        same ``request`` attribution as serial ones.  Context commands
-        carry no records and never trigger an auto-flush, so task
-        boundaries — and therefore log bytes — are unchanged.
+        Replayed by ``koidb_apply`` as ``KoiDB.set_request`` at this
+        stream position, so the rank's flush spans carry the epoch's
+        ``request`` attribution.  Context commands carry no records and
+        never trigger an auto-flush, so task boundaries — and therefore
+        log bytes — are unchanged.
         """
         self._client.enqueue(self.rank, ("ctx", request_id))
-
-    def close(self) -> None:
-        self._client.close_rank(self.rank)
 
 
 class KoiDBShardClient:
     """Buffers per-rank KoiDB command streams and runs the barriers.
 
-    One instance per parallel ``CarpRun``; rank ``r`` is shard key
+    One instance per ``CarpRun``; rank ``r`` is shard key
     ``r`` on the bound executor, so sticky assignment gives each worker
     a disjoint set of rank directories (shared-nothing ownership).
     Buffers auto-flush once a rank accumulates a memtable's worth of
@@ -115,15 +111,14 @@ class KoiDBShardClient:
         self._buffers: list[list[KoiDBCommand]] = [[] for _ in range(nreceivers)]
         self._buffered_records = [0] * nreceivers
         self._flush_records = max(options.memtable_records, options.round_records)
-        self._rank_closed = [False] * nreceivers
         self._closed = False
 
     # --------------------------------------------------------- buffering
 
     def enqueue(self, rank: int, command: KoiDBCommand) -> None:
-        if self._closed or self._rank_closed[rank]:
-            # a re-sent close would make the worker re-open (and
-            # truncate) the rank log; refuse anything after close
+        if self._closed:
+            # a command after close would make koidb_apply re-open
+            # (and truncate) the rank log; refuse it
             raise RuntimeError(f"KoiDB shard for rank {rank} is closed")
         self._buffers[rank].append(command)
         if command[0] == "ingest":
@@ -156,11 +151,10 @@ class KoiDBShardClient:
         Worker metric deltas are merged into the driver registry in
         submission order (rank-major, deterministic); per-rank stats
         and log offsets replace the proxies' copies with the workers'
-        newest cumulative values.  Worker span records (rank-local
-        virtual timelines) are regrouped per rank and replayed into the
-        driver tracer in ascending rank order — the same order
-        ``CarpRun._sync_storage_trace`` uses serially — so the merged
-        trace is bit-identical across backends.
+        newest cumulative values.  Span records (rank-local virtual
+        timelines) are regrouped per rank and replayed into the driver
+        tracer in ascending rank order, whatever order the tasks ran
+        in, so the merged trace is bit-identical across backends.
         """
         for rank in range(len(self.proxies)):
             self._submit(rank)
@@ -179,21 +173,11 @@ class KoiDBShardClient:
         for rank in sorted(spans):
             self._obs.tracer.merge_events(spans[rank])
 
-    def close_rank(self, rank: int) -> None:
-        """Close one rank's worker-held KoiDB (idempotent)."""
-        if self._closed or self._rank_closed[rank]:
-            return
-        self.enqueue(rank, ("close",))
-        self._rank_closed[rank] = True
-        self.barrier()
-
     def close(self) -> None:
-        """Enqueue a close for every open rank and run the final barrier."""
+        """Enqueue a close for every rank and run the final barrier."""
         if self._closed:
             return
         for proxy in self.proxies:
-            if not self._rank_closed[proxy.rank]:
-                self.enqueue(proxy.rank, ("close",))
-                self._rank_closed[proxy.rank] = True
-        self.barrier()
+            self.enqueue(proxy.rank, ("close",))
         self._closed = True
+        self.barrier()

@@ -13,8 +13,8 @@ reference.
 The ingest task is a *command replay*: ``CarpRun`` routing never
 depends on KoiDB responses, so the driver can buffer each destination
 rank's command stream (begin / own / ingest / finish / close) and have
-the owning shard worker replay it verbatim — producing the exact bytes
-a serial run would have appended to that rank's log.
+the owning shard replay it verbatim — inline on the serial backend, in
+a worker process on the pool — producing the same log bytes either way.
 """
 
 from __future__ import annotations
@@ -75,9 +75,8 @@ def koidb_apply(
 ) -> KoiDBApplyResult:
     """Replay a batch of KoiDB commands on the shard owning ``rank``.
 
-    The first call opens the rank's KoiDB inside the worker (truncating
-    the rank log exactly as a serial ``CarpRun`` construction would);
-    subsequent calls reuse it, so the log grows as one contiguous
+    The first call opens the rank's KoiDB in shard state (truncating
+    the rank log); subsequent calls reuse it, so the log grows as one contiguous
     append stream.  Returns a copy of the cumulative ``KoiDBStats``,
     the log offset, and the metrics and trace spans recorded since the
     previous call (the spans on the rank's local virtual timeline).

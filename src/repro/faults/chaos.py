@@ -12,7 +12,7 @@ must then prove the paper's §V-A contract:
   of the fault-free reference log, cut exactly at an epoch boundary;
 * **cross-executor determinism** — the recovered logs, the post-redo
   logs, and all range-query results are bit-identical across the
-  serial, thread, and process backends;
+  serial and process backends;
 * **the log stays writable** — a redo epoch appended through
   ``KoiDB.open(recover=True)`` leaves a directory ``fsck`` calls clean.
 
@@ -36,7 +36,7 @@ from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
 from repro.exec.api import ExecutorError
 from repro.exec.factory import make_executor
-from repro.faults.plan import SITE_SHUFFLE_SEND, FaultPlan, InjectedCrashError
+from repro.faults.plan import SITE_SHUFFLE_SEND, FaultPlan
 from repro.query.engine import PartitionedStore, QueryResult
 from repro.storage.fsck import fsck
 from repro.storage.koidb import KoiDB
@@ -67,7 +67,6 @@ CHAOS_OPTIONS = CarpOptions(
 #: Executor backends every seed is run on: (name, workers).
 CHAOS_BACKENDS: tuple[tuple[str, int | None], ...] = (
     ("serial", None),
-    ("thread", 2),
     ("process", 2),
 )
 
@@ -266,13 +265,13 @@ def _run_backend(
         for epoch in range(CHAOS_EPOCHS):
             run.ingest_epoch(epoch, chaos_streams(seed, epoch))
             outcome.epochs_completed += 1
-    except (InjectedCrashError, ExecutorError) as exc:
+    except ExecutorError as exc:
         outcome.crashed = True
         outcome.error = repr(exc)
     finally:
         try:
             run.close()
-        except (InjectedCrashError, ExecutorError, RuntimeError) as exc:
+        except (ExecutorError, RuntimeError) as exc:
             # a planned fault can also fire inside the close fan-out;
             # the process died either way — recovery takes it from here
             outcome.crashed = True

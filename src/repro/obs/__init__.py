@@ -21,9 +21,11 @@ caller (``carp-trace``, a benchmark, a test) decides whether to record:
     obs.metrics.write_json(out / "metrics.json")
 
 ``Obs.null()`` (the default everywhere) is a shared do-nothing stack:
-its clock is frozen, its registry hands out no-op instruments, and hot
-paths additionally guard on ``obs.enabled`` so a disabled run pays a
-single attribute check.
+its clock is frozen, its registry hands out no-op instruments and its
+spans are one shared no-op object, so instrumented code calls it
+unconditionally.  ``obs.enabled`` is checked only where something
+needs protecting: assigning ``request_id`` (never on the shared null
+stack) and computing arguments for a telemetry sample.
 """
 
 from __future__ import annotations
@@ -196,26 +198,22 @@ class Obs:
         return NULL_OBS
 
     @classmethod
-    def deltas(cls, metrics: MetricsRegistry | None = None) -> "Obs":
-        """A rank-local stack: live metrics, fresh clock, buffering tracer.
+    def deltas(cls) -> "Obs":
+        """A rank-local stack: private metrics, fresh clock, buffering tracer.
 
-        The one sanctioned observability stack inside executor worker
-        tasks (lint rule P602 bans ``Obs.recording()`` there), and the
-        stack ``CarpRun`` hands each serial KoiDB so both paths record
-        identically.  Metric instruments record into ``metrics`` when
-        given (the serial case shares the driver's registry) or into a
-        private registry whose
-        :func:`~repro.obs.metrics.snapshot_delta` the worker ships back
+        The one sanctioned observability stack inside executor tasks
+        (lint rule P602 bans ``Obs.recording()`` there); ``koidb_apply``
+        builds one per rank on every backend.  Metric instruments
+        record into a private registry whose
+        :func:`~repro.obs.metrics.snapshot_delta` the task ships back
         for the driver to merge in shard order.  Spans land in a
         :class:`~repro.obs.buffer.BufferingTracer` on a *rank-local*
-        virtual timeline starting at zero; the driver drains and merges
-        them in rank order at barrier points, which keeps trace.json
-        bit-identical across Serial/Thread/Process executors (the
-        per-rank command stream is the same on every backend).
+        virtual timeline starting at zero; the driver merges them in
+        rank order at barrier points, which keeps trace.json
+        bit-identical across executors (the per-rank command stream is
+        the same on every backend).
         """
-        return cls(VirtualClock(),
-                   metrics if metrics is not None else MetricsRegistry(),
-                   BufferingTracer())
+        return cls(VirtualClock(), MetricsRegistry(), BufferingTracer())
 
     def track(self, process: str, thread: str = "main") -> Track:
         """Shorthand for ``obs.tracer.track(...)``."""

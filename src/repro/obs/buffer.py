@@ -14,7 +14,7 @@ the whole run regardless of execution backend.
 Timestamps remain *virtual*: the owning :class:`~repro.obs.Obs` stack
 pairs this tracer with a rank-local
 :class:`~repro.obs.clock.VirtualClock` starting at zero, which is what
-makes the buffered timeline reproducible across Serial/Thread/Process
+makes the buffered timeline reproducible across the serial and process
 executors (the per-rank command stream, and hence the per-rank span
 sequence, is identical on every backend).
 """

@@ -8,9 +8,8 @@ JSON-serializable data, which ``carp-trace`` persists next to the
 trace and reconciles against ``EpochStats``/``KoiDBStats``.
 
 The ``Null*`` variants share the registry's interface but drop every
-write, so instrumented hot paths cost a no-op method call (or nothing
-at all where call sites guard on ``Obs.enabled``) when observability
-is off.
+write, so instrumented hot paths cost a no-op method call when
+observability is off.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ metrics registry the same way ``carp-explain`` reconciles
 :class:`~repro.query.explain.QueryExplain` (any drift is an
 instrumentation bug, worth a nonzero exit).
 
-Because the inputs are bit-identical across Serial/Thread/Process
+Because the inputs are bit-identical across the serial and process
 executors (the PR-4 trace contract) and the fold is pure integer
 arithmetic over them, the profiles themselves are bit-identical across
 backends — a determinism contract of their own, enforced by

@@ -121,8 +121,8 @@ class TelemetryStream:
 
         Restricted to :data:`DRIVER_SCOPE_PREFIXES` (see module
         docstring); returns whether a sample was written.  Called from
-        the ``CarpRun`` round loop behind the ``obs.enabled`` guard, so
-        the disabled path never reaches here.
+        the ``CarpRun`` round loop; a disabled stack carries
+        :data:`NULL_TELEMETRY`, whose ``tick`` does nothing.
         """
         now = self._clock.now()
         if now < self._next_due:

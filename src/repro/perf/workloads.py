@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import CarpOptions
-from repro.exec import Executor, ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import Executor, make_executor
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class WorkloadSpec:
     name: str
     #: ``ingest`` | ``query`` | ``compact`` | ``obs-overhead`` | ``serve``
     kind: str
-    #: ``serial`` | ``thread`` | ``process``
+    #: ``serial`` | ``process``
     backend: str
     nranks: int = 4
     records_per_rank: int = 600
@@ -57,19 +57,12 @@ class WorkloadSpec:
         )
 
     def make_executor(self) -> Executor:
-        if self.backend == "serial":
-            return SerialExecutor()
-        if self.backend == "thread":
-            return ThreadExecutor(self.workers)
-        if self.backend == "process":
-            return ProcessExecutor(self.workers)
-        raise ValueError(f"unknown backend {self.backend!r}")
+        return make_executor(self.backend, self.workers, task_retries=0)
 
 
 def _registry() -> dict[str, WorkloadSpec]:
     specs = [
         WorkloadSpec("ingest-serial", "ingest", "serial"),
-        WorkloadSpec("ingest-thread", "ingest", "thread", workers=3),
         WorkloadSpec("ingest-process", "ingest", "process"),
         WorkloadSpec("query-serial", "query", "serial"),
         WorkloadSpec("query-process", "query", "process"),

@@ -95,7 +95,6 @@ class KoiDB:
         self._epoch: int | None = None
         self.stats = KoiDBStats()
         self.obs = obs_resolved
-        self._obs_on = self.obs.enabled
         self._tr_flush = self.obs.track("flush", f"rank {rank}")
         metrics = self.obs.metrics
         self._m_records_in = metrics.counter("koidb.records_in")
@@ -160,11 +159,12 @@ class KoiDB:
     def set_request(self, request_id: str | None) -> None:
         """Attribute subsequent storage spans to one request.
 
-        Mirrors the ``("ctx", request_id)`` command a
-        :class:`~repro.exec.shards.KoiDBProxy` enqueues for parallel
-        workers: the serial driver calls this directly on each rank's
-        KoiDB at the same command-stream position, so flush spans carry
-        identical ``request`` args on every executor backend.
+        What ``koidb_apply`` runs for the ``("ctx", request_id)``
+        command a :class:`~repro.exec.shards.KoiDBProxy` enqueues, so
+        flush spans carry the ``request`` arg of the epoch whose
+        command stream they belong to.  Only for recording stacks: the
+        shared ``NULL_OBS`` must never be assigned a request id (the
+        driver enqueues no ``ctx`` command when obs is off).
         """
         self.obs.request_id = request_id
 
@@ -217,24 +217,22 @@ class KoiDB:
         """Accept a delivered shuffle batch; returns the stray count."""
         if self._epoch is None:
             raise RuntimeError("ingest outside an epoch")
-        if len(batch) == 0:
+        n = len(batch)
+        if n == 0:
             return 0
-        self.stats.records_in += len(batch)
+        self.stats.records_in += n
         stray_mask = self._stray_mask(batch.keys)
         n_stray = int(stray_mask.sum())
         self.stats.stray_records += n_stray
-        if self._obs_on:
-            self._m_records_in.add(len(batch))
-            self._m_strays.add(n_stray)
+        self._m_records_in.add(n)
+        self._m_strays.add(n_stray)
         if n_stray and self.options.separate_strays:
             self._add_bounded(self._stray, batch.select(stray_mask), stray=True)
             self._add_bounded(self._main, batch.select(~stray_mask), stray=False)
         else:
             self._add_bounded(self._main, batch, stray=False)
-        if self._obs_on:
-            self._g_occupancy.set(
-                len(self._main.active) / max(self._main.active.capacity, 1)
-            )
+        active = self._main.active  # capacity >= 1 by construction
+        self._g_occupancy.set(len(active) / active.capacity)
         return n_stray
 
     def _add_bounded(self, buf: DoubleBuffer, batch: RecordBatch, stray: bool) -> None:
@@ -266,9 +264,7 @@ class KoiDB:
     def _flush(self, batch: RecordBatch, stray: bool) -> None:
         if len(batch) == 0:
             return
-        if not self._obs_on:
-            self._flush_impl(batch, stray)
-            return
+        assert self._epoch is not None
         self._m_fill.observe(len(batch) / max(self.options.memtable_records, 1))
         with self.obs.span(
             self._tr_flush, "flush-stray" if stray else "flush",
@@ -276,31 +272,27 @@ class KoiDB:
             args={"records": len(batch), "stray": stray},
         ) as span:
             bytes_before = self.stats.bytes_written
-            self._flush_impl(batch, stray)
+            sort = self.options.sort_ssts
+            subparts = 1 if stray else self.options.subpartitions
+            if subparts > 1:
+                if sort:
+                    batch = batch.sorted_by_key()
+                # split into key-disjoint chunks of (nearly) equal record count
+                cuts = np.linspace(0, len(batch), subparts + 1).astype(int)
+                chunks = [
+                    (i, batch.select(np.arange(cuts[i], cuts[i + 1])))
+                    for i in range(subparts)
+                    if cuts[i + 1] > cuts[i]
+                ]
+                for sub_id, chunk in chunks:
+                    self._append(chunk, sort=False, stray=stray, sub_id=sub_id,
+                                 already_sorted=sort)
+            else:
+                self._append(batch, sort=sort, stray=stray, sub_id=0)
             # the E event carries the exact bytes this flush appended,
             # so carp-profile can join frame bytes against the
             # koidb.bytes_written counter with zero drift
             span.annotate({"bytes": self.stats.bytes_written - bytes_before})
-
-    def _flush_impl(self, batch: RecordBatch, stray: bool) -> None:
-        assert self._epoch is not None
-        sort = self.options.sort_ssts
-        subparts = 1 if stray else self.options.subpartitions
-        if subparts > 1:
-            if sort:
-                batch = batch.sorted_by_key()
-            # split into key-disjoint chunks of (nearly) equal record count
-            cuts = np.linspace(0, len(batch), subparts + 1).astype(int)
-            chunks = [
-                (i, batch.select(np.arange(cuts[i], cuts[i + 1])))
-                for i in range(subparts)
-                if cuts[i + 1] > cuts[i]
-            ]
-            for sub_id, chunk in chunks:
-                self._append(chunk, sort=False, stray=stray, sub_id=sub_id,
-                             already_sorted=sort)
-        else:
-            self._append(batch, sort=sort, stray=stray, sub_id=0)
 
     def _append(
         self,
@@ -322,8 +314,7 @@ class KoiDB:
         if stray:
             self.stats.stray_ssts_written += 1
         self.stats.bytes_written += entry.length
-        if self._obs_on:
-            self._m_ssts.add(1)
-            if stray:
-                self._m_stray_ssts.add(1)
-            self._m_bytes.add(entry.length)
+        self._m_ssts.add(1)
+        if stray:
+            self._m_stray_ssts.add(1)
+        self._m_bytes.add(entry.length)

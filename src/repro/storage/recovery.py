@@ -100,7 +100,9 @@ def walk_manifest_chain(
                 entry_index=block_index, offset=cur,
             )
         n = int.from_bytes(head[-4:], "little")
-        rest = fh.read(manifest_block_size(n) - BLOCK_HDR_SIZE)
+        # never past the file: a flipped count byte can declare gigabytes,
+        # and the short block then fails decoding like any other damage
+        rest = fh.read(min(manifest_block_size(n) - BLOCK_HDR_SIZE, size - cur))
         try:
             entries, prev, _epoch = decode_manifest_block(head + rest)
         except ManifestCorruptionError:

@@ -1,11 +1,11 @@
 """``carp-chaos`` — seeded crash-recovery trials for KoiDB logs.
 
 Runs ``N`` chaos seeds (see :mod:`repro.faults.chaos`): each seed
-generates a fault plan, runs a CARP workload against it on every
-executor backend, injects the planned crash, recovers with
-``fsck --repair``, appends a redo epoch, and checks that no committed
-data was lost and that every backend produced bit-identical logs and
-query results.
+generates a fault plan, runs a CARP workload against it on both
+executor backends (serial, process), injects the planned crash,
+recovers with ``fsck --repair``, appends a redo epoch, and checks that
+no committed data was lost and that the two backends produced
+bit-identical logs and query results.
 
 Exit status is nonzero if any seed fails; failing seeds write a JSON
 repro bundle (the plan plus per-backend digests) under ``--bundle-dir``
@@ -25,7 +25,8 @@ from repro.faults.chaos import SeedResult, run_seeds
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carp-chaos",
-        description="seeded ingest → kill → recover → query trials",
+        description="seeded ingest → kill → recover → query trials, each "
+        "run on both executor backends (serial, process)",
     )
     parser.add_argument(
         "--seeds", type=int, default=10,

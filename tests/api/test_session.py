@@ -10,8 +10,9 @@ import pytest
 from repro import Session
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.exec import SERIAL_EXEC, ThreadExecutor
+from repro.exec import SERIAL_EXEC, ProcessExecutor
 from repro.query.engine import PartitionedStore
+from repro.storage.log import list_logs
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
 OPTIONS = CarpOptions(
@@ -69,7 +70,7 @@ def test_reader_wraps_session_store(tmp_path):
 
 
 def test_views_share_session_executor(tmp_path):
-    executor = ThreadExecutor(2)
+    executor = ProcessExecutor(2)
     try:
         with Session(
             SPEC.nranks, tmp_path, OPTIONS, executor=executor
@@ -84,15 +85,39 @@ def test_views_share_session_executor(tmp_path):
 
 
 def test_session_owns_env_created_executor(tmp_path, monkeypatch):
-    monkeypatch.setenv("CARP_EXECUTOR", "thread")
+    monkeypatch.setenv("CARP_EXECUTOR", "process")
     monkeypatch.setenv("CARP_WORKERS", "2")
     session = Session(SPEC.nranks, tmp_path, OPTIONS)
-    assert isinstance(session.executor, ThreadExecutor)
+    assert isinstance(session.executor, ProcessExecutor)
     session.ingest_epoch(0, _streams(0))
     assert len(session.query(0, -10.0, 10.0)) > 0
     session.close()
     with pytest.raises(Exception):
         session.executor.submit(0, print)
+
+
+def _log_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in list_logs(out_dir)}
+
+
+@pytest.mark.parametrize("make", [CarpRun, Session], ids=["carprun", "session"])
+def test_two_live_runs_on_default_executor(tmp_path, monkeypatch, make):
+    """Each run keeps its KoiDBs in a private executor: two alive at
+    once never meet on a shard key, and close independently."""
+    monkeypatch.delenv("CARP_EXECUTOR", raising=False)
+    first = make(SPEC.nranks, tmp_path / "first", OPTIONS)
+    second = make(SPEC.nranks, tmp_path / "second", OPTIONS)
+    first.ingest_epoch(0, _streams(0))
+    second.ingest_epoch(0, _streams(1))
+    first.ingest_epoch(1, _streams(1))
+    first.close()
+    second.ingest_epoch(1, _streams(0))  # still open after first closed
+    second.close()
+    for name, order in (("first", (0, 1)), ("second", (1, 0))):
+        with make(SPEC.nranks, tmp_path / f"solo-{name}", OPTIONS) as solo:
+            for epoch, step in enumerate(order):
+                solo.ingest_epoch(epoch, _streams(step))
+        assert _log_bytes(tmp_path / name) == _log_bytes(tmp_path / f"solo-{name}")
 
 
 def test_default_session_is_serial_and_unrecorded(tmp_path, monkeypatch):

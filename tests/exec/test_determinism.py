@@ -1,4 +1,4 @@
-"""Cross-executor determinism: serial, thread, and process runs must be
+"""Cross-executor determinism: serial and process runs must be
 bit-identical.
 
 This is the contract ``docs/PARALLELISM.md`` promises: for a fixed
@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
+from repro.exec.shards import KoiDBProxy
 from repro.obs import Obs
 from repro.query.engine import PartitionedStore
 from repro.storage.compactor import compact_all_epochs
@@ -48,7 +49,6 @@ QUERIES = (
 
 BACKENDS = {
     "serial": SerialExecutor,
-    "thread": lambda: ThreadExecutor(3),
     "process": lambda: ProcessExecutor(2),
 }
 
@@ -144,6 +144,27 @@ def test_worker_count_does_not_change_output(tmp_path_factory, workers):
     _assert_identical({"serial": serial, f"process[{workers}]": pooled})
 
 
+def test_driver_sees_same_koidb_state_after_every_epoch(tmp_path_factory):
+    """One ingest path: the driver always holds proxies, and what they
+    report after each epoch's barrier does not depend on the backend."""
+    spec = VpicTraceSpec(nranks=6, particles_per_rank=600, value_size=8, seed=4)
+    seen = {}
+    for name, make_exec in BACKENDS.items():
+        out = tmp_path_factory.mktemp(f"proxy_{name}")
+        with make_exec() as executor, CarpRun(
+            spec.nranks, out, OPTIONS, executor=executor
+        ) as run:
+            assert all(type(db) is KoiDBProxy for db in run.koidbs)
+            seen[name] = []
+            for ep in range(EPOCHS):
+                run.ingest_epoch(ep, generate_timestep(spec, ep))
+                seen[name].append(
+                    [(db.stats, db.log.offset) for db in run.koidbs]
+                )
+    assert seen["process"] == seen["serial"]
+    assert all(offset > 0 for _stats, offset in seen["serial"][-1])
+
+
 def test_compaction_bit_identical_across_executors(tmp_path_factory):
     spec = VpicTraceSpec(nranks=4, particles_per_rank=800, value_size=8, seed=5)
     src = tmp_path_factory.mktemp("compact_src")
@@ -162,5 +183,4 @@ def test_compaction_bit_identical_across_executors(tmp_path_factory):
             for d in dirs
             for p in list_logs(d)
         }
-    assert hashes["thread"] == hashes["serial"]
     assert hashes["process"] == hashes["serial"]

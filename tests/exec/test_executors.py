@@ -1,4 +1,4 @@
-"""Executor contract tests, run against all three backends.
+"""Executor contract tests, run against both backends.
 
 Task functions live at module level so :class:`ProcessExecutor` can
 pickle them by reference — the same constraint real worker tasks
@@ -17,7 +17,6 @@ from repro.exec import (
     SERIAL_EXEC,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     WorkerCrashError,
     WorkerTaskError,
     default_executor,
@@ -64,7 +63,6 @@ def exit_task(state):
 
 BACKENDS = {
     "serial": SerialExecutor,
-    "thread": lambda: ThreadExecutor(3),
     "process": lambda: ProcessExecutor(2),
 }
 
@@ -161,8 +159,21 @@ def test_first_failure_in_submission_order_wins(executor):
     assert exc_info.value.shard == 1
 
 
+def test_failure_does_not_stop_later_tasks(executor):
+    # shard 0 fails; the task submitted after it on shard 1 must still
+    # run (a pool worker would not know about the failure), and the
+    # drain reports shard 0's error
+    executor.submit(0, boom_task)
+    executor.submit(1, count_task)
+    with pytest.raises(WorkerTaskError) as exc_info:
+        executor.drain()
+    assert exc_info.value.shard == 0
+    executor.submit(1, count_task)
+    assert executor.drain() == [2]  # sticky state saw the first run
+
+
 def test_context_manager_closes(tmp_path):
-    with ThreadExecutor(2) as exec_:
+    with ProcessExecutor(2) as exec_:
         assert exec_.map(add_task, [(1, 1)]) == [2]
     with pytest.raises(Exception):
         exec_.submit(0, add_task, 1, 1)
@@ -194,10 +205,10 @@ def test_lazy_spawn_makes_unused_pools_free():
 
 def test_make_executor_kinds():
     assert make_executor("serial").is_serial
-    assert isinstance(make_executor("thread", 2), ThreadExecutor)
     assert isinstance(make_executor("process", 2), ProcessExecutor)
-    with pytest.raises(ValueError):
-        make_executor("gpu")
+    for kind in ("gpu", "thread"):
+        with pytest.raises(ValueError, match=r"\('serial', 'process'\)"):
+            make_executor(kind)
 
 
 def test_default_executor_without_env(monkeypatch):
@@ -206,12 +217,15 @@ def test_default_executor_without_env(monkeypatch):
 
 
 def test_default_executor_from_env(monkeypatch):
-    monkeypatch.setenv("CARP_EXECUTOR", "thread")
+    monkeypatch.setenv("CARP_EXECUTOR", "process")
     monkeypatch.setenv("CARP_WORKERS", "2")
     exec_ = default_executor()
-    assert isinstance(exec_, ThreadExecutor)
+    assert isinstance(exec_, ProcessExecutor)
     assert exec_.workers == 2
     exec_.close()
+    monkeypatch.setenv("CARP_EXECUTOR", "thread")
+    with pytest.raises(ValueError, match=r"\('serial', 'process'\)"):
+        default_executor()
 
 
 def test_resolve_executor_ownership(monkeypatch):
@@ -220,24 +234,24 @@ def test_resolve_executor_ownership(monkeypatch):
     exec_, owned = resolve_executor(None)
     assert exec_ is SERIAL_EXEC and not owned
     # explicit injection: caller keeps ownership
-    mine = ThreadExecutor(2)
+    mine = ProcessExecutor(2)
     exec_, owned = resolve_executor(mine)
     assert exec_ is mine and not owned
     mine.close()
     # env-created: the consumer must close it
-    monkeypatch.setenv("CARP_EXECUTOR", "thread")
+    monkeypatch.setenv("CARP_EXECUTOR", "process")
     exec_, owned = resolve_executor(None)
-    assert isinstance(exec_, ThreadExecutor) and owned
+    assert isinstance(exec_, ProcessExecutor) and owned
     exec_.close()
 
 
 def test_executor_from_args_flags_win(monkeypatch):
-    monkeypatch.setenv("CARP_EXECUTOR", "process")
+    monkeypatch.setenv("CARP_EXECUTOR", "serial")
     parser = argparse.ArgumentParser()
     add_executor_args(parser)
-    args = parser.parse_args(["--executor", "thread", "--workers", "2"])
+    args = parser.parse_args(["--executor", "process", "--workers", "2"])
     exec_, owned = executor_from_args(args)
-    assert isinstance(exec_, ThreadExecutor) and exec_.workers == 2 and owned
+    assert isinstance(exec_, ProcessExecutor) and exec_.workers == 2 and owned
     exec_.close()
 
 

@@ -4,7 +4,7 @@ Two contracts under test:
 
 * **fault determinism** — the same :class:`FaultPlan` produces
   bit-identical logs, metrics, and query results on every backend
-  (serial / thread / process), whether the faults are benign (shuffle
+  (serial / process), whether the faults are benign (shuffle
   delay/drop), retried away (task crashes under a retry budget), or
   fatal (storage tears, where the *recovered* logs must agree);
 * **bounded retry** — crash retries preserve sticky shard state and
@@ -28,7 +28,6 @@ from repro.exec import (
     ExecutorError,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     WorkerCrashError,
     is_stateful_task,
     stateful_task,
@@ -63,7 +62,6 @@ NRANKS = 4
 
 BACKENDS = {
     "serial": lambda retries: SerialExecutor(task_retries=retries),
-    "thread": lambda retries: ThreadExecutor(2, task_retries=retries),
     "process": lambda retries: ProcessExecutor(2, task_retries=retries),
 }
 
@@ -162,9 +160,9 @@ def test_shuffle_faults_change_nothing_durable(tmp_path_factory):
 
 
 def test_task_crashes_retried_away_identically(tmp_path_factory):
-    """Planned worker crashes under a retry budget: parallel backends
-    retry in-place (sticky shard state intact) and converge on the
-    serial run's exact logs and query results."""
+    """Planned task crashes under a retry budget: every backend
+    retries in-place (sticky shard state intact) and lands on the same
+    logs and query results."""
     plan = FaultPlan(
         seed=0,
         specs=(
@@ -178,11 +176,9 @@ def test_task_crashes_retried_away_identically(tmp_path_factory):
         outcomes[name] = _run_session(out, lambda: make_exec(3), plan)
     assert not any(o["crashed"] for o in outcomes.values())
     _assert_identical(outcomes, ("crashed", "logs", "queries"))
-    # serial runs never dispatch koidb_apply, so the task site never
-    # fires there; the pools must have actually exercised the retry path
-    assert outcomes["serial"]["retries"] == 0
-    assert outcomes["thread"]["retries"] > 0
-    assert outcomes["process"]["retries"] > 0
+    # the exec.task site lives in koidb_apply, which every backend
+    # runs: the same tasks crash and are retried everywhere
+    assert outcomes["serial"]["retries"] == outcomes["process"]["retries"] > 0
 
 
 def test_storage_crash_recovers_identically(tmp_path_factory):
@@ -201,7 +197,6 @@ def test_storage_crash_recovers_identically(tmp_path_factory):
         recovered[name] = {
             p.name: _digest(p.read_bytes()) for p in list_logs(out)
         }
-    assert recovered["thread"] == recovered["serial"]
     assert recovered["process"] == recovered["serial"]
     # epoch 0 committed everywhere before the epoch-1 tear
     assert len(recovered["serial"]) == NRANKS
@@ -326,7 +321,7 @@ def test_drain_discards_stale_and_unknown_results():
     attempt of a live ticket — are dropped, not returned or counted."""
     from repro.exec.pools import _OK
 
-    executor = ThreadExecutor(1)
+    executor = ProcessExecutor(1)
     try:
         executor.submit(0, echo_task, "warm")
         assert executor.drain() == ["warm"]

@@ -1,6 +1,6 @@
 """Cross-executor profile determinism: the fold inherits bit-identity.
 
-``trace.json`` is bit-identical across serial/thread/process backends
+``trace.json`` is bit-identical across serial/process backends
 (see ``test_trace_determinism.py``); the profile fold is pure integer
 arithmetic over that archive, so the *profile* — json, folded text,
 and exact reconciliation against the metrics snapshot — must be
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
 from repro.obs import Obs, validate_trace_events
 from repro.obs.profile import fold_trace_doc
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
@@ -32,7 +32,6 @@ EPOCHS = 2
 
 BACKENDS = {
     "serial": SerialExecutor,
-    "thread": lambda: ThreadExecutor(3),
     "process": lambda: ProcessExecutor(2),
 }
 
@@ -70,7 +69,6 @@ def test_profile_bit_identical_across_executors(tmp_path_factory, seed):
         # metrics snapshot — attribution drift on any backend is a bug
         assert profile.reconcile(snapshot) == [], name
         rendered[name] = (profile.to_json(), profile.to_folded())
-    assert rendered["thread"] == rendered["serial"]
     assert rendered["process"] == rendered["serial"]
 
 

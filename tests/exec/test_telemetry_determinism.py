@@ -5,7 +5,7 @@ post-query, session close) where every backend's registry state has
 converged, and its interval ticks are restricted to driver-scoped
 prefixes, so the *entire* stream — bytes, request-id assignment, and
 the per-request span attribution that rides on worker ``Obs.deltas()``
-— must be bit-identical across serial, thread, and process runs of the
+— must be bit-identical across serial and process runs of the
 same seeded workload (the streaming sibling of
 ``test_trace_determinism.py``).
 """
@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import Session
 from repro.core.config import CarpOptions
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
 from repro.obs import Obs
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
@@ -36,7 +36,6 @@ QUERIES_PER_EPOCH = 2
 
 BACKENDS = {
     "serial": SerialExecutor,
-    "thread": lambda: ThreadExecutor(3),
     "process": lambda: ProcessExecutor(2),
 }
 
@@ -89,15 +88,15 @@ def test_telemetry_bit_identical_across_executors(tmp_path_factory, seed):
         for name, make_exec in BACKENDS.items()
     }
     serial = outcomes["serial"]
-    for name in ("thread", "process"):
-        assert outcomes[name]["telemetry"] == serial["telemetry"], name
-        assert outcomes[name]["exposition"] == serial["exposition"], name
-        assert outcomes[name]["attribution"] == serial["attribution"], name
+    process = outcomes["process"]
+    assert process["telemetry"] == serial["telemetry"]
+    assert process["exposition"] == serial["exposition"]
+    assert process["attribution"] == serial["attribution"]
 
 
 def test_request_ids_deterministic_and_attributed(tmp_path):
     """Ids follow mint order and tag worker-side spans on every backend."""
-    outcome = _run(tmp_path / "out", BACKENDS["thread"], seed=9)
+    outcome = _run(tmp_path / "out", BACKENDS["process"], seed=9)
     lines = [
         json.loads(line)
         for line in outcome["telemetry"].decode().splitlines()

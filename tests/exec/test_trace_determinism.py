@@ -4,7 +4,7 @@ Worker-side spans are recorded into rank-local ``Obs.deltas()``
 timelines and merged into the driver's ``ChromeTracer`` in rank order
 at the same barrier points on every backend, so the *entire* trace
 document — including flush spans that execute on worker processes —
-must be bit-identical across serial, thread, and process runs of the
+must be bit-identical across serial and process runs of the
 same seeded workload.
 """
 
@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
 from repro.obs import Obs, validate_trace_events
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
@@ -33,7 +33,6 @@ EPOCHS = 2
 
 BACKENDS = {
     "serial": SerialExecutor,
-    "thread": lambda: ThreadExecutor(3),
     "process": lambda: ProcessExecutor(2),
 }
 
@@ -70,7 +69,6 @@ def test_trace_bit_identical_across_executors(tmp_path_factory, seed):
     serialized = {
         name: json.dumps(doc, sort_keys=True) for name, doc in docs.items()
     }
-    assert serialized["thread"] == serialized["serial"]
     assert serialized["process"] == serialized["serial"]
 
 

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import Session
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
 from repro.kernels import KERNEL_NAMES, use_kernels
 from repro.obs import Obs, validate_trace_events
 from repro.obs.profile import fold_trace_doc
@@ -44,7 +44,6 @@ EPOCHS = 2
 
 BACKENDS = {
     "serial": SerialExecutor,
-    "thread": lambda: ThreadExecutor(3),
     "process": lambda: ProcessExecutor(2),
 }
 

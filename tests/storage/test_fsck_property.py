@@ -66,6 +66,8 @@ def test_fresh_koidb_dir_is_fsck_clean(tmp_path, trace, nranks, per_rank, seed):
 # a superset, never invented entries — cut exactly at an epoch
 # boundary.
 
+import shutil  # noqa: E402
+
 import numpy as np  # noqa: E402
 
 from repro.core.records import RecordBatch  # noqa: E402
@@ -78,6 +80,14 @@ from repro.storage.recovery import (  # noqa: E402
 )
 
 _CRASH_EPOCHS = 3
+
+
+def _fresh_dir(path):
+    """An empty ``path``: hypothesis may run one example more than once
+    (database replay, shrinking, the final reproduction pass)."""
+    shutil.rmtree(path, ignore_errors=True)
+    path.mkdir()
+    return path
 
 
 def _build_reference_log(directory, seed: int):
@@ -115,8 +125,7 @@ def _build_reference_log(directory, seed: int):
 def test_any_crash_point_recovers_to_an_epoch_prefix(
     tmp_path, seed, cut_fraction
 ):
-    workdir = tmp_path / f"cut-{seed}-{cut_fraction}"
-    workdir.mkdir()
+    workdir = _fresh_dir(tmp_path / f"cut-{seed}-{cut_fraction}")
     path, data, boundaries, entries_per_epoch = _build_reference_log(
         workdir, seed
     )
@@ -149,8 +158,7 @@ def test_any_crash_point_recovers_to_an_epoch_prefix(
     flip_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
 def test_any_bitflip_never_yields_a_superset(tmp_path, seed, flip_fraction):
-    workdir = tmp_path / f"flip-{seed}-{flip_fraction}"
-    workdir.mkdir()
+    workdir = _fresh_dir(tmp_path / f"flip-{seed}-{flip_fraction}")
     path, data, boundaries, entries_per_epoch = _build_reference_log(
         workdir, seed
     )

@@ -286,6 +286,24 @@ def test_manifest_corruption_error_carries_location(tmp_path):
     assert str(path) in str(err) and f"@{manifest_offset}" in str(err)
 
 
+def test_flipped_entry_count_is_a_typed_error_not_a_huge_read(tmp_path):
+    from repro.storage.manifest import BLOCK_HDR_SIZE, decode_footer
+
+    path = tmp_path / log_name(0)
+    with LogWriter(path) as writer:
+        _write_epoch(writer, 0)
+    data = bytearray(path.read_bytes())
+    manifest_offset = decode_footer(bytes(data[-16:]))
+    # the count's top byte: the block now declares ~4 billion entries
+    data[manifest_offset + BLOCK_HDR_SIZE - 1] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+    with open(path, "rb") as fh:
+        with pytest.raises(ManifestCorruptionError) as exc_info:
+            walk_manifest_chain(fh, len(data), manifest_offset, path)
+    assert exc_info.value.offset == manifest_offset
+
+
 def test_reader_rejects_tiny_file_with_typed_error(tmp_path):
     path = tmp_path / log_name(0)
     path.write_bytes(b"KF")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import CarpOptions, Session
+from repro import CarpOptions, QueryRequest, Session
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
 NRANKS = 16
@@ -49,7 +49,7 @@ def main() -> None:
 
             # 3. query the partitioned output directly
             lo, hi = 16.0, 64.0  # the paper's "energy band" use case
-            result = session.query(epoch=0, lo=lo, hi=hi)
+            result = session.query(QueryRequest(lo=lo, hi=hi, epoch=0))
             expect = int(np.count_nonzero((all_keys >= lo) & (all_keys <= hi)))
             print(f"query energy in [{lo}, {hi}]: {len(result):,} particles "
                   f"(brute force agrees: {len(result) == expect})")

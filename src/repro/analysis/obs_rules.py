@@ -14,10 +14,10 @@ O501
     the observability stack itself.  D101 flags known wall-clock call
     sites; O501 closes the gap by banning the modules outright in
     instrumentation scope, so new ``time`` APIs cannot sneak in.  The
-    sanctioned homes for ``time.perf_counter`` are ``repro.tools``
-    (report CLIs) and ``repro.perf`` (the benchmark harness, whose
-    wall-clock rows are advisory and never feed back into virtual
-    time) — both outside this scope.
+    scope includes ``repro.perf``: the baseline gate holds only
+    deterministic rows, and wall time is measured by the top-level
+    ``ledger/`` alone.  The one sanctioned home for a host stopwatch
+    is ``repro.tools`` (the ``carp-trace`` report footer).
 O502
     Recording-instrumentation construction (``VirtualClock()``,
     ``ChromeTracer()``, ``BufferingTracer()``, ``MetricsRegistry()``,
@@ -74,6 +74,7 @@ OBS_CLOCK_SCOPE = (
     "repro.sim",
     "repro.obs",
     "repro.exec",
+    "repro.perf",
 )
 
 #: Data-plane packages that must receive instrumentation by injection.

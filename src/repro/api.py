@@ -12,10 +12,11 @@ same two objects through four constructors (the scatter visible in
 ``CarpRun``, created together and torn down together::
 
     from repro.api import Session
+    from repro.query.request import QueryRequest
 
     with Session(nranks=16, out_dir="out/") as session:
         session.ingest_epoch(0, streams)
-        result = session.query(epoch=0, lo=16.0, hi=64.0)
+        result = session.query(QueryRequest(lo=16.0, hi=64.0, epoch=0))
     # logs closed, executor shut down, metrics still readable
 
 Views handed out by :meth:`Session.store` and :meth:`Session.reader`
@@ -30,10 +31,9 @@ every log, :meth:`Session.store` opens pinned views that survive
 concurrent ingest, and :meth:`Session.serve` starts a
 :class:`~repro.query.service.QueryService` admitting many concurrent
 typed :class:`~repro.query.request.QueryRequest` objects while
-``ingest_epoch`` keeps running.  :meth:`Session.query` accepts either
-a :class:`QueryRequest` (canonical) or the legacy positional
-``(epoch, lo, hi)`` spread (kept as a shim) and always returns a
-typed :class:`~repro.query.request.QueryResponse`.
+``ingest_epoch`` keeps running.  :meth:`Session.query` takes one
+:class:`QueryRequest` and returns a typed
+:class:`~repro.query.request.QueryResponse`.
 """
 
 from __future__ import annotations
@@ -228,93 +228,32 @@ class Session:
 
     # ------------------------------------------------------------- reads
 
-    def _coerce_request(
-        self,
-        request: QueryRequest | int | None,
-        lo: float | None,
-        hi: float | None,
-        keys_only: bool,
-        epoch: int | None,
-    ) -> QueryRequest:
-        """Accept the canonical QueryRequest or the legacy spread.
-
-        The legacy positional form ``(epoch, lo, hi[, keys_only])``
-        and the keyword form ``(lo=, hi=, epoch=)`` both route through
-        one :class:`QueryRequest`, so every entry point shares the
-        same validation and response semantics.
-        """
-        if isinstance(request, QueryRequest):
-            if lo is not None or hi is not None or epoch is not None:
-                raise TypeError(
-                    "pass either a QueryRequest or (epoch, lo, hi), not both"
-                )
-            return request
-        if request is not None and epoch is not None:
-            raise TypeError("epoch given both positionally and by keyword")
-        if lo is None or hi is None:
-            raise TypeError("lo and hi are required without a QueryRequest")
-        resolved = request if request is not None else epoch
-        return QueryRequest(
-            lo=float(lo), hi=float(hi), epoch=resolved, keys_only=keys_only
-        )
-
-    def _resolve_epoch(
-        self,
-        req: QueryRequest,
-        snapshot: Snapshot | None,
-        store: PartitionedStore,
-    ) -> int:
-        if snapshot is not None:
-            return snapshot.resolve_epoch(req.epoch)
-        if req.epoch is not None:
-            return req.epoch
-        epochs = store.epochs()
-        if not epochs:
-            raise ValueError(f"no committed epochs under {self.out_dir}")
-        return epochs[-1]
-
     def query(
-        self,
-        request: QueryRequest | int | None = None,
-        lo: float | None = None,
-        hi: float | None = None,
-        keys_only: bool = False,
-        *,
-        epoch: int | None = None,
-        snapshot: Snapshot | None = None,
+        self, request: QueryRequest, *, snapshot: Snapshot | None = None
     ) -> QueryResponse:
         """Range query against the session's output.
 
-        Canonical form: ``session.query(QueryRequest(lo=..., hi=...))``
-        — epoch-or-latest, optional deadline, typed
-        :class:`QueryResponse` reply.  The legacy
-        ``session.query(epoch, lo, hi)`` spread keeps working and
-        routes through the same request object.  ``snapshot=`` runs
-        the query against a pinned view instead of the live store.
+        ``session.query(QueryRequest(lo=..., hi=...))`` —
+        epoch-or-latest, typed :class:`QueryResponse` reply.
+        ``snapshot=`` runs the query against a pinned view instead of
+        the live store.
 
         Mints a ``query-NNNNNN`` request id; the query/probe spans and
         the post-query telemetry sample carry it.
         """
-        req = self._coerce_request(request, lo, hi, keys_only, epoch)
-        req.validate()
+        request.validate()
         store = self.store(snapshot=snapshot)
-        target = self._resolve_epoch(req, snapshot, store)
+        target = store.resolve_epoch(request.epoch)
         ctx = self._requests.mint("query")
         result = store.query(
-            target, req.lo, req.hi, keys_only=req.keys_only, ctx=ctx
+            target, request.lo, request.hi,
+            keys_only=request.keys_only, ctx=ctx,
         )
         token = snapshot.token if snapshot is not None else LIVE_TOKEN
-        return response_from_result(req, ctx.request_id, token, result)
+        return response_from_result(request, ctx.request_id, token, result)
 
     def explain(
-        self,
-        request: QueryRequest | int | None = None,
-        lo: float | None = None,
-        hi: float | None = None,
-        keys_only: bool = False,
-        *,
-        epoch: int | None = None,
-        snapshot: Snapshot | None = None,
+        self, request: QueryRequest, *, snapshot: Snapshot | None = None
     ) -> QueryExplain:
         """Plan + cost report for a range query (no merge executed).
 
@@ -324,13 +263,13 @@ class Session:
         zero-duration trace span, so ``carp-trace --request`` covers
         EXPLAIN requests too.
         """
-        req = self._coerce_request(request, lo, hi, keys_only, epoch)
-        req.validate()
+        request.validate()
         store = self.store(snapshot=snapshot)
-        target = self._resolve_epoch(req, snapshot, store)
+        target = store.resolve_epoch(request.epoch)
         ctx = self._requests.mint("explain")
         return store.explain(
-            target, req.lo, req.hi, keys_only=req.keys_only, ctx=ctx
+            target, request.lo, request.hi,
+            keys_only=request.keys_only, ctx=ctx,
         )
 
     # ------------------------------------------------------------- serve

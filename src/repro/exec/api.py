@@ -116,12 +116,11 @@ class Executor(abc.ABC):
     def is_serial(self) -> bool:
         """True when tasks run inline on the calling thread.
 
-        Consulted only by the three *stateless* fan-outs (the query
-        probe and the compactor's two), which skip the task machinery
-        there because the caller already holds what the task would
-        rebuild (open readers) or is itself running inside a task.
-        Ingest never asks: it replays the same ``koidb_apply`` command
-        stream on every backend.
+        Consulted in one place, the query probe fan-out
+        (``PartitionedStore._probe``): inline, the store probes through
+        the mmap'd readers it already holds open instead of paying one
+        task per log to reopen them.  Nothing else asks — ingest and
+        the compactor submit the same tasks on every backend.
         """
         return False
 

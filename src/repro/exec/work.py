@@ -291,9 +291,8 @@ def probe_log(
 def read_epoch_log(state: dict[str, Any], path: str, epoch: int) -> RecordBatch | None:
     """Load one log's records for ``epoch`` (compactor read fan-out).
 
-    Entries are concatenated in manifest order, matching the serial
-    ``read_epoch`` loop; returns ``None`` when the log holds nothing
-    for the epoch.
+    Entries are concatenated in manifest order; returns ``None`` when
+    the log holds nothing for the epoch.
     """
     with LogReader(Path(path)) as reader:
         batches = [
@@ -319,14 +318,17 @@ def compact_epoch_task(
     """
     # imported lazily: the compactor module itself takes executor=
     # keywords from repro.exec, so a top-level import would be circular
-    from repro.exec.api import SERIAL_EXEC
+    from repro.exec.api import SerialExecutor
     from repro.storage.compactor import compact_epoch
 
     # force the inner compaction serial: CARP_EXECUTOR=process would
-    # otherwise try to nest a pool inside a daemonic worker
+    # otherwise try to nest a pool inside a daemonic worker.  A private
+    # instance, not the shared SERIAL_EXEC: this task may itself be
+    # running inside SERIAL_EXEC.map, and an inner drain() on the same
+    # instance would hand back the outer map's earlier results
     return str(
         compact_epoch(
             Path(in_dir), Path(out_dir), epoch, sst_records,
-            executor=SERIAL_EXEC,
+            executor=SerialExecutor(),
         )
     )

@@ -9,18 +9,17 @@ small set of metrics, persisted as committed baselines
 :func:`repro.bench.results.emit` with units and the git SHA), and
 re-checked by ``carp-perf compare`` on every CI run.
 
-Metrics come in three kinds with different gating semantics:
+Metrics come in two kinds, both deterministic and both blocking:
 
 * ``virtual`` — modeled/virtual-time cost (deterministic given the
   code).  Blocking: a relative regression beyond the metric's
   tolerance fails the comparison.
 * ``exact`` — workload outputs that must not drift at all (bytes
   written, records matched).  Blocking: any change fails.
-* ``wall`` — host wall-clock seconds.  Advisory only: reported, never
-  failed, because runner noise is not a regression.  This package is
-  (with the CLI tools) a sanctioned home for ``time.perf_counter``;
-  wall time never feeds back into any recording (rule O501 keeps it
-  out of the instrumented packages).
+
+Nothing here reads the host clock (rule O501 covers this package):
+wall time has one owner, the top-level ``ledger/``, and scalar ≡
+vector kernel equivalence has one owner, ``tests/kernels/``.
 """
 
 from repro.perf.harness import (

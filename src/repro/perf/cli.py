@@ -8,9 +8,9 @@ Four subcommands:
   redirect), including the cost-attribution profile committed under
   ``results/baselines/profiles/``.
 * ``carp-perf compare [WORKLOAD ...] [--json PATH]`` — re-run and diff
-  against the committed baselines; exits nonzero when any blocking
-  metric (virtual-time beyond tolerance, or an exact output change)
-  regressed.  Wall-time rows are advisory and never fail the gate.
+  against the committed baselines; exits nonzero when any metric
+  (virtual-time beyond tolerance, or an exact output change)
+  regressed — every row is deterministic and every row blocks.
   ``--json`` additionally writes the full comparison document (the CI
   artifact).  When a gate trips, the failure output names a diff
   profile (written under ``--profile-dir``) and the top-3 regressed
@@ -146,7 +146,7 @@ def _fmt_delta(comparison: WorkloadComparison) -> str:
             "-" if m.baseline is None else f"{m.baseline:.6g}",
             "-" if m.current is None else f"{m.current:.6g}",
             "-" if delta is None else f"{delta:+.2%}",
-            m.status + (" (advisory)" if m.kind == "wall" else ""),
+            m.status,
         ))
     return render_table(
         ("metric", "kind", "baseline", "current", "delta", "status"),
@@ -223,6 +223,12 @@ def _cmd_compare(names: list[str], json_path: Path | None,
         ]
         print(f"error: perf regression gate failed: {', '.join(failed)}",
               file=sys.stderr)
+        stale = [c.workload for c in comparisons
+                 if any(m.status == "unknown-kind" for m in c.metrics)]
+        if stale:
+            print("error: baseline rows of a kind carp-perf does not gate; "
+                  f"re-record the baseline (`carp-perf run {' '.join(stale)}`)",
+                  file=sys.stderr)
         for comparison in comparisons:
             if comparison.blocking:
                 _emit_diff_profile(comparison, profile_dir)

@@ -13,11 +13,13 @@ through :func:`repro.bench.results.emit` (rows + units + git SHA) into
 workload and diffs fresh metrics against the committed baseline with
 per-metric semantics:
 
-* ``virtual``/``exact`` metrics are **blocking** — virtual-time cost
-  may drift at most ``tolerance`` (relative) before the comparison
-  fails, exact workload outputs may not change at all;
-* ``wall`` metrics are **advisory** — reported for trend visibility,
-  never failed, because CI runner noise is not a regression.
+* ``virtual`` metrics — virtual-time cost may drift at most
+  ``tolerance`` (relative) before the comparison fails;
+* ``exact`` metrics — workload outputs may not change at all.
+
+Both kinds are **blocking** and deterministic: this package never
+reads the host clock (rule O501 enforces it).  Wall time is measured
+in one place, the top-level ``ledger/``.
 
 An improvement beyond tolerance does not fail the gate but is
 surfaced, so stale baselines get re-recorded instead of silently
@@ -27,14 +29,10 @@ absorbing headroom.
 from __future__ import annotations
 
 import json
-import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Any
-
-import numpy as np
 
 from repro.bench.results import emit, results_dir
 from repro.bench.tables import render_table
@@ -53,9 +51,6 @@ from repro.traces.vpic import VpicTraceSpec, generate_timestep
 #: loudly.
 VIRTUAL_TOLERANCE = 0.02
 
-#: Advisory tolerance recorded for wall-clock rows (display only).
-WALL_TOLERANCE = 0.25
-
 
 @dataclass(frozen=True)
 class Metric:
@@ -64,7 +59,7 @@ class Metric:
     name: str
     value: float
     unit: str
-    #: ``virtual`` | ``exact`` | ``wall`` (see module docstring)
+    #: ``virtual`` | ``exact`` (see module docstring)
     kind: str
     tolerance: float
 
@@ -107,9 +102,7 @@ def _ingest(spec: WorkloadSpec, out_dir: Path, obs: Obs) -> None:
 
 def _run_ingest(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     obs = Obs.recording()
-    wall0 = time.perf_counter()
     _ingest(spec, scratch / "db", obs)
-    wall = time.perf_counter() - wall0
     counters = obs.metrics
     return [
         Metric("ingest_virtual_ticks", obs.clock.now(), "ticks",
@@ -123,7 +116,6 @@ def _run_ingest(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
         Metric("ssts_written",
                counters.counter_value("koidb.ssts_written"),
                "ssts", "exact", 0.0),
-        Metric("wall_seconds", wall, "s", "wall", WALL_TOLERANCE),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 
@@ -138,7 +130,6 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     bytes_read = 0
     matched = 0
     requests = 0
-    wall0 = time.perf_counter()
     with spec.make_executor() as executor:
         with PartitionedStore(db_dir, executor=executor, obs=obs) as store:
             for epoch in store.epochs():
@@ -151,14 +142,12 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
                     bytes_read += res.cost.bytes_read
                     matched += res.cost.records_matched
                     requests += res.cost.read_requests
-    wall = time.perf_counter() - wall0
     return [
         Metric("query_latency_modeled", latency, "s",
                "virtual", VIRTUAL_TOLERANCE),
         Metric("query_bytes_read", bytes_read, "B", "exact", 0.0),
         Metric("query_records_matched", matched, "records", "exact", 0.0),
         Metric("query_read_requests", requests, "requests", "exact", 0.0),
-        Metric("wall_seconds", wall, "s", "wall", WALL_TOLERANCE),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 
@@ -167,11 +156,9 @@ def _run_compact(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     dst = scratch / "compacted"
     _ingest(spec, src, Obs.null())
     obs = Obs.recording()
-    wall0 = time.perf_counter()
     with spec.make_executor() as executor:
         epoch_dirs = compact_all_epochs(src, dst, spec.sst_records,
                                         executor=executor, obs=obs)
-    wall = time.perf_counter() - wall0
     out_bytes = sum(
         p.stat().st_size for d in epoch_dirs for p in list_logs(d)
     )
@@ -187,7 +174,6 @@ def _run_compact(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
                "virtual", VIRTUAL_TOLERANCE),
         Metric("compacted_bytes", out_bytes, "B", "exact", 0.0),
         Metric("epochs_compacted", len(epoch_dirs), "epochs", "exact", 0.0),
-        Metric("wall_seconds", wall, "s", "wall", WALL_TOLERANCE),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 
@@ -198,13 +184,10 @@ def _run_obs_overhead(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     stack, once fully recording with a streaming telemetry sink — and
     gates on *exact* zero side effects from the null run: no
     instruments registered, no virtual time accumulated, no telemetry
-    lines written.  The wall-clock rows compare the two runs for trend
-    visibility (advisory, like every wall metric).
+    lines written.
     """
     null_obs = Obs.null()
-    wall0 = time.perf_counter()
     _ingest(spec, scratch / "db-null", null_obs)
-    wall_null = time.perf_counter() - wall0
 
     null_snapshot = null_obs.metrics.snapshot()
     null_side_effects = (
@@ -223,9 +206,7 @@ def _run_obs_overhead(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
             obs.metrics, obs.clock, sink,
             record_bytes=4 + spec.options().value_size,
         )
-        wall0 = time.perf_counter()
         _ingest(spec, scratch / "db-rec", obs)
-        wall_rec = time.perf_counter() - wall0
     recording_snapshot = obs.metrics.snapshot()
     recording_instruments = sum(
         len(section) for section in recording_snapshot.values()
@@ -240,11 +221,6 @@ def _run_obs_overhead(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
                "instruments", "exact", 0.0),
         Metric("ingest_virtual_ticks", obs.clock.now(), "ticks",
                "virtual", VIRTUAL_TOLERANCE),
-        Metric("wall_null_seconds", wall_null, "s", "wall", WALL_TOLERANCE),
-        Metric("wall_recording_seconds", wall_rec, "s",
-               "wall", WALL_TOLERANCE),
-        Metric("wall_overhead_ratio", wall_rec / max(wall_null, 1e-9),
-               "x", "wall", WALL_TOLERANCE),
     ], obs.tracer.events(), recording_snapshot
 
 
@@ -289,179 +265,7 @@ def _run_serve(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
         Metric("serve_payload_digest",
                float(int(report.payload_digest[:12], 16)),
                "id", "exact", 0.0),
-        Metric("wall_seconds", report.wall_seconds, "s",
-               "wall", WALL_TOLERANCE),
     ], events, snapshot
-
-
-# ----------------------------------------------------------- kernel seams
-
-
-def _kernel_keys(n: int) -> np.ndarray:
-    """``n`` deterministic float32 keys in roughly ``[0, 1031]``.
-
-    Pure integer arithmetic (a Knuth multiplicative hash mod a prime),
-    so the sequence is bit-identical on every platform — no RNG, no
-    libm.
-    """
-    i = np.arange(n, dtype=np.uint64)
-    vals = (i * np.uint64(2654435761)) % np.uint64(100003)
-    return (vals.astype(np.float64) / 97.0).astype("<f4")
-
-
-def _crc_digest(payload: bytes) -> float:
-    """CRC32 of ``payload`` as an exact-metric value."""
-    return float(zlib.crc32(payload) & 0xFFFFFFFF)
-
-
-def _timed(fn: Any, *args: Any) -> tuple[Any, float]:
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, time.perf_counter() - t0
-
-
-def _run_kernel_route(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
-    """Ingest-routing hot path: real ingest + scalar/vector microbench.
-
-    Phase 1 runs a real recorded ingest (same exact counters, virtual
-    ticks, and reconciled profile as the ``ingest`` workloads — the
-    routing seam feeds straight into them).  Phase 2 measures the
-    routing and key/value-codec kernels head to head on one
-    deterministic key set: the scalar-vs-vector speedups are wall
-    rows, and the *parity* and *digest* rows are exact — any
-    observational divergence between the backends, or any change to
-    the routed destinations or encoded bytes, trips the gate.
-    """
-    from repro.kernels import SCALAR_KERNELS, VECTOR_KERNELS
-
-    obs = Obs.recording()
-    wall0 = time.perf_counter()
-    _ingest(spec, scratch / "db", obs)
-    wall = time.perf_counter() - wall0
-    counters = obs.metrics
-
-    keys = _kernel_keys(spec.kernel_records)
-    bounds = np.linspace(50.0, 950.0, 33)
-    rids = np.arange(len(keys), dtype="<u8") * np.uint64(7919)
-    value_size = 24
-
-    v_dests, v_route = _timed(VECTOR_KERNELS.route, bounds, keys)
-    s_dests, s_route = _timed(SCALAR_KERNELS.route, bounds, keys)
-    v_groups = VECTOR_KERNELS.group_runs(v_dests)
-    s_groups = SCALAR_KERNELS.group_runs(s_dests)
-    route_parity = float(
-        np.array_equal(v_dests, s_dests)
-        and len(v_groups) == len(s_groups)
-        and all(
-            dv == ds and np.array_equal(iv, i_s)
-            for (dv, iv), (ds, i_s) in zip(v_groups, s_groups)
-        )
-    )
-
-    v_kb, v_enc_k = _timed(VECTOR_KERNELS.encode_keys, keys)
-    s_kb, s_enc_k = _timed(SCALAR_KERNELS.encode_keys, keys)
-    v_vb, v_enc_v = _timed(VECTOR_KERNELS.encode_values, rids, value_size)
-    s_vb, s_enc_v = _timed(SCALAR_KERNELS.encode_values, rids, value_size)
-    encode_parity = float(v_kb == s_kb and v_vb == s_vb)
-
-    return [
-        Metric("ingest_virtual_ticks", obs.clock.now(), "ticks",
-               "virtual", VIRTUAL_TOLERANCE),
-        Metric("records_ingested",
-               counters.counter_value("carp.records_ingested"),
-               "records", "exact", 0.0),
-        Metric("koidb_bytes_written",
-               counters.counter_value("koidb.bytes_written"),
-               "B", "exact", 0.0),
-        Metric("route_parity", route_parity, "bool", "exact", 0.0),
-        Metric("encode_parity", encode_parity, "bool", "exact", 0.0),
-        Metric("route_digest",
-               _crc_digest(np.ascontiguousarray(v_dests, dtype="<i8").tobytes()),
-               "crc32", "exact", 0.0),
-        Metric("encode_digest", _crc_digest(v_kb + v_vb), "crc32",
-               "exact", 0.0),
-        Metric("route_speedup_x", s_route / max(v_route, 1e-9), "x",
-               "wall", WALL_TOLERANCE),
-        Metric("encode_speedup_x",
-               (s_enc_k + s_enc_v) / max(v_enc_k + v_enc_v, 1e-9), "x",
-               "wall", WALL_TOLERANCE),
-        Metric("wall_seconds", wall, "s", "wall", WALL_TOLERANCE),
-    ], obs.tracer.events(), obs.metrics.snapshot()
-
-
-def _run_kernel_probe(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
-    """SST-probe hot path: real mmap probes + scalar/vector microbench.
-
-    Phase 1 ingests quietly, then runs the recorded query sweep the
-    ``query`` workloads run — every probe now reads through the
-    mmap-backed readers, and the exact byte/request/match counters pin
-    that the mapped path touches exactly the bytes the ``read()`` path
-    did.  Phase 2 races the in-range filter and the key/value block
-    decoders scalar-vs-vector on one deterministic key block, with
-    exact parity/digest rows and advisory wall speedups.
-    """
-    from repro.kernels import SCALAR_KERNELS, VECTOR_KERNELS
-
-    db_dir = scratch / "db"
-    _ingest(spec, db_dir, Obs.null())
-    obs = Obs.recording()
-    latency = 0.0
-    bytes_read = 0
-    matched = 0
-    requests = 0
-    wall0 = time.perf_counter()
-    with spec.make_executor() as executor:
-        with PartitionedStore(db_dir, executor=executor, obs=obs) as store:
-            for epoch in store.epochs():
-                lo, hi = store.key_range(epoch)
-                width = (hi - lo) / max(spec.queries * 4, 1)
-                for q in range(spec.queries):
-                    qlo = lo + (hi - lo) * q / max(spec.queries, 1)
-                    res = store.query(epoch, qlo, qlo + width)
-                    latency += res.cost.latency
-                    bytes_read += res.cost.bytes_read
-                    matched += res.cost.records_matched
-                    requests += res.cost.read_requests
-    wall = time.perf_counter() - wall0
-
-    keys = _kernel_keys(spec.kernel_records)
-    rids = np.arange(len(keys), dtype="<u8") * np.uint64(104729)
-    value_size = 24
-    qlo, qhi = 250.0, 260.0
-    key_payload = VECTOR_KERNELS.encode_keys(keys)
-    val_payload = VECTOR_KERNELS.encode_values(rids, value_size)
-
-    v_mask, v_mask_t = _timed(VECTOR_KERNELS.range_mask, keys, qlo, qhi)
-    s_mask, s_mask_t = _timed(SCALAR_KERNELS.range_mask, keys, qlo, qhi)
-    v_keys, v_dec_k = _timed(VECTOR_KERNELS.decode_keys, key_payload)
-    s_keys, s_dec_k = _timed(SCALAR_KERNELS.decode_keys, key_payload)
-    v_rids, v_dec_v = _timed(VECTOR_KERNELS.decode_values, val_payload,
-                             value_size)
-    s_rids, s_dec_v = _timed(SCALAR_KERNELS.decode_values, val_payload,
-                             value_size)
-    probe_parity = float(
-        np.array_equal(v_mask, s_mask)
-        and v_keys.tobytes() == s_keys.tobytes()
-        and np.array_equal(v_rids, s_rids)
-    )
-
-    return [
-        Metric("query_latency_modeled", latency, "s",
-               "virtual", VIRTUAL_TOLERANCE),
-        Metric("query_bytes_read", bytes_read, "B", "exact", 0.0),
-        Metric("query_records_matched", matched, "records", "exact", 0.0),
-        Metric("query_read_requests", requests, "requests", "exact", 0.0),
-        Metric("probe_parity", probe_parity, "bool", "exact", 0.0),
-        Metric("probe_digest",
-               _crc_digest(VECTOR_KERNELS.encode_keys(v_keys[v_mask])),
-               "crc32", "exact", 0.0),
-        Metric("mask_speedup_x", s_mask_t / max(v_mask_t, 1e-9), "x",
-               "wall", WALL_TOLERANCE),
-        Metric("decode_speedup_x",
-               (s_dec_k + s_dec_v) / max(v_dec_k + v_dec_v, 1e-9), "x",
-               "wall", WALL_TOLERANCE),
-        Metric("wall_seconds", wall, "s", "wall", WALL_TOLERANCE),
-    ], obs.tracer.events(), obs.metrics.snapshot()
 
 
 _RUNNERS = {
@@ -470,8 +274,6 @@ _RUNNERS = {
     "compact": _run_compact,
     "obs-overhead": _run_obs_overhead,
     "serve": _run_serve,
-    "kernels-route": _run_kernel_route,
-    "kernels-probe": _run_kernel_probe,
 }
 
 
@@ -591,11 +393,14 @@ class MetricComparison:
     current: float | None
     tolerance: float
     #: ``ok`` | ``regressed`` | ``improved`` | ``changed`` | ``missing``
+    #: | ``unknown-kind``
     status: str
 
     @property
     def blocking(self) -> bool:
-        return self.status in ("regressed", "changed", "missing")
+        return self.status in (
+            "regressed", "changed", "missing", "unknown-kind"
+        )
 
     @property
     def rel_delta(self) -> float | None:
@@ -649,14 +454,17 @@ def _compare_metric(row: dict[str, Any], current: Metric | None) -> MetricCompar
     unit = str(row.get("unit", ""))
     base = float(row["value"])
     tol = float(row.get("tolerance", VIRTUAL_TOLERANCE))
-    if current is None:
-        return MetricComparison(name, kind, unit, base, None, tol, "missing")
-    value = current.value
-    if kind == "wall":
-        status = "ok"  # advisory: never blocks
+    value = None if current is None else current.value
+    if kind not in ("virtual", "exact"):
+        # baseline JSON is outside input: a row this harness cannot
+        # gate (e.g. a wall-clock row from an old checkout) is rejected,
+        # never compared under some other kind's rule
+        status = "unknown-kind"
+    elif value is None:
+        status = "missing"
     elif kind == "exact":
         status = "ok" if value == base else "changed"
-    else:  # virtual
+    else:
         if base == 0:
             status = "ok" if value == 0 else "changed"
         else:

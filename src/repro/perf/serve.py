@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -69,7 +68,6 @@ class ServeReport:
     latency_p99: float
     latency_mean: float
     served_count: int
-    wall_seconds: float
     #: Paths of artifacts persisted under the run's output directory
     #: (metrics.json / telemetry.jsonl / trace.json), when requested.
     artifacts: tuple[str, ...] = ()
@@ -153,7 +151,6 @@ def run_serve_workload(
     )
     db_dir = scratch / "db"
     responses: list[QueryResponse] = []
-    wall0 = time.perf_counter()
     with spec.make_executor() as executor:
         with Session(
             spec.nranks, db_dir, spec.options(),
@@ -232,7 +229,6 @@ def run_serve_workload(
                 latency_p99=p99,
                 latency_mean=hist.mean,
                 served_count=hist.count,
-                wall_seconds=time.perf_counter() - wall0,
                 artifacts=tuple(artifacts),
             )
         if out_dir is not None:

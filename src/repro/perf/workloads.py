@@ -42,9 +42,6 @@ class WorkloadSpec:
     sst_records: int = 512
     #: concurrent closed-loop clients (serve workloads)
     clients: int = 8
-    #: key count for the scalar-vs-vector kernel microbenchmarks
-    #: (kernels-route / kernels-probe workloads)
-    kernel_records: int = 65536
 
     def options(self) -> CarpOptions:
         return CarpOptions(
@@ -73,12 +70,6 @@ def _registry() -> dict[str, WorkloadSpec]:
         # clients against Session.serve() while epochs keep committing
         WorkloadSpec("serve-mixed", "serve", "serial",
                      epochs=3, workers=3, clients=8),
-        # kernel-seam gates: real ingest/probe phase for virtual+exact
-        # rows, plus head-to-head scalar-vs-vector microbenchmarks
-        # whose parity/digest rows are exact (observational equivalence
-        # under CARP_KERNELS is part of the gate)
-        WorkloadSpec("ingest-route", "kernels-route", "serial"),
-        WorkloadSpec("probe", "kernels-probe", "serial"),
     ]
     return {s.name: s for s in specs}
 

@@ -185,6 +185,23 @@ class PartitionedStore:
     def epochs(self) -> list[int]:
         return sorted({e.epoch for _, e in self._entries})
 
+    def resolve_epoch(self, epoch: int | None) -> int:
+        """Map an epoch-or-latest request onto an epoch of this view.
+
+        Pinned: the snapshot decides (``None`` = newest at pin time, an
+        epoch it did not pin raises).  Live: ``None`` = newest stored
+        epoch; a named epoch is taken as given, and one with no data
+        answers empty.
+        """
+        if self.snapshot is not None:
+            return self.snapshot.resolve_epoch(epoch)
+        if epoch is not None:
+            return epoch
+        epochs = self.epochs()
+        if not epochs:
+            raise ValueError(f"no committed epochs under {self.directory}")
+        return epochs[-1]
+
     def entries(self, epoch: int | None = None) -> list[tuple[int, ManifestEntry]]:
         if epoch is None:
             return list(self._entries)

@@ -143,27 +143,12 @@ class RangeReader:
         """
         req.validate()
         snapshot = self.store.snapshot
-        if snapshot is not None:
-            epoch = snapshot.resolve_epoch(req.epoch)
-            token = snapshot.token
-        else:
-            token = LIVE_TOKEN
-            if req.epoch is not None:
-                epoch = req.epoch
-            else:
-                epochs = self.store.epochs()
-                if not epochs:
-                    raise ValueError("store holds no epochs")
-                epoch = epochs[-1]
+        token = snapshot.token if snapshot is not None else LIVE_TOKEN
         result = self.store.query(
-            epoch, req.lo, req.hi, keys_only=req.keys_only
+            self.store.resolve_epoch(req.epoch), req.lo, req.hi,
+            keys_only=req.keys_only,
         )
         return response_from_result(req, "", token, result)
-
-    def query(self, epoch: int, lo: float, hi: float) -> QueryResponse:
-        """Query mode: one range query (legacy spread, routed through
-        :class:`QueryRequest`)."""
-        return self.request(QueryRequest(lo=lo, hi=hi, epoch=epoch))
 
     def run_batch(
         self,
@@ -171,7 +156,10 @@ class RangeReader:
         log_path: Path | str | None = None,
     ) -> BatchResult:
         """Batch mode: run queries in order; optionally write querylog.csv."""
-        results = [self.query(q.epoch, q.lo, q.hi) for q in queries]
+        results = [
+            self.request(QueryRequest(lo=q.lo, hi=q.hi, epoch=q.epoch))
+            for q in queries
+        ]
         batch = BatchResult(results)
         if log_path is not None:
             write_query_log(results, log_path)

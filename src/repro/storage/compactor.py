@@ -27,34 +27,25 @@ def read_epoch(
 ) -> RecordBatch:
     """Load every record of ``epoch`` from all logs in ``directory``.
 
-    With a parallel executor the per-log reads fan out across workers;
-    results are concatenated in log order either way, so the combined
-    batch is byte-identical.
+    One ``read_epoch_log`` task per log on every backend; results are
+    concatenated in log order, so the combined batch is byte-identical
+    whether the tasks ran inline or across workers.
     """
+    # repro.exec.work imports this module's callers' layer
+    # (repro.storage.koidb), so importing it at module scope would
+    # cycle through the package __init__
+    from repro.exec.work import read_epoch_log
+
     logs = list_logs(directory)
     if not logs:
         raise FileNotFoundError(f"no KoiDB logs under {directory}")
     exec_, owned = resolve_executor(executor)
     try:
-        if not exec_.is_serial:
-            # repro.exec.work imports this module's callers' layer
-            # (repro.storage.koidb), so importing it at module scope
-            # would cycle through the package __init__
-            from repro.exec.work import read_epoch_log
-
-            per_log = exec_.map(
-                read_epoch_log, [(str(p), epoch) for p in logs]
-            )
-            batches = [b for b in per_log if b is not None]
-        else:
-            batches = []
-            for path in logs:
-                with LogReader(path) as reader:
-                    for entry in reader.entries_for(epoch=epoch):
-                        batches.append(reader.read_sst(entry).batch)
+        per_log = exec_.map(read_epoch_log, [(str(p), epoch) for p in logs])
     finally:
         if owned:
             exec_.close()
+    batches = [b for b in per_log if b is not None]
     if not batches:
         raise ValueError(f"epoch {epoch} holds no data under {directory}")
     return RecordBatch.concat(batches)
@@ -115,9 +106,10 @@ def compact_all_epochs(
 ) -> list[Path]:
     """Compact every epoch present in the input logs.
 
-    With a parallel executor whole epochs compact concurrently (each
-    epoch writes its own output directory, so workers never share a
-    file).  Returns the per-epoch output directories, sorted by epoch —
+    One ``compact_epoch_task`` per epoch on every backend; with a
+    parallel executor whole epochs compact concurrently (each epoch
+    writes its own output directory, so workers never share a file).
+    Returns the per-epoch output directories, sorted by epoch —
     the directory structure matches the paper artifact's
     ``particle.sorted/<epoch>/`` layout.
 
@@ -128,6 +120,12 @@ def compact_all_epochs(
     the recording is bit-identical whether the epochs compacted
     serially or fanned out across workers.
     """
+    from repro.exec.work import compact_epoch_task
+
+    if sst_records < 1:
+        # checked before the fan-out so the caller sees the plain
+        # ValueError, not a WorkerTaskError wrapping it
+        raise ValueError("sst_records must be >= 1")
     logs = list_logs(in_dir)
     if not logs:
         raise FileNotFoundError(f"no KoiDB logs under {in_dir}")
@@ -137,23 +135,15 @@ def compact_all_epochs(
             epochs.update(e.epoch for e in reader.entries)
     exec_, owned = resolve_executor(executor)
     try:
-        if not exec_.is_serial:
-            from repro.exec.work import compact_epoch_task
-
-            done = exec_.map(
-                compact_epoch_task,
-                [(str(in_dir), str(out_dir), epoch, sst_records)
-                 for epoch in sorted(epochs)],
-            )
-            dirs = [Path(d) for d in done]
-        else:
-            dirs = [
-                compact_epoch(in_dir, out_dir, epoch, sst_records)
-                for epoch in sorted(epochs)
-            ]
+        done = exec_.map(
+            compact_epoch_task,
+            [(str(in_dir), str(out_dir), epoch, sst_records)
+             for epoch in sorted(epochs)],
+        )
     finally:
         if owned:
             exec_.close()
+    dirs = [Path(d) for d in done]
     if obs.enabled:
         track = obs.track("compact", "driver")
         m_records = obs.metrics.counter("compact.records")

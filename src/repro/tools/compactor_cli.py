@@ -16,6 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.exec.api import ExecutorError
 from repro.exec.factory import add_executor_args, executor_from_args
 from repro.storage.compactor import compact_all_epochs, compact_epoch
 
@@ -51,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
             dirs = [compact_epoch(args.input, args.output, args.epoch,
                                   sst_records=args.sst_records,
                                   executor=executor)]
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, ExecutorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from repro.exec.factory import add_executor_args, executor_from_args
 from repro.query.reader import RangeReader, read_batch_csv
+from repro.query.request import QueryRequest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +68,7 @@ def _query(reader: RangeReader, epoch: int | None, lo: float | None,
     if epoch is None or lo is None or hi is None:
         print("error: query mode needs -e, -x and -y", file=sys.stderr)
         return 2
-    res = reader.query(epoch, lo, hi)
+    res = reader.request(QueryRequest(lo=lo, hi=hi, epoch=epoch))
     c = res.cost
     print(f"matched {len(res)} records in [{lo}, {hi}] (epoch {epoch})")
     print(f"SSTs read: {c.ssts_read}/{c.ssts_considered}  "

@@ -15,7 +15,9 @@ Exit status: 0 when every request was answered (ok / deadline-
 exceeded are both answers), 1 when the run surfaced errors or
 rejections, 2 for usage problems.  The same workload is baseline-
 gated by ``carp-perf compare serve-mixed``; this tool is the
-interactive / artifact-producing front end.
+interactive / artifact-producing front end.  Every number it prints is
+modeled or exact — the serve plane's wall clock is the ledger's
+``serve-hot`` / ``serve-live`` workloads (``python -m ledger``).
 
 See docs/SERVING.md for the serving-plane contract.
 """
@@ -67,7 +69,6 @@ def render_report(report: ServeReport) -> str:
         ("latency_p95 (virtual s)", f"{report.latency_p95:.6g}"),
         ("latency_p99 (virtual s)", f"{report.latency_p99:.6g}"),
         ("latency_mean (virtual s)", f"{report.latency_mean:.6g}"),
-        ("wall_seconds", f"{report.wall_seconds:.3f}"),
     ]
     return render_table(
         ("metric", "value"), rows, title=f"carp-serve: {report.workload}"

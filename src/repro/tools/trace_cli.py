@@ -52,6 +52,7 @@ from repro.obs.report import (
     request_tree_table,
     top_spans_table,
 )
+from repro.query.request import QueryRequest
 from repro.traces.amr import AmrTraceSpec
 from repro.traces.amr import generate_timestep as amr_timestep
 from repro.traces.vpic import VpicTraceSpec
@@ -122,7 +123,9 @@ def _run_queries(session: Session, epochs: int, nqueries: int) -> int:
         width = (hi - lo) / max(nqueries * 4, 1)
         for q in range(nqueries):
             qlo = lo + (hi - lo) * q / max(nqueries, 1)
-            session.query(epoch, qlo, qlo + width)
+            session.query(
+                QueryRequest(lo=qlo, hi=qlo + width, epoch=epoch)
+            )
             ran += 1
     return ran
 

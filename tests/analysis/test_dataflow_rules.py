@@ -40,11 +40,6 @@ def test_fixture_fires_expected_rules(fixtures_dir, fixture, expected):
     assert counts == expected
 
 
-def test_repo_is_xwl_clean(repo_src):
-    result = lint_paths([repo_src], rules=select_rules(["X", "W", "L1"]))
-    assert result.violations == []
-
-
 # ----------------------------------------------------------------- X family
 
 

@@ -90,8 +90,3 @@ def test_rules_scoped_to_exec_package():
     ctx = FileContext.from_source(src, Path("src/repro/tools/some_cli.py"))
     assert not _rule("P601").applies(ctx)
     assert not _rule("P602").applies(ctx)
-
-
-def test_repo_is_p_clean(repo_src):
-    result = lint_paths([repo_src], rules=select_rules(["P"]))
-    assert result.violations == []

@@ -74,8 +74,3 @@ def test_rule_scoped_to_storage_package():
     src = "import os\n\ndef gc(path):\n    os.remove(path)\n"
     ctx = FileContext.from_source(src, Path("src/repro/tools/some_cli.py"))
     assert not _rule("R701").applies(ctx)
-
-
-def test_repo_is_r_clean(repo_src):
-    result = lint_paths([repo_src], rules=select_rules(["R"]))
-    assert result.violations == []

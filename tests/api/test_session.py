@@ -12,6 +12,7 @@ from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.exec import SERIAL_EXEC, ProcessExecutor
 from repro.query.engine import PartitionedStore
+from repro.query.request import QueryRequest
 from repro.storage.log import list_logs
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
@@ -40,7 +41,7 @@ def test_session_matches_manual_wiring(tmp_path):
 
     with Session(SPEC.nranks, tmp_path / "facade", OPTIONS) as session:
         session.ingest_epoch(0, _streams(0))
-        got = session.query(0, 0.5, 2.0)
+        got = session.query(QueryRequest(lo=0.5, hi=2.0, epoch=0))
 
     assert np.array_equal(got.keys, expect.keys)
     assert np.array_equal(got.rids, expect.rids)
@@ -90,7 +91,7 @@ def test_session_owns_env_created_executor(tmp_path, monkeypatch):
     session = Session(SPEC.nranks, tmp_path, OPTIONS)
     assert isinstance(session.executor, ProcessExecutor)
     session.ingest_epoch(0, _streams(0))
-    assert len(session.query(0, -10.0, 10.0)) > 0
+    assert len(session.query(QueryRequest(lo=-10.0, hi=10.0, epoch=0))) > 0
     session.close()
     with pytest.raises(Exception):
         session.executor.submit(0, print)

@@ -1,8 +1,15 @@
 """Benchmark result persistence: text tables + JSON companions."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.bench.results import emit, git_sha, results_dir
+
+#: False in a ``git archive`` export (the layout ledger A/Bs run from),
+#: where ``git_sha()`` correctly resolves to ``None``.
+IN_CHECKOUT = (Path(__file__).resolve().parents[2] / ".git").exists()
 
 
 class TestResultsDir:
@@ -29,9 +36,11 @@ class TestEmit:
         assert doc["figure"] == "figX"
         assert doc["rows"] == rows
         assert doc["units"] == {"carp": "B/s"}
-        # measured inside this repo: the SHA must resolve
-        assert isinstance(doc["git_sha"], str)
-        assert len(doc["git_sha"]) == 40
+        if IN_CHECKOUT:  # measured inside this repo: the SHA must resolve
+            assert isinstance(doc["git_sha"], str)
+            assert len(doc["git_sha"]) == 40
+        else:
+            assert doc["git_sha"] is None
 
     def test_json_round_trips_exactly(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
@@ -44,6 +53,7 @@ class TestEmit:
 
 
 class TestGitSha:
+    @pytest.mark.skipif(not IN_CHECKOUT, reason="export without .git")
     def test_resolves_head_in_this_repo(self):
         sha = git_sha()
         assert sha is not None

@@ -43,6 +43,7 @@ from repro.faults.plan import (
     InjectedCrashError,
 )
 from repro.obs import Obs
+from repro.query.request import QueryRequest
 from repro.storage.fsck import fsck
 from repro.storage.log import list_logs
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
@@ -90,7 +91,7 @@ def _run_session(out_dir, make_exec, plan):
             session.ingest_epoch(epoch, _streams(epoch))
         queries = []
         for epoch in range(EPOCHS):
-            res = session.query(epoch, 0.25, 4.0)
+            res = session.query(QueryRequest(lo=0.25, hi=4.0, epoch=epoch))
             queries.append(
                 (_digest(res.keys.tobytes()), _digest(res.rids.tobytes()))
             )

@@ -20,6 +20,7 @@ from repro.api import Session
 from repro.core.config import CarpOptions
 from repro.exec import ProcessExecutor, SerialExecutor
 from repro.obs import Obs
+from repro.query.request import QueryRequest
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
 OPTIONS = CarpOptions(
@@ -55,7 +56,9 @@ def _run(out_dir, make_exec, seed: int) -> dict[str, object]:
                 lo, hi = store.key_range(epoch)
                 for q in range(QUERIES_PER_EPOCH):
                     width = (hi - lo) / 8
-                    session.query(epoch, lo + q * width, lo + (q + 1) * width)
+                    session.query(QueryRequest(
+                        lo=lo + q * width, hi=lo + (q + 1) * width, epoch=epoch
+                    ))
     telemetry = (out_dir / "telemetry.jsonl").read_bytes()
     exposition = (out_dir / "metrics.om").read_bytes()
     doc = obs.tracer.to_doc()

@@ -3,7 +3,8 @@
 The regression gate's contract is exercised end-to-end through the CLI
 against a redirected ``REPRO_RESULTS_DIR``: a fresh baseline compares
 clean (exit 0), a tampered baseline injecting a >=10% virtual-time
-regression fails (exit nonzero), and wall-clock rows never block.
+regression fails (exit nonzero), and a baseline row of a kind the
+harness does not gate is rejected rather than waved through.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ class TestRunWorkload:
         first = {m.name: m for m in run_workload(spec).metrics}
         second = {m.name: m for m in run_workload(spec).metrics}
         for name, metric in first.items():
-            if metric.kind == "wall":
-                continue
             assert second[name].value == metric.value, name
         assert first["records_ingested"].value > 0
         assert first["ingest_virtual_ticks"].value > 0
@@ -86,10 +85,14 @@ class TestCompareMetric:
         c = _compare_metric(row, self._current(100.5, kind="exact"))
         assert c.status == "changed" and c.blocking
 
-    def test_wall_never_blocks(self):
-        row = dict(self.ROW, kind="wall")
-        c = _compare_metric(row, self._current(1000.0, kind="wall"))
-        assert c.status == "ok" and not c.blocking
+    @pytest.mark.parametrize("current", [100.0, None])
+    def test_unknown_kind_row_blocks(self, current):
+        # e.g. a stale wall-clock row from an old checkout: equal value
+        # or not, it is not compared under the virtual-tolerance rule
+        row = dict(self.ROW, kind="advisory")
+        fresh = None if current is None else self._current(current)
+        c = _compare_metric(row, fresh)
+        assert c.status == "unknown-kind" and c.blocking
 
     def test_missing_current_blocks(self):
         c = _compare_metric(self.ROW, None)
@@ -102,6 +105,11 @@ class TestCli:
         out = capsys.readouterr().out
         for name in WORKLOADS:
             assert name in out
+        assert sorted(WORKLOADS) == [
+            "compact-process", "compact-serial", "ingest-process",
+            "ingest-serial", "obs-overhead", "query-process",
+            "query-serial", "serve-mixed",
+        ]
 
     def test_unknown_workload_exits_2(self, results_dir):
         assert perf_main(["run", "no-such-workload"]) == 2
@@ -138,10 +146,19 @@ class TestCli:
         _tamper("ingest-serial", "records_ingested", shift=1.0)
         assert perf_main(["compare", "ingest-serial"]) == 1
 
-    def test_wall_noise_does_not_fail_gate(self, results_dir):
+    def test_stale_row_kind_fails_gate_with_rerecord_hint(
+        self, results_dir, capsys
+    ):
         assert perf_main(["run", "ingest-serial"]) == 0
-        _tamper("ingest-serial", "wall_seconds", scale=100.0)
-        assert perf_main(["compare", "ingest-serial"]) == 0
+        path = baseline_path("ingest-serial")
+        doc = json.loads(path.read_text())
+        doc["rows"].append({"metric": "host_seconds", "kind": "advisory",
+                            "unit": "s", "value": 0.04, "tolerance": 0.25})
+        path.write_text(json.dumps(doc))
+        assert perf_main(["compare", "ingest-serial"]) == 1
+        err = capsys.readouterr().err
+        assert "host_seconds (unknown-kind)" in err
+        assert "re-record the baseline" in err
 
     def test_missing_baseline_fails(self, results_dir, capsys):
         assert perf_main(["compare", "ingest-serial"]) == 1

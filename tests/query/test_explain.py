@@ -12,6 +12,7 @@ from repro.core.config import CarpOptions
 from repro.obs import Obs
 from repro.query.engine import PartitionedStore
 from repro.query.explain import QueryExplain
+from repro.query.request import QueryRequest
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
 RANGES = [
@@ -105,9 +106,10 @@ def test_session_explain_passthrough(tmp_path):
                           round_records=128, value_size=8)
     with Session(spec.nranks, tmp_path, options) as session:
         session.ingest_epoch(0, generate_timestep(spec, 0))
-        report = session.explain(0, 0.5, 2.0)
+        request = QueryRequest(lo=0.5, hi=2.0, epoch=0)
+        report = session.explain(request)
         assert isinstance(report, QueryExplain)
-        assert report.reconcile(session.query(0, 0.5, 2.0).cost) == []
+        assert report.reconcile(session.query(request).cost) == []
 
 
 def test_report_shows_touched_vs_skipped(store):

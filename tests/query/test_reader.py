@@ -11,6 +11,7 @@ from repro.query.reader import (
     read_batch_csv,
     write_batch_csv,
 )
+from repro.query.request import QueryRequest
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ class TestAnalyze:
 
 class TestQuery:
     def test_single_query(self, reader, trace_keys, trace_rids):
-        res = reader.query(0, 0.5, 2.0)
+        res = reader.request(QueryRequest(lo=0.5, hi=2.0, epoch=0))
         mask = (trace_keys[0] >= 0.5) & (trace_keys[0] <= 2.0)
         assert set(res.rids.tolist()) == set(trace_rids[0][mask].tolist())
 

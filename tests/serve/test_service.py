@@ -407,18 +407,6 @@ class TestExplainIds:
                 "explain-000001"
             ]
 
-    def test_legacy_positional_spread_still_works(self, tmp_path):
-        lo, hi = WIDE
-        with Session(TRACE.nranks, tmp_path / "db", OPTIONS) as session:
-            session.ingest_epoch(0, streams(0))
-            legacy = session.query(0, lo, hi)
-            typed = session.query(QueryRequest(lo=lo, hi=hi, epoch=0))
-            assert legacy.payload() == typed.payload()
-            legacy_explain = session.explain(0, lo, hi)
-            assert legacy_explain.cost == legacy.cost
-            with pytest.raises(TypeError, match="not both"):
-                session.query(QueryRequest(lo=lo, hi=hi), lo=lo, hi=hi)
-
 
 class TestByteAccounting:
     def test_response_bytes_are_the_spans_the_workers_touched(

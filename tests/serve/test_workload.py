@@ -17,8 +17,6 @@ class TestServeWorkload:
         first = {m.name: m for m in run_workload(spec).metrics}
         second = {m.name: m for m in run_workload(spec).metrics}
         for name, metric in first.items():
-            if metric.kind == "wall":
-                continue
             assert second[name].value == metric.value, name
         assert first["serve_requests"].value > 0
         # the mixed phase really exercised both cache outcomes and the

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exec import make_executor
 from repro.storage.compactor import (
     compact_all_epochs,
     compact_epoch,
@@ -95,6 +96,16 @@ class TestCompactAll:
     def test_missing_input(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             compact_all_epochs(tmp_path / "in", tmp_path / "out")
+
+    @pytest.mark.parametrize("kind", ["serial", "process"])
+    def test_validation_precedes_fan_out(self, tmp_path, kind):
+        # the caller sees the plain ValueError on every backend, not a
+        # WorkerTaskError wrapping it from inside an epoch task
+        write_carp_like(tmp_path / "in")
+        with make_executor(kind, 2) as executor:
+            with pytest.raises(ValueError, match="sst_records"):
+                compact_all_epochs(tmp_path / "in", tmp_path / "out",
+                                   sst_records=0, executor=executor)
 
 
 class TestSortedBoundaries:

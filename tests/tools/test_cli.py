@@ -1,6 +1,7 @@
 """End-to-end tests for the artifact-equivalent CLI tools."""
 
 import csv
+import shutil
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro.tools.compactor_cli import main as compactor_main
 from repro.tools.range_reader_cli import main as reader_main
 from repro.tools.range_runner import main as runner_main, reshard
 from repro.core.records import RecordBatch
+from repro.storage.log import LogReader, list_logs
 from repro.traces import io as trace_io
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
@@ -110,6 +112,22 @@ class TestCompactor:
         rc = compactor_main(["-i", str(tmp_path / "nope"), "-o",
                              str(tmp_path / "out"), "-e", "0"])
         assert rc == 2
+
+    def test_failed_epoch_task_exits_two(self, carp_dir, tmp_path, capsys):
+        # damage inside an SST is found by the per-log read task; the
+        # CLI reports the executor error instead of a traceback
+        broken = tmp_path / "broken"
+        shutil.copytree(carp_dir, broken)
+        log = list_logs(broken)[0]
+        with LogReader(log) as reader:
+            entry = reader.entries[0]
+        raw = bytearray(log.read_bytes())
+        raw[entry.offset + entry.length // 2] ^= 0xFF
+        log.write_bytes(bytes(raw))
+        rc = compactor_main(["-i", str(broken), "-o", str(tmp_path / "out"),
+                             "--all"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestRangeReader:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from repro.api import Session
 from repro.core.config import CarpOptions
+from repro.query.request import QueryRequest
 from repro.tools.health_cli import main as health_main
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
@@ -32,7 +33,9 @@ def _telemetry_run(out_dir: Path) -> Path:
         store = session.store()
         (epoch,) = store.epochs()
         lo, hi = store.key_range(epoch)
-        session.query(epoch, lo, lo + (hi - lo) / 8)
+        session.query(
+            QueryRequest(lo=lo, hi=lo + (hi - lo) / 8, epoch=epoch)
+        )
     return out_dir / "telemetry.jsonl"
 
 

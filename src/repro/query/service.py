@@ -7,22 +7,33 @@ while ``ingest_epoch`` keeps appending, and answers each with a
 :class:`~repro.query.request.QueryResponse` — concurrently, but with
 *deterministic results*:
 
-- **Snapshot isolation.**  Every request executes against a pinned
-  :class:`~repro.storage.snapshot.Snapshot`, so readers never see
-  in-flight epochs; a live ingest only appends after the pinned commit
-  points (``docs/SERVING.md``).  The session re-pins the service on
-  each epoch commit (:meth:`invalidate`).
-- **Admission control.**  A bounded queue (``max_pending``) rejects
-  overload with :data:`~repro.query.request.STATUS_REJECTED` instead
-  of queueing unboundedly, and dispatch is round-robin *per client*,
-  so a hog client issuing hundreds of requests cannot starve another
-  client's single request.
-- **Single-flight result cache.**  A bounded LRU keyed on
-  ``(snapshot token, epoch, lo, hi, keys_only)``; concurrent duplicate
-  requests coalesce onto one engine execution (the others wait and
-  count as hits), which is what makes hit/miss counters — and the
-  engine-side query counters they reconcile against — exact under any
-  thread timing.
+- **Snapshot isolation.**  Every request executes against the pinned
+  :class:`~repro.storage.snapshot.Snapshot` that was current when it
+  was submitted, so readers never see in-flight epochs; a live ingest
+  only appends after the pinned commit points (``docs/SERVING.md``).
+  The session re-pins the service on each epoch commit
+  (:meth:`invalidate`).
+- **Single-flight result cache, looked up by the caller.**  A bounded
+  LRU keyed on ``(snapshot token, epoch, lo, hi, keys_only)``.
+  :meth:`QueryService.submit` binds the request to the current pin,
+  resolves its epoch and looks the key up *on the submitting thread*:
+  a completed entry is answered right there (the handle is ``done()``
+  before ``submit`` returns), so a slow miss costs its own requests,
+  never the hits on every other range.  A key that is *in flight*
+  takes the handle as a follower — it occupies neither an admission
+  slot nor a worker, counts as a hit, and is resolved by the slot's
+  owner when the fill lands.  One engine execution per key is what
+  makes hit/miss counters — and the engine-side query counters they
+  reconcile against — exact under any thread timing.  A fill that
+  raises resolves owner and followers with a typed error and drops
+  the key: errors are never cached.
+- **Admission control.**  Only a true miss is admitted: it creates the
+  slot it owns and queues it for a worker.  ``max_pending`` bounds
+  those queued misses; past it a miss is answered
+  :data:`~repro.query.request.STATUS_REJECTED` instead of queueing
+  unboundedly.  Dispatch is round-robin *per client*, so a hog client
+  issuing hundreds of misses cannot starve another client's single
+  one.
 - **Deterministic observability.**  Workers record into private
   ``Obs.deltas()`` stacks; at :meth:`close` the service folds them
   into the session stack in sorted ``(client, per-client sequence)``
@@ -66,11 +77,18 @@ from repro.storage.snapshot import Snapshot, pin_snapshot
 _ANSWERED = (STATUS_OK, STATUS_DEADLINE_EXCEEDED)
 
 
-class PendingQuery:
-    """Handle for one admitted (or rejected) request.
+#: Cache key: ``(snapshot token, epoch, lo, hi, keys_only)`` — also
+#: everything a worker needs to run the engine for the slot.
+_Key = tuple[str, int, float, float, bool]
 
-    ``result()`` blocks until the service resolves the request; a
-    rejected request is resolved immediately at submit time.
+
+class PendingQuery:
+    """Handle for one submitted request.
+
+    ``result()`` blocks until the service resolves the request.  A
+    cache hit, a rejection and an unresolvable epoch are resolved
+    inside :meth:`QueryService.submit`, so their handle is ``done()``
+    on return.
     """
 
     __slots__ = ("request", "request_id", "_event", "_response")
@@ -80,37 +98,65 @@ class PendingQuery:
         #: Deterministic ``query-NNNNNN`` id (same allocator as
         #: :meth:`repro.api.Session.query`).
         self.request_id = request_id
-        self._event = threading.Event()
+        # only a handle that waits on a fill (a miss or a follower) is
+        # given an event; one resolved at submit never needs it
+        self._event: threading.Event | None = None
         self._response: QueryResponse | None = None
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._response is not None
 
     def result(self, timeout: float | None = None) -> QueryResponse:
         """The response, blocking until the service produces it."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.request_id} not resolved within {timeout}s"
-            )
+        if self._response is None:
+            event = self._event
+            assert event is not None
+            if not event.wait(timeout):
+                raise TimeoutError(
+                    f"request {self.request_id} not resolved within {timeout}s"
+                )
         response = self._response
         assert response is not None
         return response
 
     def _resolve(self, response: QueryResponse) -> None:
         self._response = response
-        self._event.set()
+        if self._event is not None:
+            self._event.set()
 
 
 class _CacheSlot:
-    """One single-flight cache entry: result-or-error plus its spans."""
+    """One single-flight cache entry.
 
-    __slots__ = ("event", "result", "error", "spans")
+    In flight (``result is None``) it is the unit of work a worker
+    takes: the key to execute, the pin it was admitted under, and the
+    handles to resolve when the fill lands — the owner first, then the
+    followers in attach order.  Completed, only ``result`` is read.
+    """
 
-    def __init__(self) -> None:
-        self.event = threading.Event()
+    __slots__ = ("key", "snapshot", "waiters", "result")
+
+    def __init__(
+        self, key: _Key, snapshot: Snapshot, owner: PendingQuery
+    ) -> None:
+        self.key = key
+        self.snapshot = snapshot
+        self.waiters = [owner]
         self.result: QueryResult | None = None
-        self.error: str | None = None
-        self.spans: tuple[SpanRecord, ...] = ()
+
+
+def _unanswered(
+    handle: PendingQuery, status: str, epoch: int, token: str, detail: str
+) -> QueryResponse:
+    """A response without a payload: a rejection or a typed error."""
+    return QueryResponse(
+        request=handle.request,
+        request_id=handle.request_id,
+        status=status,
+        epoch=epoch,
+        snapshot_token=token,
+        detail=detail,
+    )
 
 
 @dataclass(frozen=True)
@@ -118,7 +164,7 @@ class _ServedRecord:
     """Bookkeeping for one resolved request, for the close-time merge."""
 
     client: str
-    seq: int  # per-client submission sequence (merge sort key)
+    seq: int  # per-client resolution sequence (merge sort key)
     request_id: str
     status: str
     cached: bool
@@ -159,7 +205,7 @@ class QueryService:
             handle = svc.submit(QueryRequest(lo=0.0, hi=1.0))
             response = handle.result()
 
-    ``autostart=False`` builds the service paused: requests queue up
+    ``autostart=False`` builds the service paused: misses queue up
     (admission control applies) until :meth:`start` — which is how the
     fairness tests make dispatch order observable.
     """
@@ -187,27 +233,38 @@ class QueryService:
         self._workers = workers
         self._max_pending = max_pending
         self._cache_capacity = cache_capacity
-        # one condition guards all mutable service state (queues, cache
-        # map, counters, snapshot pointer); cache *fills* happen outside
-        # it, coordinated per-slot by the slot event (single-flight)
-        self._cond = threading.Condition()
+        # one lock guards all mutable service state (queues, cache map,
+        # counters, snapshot pointer) and is entered as ``_cond``; cache
+        # *fills* happen outside it.  Two conditions share it so a
+        # wake-up reaches who it is for: ``_cond`` is notified once per
+        # queued miss (idle workers wait on it), ``_idle`` when nothing
+        # is queued or running any more (``drain()`` waits on it)
+        lock = threading.Lock()
+        self._cond = threading.Condition(lock)
+        self._idle = threading.Condition(lock)
         self._snapshot = snapshot if snapshot is not None else pin_snapshot(
             self.directory
         )
-        self._queues: dict[str, deque[PendingQuery]] = {}
+        self._queues: dict[str, deque[_CacheSlot]] = {}
         self._rr: list[str] = []
         self._rr_idx = 0
-        self._pending = 0  # admitted, not yet dispatched
-        self._active = 0  # dispatched, not yet resolved
-        self._cache: OrderedDict[
-            tuple[str, int, float, float, bool], _CacheSlot
-        ] = OrderedDict()
+        self._pending = 0  # misses admitted, not yet dispatched
+        self._active = 0  # misses dispatched, not yet resolved
+        self._cache: OrderedDict[_Key, _CacheSlot] = OrderedDict()
+        # running counters, updated where a request is recorded
+        self._by_status = dict.fromkeys(
+            (STATUS_OK, STATUS_DEADLINE_EXCEEDED, STATUS_REJECTED, STATUS_ERROR),
+            0,
+        )
+        self._cache_hits = 0
+        self._cache_misses = 0
+        self._submitted = 0
+        self._invalidations = 0
+        self._served_log: list[tuple[str, str, str]] = []
+        # per-request bookkeeping for the close-time merge; kept only
+        # when there is an enabled obs stack to merge into
         self._records: list[_ServedRecord] = []
         self._client_seq: dict[str, int] = {}
-        self._served_log: list[tuple[str, str, str]] = []
-        self._submitted = 0
-        self._rejected = 0
-        self._invalidations = 0
         self._started = False
         self._draining = False
         self._closed = False
@@ -220,7 +277,9 @@ class QueryService:
 
     def _spawn_workers(self) -> None:
         for idx in range(self._workers):
-            worker_obs = Obs.deltas()
+            # nothing reads a worker's spans or counters unless the
+            # close-time merge has somewhere to put them
+            worker_obs = Obs.deltas() if self.obs.enabled else NULL_OBS
             self._worker_obs.append(worker_obs)
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -273,44 +332,70 @@ class QueryService:
     # --------------------------------------------------------- admission
 
     def submit(self, request: QueryRequest) -> PendingQuery:
-        """Admit one request; returns immediately with a handle.
+        """Submit one request; returns immediately with a handle.
 
-        A full queue resolves the handle *now* with
-        :data:`~repro.query.request.STATUS_REJECTED` — bounded
-        admission instead of unbounded buffering.
+        The request is bound to the current pin and looked up in the
+        single-flight cache here, on the caller's thread.  A completed
+        entry, an epoch the pin does not hold and a full miss queue
+        (:data:`~repro.query.request.STATUS_REJECTED` — bounded
+        admission instead of unbounded buffering) resolve the handle
+        *now*; a key already in flight takes the handle as a follower;
+        only a true miss is queued for a worker.
         """
         request.validate()
         with self._cond:
             if self._closed:
                 raise RuntimeError("service is closed")
-            ctx = self._requests.mint("query")
-            handle = PendingQuery(request, ctx.request_id)
-            self._submitted += 1
-            if self._pending >= self._max_pending:
-                self._rejected += 1
-                token = self._snapshot.token
-                self._served_log.append(
-                    (ctx.request_id, request.client, STATUS_REJECTED)
-                )
-            else:
-                if request.client not in self._queues:
-                    self._queues[request.client] = deque()
-                    self._rr.append(request.client)
-                self._queues[request.client].append(handle)
-                self._pending += 1
-                self._cond.notify()
-                return handle
-        handle._resolve(
-            QueryResponse(
-                request=handle.request,
-                request_id=handle.request_id,
-                status=STATUS_REJECTED,
-                epoch=-1,
-                snapshot_token=token,
-                detail=f"admission queue full ({self._max_pending} pending)",
+            handle = PendingQuery(
+                request, self._requests.mint("query").request_id
             )
-        )
-        return handle
+            self._submitted += 1
+            snap = self._snapshot
+            try:
+                epoch = snap.resolve_epoch(request.epoch)
+            except ValueError as exc:
+                self._record_locked(
+                    handle,
+                    _unanswered(handle, STATUS_ERROR, -1, snap.token, str(exc)),
+                )
+                return handle
+            key = (snap.token, epoch, request.lo, request.hi, request.keys_only)
+            slot = self._cache.get(key)
+            if slot is not None:
+                self._cache.move_to_end(key)
+                if slot.result is not None:
+                    self._record_locked(
+                        handle,
+                        response_from_result(
+                            request, handle.request_id, snap.token,
+                            slot.result, cached=True,
+                        ),
+                    )
+                else:
+                    handle._event = threading.Event()
+                    slot.waiters.append(handle)
+                return handle
+            if self._pending >= self._max_pending:
+                self._record_locked(
+                    handle,
+                    _unanswered(
+                        handle, STATUS_REJECTED, -1, snap.token,
+                        f"admission queue full ({self._max_pending} pending)",
+                    ),
+                )
+                return handle
+            handle._event = threading.Event()
+            slot = _CacheSlot(key, snap, handle)
+            self._cache[key] = slot
+            self._evict_locked()
+            queue = self._queues.get(request.client)
+            if queue is None:
+                queue = self._queues[request.client] = deque()
+                self._rr.append(request.client)
+            queue.append(slot)
+            self._pending += 1
+            self._cond.notify()
+            return handle
 
     def query(self, request: QueryRequest) -> QueryResponse:
         """Submit and wait: the one-call convenience path."""
@@ -320,7 +405,7 @@ class QueryService:
         """Block until every admitted request has been resolved."""
         with self._cond:
             while self._pending > 0 or self._active > 0:
-                self._cond.wait()
+                self._idle.wait()
 
     # -------------------------------------------------------- snapshots
 
@@ -333,9 +418,10 @@ class QueryService:
         """Advance to a newer snapshot (called on each epoch commit).
 
         Re-pins the directory when no snapshot is given.  Requests
-        admitted after this point execute — and cache — against the
-        new pin; in-flight requests finish against the old one (their
-        cache keys carry the old token, so the two never mix).
+        submitted after this point execute — and cache — against the
+        new pin; requests already admitted finish against the pin they
+        were admitted under (their cache keys carry the old token, so
+        the two never mix).
         """
         snap = snapshot if snapshot is not None else pin_snapshot(self.directory)
         with self._cond:
@@ -347,7 +433,7 @@ class QueryService:
                 # fills keep their slot until done
                 for key in [
                     k for k, s in self._cache.items()
-                    if s.event.is_set() and k[0] != snap.token
+                    if s.result is not None and k[0] != snap.token
                 ]:
                     del self._cache[key]
             return self._snapshot
@@ -357,23 +443,20 @@ class QueryService:
     @property
     def stats(self) -> ServeStats:
         with self._cond:
-            answered = [r for r in self._records if r.status in _ANSWERED]
+            by_status = self._by_status
             return ServeStats(
                 submitted=self._submitted,
-                served=len(self._records) + self._rejected,
-                ok=sum(1 for r in self._records if r.status == STATUS_OK),
-                deadline_exceeded=sum(
-                    1 for r in self._records
-                    if r.status == STATUS_DEADLINE_EXCEEDED
-                ),
-                rejected=self._rejected,
-                errors=sum(
-                    1 for r in self._records if r.status == STATUS_ERROR
-                ),
-                cache_hits=sum(1 for r in answered if r.cached),
-                cache_misses=sum(1 for r in answered if not r.cached),
+                served=sum(by_status.values()),
+                ok=by_status[STATUS_OK],
+                deadline_exceeded=by_status[STATUS_DEADLINE_EXCEEDED],
+                rejected=by_status[STATUS_REJECTED],
+                errors=by_status[STATUS_ERROR],
+                cache_hits=self._cache_hits,
+                cache_misses=self._cache_misses,
                 invalidations=self._invalidations,
-                engine_queries=sum(1 for r in self._records if r.executed),
+                # single-flight: an answer that is not a hit is exactly
+                # one successful engine execution, and nothing else is
+                engine_queries=self._cache_misses,
                 pending=self._pending,
                 snapshot_token=self._snapshot.token,
             )
@@ -384,9 +467,57 @@ class QueryService:
         with self._cond:
             return tuple(self._served_log)
 
+    def _record_locked(
+        self,
+        handle: PendingQuery,
+        response: QueryResponse,
+        spans: tuple[SpanRecord, ...] = (),
+    ) -> None:
+        """Count, log and resolve one request (lock held).
+
+        The one place a request leaves the service, whichever thread
+        answers it: counters, ``served_log`` and the per-client
+        sequence all advance in resolution order.
+        """
+        request = handle.request
+        status = response.status
+        self._by_status[status] += 1
+        # this request ran the engine: it owned a fill that succeeded
+        executed = status in _ANSWERED and not response.cached
+        if executed:
+            self._cache_misses += 1
+        elif status in _ANSWERED:
+            self._cache_hits += 1
+        self._served_log.append((handle.request_id, request.client, status))
+        # a rejection was never admitted: it takes no per-client
+        # sequence number and gets no serve span
+        if self.obs.enabled and status != STATUS_REJECTED:
+            seq = self._client_seq.get(request.client, 0)
+            self._client_seq[request.client] = seq + 1
+            self._records.append(
+                _ServedRecord(
+                    client=request.client,
+                    seq=seq,
+                    request_id=handle.request_id,
+                    status=status,
+                    cached=response.cached,
+                    executed=executed,
+                    epoch=response.epoch,
+                    lo=request.lo,
+                    hi=request.hi,
+                    keys_only=request.keys_only,
+                    latency=(
+                        response.cost.latency
+                        if response.cost is not None else 0.0
+                    ),
+                    spans=spans,
+                )
+            )
+        handle._resolve(response)
+
     # ------------------------------------------------------ worker side
 
-    def _next_locked(self) -> PendingQuery | None:
+    def _next_locked(self) -> _CacheSlot | None:
         """Round-robin dispatch across per-client queues (lock held)."""
         n = len(self._rr)
         for step in range(n):
@@ -402,16 +533,15 @@ class QueryService:
         try:
             while True:
                 with self._cond:
-                    handle = self._next_locked()
-                    while handle is None:
+                    slot = self._next_locked()
+                    while slot is None:
                         if self._draining:
                             return
                         self._cond.wait()
-                        handle = self._next_locked()
+                        slot = self._next_locked()
                     self._pending -= 1
                     self._active += 1
-                    snap = self._snapshot
-                self._execute(handle, snap, worker_obs, stores)
+                self._execute(slot, worker_obs, stores)
         finally:
             for store in stores.values():
                 store.close()
@@ -444,119 +574,66 @@ class QueryService:
 
     def _execute(
         self,
-        handle: PendingQuery,
-        snap: Snapshot,
+        slot: _CacheSlot,
         worker_obs: Obs,
         stores: dict[str, PartitionedStore],
     ) -> None:
-        request = handle.request
+        """Fill ``slot``: run its key on the pin it was admitted under."""
+        _token, epoch, lo, hi, keys_only = slot.key
+        result: QueryResult | None = None
+        error = ""
+        # the worker must outlive anything the fill raises — opening
+        # the store included — so the failure becomes this slot's
+        # typed error response instead of a dead thread
         try:
-            epoch = snap.resolve_epoch(request.epoch)
-        except ValueError as exc:
-            self._finish(
-                handle,
-                QueryResponse(
-                    request=request,
-                    request_id=handle.request_id,
-                    status=STATUS_ERROR,
-                    epoch=-1,
-                    snapshot_token=snap.token,
-                    detail=str(exc),
-                ),
-                executed=False,
-                slot=None,
-            )
-            return
-        key = (snap.token, epoch, request.lo, request.hi, request.keys_only)
-        with self._cond:
-            slot = self._cache.get(key)
-            owner = slot is None
-            if slot is None:
-                slot = _CacheSlot()
-                self._cache[key] = slot
-                self._evict_locked()
-            else:
-                self._cache.move_to_end(key)
-        if owner:
-            store = self._store_for(snap, worker_obs, stores)
-            try:
-                slot.result = store.query(
-                    epoch, request.lo, request.hi,
-                    keys_only=request.keys_only,
-                )
-            except Exception as exc:
-                slot.error = f"{type(exc).__name__}: {exc}"
-            # the engine spans recorded for *this* request (the worker
-            # handles one request at a time, so the drain is exact)
-            slot.spans = tuple(worker_obs.tracer.drain())
-            slot.event.set()
-        else:
-            slot.event.wait()
-        if slot.error is not None:
-            response = QueryResponse(
-                request=request,
-                request_id=handle.request_id,
-                status=STATUS_ERROR,
-                epoch=epoch,
-                snapshot_token=snap.token,
-                detail=slot.error,
-            )
-        else:
-            result = slot.result
-            assert result is not None
-            response = response_from_result(
-                request, handle.request_id, snap.token, result,
-                cached=not owner,
-            )
-        self._finish(
-            handle, response,
-            executed=owner and slot.error is None,
-            slot=slot if owner else None,
-        )
+            store = self._store_for(slot.snapshot, worker_obs, stores)
+            result = store.query(epoch, lo, hi, keys_only=keys_only)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        # the engine spans recorded for *this* fill (the worker handles
+        # one slot at a time, so the drain is exact)
+        self._finish(slot, result, error, tuple(worker_obs.tracer.drain()))
 
     def _finish(
         self,
-        handle: PendingQuery,
-        response: QueryResponse,
-        executed: bool,
-        slot: _CacheSlot | None,
+        slot: _CacheSlot,
+        result: QueryResult | None,
+        error: str,
+        spans: tuple[SpanRecord, ...],
     ) -> None:
-        request = handle.request
+        """Land a fill: resolve the owner, then its followers."""
+        token, epoch = slot.key[:2]
         with self._cond:
-            seq = self._client_seq.get(request.client, 0)
-            self._client_seq[request.client] = seq + 1
-            self._records.append(
-                _ServedRecord(
-                    client=request.client,
-                    seq=seq,
-                    request_id=handle.request_id,
-                    status=response.status,
-                    cached=response.cached,
-                    executed=executed,
-                    epoch=response.epoch,
-                    lo=request.lo,
-                    hi=request.hi,
-                    keys_only=request.keys_only,
-                    latency=(
-                        response.cost.latency
-                        if response.cost is not None else 0.0
-                    ),
-                    spans=slot.spans if slot is not None else (),
+            if result is None:
+                # errors are not cached: the next identical request
+                # executes again
+                del self._cache[slot.key]
+            slot.result = result
+            for position, handle in enumerate(slot.waiters):
+                owner = position == 0
+                if result is None:
+                    response = _unanswered(
+                        handle, STATUS_ERROR, epoch, token, error
+                    )
+                else:
+                    response = response_from_result(
+                        handle.request, handle.request_id, token, result,
+                        cached=not owner,
+                    )
+                self._record_locked(
+                    handle, response, spans if owner else ()
                 )
-            )
-            self._served_log.append(
-                (handle.request_id, request.client, response.status)
-            )
+            slot.waiters.clear()
             self._active -= 1
-            self._cond.notify_all()
-        handle._resolve(response)
+            if self._pending == 0 and self._active == 0:
+                self._idle.notify_all()
 
     def _evict_locked(self) -> None:
         """Drop least-recently-used *completed* entries over capacity."""
         while len(self._cache) > self._cache_capacity:
             victim = None
             for key, slot in self._cache.items():
-                if slot.event.is_set():
+                if slot.result is not None:
                     victim = key
                     break
             if victim is None:

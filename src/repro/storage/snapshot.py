@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from repro.storage.log import list_logs
@@ -66,13 +67,21 @@ class Snapshot:
     logs: tuple[LogPin, ...]
     token: str
 
-    def epochs(self) -> tuple[int, ...]:
-        """All committed epochs visible in this snapshot, ascending."""
+    @cached_property
+    def _epochs(self) -> tuple[int, ...]:
+        # a pin is immutable, so the walk over every manifest entry is
+        # done once per pin, not once per request (the serve plane
+        # resolves an epoch on every submit); not a dataclass field, so
+        # equality and the hash still cover only the pinned extents
         seen: set[int] = set()
         for pin in self.logs:
             for entry in pin.entries:
                 seen.add(entry.epoch)
         return tuple(sorted(seen))
+
+    def epochs(self) -> tuple[int, ...]:
+        """All committed epochs visible in this snapshot, ascending."""
+        return self._epochs
 
     @property
     def latest_epoch(self) -> int | None:

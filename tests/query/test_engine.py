@@ -40,6 +40,39 @@ class TestMetadata:
             PartitionedStore(tmp_path)
 
 
+class TestCandidateSelection:
+    def test_matches_the_per_entry_walk(self, store):
+        """The vectorised selection is ``ManifestEntry.overlaps`` over
+        the epoch's entries, in manifest order — the per-log probe
+        fan-out relies on that order — including query bounds that sit
+        exactly on an entry's ``kmin``/``kmax``."""
+        for epoch in store.epochs() + [99]:
+            entries = [e for _, e in store.entries(epoch)]
+            edges = sorted({k for e in entries for k in (e.kmin, e.kmax)})
+            grid = edges[:: max(1, len(edges) // 12)] + edges[-1:]
+            bounds = sorted({*grid, *(np.nextafter(k, np.inf) for k in grid),
+                             *(np.nextafter(k, -np.inf) for k in grid),
+                             -1.0, 0.0, 1e9})
+            for lo in bounds:
+                for hi in bounds:
+                    if hi < lo:
+                        continue
+                    assert store.overlapping_entries(epoch, lo, hi) == [
+                        (i, e) for i, e in store.entries()
+                        if e.epoch == epoch and e.overlaps(lo, hi)
+                    ], (epoch, lo, hi)
+
+    def test_entries_per_epoch_keep_manifest_order(self, store):
+        for epoch in store.epochs():
+            assert store.entries(epoch) == [
+                (i, e) for i, e in store.entries() if e.epoch == epoch
+            ]
+        assert store.entries(99) == []
+        # a copy: callers may not edit the store's index through it
+        store.entries(0).clear()
+        assert store.entries(0)
+
+
 class TestQueries:
     def test_equivalence_with_brute_force(self, store, trace_keys, trace_rids):
         keys, rids = trace_keys[0], trace_rids[0]

@@ -4,14 +4,18 @@ deterministic close-time observability merge."""
 
 from __future__ import annotations
 
+import dataclasses
+import random
 import re
+import sys
 import threading
 
 import pytest
 
 from repro.api import Session
 from repro.exec import ProcessExecutor, SerialExecutor
-from repro.query.engine import LATENCY_BOUNDS
+from repro.query import service as service_module
+from repro.query.engine import LATENCY_BOUNDS, PartitionedStore
 from repro.query.request import (
     STATUS_DEADLINE_EXCEEDED,
     STATUS_ERROR,
@@ -450,3 +454,267 @@ class TestByteAccounting:
         )
         assert sum(r.cost.read_requests for r in flat) == len(touched)
         assert any(r.cost.bytes_read < r.cost.candidate_bytes for r in flat)
+
+
+# ------------------------------------------------------------------
+# The submit-side contract (docs/SERVING.md, "What is contractual"):
+# hits, followers and unknown epochs are answered inside submit();
+# only misses pass admission and reach a worker.
+
+TIMEOUT = 20.0
+
+
+def _drains(service, timeout=TIMEOUT):
+    """``drain()`` has no timeout of its own: bound it with a thread."""
+    waiter = threading.Thread(target=service.drain, daemon=True)
+    waiter.start()
+    waiter.join(timeout)
+    return not waiter.is_alive()
+
+
+class _Gate:
+    """Patches ``PartitionedStore.query``: calls whose ``lo`` is held
+    block inside the engine until ``open()``; ``fail`` raises instead."""
+
+    def __init__(self, monkeypatch, hold=(), fail=None):
+        self.entered = threading.Event()
+        self._release = threading.Event()
+        self._guard = threading.Lock()
+        self.calls = 0  # engine executions, as the engine saw them
+        original = PartitionedStore.query
+        gate = self
+
+        def query(store, epoch, lo, hi, **kwargs):
+            with gate._guard:
+                gate.calls += 1
+                call = gate.calls
+            if lo in hold:
+                gate.entered.set()
+                assert gate._release.wait(TIMEOUT)
+            if fail is not None and fail(call):
+                raise OSError("injected read failure")
+            return original(store, epoch, lo, hi, **kwargs)
+
+        monkeypatch.setattr(PartitionedStore, "query", query)
+
+    def open(self):
+        self._release.set()
+
+
+def _req(i, **kwargs):
+    """Distinct windows by index (no accidental cache sharing)."""
+    lo = 0.02 + 0.06 * i
+    return QueryRequest(lo=lo, hi=lo + 0.4, **kwargs)
+
+
+class TestSubmitSideCache:
+    def test_blocked_worker_does_not_block_a_hit(self, db_dir, monkeypatch):
+        gate = _Gate(monkeypatch, hold={_req(1).lo})
+        with QueryService(db_dir, workers=1) as service:
+            assert service.submit(_req(0)).result(TIMEOUT).ok
+            slow = service.submit(_req(1))
+            assert gate.entered.wait(TIMEOUT)
+            # the only worker is inside the miss; the hit never needs it
+            hit = service.submit(_req(0))
+            assert hit.done() and not slow.done()
+            assert hit.result(0).ok and hit.result(0).cached
+            gate.open()
+            assert slow.result(TIMEOUT).ok
+
+    def test_followers_take_no_admission_slot(self, db_dir):
+        service = QueryService(
+            db_dir, workers=2, max_pending=1, autostart=False
+        )
+        handles = [service.submit(_req(0)) for _ in range(5)]
+        assert not any(h.done() for h in handles)
+        assert service.stats.rejected == 0 and service.stats.pending == 1
+        service.start()
+        responses = [h.result(TIMEOUT) for h in handles]
+        service.close()
+        assert [r.cached for r in responses] == [False] + [True] * 4
+        assert len({r.payload() for r in responses}) == 1
+        stats = service.stats
+        assert stats.cache_misses == 1 and stats.cache_hits == 4
+        assert stats.engine_queries == 1
+        # the owner resolves first, its followers directly after it in
+        # attach order
+        assert [rid for rid, _, _ in service.served_log] == [
+            h.request_id for h in handles
+        ]
+
+    def test_a_hit_passes_a_full_queue(self, db_dir, monkeypatch):
+        gate = _Gate(monkeypatch, hold={_req(1).lo})
+        with QueryService(db_dir, workers=1, max_pending=2) as service:
+            assert service.submit(_req(0)).result(TIMEOUT).ok
+            held = service.submit(_req(1))
+            assert gate.entered.wait(TIMEOUT)
+            queued = [service.submit(_req(i)) for i in (2, 3)]
+            overflow = service.submit(_req(4))
+            assert overflow.result(0).status == STATUS_REJECTED
+            # max_pending bounds queued *misses*: a cached range, a
+            # follower and an unknown epoch are all still answered
+            hit = service.submit(_req(0))
+            assert hit.done() and hit.result(0).ok and hit.result(0).cached
+            follower = service.submit(_req(2))
+            unknown = service.submit(_req(5, epoch=7))
+            assert unknown.result(0).status == STATUS_ERROR
+            assert service.stats.rejected == 1
+            gate.open()
+            assert all(h.result(TIMEOUT).ok for h in [held, *queued])
+            assert follower.result(TIMEOUT).cached
+
+    def test_pin_is_bound_at_admission(self, tmp_path):
+        lo, hi = WIDE
+        with Session(TRACE.nranks, tmp_path / "db", OPTIONS) as session:
+            session.ingest_epoch(0, streams(0))
+            service = session.serve(workers=1, autostart=False)
+            token = service.snapshot.token
+            queued = service.submit(QueryRequest(lo=lo, hi=hi))
+            session.ingest_epoch(1, streams(1))  # re-pins the service
+            assert service.snapshot.token != token
+            service.start()
+            before = queued.result(TIMEOUT)
+            after = service.submit(QueryRequest(lo=lo, hi=hi)).result(TIMEOUT)
+            assert before.ok and after.ok
+            assert (before.epoch, before.snapshot_token) == (0, token)
+            assert after.epoch == 1
+            assert after.snapshot_token == service.snapshot.token
+            replay = session.query(QueryRequest(lo=lo, hi=hi, epoch=0))
+            assert before.payload() == replay.payload()
+
+
+class TestFailedFills:
+    def test_store_open_failure_is_an_error_response(
+        self, db_dir, monkeypatch
+    ):
+        """A store that fails to open costs its request, not the worker."""
+        opened = service_module.PartitionedStore
+        failures = iter([OSError("injected open failure")])
+
+        def flaky_open(*args, **kwargs):
+            for exc in failures:
+                raise exc
+            return opened(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "PartitionedStore", flaky_open)
+        with QueryService(db_dir, workers=1) as service:
+            first = service.submit(_req(0)).result(TIMEOUT)
+            assert first.status == STATUS_ERROR
+            assert "injected open failure" in first.detail
+            assert service.submit(_req(1)).result(TIMEOUT).ok
+            assert all(t.is_alive() for t in service._threads)
+            assert _drains(service)
+        assert service.stats.errors == 1 and service.stats.ok == 1
+
+    def test_failed_fill_is_not_cached(self, db_dir, monkeypatch):
+        gate = _Gate(monkeypatch, fail=lambda call: call == 1)
+        with QueryService(db_dir, workers=1) as service:
+            first = service.submit(_req(0)).result(TIMEOUT)
+            assert first.status == STATUS_ERROR
+            assert "OSError: injected read failure" in first.detail
+            # the identical retry executes again instead of replaying
+            # the error from the slot
+            retry = service.submit(_req(0)).result(TIMEOUT)
+            assert retry.ok and not retry.cached
+            assert service.submit(_req(0)).result(TIMEOUT).cached
+        stats = service.stats
+        assert stats.errors == 1 and stats.engine_queries == 1
+        assert stats.cache_misses == 1 and stats.cache_hits == 1
+        assert gate.calls == 2
+
+    def test_failed_fill_releases_followers(self, db_dir, monkeypatch):
+        gate = _Gate(
+            monkeypatch, hold={_req(0).lo}, fail=lambda call: True
+        )
+        service = QueryService(db_dir, workers=1)
+        owner = service.submit(_req(0))
+        assert gate.entered.wait(TIMEOUT)
+        followers = [service.submit(_req(0)) for _ in range(3)]
+        # attached to the in-flight slot, not queued behind it
+        assert service.stats.pending == 0
+        assert not any(h.done() for h in [owner, *followers])
+        gate.open()
+        responses = [h.result(TIMEOUT) for h in [owner, *followers]]
+        assert all(r.status == STATUS_ERROR for r in responses)
+        assert all("injected read failure" in r.detail for r in responses)
+        assert _drains(service)
+        assert all(t.is_alive() for t in service._threads)
+        service.close()
+        stats = service.stats
+        assert stats.pending == 0 and service._active == 0
+        assert stats.errors == 4 and stats.engine_queries == 0
+        assert stats.cache_hits == 0 and stats.cache_misses == 0
+        assert gate.calls == 1
+
+
+class TestStress:
+    def test_mixed_load_matches_serial_replay(self, tmp_path, monkeypatch):
+        """Six closed-loop clients (three times the cores of the CI
+        box) over a pool twice the cache, hot enough for hits, misses,
+        evictions and concurrent duplicates: every payload equals a
+        serial ``Session.query`` replay and the counters reconcile."""
+        gate = _Gate(monkeypatch)
+        pool = [
+            _req(i, epoch=i % 2, keys_only=i % 3 == 0,
+                 deadline=1e-9 if i == 5 else None)
+            for i in range(16)
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with Session(TRACE.nranks, tmp_path / "db", OPTIONS) as session:
+                session.ingest_epoch(0, streams(0))
+                session.ingest_epoch(1, streams(1))
+                service = session.serve(workers=3, cache_capacity=8)
+                per_client = {}
+                for c in range(6):
+                    rng = random.Random(c)
+                    per_client[f"client-{c}"] = [
+                        dataclasses.replace(
+                            rng.choice(pool), client=f"client-{c}"
+                        )
+                        for _ in range(80)
+                    ]
+                responses = {}
+
+                def loop(name, requests):
+                    responses[name] = [
+                        service.submit(r).result(TIMEOUT) for r in requests
+                    ]
+
+                threads = [
+                    threading.Thread(target=loop, args=item, daemon=True)
+                    for item in per_client.items()
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(4 * TIMEOUT)
+                assert not any(t.is_alive() for t in threads)
+                assert _drains(service)
+                assert all(t.is_alive() for t in service._threads)
+                service.close()
+                stats = service.stats
+                flat = [r for name in per_client for r in responses[name]]
+                assert len(flat) == stats.submitted == stats.served == 480
+                assert stats.errors == 0 and stats.rejected == 0
+                assert stats.pending == 0 and service._active == 0
+                assert stats.deadline_exceeded > 0
+                assert stats.cache_hits > 0 and stats.cache_misses > 16
+                assert stats.cache_hits + stats.cache_misses == (
+                    stats.ok + stats.deadline_exceeded
+                )
+                # counted three ways: by the service, by the engine,
+                # by the clients
+                assert stats.cache_misses == stats.engine_queries
+                assert stats.engine_queries == gate.calls == sum(
+                    1 for r in flat if not r.cached
+                )
+                replayed = {}
+                for resp in flat:
+                    key = dataclasses.replace(resp.request, client="replay")
+                    if key not in replayed:
+                        replayed[key] = session.query(key).digest()
+                    assert resp.digest() == replayed[key]
+        finally:
+            sys.setswitchinterval(switch)

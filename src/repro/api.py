@@ -1,12 +1,12 @@
 """``repro.api`` — the :class:`Session` facade.
 
 The library's primitives compose by explicit injection: ``CarpRun``,
-``PartitionedStore``, ``RangeReader``, and the compactor each take
-``obs=`` and ``executor=`` keywords.  That is the right seam for tests
-and benchmarks, but a user who just wants "ingest, then query, with
-one observability stack and one worker pool" ends up threading the
-same two objects through four constructors (the scatter visible in
-``docs/API.md``).
+``PartitionedStore`` and the compactor each take ``obs=``, and the two
+that fan work out (``CarpRun``, the compactor) take ``executor=``.
+That is the right seam for tests and benchmarks, but a user who just
+wants "ingest, then query, with one observability stack and one worker
+pool" ends up threading the same objects through several constructors
+(the scatter visible in ``docs/API.md``).
 
 ``Session`` owns that wiring: one ``Obs``, one ``Executor``, one
 ``CarpRun``, created together and torn down together::
@@ -20,7 +20,7 @@ same two objects through four constructors (the scatter visible in
     # logs closed, executor shut down, metrics still readable
 
 Views handed out by :meth:`Session.store` and :meth:`Session.reader`
-are attached: they share the session's obs/executor, the reader wraps
+are attached: they share the session's obs, the reader wraps
 the session's store (one set of file handles), and the session closes
 them.  The underlying constructors keep working unchanged for callers
 that want manual control.
@@ -71,7 +71,8 @@ class Session:
     (``Obs.recording()``) when no explicit ``obs=`` is given.  The
     executor resolves like everywhere else: explicit ``executor=``
     wins, then ``CARP_EXECUTOR``/``CARP_WORKERS``, then serial — and a
-    session-created executor is closed by the session.
+    session-created executor is closed by the session.  Only ingest
+    runs on it; queries never enter an executor.
     """
 
     def __init__(
@@ -208,14 +209,13 @@ class Session:
             pinned = self._pinned.get(snapshot.token)
             if pinned is None:
                 pinned = PartitionedStore(
-                    self.out_dir, io=self.io, obs=self.obs,
-                    executor=self.executor, snapshot=snapshot,
+                    self.out_dir, io=self.io, obs=self.obs, snapshot=snapshot,
                 )
                 self._pinned[snapshot.token] = pinned
             return pinned
         if self._store is None:
             self._store = PartitionedStore(
-                self.out_dir, io=self.io, obs=self.obs, executor=self.executor
+                self.out_dir, io=self.io, obs=self.obs
             )
         return self._store
 

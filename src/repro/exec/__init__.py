@@ -13,10 +13,11 @@ per-shard state — with two interchangeable backends:
 
 Ingest has one path: ``CarpRun`` buffers each rank's KoiDB command
 stream and ``koidb_apply`` replays it, inline or on a worker.  The
-hot paths (``CarpRun.ingest_epoch``, ``PartitionedStore.query``, the
-compactor) accept ``executor=`` exactly like ``obs=`` and produce
-bit-identical output on both backends; ``CARP_EXECUTOR`` /
-``CARP_WORKERS`` select a backend environment-wide.  The model, the
+write-side hot paths (``CarpRun.ingest_epoch``, the compactor) accept
+``executor=`` exactly like ``obs=`` and produce bit-identical output
+on both backends; ``CARP_EXECUTOR`` / ``CARP_WORKERS`` select a
+backend environment-wide.  Queries never enter an executor:
+``PartitionedStore`` probes inline through its own readers.  The model, the
 ownership rules, and the determinism contract are documented in
 ``docs/PARALLELISM.md``; carp-lint's P6xx family enforces the worker
 task constraints.

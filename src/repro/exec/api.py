@@ -1,8 +1,9 @@
 """The :class:`Executor` contract and its in-process serial backend.
 
-CARP's per-rank logs exist precisely so that ingest and probing can be
+CARP's per-rank logs exist precisely so that work on them can be
 "processed in parallel" (paper §VII-A); this module defines the seam
-that makes that executable instead of merely priced.  An executor runs
+that makes that executable for ingest and compaction (query
+parallelism stays priced by ``IOModel``).  An executor runs
 *shard tasks*: plain module-level functions invoked as
 ``fn(state, *args)`` where ``state`` is a mutable mapping that is
 
@@ -89,7 +90,7 @@ def worker_of(shard: int, workers: int) -> int:
 
     Shard ownership never migrates: all tasks for one shard run on
     ``shard % workers``, which is what keeps per-shard state (an open
-    KoiDB, a reader cache) local to exactly one worker.
+    KoiDB) local to exactly one worker.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -111,18 +112,6 @@ class Executor(abc.ABC):
     task_retries: int = 0
     #: Total crash retries performed over the executor's lifetime.
     retries_done: int = 0
-
-    @property
-    def is_serial(self) -> bool:
-        """True when tasks run inline on the calling thread.
-
-        Consulted in one place, the query probe fan-out
-        (``PartitionedStore._probe``): inline, the store probes through
-        the mmap'd readers it already holds open instead of paying one
-        task per log to reopen them.  Nothing else asks — ingest and
-        the compactor submit the same tasks on every backend.
-        """
-        return False
 
     @abc.abstractmethod
     def submit(self, shard: int, fn: TaskFn, /, *args: Any) -> None:
@@ -188,10 +177,6 @@ class SerialExecutor(Executor):
         self._failure: ExecutorError | None = None
         self.task_retries = task_retries
         self.retries_done = 0
-
-    @property
-    def is_serial(self) -> bool:
-        return True
 
     def submit(self, shard: int, fn: TaskFn, /, *args: Any) -> None:
         state = self._states.setdefault(shard, {})

@@ -1,8 +1,8 @@
 """Executor construction: by name, from the environment, from a CLI.
 
-The injection convention mirrors ``obs=``: every parallelizable entry
-point takes ``executor=`` and defaults to the inline serial
-backend.  ``executor=None`` additionally consults the environment —
+The injection convention mirrors ``obs=``: every entry point that
+fans work out (ingest, compaction) takes ``executor=`` and defaults to
+the inline serial backend.  ``executor=None`` additionally consults the environment —
 ``CARP_EXECUTOR={serial,process}`` and ``CARP_WORKERS=N`` — so a
 CI leg can push a whole test suite through the process pool without
 touching call sites.  :func:`resolve_executor` reports whether the

@@ -2,7 +2,7 @@
 
 Each worker owns a private task queue and the shards assigned to it by
 :func:`~repro.exec.api.worker_of` never migrate, so per-shard state (an
-open KoiDB, a reader cache) is touched by exactly one worker for the
+open KoiDB) is touched by exactly one worker for the
 executor's lifetime.  Results flow back over a single shared queue
 tagged with submission tickets; :meth:`ProcessExecutor.drain` reorders
 them into submission order, which is the whole reason callers can merge

@@ -1,6 +1,6 @@
 """Module-level worker task functions for the CARP hot paths.
 
-Everything here follows the executor task contract
+Every task here follows the executor task contract
 (:mod:`repro.exec.api`): plain top-level functions taking the sticky
 per-shard ``state`` mapping first, deriving their output only from
 ``state`` and arguments (rule P601), and recording metrics and spans —
@@ -33,7 +33,6 @@ from repro.obs import NULL_OBS, Obs, SpanRecord, snapshot_delta
 from repro.storage.koidb import KoiDB, KoiDBStats
 from repro.storage.log import LogReader
 from repro.storage.manifest import ManifestEntry
-from repro.storage.recovery import CommittedState
 
 # ----------------------------------------------------------------- ingest
 
@@ -153,6 +152,9 @@ def koidb_apply(
 
 
 # ------------------------------------------------------------------ query
+# not shard tasks: PartitionedStore calls probe_entries inline, on every
+# backend.  They stay in this module because the ledger's tracer wraps
+# ``repro.exec.work.probe_entries`` by name.
 
 @dataclasses.dataclass(frozen=True)
 class LogProbeResult:
@@ -183,27 +185,6 @@ class LogProbeResult:
                 + sum(len(k) for k in self.key_runs))
 
 
-def _cached_reader(
-    state: dict[str, Any],
-    path: str,
-    recover: bool,
-    pin: CommittedState | None,
-) -> LogReader:
-    # pinned readers are keyed by their commit point: two snapshots of
-    # the same growing log pin different footers and must not share a
-    # reader (the older one must never see the newer entries)
-    pin_key = None if pin is None else (pin.footer_end, pin.manifest_offset)
-    readers: dict[tuple[str, bool, tuple[int, int] | None], LogReader] = (
-        state.setdefault("readers", {})
-    )
-    key = (path, recover, pin_key)
-    reader = readers.get(key)
-    if reader is None:
-        reader = LogReader(Path(path), recover=recover, pin=pin)
-        readers[key] = reader
-    return reader
-
-
 def probe_entries(
     reader: LogReader,
     entries: list[ManifestEntry],
@@ -213,11 +194,9 @@ def probe_entries(
 ) -> LogProbeResult:
     """Read and range-filter one log's candidate SSTs for a query.
 
-    The single per-entry probe loop both query paths execute: the
-    serial engine calls it inline per reader, and :func:`probe_log`
-    wraps it for the shard-worker fan-out — same read sizes, same
-    masks, same run order, so concatenating per-log results (in
-    reader-index order) lands on the identical merged ``QueryResult``.
+    The one per-entry probe loop: ``PartitionedStore`` calls it inline
+    per open reader, on every backend, and concatenates the per-log
+    results in reader-index order.
 
     Full-record probes are keys-first (``LogReader.read_sst`` with
     bounds): value bytes are fetched only for matched rows.  Bytes and
@@ -259,30 +238,6 @@ def probe_entries(
         candidate_bytes=candidate_bytes,
         runs=runs,
         key_runs=key_runs,
-    )
-
-
-def probe_log(
-    state: dict[str, Any],
-    path: str,
-    recover: bool,
-    entries: list[ManifestEntry],
-    lo: float,
-    hi: float,
-    keys_only: bool,
-    pin: CommittedState | None = None,
-) -> LogProbeResult:
-    """Worker task wrapping :func:`probe_entries` for one log.
-
-    ``pin`` carries a snapshot's validated commit point into the
-    worker: the reader opens directly at it — no footer parse, no
-    backward ``find_committed_state`` scan over bytes a concurrent
-    writer may be appending — and maps the log for zero-copy entry
-    reads.  Log readers are cached in shard state keyed by
-    ``(path, recover, commit point)``.
-    """
-    return probe_entries(
-        _cached_reader(state, path, recover, pin), entries, lo, hi, keys_only
     )
 
 

@@ -130,18 +130,17 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     bytes_read = 0
     matched = 0
     requests = 0
-    with spec.make_executor() as executor:
-        with PartitionedStore(db_dir, executor=executor, obs=obs) as store:
-            for epoch in store.epochs():
-                lo, hi = store.key_range(epoch)
-                width = (hi - lo) / max(spec.queries * 4, 1)
-                for q in range(spec.queries):
-                    qlo = lo + (hi - lo) * q / max(spec.queries, 1)
-                    res = store.query(epoch, qlo, qlo + width)
-                    latency += res.cost.latency
-                    bytes_read += res.cost.bytes_read
-                    matched += res.cost.records_matched
-                    requests += res.cost.read_requests
+    with PartitionedStore(db_dir, obs=obs) as store:
+        for epoch in store.epochs():
+            lo, hi = store.key_range(epoch)
+            width = (hi - lo) / max(spec.queries * 4, 1)
+            for q in range(spec.queries):
+                qlo = lo + (hi - lo) * q / max(spec.queries, 1)
+                res = store.query(epoch, qlo, qlo + width)
+                latency += res.cost.latency
+                bytes_read += res.cost.bytes_read
+                matched += res.cost.records_matched
+                requests += res.cost.read_requests
     return [
         Metric("query_latency_modeled", latency, "s",
                "virtual", VIRTUAL_TOLERANCE),

@@ -1,11 +1,13 @@
 """Deterministic workload specs for the carp-perf harness.
 
 Each :class:`WorkloadSpec` pins everything that influences the
-measured numbers: the workload kind (ingest / query / compact), the
-executor backend, the synthetic-trace seed and sizes.  The registry
-spans kind × backend so the committed baselines answer the question
-PR 3 left open — which backend is faster, on what workload — and so a
-regression in any one backend's seam is caught by its own gate.
+measured numbers: the workload kind (ingest / query / compact / …),
+the executor backend, the synthetic-trace seed and sizes.  Ingest and
+compaction are registered once per backend, so a regression in either
+backend's seam moves its own deterministic rows; queries never enter
+an executor and are registered once.  No row reads a host clock —
+which backend is *faster* is the ledger's question (``ledger/``), not
+this registry's.
 
 Sizes are small on purpose (a CI perf job runs every workload on
 every push); the virtual-time metrics they gate are scale-free model
@@ -62,7 +64,6 @@ def _registry() -> dict[str, WorkloadSpec]:
         WorkloadSpec("ingest-serial", "ingest", "serial"),
         WorkloadSpec("ingest-process", "ingest", "process"),
         WorkloadSpec("query-serial", "query", "serial"),
-        WorkloadSpec("query-process", "query", "process"),
         WorkloadSpec("compact-serial", "compact", "serial"),
         WorkloadSpec("compact-process", "compact", "process"),
         WorkloadSpec("obs-overhead", "obs-overhead", "serial"),

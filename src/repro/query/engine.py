@@ -26,9 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.records import RecordBatch
-from repro.exec.api import Executor
-from repro.exec.factory import resolve_executor
-from repro.exec.work import LogProbeResult, probe_entries, probe_log
+from repro.exec.work import LogProbeResult, probe_entries
 from repro.obs import NULL_OBS, Obs, RequestContext
 from repro.sim.iomodel import IOModel
 from repro.storage.log import LogReader, list_logs
@@ -114,14 +112,11 @@ class PartitionedStore:
         io: IOModel | None = None,
         recover: bool = False,
         obs: Obs | None = None,
-        executor: Executor | None = None,
         snapshot: Snapshot | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.io = io or IOModel()
         self.obs = obs if obs is not None else NULL_OBS
-        self._executor, self._exec_owned = resolve_executor(executor)
-        self._recover = recover
         self._tr_query = self.obs.track("query", "client")
         metrics = self.obs.metrics
         self._m_probe_bytes = metrics.counter("query.probe_bytes")
@@ -151,7 +146,6 @@ class PartitionedStore:
         self._paths = paths
         # open all logs, closing the ones already open if a later one
         # fails to parse — a half-built store leaks no handles
-        self._pins = pins
         self._readers = []
         try:
             for p, pin in zip(paths, pins):
@@ -161,8 +155,8 @@ class PartitionedStore:
                 reader.close()
             raise
         # (reader index, entry) pairs across all logs, grouped by
-        # reader index — the per-log query fan-out relies on this
-        # grouping to reassemble runs in the serial candidate order
+        # reader index — _probe walks logs in this order, which fixes
+        # the order runs are concatenated in
         self._entries: list[tuple[int, ManifestEntry]] = []
         for i, r in enumerate(self._readers):
             for e in r.entries:
@@ -184,8 +178,6 @@ class PartitionedStore:
     def close(self) -> None:
         for r in self._readers:
             r.close()
-        if self._exec_owned:
-            self._executor.close()
 
     def __enter__(self) -> "PartitionedStore":
         return self
@@ -377,39 +369,18 @@ class PartitionedStore:
     ) -> list[tuple[int, LogProbeResult]]:
         """Probe the candidate SSTs, one result per log, in reader order.
 
-        Both execution paths run the same
-        :func:`~repro.exec.work.probe_entries` loop per log and return
-        results in reader-index order (the order the grouped candidate
-        list walks logs; the parallel drain preserves submission
-        order), so ``query`` and ``explain`` see identical per-log
-        measurements regardless of backend.
+        Every log is probed inline through the mmap'd reader the store
+        already holds (pinned readers never consult bytes past their
+        commit point), so ``query`` and ``explain`` see the same
+        per-log measurements whatever backend ingested the data.
         """
         by_reader: dict[int, list[ManifestEntry]] = {}
         for reader_idx, entry in candidates:
             by_reader.setdefault(reader_idx, []).append(entry)
-        if self._executor.is_serial:
-            return [
-                (idx, probe_entries(self._readers[idx], entries,
-                                    lo, hi, keys_only))
-                for idx, entries in by_reader.items()
-            ]
-        # workers re-open logs by path and read only the entry offsets
-        # they were handed; a pinned store ships each log's validated
-        # commit point along, so the worker-side open lands directly at
-        # the pin — it never parses the footer or scans for one, and
-        # the torn tail a concurrently appending writer may be mid-way
-        # through is never consulted
-        for reader_idx, log_entries in by_reader.items():
-            self._executor.submit(
-                reader_idx, probe_log, str(self._paths[reader_idx]),
-                self._recover, log_entries, lo, hi, keys_only,
-                self._pins[reader_idx],
-            )
-        probes: list[tuple[int, LogProbeResult]] = []
-        for reader_idx, probe in zip(by_reader, self._executor.drain()):
-            assert isinstance(probe, LogProbeResult)
-            probes.append((reader_idx, probe))
-        return probes
+        return [
+            (idx, probe_entries(self._readers[idx], entries, lo, hi, keys_only))
+            for idx, entries in by_reader.items()
+        ]
 
     def explain(
         self,
@@ -507,10 +478,15 @@ def _overlapping_run_bytes(spans: list[tuple[float, float, int]]) -> int:
     if len(spans) <= 1:
         return 0
     kmin = np.array([s[0] for s in spans])
-    kmax = np.array([s[1] for s in spans])
-    length = np.array([s[2] for s in spans], dtype=np.int64)
-    # pairwise interval-overlap test; an SST that overlaps any other
-    # participates in the merge
-    overlap = (kmin[:, None] <= kmax[None, :]) & (kmax[:, None] >= kmin[None, :])
-    np.fill_diagonal(overlap, False)
-    return int(length[overlap.any(axis=1)].sum())
+    order = np.argsort(kmin, kind="stable")
+    kmin = kmin[order]
+    kmax = np.array([s[1] for s in spans])[order]
+    length = np.array([s[2] for s in spans], dtype=np.int64)[order]
+    # in kmin order an SST overlaps an earlier one iff the running max
+    # of the earlier kmax reaches its kmin, and a later one iff the
+    # next kmin is within its kmax (closed intervals: touching counts);
+    # an SST that overlaps any other participates in the merge
+    overlap = np.zeros(len(spans), dtype=bool)
+    overlap[1:] = np.maximum.accumulate(kmax)[:-1] >= kmin[1:]
+    overlap[:-1] |= kmin[1:] <= kmax[:-1]
+    return int(length[overlap].sum())

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exec.api import Executor
 from repro.query.engine import PartitionedStore
 from repro.query.metrics import selectivity_profile
 from repro.query.request import (
@@ -87,20 +86,17 @@ class RangeReader:
         directory: Path | str | None = None,
         io: IOModel | None = None,
         store: PartitionedStore | None = None,
-        executor: Executor | None = None,
     ) -> None:
         if (directory is None) == (store is None):
             raise ValueError("pass exactly one of directory= or store=")
         if store is not None:
-            if io is not None or executor is not None:
-                raise ValueError(
-                    "io=/executor= belong to the wrapped store's owner"
-                )
+            if io is not None:
+                raise ValueError("io= belongs to the wrapped store's owner")
             self.store = store
             self._owns_store = False
         else:
             assert directory is not None
-            self.store = PartitionedStore(directory, io=io, executor=executor)
+            self.store = PartitionedStore(directory, io=io)
             self._owns_store = True
 
     def close(self) -> None:
@@ -120,8 +116,8 @@ class RangeReader:
             raise ValueError("store holds no epochs")
         target = epochs[0] if epoch is None else epoch
         lo, hi = self.store.key_range(target)
-        # probe at data quantiles rather than uniform keys so probes hit
-        # where the (skewed) data actually lives
+        # probes are uniform in key space — evenly spaced strictly
+        # inside the epoch's [kmin, kmax] — not at data quantiles
         probe_keys = np.linspace(lo, hi, probes + 2)[1:-1]
         sel = selectivity_profile(self.store, target, probe_keys)
         return StoreAnalysis(

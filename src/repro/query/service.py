@@ -43,10 +43,9 @@ while ``ingest_epoch`` keeps appending, and answers each with a
   zero.  The merged trace and metrics are therefore identical for a
   given served workload regardless of worker interleaving.
 
-Worker-side engine probes always run on the serial executor: the
-service's own thread pool is the concurrency, and a nested
-env-resolved pool per worker would multiply threads without adding
-determinism.
+There is no executor on the read side: a worker's store probes inline
+through its own mmap'd readers, and the service's thread pool is the
+only concurrency.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.exec.api import SERIAL_EXEC
 from repro.obs import NULL_OBS, Obs, RequestIdAllocator, SpanRecord
 from repro.query.engine import LATENCY_BOUNDS, PartitionedStore, QueryResult
 from repro.query.request import (
@@ -554,15 +552,8 @@ class QueryService:
     ) -> PartitionedStore:
         store = stores.get(snap.token)
         if store is None:
-            # serve workers pin the serial executor explicitly: the
-            # service thread pool *is* the parallelism, and the store
-            # must not env-resolve a nested pool per worker
             store = PartitionedStore(
-                self.directory,
-                io=self.io,
-                obs=worker_obs,
-                executor=SERIAL_EXEC,
-                snapshot=snap,
+                self.directory, io=self.io, obs=worker_obs, snapshot=snap,
             )
             stores[snap.token] = store
             # retire stores of superseded snapshots (bounded handles)

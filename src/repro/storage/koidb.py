@@ -31,7 +31,7 @@ from repro.kernels import active_kernels
 from repro.faults.plan import FaultInjector, FaultSpec
 from repro.obs import NULL_OBS, RECORD_TICK, Obs
 from repro.storage.log import LogWriter, log_name
-from repro.storage.memtable import DoubleBuffer
+from repro.storage.memtable import Memtable
 from repro.storage.recovery import RepairAction
 
 
@@ -88,8 +88,8 @@ class KoiDB:
         )
         #: Repair outcome when ``recover=True`` met an existing log.
         self.recovery: RepairAction | None = self.log.recovery
-        self._main = DoubleBuffer(options.memtable_records, options.value_size)
-        self._stray = DoubleBuffer(options.memtable_records, options.value_size)
+        self._main = Memtable(options.memtable_records, options.value_size)
+        self._stray = Memtable(options.memtable_records, options.value_size)
         self._owned: tuple[float, float] | None = None
         self._owned_inclusive_hi = False
         self._epoch: int | None = None
@@ -148,8 +148,8 @@ class KoiDB:
         """Flush all buffered data and persist the epoch's manifest."""
         if self._epoch is None:
             raise RuntimeError("no epoch in progress")
-        self._flush(self._main.drain_all(), stray=False)
-        self._flush(self._stray.drain_all(), stray=True)
+        self._flush(self._main.drain(), stray=False)
+        self._flush(self._stray.drain(), stray=True)
         self.log.flush_epoch(self._epoch)
         self._epoch = None
 
@@ -189,13 +189,13 @@ class KoiDB:
         self._owned_inclusive_hi = inclusive_hi
         if not (range_changed and self.options.separate_strays):
             return
-        buffered = self._main.drain_all()
+        buffered = self._main.drain()
         if len(buffered):
             stray_mask = self._stray_mask(buffered.keys)
             self._stray.add(buffered.select(stray_mask))
             self._add_bounded(self._main, buffered.select(~stray_mask),
                               stray=False)
-        stray = self._stray.drain_all()
+        stray = self._stray.drain()
         if len(stray):
             self.stats.memtable_flushes += 1
             self._m_flushes.add(1)
@@ -231,33 +231,31 @@ class KoiDB:
             self._add_bounded(self._main, batch.select(~stray_mask), stray=False)
         else:
             self._add_bounded(self._main, batch, stray=False)
-        active = self._main.active  # capacity >= 1 by construction
-        self._g_occupancy.set(len(active) / active.capacity)
+        self._g_occupancy.set(len(self._main) / self._main.capacity)  # capacity >= 1
         return n_stray
 
-    def _add_bounded(self, buf: DoubleBuffer, batch: RecordBatch, stray: bool) -> None:
-        """Fill the active memtable in capacity-sized slices.
+    def _add_bounded(self, buf: Memtable, batch: RecordBatch, stray: bool) -> None:
+        """Fill the memtable in capacity-sized slices.
 
         Keeps SSTable sizes pinned to the memtable capacity (the
         paper's 12 MB memtables yield ~12 MB SSTs) no matter how large
         an arriving shuffle batch is.
         """
         start = 0
-        capacity = buf.active.capacity
         while start < len(batch):
-            room = max(capacity - len(buf.active), 0)
+            room = max(buf.capacity - len(buf), 0)
             if room == 0:
                 self.stats.memtable_flushes += 1
                 self._m_flushes.add(1)
-                self._flush(buf.swap(), stray=stray)
+                self._flush(buf.drain(), stray=stray)
                 continue
             take = min(room, len(batch) - start)
             buf.add(batch.select(np.arange(start, start + take)))
             start += take
-        if buf.should_flush:
+        if buf.is_full:
             self.stats.memtable_flushes += 1
             self._m_flushes.add(1)
-            self._flush(buf.swap(), stray=stray)
+            self._flush(buf.drain(), stray=stray)
 
     # -------------------------------------------------------------- flush
 

@@ -1,12 +1,11 @@
-"""Double-buffered memtables.
+"""Memtables.
 
 KoiDB collects shuffled records in a memory buffer; when it fills, the
-contents are compacted into an SSTable and appended to the log while a
-second buffer keeps accepting new records (paper §V-D).  In this
-single-process reproduction compaction is synchronous, but the
-double-buffer structure is kept so the simulator can account for the
-background-flush overlap and so the memory-footprint math matches the
-paper's two-memtables-per-rank budget.
+contents are compacted into an SSTable and appended to the log (paper
+§V-D).  The paper overlaps that flush with a second buffer that keeps
+accepting records; in this single-process reproduction the flush is
+synchronous, so one buffer per stream (main, stray) is the whole
+structure.
 """
 
 from __future__ import annotations
@@ -56,41 +55,3 @@ class Memtable:
         self._chunks = []
         self._count = 0
         return batch
-
-
-class DoubleBuffer:
-    """Two memtables: one active, one (conceptually) flushing.
-
-    ``swap()`` returns the filled buffer's contents for compaction and
-    makes the spare buffer active, mirroring KoiDB's background
-    compaction structure.  ``flush_swaps`` counts how many background
-    compactions a real deployment would have overlapped.
-    """
-
-    def __init__(self, capacity_records: int, value_size: int) -> None:
-        self.active = Memtable(capacity_records, value_size)
-        self.spare = Memtable(capacity_records, value_size)
-        self.flush_swaps = 0
-
-    def add(self, batch: RecordBatch) -> None:
-        self.active.add(batch)
-
-    @property
-    def should_flush(self) -> bool:
-        return self.active.is_full
-
-    def swap(self) -> RecordBatch:
-        """Swap buffers and return the previously active contents."""
-        out = self.active.drain()
-        self.active, self.spare = self.spare, self.active
-        self.flush_swaps += 1
-        return out
-
-    def drain_all(self) -> RecordBatch:
-        """Drain both buffers (epoch-end flush)."""
-        parts = [p for p in (self.spare.drain(), self.active.drain()) if len(p)]
-        if not parts:
-            # concat of nothing falls back to the paper's default value
-            # size; an empty drain must keep this buffer's configured one.
-            return RecordBatch.empty(self.active.value_size)
-        return RecordBatch.concat(parts)

@@ -22,7 +22,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.exec.factory import add_executor_args, executor_from_args
 from repro.query.reader import RangeReader, read_batch_csv
 from repro.query.request import QueryRequest
 
@@ -47,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-y", "--query-end", type=float, default=None)
     p.add_argument("--querylog", type=Path, default=Path("querylog.csv"),
                    help="batch-mode per-query log (default: querylog.csv)")
-    add_executor_args(p)
     return p
 
 
@@ -90,9 +88,8 @@ def _batch(reader: RangeReader, batch_path: Path, log_path: Path) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    executor, exec_owned = executor_from_args(args)
     try:
-        with RangeReader(args.input, executor=executor) as reader:
+        with RangeReader(args.input) as reader:
             if args.analyze:
                 return _analyze(reader, args.epoch)
             if args.query:
@@ -102,9 +99,6 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if exec_owned:
-            executor.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

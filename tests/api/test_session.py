@@ -10,7 +10,7 @@ import pytest
 from repro import Session
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.exec import SERIAL_EXEC, ProcessExecutor
+from repro.exec import SERIAL_EXEC, ProcessExecutor, SerialExecutor
 from repro.query.engine import PartitionedStore
 from repro.query.request import QueryRequest
 from repro.storage.log import list_logs
@@ -70,7 +70,7 @@ def test_reader_wraps_session_store(tmp_path):
         assert reader.analyze(epoch=0).total_records > 0
 
 
-def test_views_share_session_executor(tmp_path):
+def test_injected_executor_survives_session_close(tmp_path):
     executor = ProcessExecutor(2)
     try:
         with Session(
@@ -78,11 +78,38 @@ def test_views_share_session_executor(tmp_path):
         ) as session:
             assert session.executor is executor
             session.ingest_epoch(0, _streams(0))
-            assert session.store()._executor is executor
+            assert len(session.query(QueryRequest(lo=-10.0, hi=10.0, epoch=0))) > 0
         # caller-injected executor survives session close
         assert executor.map(lambda s: 1, []) == []  # still usable
     finally:
         executor.close()
+
+
+class _CountingExecutor(SerialExecutor):
+    """Records how many tasks were ever submitted."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.submitted = 0
+
+    def submit(self, shard, fn, /, *args):
+        self.submitted += 1
+        super().submit(shard, fn, *args)
+
+
+def test_reads_submit_nothing_to_session_executor(tmp_path):
+    """Ingest fans out through the session executor; reads never enter it."""
+    executor = _CountingExecutor()
+    with Session(SPEC.nranks, tmp_path, OPTIONS, executor=executor) as session:
+        session.ingest_epoch(0, _streams(0))
+        after_ingest = executor.submitted
+        assert after_ingest > 0
+        req = QueryRequest(lo=-10.0, hi=10.0, epoch=0)
+        assert len(session.query(req)) > 0
+        assert session.explain(req).cost.ssts_read > 0
+        snap = session.snapshot()
+        assert len(session.query(req, snapshot=snap)) > 0
+        assert executor.submitted == after_ingest
 
 
 def test_session_owns_env_created_executor(tmp_path, monkeypatch):

@@ -86,7 +86,9 @@ def _run_pipeline(out_dir, make_exec, seed: int) -> dict[str, object]:
             p.name: _digest(p.read_bytes()) for p in list_logs(out_dir)
         }
         queries = []
-        with PartitionedStore(out_dir, obs=obs, executor=executor) as store:
+        # the executor ingests only: a query is one code path whatever
+        # backend wrote the logs
+        with PartitionedStore(out_dir, obs=obs) as store:
             for epoch, lo, hi, keys_only in QUERIES:
                 res = store.query(epoch, lo, hi, keys_only=keys_only)
                 queries.append(

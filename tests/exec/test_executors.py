@@ -204,7 +204,7 @@ def test_lazy_spawn_makes_unused_pools_free():
 
 
 def test_make_executor_kinds():
-    assert make_executor("serial").is_serial
+    assert isinstance(make_executor("serial"), SerialExecutor)
     assert isinstance(make_executor("process", 2), ProcessExecutor)
     for kind in ("gpu", "thread"):
         with pytest.raises(ValueError, match=r"\('serial', 'process'\)"):

@@ -298,10 +298,10 @@ def report_then_die_task(state, flag_path):
 
 
 def test_koidb_apply_is_marked_stateful():
-    from repro.exec.work import koidb_apply, probe_log
+    from repro.exec.work import koidb_apply, read_epoch_log
 
     assert is_stateful_task(koidb_apply)
-    assert not is_stateful_task(probe_log)
+    assert not is_stateful_task(read_epoch_log)
 
 
 def test_dead_worker_with_stateful_task_fails_drain():

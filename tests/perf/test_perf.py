@@ -107,8 +107,7 @@ class TestCli:
             assert name in out
         assert sorted(WORKLOADS) == [
             "compact-process", "compact-serial", "ingest-process",
-            "ingest-serial", "obs-overhead", "query-process",
-            "query-serial", "serve-mixed",
+            "ingest-serial", "obs-overhead", "query-serial", "serve-mixed",
         ]
 
     def test_unknown_workload_exits_2(self, results_dir):

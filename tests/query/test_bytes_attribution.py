@@ -22,7 +22,6 @@ import pytest
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
-from repro.exec.api import SERIAL_EXEC
 from repro.exec.work import probe_entries
 from repro.query.engine import PartitionedStore
 from repro.storage.log import list_logs
@@ -63,15 +62,6 @@ def db_dir(tmp_path_factory):
     return out
 
 
-def _open(directory) -> PartitionedStore:
-    """A store that probes through its own readers, whatever CARP_EXECUTOR says.
-
-    Pool workers re-open logs by path, so only the serial executor's
-    spans land on ``store._readers``.
-    """
-    return PartitionedStore(directory, executor=SERIAL_EXEC)
-
-
 def _attach(store) -> None:
     """Start recording every reader's spans (off by default)."""
     for reader in store._readers:
@@ -89,7 +79,7 @@ def _spans_within(touched, allowed) -> bool:
 
 @pytest.mark.parametrize("keys_only", [False, True], ids=["values", "keys"])
 def test_probe_touches_only_in_range_entries(db_dir, keys_only):
-    with _open(db_dir) as store:
+    with PartitionedStore(db_dir) as store:
         _attach(store)
         result = store.query(0, LO, HI, keys_only=keys_only)
         assert len(result.keys) > 0
@@ -123,7 +113,7 @@ def test_probe_touches_only_in_range_entries(db_dir, keys_only):
 
 
 def test_keys_only_touches_key_prefix_only(db_dir):
-    with _open(db_dir) as store:
+    with PartitionedStore(db_dir) as store:
         _attach(store)
         result = store.query(0, LO, HI, keys_only=True)
         # keys-only probes read exactly what the model prices
@@ -141,7 +131,7 @@ def test_keys_only_touches_key_prefix_only(db_dir):
 
 
 def test_other_epoch_entries_untouched(db_dir):
-    with _open(db_dir) as store:
+    with PartitionedStore(db_dir) as store:
         _attach(store)
         store.query(1, LO, HI)
         epoch0 = {
@@ -153,7 +143,7 @@ def test_other_epoch_entries_untouched(db_dir):
 
 
 def test_touched_records_nothing_unless_attached(db_dir):
-    with _open(db_dir) as store:
+    with PartitionedStore(db_dir) as store:
         result = store.query(0, LO, HI)
         assert all(reader.touched is None for reader in store._readers)
         # the shared counters keep counting regardless
@@ -179,7 +169,7 @@ def test_selective_probe_skips_most_candidate_bytes(tmp_path):
     keys = np.sort(np.concatenate([s.keys for s in streams]))
     start = len(keys) // 2
     lo, hi = float(keys[start]), float(keys[start + len(keys) // 1000])
-    with _open(tmp_path) as store:
+    with PartitionedStore(tmp_path) as store:
         _attach(store)
         result = store.query(0, lo, hi)
         cost = result.cost
@@ -203,7 +193,7 @@ def test_selective_probe_skips_most_candidate_bytes(tmp_path):
 def test_concurrent_probes_on_one_reader_account_their_own_bytes(db_dir):
     """Per-probe bytes come from the read calls, not the shared counter."""
     ranges = [(10.0 + 7 * i, 14.0 + 7 * i) for i in range(8)]
-    with _open(db_dir) as store:
+    with PartitionedStore(db_dir) as store:
         reader = max(store._readers, key=lambda r: len(r.entries))
         work = [
             (reader.entries_for(epoch=0, lo=lo, hi=hi), lo, hi)

@@ -1,9 +1,16 @@
 """Tests for the range query engine over real CARP/sorted output."""
 
+import inspect
+import multiprocessing
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import repro.query.engine as engine_module
+from repro.exec import Executor
 from repro.query.engine import PartitionedStore, _overlapping_run_bytes
+from repro.query.reader import RangeReader
 from repro.storage.sstable import head_span_len
 
 
@@ -204,6 +211,61 @@ class TestOverlappingRunBytes:
     def test_chain_overlap(self):
         spans = [(0.0, 2.0, 1), (1.5, 4.0, 2), (3.5, 6.0, 4)]
         assert _overlapping_run_bytes(spans) == 7
+
+
+def _pairwise_overlapping_run_bytes(spans):
+    """The n x n definition the sort-based version must agree with."""
+    total = 0
+    for i, (lo_i, hi_i, length) in enumerate(spans):
+        if any(
+            lo_i <= hi_j and hi_i >= lo_j
+            for j, (lo_j, hi_j, _) in enumerate(spans)
+            if j != i
+        ):
+            total += length
+    return total
+
+
+#: a coarse key grid, so equal kmin (ties), touching endpoints and
+#: zero-width ranges all come up often
+_KEY = st.integers(0, 12).map(lambda k: k / 4.0)
+_SPAN = st.tuples(_KEY, _KEY, st.integers(0, 1 << 40)).map(
+    lambda t: (min(t[0], t[1]), max(t[0], t[1]), t[2])
+)
+
+
+@given(spans=st.lists(_SPAN, max_size=24))
+@example(spans=[])
+@example(spans=[(1.0, 1.0, 5)])
+@example(spans=[(1.0, 1.0, 5), (1.0, 1.0, 7)])  # two zero-width, same key
+@example(spans=[(0.0, 1.0, 5), (1.0, 1.0, 7)])  # zero-width on an endpoint
+@example(spans=[(0.0, 9.0, 1), (1.0, 2.0, 2), (3.0, 4.0, 4)])  # covered, not adjacent
+def test_overlapping_run_bytes_matches_pairwise_reference(spans):
+    assert _overlapping_run_bytes(spans) == _pairwise_overlapping_run_bytes(spans)
+
+
+class TestNoExecutorOnTheReadSide:
+    def test_constructors_take_no_executor(self):
+        for cls in (PartitionedStore, RangeReader):
+            assert "executor" not in inspect.signature(cls.__init__).parameters
+        # nothing of the executor API is even imported by the engine
+        for name in ("Executor", "resolve_executor", "SERIAL_EXEC"):
+            assert not hasattr(engine_module, name)
+
+    def test_process_env_spawns_no_worker(self, carp_output, monkeypatch):
+        monkeypatch.setenv("CARP_EXECUTOR", "process")
+        monkeypatch.setenv("CARP_WORKERS", "2")
+        before = {p.pid for p in multiprocessing.active_children()}
+        with PartitionedStore(carp_output["dir"]) as store:
+            lo, hi = store.key_range(0)
+            assert len(store.query(0, lo, hi)) == store.total_records(0)
+            assert store.explain(0, lo, hi).cost.ssts_read > 0
+            after = {p.pid for p in multiprocessing.active_children()}
+            assert after <= before
+            # close() has readers to release and no executor to shut down
+            assert not any(
+                isinstance(v, Executor) for v in vars(store).values()
+            )
 
 
 class TestRecovery:

@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch, range_mask
-from repro.exec.api import SERIAL_EXEC
 from repro.kernels import KERNEL_NAMES, use_kernels
 from repro.query.engine import PartitionedStore
 from repro.storage.blocks import (
@@ -172,8 +171,7 @@ class TestIntegrityMatrix:
     def test_unmatched_chunk_damage_is_caught_by_every_full_read(self, log):
         path, _entry, _batch = log
         _flip(path, VALUES_START + UNMATCHED_CHUNK * CHUNK_BYTES + 5)
-        # serial: a pool would wrap the error in its WorkerTaskError
-        with PartitionedStore(path.parent, executor=SERIAL_EXEC) as store:
+        with PartitionedStore(path.parent) as store:
             assert len(store.query(0, LO, HI)) == 101
             with pytest.raises(BlockCorruptionError):
                 store.scan(0)

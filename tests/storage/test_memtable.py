@@ -1,10 +1,10 @@
-"""Unit tests for memtables and double buffering."""
+"""Unit tests for memtables."""
 
 import numpy as np
 import pytest
 
 from repro.core.records import RecordBatch
-from repro.storage.memtable import DoubleBuffer, Memtable
+from repro.storage.memtable import Memtable
 
 
 def batch(n, value_size=8):
@@ -65,47 +65,26 @@ class TestMemtable:
         m.add(batch(5))
         assert m.nbytes == 5 * 12  # 4B key + 8B value
 
-
-class TestDoubleBuffer:
-    def test_swap_returns_contents(self):
-        db = DoubleBuffer(4, 8)
-        db.add(batch(4))
-        assert db.should_flush
-        out = db.swap()
+    def test_drain_at_capacity_returns_contents(self):
+        m = Memtable(4, 8)
+        m.add(batch(4))
+        assert m.is_full
+        out = m.drain()
         assert len(out) == 4
-        assert not db.should_flush
-        assert db.flush_swaps == 1
+        assert not m.is_full
+        # the drained table is reusable straight away
+        m.add(batch(2))
+        assert len(m.drain()) == 2
 
-    def test_swap_alternates_buffers(self):
-        db = DoubleBuffer(2, 8)
-        db.add(batch(2))
-        first = db.active
-        db.swap()
-        assert db.active is not first
-
-    def test_drain_all(self):
-        db = DoubleBuffer(4, 8)
-        db.add(batch(3))
-        db.swap()  # 3 records now in the spare (conceptually flushing)
-        # swap drains, so spare is empty; add more and drain everything
-        db.add(batch(2))
-        out = db.drain_all()
-        assert len(out) == 2
-
-    def test_drain_all_empty(self):
-        assert len(DoubleBuffer(4, 8).drain_all()) == 0
-
-    def test_drain_all_empty_preserves_value_size(self):
+    def test_drain_empty_feeds_same_sized_memtable(self):
         # regression: concat of zero parts used to fall back to the
         # paper default (56B), breaking a later add() of the drained
         # batch into a same-sized memtable
-        db = DoubleBuffer(4, 16)
-        out = db.drain_all()
+        out = Memtable(4, 16).drain()
         assert out.value_size == 16
-        sink = Memtable(4, 16)
-        sink.add(out)  # must not raise
+        Memtable(4, 16).add(out)  # must not raise
 
-    def test_drain_all_after_partial_fill_preserves_value_size(self):
-        db = DoubleBuffer(4, 16)
-        db.add(batch(2, value_size=16))
-        assert db.drain_all().value_size == 16
+    def test_drain_after_partial_fill_preserves_value_size(self):
+        m = Memtable(4, 16)
+        m.add(batch(2, value_size=16))
+        assert m.drain().value_size == 16

@@ -20,7 +20,7 @@ from repro.api import Session
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
-from repro.exec.work import probe_log
+from repro.exec.work import probe_entries
 from repro.query.request import QueryRequest
 from repro.storage.log import LogReader, list_logs
 from repro.storage.manifest import ManifestCorruptionError
@@ -145,15 +145,10 @@ def test_pinned_open_ignores_bytes_past_the_pin(log_dir, tmp_path):
         ]
         batch = reader.read_sst(reader.entries[0]).batch
         assert len(batch) == reader.entries[0].count
-    # the worker task takes the same pinned path through its cache
-    worker_state: dict = {}
-    result = probe_log(
-        worker_state, str(torn), False,
-        list(state.entries), 0.0, 1e9, False, pin=state,
-    )
-    assert result.scanned == sum(e.count for e in state.entries)
-    for reader in worker_state["readers"].values():
-        reader.close()
+        # the engine's probe loop over that reader scans exactly the
+        # pinned entries
+        result = probe_entries(reader, list(state.entries), 0.0, 1e9, False)
+        assert result.scanned == sum(e.count for e in state.entries)
 
 
 def test_session_release_and_close_release_maps(tmp_path):

@@ -159,6 +159,13 @@ class TestRangeReader:
         rows = list(csv.reader(qlog.open()))
         assert len(rows) == 3  # header + 2 queries
 
+    def test_executor_flag_is_a_usage_error(self, carp_dir):
+        # queries never enter an executor, so the reader has no such flag
+        for flag in (["--executor", "process"], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                reader_main(["-i", str(carp_dir), "-a", *flag])
+            assert exc.value.code == 2
+
     def test_missing_store_errors(self, tmp_path):
         rc = reader_main(["-i", str(tmp_path / "nope"), "-a"])
         assert rc == 2

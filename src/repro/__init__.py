@@ -27,13 +27,7 @@ from repro.core.carp import CarpRun, EpochStats
 from repro.core.config import CarpOptions, PAPER_OPTIONS, TEST_OPTIONS
 from repro.core.partition import PartitionTable, load_stddev
 from repro.core.records import RecordBatch, make_rids
-from repro.exec import (
-    SERIAL_EXEC,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.exec import Executor, ProcessExecutor, SerialExecutor, make_executor
 from repro.query.engine import PartitionedStore, QueryResult
 from repro.query.reader import RangeReader
 from repro.query.request import QueryRequest, QueryResponse
@@ -67,7 +61,6 @@ __all__ = [
     "QueryService",
     "RangeReader",
     "RecordBatch",
-    "SERIAL_EXEC",
     "SerialExecutor",
     "Session",
     "Snapshot",

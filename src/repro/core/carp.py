@@ -28,7 +28,7 @@ from repro.core.rank import CarpRankState
 from repro.core.records import RecordBatch
 from repro.core.renegotiation import RenegStats, negotiate
 from repro.core.triggers import PeriodicTrigger, TriggerLog, TriggerReason
-from repro.exec.api import SERIAL_EXEC, Executor, SerialExecutor
+from repro.exec.api import Executor
 from repro.exec.factory import resolve_executor
 from repro.exec.shards import KoiDBProxy, KoiDBShardClient
 from repro.faults.plan import (
@@ -167,10 +167,6 @@ class CarpRun:
         # what determines a log's bytes, so they are identical whether
         # koidb_apply replays it inline or on a worker process
         self._executor, self._exec_owned = resolve_executor(executor)
-        if self._executor is SERIAL_EXEC:
-            # the shared default is for stateless use; KoiDBs are sticky
-            # state, and two live runs must not meet on one shard key
-            self._executor, self._exec_owned = SerialExecutor(), True
         # a fault plan arms the injection sites (see repro.faults): the
         # driver hosts the shuffle.send site, each receiver rank's KoiDB
         # hosts the storage sites.  With faults=None every hook below is

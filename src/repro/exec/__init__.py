@@ -13,9 +13,9 @@ per-shard state — with two interchangeable backends:
 
 Ingest has one path: ``CarpRun`` buffers each rank's KoiDB command
 stream and ``koidb_apply`` replays it, inline or on a worker.  The
-write-side hot paths (``CarpRun.ingest_epoch``, the compactor) accept
-``executor=`` exactly like ``obs=`` and produce bit-identical output
-on both backends; ``CARP_EXECUTOR`` / ``CARP_WORKERS`` select a
+write-side hot paths (``CarpRun.ingest_epoch``, ``compact_all_epochs``)
+accept ``executor=`` exactly like ``obs=`` and produce bit-identical
+output on both backends; ``CARP_EXECUTOR`` / ``CARP_WORKERS`` select a
 backend environment-wide.  Queries never enter an executor:
 ``PartitionedStore`` probes inline through its own readers.  The model, the
 ownership rules, and the determinism contract are documented in
@@ -26,7 +26,6 @@ task constraints.
 from __future__ import annotations
 
 from repro.exec.api import (
-    SERIAL_EXEC,
     Executor,
     ExecutorError,
     SerialExecutor,
@@ -40,7 +39,6 @@ from repro.exec.api import (
 from repro.exec.factory import (
     EXECUTOR_KINDS,
     add_executor_args,
-    default_executor,
     executor_from_args,
     make_executor,
     resolve_executor,
@@ -51,7 +49,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
-    "SERIAL_EXEC",
     "TaskFn",
     "worker_of",
     "stateful_task",
@@ -61,7 +58,6 @@ __all__ = [
     "WorkerCrashError",
     "EXECUTOR_KINDS",
     "make_executor",
-    "default_executor",
     "resolve_executor",
     "add_executor_args",
     "executor_from_args",

@@ -127,21 +127,14 @@ class Executor(abc.ABC):
         executor stays usable).
         """
 
-    def map(
-        self,
-        fn: TaskFn,
-        arg_tuples: Sequence[tuple[Any, ...]],
-        shards: Sequence[int] | None = None,
-    ) -> list[Any]:
+    def map(self, fn: TaskFn, arg_tuples: Sequence[tuple[Any, ...]]) -> list[Any]:
         """Submit one task per argument tuple and drain.
 
-        ``shards[i]`` keys task ``i``; by default task index is used,
-        which spreads independent items across all workers.
+        Task ``i`` is keyed by shard ``i``, which spreads independent
+        items across all workers.
         """
-        if shards is not None and len(shards) != len(arg_tuples):
-            raise ValueError("shards and arg_tuples must have equal length")
         for i, args in enumerate(arg_tuples):
-            self.submit(shards[i] if shards is not None else i, fn, *args)
+            self.submit(i, fn, *args)
         return self.drain()
 
     @abc.abstractmethod
@@ -217,10 +210,3 @@ class SerialExecutor(Executor):
         self._states.clear()
         self._results.clear()
         self._failure = None
-
-
-#: Shared default executor.  Stateless use only: anything that keeps
-#: sticky shard state (``CarpRun``'s per-rank KoiDBs) owns a private
-#: ``SerialExecutor()`` instead, so two runs in one process never
-#: share shard keys.
-SERIAL_EXEC = SerialExecutor()

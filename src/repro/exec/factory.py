@@ -1,12 +1,13 @@
 """Executor construction: by name, from the environment, from a CLI.
 
 The injection convention mirrors ``obs=``: every entry point that
-fans work out (ingest, compaction) takes ``executor=`` and defaults to
-the inline serial backend.  ``executor=None`` additionally consults the environment —
-``CARP_EXECUTOR={serial,process}`` and ``CARP_WORKERS=N`` — so a
-CI leg can push a whole test suite through the process pool without
-touching call sites.  :func:`resolve_executor` reports whether the
-consumer owns (and must close) the executor it got back.
+fans work out (ingest, compaction) takes ``executor=``.  An injected
+executor stays its caller's; ``executor=None`` builds a fresh backend
+from the environment — ``CARP_EXECUTOR={serial,process}``,
+``CARP_WORKERS=N`` and ``CARP_TASK_RETRIES=N`` — so a CI leg can push
+a whole test suite through the process pool without touching call
+sites.  :func:`resolve_executor` reports whether the consumer owns (and
+must close) the executor it got back.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.exec.api import SERIAL_EXEC, Executor, SerialExecutor
+from repro.exec.api import Executor, SerialExecutor
 from repro.exec.pools import ProcessExecutor
 
 #: Recognized ``CARP_EXECUTOR`` / ``--executor`` backend names.
@@ -58,32 +59,27 @@ def make_executor(
     )
 
 
-def default_executor() -> Executor:
-    """The environment-selected executor.
-
-    Returns the shared :data:`~repro.exec.api.SERIAL_EXEC` unless
-    ``CARP_EXECUTOR=process``; ``CARP_WORKERS`` sizes the pool.
-    """
-    kind = os.environ.get(ENV_EXECUTOR, "").strip().lower()
-    if not kind or kind == "serial":
-        return SERIAL_EXEC
-    raw_workers = os.environ.get(ENV_WORKERS, "").strip()
-    workers = int(raw_workers) if raw_workers else None
+def _env_executor(kind: str | None = None, workers: int | None = None) -> Executor:
+    """Build a fresh executor; each field given here wins over the
+    environment, which wins over the default (serial, CPU count)."""
+    if kind is None:
+        kind = os.environ.get(ENV_EXECUTOR, "").strip().lower() or "serial"
+    if workers is None:
+        raw = os.environ.get(ENV_WORKERS, "").strip()
+        workers = int(raw) if raw else None
     return make_executor(kind, workers)
 
 
 def resolve_executor(executor: Executor | None) -> tuple[Executor, bool]:
     """Resolve an ``executor=`` keyword to ``(executor, owned)``.
 
-    ``owned`` is True when the executor was created here (from the
-    environment) and the consumer is responsible for closing it; an
-    explicitly injected executor stays owned by its caller, matching
-    the ``obs=`` convention.
+    An explicitly injected executor stays owned by its caller (``owned``
+    False), matching the ``obs=`` convention; ``None`` builds a new
+    environment-selected executor that the consumer owns and closes.
     """
     if executor is not None:
         return executor, False
-    resolved = default_executor()
-    return resolved, resolved is not SERIAL_EXEC
+    return _env_executor(), True
 
 
 # ------------------------------------------------------------------- CLI
@@ -106,16 +102,10 @@ def add_executor_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def executor_from_args(args: argparse.Namespace) -> tuple[Executor, bool]:
-    """Build ``(executor, owned)`` from parsed CLI flags.
+def executor_from_args(args: argparse.Namespace) -> Executor:
+    """Build a fresh executor, owned by the caller, from parsed CLI flags.
 
-    Flags win over the environment; with neither present this falls
-    back to :func:`resolve_executor`'s environment handling.
+    Each flag wins over its environment variable, which wins over the
+    default.
     """
-    if args.executor is None and args.workers is None:
-        return resolve_executor(None)
-    kind = args.executor
-    if kind is None:
-        kind = os.environ.get(ENV_EXECUTOR, "").strip().lower() or "serial"
-    executor = make_executor(kind, args.workers)
-    return executor, executor is not SERIAL_EXEC
+    return _env_executor(args.executor, args.workers)

@@ -243,21 +243,6 @@ def probe_entries(
 
 # ------------------------------------------------------------- compaction
 
-def read_epoch_log(state: dict[str, Any], path: str, epoch: int) -> RecordBatch | None:
-    """Load one log's records for ``epoch`` (compactor read fan-out).
-
-    Entries are concatenated in manifest order; returns ``None`` when
-    the log holds nothing for the epoch.
-    """
-    with LogReader(Path(path)) as reader:
-        batches = [
-            reader.read_sst(e).batch for e in reader.entries_for(epoch=epoch)
-        ]
-    if not batches:
-        return None
-    return RecordBatch.concat(batches)
-
-
 def compact_epoch_task(
     state: dict[str, Any],
     in_dir: str,
@@ -268,22 +253,8 @@ def compact_epoch_task(
     """Compact one whole epoch (the ``compact_all_epochs`` fan-out unit).
 
     Each epoch writes into its own output directory, so concurrent
-    epochs never touch the same file.  The inner compaction runs
-    serially — the parallelism here is across epochs.
+    epochs never touch the same file.
     """
-    # imported lazily: the compactor module itself takes executor=
-    # keywords from repro.exec, so a top-level import would be circular
-    from repro.exec.api import SerialExecutor
     from repro.storage.compactor import compact_epoch
 
-    # force the inner compaction serial: CARP_EXECUTOR=process would
-    # otherwise try to nest a pool inside a daemonic worker.  A private
-    # instance, not the shared SERIAL_EXEC: this task may itself be
-    # running inside SERIAL_EXEC.map, and an inner drain() on the same
-    # instance would hand back the outer map's earlier results
-    return str(
-        compact_epoch(
-            Path(in_dir), Path(out_dir), epoch, sst_records,
-            executor=SerialExecutor(),
-        )
-    )
+    return str(compact_epoch(Path(in_dir), Path(out_dir), epoch, sst_records))

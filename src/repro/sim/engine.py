@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exec.api import Executor
 from repro.obs import Obs
 
 _STEPS = 20_000
@@ -53,7 +52,6 @@ def simulate_ingestion(
     reneg_pauses: list[float] | None = None,
     receiver_buffer_bytes: float = float("inf"),
     obs: Obs | None = None,
-    executor: Executor | None = None,
 ) -> PipelineResult:
     """Simulate one epoch's ingestion through the CARP pipeline.
 
@@ -82,12 +80,7 @@ def simulate_ingestion(
         µs), renegotiation firings as instant markers, and moved bytes
         as counters.  ``None`` (the default) records nothing and adds
         no per-step work.
-    executor:
-        Accepted for API uniformity with the other ``executor=`` entry
-        points; the fluid integration is a single sequential recurrence
-        (each step depends on the last), so it always runs inline.
     """
-    del executor  # uniform keyword only; the recurrence is inherently serial
     if data_bytes <= 0:
         raise ValueError("data_bytes must be positive")
     pauses = list(reneg_pauses or [])

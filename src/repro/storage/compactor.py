@@ -20,32 +20,21 @@ from repro.obs import NULL_OBS, RECORD_TICK, Obs
 from repro.storage.log import LogReader, LogWriter, list_logs, log_name
 
 
-def read_epoch(
-    directory: Path | str,
-    epoch: int,
-    executor: Executor | None = None,
-) -> RecordBatch:
+def read_epoch(directory: Path | str, epoch: int) -> RecordBatch:
     """Load every record of ``epoch`` from all logs in ``directory``.
 
-    One ``read_epoch_log`` task per log on every backend; results are
-    concatenated in log order, so the combined batch is byte-identical
-    whether the tasks ran inline or across workers.
+    Reads inline, log by log in log order, each log's SSTs in manifest
+    order, and concatenates the lot.
     """
-    # repro.exec.work imports this module's callers' layer
-    # (repro.storage.koidb), so importing it at module scope would
-    # cycle through the package __init__
-    from repro.exec.work import read_epoch_log
-
     logs = list_logs(directory)
     if not logs:
         raise FileNotFoundError(f"no KoiDB logs under {directory}")
-    exec_, owned = resolve_executor(executor)
-    try:
-        per_log = exec_.map(read_epoch_log, [(str(p), epoch) for p in logs])
-    finally:
-        if owned:
-            exec_.close()
-    batches = [b for b in per_log if b is not None]
+    batches: list[RecordBatch] = []
+    for path in logs:
+        with LogReader(path) as reader:
+            batches.extend(
+                reader.read_sst(e).batch for e in reader.entries_for(epoch=epoch)
+            )
     if not batches:
         raise ValueError(f"epoch {epoch} holds no data under {directory}")
     return RecordBatch.concat(batches)
@@ -56,23 +45,18 @@ def compact_epoch(
     out_dir: Path | str,
     epoch: int,
     sst_records: int = 4096,
-    executor: Executor | None = None,
 ) -> Path:
     """Produce a fully sorted clustered index for one epoch.
 
     Writes ``out_dir/<epoch>/RDB-00000000.tbl`` containing globally
     sorted, key-disjoint SSTables of ``sst_records`` records each (the
     paper's sorted baseline uses 12 MB SSTs ~= 200K records at 60 B).
-    Returns the epoch output directory.
+    Runs inline; :func:`compact_all_epochs` is the fan-out.  Returns
+    the epoch output directory.
     """
     if sst_records < 1:
         raise ValueError("sst_records must be >= 1")
-    exec_, owned = resolve_executor(executor)
-    try:
-        all_records = read_epoch(in_dir, epoch, executor=exec_).sorted_by_key()
-    finally:
-        if owned:
-            exec_.close()
+    all_records = read_epoch(in_dir, epoch).sorted_by_key()
     epoch_dir = Path(out_dir) / str(epoch)
     epoch_dir.mkdir(parents=True, exist_ok=True)
     with LogWriter(epoch_dir / log_name(0)) as writer:

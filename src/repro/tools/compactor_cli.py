@@ -2,12 +2,15 @@
 
 Merges CARP's partially sorted per-rank logs into a fully sorted,
 clustered index, one output directory per epoch — the layout used as
-the sorted baseline in the paper's Fig. 7a.
+the sorted baseline in the paper's Fig. 7a.  ``-e N`` compacts one
+epoch inline; ``--all`` runs one task per epoch on the executor that
+``--executor`` / ``--workers`` (or ``CARP_EXECUTOR`` / ``CARP_WORKERS``)
+select.
 
 Example::
 
     carp-compactor -i /tmp/carp-out -o /tmp/carp-out.sorted -e 0
-    carp-compactor -i /tmp/carp-out -o /tmp/carp-out.sorted --all
+    carp-compactor -i /tmp/carp-out -o /tmp/carp-out.sorted --all --executor process
 """
 
 from __future__ import annotations
@@ -42,22 +45,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    executor, exec_owned = executor_from_args(args)
     try:
         if args.all:
-            dirs = compact_all_epochs(args.input, args.output,
-                                      sst_records=args.sst_records,
-                                      executor=executor)
+            with executor_from_args(args) as executor:
+                dirs = compact_all_epochs(args.input, args.output,
+                                          sst_records=args.sst_records,
+                                          executor=executor)
         else:
             dirs = [compact_epoch(args.input, args.output, args.epoch,
-                                  sst_records=args.sst_records,
-                                  executor=executor)]
+                                  sst_records=args.sst_records)]
     except (FileNotFoundError, ValueError, ExecutorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if exec_owned:
-            executor.close()
     for d in dirs:
         print(f"sorted epoch written to {d}")
     return 0

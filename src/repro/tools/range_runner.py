@@ -94,26 +94,23 @@ def main(argv: list[str] | None = None) -> int:
         separate_strays=not args.no_stray_separation,
         value_size=args.value_size,
     )
-    executor, exec_owned = executor_from_args(args)
-    try:
-        with CarpRun(args.ranks, args.output, options, executor=executor) as run:
-            for epoch, ts in enumerate(timesteps):
-                streams = trace_io.read_timestep(
-                    args.input, ts, value_size=args.value_size,
-                    seq_offset=epoch * (1 << 24),
-                )
-                streams = reshard(streams, args.ranks)
-                stats = run.ingest_epoch(epoch, streams)
-                print(
-                    f"epoch {epoch} (T.{ts}): {stats.records} records, "
-                    f"{stats.renegotiations} renegotiations, "
-                    f"normalized load std-dev {stats.load_stddev:.4f}, "
-                    f"strays {stats.stray_fraction:.2%}"
-                )
-            manifest = run.write_run_manifest()
-    finally:
-        if exec_owned:
-            executor.close()
+    with executor_from_args(args) as executor, CarpRun(
+        args.ranks, args.output, options, executor=executor
+    ) as run:
+        for epoch, ts in enumerate(timesteps):
+            streams = trace_io.read_timestep(
+                args.input, ts, value_size=args.value_size,
+                seq_offset=epoch * (1 << 24),
+            )
+            streams = reshard(streams, args.ranks)
+            stats = run.ingest_epoch(epoch, streams)
+            print(
+                f"epoch {epoch} (T.{ts}): {stats.records} records, "
+                f"{stats.renegotiations} renegotiations, "
+                f"normalized load std-dev {stats.load_stddev:.4f}, "
+                f"strays {stats.stray_fraction:.2%}"
+            )
+        manifest = run.write_run_manifest()
     print(f"partitioned output written to {args.output}")
     print(f"run manifest written to {manifest}")
     return 0

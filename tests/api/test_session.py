@@ -10,7 +10,7 @@ import pytest
 from repro import Session
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.exec import SERIAL_EXEC, ProcessExecutor, SerialExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
 from repro.query.engine import PartitionedStore
 from repro.query.request import QueryRequest
 from repro.storage.log import list_logs
@@ -151,7 +151,7 @@ def test_two_live_runs_on_default_executor(tmp_path, monkeypatch, make):
 def test_default_session_is_serial_and_unrecorded(tmp_path, monkeypatch):
     monkeypatch.delenv("CARP_EXECUTOR", raising=False)
     with Session(SPEC.nranks, tmp_path, OPTIONS) as session:
-        assert session.executor is SERIAL_EXEC
+        assert isinstance(session.executor, SerialExecutor)
         assert not session.obs.enabled
 
 

@@ -14,12 +14,10 @@ import time
 import pytest
 
 from repro.exec import (
-    SERIAL_EXEC,
     ProcessExecutor,
     SerialExecutor,
     WorkerCrashError,
     WorkerTaskError,
-    default_executor,
     executor_from_args,
     make_executor,
     resolve_executor,
@@ -126,11 +124,6 @@ def test_map_preserves_argument_order(executor):
     assert out == [11 * i for i in range(8)]
 
 
-def test_map_rejects_mismatched_shards(executor):
-    with pytest.raises(ValueError):
-        executor.map(add_task, [(1, 2), (3, 4)], shards=[0])
-
-
 def test_task_error_carries_worker_traceback(executor):
     executor.submit(0, add_task, 1, 2)
     executor.submit(1, boom_task)
@@ -211,53 +204,78 @@ def test_make_executor_kinds():
             make_executor(kind)
 
 
+def _cli_args(argv):
+    parser = argparse.ArgumentParser()
+    add_executor_args(parser)
+    return parser.parse_args(argv)
+
+
 def test_default_executor_without_env(monkeypatch):
+    """No env: a fresh SerialExecutor the consumer owns, carrying the
+    environment's retry budget; every resolution is a new instance."""
     monkeypatch.delenv("CARP_EXECUTOR", raising=False)
-    assert default_executor() is SERIAL_EXEC
+    monkeypatch.setenv("CARP_TASK_RETRIES", "3")
+    first, owned = resolve_executor(None)
+    second, _ = resolve_executor(None)
+    assert type(first) is SerialExecutor and owned
+    assert first.task_retries == 3
+    assert first is not second
 
 
 def test_default_executor_from_env(monkeypatch):
     monkeypatch.setenv("CARP_EXECUTOR", "process")
     monkeypatch.setenv("CARP_WORKERS", "2")
-    exec_ = default_executor()
-    assert isinstance(exec_, ProcessExecutor)
+    exec_, owned = resolve_executor(None)
+    assert isinstance(exec_, ProcessExecutor) and owned
     assert exec_.workers == 2
     exec_.close()
     monkeypatch.setenv("CARP_EXECUTOR", "thread")
     with pytest.raises(ValueError, match=r"\('serial', 'process'\)"):
-        default_executor()
+        resolve_executor(None)
 
 
-def test_resolve_executor_ownership(monkeypatch):
-    monkeypatch.delenv("CARP_EXECUTOR", raising=False)
-    # no env: the shared serial singleton, not owned
+@pytest.mark.parametrize("kind", [None, "serial", "process"], ids=["unset", "serial", "process"])
+def test_env_resolution_is_always_owned(monkeypatch, kind):
+    if kind is None:
+        monkeypatch.delenv("CARP_EXECUTOR", raising=False)
+    else:
+        monkeypatch.setenv("CARP_EXECUTOR", kind)
     exec_, owned = resolve_executor(None)
-    assert exec_ is SERIAL_EXEC and not owned
+    assert owned
+    exec_.close()
+
+
+def test_resolve_executor_ownership():
     # explicit injection: caller keeps ownership
     mine = ProcessExecutor(2)
     exec_, owned = resolve_executor(mine)
     assert exec_ is mine and not owned
     mine.close()
-    # env-created: the consumer must close it
-    monkeypatch.setenv("CARP_EXECUTOR", "process")
-    exec_, owned = resolve_executor(None)
-    assert isinstance(exec_, ProcessExecutor) and owned
-    exec_.close()
 
 
 def test_executor_from_args_flags_win(monkeypatch):
     monkeypatch.setenv("CARP_EXECUTOR", "serial")
-    parser = argparse.ArgumentParser()
-    add_executor_args(parser)
-    args = parser.parse_args(["--executor", "process", "--workers", "2"])
-    exec_, owned = executor_from_args(args)
-    assert isinstance(exec_, ProcessExecutor) and exec_.workers == 2 and owned
+    monkeypatch.setenv("CARP_WORKERS", "1")
+    exec_ = executor_from_args(_cli_args(["--executor", "process", "--workers", "2"]))
+    assert isinstance(exec_, ProcessExecutor) and exec_.workers == 2
+    exec_.close()
+
+
+def test_executor_from_args_falls_back_per_flag(monkeypatch):
+    """A flag left unset falls back to its own environment variable:
+    ``--executor process`` sizes the pool from ``CARP_WORKERS``."""
+    monkeypatch.delenv("CARP_EXECUTOR", raising=False)
+    monkeypatch.setenv("CARP_WORKERS", "1")
+    exec_ = executor_from_args(_cli_args(["--executor", "process"]))
+    assert isinstance(exec_, ProcessExecutor) and exec_.workers == 1
+    exec_.close()
+    monkeypatch.setenv("CARP_EXECUTOR", "process")
+    exec_ = executor_from_args(_cli_args(["--workers", "1"]))
+    assert isinstance(exec_, ProcessExecutor) and exec_.workers == 1
     exec_.close()
 
 
 def test_executor_from_args_defaults_to_env_resolution(monkeypatch):
     monkeypatch.delenv("CARP_EXECUTOR", raising=False)
-    parser = argparse.ArgumentParser()
-    add_executor_args(parser)
-    exec_, owned = executor_from_args(parser.parse_args([]))
-    assert exec_ is SERIAL_EXEC and not owned
+    exec_ = executor_from_args(_cli_args([]))
+    assert type(exec_) is SerialExecutor

@@ -182,6 +182,38 @@ def test_task_crashes_retried_away_identically(tmp_path_factory):
     assert outcomes["serial"]["retries"] == outcomes["process"]["retries"] > 0
 
 
+@pytest.mark.parametrize("kind", [None, "serial"], ids=["unset", "serial"])
+def test_env_retry_budget_on_default_executor(tmp_path, monkeypatch, kind):
+    """``CARP_TASK_RETRIES`` reaches the executor a ``Session`` builds for
+    itself, and that executor is the one ingest runs on."""
+    if kind is None:
+        monkeypatch.delenv("CARP_EXECUTOR", raising=False)
+    else:
+        monkeypatch.setenv("CARP_EXECUTOR", kind)
+    monkeypatch.setenv("CARP_TASK_RETRIES", "3")
+    plan = FaultPlan(seed=0, specs=(FaultSpec(SITE_TASK, 1, 0),))
+    with Session(NRANKS, tmp_path / "faulted", OPTIONS, record=True,
+                 faults=plan, telemetry=True) as session:
+        for epoch in range(EPOCHS):
+            session.ingest_epoch(epoch, _streams(epoch))
+        assert session.executor.retries_done > 0
+    with Session(NRANKS, tmp_path / "clean", OPTIONS) as clean:
+        for epoch in range(EPOCHS):
+            clean.ingest_epoch(epoch, _streams(epoch))
+
+    def logs(out):
+        return {p.name: p.read_bytes() for p in list_logs(out)}
+
+    assert logs(tmp_path / "faulted") == logs(tmp_path / "clean")
+    samples = [
+        json.loads(line)
+        for line in (tmp_path / "faulted" / "telemetry.jsonl").read_text().splitlines()
+    ]
+    last_epoch = [s for s in samples if s["kind"] == "epoch"][-1]
+    final = [s for s in samples if s["kind"] == "final"][-1]
+    assert final["derived"]["retries_done"] == last_epoch["derived"]["retries_done"] > 0
+
+
 def test_storage_crash_recovers_identically(tmp_path_factory):
     """A torn manifest write kills every backend at the same epoch;
     after ``fsck --repair`` the recovered logs are bit-identical."""
@@ -298,10 +330,10 @@ def report_then_die_task(state, flag_path):
 
 
 def test_koidb_apply_is_marked_stateful():
-    from repro.exec.work import koidb_apply, read_epoch_log
+    from repro.exec.work import compact_epoch_task, koidb_apply
 
     assert is_stateful_task(koidb_apply)
-    assert not is_stateful_task(read_epoch_log)
+    assert not is_stateful_task(compact_epoch_task)
 
 
 def test_dead_worker_with_stateful_task_fails_drain():

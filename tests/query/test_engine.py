@@ -249,7 +249,7 @@ class TestNoExecutorOnTheReadSide:
         for cls in (PartitionedStore, RangeReader):
             assert "executor" not in inspect.signature(cls.__init__).parameters
         # nothing of the executor API is even imported by the engine
-        for name in ("Executor", "resolve_executor", "SERIAL_EXEC"):
+        for name in ("Executor", "SerialExecutor", "resolve_executor"):
             assert not hasattr(engine_module, name)
 
     def test_process_env_spawns_no_worker(self, carp_output, monkeypatch):

@@ -1,5 +1,8 @@
 """Unit tests for the compactor (sorted clustered layout builder)."""
 
+import inspect
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,23 @@ class TestCompactEpoch:
         out = compact_epoch(tmp_path / "in", tmp_path / "out", 0, sst_records=7)
         dst = read_epoch(out, 0)
         assert sorted(dst.rids.tolist()) == sorted(src.rids.tolist())
+
+
+class TestInlineCompaction:
+    def test_signatures_take_no_executor(self):
+        for fn in (read_epoch, compact_epoch):
+            assert "executor" not in inspect.signature(fn).parameters
+
+    def test_process_env_spawns_no_worker(self, tmp_path, monkeypatch):
+        write_carp_like(tmp_path / "in", ranks=4, n=64)
+        serial = compact_epoch(tmp_path / "in", tmp_path / "serial", 0, sst_records=16)
+        monkeypatch.setenv("CARP_EXECUTOR", "process")
+        monkeypatch.setenv("CARP_WORKERS", "2")
+        before = {p.pid for p in multiprocessing.active_children()}
+        assert len(read_epoch(tmp_path / "in", 0)) == 256
+        pooled = compact_epoch(tmp_path / "in", tmp_path / "process", 0, sst_records=16)
+        assert {p.pid for p in multiprocessing.active_children()} <= before
+        assert list_logs(pooled)[0].read_bytes() == list_logs(serial)[0].read_bytes()
 
 
 class TestCompactAll:

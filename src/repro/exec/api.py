@@ -165,6 +165,8 @@ class SerialExecutor(Executor):
     workers = 1
 
     def __init__(self, task_retries: int = 0) -> None:
+        if task_retries < 0:
+            raise ValueError("task_retries must be >= 0")
         self._states: dict[int, dict[str, Any]] = {}
         self._results: list[Any] = []
         self._failure: ExecutorError | None = None

@@ -31,10 +31,28 @@ def default_worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _env_int(name: str, minimum: int) -> int | None:
+    """Integer environment variable ``name``, or None when unset.
+
+    Raises a ``ValueError`` naming the variable when it is set to
+    anything but an integer ``>= minimum``.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
+    value: int | None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {raw!r}")
+    return value
+
+
 def default_task_retries() -> int:
     """Crash-retry budget from ``CARP_TASK_RETRIES`` (default 0)."""
-    raw = os.environ.get(ENV_TASK_RETRIES, "").strip()
-    return int(raw) if raw else 0
+    return _env_int(ENV_TASK_RETRIES, 0) or 0
 
 
 def make_executor(
@@ -65,8 +83,7 @@ def _env_executor(kind: str | None = None, workers: int | None = None) -> Execut
     if kind is None:
         kind = os.environ.get(ENV_EXECUTOR, "").strip().lower() or "serial"
     if workers is None:
-        raw = os.environ.get(ENV_WORKERS, "").strip()
-        workers = int(raw) if raw else None
+        workers = _env_int(ENV_WORKERS, 1)
     return make_executor(kind, workers)
 
 

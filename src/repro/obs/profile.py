@@ -2,27 +2,26 @@
 
 This module folds the observability artifacts a recorded run already
 persists — ``trace.json`` span trees and ``metrics.json`` counters —
-into collapsed-stack *virtual-time* profiles with exact cost
-annotation: every stack frame carries self/total virtual nanoseconds
-plus the bytes, records, and SST-probe counts its spans reported, and
+into collapsed-stack profiles that attribute *counts*: every stack
+frame carries how many spans folded into it plus the bytes, records,
+SST-probe and match counts those spans reported, and
 :meth:`Profile.reconcile` cross-checks the folded totals against the
 metrics registry the same way ``carp-explain`` reconciles
 :class:`~repro.query.explain.QueryExplain` (any drift is an
-instrumentation bug, worth a nonzero exit).
+instrumentation bug, worth a nonzero exit).  Profiles carry no time:
+span timestamps are virtual ticks priced per record, not measured
+cost, and wall time belongs to the top-level ``ledger/``.  The fold
+nests spans by per-lane event order alone and never reads ``ts`` or
+``dur``.
 
 Because the inputs are bit-identical across the serial and process
-executors (the PR-4 trace contract) and the fold is pure integer
-arithmetic over them, the profiles themselves are bit-identical across
-backends — a determinism contract of their own, enforced by
+executors (the trace contract) and the fold is pure integer arithmetic
+over them, the profiles themselves are bit-identical across backends —
+a determinism contract of their own, enforced by
 ``tests/exec/test_profile_determinism.py`` and lint rule O505: profile
 builders operate on *archived artifacts only*.  This module therefore
 imports nothing from the live observability stack — no clocks, no
 tracers, no registries — and consumes plain decoded JSON.
-
-Virtual nanoseconds: one virtual clock tick is folded as one second,
-quantized per *event timestamp* (``round(ts * 1e9)``) before any
-subtraction, so self-time (``total - sum(children)``) is exact,
-non-negative integer arithmetic and never accumulates float error.
 """
 
 from __future__ import annotations
@@ -86,8 +85,10 @@ RECONCILIATIONS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
     ("bytes", "compact.bytes_written", (("compact", "compact"),)),
 )
 
-_SCHEMA = "carp-profile-v1"
-_DIFF_SCHEMA = "carp-profile-diff-v1"
+_SCHEMA = "carp-profile-v2"
+_DIFF_SCHEMA = "carp-profile-diff-v2"
+#: The retired schema whose frames carried virtual-time columns.
+_V1_SCHEMA = "carp-profile-v1"
 
 #: Per-rank/per-epoch span names ("epoch 3", "level 0") collapse to
 #: their stem so one frame aggregates the whole family.
@@ -98,11 +99,6 @@ def _num(value: object) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return 0.0
     return float(value)
-
-
-def _ns(ts: object) -> int:
-    """Quantize one virtual-tick timestamp to integer nanoseconds."""
-    return round(_num(ts) * 1e9)
 
 
 def _canonical(name: str) -> str:
@@ -128,10 +124,6 @@ class ProfileFrame:
     stack: tuple[str, ...]
     #: spans folded into this frame
     count: int
-    #: inclusive virtual nanoseconds (this frame plus its children)
-    total_ns: int
-    #: exclusive virtual nanoseconds (total minus folded children)
-    self_ns: int
     #: exact bytes attributed by span args (``bytes``/``bytes_read``)
     bytes: int
     #: exact records attributed (``records``/``scanned``)
@@ -149,26 +141,11 @@ class ProfileFrame:
         return {
             "stack": list(self.stack),
             "count": self.count,
-            "total_ns": self.total_ns,
-            "self_ns": self.self_ns,
             "bytes": self.bytes,
             "records": self.records,
             "ssts": self.ssts,
             "matched": self.matched,
         }
-
-
-class _OpenSpan:
-    """A ``B`` event waiting for its ``E`` on one (pid, tid) lane."""
-
-    __slots__ = ("name", "start_ns", "child_ns", "args")
-
-    def __init__(self, name: str, start_ns: int,
-                 args: dict[str, object]) -> None:
-        self.name = name
-        self.start_ns = start_ns
-        self.child_ns = 0
-        self.args = args
 
 
 @dataclass(frozen=True)
@@ -188,29 +165,17 @@ class Profile:
         return {f.path: f for f in self.frames}
 
     def phases(self) -> dict[str, dict[str, int]]:
-        """Per-phase rollup: span count, frames, self/total ns.
-
-        ``total_ns`` sums *root* frames only (children are contained),
-        so per-phase ``self_ns == total_ns`` holds by construction —
-        the internal consistency :meth:`reconcile` re-asserts.
-        """
+        """Per-phase rollup: spans and frames folded under each phase."""
         out: dict[str, dict[str, int]] = {}
         for frame in self.frames:
-            phase = out.setdefault(frame.stack[0], {
-                "frames": 0, "count": 0, "self_ns": 0, "total_ns": 0,
-            })
+            phase = out.setdefault(frame.stack[0], {"frames": 0, "spans": 0})
             phase["frames"] += 1
-            phase["count"] += frame.count
-            phase["self_ns"] += frame.self_ns
-            if len(frame.stack) == 2:  # (phase, root span)
-                phase["total_ns"] += frame.total_ns
+            phase["spans"] += frame.count
         return out
 
     def totals(self) -> dict[str, int]:
         return {
             "spans": sum(f.count for f in self.frames),
-            "self_ns": sum(f.self_ns for f in self.frames),
-            "total_ns": sum(p["total_ns"] for p in self.phases().values()),
             "bytes": sum(f.bytes for f in self.frames),
             "records": sum(f.records for f in self.frames),
             "ssts": sum(f.ssts for f in self.frames),
@@ -234,27 +199,31 @@ class Profile:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
 
     def to_folded(self) -> str:
-        """Collapsed-stack text: ``phase;span;span <self_ns>`` per line.
+        """Collapsed-stack text: ``phase;span;span <spans>`` per line.
 
-        The format FlameGraph/speedscope consume; sorted by path so the
-        bytes are stable across runs and backends.
+        The format FlameGraph/speedscope consume, each path weighted by
+        its span count; sorted by path so the bytes are stable across
+        runs and backends.
         """
         return "".join(
-            f"{frame.path} {frame.self_ns}\n" for frame in self.frames
+            f"{frame.path} {frame.count}\n" for frame in self.frames
         )
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "Profile":
-        if doc.get("schema") != _SCHEMA:
+        schema = doc.get("schema")
+        if schema == _V1_SCHEMA:
             raise ValueError(
-                f"not a {_SCHEMA} document (schema={doc.get('schema')!r})"
+                f"{_V1_SCHEMA} documents carry retired virtual-time "
+                f"columns; re-record the profile as {_SCHEMA} "
+                "(`carp-perf run` or `carp-profile record`)"
             )
+        if schema != _SCHEMA:
+            raise ValueError(f"not a {_SCHEMA} document (schema={schema!r})")
         frames = tuple(
             ProfileFrame(
                 stack=tuple(str(part) for part in row["stack"]),
                 count=int(row["count"]),
-                total_ns=int(row["total_ns"]),
-                self_ns=int(row["self_ns"]),
                 bytes=int(row["bytes"]),
                 records=int(row["records"]),
                 ssts=int(row["ssts"]),
@@ -321,14 +290,6 @@ class Profile:
                     f"profile {attr} at {self._join_desc(pairs)} "
                     f"= {span_sum} != counter {counter} = {want:g}"
                 )
-        # internal consistency: per-phase exclusive time must re-add to
-        # the contained root-span time (the collapse loses nothing)
-        for phase, rollup in self.phases().items():
-            if rollup["self_ns"] != rollup["total_ns"]:
-                errors.append(
-                    f"phase {phase}: self_ns sum {rollup['self_ns']} != "
-                    f"root total_ns {rollup['total_ns']}"
-                )
         return errors
 
     @staticmethod
@@ -344,33 +305,32 @@ def fold(events: Iterable[Mapping[str, Any]]) -> Profile:
 
     Consumes the (already deterministic) archived event order: per
     (pid, tid) lane, ``B``/``E`` pairs nest and ``X`` completes nest
-    under whatever span is open on the same lane.  Instants, counter
+    under whatever span is open on the same lane — by event order
+    alone; ``ts`` and ``dur`` are never read.  Instants, counter
     samples, and metadata contribute no frames; metadata names each
     pid's track type, which picks the frame's phase.
     """
     process_names: dict[int, str] = {}
-    stacks: dict[tuple[int, int], list[_OpenSpan]] = {}
+    #: per lane, the open ``B`` spans as ``(name, begin args)``
+    stacks: dict[tuple[int, int], list[tuple[str, dict[str, object]]]] = {}
     agg: dict[tuple[str, ...], list[int]] = {}
-    # aggregate slots: count, total_ns, self_ns, bytes, records, ssts,
-    # matched — a plain list avoids churning frozen dataclasses per span
+    # aggregate slots: count, bytes, records, ssts, matched — a plain
+    # list avoids churning frozen dataclasses per span
     unmatched_ends = 0
 
-    def record(stack_of: tuple[int, int], name: str, total_ns: int,
-               self_ns: int, args: Mapping[str, object]) -> None:
-        pid, _tid = stack_of
-        track = process_names.get(pid, f"pid-{pid}")
+    def record(lane: tuple[int, int], name: str,
+               args: Mapping[str, object]) -> None:
+        track = process_names.get(lane[0], f"pid-{lane[0]}")
         phase = PHASE_BY_TRACK.get(track, track)
         path = (phase,) + tuple(
-            _canonical(open_span.name) for open_span in stacks[stack_of]
+            _canonical(open_name) for open_name, _ in stacks[lane]
         ) + (_canonical(name),)
-        slot = agg.setdefault(path, [0, 0, 0, 0, 0, 0, 0])
+        slot = agg.setdefault(path, [0, 0, 0, 0, 0])
         slot[0] += 1
-        slot[1] += total_ns
-        slot[2] += self_ns
-        slot[3] += _attr_int(args, "bytes", "bytes_read")
-        slot[4] += _attr_int(args, "records", "scanned")
-        slot[5] += _attr_int(args, "ssts", "ssts_read")
-        slot[6] += _attr_int(args, "matched")
+        slot[1] += _attr_int(args, "bytes", "bytes_read")
+        slot[2] += _attr_int(args, "records", "scanned")
+        slot[3] += _attr_int(args, "ssts", "ssts_read")
+        slot[4] += _attr_int(args, "matched")
 
     for event in events:
         ph = event.get("ph")
@@ -391,35 +351,22 @@ def fold(events: Iterable[Mapping[str, Any]]) -> Profile:
             dict(raw_args) if isinstance(raw_args, Mapping) else {}
         )
         if ph == "B":
-            stack.append(_OpenSpan(
-                str(event.get("name", "?")), _ns(event.get("ts", 0)), args,
-            ))
+            stack.append((str(event.get("name", "?")), args))
         elif ph == "E":
             if not stack:
                 unmatched_ends += 1
                 continue
-            span = stack.pop()
-            end_ns = _ns(event.get("ts", 0))
-            total_ns = end_ns - span.start_ns
-            merged = dict(span.args)
+            name, merged = stack.pop()
             merged.update(args)
-            if stack:
-                stack[-1].child_ns += total_ns
-            record(lane, span.name, total_ns,
-                   total_ns - span.child_ns, merged)
+            record(lane, name, merged)
         else:  # X: a complete span, nested under the lane's open B
-            start_ns = _ns(event.get("ts", 0))
-            dur_ns = _ns(_num(event.get("ts", 0))
-                         + _num(event.get("dur", 0))) - start_ns
-            if stack:
-                stack[-1].child_ns += dur_ns
-            record(lane, str(event.get("name", "?")), dur_ns, dur_ns, args)
+            record(lane, str(event.get("name", "?")), args)
 
     unclosed = sum(len(stack) for stack in stacks.values())
     frames = tuple(
         ProfileFrame(
-            stack=path, count=slot[0], total_ns=slot[1], self_ns=slot[2],
-            bytes=slot[3], records=slot[4], ssts=slot[5], matched=slot[6],
+            stack=path, count=slot[0], bytes=slot[1], records=slot[2],
+            ssts=slot[3], matched=slot[4],
         )
         for path, slot in sorted(agg.items())
     )
@@ -443,53 +390,36 @@ class DiffEntry:
     """One stack path's A-vs-B delta, exact in every dimension."""
 
     stack: tuple[str, ...]
-    self_ns_a: int
-    self_ns_b: int
-    total_ns_a: int
-    total_ns_b: int
-    bytes_a: int
-    bytes_b: int
     count_a: int
     count_b: int
+    bytes_a: int
+    bytes_b: int
 
     @property
     def path(self) -> str:
         return ";".join(self.stack)
 
     @property
-    def self_delta_ns(self) -> int:
-        return self.self_ns_b - self.self_ns_a
-
-    @property
-    def total_delta_ns(self) -> int:
-        return self.total_ns_b - self.total_ns_a
+    def count_delta(self) -> int:
+        return self.count_b - self.count_a
 
     @property
     def bytes_delta(self) -> int:
         return self.bytes_b - self.bytes_a
 
     @property
-    def count_delta(self) -> int:
-        return self.count_b - self.count_a
-
-    @property
     def changed(self) -> bool:
-        return bool(self.self_delta_ns or self.total_delta_ns
-                    or self.bytes_delta or self.count_delta)
+        return bool(self.count_delta or self.bytes_delta)
 
     def to_doc(self) -> dict[str, Any]:
         return {
             "stack": list(self.stack),
-            "self_ns_a": self.self_ns_a,
-            "self_ns_b": self.self_ns_b,
-            "self_delta_ns": self.self_delta_ns,
-            "total_delta_ns": self.total_delta_ns,
-            "bytes_a": self.bytes_a,
-            "bytes_b": self.bytes_b,
-            "bytes_delta": self.bytes_delta,
             "count_a": self.count_a,
             "count_b": self.count_b,
             "count_delta": self.count_delta,
+            "bytes_a": self.bytes_a,
+            "bytes_b": self.bytes_b,
+            "bytes_delta": self.bytes_delta,
         }
 
 
@@ -497,9 +427,9 @@ class DiffEntry:
 class ProfileDiff:
     """A-vs-B differential profile, sorted by contribution.
 
-    Entries are ordered by descending absolute self-time delta, then
+    Entries are ordered by descending absolute span-count delta, then
     absolute byte delta, then path — so ``entries[0]`` *is* the blame:
-    the span path contributing most to the regression.
+    the span path contributing most to the change.
     """
 
     entries: tuple[DiffEntry, ...]
@@ -508,9 +438,9 @@ class ProfileDiff:
         return tuple(e for e in self.entries if e.changed)
 
     def top_paths(self, n: int = 3) -> list[tuple[str, int, int]]:
-        """``(path, self_delta_ns, bytes_delta)`` for the top offenders."""
+        """``(path, count_delta, bytes_delta)`` for the top offenders."""
         return [
-            (e.path, e.self_delta_ns, e.bytes_delta)
+            (e.path, e.count_delta, e.bytes_delta)
             for e in self.changed()[:n]
         ]
 
@@ -518,7 +448,7 @@ class ProfileDiff:
         changed = self.changed()
         return {
             "schema": _DIFF_SCHEMA,
-            "self_delta_ns": sum(e.self_delta_ns for e in self.entries),
+            "count_delta": sum(e.count_delta for e in self.entries),
             "bytes_delta": sum(e.bytes_delta for e in self.entries),
             "changed_paths": len(changed),
             "entries": [e.to_doc() for e in changed],
@@ -538,15 +468,11 @@ def diff_profiles(a: Profile, b: Profile) -> ProfileDiff:
         fb = frames_b.get(stack)
         entries.append(DiffEntry(
             stack=stack,
-            self_ns_a=fa.self_ns if fa else 0,
-            self_ns_b=fb.self_ns if fb else 0,
-            total_ns_a=fa.total_ns if fa else 0,
-            total_ns_b=fb.total_ns if fb else 0,
-            bytes_a=fa.bytes if fa else 0,
-            bytes_b=fb.bytes if fb else 0,
             count_a=fa.count if fa else 0,
             count_b=fb.count if fb else 0,
+            bytes_a=fa.bytes if fa else 0,
+            bytes_b=fb.bytes if fb else 0,
         ))
-    entries.sort(key=lambda e: (-abs(e.self_delta_ns), -abs(e.bytes_delta),
+    entries.sort(key=lambda e: (-abs(e.count_delta), -abs(e.bytes_delta),
                                 e.stack))
     return ProfileDiff(entries=tuple(entries))

@@ -8,17 +8,17 @@ Four subcommands:
   redirect), including the cost-attribution profile committed under
   ``results/baselines/profiles/``.
 * ``carp-perf compare [WORKLOAD ...] [--json PATH]`` — re-run and diff
-  against the committed baselines; exits nonzero when any metric
-  (virtual-time beyond tolerance, or an exact output change)
-  regressed — every row is deterministic and every row blocks.
+  against the committed baselines; exits nonzero when any row
+  ``changed`` (is no longer equal to its baseline) or went
+  ``missing`` — every row is deterministic and every row blocks.
   ``--json`` additionally writes the full comparison document (the CI
   artifact).  When a gate trips, the failure output names a diff
-  profile (written under ``--profile-dir``) and the top-3 regressed
-  span paths inline, so the CI log itself attributes the regression.
+  profile (written under ``--profile-dir``) and the top-3 changed
+  span paths inline, so the CI log itself attributes the change.
 * ``carp-perf profile [WORKLOAD ...] --out DIR`` — run workloads and
   write *fresh* profiles (profile.json + .folded) under ``DIR``
-  without touching baselines; CI uploads these and diffs them against
-  the committed ones with ``carp-profile diff``.
+  without touching baselines; CI ``cmp``s these against the committed
+  ones and attributes any mismatch with ``carp-profile diff``.
 
     carp-perf run
     carp-perf compare --json results/perf_compare.json
@@ -95,10 +95,9 @@ def _select(names: list[str]) -> list[str]:
 
 def _cmd_list() -> int:
     print(render_table(
-        ("workload", "kind", "backend", "ranks", "records/rank", "epochs"),
+        ("workload", "kind", "ranks", "records/rank", "epochs"),
         [
-            (s.name, s.kind, s.backend, s.nranks,
-             s.records_per_rank, s.epochs)
+            (s.name, s.kind, s.nranks, s.records_per_rank, s.epochs)
             for s in WORKLOADS.values()
         ],
         title="carp-perf workloads",
@@ -137,20 +136,19 @@ def _cmd_profile(names: list[str], out_dir: Path) -> int:
     return status
 
 
-def _fmt_delta(comparison: WorkloadComparison) -> str:
-    rows = []
-    for m in comparison.metrics:
-        delta = m.rel_delta
-        rows.append((
-            m.metric, m.kind,
-            "-" if m.baseline is None else f"{m.baseline:.6g}",
-            "-" if m.current is None else f"{m.current:.6g}",
-            "-" if delta is None else f"{delta:+.2%}",
-            m.status,
-        ))
+def _fmt_value(value: float | None) -> str:
+    # repr: a one-ulp change must be visible in the table it fails
+    return "-" if value is None else repr(float(value))
+
+
+def _fmt_comparison(comparison: WorkloadComparison) -> str:
     return render_table(
-        ("metric", "kind", "baseline", "current", "delta", "status"),
-        rows,
+        ("metric", "baseline", "current", "status"),
+        [
+            (m.metric, _fmt_value(m.baseline), _fmt_value(m.current),
+             m.status)
+            for m in comparison.metrics
+        ],
         title=f"carp-perf compare: {comparison.workload}",
     )
 
@@ -162,9 +160,8 @@ def _emit_diff_profile(
 
     Diffs the fresh run's profile against the committed baseline
     profile, writes the full diff document as a CI artifact, and
-    prints its path plus the top-3 regressed span paths — so the log
-    alone says *where* the regression lives, no artifact download
-    needed.
+    prints its path plus the top-3 changed span paths — so the log
+    alone says *where* the change lives, no artifact download needed.
     """
     if comparison.current_profile is None:
         return
@@ -180,11 +177,11 @@ def _emit_diff_profile(
     print(f"diff profile: {path}", file=sys.stderr)
     top = diff.top_paths(3)
     if not top:
-        print("  (profiles are identical — the regression is outside "
+        print("  (profiles are identical — the change is outside "
               "the traced span tree)", file=sys.stderr)
-    for span_path, self_delta, bytes_delta in top:
-        print(f"  regressed span path: {span_path} "
-              f"({self_delta:+d} ns self, {bytes_delta:+d} B)",
+    for span_path, count_delta, bytes_delta in top:
+        print(f"  changed span path: {span_path} "
+              f"({count_delta:+d} spans, {bytes_delta:+d} B)",
               file=sys.stderr)
 
 
@@ -201,7 +198,7 @@ def _cmd_compare(names: list[str], json_path: Path | None,
             continue
         comparison = compare_workload(WORKLOADS[name], baseline)
         comparisons.append(comparison)
-        print(_fmt_delta(comparison))
+        print(_fmt_comparison(comparison))
         print()
     blocking = any(c.blocking for c in comparisons)
     doc = {
@@ -224,9 +221,9 @@ def _cmd_compare(names: list[str], json_path: Path | None,
         print(f"error: perf regression gate failed: {', '.join(failed)}",
               file=sys.stderr)
         stale = [c.workload for c in comparisons
-                 if any(m.status == "unknown-kind" for m in c.metrics)]
+                 if any(m.status == "missing" for m in c.metrics)]
         if stale:
-            print("error: baseline rows of a kind carp-perf does not gate; "
+            print("error: baseline rows the run no longer produces; "
                   f"re-record the baseline (`carp-perf run {' '.join(stale)}`)",
                   file=sys.stderr)
         for comparison in comparisons:

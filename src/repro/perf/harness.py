@@ -1,29 +1,25 @@
-"""Run perf workloads, persist baselines, and gate on regressions.
+"""Run perf workloads, persist baselines, and gate on any change.
 
 :func:`run_workload` executes one :class:`WorkloadSpec` in a scratch
 directory under a recording observability stack and summarizes it into
 a :class:`WorkloadRun` — :class:`Metric` values plus a folded
-cost-attribution :class:`~repro.obs.profile.Profile` whose totals are
+count-attribution :class:`~repro.obs.profile.Profile` whose totals are
 reconciled against the run's metrics counters (the reconciliation
-error count rides along as an *exact* metric, so any attribution
-drift trips the gate).  :func:`write_baseline` persists the metrics
-through :func:`repro.bench.results.emit` (rows + units + git SHA) into
+error count rides along as a metric, so any attribution drift trips
+the gate).  :func:`write_baseline` persists the metrics through
+:func:`repro.bench.results.emit` (rows + units + git SHA) into
 ``results/baselines/<name>.json`` and the profile beside them under
 ``results/baselines/profiles/``; :func:`compare_workload` re-runs the
-workload and diffs fresh metrics against the committed baseline with
-per-metric semantics:
+workload and diffs fresh metrics against the committed baseline.
 
-* ``virtual`` metrics — virtual-time cost may drift at most
-  ``tolerance`` (relative) before the comparison fails;
-* ``exact`` metrics — workload outputs may not change at all.
-
-Both kinds are **blocking** and deterministic: this package never
-reads the host clock (rule O501 enforces it).  Wall time is measured
-in one place, the top-level ``ledger/``.
-
-An improvement beyond tolerance does not fail the gate but is
-surfaced, so stale baselines get re-recorded instead of silently
-absorbing headroom.
+Every row is either an exact workload output (bytes, records, counts,
+digests) or an output of the ``IOModel`` cost model (modeled query and
+serve latency), so every row is deterministic and compared by
+equality: a fresh value is ``ok`` when it equals the baseline,
+``missing`` when the run no longer produces the row, and ``changed``
+otherwise — all three non-``ok`` outcomes block.  This package never
+reads the host clock (rule O501 enforces it); wall time is measured in
+one place, the top-level ``ledger/``.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ from typing import Any
 from repro.bench.results import emit, results_dir
 from repro.bench.tables import render_table
 from repro.core.carp import CarpRun
+from repro.exec import SerialExecutor
 from repro.obs import Obs, TelemetryStream
 from repro.obs.profile import Profile, fold
 from repro.perf.workloads import WorkloadSpec
@@ -44,12 +41,6 @@ from repro.query.engine import PartitionedStore
 from repro.storage.compactor import compact_all_epochs
 from repro.storage.log import list_logs
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
-
-#: Default relative tolerance for virtual-time metrics.  Virtual cost
-#: is deterministic, so any drift is a real code change; 2% headroom
-#: lets benign cost-model tweaks through while a 10% regression fails
-#: loudly.
-VIRTUAL_TOLERANCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -59,24 +50,15 @@ class Metric:
     name: str
     value: float
     unit: str
-    #: ``virtual`` | ``exact`` (see module docstring)
-    kind: str
-    tolerance: float
 
     def to_row(self) -> dict[str, Any]:
-        return {
-            "metric": self.name,
-            "value": self.value,
-            "unit": self.unit,
-            "kind": self.kind,
-            "tolerance": self.tolerance,
-        }
+        return {"metric": self.name, "value": self.value, "unit": self.unit}
 
 
 # ---------------------------------------------------------------- running
 
 #: What every runner hands back: metric rows plus the raw material of
-#: the run's cost-attribution profile — trace events and the metrics
+#: the run's count-attribution profile — trace events and the metrics
 #: snapshot they must reconcile against (both in archived-artifact
 #: form, so the fold is exactly what ``carp-profile record`` would do).
 _RunnerResult = tuple[list[Metric], list[dict[str, Any]], dict[str, Any]]
@@ -91,31 +73,31 @@ def _trace_spec(spec: WorkloadSpec) -> VpicTraceSpec:
     )
 
 
-def _ingest(spec: WorkloadSpec, out_dir: Path, obs: Obs) -> None:
+def _ingest(spec: WorkloadSpec, out_dir: Path, obs: Obs) -> int:
+    """Ingest every epoch; return the total renegotiation count."""
     trace = _trace_spec(spec)
-    with spec.make_executor() as executor:
+    renegotiations = 0
+    with SerialExecutor() as executor:
         with CarpRun(spec.nranks, out_dir, spec.options(), obs=obs,
                      executor=executor) as run:
             for epoch in range(spec.epochs):
-                run.ingest_epoch(epoch, generate_timestep(trace, epoch))
+                stats = run.ingest_epoch(epoch, generate_timestep(trace, epoch))
+                renegotiations += stats.renegotiations
+    return renegotiations
 
 
 def _run_ingest(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     obs = Obs.recording()
-    _ingest(spec, scratch / "db", obs)
+    renegotiations = _ingest(spec, scratch / "db", obs)
     counters = obs.metrics
     return [
-        Metric("ingest_virtual_ticks", obs.clock.now(), "ticks",
-               "virtual", VIRTUAL_TOLERANCE),
         Metric("records_ingested",
-               counters.counter_value("carp.records_ingested"),
-               "records", "exact", 0.0),
+               counters.counter_value("carp.records_ingested"), "records"),
         Metric("koidb_bytes_written",
-               counters.counter_value("koidb.bytes_written"),
-               "B", "exact", 0.0),
+               counters.counter_value("koidb.bytes_written"), "B"),
         Metric("ssts_written",
-               counters.counter_value("koidb.ssts_written"),
-               "ssts", "exact", 0.0),
+               counters.counter_value("koidb.ssts_written"), "ssts"),
+        Metric("renegotiations", renegotiations, "renegotiations"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 
@@ -142,11 +124,10 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
                 matched += res.cost.records_matched
                 requests += res.cost.read_requests
     return [
-        Metric("query_latency_modeled", latency, "s",
-               "virtual", VIRTUAL_TOLERANCE),
-        Metric("query_bytes_read", bytes_read, "B", "exact", 0.0),
-        Metric("query_records_matched", matched, "records", "exact", 0.0),
-        Metric("query_read_requests", requests, "requests", "exact", 0.0),
+        Metric("query_latency_modeled", latency, "s"),
+        Metric("query_bytes_read", bytes_read, "B"),
+        Metric("query_records_matched", matched, "records"),
+        Metric("query_read_requests", requests, "requests"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 
@@ -155,24 +136,23 @@ def _run_compact(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     dst = scratch / "compacted"
     _ingest(spec, src, Obs.null())
     obs = Obs.recording()
-    with spec.make_executor() as executor:
+    with SerialExecutor() as executor:
         epoch_dirs = compact_all_epochs(src, dst, spec.sst_records,
                                         executor=executor, obs=obs)
     out_bytes = sum(
         p.stat().st_size for d in epoch_dirs for p in list_logs(d)
     )
     # modeled full-scan latency over the compacted layout: the number
-    # compaction exists to improve, and a deterministic virtual gate
+    # compaction exists to improve, priced by the IOModel
     scan_latency = 0.0
     for directory in epoch_dirs:
         with PartitionedStore(directory) as store:
             for epoch in store.epochs():
                 scan_latency += store.scan(epoch).cost.latency
     return [
-        Metric("compacted_scan_latency_modeled", scan_latency, "s",
-               "virtual", VIRTUAL_TOLERANCE),
-        Metric("compacted_bytes", out_bytes, "B", "exact", 0.0),
-        Metric("epochs_compacted", len(epoch_dirs), "epochs", "exact", 0.0),
+        Metric("compacted_scan_latency_modeled", scan_latency, "s"),
+        Metric("compacted_bytes", out_bytes, "B"),
+        Metric("epochs_compacted", len(epoch_dirs), "epochs"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 
@@ -181,7 +161,7 @@ def _run_obs_overhead(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
 
     Runs the same ingest twice — once under the shared ``NULL_OBS``
     stack, once fully recording with a streaming telemetry sink — and
-    gates on *exact* zero side effects from the null run: no
+    gates on zero side effects from the null run: no
     instruments registered, no virtual time accumulated, no telemetry
     lines written.
     """
@@ -212,24 +192,20 @@ def _run_obs_overhead(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
         if isinstance(section, dict)
     )
     return [
-        Metric("null_side_effects", null_side_effects, "effects",
-               "exact", 0.0),
-        Metric("telemetry_lines", obs.telemetry.lines_written, "lines",
-               "exact", 0.0),
+        Metric("null_side_effects", null_side_effects, "effects"),
+        Metric("telemetry_lines", obs.telemetry.lines_written, "lines"),
         Metric("recording_instruments", recording_instruments,
-               "instruments", "exact", 0.0),
-        Metric("ingest_virtual_ticks", obs.clock.now(), "ticks",
-               "virtual", VIRTUAL_TOLERANCE),
+               "instruments"),
     ], obs.tracer.events(), recording_snapshot
 
 
 def _run_serve(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     """The serving plane under concurrent ingest (``carp-serve``).
 
-    Exact rows pin the admission/caching behaviour *and* the served
-    bytes (an order-independent payload digest); virtual rows gate the
-    modeled served-latency distribution, p99 included — the number the
-    SLO rule in ``configs/health_default.json`` watches live.  The
+    Count rows pin the admission/caching behaviour *and* the served
+    bytes (an order-independent payload digest); the latency rows pin
+    the modeled served-latency distribution, p99 included — the number
+    the SLO rule in ``configs/health_default.json`` watches live.  The
     profile is folded from the artifacts the run archived under its
     scratch directory — the literal files a CI run would upload.
     """
@@ -243,27 +219,20 @@ def _run_serve(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     snapshot = json.loads((out_dir / "metrics.json").read_text())
     assert isinstance(snapshot, dict)
     return [
-        Metric("serve_latency_p50", report.latency_p50, "s",
-               "virtual", VIRTUAL_TOLERANCE),
-        Metric("serve_latency_p95", report.latency_p95, "s",
-               "virtual", VIRTUAL_TOLERANCE),
-        Metric("serve_latency_p99", report.latency_p99, "s",
-               "virtual", VIRTUAL_TOLERANCE),
-        Metric("serve_latency_mean", report.latency_mean, "s",
-               "virtual", VIRTUAL_TOLERANCE),
-        Metric("serve_requests", report.requests, "requests", "exact", 0.0),
-        Metric("serve_ok", report.ok, "responses", "exact", 0.0),
+        Metric("serve_latency_p50", report.latency_p50, "s"),
+        Metric("serve_latency_p95", report.latency_p95, "s"),
+        Metric("serve_latency_p99", report.latency_p99, "s"),
+        Metric("serve_latency_mean", report.latency_mean, "s"),
+        Metric("serve_requests", report.requests, "requests"),
+        Metric("serve_ok", report.ok, "responses"),
         Metric("serve_deadline_exceeded", report.deadline_exceeded,
-               "responses", "exact", 0.0),
-        Metric("serve_rejected", report.rejected, "responses", "exact", 0.0),
-        Metric("serve_cache_hits", report.cache_hits, "hits", "exact", 0.0),
-        Metric("serve_cache_misses", report.cache_misses, "misses",
-               "exact", 0.0),
-        Metric("serve_invalidations", report.invalidations, "epochs",
-               "exact", 0.0),
+               "responses"),
+        Metric("serve_rejected", report.rejected, "responses"),
+        Metric("serve_cache_hits", report.cache_hits, "hits"),
+        Metric("serve_cache_misses", report.cache_misses, "misses"),
+        Metric("serve_invalidations", report.invalidations, "epochs"),
         Metric("serve_payload_digest",
-               float(int(report.payload_digest[:12], 16)),
-               "id", "exact", 0.0),
+               float(int(report.payload_digest[:12], 16)), "id"),
     ], events, snapshot
 
 
@@ -280,10 +249,9 @@ _RUNNERS = {
 class WorkloadRun:
     """One workload execution: metric rows + its folded cost profile.
 
-    ``profile_reconcile_errors`` is appended to the metrics as an
-    *exact* row, so an attribution drift (profile totals no longer
-    matching the metrics counters) fails the baseline gate like any
-    other exact-output change.
+    ``profile_reconcile_errors`` is appended to the metrics as a row,
+    so an attribution drift (profile totals no longer matching the
+    metrics counters) fails the baseline gate like any other change.
     """
 
     metrics: list[Metric]
@@ -301,7 +269,7 @@ def run_workload(spec: WorkloadSpec) -> WorkloadRun:
     profile = fold(events)
     errors = profile.reconcile(snapshot)
     metrics.append(Metric("profile_reconcile_errors", float(len(errors)),
-                          "errors", "exact", 0.0))
+                          "errors"))
     return WorkloadRun(metrics=metrics, profile=profile,
                        reconcile_errors=tuple(errors))
 
@@ -341,9 +309,8 @@ def write_baseline(spec: WorkloadSpec, run: WorkloadRun) -> Path:
     baseline_dir()  # ensure results/baselines/ exists before emit()
     metrics = run.metrics
     text = render_table(
-        ("metric", "value", "unit", "kind", "tolerance"),
-        [(m.name, f"{m.value:.9g}", m.unit, m.kind, m.tolerance)
-         for m in metrics],
+        ("metric", "value", "unit"),
+        [(m.name, f"{m.value:.9g}", m.unit) for m in metrics],
         title=f"carp-perf baseline: {spec.name}",
     )
     emit(
@@ -386,37 +353,22 @@ class MetricComparison:
     """One metric's baseline-vs-current verdict."""
 
     metric: str
-    kind: str
     unit: str
     baseline: float | None
     current: float | None
-    tolerance: float
-    #: ``ok`` | ``regressed`` | ``improved`` | ``changed`` | ``missing``
-    #: | ``unknown-kind``
+    #: ``ok`` | ``changed`` | ``missing``
     status: str
 
     @property
     def blocking(self) -> bool:
-        return self.status in (
-            "regressed", "changed", "missing", "unknown-kind"
-        )
-
-    @property
-    def rel_delta(self) -> float | None:
-        if self.baseline in (None, 0) or self.current is None:
-            return None
-        assert self.baseline is not None
-        return (self.current - self.baseline) / self.baseline
+        return self.status != "ok"
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "metric": self.metric,
-            "kind": self.kind,
             "unit": self.unit,
             "baseline": self.baseline,
             "current": self.current,
-            "tolerance": self.tolerance,
-            "rel_delta": self.rel_delta,
             "status": self.status,
             "blocking": self.blocking,
         }
@@ -431,7 +383,7 @@ class WorkloadComparison:
     metrics: tuple[MetricComparison, ...]
     #: the fresh run's folded profile — what ``carp-perf compare``
     #: diffs against the committed baseline profile when this
-    #: comparison blocks, to name the regressed span paths
+    #: comparison blocks, to name the changed span paths
     current_profile: Profile | None = None
 
     @property
@@ -448,33 +400,15 @@ class WorkloadComparison:
 
 
 def _compare_metric(row: dict[str, Any], current: Metric | None) -> MetricComparison:
-    name = str(row["metric"])
-    kind = str(row.get("kind", "virtual"))
-    unit = str(row.get("unit", ""))
     base = float(row["value"])
-    tol = float(row.get("tolerance", VIRTUAL_TOLERANCE))
-    value = None if current is None else current.value
-    if kind not in ("virtual", "exact"):
-        # baseline JSON is outside input: a row this harness cannot
-        # gate (e.g. a wall-clock row from an old checkout) is rejected,
-        # never compared under some other kind's rule
-        status = "unknown-kind"
-    elif value is None:
+    if current is None:
         status = "missing"
-    elif kind == "exact":
-        status = "ok" if value == base else "changed"
     else:
-        if base == 0:
-            status = "ok" if value == 0 else "changed"
-        else:
-            rel = (value - base) / base
-            if rel > tol:
-                status = "regressed"
-            elif rel < -tol:
-                status = "improved"
-            else:
-                status = "ok"
-    return MetricComparison(name, kind, unit, base, value, tol, status)
+        status = "ok" if current.value == base else "changed"
+    return MetricComparison(
+        str(row["metric"]), str(row.get("unit", "")), base,
+        None if current is None else current.value, status,
+    )
 
 
 def compare_workload(
@@ -493,8 +427,7 @@ def compare_workload(
         if name not in seen:
             # a new metric has no baseline; surface it without blocking
             comparisons.append(MetricComparison(
-                name, metric.kind, metric.unit, None, metric.value,
-                metric.tolerance, "ok",
+                name, metric.unit, None, metric.value, "ok",
             ))
     sha = baseline.get("git_sha")
     return WorkloadComparison(

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.api import Session
+from repro.exec import SerialExecutor
 from repro.perf.workloads import WorkloadSpec
 from repro.query.engine import LATENCY_BOUNDS
 from repro.query.service import QueryService
@@ -151,7 +152,7 @@ def run_serve_workload(
     )
     db_dir = scratch / "db"
     responses: list[QueryResponse] = []
-    with spec.make_executor() as executor:
+    with SerialExecutor() as executor:
         with Session(
             spec.nranks, db_dir, spec.options(),
             executor=executor, record=True, telemetry=True,

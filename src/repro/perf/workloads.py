@@ -2,17 +2,17 @@
 
 Each :class:`WorkloadSpec` pins everything that influences the
 measured numbers: the workload kind (ingest / query / compact / …),
-the executor backend, the synthetic-trace seed and sizes.  Ingest and
-compaction are registered once per backend, so a regression in either
-backend's seam moves its own deterministic rows; queries never enter
-an executor and are registered once.  No row reads a host clock —
-which backend is *faster* is the ledger's question (``ledger/``), not
-this registry's.
+the synthetic-trace seed and sizes.  Every workload runs on a
+:class:`~repro.exec.SerialExecutor`: output bytes do not depend on the
+backend (``tests/exec/test_determinism.py`` proves it), so a second
+registration per backend would gate the same rows twice.  No row reads
+a host clock — which backend is *faster* is the ledger's question
+(``ledger/``), not this registry's.
 
 Sizes are small on purpose (a CI perf job runs every workload on
-every push); the virtual-time metrics they gate are scale-free model
-outputs, so a small deterministic workload is just as sensitive to a
-cost-model or plumbing regression as a large one.
+every push); the counts and modeled costs they gate are deterministic,
+so a small workload is just as sensitive to a cost-model or plumbing
+change as a large one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import CarpOptions
-from repro.exec import Executor, make_executor
 
 
 @dataclass(frozen=True)
@@ -30,11 +29,10 @@ class WorkloadSpec:
     name: str
     #: ``ingest`` | ``query`` | ``compact`` | ``obs-overhead`` | ``serve``
     kind: str
-    #: ``serial`` | ``process``
-    backend: str
     nranks: int = 4
     records_per_rank: int = 600
     epochs: int = 2
+    #: query-service workers (serve workloads)
     workers: int = 2
     seed: int = 11
     #: range queries per epoch (query workloads) / per client phase
@@ -55,22 +53,16 @@ class WorkloadSpec:
             value_size=8,
         )
 
-    def make_executor(self) -> Executor:
-        return make_executor(self.backend, self.workers, task_retries=0)
-
 
 def _registry() -> dict[str, WorkloadSpec]:
     specs = [
-        WorkloadSpec("ingest-serial", "ingest", "serial"),
-        WorkloadSpec("ingest-process", "ingest", "process"),
-        WorkloadSpec("query-serial", "query", "serial"),
-        WorkloadSpec("compact-serial", "compact", "serial"),
-        WorkloadSpec("compact-process", "compact", "process"),
-        WorkloadSpec("obs-overhead", "obs-overhead", "serial"),
+        WorkloadSpec("ingest-serial", "ingest"),
+        WorkloadSpec("query-serial", "query"),
+        WorkloadSpec("compact-serial", "compact"),
+        WorkloadSpec("obs-overhead", "obs-overhead"),
         # the serving plane under concurrent ingest: >= 8 closed-loop
         # clients against Session.serve() while epochs keep committing
-        WorkloadSpec("serve-mixed", "serve", "serial",
-                     epochs=3, workers=3, clients=8),
+        WorkloadSpec("serve-mixed", "serve", epochs=3, workers=3, clients=8),
     ]
     return {s.name: s for s in specs}
 

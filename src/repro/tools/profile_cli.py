@@ -2,9 +2,9 @@
 
 Folds the artifacts an instrumented run already archived (``carp-trace
 -o DIR``, ``carp-serve --out DIR``, a perf workload's recording) into
-collapsed-stack virtual-time profiles with exact byte/record/SST
-attribution, and diffs two profiles to blame a regression on specific
-span paths.  Everything operates on *archived artifacts only* (lint
+collapsed-stack profiles that attribute *counts* — spans, bytes,
+records, SST probes and matches per span path, no time — and diffs two
+profiles to blame a change on specific span paths.  Everything operates on *archived artifacts only* (lint
 rule O505): no run is executed, no clock is read, so repeat
 invocations over the same inputs are byte-identical.
 
@@ -12,13 +12,14 @@ Two subcommands:
 
 * ``carp-profile record DIR [-o OUT]`` — fold ``DIR/trace.json`` (+
   ``DIR/metrics.json`` when present) into ``OUT/profile.json`` and
-  ``OUT/profile.folded`` (FlameGraph/speedscope collapsed stacks).
+  ``OUT/profile.folded`` (FlameGraph/speedscope collapsed stacks,
+  weighted by span count).
   The folded totals are reconciled against the metrics counters the
   same way ``carp-explain`` reconciles query costs; any drift exits 1.
   A missing ``metrics.json`` degrades to a warning (profile still
   written, reconciliation skipped).
 * ``carp-profile diff A B [--json PATH]`` — differential profile:
-  virtual-time and byte deltas per span path, sorted by contribution.
+  span-count and byte deltas per span path, sorted by contribution.
   ``A``/``B`` may be ``profile.json`` files or artifact directories
   (their committed profile is used, else their trace is folded).
 
@@ -48,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="carp-profile",
         description=(
             "Fold archived trace/metrics artifacts into deterministic "
-            "cost-attribution profiles; diff profiles to blame "
-            "regressions on span paths."
+            "count-attribution profiles; diff profiles to blame "
+            "changes on span paths."
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="where to write profile.json/profile.folded "
                           "(default: DIR)")
     rec.add_argument("--top", type=int, default=10, metavar="N",
-                     help="frames to print, by self time (default: 10)")
+                     help="frames to print, by span count (default: 10)")
 
     dif = sub.add_parser("diff", help="differential profile A vs B")
     dif.add_argument("a", type=Path, metavar="A",
@@ -110,28 +111,25 @@ def load_profile(source: Path) -> tuple[Profile, list[str]]:
 def _phase_table(profile: Profile) -> str:
     rollup = profile.phases()
     return render_table(
-        ("phase", "spans", "frames", "self ns", "total ns"),
+        ("phase", "spans", "frames"),
         [
-            (phase, row["count"], row["frames"],
-             row["self_ns"], row["total_ns"])
+            (phase, row["spans"], row["frames"])
             for phase, row in sorted(rollup.items())
         ],
-        title="virtual time by phase",
+        title="spans by phase",
     )
 
 
 def _frame_table(profile: Profile, top: int) -> str:
     frames = sorted(profile.frames,
-                    key=lambda f: (-f.self_ns, f.stack))[:top]
+                    key=lambda f: (-f.count, f.stack))[:top]
     return render_table(
-        ("stack", "count", "self ns", "total ns", "bytes", "records",
-         "ssts", "matched"),
+        ("stack", "spans", "bytes", "records", "ssts", "matched"),
         [
-            (f.path, f.count, f.self_ns, f.total_ns, f.bytes,
-             f.records, f.ssts, f.matched)
+            (f.path, f.count, f.bytes, f.records, f.ssts, f.matched)
             for f in frames
         ],
-        title=f"top {len(frames)} frames by self time",
+        title=f"top {len(frames)} frames by span count",
     )
 
 
@@ -182,7 +180,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     totals = profile.totals()
     print()
     print(f"profile:  {json_path} ({len(profile.frames)} frames, "
-          f"{totals['spans']} spans, {totals['self_ns']} self ns)")
+          f"{totals['spans']} spans, {totals['bytes']} B)")
     print(f"folded:   {folded_path}")
     if errors:
         for err in errors:
@@ -196,12 +194,10 @@ def _cmd_record(args: argparse.Namespace) -> int:
 def _diff_table(diff: ProfileDiff, top: int) -> str:
     entries = diff.changed()[:top]
     return render_table(
-        ("stack", "self ns (A)", "self ns (B)", "Δ self ns", "Δ bytes",
-         "Δ spans"),
+        ("stack", "spans (A)", "spans (B)", "Δ spans", "Δ bytes"),
         [
-            (e.path, e.self_ns_a, e.self_ns_b,
-             f"{e.self_delta_ns:+d}", f"{e.bytes_delta:+d}",
-             f"{e.count_delta:+d}")
+            (e.path, e.count_a, e.count_b,
+             f"{e.count_delta:+d}", f"{e.bytes_delta:+d}")
             for e in entries
         ],
         title=f"top {len(entries)} changed span paths (by contribution)",
@@ -226,7 +222,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         print(_diff_table(diff, args.top))
         print()
         print(f"changed paths: {doc['changed_paths']}, "
-              f"net self time {doc['self_delta_ns']:+d} ns, "
+              f"net spans {doc['count_delta']:+d}, "
               f"net bytes {doc['bytes_delta']:+d}")
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)

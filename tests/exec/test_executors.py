@@ -279,3 +279,23 @@ def test_executor_from_args_defaults_to_env_resolution(monkeypatch):
     monkeypatch.delenv("CARP_EXECUTOR", raising=False)
     exec_ = executor_from_args(_cli_args([]))
     assert type(exec_) is SerialExecutor
+
+
+def test_serial_rejects_negative_retry_budget():
+    """Both backends validate ``task_retries`` the same way."""
+    for make in (lambda: SerialExecutor(task_retries=-1),
+                 lambda: ProcessExecutor(2, task_retries=-1)):
+        with pytest.raises(ValueError, match="task_retries must be >= 0"):
+            make()
+
+
+@pytest.mark.parametrize(
+    ("var", "raw"),
+    [("CARP_TASK_RETRIES", "-2"), ("CARP_TASK_RETRIES", "three"),
+     ("CARP_WORKERS", "0"), ("CARP_WORKERS", "two")],
+)
+def test_bad_env_integer_names_the_variable(monkeypatch, var, raw):
+    monkeypatch.delenv("CARP_EXECUTOR", raising=False)
+    monkeypatch.setenv(var, raw)
+    with pytest.raises(ValueError, match=rf"^{var} must be an integer >= \d, got '{raw}'$"):
+        resolve_executor(None)

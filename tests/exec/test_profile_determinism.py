@@ -83,7 +83,7 @@ def test_worker_spans_are_attributed_not_dropped(tmp_path_factory):
     )
     profile = fold_trace_doc(doc)
     phases = profile.phases()
-    assert "flush" in phases and phases["flush"]["total_ns"] > 0
-    assert "route" in phases and phases["route"]["total_ns"] > 0
+    assert "flush" in phases and phases["flush"]["spans"] > 0
+    assert "route" in phases and phases["route"]["spans"] > 0
     totals = profile.totals()
     assert totals["records"] > 0 and totals["bytes"] > 0

@@ -2,10 +2,10 @@
 
 The profile is a *derived artifact*: pure integer arithmetic over an
 archived ``trace.json``, cross-checked exactly against the archived
-``metrics.json``.  These tests pin the fold semantics (nesting,
-self-time, instance collapsing, arg merging), the exact-reconciliation
-contract (zero tolerance, drift is an error), and the byte stability
-of every serialized form.
+``metrics.json``.  These tests pin the fold semantics (nesting by event
+order, span counts, instance collapsing, arg merging), the
+exact-reconciliation contract (drift is an error), and the byte
+stability of every serialized form.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ def _x(pid: int, tid: int, name: str, ts: float, dur: float,
 
 class TestFold:
     def test_nested_spans_split_self_and_total(self):
+        # the outer span's own args stay on the outer frame; the inner
+        # span becomes its own frame one level deeper
         profile = fold([
             _meta(1, "flush"),
             _b(1, 1, "flush", 0.0, records=10),
@@ -57,12 +59,28 @@ class TestFold:
         frames = profile.by_path()
         outer = frames["flush;flush"]
         inner = frames["flush;flush;write"]
-        assert outer.total_ns == 1_000_000_000
-        assert outer.self_ns == 700_000_000
+        assert outer.count == inner.count == 1
         assert outer.bytes == 100 and outer.records == 10
-        assert inner.total_ns == inner.self_ns == 300_000_000
-        # self-time partitions total exactly: no ns lost or invented
-        assert outer.self_ns + inner.self_ns == outer.total_ns
+        assert inner.bytes == inner.records == 0
+
+    def test_nesting_ignores_timestamps(self):
+        # ts and dur are never read: garbage or missing timestamps fold
+        # exactly like well-formed ones, by per-lane event order alone
+        timed = fold([
+            _meta(1, "flush"),
+            _b(1, 1, "flush", 0.0, records=10),
+            _x(1, 1, "write", 0.1, 0.2, bytes=8),
+            _e(1, 1, 1.0),
+        ])
+        untimed = fold([
+            _meta(1, "flush"),
+            {"name": "flush", "ph": "B", "pid": 1, "tid": 1,
+             "args": {"records": 10}},
+            {"name": "write", "ph": "X", "ts": "?", "pid": 1, "tid": 1,
+             "args": {"bytes": 8}},
+            {"ph": "E", "ts": -5.0, "pid": 1, "tid": 1},
+        ])
+        assert untimed.to_json() == timed.to_json()
 
     def test_complete_span_nests_under_open_begin(self):
         profile = fold([
@@ -72,8 +90,7 @@ class TestFold:
             _e(3, 1, 1.0),
         ])
         frames = profile.by_path()
-        assert frames["probe;query;probe"].total_ns == 500_000_000
-        assert frames["probe;query"].self_ns == 500_000_000
+        assert set(frames) == {"probe;query", "probe;query;probe"}
         assert frames["probe;query;probe"].bytes == 64
         assert frames["probe;query;probe"].ssts == 2
 
@@ -86,7 +103,6 @@ class TestFold:
         frames = profile.by_path()
         assert list(frames) == ["ingest;epoch"]
         assert frames["ingest;epoch"].count == 2
-        assert frames["ingest;epoch"].total_ns == 3_000_000_000
 
     def test_end_args_override_begin_args(self):
         profile = fold([
@@ -106,9 +122,8 @@ class TestFold:
             _e(1, 1, 1.0),
             _e(1, 2, 2.0),
         ])
-        frame = profile.by_path()["flush;flush"]
-        assert frame.count == 2
-        assert frame.total_ns == 2_500_000_000
+        assert list(profile.by_path()) == ["flush;flush"]
+        assert profile.by_path()["flush;flush"].count == 2
 
     def test_unknown_track_becomes_its_own_phase(self):
         profile = fold([
@@ -208,22 +223,34 @@ class TestSerialization:
         assert clone.to_json() == profile.to_json()
 
     def test_from_doc_rejects_other_schemas(self):
-        with pytest.raises(ValueError, match="carp-profile-v1"):
+        with pytest.raises(ValueError, match="carp-profile-v2"):
             Profile.from_doc({"schema": "carp-trace-v1", "frames": []})
 
+    def test_from_doc_rejects_v1_with_rerecord_hint(self):
+        v1 = {"schema": "carp-profile-v1", "frames": []}
+        with pytest.raises(ValueError, match=r"re-record .*carp-perf run"):
+            Profile.from_doc(v1)
+
     def test_folded_lines_are_sorted_collapsed_stacks(self):
-        lines = fold(self.EVENTS).to_folded().splitlines()
+        profile = fold(self.EVENTS)
+        lines = profile.to_folded().splitlines()
         assert lines == sorted(lines)
+        counts = profile.by_path()
         for line in lines:
-            path, self_ns = line.rsplit(" ", 1)
+            path, weight = line.rsplit(" ", 1)
             assert ";" in path
-            assert int(self_ns) >= 0
+            # each path is weighted by its span count
+            assert int(weight) == counts[path].count
 
     def test_phase_rollup_is_internally_consistent(self):
-        phases = fold(self.EVENTS).phases()
-        assert set(phases) == {"flush", "probe"}
-        for rollup in phases.values():
-            assert rollup["self_ns"] == rollup["total_ns"]
+        profile = fold(self.EVENTS)
+        phases = profile.phases()
+        assert phases == {"flush": {"frames": 1, "spans": 1},
+                          "probe": {"frames": 2, "spans": 2}}
+        assert sum(p["spans"] for p in phases.values()) == (
+            profile.totals()["spans"]
+        )
+        assert sum(p["frames"] for p in phases.values()) == len(profile.frames)
 
 
 class TestDiff:
@@ -244,23 +271,36 @@ class TestDiff:
         slow = [
             _meta(1, "flush"),
             _b(1, 1, "flush", 0.0, records=5),
-            _b(1, 1, "checksum", 0.2),   # injected hot span
+            _b(1, 1, "checksum", 0.2),   # injected hot span, twice
+            _e(1, 1, 0.5),
+            _b(1, 1, "checksum", 0.5),
             _e(1, 1, 0.9),
             _e(1, 1, 1.7, bytes=50),
         ]
         diff = diff_profiles(fold(self.BASE), fold(slow))
-        top = diff.top_paths(3)
-        assert top[0][0] == "flush;flush;checksum"
-        assert top[0][1] == 700_000_000
+        assert diff.top_paths(3) == [("flush;flush;checksum", 2, 0)]
         doc = diff.to_doc()
-        assert doc["self_delta_ns"] == 700_000_000
+        assert doc["count_delta"] == 2
         assert doc["entries"][0]["stack"] == ["flush", "flush", "checksum"]
+
+    def test_span_delta_outranks_byte_delta(self):
+        other = [
+            _meta(1, "flush"),
+            _b(1, 1, "flush", 0.0, records=5),
+            _x(1, 1, "checksum", 0.1, 0.1),
+            _e(1, 1, 1.0, bytes=5000),
+        ]
+        diff = diff_profiles(fold(self.BASE), fold(other))
+        assert diff.top_paths() == [
+            ("flush;flush;checksum", 1, 0), ("flush;flush", 0, 4950),
+        ]
 
     def test_diff_json_is_byte_stable(self):
         a, b = fold(self.BASE), fold(self.BASE[:1])
         assert diff_profiles(a, b).to_json() == diff_profiles(a, b).to_json()
 
     def test_byte_delta_breaks_self_time_ties(self):
+        # equal span counts: the byte delta decides the order
         bigger = [
             _meta(1, "flush"),
             _b(1, 1, "flush", 0.0, records=5),

@@ -1,21 +1,22 @@
 """carp-perf: deterministic workloads, baseline gating, CLI exit codes.
 
-The regression gate's contract is exercised end-to-end through the CLI
-against a redirected ``REPRO_RESULTS_DIR``: a fresh baseline compares
-clean (exit 0), a tampered baseline injecting a >=10% virtual-time
-regression fails (exit nonzero), and a baseline row of a kind the
-harness does not gate is rejected rather than waved through.
+The gate's contract is exercised end-to-end through the CLI against a
+redirected ``REPRO_RESULTS_DIR``: a fresh baseline compares clean
+(exit 0), a baseline moved by as little as one ulp fails (exit
+nonzero), and a stale baseline row the run no longer produces is
+``missing`` and blocks with a re-record hint.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from repro.perf.cli import main as perf_main
 from repro.perf.harness import (
-    VIRTUAL_TOLERANCE,
     Metric,
     _compare_metric,
     baseline_path,
@@ -23,6 +24,9 @@ from repro.perf.harness import (
     run_workload,
 )
 from repro.perf.workloads import WORKLOADS
+
+#: The committed baselines, whatever ``REPRO_RESULTS_DIR`` says.
+REPO_BASELINES = Path(__file__).resolve().parents[2] / "results" / "baselines"
 
 
 @pytest.fixture()
@@ -32,12 +36,14 @@ def results_dir(tmp_path, monkeypatch):
 
 
 def _tamper(name: str, metric: str, scale: float = 1.0,
-            shift: float = 0.0) -> None:
+            shift: float = 0.0, ulp: bool = False) -> None:
     path = baseline_path(name)
     doc = json.loads(path.read_text())
     for row in doc["rows"]:
         if row["metric"] == metric:
             row["value"] = row["value"] * scale + shift
+            if ulp:
+                row["value"] = math.nextafter(row["value"], math.inf)
             break
     else:  # pragma: no cover - guards test typos
         raise AssertionError(f"no row {metric} in {path}")
@@ -52,47 +58,48 @@ class TestRunWorkload:
         for name, metric in first.items():
             assert second[name].value == metric.value, name
         assert first["records_ingested"].value > 0
-        assert first["ingest_virtual_ticks"].value > 0
+        assert first["renegotiations"].value > 0
+
+    def test_renegotiations_row_is_exact(self):
+        """Σ ``EpochStats.renegotiations`` is a row, equal to the
+        committed baseline, so a partitioning change that keeps the
+        written bytes equal still trips the gate."""
+        fresh = {m.name: m for m in run_workload(WORKLOADS["ingest-serial"]).metrics}
+        assert fresh["renegotiations"].unit == "renegotiations"
+        assert float(fresh["renegotiations"].value).is_integer()
+        committed = json.loads(
+            (REPO_BASELINES / "ingest-serial.json").read_text()
+        )
+        row = next(r for r in committed["rows"]
+                   if r["metric"] == "renegotiations")
+        assert fresh["renegotiations"].value == row["value"]
 
     def test_unknown_kind_rejected(self):
         spec = WORKLOADS["ingest-serial"]
-        bad = type(spec)(name="x", kind="nope", backend="serial")
+        bad = type(spec)(name="x", kind="nope")
         with pytest.raises(ValueError, match="unknown workload kind"):
             run_workload(bad)
 
 
 class TestCompareMetric:
-    ROW = {"metric": "m", "kind": "virtual", "unit": "ticks",
-           "value": 100.0, "tolerance": VIRTUAL_TOLERANCE}
+    ROW = {"metric": "m", "unit": "s", "value": 100.0}
 
-    def _current(self, value: float, kind: str = "virtual") -> Metric:
-        return Metric("m", value, "ticks", kind, VIRTUAL_TOLERANCE)
+    def _current(self, value: float) -> Metric:
+        return Metric("m", value, "s")
 
-    def test_within_tolerance_ok(self):
-        c = _compare_metric(self.ROW, self._current(101.0))
+    def test_equal_value_ok(self):
+        c = _compare_metric(self.ROW, self._current(100.0))
         assert c.status == "ok" and not c.blocking
 
-    def test_regression_blocks(self):
-        c = _compare_metric(self.ROW, self._current(111.0))
-        assert c.status == "regressed" and c.blocking
-
-    def test_improvement_surfaces_without_blocking(self):
-        c = _compare_metric(self.ROW, self._current(80.0))
-        assert c.status == "improved" and not c.blocking
-
     def test_exact_change_blocks(self):
-        row = dict(self.ROW, kind="exact", tolerance=0.0)
-        c = _compare_metric(row, self._current(100.5, kind="exact"))
+        c = _compare_metric(self.ROW, self._current(100.5))
         assert c.status == "changed" and c.blocking
 
-    @pytest.mark.parametrize("current", [100.0, None])
-    def test_unknown_kind_row_blocks(self, current):
-        # e.g. a stale wall-clock row from an old checkout: equal value
-        # or not, it is not compared under the virtual-tolerance rule
-        row = dict(self.ROW, kind="advisory")
-        fresh = None if current is None else self._current(current)
-        c = _compare_metric(row, fresh)
-        assert c.status == "unknown-kind" and c.blocking
+    @pytest.mark.parametrize("direction", [-math.inf, math.inf])
+    def test_one_ulp_either_way_blocks(self, direction):
+        c = _compare_metric(self.ROW,
+                            self._current(math.nextafter(100.0, direction)))
+        assert c.status == "changed" and c.blocking
 
     def test_missing_current_blocks(self):
         c = _compare_metric(self.ROW, None)
@@ -106,9 +113,10 @@ class TestCli:
         for name in WORKLOADS:
             assert name in out
         assert sorted(WORKLOADS) == [
-            "compact-process", "compact-serial", "ingest-process",
-            "ingest-serial", "obs-overhead", "query-serial", "serve-mixed",
+            "compact-serial", "ingest-serial", "obs-overhead",
+            "query-serial", "serve-mixed",
         ]
+        assert "backend" not in out
 
     def test_unknown_workload_exits_2(self, results_dir):
         assert perf_main(["run", "no-such-workload"]) == 2
@@ -118,27 +126,36 @@ class TestCli:
         assert baseline_path("ingest-serial").is_file()
         assert perf_main(["compare", "ingest-serial"]) == 0
         out = capsys.readouterr().out
-        assert "ingest_virtual_ticks" in out
+        assert "renegotiations" in out
 
     def test_injected_regression_fails_gate(self, results_dir, capsys):
         assert perf_main(["run", "ingest-serial"]) == 0
-        # lowering the baseline 10% makes the unchanged current run
-        # read as a +11% virtual-time regression
-        _tamper("ingest-serial", "ingest_virtual_ticks", scale=0.9)
+        _tamper("ingest-serial", "koidb_bytes_written", scale=0.9)
         json_out = results_dir / "cmp.json"
         rc = perf_main(["compare", "ingest-serial",
                         "--json", str(json_out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert "perf regression gate failed" in err
-        assert "ingest_virtual_ticks" in err
+        assert "koidb_bytes_written (changed)" in err
         doc = json.loads(json_out.read_text())
         assert doc["blocking"] is True
         status = {
             m["metric"]: m["status"]
             for m in doc["workloads"][0]["metrics"]
         }
-        assert status["ingest_virtual_ticks"] == "regressed"
+        assert status["koidb_bytes_written"] == "changed"
+        assert set(status.values()) == {"ok", "changed"}
+
+    def test_one_ulp_modeled_latency_drift_fails_gate(self, results_dir,
+                                                      capsys):
+        """Modeled latency is compared by equality: no tolerance band."""
+        assert perf_main(["run", "query-serial"]) == 0
+        _tamper("query-serial", "query_latency_modeled", ulp=True)
+        capsys.readouterr()
+        assert perf_main(["compare", "query-serial"]) == 1
+        err = capsys.readouterr().err
+        assert "query_latency_modeled (changed)" in err
 
     def test_exact_output_change_fails_gate(self, results_dir):
         assert perf_main(["run", "ingest-serial"]) == 0
@@ -151,13 +168,14 @@ class TestCli:
         assert perf_main(["run", "ingest-serial"]) == 0
         path = baseline_path("ingest-serial")
         doc = json.loads(path.read_text())
-        doc["rows"].append({"metric": "host_seconds", "kind": "advisory",
+        # e.g. a wall-clock or virtual-tick row from an old checkout
+        doc["rows"].append({"metric": "ingest_wall_s", "kind": "wall",
                             "unit": "s", "value": 0.04, "tolerance": 0.25})
         path.write_text(json.dumps(doc))
         assert perf_main(["compare", "ingest-serial"]) == 1
         err = capsys.readouterr().err
-        assert "host_seconds (unknown-kind)" in err
-        assert "re-record the baseline" in err
+        assert "ingest_wall_s (missing)" in err
+        assert "re-record the baseline (`carp-perf run ingest-serial`)" in err
 
     def test_missing_baseline_fails(self, results_dir, capsys):
         assert perf_main(["compare", "ingest-serial"]) == 1
@@ -171,7 +189,7 @@ class TestProfileIntegration:
         assert path.is_file()
         assert path.with_suffix(".folded").is_file()
         doc = json.loads(path.read_text())
-        assert doc["schema"] == "carp-profile-v1"
+        assert doc["schema"] == "carp-profile-v2"
         assert doc["totals"]["records"] > 0
         # the run reconciled exactly, and the gate metric records that
         baseline = json.loads(baseline_path("ingest-serial").read_text())
@@ -179,7 +197,8 @@ class TestProfileIntegration:
             r for r in baseline["rows"]
             if r["metric"] == "profile_reconcile_errors"
         )
-        assert reconcile["value"] == 0.0 and reconcile["kind"] == "exact"
+        assert reconcile == {"metric": "profile_reconcile_errors",
+                             "unit": "errors", "value": 0.0}
 
     def test_profile_subcommand_writes_fresh_profiles(self, results_dir,
                                                       capsys):
@@ -193,18 +212,18 @@ class TestProfileIntegration:
                                                    capsys):
         """A tripped gate names the diff artifact and the hot path.
 
-        Tampering the committed baseline profile at its hottest frame
-        simulates a regression localized to one span path; the compare
-        failure output must name the diff-profile artifact and put
-        that path first in the inline blame lines.
+        Tampering one exact row and the committed baseline profile at
+        its busiest frame simulates a change localized to one span
+        path; the compare failure output must name the diff-profile
+        artifact and put that path first in the inline blame lines.
         """
         assert perf_main(["run", "ingest-serial"]) == 0
-        _tamper("ingest-serial", "ingest_virtual_ticks", scale=0.9)
+        _tamper("ingest-serial", "ssts_written", shift=-1.0)
         path = profile_baseline_path("ingest-serial")
         doc = json.loads(path.read_text())
-        hot = max(doc["frames"], key=lambda f: f["self_ns"])
-        hot["self_ns"] -= 500_000_000
-        hot["total_ns"] -= 500_000_000
+        hot = max(doc["frames"], key=lambda f: f["count"])
+        hot["count"] -= 5
+        hot["bytes"] -= 100
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert perf_main(["compare", "ingest-serial"]) == 1
@@ -213,18 +232,19 @@ class TestProfileIntegration:
                      / "ingest-serial.profile-diff.json")
         assert f"diff profile: {diff_path}" in err
         blame = [line for line in err.splitlines()
-                 if "regressed span path" in line]
+                 if "changed span path" in line]
         assert blame and ";".join(hot["stack"]) in blame[0]
-        assert "+500000000 ns self" in blame[0]
+        assert "(+5 spans, +100 B)" in blame[0]
         diff_doc = json.loads(diff_path.read_text())
-        assert diff_doc["schema"] == "carp-profile-diff-v1"
+        assert diff_doc["schema"] == "carp-profile-diff-v2"
         assert diff_doc["entries"][0]["stack"] == hot["stack"]
-        assert diff_doc["entries"][0]["self_delta_ns"] == 500_000_000
+        assert diff_doc["entries"][0]["count_delta"] == 5
+        assert diff_doc["entries"][0]["bytes_delta"] == 100
 
     def test_gate_failure_without_profile_baseline_notes_it(
             self, results_dir, capsys):
         assert perf_main(["run", "ingest-serial"]) == 0
-        _tamper("ingest-serial", "ingest_virtual_ticks", scale=0.9)
+        _tamper("ingest-serial", "records_ingested", shift=1.0)
         profile_baseline_path("ingest-serial").unlink()
         capsys.readouterr()
         assert perf_main(["compare", "ingest-serial"]) == 1

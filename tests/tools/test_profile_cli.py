@@ -20,17 +20,15 @@ def _events(extra_flush_child: bool = False) -> list[dict]:
          "args": {"records": 10}},
     ]
     if extra_flush_child:
+        # the parent's span count and bytes are unchanged, so the diff
+        # blames the checksum frame alone
         events += [
             {"name": "checksum", "ph": "B", "ts": 0.2, "pid": 1, "tid": 1,
              "args": {}},
             {"ph": "E", "ts": 0.9, "pid": 1, "tid": 1, "args": {}},
         ]
-    # the hot-span variant ends later by exactly the injected child's
-    # duration, so the parent's *self* time is unchanged and the diff
-    # blames the checksum frame alone
-    end_ts = 2.2 if extra_flush_child else 1.5
     events.append(
-        {"ph": "E", "ts": end_ts, "pid": 1, "tid": 1, "args": {"bytes": 100}}
+        {"ph": "E", "ts": 1.5, "pid": 1, "tid": 1, "args": {"bytes": 100}}
     )
     return events
 
@@ -60,7 +58,7 @@ class TestRecord:
         assert (d / "profile.json").is_file()
         assert (d / "profile.folded").is_file()
         doc = json.loads((d / "profile.json").read_text())
-        assert doc["schema"] == "carp-profile-v1"
+        assert doc["schema"] == "carp-profile-v2"
         assert doc["totals"]["records"] == 10
 
     def test_repeat_invocations_are_byte_identical(self, tmp_path, capsys):
@@ -123,11 +121,14 @@ class TestDiff:
         out = capsys.readouterr().out
         assert "flush;flush;checksum" in out
         doc = json.loads(json_out.read_text())
-        assert doc["schema"] == "carp-profile-diff-v1"
-        # entries are sorted by contribution: the injected 0.7-tick
-        # span is the top blame
-        assert doc["entries"][0]["stack"] == ["flush", "flush", "checksum"]
-        assert doc["entries"][0]["self_delta_ns"] == 700_000_000
+        assert doc["schema"] == "carp-profile-diff-v2"
+        # entries are sorted by contribution: the injected span is the
+        # top blame, and the only changed path
+        assert doc["entries"] == [{
+            "stack": ["flush", "flush", "checksum"],
+            "count_a": 0, "count_b": 1, "count_delta": 1,
+            "bytes_a": 0, "bytes_b": 0, "bytes_delta": 0,
+        }]
 
     def test_diff_document_is_byte_stable(self, tmp_path, capsys):
         a = _write_artifacts(tmp_path / "a")

@@ -8,12 +8,9 @@ Usage::
     carp-lint --list-rules              # rule catalogue
     carp-lint --select D,F201 src       # run a subset
     carp-lint --ignore H006 src         # drop a family or rule
-    carp-lint --write-baseline b.json src   # record current findings
-    carp-lint --baseline b.json src         # fail only on new findings
 
 Exit status: 0 when clean, 1 when any violation or parse error
-survives suppression (and the baseline, when given), 2 on usage
-errors.
+survives suppression, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -23,12 +20,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.runner import (
     ALL_RULES,
     format_human,
@@ -69,14 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids/prefixes to skip",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="fail only on findings not recorded in FILE",
-    )
-    parser.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="record current findings to FILE and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
     return parser
@@ -90,14 +73,6 @@ def main(argv: list[str] | None = None) -> int:
             scope = ", ".join(rule.scope) if rule.scope else "everywhere"
             print(f"{rule.id}  {rule.name:28s} [{scope}] {rule.description}")
         return 0
-
-    if args.baseline and args.write_baseline:
-        print(
-            "carp-lint: --baseline and --write-baseline are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
-        return 2
 
     try:
         rules = select_rules(
@@ -117,22 +92,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     result = lint_paths(list(args.paths), rules=rules)
-
-    if args.write_baseline:
-        count = write_baseline(result, args.write_baseline)
-        print(
-            f"carp-lint: baseline written to {args.write_baseline} "
-            f"({count} finding(s))"
-        )
-        return 0
-
-    if args.baseline:
-        try:
-            known = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"carp-lint: {exc}", file=sys.stderr)
-            return 2
-        result = apply_baseline(result, known)
 
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))

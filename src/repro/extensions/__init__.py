@@ -8,12 +8,10 @@ from repro.extensions.multi_attribute import (
     MultiAttributeIngest,
     RowLocator,
 )
-from repro.extensions.insitu_bitmap import InSituBitmapBuilder, InSituBitmapIndex
 from repro.extensions.planner import PlanChoice, PlannedResult, QueryPlanner
 
 __all__ = [
     "ColumnarReader", "write_columnar", "IncrementalSorter", "IntervalSet",
     "AuxiliaryIndexReader", "MultiAttributeIngest", "RowLocator",
     "PlanChoice", "PlannedResult", "QueryPlanner",
-    "InSituBitmapBuilder", "InSituBitmapIndex",
 ]

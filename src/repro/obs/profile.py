@@ -300,7 +300,8 @@ class Profile:
 # ------------------------------------------------------------------ fold
 
 
-def fold(events: Iterable[Mapping[str, Any]]) -> Profile:
+def fold(events: Iterable[Mapping[str, Any]], *,
+         request: str | None = None) -> Profile:
     """Fold Chrome ``trace_event`` dicts into a collapsed-stack profile.
 
     Consumes the (already deterministic) archived event order: per
@@ -309,6 +310,11 @@ def fold(events: Iterable[Mapping[str, Any]]) -> Profile:
     alone; ``ts`` and ``dur`` are never read.  Instants, counter
     samples, and metadata contribute no frames; metadata names each
     pid's track type, which picks the frame's phase.
+
+    With ``request`` set, only spans whose args carry that ``request``
+    id are aggregated — one request's cross-worker tree.  The lane
+    stacks still track every span, so a kept span keeps its full stack
+    path; a ``B`` span's own ``request`` wins over its ``E`` args.
     """
     process_names: dict[int, str] = {}
     #: per lane, the open ``B`` spans as ``(name, begin args)``
@@ -320,6 +326,8 @@ def fold(events: Iterable[Mapping[str, Any]]) -> Profile:
 
     def record(lane: tuple[int, int], name: str,
                args: Mapping[str, object]) -> None:
+        if request is not None and args.get("request") != request:
+            return
         track = process_names.get(lane[0], f"pid-{lane[0]}")
         phase = PHASE_BY_TRACK.get(track, track)
         path = (phase,) + tuple(
@@ -356,8 +364,10 @@ def fold(events: Iterable[Mapping[str, Any]]) -> Profile:
             if not stack:
                 unmatched_ends += 1
                 continue
-            name, merged = stack.pop()
-            merged.update(args)
+            name, begin = stack.pop()
+            merged = {**begin, **args}
+            if "request" in begin:
+                merged["request"] = begin["request"]
             record(lane, name, merged)
         else:  # X: a complete span, nested under the lane's open B
             record(lane, str(event.get("name", "?")), args)

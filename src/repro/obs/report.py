@@ -6,55 +6,18 @@ list — into a per-epoch timeline/summary a terminal can show.  The
 functions here take plain dicts/lists, not live run objects, so the
 module renders archived artifacts as readily as a just-finished run
 and introduces no import cycle with the instrumented packages.
+
+Trace events are turned into spans in one place only,
+:func:`repro.obs.profile.fold`; :func:`phase_table` and
+:func:`frame_table` render its :class:`~repro.obs.profile.Profile` for
+both ``carp-trace`` and ``carp-profile record``.  They show counts
+(spans, bytes, records, SSTs, matches), never trace timestamps.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from repro.bench.tables import fmt_bytes, fmt_pct, render_table
-
-
-def track_summary(events: list[dict[str, object]]) -> dict[str, dict[str, float]]:
-    """Per track-type event counts and busy time.
-
-    Resolves pid -> track-type names from the metadata events, then
-    aggregates span activity: ``X`` events contribute their ``dur``;
-    ``B``/``E`` pairs contribute their enclosed interval (per-track
-    stack, tolerant of unbalanced input).
-    """
-    names: dict[object, str] = {}
-    out: dict[str, dict[str, float]] = {}
-    stacks: dict[tuple[object, object], list[float]] = {}
-    for event in events:
-        if event.get("ph") == "M":
-            if event.get("name") == "process_name":
-                args = event.get("args")
-                if isinstance(args, dict):
-                    names[event.get("pid")] = str(args.get("name"))
-            continue
-        track_type = names.get(event.get("pid"), f"pid {event.get('pid')}")
-        agg = out.setdefault(track_type, {"events": 0, "spans": 0,
-                                          "busy_ticks": 0.0})
-        agg["events"] += 1
-        ph = event.get("ph")
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)):
-            continue
-        key = (event.get("pid"), event.get("tid"))
-        if ph == "X":
-            dur = event.get("dur")
-            agg["spans"] += 1
-            if isinstance(dur, (int, float)):
-                agg["busy_ticks"] += float(dur)
-        elif ph == "B":
-            stacks.setdefault(key, []).append(float(ts))
-        elif ph == "E":
-            stack = stacks.get(key)
-            if stack:
-                agg["spans"] += 1
-                agg["busy_ticks"] += float(ts) - stack.pop()
-    return out
+from repro.obs.profile import Profile, fold
 
 
 def _trigger_timeline(epoch: dict[str, object]) -> str:
@@ -85,17 +48,6 @@ def epoch_table(epochs: list[dict[str, object]]) -> str:
             f"{float(stddev):.3f}" if isinstance(stddev, (int, float)) else "-",
             _trigger_timeline(e),
         ])
-    return render_table(headers, rows)
-
-
-def track_table(events: list[dict[str, object]]) -> str:
-    """Per track-type activity table."""
-    summary = track_summary(events)
-    headers = ["track type", "events", "spans", "busy (ticks)"]
-    rows = [
-        [name, int(agg["events"]), int(agg["spans"]), f"{agg['busy_ticks']:.2f}"]
-        for name, agg in sorted(summary.items())
-    ]
     return render_table(headers, rows)
 
 
@@ -170,154 +122,31 @@ def metrics_table(snapshot: dict[str, object]) -> str:
     return render_table(["kind", "metric", "value"], rows)
 
 
-class _ClosedSpan(NamedTuple):
-    """A resolved span interval, ready to rank by duration."""
-
-    track: str
-    lane: str
-    name: str
-    ts: float
-    dur: float
-    args: dict[str, object]
-
-
-def _resolve_spans(
-    events: list[dict[str, object]],
-) -> dict[str, list[_ClosedSpan]]:
-    """Resolve every closed span, grouped by track type, in event order."""
-    pid_names: dict[object, str] = {}
-    lane_names: dict[tuple[object, object], str] = {}
-    spans: dict[str, list[_ClosedSpan]] = {}
-    stacks: dict[tuple[object, object], list[dict[str, object]]] = {}
-
-    def push(pid: object, tid: object, name: object, ts: float, dur: float,
-             args: object) -> None:
-        track = pid_names.get(pid, f"pid {pid}")
-        spans.setdefault(track, []).append(_ClosedSpan(
-            track=track,
-            lane=lane_names.get((pid, tid), f"tid {tid}"),
-            name=str(name),
-            ts=ts,
-            dur=dur,
-            args=dict(args) if isinstance(args, dict) else {},
-        ))
-
-    for event in events:
-        ph = event.get("ph")
-        pid, tid = event.get("pid"), event.get("tid")
-        if ph == "M":
-            args = event.get("args")
-            if isinstance(args, dict):
-                if event.get("name") == "process_name":
-                    pid_names[pid] = str(args.get("name"))
-                elif event.get("name") == "thread_name":
-                    lane_names[(pid, tid)] = str(args.get("name"))
-            continue
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)):
-            continue
-        key = (pid, tid)
-        if ph == "X":
-            dur = event.get("dur")
-            if isinstance(dur, (int, float)):
-                push(pid, tid, event.get("name"), float(ts), float(dur),
-                     event.get("args"))
-        elif ph == "B":
-            stacks.setdefault(key, []).append(event)
-        elif ph == "E":
-            stack = stacks.get(key)
-            if stack:
-                begin = stack.pop()
-                t0 = begin.get("ts")
-                if isinstance(t0, (int, float)):
-                    push(pid, tid, begin.get("name"), float(t0),
-                         float(ts) - float(t0), begin.get("args"))
-    return spans
-
-
-def _closed_spans(
-    events: list[dict[str, object]], n: int
-) -> list[_ClosedSpan]:
-    """The ``n`` longest closed spans per track type, longest first."""
-    spans = _resolve_spans(events)
-    out: list[_ClosedSpan] = []
-    for track in sorted(spans):
-        ranked = sorted(spans[track], key=lambda s: (-s.dur, s.ts, s.name))
-        out.extend(ranked[:n])
-    return out
-
-
-def top_spans(
-    events: list[dict[str, object]], n: int
-) -> list[dict[str, object]]:
-    """The ``n`` longest spans per track type, longest first.
-
-    Resolves ``X`` durations and ``B``/``E`` intervals (per-track
-    stack) into closed spans, then keeps each track type's top ``n``
-    by duration.  Returned dicts carry ``track`` (type name), ``lane``
-    (thread name), ``name``, ``ts``, ``dur``, and the begin event's
-    ``args`` for attribution — what ``carp-trace --top`` prints so
-    slow phases are visible without opening Perfetto.
-    """
-    return [s._asdict() for s in _closed_spans(events, n)]
-
-
-def top_spans_table(events: list[dict[str, object]], n: int) -> str:
-    """Render :func:`top_spans` as an aligned table."""
-    rows = []
-    for s in _closed_spans(events, n):
-        attribution = " ".join(f"{k}={v}" for k, v in s.args.items())
-        rows.append([
-            s.track, s.lane, s.name, f"{s.ts:.2f}", f"{s.dur:.3f}",
-            attribution,
-        ])
+def phase_table(profile: Profile) -> str:
+    """Spans and frames folded under each phase of ``profile``."""
+    rollup = profile.phases()
     return render_table(
-        ["track", "lane", "span", "ts", "dur (ticks)", "attribution"], rows
+        ("phase", "spans", "frames"),
+        [
+            (phase, row["spans"], row["frames"])
+            for phase, row in sorted(rollup.items())
+        ],
+        title="spans by phase",
     )
 
 
-def _request_spans(
-    events: list[dict[str, object]], request_id: str
-) -> list[_ClosedSpan]:
-    matched: list[_ClosedSpan] = []
-    for track_spans in _resolve_spans(events).values():
-        for span in track_spans:
-            if span.args.get("request") == request_id:
-                matched.append(span)
-    matched.sort(key=lambda s: (s.ts, s.track, s.lane, s.name))
-    return matched
-
-
-def request_spans(
-    events: list[dict[str, object]], request_id: str
-) -> list[dict[str, object]]:
-    """Every closed span attributed to one request, in timeline order.
-
-    Spans carry their request id in ``args["request"]`` (set by
-    ``Obs.span`` while the driver or a worker replays the request's
-    context — see :mod:`repro.obs.context`); this pulls one request's
-    cross-worker tree out of the merged trace.  Ordering is by start
-    time, then track/lane name, so the same trace yields the same tree
-    on every backend.
-    """
-    return [s._asdict() for s in _request_spans(events, request_id)]
-
-
-def request_tree_table(
-    events: list[dict[str, object]], request_id: str
-) -> str:
-    """Render :func:`request_spans` as a timeline table."""
-    rows = []
-    for s in _request_spans(events, request_id):
-        attribution = " ".join(
-            f"{k}={v}" for k, v in s.args.items() if k != "request"
-        )
-        rows.append([
-            s.track, s.lane, s.name, f"{s.ts:.2f}", f"{s.dur:.3f}",
-            attribution,
-        ])
+def frame_table(profile: Profile, top: int | None = None) -> str:
+    """``profile``'s frames by span count, the first ``top`` of them."""
+    frames = sorted(profile.frames,
+                    key=lambda f: (-f.count, f.stack))[:top]
     return render_table(
-        ["track", "lane", "span", "ts", "dur (ticks)", "attribution"], rows
+        ("stack", "spans", "bytes", "records", "ssts", "matched"),
+        [
+            (f.path, f.count, f.bytes, f.records, f.ssts, f.matched)
+            for f in frames
+        ],
+        title=("frames by span count" if top is None
+               else f"top {len(frames)} frames by span count"),
     )
 
 
@@ -336,8 +165,7 @@ def render_report(run_doc: dict[str, object], snapshot: dict[str, object],
         "Per-epoch timeline",
         epoch_table(epochs if isinstance(epochs, list) else []),
         "",
-        "Trace activity by track type",
-        track_table(events),
+        phase_table(fold(events)),
         "",
         "Metrics snapshot",
         metrics_table(snapshot),

@@ -42,6 +42,7 @@ from repro.obs.profile import (
     diff_profiles,
     fold_trace_doc,
 )
+from repro.obs.report import frame_table, phase_table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,31 +109,6 @@ def load_profile(source: Path) -> tuple[Profile, list[str]]:
     return Profile.from_doc(doc), notes
 
 
-def _phase_table(profile: Profile) -> str:
-    rollup = profile.phases()
-    return render_table(
-        ("phase", "spans", "frames"),
-        [
-            (phase, row["spans"], row["frames"])
-            for phase, row in sorted(rollup.items())
-        ],
-        title="spans by phase",
-    )
-
-
-def _frame_table(profile: Profile, top: int) -> str:
-    frames = sorted(profile.frames,
-                    key=lambda f: (-f.count, f.stack))[:top]
-    return render_table(
-        ("stack", "spans", "bytes", "records", "ssts", "matched"),
-        [
-            (f.path, f.count, f.bytes, f.records, f.ssts, f.matched)
-            for f in frames
-        ],
-        title=f"top {len(frames)} frames by span count",
-    )
-
-
 def write_profile(profile: Profile, out_dir: Path) -> tuple[Path, Path]:
     """Persist ``profile.json`` + ``profile.folded`` under ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -174,9 +150,9 @@ def _cmd_record(args: argparse.Namespace) -> int:
     json_path, folded_path = write_profile(
         profile, args.output if args.output is not None else directory
     )
-    print(_phase_table(profile))
+    print(phase_table(profile))
     print()
-    print(_frame_table(profile, args.top))
+    print(frame_table(profile, args.top))
     totals = profile.totals()
     print()
     print(f"profile:  {json_path} ({len(profile.frames)} frames, "

@@ -7,8 +7,8 @@ into the output directory:
 * ``trace.json`` — Chrome ``trace_event`` JSON; load it in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``.  One track per
   subsystem (route/shuffle/renegotiate/flush/query/epoch), timestamps
-  in virtual ticks.  Spans carry the request id of the ingest/query
-  that caused them.
+  in virtual ticks for the timeline view.  Spans carry the request id
+  of the ingest/query that caused them.
 * ``metrics.json`` — the metrics snapshot (counters/gauges/histograms
   with bucket bounds and p50/p95/p99).
 * ``telemetry.jsonl`` — the streaming samples (see
@@ -27,11 +27,20 @@ elapsed time, which never feeds back into the recording.
 
     carp-trace -o /tmp/carp-obs --ranks 16 --epochs 3 --records 2000
 
-Two read-only modes work on archived artifacts, tolerating legacy
-``metrics.json`` files that predate histogram snapshots:
+The terminal report folds the trace through
+:func:`repro.obs.profile.fold`, the same reader ``carp-profile record``
+uses, and prints counts (spans, bytes, records per span path), never
+tick durations.  Two read-only modes work on archived artifacts,
+tolerating legacy ``metrics.json`` files that predate histogram
+snapshots:
 
     carp-trace --report /tmp/carp-obs            # re-render the report
     carp-trace --report /tmp/carp-obs --request query-000002
+
+``--request ID`` prints the folded frames attributed to that request:
+its spans on every lane and worker, each under its full stack path.
+For the busiest span paths of a whole run use
+``carp-profile record DIR --top N``.
 """
 
 from __future__ import annotations
@@ -46,12 +55,8 @@ from repro.api import Session
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
 from repro.obs import Obs, validate_trace_events
-from repro.obs.report import (
-    normalize_snapshot,
-    render_report,
-    request_tree_table,
-    top_spans_table,
-)
+from repro.obs.profile import fold
+from repro.obs.report import frame_table, normalize_snapshot, render_report
 from repro.query.request import QueryRequest
 from repro.traces.amr import AmrTraceSpec
 from repro.traces.amr import generate_timestep as amr_timestep
@@ -75,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render the report from an existing artifact "
                         "directory instead of running a workload")
     p.add_argument("--request", type=str, default=None, metavar="ID",
-                   help="print the named request's cross-worker span tree "
-                        "(e.g. ingest-000001, query-000003)")
+                   help="print the folded frames attributed to the named "
+                        "request (e.g. ingest-000001, query-000003)")
     p.add_argument("--ranks", type=int, default=16)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--records", type=int, default=2000,
@@ -85,9 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", choices=("vpic", "amr"), default="vpic")
     p.add_argument("--queries", type=int, default=4,
                    help="instrumented range queries per epoch (default: 4)")
-    p.add_argument("--top", type=int, default=0, metavar="N",
-                   help="also print the N longest spans per track type, "
-                        "with their args for attribution (default: off)")
     return p
 
 
@@ -158,6 +160,12 @@ def _reconcile(obs: Obs, run_doc: dict[str, object],
     return errors
 
 
+def _request_report(events: list[dict[str, object]], request_id: str) -> str:
+    """Every folded frame attributed to one request, with its stack."""
+    return (f"Frames for request {request_id}\n"
+            + frame_table(fold(events, request=request_id)))
+
+
 def _report_mode(args: argparse.Namespace) -> int:
     """Re-render reports from an archived artifact directory."""
     directory: Path = args.report
@@ -176,8 +184,7 @@ def _report_mode(args: argparse.Namespace) -> int:
         print(f"error: {trace_path} has no traceEvents list", file=sys.stderr)
         return 2
     if args.request is not None:
-        print(f"Spans for request {args.request}")
-        print(request_tree_table(events, args.request))
+        print(_request_report(events, args.request))
         return 0
     # a trace-only directory still renders a partial report: the
     # metrics sections degrade to empty (with a note), they don't
@@ -218,10 +225,6 @@ def _report_mode(args: argparse.Namespace) -> int:
     else:
         annotations.append("run manifest not found; header shows no epochs")
     print(render_report(run_doc, snapshot, events))
-    if args.top > 0:
-        print()
-        print(f"Top {args.top} spans per track type")
-        print(top_spans_table(events, args.top))
     for note in annotations:
         print(f"note: {note}")
     return 0
@@ -286,14 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     events = trace_doc["traceEvents"]
     assert isinstance(events, list)
     print(render_report(run_doc, obs.metrics.snapshot(), events))
-    if args.top > 0:
-        print()
-        print(f"Top {args.top} spans per track type")
-        print(top_spans_table(events, args.top))
     if args.request is not None:
         print()
-        print(f"Spans for request {args.request}")
-        print(request_tree_table(events, args.request))
+        print(_request_report(events, args.request))
     print()
     print(f"trace:     {trace_path} ({len(events)} events, "
           f"{nqueries} queries traced)")

@@ -1,16 +1,8 @@
-"""SARIF output shape and the baseline ratchet workflow."""
+"""SARIF output shape."""
 
 import json
 
-import pytest
-
 from repro.analysis import lint_paths
-from repro.analysis.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.cli import main
 from repro.analysis.runner import rules_by_id
 from repro.analysis.sarif import SARIF_SCHEMA, to_sarif
@@ -58,96 +50,3 @@ def test_sarif_cli_output_is_valid_json(fixtures_dir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2.1.0"
     assert doc["runs"][0]["results"]
-
-
-# -------------------------------------------------------------- baseline
-
-
-def test_write_then_apply_baseline_is_clean(fixtures_dir, tmp_path):
-    result = _bad_result(fixtures_dir)
-    assert result.violations
-    baseline = tmp_path / "baseline.json"
-    count = write_baseline(result, baseline)
-    assert count == len(result.violations)
-
-    remaining = apply_baseline(result, load_baseline(baseline))
-    assert remaining.ok
-    assert remaining.violations == []
-
-
-def test_baseline_is_count_aware(tmp_path):
-    # keys match on (rule, path, message) but respect multiplicity: a
-    # second identical finding added after the baseline still fires
-    path = tmp_path / "m.py"
-    path.write_text("import time\n\n\ndef f():\n    return time.time()\n")
-    baseline = tmp_path / "baseline.json"
-    write_baseline(lint_paths([path]), baseline)
-
-    path.write_text(
-        "import time\n"
-        "\n"
-        "\n"
-        "def f():\n"
-        "    return time.time()\n"
-        "\n"
-        "\n"
-        "def g():\n"
-        "    return time.time()\n"
-    )
-    remaining = apply_baseline(lint_paths([path]), load_baseline(baseline))
-    d101 = [v for v in remaining.violations if v.rule == "D101"]
-    assert len(d101) == 1
-
-
-def test_new_findings_survive_the_baseline(fixtures_dir, tmp_path):
-    hygiene = lint_paths([fixtures_dir / "bad_hygiene.py"])
-    baseline = tmp_path / "baseline.json"
-    write_baseline(hygiene, baseline)
-    both = lint_paths(
-        [fixtures_dir / "bad_hygiene.py", fixtures_dir / "bad_obs.py"]
-    )
-    remaining = apply_baseline(both, load_baseline(baseline))
-    assert remaining.violations
-    assert all("bad_obs.py" in v.path for v in remaining.violations)
-
-
-def test_malformed_baseline_raises(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{not json")
-    with pytest.raises(BaselineError):
-        load_baseline(bad)
-    with pytest.raises(BaselineError):
-        load_baseline(tmp_path / "missing.json")
-
-
-def test_cli_baseline_roundtrip(fixtures_dir, tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    fixture = str(fixtures_dir / "bad_hygiene.py")
-    assert main([fixture, "--write-baseline", str(baseline)]) == 0
-    assert "baseline written" in capsys.readouterr().out
-    assert main([fixture, "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-
-
-def test_cli_baseline_flags_are_mutually_exclusive(tmp_path, capsys):
-    path = tmp_path / "f.py"
-    path.write_text("x = 1\n")
-    code = main(
-        [
-            str(path),
-            "--baseline",
-            str(tmp_path / "a.json"),
-            "--write-baseline",
-            str(tmp_path / "b.json"),
-        ]
-    )
-    assert code == 2
-    assert "mutually exclusive" in capsys.readouterr().err
-
-
-def test_cli_missing_baseline_is_usage_error(tmp_path, capsys):
-    path = tmp_path / "f.py"
-    path.write_text("x = 1\n")
-    code = main([str(path), "--baseline", str(tmp_path / "nope.json")])
-    assert code == 2
-    capsys.readouterr()

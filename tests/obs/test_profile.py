@@ -158,6 +158,50 @@ class TestFold:
             fold_trace_doc({"schema": "nope"})
 
 
+class TestFoldRequest:
+    EVENTS = [
+        _meta(1, "epoch"),
+        _meta(2, "flush"),
+        _b(1, 0, "epoch", 0.0, request="ingest-000001"),
+        _b(1, 0, "plan", 0.5),  # opened outside any request
+        _x(1, 0, "renegotiate", 0.6, 0.1, request="ingest-000001"),
+        _e(1, 0, 0.9),
+        _e(1, 0, 1.0),
+        _b(2, 3, "flush", 0.2, request="ingest-000001", records=7),
+        _e(2, 3, 0.4),
+        _b(1, 0, "epoch", 2.0, request="ingest-000002"),
+        _e(1, 0, 3.0),
+    ]
+
+    def test_unknown_request_gives_no_frames(self):
+        profile = fold(self.EVENTS, request="query-000009")
+        assert profile.frames == ()
+        assert profile.unmatched_ends == profile.unclosed_spans == 0
+
+    def test_nested_child_keeps_full_parent_path(self):
+        frames = fold(self.EVENTS, request="ingest-000001").by_path()
+        # the unattributed "plan" span is not a frame of its own but
+        # still sits on the stack path of the attributed child
+        assert set(frames) == {
+            "ingest;epoch", "ingest;epoch;plan;renegotiate", "flush;flush",
+        }
+        assert frames["ingest;epoch"].count == 1  # not ingest-000002's
+        assert frames["flush;flush"].records == 7
+
+    def test_end_args_cannot_strip_begin_request(self):
+        events = [
+            _meta(1, "flush"),
+            _b(1, 1, "flush", 0.0, request="ingest-000001"),
+            _e(1, 1, 1.0, request=None, bytes=5),
+            _b(1, 1, "flush", 2.0, request="ingest-000001"),
+            _e(1, 1, 3.0, request="ingest-000002", bytes=6),
+        ]
+        frames = fold(events, request="ingest-000001").by_path()
+        assert frames["flush;flush"].count == 2
+        assert frames["flush;flush"].bytes == 11
+        assert fold(events, request="ingest-000002").frames == ()
+
+
 class TestReconcile:
     def _profile(self, records: int = 10) -> Profile:
         return fold([

@@ -1,17 +1,8 @@
-"""Report edge cases: degenerate traces and legacy metrics snapshots."""
+"""Report edge cases: the phase section and legacy metrics snapshots."""
 
 from __future__ import annotations
 
-from repro.obs.report import (
-    metrics_table,
-    normalize_snapshot,
-    render_report,
-    request_spans,
-    request_tree_table,
-    top_spans,
-    top_spans_table,
-    track_summary,
-)
+from repro.obs.report import metrics_table, normalize_snapshot, render_report
 
 
 def _meta(pid, name):
@@ -19,104 +10,40 @@ def _meta(pid, name):
             "args": {"name": name}}
 
 
-def _begin(pid, name, ts, args=None):
+def _begin(pid, name, ts):
     return {"ph": "B", "pid": pid, "tid": 0, "name": name, "ts": ts,
-            "args": args or {}}
+            "args": {}}
 
 
 def _end(pid, ts):
     return {"ph": "E", "pid": pid, "tid": 0, "ts": ts}
 
 
-# --------------------------------------------------------- empty traces
+# ------------------------------------------------------- phase section
 
 
-def test_track_summary_of_empty_trace():
-    assert track_summary([]) == {}
-
-
-def test_top_spans_of_empty_trace():
-    assert top_spans([], 5) == []
-    # the table renders headers only, no crash
-    assert "track" in top_spans_table([], 5)
-
-
-def test_request_spans_of_empty_trace():
-    assert request_spans([], "query-000001") == []
-    assert "span" in request_tree_table([], "query-000001")
-
-
-# ---------------------------------------------------- never-closed spans
-
-
-def test_never_closed_span_contributes_no_interval():
-    events = [
-        _meta(1, "flush"),
-        _begin(1, "flush", 0.0),
-        # no matching E: the run died mid-span
-    ]
-    summary = track_summary(events)
-    assert summary["flush"]["events"] == 1
-    assert summary["flush"]["spans"] == 0
-    assert summary["flush"]["busy_ticks"] == 0.0
-    assert top_spans(events, 5) == []
-
-
-def test_unbalanced_end_is_tolerated():
-    events = [
-        _meta(1, "flush"),
-        _end(1, 4.0),  # E with no B on the stack
-        _begin(1, "flush", 5.0),
-        _end(1, 7.0),
-    ]
-    summary = track_summary(events)
-    assert summary["flush"]["spans"] == 1
-    assert summary["flush"]["busy_ticks"] == 2.0
-    (span,) = top_spans(events, 5)
-    assert span["dur"] == 2.0
-
-
-def test_mixed_closed_and_open_spans():
-    events = [
-        _meta(1, "route"),
-        _begin(1, "outer", 0.0),
-        _begin(1, "inner", 1.0),
-        _end(1, 3.0),  # closes inner (LIFO)
-        # outer never closes
-    ]
-    (span,) = top_spans(events, 5)
-    assert span["name"] == "inner"
-    assert span["dur"] == 2.0
-
-
-# ------------------------------------------------- duplicate track names
+def _phase_rows(text):
+    """``{phase: (spans, frames)}`` parsed from the report's phase table."""
+    lines = text.splitlines()
+    start = lines.index("spans by phase") + 4  # title, rule, header, rule
+    rows = {}
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        phase, spans, frames = line.split()
+        rows[phase] = (int(spans), int(frames))
+    return rows
 
 
 def test_duplicate_track_names_aggregate_in_summary():
-    """Two pids declaring the same track type merge in the summary."""
+    """Two pids declaring the same track type merge into one phase."""
     events = [
         _meta(1, "flush"),
         _meta(2, "flush"),
         _begin(1, "flush", 0.0), _end(1, 2.0),
         _begin(2, "flush", 1.0), _end(2, 4.0),
     ]
-    summary = track_summary(events)
-    assert summary["flush"]["spans"] == 2
-    assert summary["flush"]["busy_ticks"] == 5.0
-
-
-def test_duplicate_track_names_do_not_collide_in_top_spans():
-    """Per-pid span stacks stay separate even under one track name."""
-    events = [
-        _meta(1, "flush"),
-        _meta(2, "flush"),
-        _begin(1, "a", 0.0),
-        _begin(2, "b", 1.0),
-        _end(1, 5.0),  # closes a (pid 1's stack), not b
-        _end(2, 2.0),  # closes b
-    ]
-    spans = {s["name"]: s["dur"] for s in top_spans(events, 5)}
-    assert spans == {"a": 5.0, "b": 1.0}
+    assert _phase_rows(render_report({}, {}, events)) == {"flush": (2, 1)}
 
 
 def test_duplicate_name_redeclaration_last_wins():
@@ -125,30 +52,7 @@ def test_duplicate_name_redeclaration_last_wins():
         _meta(1, "route"),  # pid 1 re-declared; later metadata wins
         _begin(1, "x", 0.0), _end(1, 1.0),
     ]
-    summary = track_summary(events)
-    assert "route" in summary and "flush" not in summary
-
-
-# --------------------------------------------------- request attribution
-
-
-def test_request_spans_filter_and_order():
-    events = [
-        _meta(1, "epoch"),
-        _meta(2, "flush"),
-        _begin(1, "epoch", 0.0, {"request": "ingest-000001", "epoch": 0}),
-        _begin(2, "flush", 1.0, {"request": "ingest-000001", "rank": 3}),
-        _end(2, 2.0),
-        _end(1, 5.0),
-        _begin(1, "epoch", 6.0, {"request": "ingest-000002"}),
-        _end(1, 7.0),
-    ]
-    spans = request_spans(events, "ingest-000001")
-    assert [s["name"] for s in spans] == ["epoch", "flush"]  # by start ts
-    table = request_tree_table(events, "ingest-000001")
-    assert "rank=3" in table
-    # the request key itself is implied by the query, not repeated
-    assert "request=ingest-000001" not in table
+    assert _phase_rows(render_report({}, {}, events)) == {"route": (1, 1)}
 
 
 # ------------------------------------------------------ legacy snapshots

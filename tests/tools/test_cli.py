@@ -255,22 +255,48 @@ class TestExplainCli:
 
 
 class TestTraceCli:
-    def test_top_spans_report(self, tmp_path, capsys):
-        from repro.tools.trace_cli import main as trace_main
+    def test_profile_top_frames_report(self, tmp_path, capsys):
+        from repro.tools.profile_cli import main as profile_main
 
-        rc = trace_main([
-            "-o", str(tmp_path / "obs"), "--ranks", "4", "--epochs", "2",
-            "--records", "300", "--top", "3",
+        out_dir = self._recorded(tmp_path, capsys)
+        assert (out_dir / "trace.json").is_file()
+        # telemetry plane artifacts ride along
+        assert (out_dir / "db" / "telemetry.jsonl").is_file()
+        assert (out_dir / "db" / "metrics.om").is_file()
+        rc = profile_main([
+            "record", str(out_dir), "-o", str(tmp_path / "prof"),
+            "--top", "3",
         ])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "Top 3 spans per track type" in out
+        assert "top 3 frames by span count" in out
         # worker-side flush spans must surface in the ranking
-        assert "flush" in out
-        assert (tmp_path / "obs" / "trace.json").is_file()
-        # telemetry plane artifacts ride along
-        assert (tmp_path / "obs" / "db" / "telemetry.jsonl").is_file()
-        assert (tmp_path / "obs" / "db" / "metrics.om").is_file()
+        assert "flush;flush" in out
+
+    def test_top_flag_is_a_usage_error(self, tmp_path, capsys):
+        from repro.tools.trace_cli import main as trace_main
+
+        with pytest.raises(SystemExit) as exc:
+            trace_main(["--report", str(tmp_path), "--top", "3"])
+        assert exc.value.code == 2
+        assert "--top" in capsys.readouterr().err
+
+    def test_trace_report_has_no_ticks(self, tmp_path, capsys):
+        """carp-trace prints carp-profile's phase table, no tick column."""
+        from repro.tools.profile_cli import main as profile_main
+        from repro.tools.trace_cli import main as trace_main
+
+        out_dir = self._recorded(tmp_path, capsys)
+        assert trace_main(["--report", str(out_dir)]) == 0
+        report = capsys.readouterr().out
+        assert profile_main([
+            "record", str(out_dir), "-o", str(tmp_path / "prof"),
+        ]) == 0
+        profile_out = capsys.readouterr().out
+        assert "ticks" not in report
+        phase_table = profile_out.split("\n\n")[0]
+        assert phase_table.startswith("spans by phase")
+        assert phase_table in report
 
     def _recorded(self, tmp_path, capsys):
         from repro.tools.trace_cli import main as trace_main
@@ -354,7 +380,8 @@ class TestTraceCli:
         ])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "Spans for request ingest-000001" in out
+        assert "Frames for request ingest-000001" in out
         # the cross-worker tree: the driver epoch span plus worker flushes
-        assert "epoch" in out
-        assert "flush" in out
+        assert "ingest;epoch " in out
+        assert "flush;flush " in out
+        assert "ticks" not in out

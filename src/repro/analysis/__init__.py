@@ -2,17 +2,22 @@
 
 Enforces, at review time, the invariants the reproduction rests on:
 
-* **determinism** (D-rules) — no wall clock, no unseeded or global
-  RNG anywhere in the simulation core,
+* **determinism** (D-rules) — no unseeded or global RNG anywhere in
+  the simulation core,
 * **on-disk format safety** (F-rules) — ``struct`` formats stay
   pack/unpack-consistent and every block writer has a CRC-checking
   reader,
 * **cost accounting** (C-rules) — no simulated I/O escapes the
   iomodel/netmodel charging,
-* **typing surface** (T-rules) + generic hygiene (H-rules).
+* **clock and instrumentation discipline** (O-rules) — no wall clock
+  and no self-built recording stack in the instrumented packages,
+* **executor, recovery, thread, write-path and lifetime safety**
+  (P, R, X, W and L-rules).
 
-See ``docs/INVARIANTS.md`` for the rule catalogue and suppression
-syntax, and :mod:`repro.analysis.cli` for the ``carp-lint`` command.
+Generic hygiene and annotation coverage are ruff's and ``mypy
+--strict``'s (``pyproject.toml``), not carp-lint's.  See
+``docs/INVARIANTS.md`` for the rule catalogue and suppression syntax,
+and :mod:`repro.analysis.cli` for the ``carp-lint`` command.
 """
 
 from repro.analysis.core import FileContext, Rule, Violation

@@ -7,7 +7,7 @@ Usage::
     carp-lint --format sarif src/repro  # GitHub code-scanning upload
     carp-lint --list-rules              # rule catalogue
     carp-lint --select D,F201 src       # run a subset
-    carp-lint --ignore H006 src         # drop a family or rule
+    carp-lint --ignore O503 src         # drop a family or rule
 
 Exit status: 0 when clean, 1 when any violation or parse error
 survives suppression, 2 on usage errors.
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carp-lint",
         description="Repo-aware static analysis: determinism, on-disk "
-        "format safety, cost-model accounting, typing surface, "
+        "format safety, cost-model accounting, clock discipline, "
         "cross-thread safety, crash consistency, resource lifetime.",
     )
     parser.add_argument(

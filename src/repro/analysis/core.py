@@ -18,7 +18,7 @@ on:
 
 Suppressions come in three forms, from widest to narrowest:
 
-* file-wide — ``# carp-lint: disable=D101`` (or ``disable=D101,F202``
+* file-wide — ``# carp-lint: disable=D103`` (or ``disable=D103,F202``
   / ``disable=all``) anywhere in a file disables those rules for the
   whole file;
 * next-line — ``# carp-lint: disable-next=RULE`` on its own line
@@ -39,7 +39,7 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Matches ``# carp-lint: disable=RULE[,RULE...]`` suppression comments.
+#: Matches file-wide ``disable=RULE[,RULE...]`` suppression comments.
 _SUPPRESS_RE = re.compile(
     r"#\s*carp-lint:\s*disable\s*=\s*([A-Za-z0-9_,\s]+|all)"
 )

@@ -3,14 +3,14 @@
 The logical simulation must be bit-reproducible: identical inputs must
 produce identical partition tables, identical SSTables, and identical
 statistics, or the paper-reproduction benchmarks stop being
-comparable run to run.  That means no wall-clock reads and no
-unseeded / global-state randomness anywhere in the simulation core
-(``repro.sim``, ``repro.core``, ``repro.shuffle``, ``repro.storage``).
+comparable run to run.  That means no unseeded / global-state
+randomness anywhere in the simulation core (``repro.sim``,
+``repro.core``, ``repro.shuffle``, ``repro.storage``).  Wall-clock
+reads are banned in the same scope by O501
+(:mod:`repro.analysis.obs_rules`).
 
 Rules
 -----
-D101
-    Wall-clock call (``time.time()``, ``datetime.now()``, ...).
 D102
     RNG constructed without a seed (``np.random.default_rng()``,
     ``random.Random()``).
@@ -40,26 +40,6 @@ DETERMINISM_SCOPE = (
     "repro.obs",
     "repro.exec",
     "repro.kernels",
-)
-
-#: Fully qualified callables that read the wall clock.
-WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.localtime",
-        "time.gmtime",
-        "time.ctime",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
 )
 
 #: RNG constructors that accept a seed as first arg / ``seed=`` kwarg.
@@ -109,28 +89,6 @@ def _is_seeded(call: ast.Call) -> bool:
 
 class _DRuleBase(Rule):
     scope = DETERMINISM_SCOPE
-
-
-class WallClockRule(_DRuleBase):
-    id = "D101"
-    name = "wall-clock-call"
-    description = "wall-clock read inside the deterministic simulation core"
-
-    def check(self, ctx: FileContext) -> list[Violation]:
-        out: list[Violation] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qual = qualified_name(node.func, ctx.aliases)
-            if qual in WALL_CLOCK_CALLS:
-                out.append(
-                    self.violation(
-                        ctx, node,
-                        f"wall-clock call {qual}() — simulated time must come "
-                        "from the cost models, not the host clock",
-                    )
-                )
-        return out
 
 
 class UnseededRngRule(_DRuleBase):
@@ -208,7 +166,6 @@ class SaltedHashRule(_DRuleBase):
 
 
 DETERMINISM_RULES: tuple[Rule, ...] = (
-    WallClockRule(),
     UnseededRngRule(),
     GlobalRngRule(),
     SaltedHashRule(),

@@ -2,8 +2,10 @@
 
 ``repro.exec`` task functions run under two interchangeable backends
 — inline and worker processes — and the repo's determinism
-contract requires both to produce bit-identical output.  Two
-statically checkable properties make that hold:
+contract requires both to produce bit-identical output.  A worker's
+recording observability is O502's (``repro.exec`` is in its data-plane
+scope: tasks record into ``Obs.deltas()``); the P-family checks the
+one property only it can see:
 
 Rules
 -----
@@ -17,22 +19,13 @@ P601
     ``state`` mapping.  Module-level constants (numbers, strings,
     tuples) are fine; ``global`` statements are flagged for the same
     reason.
-P602
-    Recording observability construction (``Obs.recording()``,
-    ``VirtualClock()``, ``ChromeTracer()``) in ``repro.exec``.  A
-    worker must not own a driver-style recording stack: its timeline is
-    *rank-local*, so worker tasks record into the ``Obs.deltas()``
-    stack (a fresh virtual clock plus a ``BufferingTracer``) and return
-    plain counter deltas and span records that the driver merges in
-    shard order — that is what keeps ``metrics.json`` and
-    ``trace.json`` bit-identical across executor backends.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.core import FileContext, Rule, Violation, qualified_name
+from repro.analysis.core import FileContext, Rule, Violation
 
 #: The parallel-execution package the P-family governs.
 EXEC_SCOPE = ("repro.exec",)
@@ -49,17 +42,6 @@ _MUTABLE_LITERALS = (
 
 #: Builtin calls producing a mutable container.
 _MUTABLE_CALLS = frozenset({"list", "dict", "set", "defaultdict", "deque"})
-
-#: Constructors that capture worker-side time or trace state.
-_RECORDING_CONSTRUCTORS = frozenset(
-    {
-        "repro.obs.Obs.recording",
-        "repro.obs.VirtualClock",
-        "repro.obs.clock.VirtualClock",
-        "repro.obs.ChromeTracer",
-        "repro.obs.tracer.ChromeTracer",
-    }
-)
 
 
 def _is_mutable_value(node: ast.expr) -> bool:
@@ -119,36 +101,4 @@ class ModuleMutableStateRule(Rule):
         return out
 
 
-class WorkerRecordingObsRule(Rule):
-    id = "P602"
-    name = "exec-worker-recording-obs"
-    description = (
-        "recording Obs construction in repro.exec — worker tasks return "
-        "plain metric deltas, they do not own clocks or tracers"
-    )
-    scope = EXEC_SCOPE
-
-    def check(self, ctx: FileContext) -> list[Violation]:
-        out: list[Violation] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qual = qualified_name(node.func, ctx.aliases)
-            if qual in _RECORDING_CONSTRUCTORS:
-                short = qual.rsplit(".", 1)[-1]
-                out.append(
-                    self.violation(
-                        ctx, node,
-                        f"{short}() constructed in repro.exec — worker-side "
-                        "clocks/tracers cannot be replayed deterministically; "
-                        "record into Obs.deltas() and return the snapshot "
-                        "delta as plain data",
-                    )
-                )
-        return out
-
-
-EXEC_RULES: tuple[Rule, ...] = (
-    ModuleMutableStateRule(),
-    WorkerRecordingObsRule(),
-)
+EXEC_RULES: tuple[Rule, ...] = (ModuleMutableStateRule(),)

@@ -10,25 +10,26 @@ Rules
 -----
 O501
     Wall-clock *module* use (``import time`` / ``import datetime`` or
-    any ``time.*`` / ``datetime.*`` call) inside the simulation core or
-    the observability stack itself.  D101 flags known wall-clock call
-    sites; O501 closes the gap by banning the modules outright in
-    instrumentation scope, so new ``time`` APIs cannot sneak in.  The
-    scope includes ``repro.perf``: the baseline gate holds only
-    deterministic rows, and wall time is measured by the top-level
-    ``ledger/`` alone.  The one sanctioned home for a host stopwatch
-    is ``repro.tools`` (the ``carp-trace`` report footer).
+    any ``time.*`` / ``datetime.*`` call) inside the simulation core,
+    the kernels or the observability stack itself.  Banning the modules
+    outright, rather than a list of known call sites, means new
+    ``time`` APIs cannot sneak in.  The scope includes ``repro.perf``:
+    the baseline gate holds only deterministic rows, and wall time is
+    measured by the top-level ``ledger/`` alone.  The one sanctioned
+    home for a host stopwatch is ``repro.tools`` (the ``carp-trace``
+    report footer).
 O502
     Recording-instrumentation construction (``VirtualClock()``,
     ``ChromeTracer()``, ``BufferingTracer()``, ``MetricsRegistry()``,
-    ``Obs(...)`` / ``Obs.recording()``) inside the data plane.
-    Instrumentation is *injected* by the driver; data-plane modules
-    accepting an ``obs`` parameter must default to the shared
-    ``NULL_OBS`` constant, not build their own recording stack —
-    otherwise a library import silently starts accumulating events and
-    runs stop being zero-overhead when observability is off.
+    ``Obs(...)`` / ``Obs.recording()``) inside the data plane, executor
+    tasks included.  Instrumentation is *injected* by the driver;
+    data-plane modules accepting an ``obs`` parameter must default to
+    the shared ``NULL_OBS`` constant, not build their own recording
+    stack — otherwise a library import silently starts accumulating
+    events and runs stop being zero-overhead when observability is off.
     ``Obs.deltas()`` is the sanctioned exception: it is how a driver
-    hands each shard its rank-local recording stack.
+    hands each shard its rank-local recording stack, whose counter
+    deltas and span records the driver merges in shard order.
 O503
     Dynamic span/metric names — an f-string, string concatenation, or
     ``str.format`` where an instrumentation call expects a name.  Names
@@ -75,6 +76,7 @@ OBS_CLOCK_SCOPE = (
     "repro.obs",
     "repro.exec",
     "repro.perf",
+    "repro.kernels",
 )
 
 #: Data-plane packages that must receive instrumentation by injection.
@@ -83,6 +85,7 @@ OBS_INJECTION_SCOPE = (
     "repro.shuffle",
     "repro.storage",
     "repro.sim",
+    "repro.exec",
 )
 
 #: Modules whose mere presence in instrumentation scope is a violation.

@@ -18,11 +18,9 @@ from repro.analysis.costmodel import COSTMODEL_RULES
 from repro.analysis.determinism import DETERMINISM_RULES
 from repro.analysis.exec_rules import EXEC_RULES
 from repro.analysis.formats import FORMAT_RULES
-from repro.analysis.hygiene import HYGIENE_RULES
 from repro.analysis.lifetime_rules import LIFETIME_RULES
 from repro.analysis.obs_rules import OBS_RULES
 from repro.analysis.recovery_rules import RECOVERY_RULES
-from repro.analysis.typing_rules import TYPING_RULES
 from repro.analysis.write_rules import WRITE_RULES
 
 #: Every registered rule, in family order.
@@ -30,8 +28,6 @@ ALL_RULES: tuple[Rule, ...] = (
     *DETERMINISM_RULES,
     *FORMAT_RULES,
     *COSTMODEL_RULES,
-    *HYGIENE_RULES,
-    *TYPING_RULES,
     *OBS_RULES,
     *EXEC_RULES,
     *RECOVERY_RULES,

@@ -21,7 +21,7 @@ deterministically no matter how execution interleaved.
 Determinism contract (see ``docs/PARALLELISM.md``): a task function
 must derive its output purely from ``state`` and its arguments — never
 from module-level mutable state (lint rule P601) — and must not build
-recording observability stacks (rule P602); workers report metrics as
+recording observability stacks (rule O502); workers report metrics as
 plain deltas that the driver merges in shard order.
 """
 

@@ -5,7 +5,7 @@ Every task here follows the executor task contract
 per-shard ``state`` mapping first, deriving their output only from
 ``state`` and arguments (rule P601), and recording metrics and spans —
 when asked to — into a private ``Obs.deltas()`` stack whose snapshot
-delta and drained span records are returned as plain data (rule P602).
+delta and drained span records are returned as plain data (rule O502).
 Task functions must stay at module level so
 :class:`~repro.exec.pools.ProcessExecutor` can pickle them by
 reference.

@@ -8,10 +8,8 @@ from repro.extensions.multi_attribute import (
     MultiAttributeIngest,
     RowLocator,
 )
-from repro.extensions.planner import PlanChoice, PlannedResult, QueryPlanner
 
 __all__ = [
     "ColumnarReader", "write_columnar", "IncrementalSorter", "IntervalSet",
     "AuxiliaryIndexReader", "MultiAttributeIngest", "RowLocator",
-    "PlanChoice", "PlannedResult", "QueryPlanner",
 ]

@@ -202,7 +202,7 @@ class Obs:
         """A rank-local stack: private metrics, fresh clock, buffering tracer.
 
         The one sanctioned observability stack inside executor tasks
-        (lint rule P602 bans ``Obs.recording()`` there); ``koidb_apply``
+        (lint rule O502 bans ``Obs.recording()`` there); ``koidb_apply``
         builds one per rank on every backend.  Metric instruments
         record into a private registry whose
         :func:`~repro.obs.metrics.snapshot_delta` the task ships back

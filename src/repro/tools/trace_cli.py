@@ -22,7 +22,7 @@ run's :class:`~repro.core.carp.EpochStats` / ``KoiDBStats`` counters
 and validates the trace document, so a zero exit status certifies a
 self-consistent recording.  This module is the sanctioned home for
 ``time.perf_counter`` (wall-clock is banned from the instrumented
-packages by carp-lint O501/D101): the report footer shows real
+packages by carp-lint O501): the report footer shows real
 elapsed time, which never feeds back into the recording.
 
     carp-trace -o /tmp/carp-obs --ranks 16 --epochs 3 --records 2000

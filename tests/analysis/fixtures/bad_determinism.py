@@ -1,21 +1,21 @@
-"""Fixture: every D-rule violation in one file.
+"""Fixture: every D-rule violation in one file, plus the wall-clock
+reads O501 bans in the same scope.
 
 Outside any ``repro`` package the module path is unknown, which
 carp-lint treats as in-scope — exactly what lets this corpus exercise
 the scoped rules.
 """
-# carp-lint: disable=T401,T402
 
 import random
-import time
-from datetime import datetime
+import time  # O501
+from datetime import datetime  # O501
 
 import numpy as np
 
 
 def wall_clock_timestamp():
-    started = time.time()  # D101
-    now = datetime.now()  # D101
+    started = time.time()  # O501
+    now = datetime.now()  # O501
     return started, now
 
 

@@ -1,10 +1,10 @@
-"""Fixture: every P-rule violation in one file.
+"""Fixture: every P-rule violation in one file, plus the worker-side
+recording stacks O502 bans in ``repro.exec``.
 
 Outside any ``repro`` package the module path is unknown, which
 carp-lint treats as in-scope — exactly what lets this corpus exercise
 the scoped rules.
 """
-# carp-lint: disable=T401,T402,O502
 
 from collections import deque
 
@@ -28,8 +28,8 @@ def task_with_global(state, shard):
 
 
 def task_builds_recording_obs(state, shard):
-    obs = Obs.recording()  # P602
-    clock = VirtualClock()  # P602
+    obs = Obs.recording()  # O502
+    clock = VirtualClock()  # O502
     return obs, clock, shard
 
 

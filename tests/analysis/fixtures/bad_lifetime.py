@@ -7,7 +7,7 @@ quiet.
 """
 # O504 is the obs-package sink-injection rule; these constructors open
 # files on purpose to exercise the L-family, not to model telemetry.
-# carp-lint: disable=T401,T402,O504
+# carp-lint: disable=O504
 
 
 def leak_on_early_return(path, check):

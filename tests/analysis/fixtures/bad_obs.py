@@ -4,7 +4,6 @@ Outside any ``repro`` package the module path is unknown, which
 carp-lint treats as in-scope — exactly what lets this corpus exercise
 the scoped rules.
 """
-# carp-lint: disable=T401,T402,D101
 
 import time
 from datetime import datetime

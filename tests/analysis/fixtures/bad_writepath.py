@@ -4,7 +4,6 @@ Broken storage commit protocols: an fsync-free footer write, a rename
 commit over unsynced bytes, and an fsync on an unflushed buffer — with
 a fully durable counterpart proving the clean protocol stays quiet.
 """
-# carp-lint: disable=T401,T402
 
 import os
 

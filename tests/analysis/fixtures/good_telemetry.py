@@ -1,5 +1,4 @@
 """Fixture: the sanctioned injection shapes — O504 must stay quiet."""
-# carp-lint: disable=T401,T402,D101
 
 
 class InjectedExporter:

@@ -1,5 +1,5 @@
 """Fixture: violations silenced by per-file suppressions."""
-# carp-lint: disable=D101,D103
+# carp-lint: disable=O501,D103
 
 import random
 import time

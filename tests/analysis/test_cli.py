@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis import ALL_RULES
 from repro.analysis.cli import main
 
 
@@ -19,8 +20,6 @@ def test_clean_repo_exits_zero(repo_src, capsys):
         "bad_determinism.py",
         "bad_format.py",
         "bad_costmodel.py",
-        "bad_hygiene.py",
-        "bad_typing.py",
         "bad_obs.py",
         "bad_exec.py",
         "bad_concurrency.py",
@@ -35,7 +34,9 @@ def test_each_bad_fixture_exits_nonzero(fixtures_dir, fixture, capsys):
 
 
 def test_json_output_shape(fixtures_dir, capsys):
-    code = main([str(fixtures_dir / "bad_hygiene.py"), "--format", "json"])
+    code = main(
+        [str(fixtures_dir / "bad_determinism.py"), "--format", "json"]
+    )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
@@ -47,9 +48,9 @@ def test_json_output_shape(fixtures_dir, capsys):
 
 
 def test_select_restricts_rules(fixtures_dir, capsys):
-    # only T rules requested: determinism fixture is then clean
+    # only W rules requested: determinism fixture is then clean
     code = main(
-        [str(fixtures_dir / "bad_determinism.py"), "--select", "T"]
+        [str(fixtures_dir / "bad_determinism.py"), "--select", "W"]
     )
     assert code == 0
     capsys.readouterr()
@@ -57,11 +58,7 @@ def test_select_restricts_rules(fixtures_dir, capsys):
 
 def test_ignore_drops_family(fixtures_dir, capsys):
     code = main(
-        [
-            str(fixtures_dir / "bad_hygiene.py"),
-            "--ignore",
-            "H001,H002,H003,H004,H005,H006",
-        ]
+        [str(fixtures_dir / "bad_determinism.py"), "--ignore", "D,O501"]
     )
     assert code == 0
     capsys.readouterr()
@@ -76,8 +73,9 @@ def test_unknown_selector_is_usage_error(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("D101", "F201", "C301", "H001", "T401"):
+    for rule_id in ("D102", "F201", "C301", "O501", "L1001"):
         assert rule_id in out
+    assert len(out.splitlines()) == len(ALL_RULES)
 
 
 def test_missing_path_is_usage_error(tmp_path, capsys):

@@ -5,10 +5,11 @@ from pathlib import Path
 from repro.analysis import lint_paths, select_rules
 from repro.analysis.core import FileContext
 from repro.analysis.determinism import DETERMINISM_RULES
+from repro.analysis.obs_rules import OBS_RULES
 
 
 def _rule(rule_id: str):
-    return next(r for r in DETERMINISM_RULES if r.id == rule_id)
+    return next(r for r in (*DETERMINISM_RULES, *OBS_RULES) if r.id == rule_id)
 
 
 def _check(rule_id: str, source: str, path: str = "snippet.py"):
@@ -18,14 +19,20 @@ def _check(rule_id: str, source: str, path: str = "snippet.py"):
 
 
 def test_fixture_triggers_every_d_rule(fixtures_dir):
-    result = lint_paths(
-        [fixtures_dir / "bad_determinism.py"], rules=select_rules(["D"])
-    )
+    path = fixtures_dir / "bad_determinism.py"
+    result = lint_paths([path], rules=select_rules(["D", "O501"]))
     by_rule = result.by_rule()
-    assert len(by_rule.get("D101", [])) == 2
     assert len(by_rule.get("D102", [])) == 2
     assert len(by_rule.get("D103", [])) == 3
     assert len(by_rule.get("D104", [])) == 1
+    # wall-clock reads are O501's: both imports and both calls, exactly
+    # on the lines the fixture tags
+    tagged = {
+        n for n, line in enumerate(path.read_text().splitlines(), 1)
+        if line.endswith("# O501")
+    }
+    assert len(tagged) == 4
+    assert {v.line for v in by_rule["O501"]} == tagged
 
 
 def test_seeded_rng_not_flagged():
@@ -46,26 +53,26 @@ def test_unseeded_rng_flagged_through_alias():
 
 
 def test_wall_clock_flagged_through_from_import():
+    # O501 flags the import and the call it binds
     src = "from time import time\nt = time()\n"
-    violations = _check("D101", src)
-    assert len(violations) == 1
+    assert len(_check("O501", src)) == 2
 
 
 def test_out_of_scope_module_is_exempt():
     # repro.traces is outside the determinism scope: generators are
     # seeded by spec, so global-looking calls there are not checked
-    src = "import time\nt = time.time()\n"
+    src = "import random\nr = random.random()\n"
     ctx = FileContext.from_source(
         src, Path("src/repro/traces/synthetic_extra.py")
     )
-    rule = _rule("D101")
+    rule = _rule("D103")
     assert not rule.applies(ctx)
 
 
 def test_in_scope_module_is_checked():
-    src = "import time\nt = time.time()\n"
+    src = "import random\nr = random.random()\n"
     ctx = FileContext.from_source(src, Path("src/repro/sim/newmodel.py"))
-    rule = _rule("D101")
+    rule = _rule("D103")
     assert rule.applies(ctx)
     assert len(rule.check(ctx)) == 1
 

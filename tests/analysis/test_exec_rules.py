@@ -1,14 +1,15 @@
-"""P-family rules: shared-nothing worker state and worker-side obs."""
+"""P-family rules: shared-nothing worker state; worker-side obs (O502)."""
 
 from pathlib import Path
 
 from repro.analysis import lint_paths, select_rules
 from repro.analysis.core import FileContext
 from repro.analysis.exec_rules import EXEC_RULES
+from repro.analysis.obs_rules import OBS_RULES
 
 
 def _rule(rule_id: str):
-    return next(r for r in EXEC_RULES if r.id == rule_id)
+    return next(r for r in (*EXEC_RULES, *OBS_RULES) if r.id == rule_id)
 
 
 def _check(rule_id: str, source: str, path: str = "src/repro/exec/snippet.py"):
@@ -18,14 +19,18 @@ def _check(rule_id: str, source: str, path: str = "src/repro/exec/snippet.py"):
 
 
 def test_fixture_triggers_every_p_rule(fixtures_dir):
-    result = lint_paths(
-        [fixtures_dir / "bad_exec.py"], rules=select_rules(["P"])
-    )
+    path = fixtures_dir / "bad_exec.py"
+    result = lint_paths([path], rules=select_rules(["P", "O502"]))
     by_rule = result.by_rule()
     # dict literal, annotated list, deque(), set comp, `global` stmt
     assert len(by_rule.get("P601", [])) == 5
-    # Obs.recording(), VirtualClock()
-    assert len(by_rule.get("P602", [])) == 2
+    # Obs.recording(), VirtualClock(), exactly on the tagged lines
+    tagged = {
+        n for n, line in enumerate(path.read_text().splitlines(), 1)
+        if line.endswith("# O502")
+    }
+    assert len(tagged) == 2
+    assert {v.line for v in by_rule["O502"]} == tagged
 
 
 def test_module_mutable_dict_flagged_in_exec_package():
@@ -70,23 +75,24 @@ def test_global_statement_flagged_anywhere():
 
 
 def test_recording_obs_flagged_in_exec():
+    # repro.exec is in O502's data-plane scope
     src = "from repro.obs import Obs\n\ndef t(state):\n    return Obs.recording()\n"
-    assert len(_check("P602", src)) == 1
+    assert len(_check("O502", src)) == 1
 
 
 def test_deltas_stack_is_sanctioned():
-    # the worker-side pattern: metrics-only stack, no clock, no tracer
+    # the worker-side pattern: a rank-local stack the driver merges
     src = (
         "from repro.obs import Obs\n"
         "def t(state):\n"
         "    state['obs'] = Obs.deltas()\n"
         "    return state['obs']\n"
     )
-    assert _check("P602", src) == []
+    assert _check("O502", src) == []
 
 
 def test_rules_scoped_to_exec_package():
     src = "STATE = {}\nfrom repro.obs import VirtualClock\nc = VirtualClock()\n"
     ctx = FileContext.from_source(src, Path("src/repro/tools/some_cli.py"))
     assert not _rule("P601").applies(ctx)
-    assert not _rule("P602").applies(ctx)
+    assert not _rule("O502").applies(ctx)

@@ -6,17 +6,21 @@ Three-way consistency, failing with the exact missing ids:
 * every implemented rule is documented there;
 * every implemented rule appears in the fixture corpus (a bad-example
   file demonstrates what it catches).
+
+A fourth check keeps suppressions honest: every rule id a
+``# carp-lint: disable*`` comment names is a registered rule.
 """
 
 import re
 from pathlib import Path
 
+from repro.analysis.core import parse_line_suppressions, parse_suppressions
 from repro.analysis.runner import ALL_RULES
 
 _REPO = Path(__file__).resolve().parents[2]
 _INVARIANTS = _REPO / "docs" / "INVARIANTS.md"
 
-# rule ids are one family letter plus 3-4 digits (D101 ... L1001)
+# rule ids are one family letter plus 3-4 digits (D102 ... L1001)
 _RULE_ID_RE = re.compile(r"\b([A-Z]\d{3,4})\b")
 
 
@@ -55,6 +59,20 @@ def test_every_rule_appears_in_the_fixture_corpus(fixtures_dir):
         f"rules with no fixture under tests/analysis/fixtures/: "
         f"{sorted(uncovered)}"
     )
+
+
+def test_every_suppressed_id_is_a_registered_rule(fixtures_dir):
+    known = _implemented_ids() | {"all"}
+    dead: dict[str, list[str]] = {}
+    for root in (_REPO / "src", _REPO / "scripts", fixtures_dir):
+        for path in sorted(root.rglob("*.py")):
+            source = path.read_text()
+            named = parse_suppressions(source).union(
+                *parse_line_suppressions(source).values()
+            )
+            if named - known:
+                dead[str(path.relative_to(_REPO))] = sorted(named - known)
+    assert not dead, f"suppressions naming unregistered rules: {dead}"
 
 
 def test_rule_descriptions_are_nonempty():

@@ -52,6 +52,15 @@ def test_perf_package_is_in_o501_scope():
     assert len(rule.check(ctx)) == 1
 
 
+def test_kernels_package_is_in_o501_scope():
+    # the kernels run inside the deterministic core: no host clock there
+    src = "import time\nt0 = time.perf_counter()\n"
+    ctx = FileContext.from_source(src, Path("src/repro/kernels/vector.py"))
+    rule = _rule("O501")
+    assert rule.applies(ctx)
+    assert len(rule.check(ctx)) == 2
+
+
 def test_tools_package_is_exempt_from_o501():
     src = "import time\nt0 = time.perf_counter()\n"
     ctx = FileContext.from_source(src, Path("src/repro/tools/trace_cli.py"))

@@ -1,9 +1,10 @@
 """Tier-1 gate: the repo's own source must satisfy every carp-lint rule.
 
 This is the enforcement point for the invariants in docs/INVARIANTS.md —
-determinism under repro.sim/core/shuffle/storage, struct-format pairing
-and CRC-checked readers in repro.storage, cost-model charging in
-repro.sim, and annotation coverage on the typed packages.
+determinism and clock discipline under repro.sim/core/shuffle/storage,
+struct-format pairing and CRC-checked readers in repro.storage, and
+cost-model charging in repro.sim.  Generic hygiene and annotation
+coverage are ruff's and strict mypy's (see pyproject.toml).
 """
 
 from repro.analysis import lint_paths
@@ -15,11 +16,9 @@ def test_src_repro_is_lint_clean(repo_src):
     assert result.ok, "\n" + "\n".join(v.format() for v in result.violations)
 
 
-def test_scripts_are_parseable_and_hygiene_clean(repo_src):
-    # scripts/ are entry points, not part of the scoped packages; only
-    # the unscoped hygiene family applies, and it must hold there too.
+def test_scripts_are_parseable(repo_src):
+    # scripts/ are entry points outside the scoped packages; ruff gates
+    # their hygiene, and carp-lint must still be able to parse them.
     scripts = repo_src.parents[1] / "scripts"
     result = lint_paths([scripts])
     assert result.parse_errors == []
-    hygiene = [v for v in result.violations if v.rule.startswith("H")]
-    assert hygiene == [], "\n".join(v.format() for v in hygiene)

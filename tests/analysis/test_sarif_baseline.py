@@ -11,7 +11,7 @@ from repro.analysis.sarif import SARIF_SCHEMA, to_sarif
 
 
 def _bad_result(fixtures_dir):
-    return lint_paths([fixtures_dir / "bad_hygiene.py"])
+    return lint_paths([fixtures_dir / "bad_determinism.py"])
 
 
 def test_sarif_document_shape(fixtures_dir):
@@ -44,7 +44,7 @@ def test_sarif_results_reference_the_rule_catalogue(fixtures_dir):
 
 def test_sarif_cli_output_is_valid_json(fixtures_dir, capsys):
     code = main(
-        [str(fixtures_dir / "bad_hygiene.py"), "--format", "sarif"]
+        [str(fixtures_dir / "bad_determinism.py"), "--format", "sarif"]
     )
     assert code == 1
     doc = json.loads(capsys.readouterr().out)

@@ -1,9 +1,14 @@
-"""Line-scoped suppressions: disable-next=, disable-line=, precedence."""
+"""Suppressions: file-wide disable=, line-scoped disable-next= /
+disable-line=, precedence, and module inference."""
 
 from pathlib import Path
 
-from repro.analysis import lint_paths
-from repro.analysis.core import FileContext, parse_line_suppressions
+from repro.analysis import lint_paths, select_rules
+from repro.analysis.core import (
+    FileContext,
+    parse_line_suppressions,
+    parse_suppressions,
+)
 
 
 def _lint_source(tmp_path, source, name="snippet.py"):
@@ -12,43 +17,88 @@ def _lint_source(tmp_path, source, name="snippet.py"):
     return lint_paths([path])
 
 
+def test_suppression_comment_parsing():
+    assert parse_suppressions("# carp-lint: disable=D103\n") == {"D103"}
+    assert parse_suppressions("# carp-lint: disable=D103, F202\n") == {
+        "D103", "F202",
+    }
+    assert parse_suppressions("x = 1  # carp-lint: disable=all\n") == {"all"}
+    assert parse_suppressions("# unrelated comment\n") == set()
+
+
+def test_suppressed_fixture_is_clean_for_suppressed_rules(fixtures_dir):
+    result = lint_paths(
+        [fixtures_dir / "suppressed_ok.py"],
+        rules=select_rules(["D", "O501"]),
+    )
+    assert result.violations == []
+
+
+def test_suppression_does_not_leak_to_other_rules(tmp_path):
+    src = (
+        "# carp-lint: disable=O501\n"
+        "import time\n"
+        "import random\n"
+        "t = time.time()\n"
+        "r = random.random()\n"
+    )
+    path = tmp_path / "partial.py"
+    path.write_text(src)
+    result = lint_paths([path], rules=select_rules(["D", "O501"]))
+    rules = {v.rule for v in result.violations}
+    assert rules == {"D103"}  # O501 suppressed, D103 still fires
+
+
+def test_file_context_module_inference():
+    ctx = FileContext.from_source(
+        "x = 1\n", Path("src/repro/sim/engine.py")
+    )
+    assert ctx.module == "repro.sim.engine"
+    ctx2 = FileContext.from_source("x = 1\n", Path("tests/foo.py"))
+    assert ctx2.module is None
+    ctx3 = FileContext.from_source(
+        "x = 1\n", Path("src/repro/storage/__init__.py")
+    )
+    assert ctx3.module == "repro.storage"
+
+
 def test_parse_line_suppressions_forms():
     src = (
-        "# carp-lint: disable-next=D101\n"
+        "# carp-lint: disable-next=D103\n"
         "x = 1\n"
-        "y = 2  # carp-lint: disable-line=D101, F202\n"
+        "y = 2  # carp-lint: disable-line=D103, F202\n"
         "# carp-lint: disable-next=all\n"
         "z = 3\n"
     )
     parsed = parse_line_suppressions(src)
     assert parsed == {
-        2: {"D101"},
-        3: {"D101", "F202"},
+        2: {"D103"},
+        3: {"D103", "F202"},
         5: {"all"},
     }
 
 
 def test_disable_next_skips_blank_and_comment_lines():
     src = (
-        "# carp-lint: disable-next=D101\n"
+        "# carp-lint: disable-next=D103\n"
         "\n"
         "# an unrelated comment\n"
         "x = 1\n"
     )
-    assert parse_line_suppressions(src) == {4: {"D101"}}
+    assert parse_line_suppressions(src) == {4: {"D103"}}
 
 
 def test_file_wide_disable_is_not_a_line_form():
     # the narrower forms must not be swallowed by the disable= regex,
     # nor vice versa
-    src = "# carp-lint: disable=D101\nx = 1\n"
+    src = "# carp-lint: disable=D103\nx = 1\n"
     assert parse_line_suppressions(src) == {}
 
 
 def test_is_suppressed_precedence():
     src = (
         "# carp-lint: disable=F202\n"
-        "# carp-lint: disable-next=D101\n"
+        "# carp-lint: disable-next=D103\n"
         "x = 1\n"
         "y = 2  # carp-lint: disable-line=all\n"
     )
@@ -57,50 +107,50 @@ def test_is_suppressed_precedence():
     assert ctx.is_suppressed("F202", line=3)
     assert ctx.is_suppressed("F202")
     # line forms only on their line
-    assert ctx.is_suppressed("D101", line=3)
-    assert not ctx.is_suppressed("D101", line=2)
+    assert ctx.is_suppressed("D103", line=3)
+    assert not ctx.is_suppressed("D103", line=2)
     # disable-line=all silences everything on that one line only
     assert ctx.is_suppressed("X999", line=4)
     assert not ctx.is_suppressed("X999", line=3)
 
 
 def test_disable_line_silences_one_finding(tmp_path):
-    noisy = "import time\n\n\ndef f():\n    return time.time()\n"
+    noisy = "import random\n\n\ndef f():\n    return random.random()\n"
     result = _lint_source(tmp_path, noisy)
     fired = {v.rule for v in result.violations}
-    assert "D101" in fired
+    assert "D103" in fired
 
-    line = noisy.splitlines()[4] + "  # carp-lint: disable-line=D101\n"
+    line = noisy.splitlines()[4] + "  # carp-lint: disable-line=D103\n"
     fixed = "\n".join(noisy.splitlines()[:4]) + "\n" + line
     result = _lint_source(tmp_path, fixed)
-    assert "D101" not in {v.rule for v in result.violations}
+    assert "D103" not in {v.rule for v in result.violations}
 
 
 def test_disable_next_silences_the_following_line(tmp_path):
     src = (
-        "import time\n"
+        "import random\n"
         "\n"
         "\n"
         "def f():\n"
-        "    # carp-lint: disable-next=D101\n"
-        "    return time.time()\n"
+        "    # carp-lint: disable-next=D103\n"
+        "    return random.random()\n"
     )
     result = _lint_source(tmp_path, src)
-    assert "D101" not in {v.rule for v in result.violations}
+    assert "D103" not in {v.rule for v in result.violations}
 
 
 def test_line_suppression_does_not_leak_to_other_lines(tmp_path):
     src = (
-        "import time\n"
+        "import random\n"
         "\n"
         "\n"
         "def f():\n"
-        "    # carp-lint: disable-next=D101\n"
-        "    a = time.time()\n"
-        "    b = time.time()\n"
+        "    # carp-lint: disable-next=D103\n"
+        "    a = random.random()\n"
+        "    b = random.random()\n"
         "    return a, b\n"
     )
     result = _lint_source(tmp_path, src)
-    d101_lines = {v.line for v in result.violations if v.rule == "D101"}
-    assert 6 not in d101_lines
-    assert 7 in d101_lines
+    d103_lines = {v.line for v in result.violations if v.rule == "D103"}
+    assert 6 not in d103_lines
+    assert 7 in d103_lines

@@ -83,7 +83,7 @@ class DeltaFSRun:
                 lo = round_idx * chunk
                 if lo >= len(stream):
                     continue
-                piece = stream.select(np.arange(lo, min(lo + chunk, len(stream))))
+                piece = stream.select(slice(lo, lo + chunk))
                 total += len(piece)
                 dests = hash_route(piece, self.nranks)
                 per_dest, oob = split_by_destination(piece, dests)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.records import RecordBatch, range_mask
 from repro.query.engine import PartitionedStore, QueryResult
 from repro.sim.iomodel import IOModel
@@ -33,9 +31,7 @@ def write_unpartitioned(
     for rank, stream in enumerate(streams):
         with LogWriter(out_dir / log_name(rank)) as writer:
             for start in range(0, len(stream), sst_records):
-                chunk = stream.select(
-                    np.arange(start, min(start + sst_records, len(stream)))
-                )
+                chunk = stream.select(slice(start, start + sst_records))
                 writer.append_batch(chunk, epoch, sort=False)
             writer.flush_epoch(epoch)
     return out_dir

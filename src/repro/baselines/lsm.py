@@ -124,8 +124,8 @@ class LSMTree:
     def _flush_memtable(self, partial: bool = False) -> None:
         data = RecordBatch.concat(self._memtable)
         take = len(data) if partial else self.sst_records
-        chunk = data.select(np.arange(take)).sorted_by_key()
-        rest = data.select(np.arange(take, len(data)))
+        chunk = data.select(slice(take)).sorted_by_key()
+        rest = data.select(slice(take, None))
         self._memtable = [rest] if len(rest) else []
         self._mem_count = len(rest)
         self._write_sst(_SST(chunk), level=0)
@@ -170,9 +170,7 @@ class LSMTree:
         ).sorted_by_key()
         self.levels[level + 1] = keep
         for start in range(0, len(merged), self.sst_records):
-            chunk = merged.select(
-                np.arange(start, min(start + self.sst_records, len(merged)))
-            )
+            chunk = merged.select(slice(start, start + self.sst_records))
             self._write_sst(_SST(chunk), level + 1)
         self.levels[level + 1].sort(key=lambda s: s.kmin)
 

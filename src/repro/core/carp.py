@@ -370,7 +370,7 @@ class CarpRun:
                 lo = round_idx * chunk
                 if lo >= len(stream):
                     continue
-                piece = stream.select(np.arange(lo, min(lo + chunk, len(stream))))
+                piece = stream.select(slice(lo, lo + chunk))
                 round_records += len(piece)
                 pending[r] = piece
             # route until the round's data is all shuffled or buffered;
@@ -602,14 +602,30 @@ class CarpRun:
     # ----------------------------------------------------------- delivery
 
     def _deliver(self, messages: list[ShuffleMessage]) -> None:
+        """Hand one round's arrivals to storage, one call per destination.
+
+        Each destination's messages are concatenated in arrival order
+        and destinations are visited in ascending order, so a rank's
+        main and stray memtables fill with the same record sequence as
+        one call per message would give.  The log bytes differ only
+        when a stray memtable fills inside the call: that stray SST is
+        then appended before main SSTs that per-message delivery would
+        have appended first.
+        """
         if not messages:
             return
         assert self._flow is not None
         delivered = sum(len(m.batch) for m in messages)
+        by_dest: dict[int, list[RecordBatch]] = {}
+        for msg in messages:
+            by_dest.setdefault(msg.dest, []).append(msg.batch)
         with self.obs.span(
             self._tr_shuffle, "deliver", dur=delivered * RECORD_TICK,
             args={"messages": len(messages), "records": delivered},
         ):
-            for msg in messages:
-                self.koidbs[msg.dest].ingest(msg.batch)
+            for dest in sorted(by_dest):
+                parts = by_dest[dest]
+                self.koidbs[dest].ingest(
+                    parts[0] if len(parts) == 1 else RecordBatch.concat(parts)
+                )
         self._g_in_flight.set(self._flow.in_flight)

@@ -46,11 +46,11 @@ class OOBBuffer:
         """
         take = min(len(batch), self.room)
         if take:
-            self._chunks.append(batch.select(np.arange(take)))
+            self._chunks.append(batch.select(slice(take)))
             self._count += take
         if take == len(batch):
             return RecordBatch.empty(self.value_size)
-        return batch.select(np.arange(take, len(batch)))
+        return batch.select(slice(take, None))
 
     def keys(self) -> np.ndarray:
         """A view of all buffered keys (for pivot computation)."""

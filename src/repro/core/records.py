@@ -125,9 +125,30 @@ class RecordBatch:
         """Total on-disk bytes this batch will occupy."""
         return len(self) * self.record_size
 
-    def select(self, mask_or_index: np.ndarray) -> "RecordBatch":
-        """Return a sub-batch selected by boolean mask or index array."""
-        return RecordBatch(
+    @classmethod
+    def _derived(
+        cls, keys: np.ndarray, rids: np.ndarray, value_size: int
+    ) -> "RecordBatch":
+        """Build a batch from arrays derived from validated batches.
+
+        Skips ``__post_init__``: every input already passed its checks
+        (dtype, 1-D, equal lengths, ``value_size``, finite keys), and
+        selecting, reordering or concatenating rows preserves them.
+        Arrays from a caller or from disk go through the public
+        constructor instead.
+        """
+        batch = cls.__new__(cls)
+        batch.keys = keys
+        batch.rids = rids
+        batch.value_size = value_size
+        return batch
+
+    def select(self, mask_or_index: np.ndarray | slice) -> "RecordBatch":
+        """Return a sub-batch selected by boolean mask, index array or slice.
+
+        A slice returns views of this batch's arrays, not copies.
+        """
+        return RecordBatch._derived(
             self.keys[mask_or_index], self.rids[mask_or_index], self.value_size
         )
 
@@ -144,17 +165,20 @@ class RecordBatch:
 
     @classmethod
     def concat(cls, batches: list["RecordBatch"]) -> "RecordBatch":
-        """Concatenate batches; all must share ``value_size``."""
-        batches = [b for b in batches if len(b)]
-        if not batches:
-            return cls.empty()
-        sizes = {b.value_size for b in batches}
+        """Concatenate batches; all non-empty ones must share ``value_size``.
+
+        An all-empty input keeps the first batch's ``value_size``.
+        """
+        nonempty = [b for b in batches if len(b)]
+        if not nonempty:
+            return cls.empty(batches[0].value_size if batches else PAPER_VALUE_SIZE)
+        sizes = {b.value_size for b in nonempty}
         if len(sizes) != 1:
             raise ValueError(f"mixed value sizes in concat: {sorted(sizes)}")
-        return cls(
-            np.concatenate([b.keys for b in batches]),
-            np.concatenate([b.rids for b in batches]),
-            batches[0].value_size,
+        return cls._derived(
+            np.concatenate([b.keys for b in nonempty]),
+            np.concatenate([b.rids for b in nonempty]),
+            nonempty[0].value_size,
         )
 
     @classmethod

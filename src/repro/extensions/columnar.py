@@ -71,9 +71,7 @@ def write_columnar(
     with open(path, "wb") as fh:
         offset = 0
         for start in range(0, len(data), rowgroup_records):
-            chunk = data.select(
-                np.arange(start, min(start + rowgroup_records, len(data)))
-            )
+            chunk = data.select(slice(start, start + rowgroup_records))
             key_bytes = np.ascontiguousarray(chunk.keys, KEY_DTYPE).tobytes()
             rid_bytes = np.ascontiguousarray(chunk.rids, RID_DTYPE).tobytes()
             blob = key_bytes + rid_bytes

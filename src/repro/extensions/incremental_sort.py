@@ -150,7 +150,7 @@ class IncrementalSorter:
         batch = RecordBatch(keys, rids, value_size=8)
         n = len(batch)
         for start in range(0, n, self.sst_records):
-            chunk = batch.select(np.arange(start, min(start + self.sst_records, n)))
+            chunk = batch.select(slice(start, start + self.sst_records))
             entry = writer.append_batch(chunk, epoch, sort=True)
             self.writeback_bytes += entry.length
         writer.flush_epoch(epoch)

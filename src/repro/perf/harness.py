@@ -97,6 +97,10 @@ def _run_ingest(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
                counters.counter_value("koidb.bytes_written"), "B"),
         Metric("ssts_written",
                counters.counter_value("koidb.ssts_written"), "ssts"),
+        # a work count: one per storage call, so per-message delivery
+        # (or any other extra call per batch) changes this row
+        Metric("koidb_ingest_calls",
+               counters.counter_value("koidb.ingest_calls"), "calls"),
         Metric("renegotiations", renegotiations, "renegotiations"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 

@@ -62,7 +62,7 @@ def compact_epoch(
     with LogWriter(epoch_dir / log_name(0)) as writer:
         n = len(all_records)
         for start in range(0, n, sst_records):
-            chunk = all_records.select(np.arange(start, min(start + sst_records, n)))
+            chunk = all_records.select(slice(start, start + sst_records))
             # chunk is already sorted; sort=True marks the flag (no-op resort)
             writer.append_batch(chunk, epoch, sort=True)
         writer.flush_epoch(epoch)

@@ -97,6 +97,9 @@ class KoiDB:
         self.obs = obs_resolved
         self._tr_flush = self.obs.track("flush", f"rank {rank}")
         metrics = self.obs.metrics
+        # one add per ingest call, none per record: the work count that
+        # shows whether deliveries are coalesced per destination
+        self._m_ingest_calls = metrics.counter("koidb.ingest_calls")
         self._m_records_in = metrics.counter("koidb.records_in")
         self._m_strays = metrics.counter("koidb.stray_records")
         self._m_ssts = metrics.counter("koidb.ssts_written")
@@ -217,6 +220,7 @@ class KoiDB:
         """Accept a delivered shuffle batch; returns the stray count."""
         if self._epoch is None:
             raise RuntimeError("ingest outside an epoch")
+        self._m_ingest_calls.add(1)
         n = len(batch)
         if n == 0:
             return 0
@@ -250,7 +254,7 @@ class KoiDB:
                 self._flush(buf.drain(), stray=stray)
                 continue
             take = min(room, len(batch) - start)
-            buf.add(batch.select(np.arange(start, start + take)))
+            buf.add(batch.select(slice(start, start + take)))
             start += take
         if buf.is_full:
             self.stats.memtable_flushes += 1
@@ -278,7 +282,7 @@ class KoiDB:
                 # split into key-disjoint chunks of (nearly) equal record count
                 cuts = np.linspace(0, len(batch), subparts + 1).astype(int)
                 chunks = [
-                    (i, batch.select(np.arange(cuts[i], cuts[i + 1])))
+                    (i, batch.select(slice(cuts[i], cuts[i + 1])))
                     for i in range(subparts)
                     if cuts[i + 1] > cuts[i]
                 ]

@@ -183,3 +183,34 @@ def test_session_close_releases_log_handles(tmp_path):
     assert session._store is None
     with pytest.raises(Exception):
         store.query(0, 0.0, 1.0)
+
+
+def test_ingest_leaves_no_view_of_caller_arrays(tmp_path):
+    """Slices of the caller's streams are views; none outlives the call.
+
+    After ``ingest_epoch`` returns, every memtable, OOB buffer and
+    buffered command stream is empty, so overwriting the caller's
+    arrays cannot reach the committed epoch.
+    """
+    streams = _streams(0)
+    originals = [(s.keys.copy(), s.rids.copy()) for s in streams]
+    with SerialExecutor() as executor, Session(
+        SPEC.nranks, tmp_path, OPTIONS, executor=executor
+    ) as session:
+        session.ingest_epoch(0, streams)
+        run = session.run
+        assert all(len(rank.oob) == 0 for rank in run.ranks)
+        assert all(not commands for commands in run._shards._buffers)
+        for rank in range(SPEC.nranks):
+            db = executor._states[rank]["koidb"]
+            assert len(db._main) == 0 and len(db._stray) == 0
+        for stream in streams:
+            stream.keys[:] = 0.0
+            stream.rids[:] = 0
+        got = session.query(QueryRequest(lo=-1e9, hi=1e9, epoch=0))
+    keys = np.concatenate([k for k, _r in originals])
+    rids = np.concatenate([r for _k, r in originals])
+    order = np.argsort(rids)
+    got_order = np.argsort(got.rids)
+    assert np.array_equal(got.rids[got_order], rids[order])
+    assert np.array_equal(got.keys[got_order], keys[order])

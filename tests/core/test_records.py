@@ -158,3 +158,87 @@ class TestRecordBatch:
         s = batch.sorted_by_key()
         assert np.all(np.diff(s.keys) >= 0)
         assert sorted(s.rids.tolist()) == sorted(batch.rids.tolist())
+
+    def test_concat_all_empty_keeps_value_size(self):
+        c = RecordBatch.concat([RecordBatch.empty(8), RecordBatch.empty(8)])
+        assert len(c) == 0
+        assert c.value_size == 8
+
+
+def _batches(max_size=32):
+    """Strategy: (keys, value_size) pairs for valid batches."""
+    return st.tuples(
+        st.lists(st.floats(-1e6, 1e6, width=32), max_size=max_size),
+        st.sampled_from([8, 16, PAPER_VALUE_SIZE]),
+    )
+
+
+def _assert_valid(batch, value_size):
+    """The invariants ``RecordBatch.__post_init__`` establishes."""
+    assert batch.keys.dtype == KEY_DTYPE
+    assert batch.rids.dtype == np.dtype("<u8")
+    assert batch.keys.ndim == 1 and batch.rids.ndim == 1
+    assert len(batch.keys) == len(batch.rids)
+    assert batch.value_size == value_size
+    assert np.all(np.isfinite(batch.keys))
+
+
+class TestDerivedBatches:
+    """``select``/``concat``/``sorted_by_key`` build results without
+    re-validating; the results must still satisfy every invariant."""
+
+    @given(_batches(), st.data())
+    def test_derived_results_are_valid(self, spec, data):
+        values, value_size = spec
+        batch = RecordBatch.from_keys(
+            np.array(values, np.float32), value_size=value_size
+        )
+        n = len(batch)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                        dtype=bool)
+        index = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                            max_size=n if n else 0)),
+                         dtype=np.int64)
+        a = data.draw(st.integers(0, n))
+        b = data.draw(st.integers(a, n))
+        derived = [
+            batch.select(mask),
+            batch.select(index),
+            batch.select(slice(a, b)),
+            batch.sorted_by_key(),
+            RecordBatch.concat([batch.select(slice(a, b)), batch.select(mask)]),
+        ]
+        for sub in derived:
+            _assert_valid(sub, value_size)
+        assert derived[2].keys.tolist() == batch.keys[a:b].tolist()
+        assert derived[2].rids.tolist() == batch.rids[a:b].tolist()
+
+    def test_select_slice_is_a_view(self):
+        batch = RecordBatch.from_keys(np.arange(10, dtype=np.float32))
+        sub = batch.select(slice(2, 7))
+        assert np.shares_memory(sub.keys, batch.keys)
+        assert np.shares_memory(sub.rids, batch.rids)
+        assert sub.keys.tolist() == [2, 3, 4, 5, 6]
+
+    def test_derived_batches_are_not_revalidated(self, monkeypatch):
+        calls = []
+        original = RecordBatch.__post_init__
+
+        def counting(self):
+            calls.append(len(self.keys))
+            original(self)
+
+        batch = RecordBatch.from_keys(np.array([3, 1, 2], np.float32))
+        monkeypatch.setattr(RecordBatch, "__post_init__", counting)
+        batch.select(slice(1, None))
+        batch.select(batch.keys > 1)
+        batch.sorted_by_key()
+        RecordBatch.concat([batch, batch])
+        assert calls == []
+        RecordBatch.from_keys(np.array([1.0], np.float32))
+        assert calls == [1]
+
+    def test_from_keys_still_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                RecordBatch.from_keys(np.array([1.0, bad], np.float32))

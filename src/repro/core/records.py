@@ -16,6 +16,7 @@ input trace.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,60 @@ def range_mask(keys: np.ndarray, lo: float, hi: float) -> np.ndarray:
     both backends honour the float64 contract above.
     """
     return active_kernels().range_mask(np.asarray(keys), lo, hi)
+
+
+_F32_MAX = float(np.finfo(KEY_DTYPE).max)
+_F32_INF = np.float32(np.inf)
+_F32_ZERO = np.float32(0)
+_LOW31 = np.int32(0x7FFFFFFF)
+_HALF = np.int64(32)
+
+
+@functools.lru_cache(maxsize=256)
+def _f32_bounds(lo: float, hi: float) -> tuple[np.float32, np.float32]:
+    """The smallest float32 ``>= lo`` and the largest float32 ``<= hi``.
+
+    A float32 key ``k`` satisfies ``lo <= k`` in float64 exactly when
+    it satisfies ``lo32 <= k`` in float32, and likewise for ``hi``, so a
+    search on the rounded bounds reproduces the float64 comparison.
+    The rounded value is compared as a Python float: comparing the
+    ``np.float32`` scalar with ``lo`` would round ``lo`` to float32 first
+    (NumPy's weak scalar promotion) and never see the overshoot.
+    """
+    if lo > _F32_MAX:
+        lo32 = _F32_INF
+    elif lo < -_F32_MAX:
+        lo32 = -_F32_INF if lo == -np.inf else np.float32(-_F32_MAX)
+    else:
+        lo32 = np.float32(lo)
+        if float(lo32) < lo:
+            lo32 = np.nextafter(lo32, _F32_INF)
+    if hi < -_F32_MAX:
+        hi32 = -_F32_INF
+    elif hi > _F32_MAX:
+        hi32 = _F32_INF if hi == np.inf else np.float32(_F32_MAX)
+    else:
+        hi32 = np.float32(hi)
+        if float(hi32) > hi:
+            hi32 = np.nextafter(hi32, -_F32_INF)
+    return lo32, hi32
+
+
+def sorted_range(keys: np.ndarray, lo: float, hi: float) -> slice:
+    """Rows of ascending float32 ``keys`` in ``[lo, hi]``, by binary search.
+
+    The slice covers exactly ``np.flatnonzero(range_mask(keys, lo, hi))``
+    under the float64 contract of :func:`range_mask`: the bounds are
+    rounded to float32 conservatively, then two ``searchsorted`` calls
+    find the run.  A NaN bound, like ``hi < lo``, matches nothing.
+    """
+    if not lo <= hi:
+        return slice(0, 0)
+    lo32, hi32 = _f32_bounds(float(lo), float(hi))
+    start = int(keys.searchsorted(lo32, "left"))
+    # lo and hi between the same two adjacent float32s round past each
+    # other; the run is then empty
+    return slice(start, max(start, int(keys.searchsorted(hi32, "right"))))
 
 
 def make_rids(rank: int, start_seq: int, count: int) -> np.ndarray:
@@ -153,9 +208,27 @@ class RecordBatch:
         )
 
     def sorted_by_key(self) -> "RecordBatch":
-        """Return a copy of this batch sorted by key (stable)."""
-        order = np.argsort(self.keys, kind="stable")
-        return self.select(order)
+        """Return a copy of this batch sorted by key (stable).
+
+        The order is exactly ``np.argsort(self.keys, kind="stable")``,
+        found by one sort of packed 64-bit integers instead: the high
+        32 bits map each key's float32 bit pattern to an int32 with the
+        same order (``key + 0`` first folds -0.0 into +0.0, which
+        compares equal to it), and the low 32 bits hold the row index,
+        which breaks ties by position.  Keys are finite (a batch
+        invariant); the batch must hold fewer than ``2**32`` rows.
+        """
+        n = len(self.keys)
+        if n >= 1 << 32:
+            raise ValueError(f"cannot sort a batch of {n} rows (limit 2**32 - 1)")
+        bits = (self.keys + _F32_ZERO).view(np.int32)
+        # negative floats order backwards as int32: flip all but the sign
+        bits ^= (bits >> 31) & _LOW31
+        packed = bits.astype(np.int64)
+        packed <<= _HALF
+        packed |= np.arange(n, dtype=np.int64)
+        packed.sort()
+        return self.select(packed.astype(np.uint32))
 
     @classmethod
     def empty(cls, value_size: int = PAPER_VALUE_SIZE) -> "RecordBatch":

@@ -26,13 +26,14 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import CarpOptions
-from repro.core.records import RecordBatch, range_mask
+from repro.core.records import RecordBatch
 from repro.exec.api import WorkerCrashError, stateful_task
 from repro.faults.plan import SITE_TASK, FaultInjector, FaultSpec
 from repro.obs import NULL_OBS, Obs, SpanRecord, snapshot_delta
 from repro.storage.koidb import KoiDB, KoiDBStats
 from repro.storage.log import LogReader
 from repro.storage.manifest import ManifestEntry
+from repro.storage.sstable import match_rows
 
 # ----------------------------------------------------------------- ingest
 
@@ -212,16 +213,16 @@ def probe_entries(
     key_runs: list[np.ndarray] = []
     for entry in entries:
         if keys_only:
-            _info, sst_keys, nbytes = reader.read_sst_keys(entry)
+            info, sst_keys, nbytes = reader.read_sst_keys(entry)
             # a keys-only client fetches exactly this prefix: the
             # touched bytes are the priced bytes
             bytes_read += nbytes
             candidate_bytes += nbytes
             requests += 1
-            scanned += len(sst_keys)
-            mask = range_mask(sst_keys, lo, hi)
-            if mask.any():
-                key_runs.append(sst_keys[mask])
+            scanned += entry.count
+            matched = sst_keys[match_rows(info, sst_keys, lo, hi)]
+            if len(matched):
+                key_runs.append(matched)
         else:
             read = reader.read_sst(entry, lo, hi)
             bytes_read += read.bytes_read

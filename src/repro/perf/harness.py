@@ -116,6 +116,8 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     bytes_read = 0
     matched = 0
     requests = 0
+    ssts_read = 0
+    scanned = 0
     with PartitionedStore(db_dir, obs=obs) as store:
         for epoch in store.epochs():
             lo, hi = store.key_range(epoch)
@@ -127,11 +129,17 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
                 bytes_read += res.cost.bytes_read
                 matched += res.cost.records_matched
                 requests += res.cost.read_requests
+                ssts_read += res.cost.ssts_read
+                scanned += res.cost.records_scanned
     return [
         Metric("query_latency_modeled", latency, "s"),
         Metric("query_bytes_read", bytes_read, "B"),
         Metric("query_records_matched", matched, "records"),
         Metric("query_read_requests", requests, "requests"),
+        # work counts: SSTs probed and records their keys held, so a
+        # probe that touches more SSTs or records changes these rows
+        Metric("query_ssts_read", ssts_read, "ssts"),
+        Metric("query_records_scanned", scanned, "records"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 

@@ -9,9 +9,10 @@ compactor output — there the overlapping-run merge degenerates to
 concatenation, which is exactly why sorted layouts pay no merge cost.
 
 Probes are keys-first: an SST's head (header, key block, chunk CRC
-table) is read and range-masked, and only the value chunks covering the
-matched rows are fetched — ``QueryCost.bytes_read`` / ``read_requests``
-are those touched spans, measured on the real files.  The
+table) is read and its matched rows found (by binary search when the
+SST is sorted), and only the value chunks covering them are fetched.
+``QueryCost.bytes_read`` / ``read_requests`` are those touched spans,
+measured on the real files.  The
 :class:`~repro.sim.iomodel.IOModel` keeps pricing the paper's client,
 which fetches each candidate SST whole (``QueryCost.candidate_bytes``,
 one request per SST), at paper scale.
@@ -28,6 +29,7 @@ import numpy as np
 from repro.core.records import RecordBatch
 from repro.exec.work import LogProbeResult, probe_entries
 from repro.obs import NULL_OBS, Obs, RequestContext
+from repro.query.request import check_bounds
 from repro.sim.iomodel import IOModel
 from repro.storage.log import LogReader, list_logs
 from repro.storage.manifest import ManifestEntry
@@ -260,8 +262,7 @@ class PartitionedStore:
         and per-log probe spans, and the post-query telemetry sample,
         with the request id.
         """
-        if hi < lo:
-            raise ValueError(f"empty query range [{lo}, {hi}]")
+        check_bounds(lo, hi)
         candidates = self.overlapping_entries(epoch, lo, hi)
         probes = self._probe(candidates, lo, hi, keys_only)
         runs = [r for _, p in probes for r in p.runs]
@@ -274,8 +275,8 @@ class PartitionedStore:
         elif runs:
             merged = RecordBatch.concat(runs)
             # pairwise-disjoint sorted runs in ascending order (always so
-            # on compacted output) concatenate already ordered, and the
-            # stable argsort of an ordered array is the identity
+            # on compacted output) concatenate already ordered, and a
+            # stable sort of an ordered array is the identity
             if not np.all(merged.keys[:-1] <= merged.keys[1:]):
                 merged = merged.sorted_by_key()
             keys, rids = merged.keys, merged.rids
@@ -409,8 +410,7 @@ class PartitionedStore:
         """
         from repro.query.explain import LogExplain, QueryExplain
 
-        if hi < lo:
-            raise ValueError(f"empty query range [{lo}, {hi}]")
+        check_bounds(lo, hi)
         all_entries = self.entries(epoch)
         candidates = self.overlapping_entries(epoch, lo, hi)
         probes = dict(self._probe(candidates, lo, hi, keys_only))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -40,6 +41,18 @@ STATUS_ERROR = "error"
 #: Snapshot token used on responses answered from a live (unpinned)
 #: store view rather than a pinned snapshot.
 LIVE_TOKEN = "live"
+
+
+def check_bounds(lo: float, hi: float) -> None:
+    """Raise :class:`ValueError` unless ``[lo, hi]`` is a non-empty range.
+
+    NaN is rejected: every comparison with it is False, so ``hi < lo``
+    alone lets it through.  ±inf is legal, as an open bound.
+    """
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError(f"query bound is NaN: [{lo}, {hi}]")
+    if hi < lo:
+        raise ValueError(f"empty query range [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -66,8 +79,7 @@ class QueryRequest:
             self.hi, (int, float)
         ):
             raise ValueError(f"lo/hi must be numbers, got {self.lo!r}/{self.hi!r}")
-        if self.hi < self.lo:
-            raise ValueError(f"empty query range [{self.lo}, {self.hi}]")
+        check_bounds(self.lo, self.hi)
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
         if not self.client:

@@ -20,8 +20,8 @@ dispatch through the active kernel backend (``CARP_KERNELS``); the CRC
 frame and the structural checks stay here so both backends produce and
 accept exactly the same on-disk bytes.  Decoders accept any buffer —
 ``bytes`` from a file read or a zero-copy ``memoryview`` slice of an
-mmap-backed log — and always return arrays detached from the input
-buffer.
+mmap-backed log — and return arrays detached from the input buffer;
+the one exception, :func:`key_block_view`, says so in its name.
 """
 
 from __future__ import annotations
@@ -44,11 +44,12 @@ __all__ = [
     "value_block_size",
     "encode_key_block",
     "decode_key_block",
+    "key_block_view",
     "make_filler",
     "encode_chunk_table",
     "decode_chunk_table",
     "encode_value_block",
-    "decode_value_chunks",
+    "decode_value_rows",
     "decode_value_block",
 ]
 
@@ -75,8 +76,8 @@ def _crc(payload: _Buffer) -> bytes:
 def _check_crc(data: _Buffer, what: str) -> _Buffer:
     if len(data) < CRC_BYTES:
         raise BlockCorruptionError(f"{what}: too short to hold a CRC")
-    payload, crc = data[:-CRC_BYTES], data[-CRC_BYTES:]
-    if _crc(payload) != bytes(crc):
+    payload = data[:-CRC_BYTES]
+    if zlib.crc32(payload) != int.from_bytes(data[-CRC_BYTES:], "little"):
         raise BlockCorruptionError(f"{what}: CRC mismatch")
     return payload
 
@@ -109,10 +110,24 @@ def encode_key_block(keys: np.ndarray) -> bytes:
 
 def decode_key_block(data: _Buffer) -> np.ndarray:
     """Parse and CRC-verify a key block."""
+    return active_kernels().decode_keys(_key_payload(data))
+
+
+def key_block_view(data: _Buffer) -> np.ndarray:
+    """CRC-verify a key block; return its keys as a read-only view of ``data``.
+
+    Zero-copy, unlike :func:`decode_key_block`: the result keeps
+    ``data`` exported, so a caller handed an mmap slice copies what it
+    keeps and drops the view before the map is closed.
+    """
+    return np.frombuffer(_key_payload(data), dtype=KEY_DTYPE)
+
+
+def _key_payload(data: _Buffer) -> _Buffer:
     payload = _check_crc(data, "key block")
     if len(payload) % KEY_DTYPE.itemsize:
         raise BlockCorruptionError("key block payload not a multiple of key size")
-    return active_kernels().decode_keys(payload)
+    return payload
 
 
 def _chunk_crcs(payload: _Buffer, value_size: int) -> np.ndarray:
@@ -131,12 +146,12 @@ def encode_chunk_table(payload: _Buffer, value_size: int) -> bytes:
     return table + _crc(table)
 
 
-def decode_chunk_table(data: _Buffer, count: int) -> np.ndarray:
+def decode_chunk_table(data: _Buffer, count: int) -> list[int]:
     """CRC-verify a chunk table; return the per-chunk CRCs of ``count`` records."""
     table = _check_crc(data, "chunk CRC table")
     if len(table) != chunk_count(count) * CRC_BYTES:
         raise BlockCorruptionError("chunk CRC table does not match record count")
-    return np.frombuffer(table, dtype=_CRC_DTYPE).copy()
+    return np.frombuffer(table, dtype=_CRC_DTYPE).tolist()
 
 
 def encode_value_block(rids: np.ndarray, value_size: int) -> bytes:
@@ -149,30 +164,32 @@ def encode_value_block(rids: np.ndarray, value_size: int) -> bytes:
     return encode_chunk_table(payload, value_size) + payload
 
 
-def decode_value_chunks(
-    payload: _Buffer,
-    crcs: np.ndarray,
-    value_size: int,
-    verify_filler: bool = False,
-) -> np.ndarray:
-    """Verify and decode consecutive whole value chunks; return their rids.
-
-    ``payload`` is the value bytes of the chunks and ``crcs`` their
-    entries of an already-verified chunk table; every chunk handed in
-    is CRC-checked, so every rid returned was verified.
-    """
+def _verify_chunks(payload: _Buffer, crcs: list[int], value_size: int) -> None:
+    """CRC-check consecutive whole value chunks against their table entries."""
     if value_size <= 0 or len(payload) % value_size:
         raise BlockCorruptionError("value payload not a multiple of value size")
     if chunk_count(len(payload) // value_size) != len(crcs):
         raise BlockCorruptionError("value payload does not match its chunk table")
-    bad = np.flatnonzero(_chunk_crcs(payload, value_size) != crcs)
-    if len(bad):
-        raise BlockCorruptionError(f"value chunk {int(bad[0])}: CRC mismatch")
-    kernels = active_kernels()
-    rids = kernels.decode_values(payload, value_size)
-    if verify_filler and not kernels.filler_matches(payload, rids, value_size):
-        raise BlockCorruptionError("value block filler mismatch")
-    return rids
+    view = memoryview(payload)
+    step = CHUNK_RECORDS * value_size
+    for i, expect in enumerate(crcs):
+        if zlib.crc32(view[i * step : (i + 1) * step]) != expect:
+            raise BlockCorruptionError(f"value chunk {i}: CRC mismatch")
+
+
+def decode_value_rows(
+    payload: _Buffer, crcs: list[int], value_size: int, start: int, stop: int
+) -> np.ndarray:
+    """Verify consecutive whole value chunks; decode the rids of rows ``[start, stop)``.
+
+    ``payload`` is the value bytes of the chunks and ``crcs`` their
+    entries of an already-verified chunk table; every chunk handed in
+    is CRC-checked, so every rid returned was verified.  Rows count
+    from the start of ``payload``.
+    """
+    _verify_chunks(payload, crcs, value_size)
+    rows = memoryview(payload)[start * value_size : stop * value_size]
+    return active_kernels().decode_values(rows, value_size)
 
 
 def decode_value_block(
@@ -183,4 +200,10 @@ def decode_value_block(
         raise BlockCorruptionError("value block length does not match record count")
     table_len = chunk_table_size(count)
     crcs = decode_chunk_table(data[:table_len], count)
-    return decode_value_chunks(data[table_len:], crcs, value_size, verify_filler)
+    payload = data[table_len:]
+    _verify_chunks(payload, crcs, value_size)
+    kernels = active_kernels()
+    rids = kernels.decode_values(payload, value_size)
+    if verify_filler and not kernels.filler_matches(payload, rids, value_size):
+        raise BlockCorruptionError("value block filler mismatch")
+    return rids

@@ -19,7 +19,7 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from repro.core.records import RecordBatch, range_mask
+from repro.core.records import RecordBatch
 from repro.faults.plan import (
     ACTION_CRASH,
     SITE_MANIFEST_WRITE,
@@ -30,7 +30,7 @@ from repro.faults.plan import (
 from repro.storage.blocks import (
     CHUNK_RECORDS,
     BlockCorruptionError,
-    decode_value_chunks,
+    decode_value_rows,
 )
 from repro.storage.manifest import (
     FOOTER_SIZE,
@@ -53,6 +53,7 @@ from repro.storage.sstable import (
     build_sstable,
     head_span_len,
     keys_span_len,
+    match_rows,
     parse_head,
     parse_keys_only,
     parse_sstable,
@@ -383,10 +384,12 @@ class LogReader:
         Without bounds the whole SST is one span and every block and
         value chunk is verified.  With bounds the read is keys-first:
         the head (header, key block, chunk CRC table — each verified)
-        is fetched and range-masked, and only the value chunks covering
-        the matched rows are fetched, verified and decoded — none at
-        all when nothing matches.  Either way every byte returned was
-        CRC-checked by this call.
+        is fetched and its matched rows found (binary search on a
+        sorted SST, range mask otherwise); only the value chunks
+        covering them are fetched and verified, and only the matched
+        rows are decoded — no value chunk at all when nothing matches.
+        Either way every byte returned was CRC-checked by this call,
+        and the returned arrays own their memory.
         """
         err: BlockCorruptionError | None = None
         try:
@@ -412,35 +415,50 @@ class LogReader:
         head = self._span(
             entry.offset, min(head_span_len(entry.count), entry.length)
         )
+        # keys is a view of the map: only copies of its rows leave here
         info, keys, crcs = parse_head(head)
-        rows = np.flatnonzero(range_mask(keys, lo, hi))
-        if not len(rows):
+        rows = match_rows(info, keys, lo, hi)
+        if isinstance(rows, slice):
+            start, stop = rows.start, rows.stop
+        else:
+            start, stop = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
+        if start == stop:
             return SSTRead(RecordBatch.empty(info.value_size), len(head), 1)
         # one span over the chunks covering the matched rows: contiguous
         # for a sorted SST, first-to-last match for an unsorted one
-        first = int(rows[0]) // CHUNK_RECORDS
-        stop = int(rows[-1]) // CHUNK_RECORDS + 1
-        offset, length = value_chunks_span(info, first, stop)
+        first = start // CHUNK_RECORDS
+        last = (stop - 1) // CHUNK_RECORDS + 1
+        offset, length = value_chunks_span(info, first, last)
         values = self._span(entry.offset + offset, length)
-        rids = decode_value_chunks(values, crcs[first:stop], info.value_size)
-        batch = RecordBatch(
-            keys[rows], rids[rows - first * CHUNK_RECORDS], info.value_size
+        base = first * CHUNK_RECORDS
+        rids = decode_value_rows(
+            values, crcs[first:last], info.value_size, start - base, stop - base
         )
+        if isinstance(rows, slice):
+            batch = RecordBatch(keys[rows].copy(), rids, info.value_size)
+        else:
+            batch = RecordBatch(keys[rows], rids[rows - start], info.value_size)
         return SSTRead(batch, len(head) + len(values), 2)
 
     def read_sst_keys(self, entry: ManifestEntry) -> SSTKeysRead:
         """Read just an SSTable's header and key block."""
-        # header + key block length is derivable from the entry count
         err: BlockCorruptionError | None = None
         try:
-            view = self._span(
-                entry.offset, min(keys_span_len(entry.count), entry.length)
-            )
-            info, keys = parse_keys_only(view)
+            read = self._read_keys(entry)
         except BlockCorruptionError as exc:
+            # as in read_sst: no frame holding a slice of the map
+            # survives in the raised error's traceback
             err = BlockCorruptionError(*exc.args)
         if err is not None:
             raise err
+        return read
+
+    def _read_keys(self, entry: ManifestEntry) -> SSTKeysRead:
+        # header + key block length is derivable from the entry count
+        view = self._span(
+            entry.offset, min(keys_span_len(entry.count), entry.length)
+        )
+        info, keys = parse_keys_only(view)
         return SSTKeysRead(info, keys, len(view))
 
     def close(self) -> None:

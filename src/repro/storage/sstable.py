@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.records import RecordBatch
+from repro.core.records import RecordBatch, range_mask, sorted_range
 from repro.storage.blocks import (
     CHUNK_RECORDS,
     BlockCorruptionError,
@@ -35,6 +36,7 @@ from repro.storage.blocks import (
     encode_key_block,
     encode_value_block,
     key_block_size,
+    key_block_view,
 )
 
 _Buffer = bytes | bytearray | memoryview
@@ -53,9 +55,8 @@ FLAG_SORTED = 0x1
 FLAG_STRAY = 0x2
 
 
-@dataclass(frozen=True)
-class SSTableInfo:
-    """Parsed SSTable header."""
+class SSTableInfo(NamedTuple):
+    """Parsed SSTable header (a tuple: cheap to build once per probe)."""
 
     flags: int
     epoch: int
@@ -142,15 +143,13 @@ def parse_header(data: _Buffer) -> SSTableInfo:
     """
     if len(data) < HEADER_SIZE:
         raise BlockCorruptionError("truncated SSTable header")
-    fields = struct.unpack(_HEADER_FMT, data[:HEADER_SIZE])
     (magic, fmt, flags, epoch, sub_id, count, kmin, kmax, kb_len, vb_len,
-     value_size, chunk_records, crc) = fields
+     value_size, chunk_records, crc) = struct.unpack_from(_HEADER_FMT, data)
     if magic != SST_MAGIC:
         raise BlockCorruptionError(f"bad SSTable magic {magic!r}")
     if fmt != SST_FORMAT_VERSION:
         raise BlockCorruptionError(f"unsupported SSTable format version {fmt}")
-    expect = zlib.crc32(data[: HEADER_SIZE - 4]) & 0xFFFFFFFF
-    if crc != expect:
+    if crc != zlib.crc32(data[: HEADER_SIZE - 4]):
         raise BlockCorruptionError("SSTable header CRC mismatch")
     if chunk_records != CHUNK_RECORDS:
         raise BlockCorruptionError(
@@ -183,12 +182,18 @@ def parse_keys_only(data: _Buffer) -> tuple[SSTableInfo, np.ndarray]:
     Query clients use this to fetch key blocks first (paper §VII-A) and
     defer value-block reads until matches are known.
     """
+    return _parse_keys(data, decode_key_block)
+
+
+def _parse_keys(
+    data: _Buffer, decode: Callable[[_Buffer], np.ndarray]
+) -> tuple[SSTableInfo, np.ndarray]:
     info = parse_header(data)
     kb_start = HEADER_SIZE
     kb_end = kb_start + info.key_block_len
     if len(data) < kb_end:
         raise BlockCorruptionError("truncated SSTable key block")
-    keys = decode_key_block(data[kb_start:kb_end])
+    keys = decode(data[kb_start:kb_end])
     if len(keys) != info.count:
         raise BlockCorruptionError("SSTable count does not match key block")
     return info, keys
@@ -212,15 +217,33 @@ def value_chunks_span(info: SSTableInfo, first: int, stop: int) -> tuple[int, in
     return values_start + begin, end - begin
 
 
-def parse_head(data: _Buffer) -> tuple[SSTableInfo, np.ndarray, np.ndarray]:
+def parse_head(data: _Buffer) -> tuple[SSTableInfo, np.ndarray, list[int]]:
     """Parse header, key block and chunk CRC table — each CRC-verified.
 
-    The third result is what :func:`~repro.storage.blocks.decode_value_chunks`
-    checks fetched value chunks against.
+    The keys are a zero-copy, read-only view of ``data``
+    (:func:`~repro.storage.blocks.key_block_view`): a caller handed an
+    mmap slice copies the rows it returns and drops the view before the
+    map is closed.  The third result is what
+    :func:`~repro.storage.blocks.decode_value_rows` checks fetched
+    value chunks against.
     """
-    info, keys = parse_keys_only(data)
+    info, keys = _parse_keys(data, key_block_view)
     table_start = HEADER_SIZE + info.key_block_len
     table_end = table_start + chunk_table_size(info.count)
     if len(data) < table_end:
         raise BlockCorruptionError("truncated SSTable chunk CRC table")
     return info, keys, decode_chunk_table(data[table_start:table_end], info.count)
+
+
+def match_rows(
+    info: SSTableInfo, keys: np.ndarray, lo: float, hi: float
+) -> slice | np.ndarray:
+    """Rows of an SST's ``keys`` in ``[lo, hi]``.
+
+    A sorted SST (``FLAG_SORTED``) answers by binary search, as a
+    slice; any other by range mask, as an index array.  Either selects
+    exactly the rows ``np.flatnonzero(range_mask(keys, lo, hi))``.
+    """
+    if info.is_sorted:
+        return sorted_range(keys, lo, hi)
+    return np.flatnonzero(range_mask(keys, lo, hi))

@@ -11,9 +11,12 @@ from repro.core.records import (
     RID_SEQ_BITS,
     RecordBatch,
     make_rids,
+    range_mask,
     rid_rank,
     rid_seq,
+    sorted_range,
 )
+from repro.kernels import KERNEL_NAMES, use_kernels
 
 
 class TestMakeRids:
@@ -242,3 +245,100 @@ class TestDerivedBatches:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 RecordBatch.from_keys(np.array([1.0, bad], np.float32))
+
+
+# ------------------------------------------------- float32 edge-case keys
+
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+#: duplicates, both zeros, subnormals, the normal/subnormal boundary and
+#: both ends of the float32 range
+_EDGE_KEYS = [-0.0, 0.0, _F32_TINY, -_F32_TINY, 2 * _F32_TINY,
+              float(np.finfo(np.float32).tiny), _F32_MAX, -_F32_MAX,
+              1.0, -1.0, 0.1, -0.1]
+_KEYS32 = st.one_of(
+    st.sampled_from(_EDGE_KEYS),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+def _between(key: float, up: bool) -> float:
+    """A float64 strictly between float32 ``key`` and its float32 neighbour."""
+    k = np.float32(key)
+    with np.errstate(over="ignore"):
+        nxt = np.nextafter(k, np.float32(np.inf if up else -np.inf))
+    if not np.isfinite(nxt):
+        return float(np.nextafter(np.float64(k), np.inf if up else -np.inf))
+    return (float(k) + float(nxt)) / 2
+
+
+@st.composite
+def _sorted_keys_and_bounds(draw):
+    # Python's sort is stable and -0.0 == 0.0, so zeros stay interleaved
+    keys = sorted(draw(st.lists(_KEYS32, max_size=40)))
+    anchors = keys + _EDGE_KEYS
+    bound = st.one_of(
+        st.sampled_from(anchors),
+        st.builds(_between, st.sampled_from(anchors), st.booleans()),
+        st.sampled_from([np.inf, -np.inf, 3.5e38, -3.5e38]),
+        st.floats(allow_nan=False),
+    )
+    lo, hi = sorted([draw(bound), draw(bound)])
+    return np.array(keys, dtype=np.float32), float(lo), float(hi)
+
+
+class TestSortedRange:
+    """Binary search on conservatively rounded bounds selects exactly
+    the rows ``range_mask`` selects, under its float64 contract."""
+
+    @pytest.mark.parametrize("kernels", KERNEL_NAMES)
+    @given(case=_sorted_keys_and_bounds())
+    def test_equals_range_mask(self, kernels, case):
+        keys, lo, hi = case
+        rows = sorted_range(keys, lo, hi)
+        with use_kernels(kernels):
+            want = np.flatnonzero(range_mask(keys, lo, hi))
+        assert np.array_equal(np.arange(len(keys))[rows], want)
+        assert rows.start <= rows.stop
+
+    def test_bounds_between_adjacent_float32s(self):
+        one = np.float32(1.0)
+        up = float(np.nextafter(one, np.float32(2.0)))
+        keys = np.array([1.0, up], dtype=np.float32)
+        mid = (1.0 + up) / 2
+        assert sorted_range(keys, mid, mid) == slice(1, 1)
+        assert sorted_range(keys, 1.0, mid) == slice(0, 1)
+        assert sorted_range(keys, mid, up) == slice(1, 2)
+
+    def test_nan_and_inverted_bounds_match_nothing(self):
+        keys = np.array([0.0, 1.0, 2.0], dtype=np.float32)
+        for lo, hi in [(np.nan, 1.0), (0.0, np.nan), (2.0, 1.0)]:
+            rows = sorted_range(keys, lo, hi)
+            assert rows.start == rows.stop
+
+
+class TestPackedSort:
+    """``sorted_by_key`` is element-for-element the stable argsort."""
+
+    @given(st.lists(_KEYS32, max_size=300))
+    def test_equals_stable_argsort(self, values):
+        keys = np.array(values, dtype=np.float32)
+        batch = RecordBatch.from_keys(keys)
+        s = batch.sorted_by_key()
+        order = np.argsort(keys, kind="stable")
+        assert s.rids.tolist() == batch.rids[order].tolist()
+        # the keys are the originals moved, -0.0 still -0.0
+        assert s.keys.tobytes() == keys[order].tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single(self, n):
+        batch = RecordBatch.from_keys(np.full(n, -0.0, np.float32), value_size=16)
+        s = batch.sorted_by_key()
+        assert s.keys.tobytes() == batch.keys.tobytes()
+        assert s.rids.tolist() == batch.rids.tolist()
+        assert s.value_size == 16
+
+    def test_zeros_tie_by_position(self):
+        batch = RecordBatch.from_keys(np.array([0.0, -0.0, 0.0, -0.0, -1.0],
+                                               np.float32))
+        assert batch.sorted_by_key().rids.tolist() == [4, 0, 1, 2, 3]

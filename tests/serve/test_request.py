@@ -41,6 +41,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="empty query range"):
             QueryRequest(lo=2.0, hi=1.0).validate()
 
+    @pytest.mark.parametrize("lo,hi", [(float("nan"), 1.0), (0.0, float("nan")),
+                                       (float("nan"), float("nan"))])
+    def test_nan_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="NaN"):
+            QueryRequest(lo=lo, hi=hi).validate()
+
+    def test_infinite_bounds_are_open_bounds(self):
+        QueryRequest(lo=float("-inf"), hi=float("inf")).validate()
+        QueryRequest(lo=float("-inf"), hi=0.0).validate()
+
     def test_non_numeric_bounds_rejected(self):
         with pytest.raises(ValueError, match="must be numbers"):
             QueryRequest(lo="a", hi=1.0).validate()  # type: ignore[arg-type]

@@ -22,10 +22,12 @@ from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
 from repro.exec.work import probe_entries
 from repro.query.request import QueryRequest
-from repro.storage.log import LogReader, list_logs
+from repro.storage.blocks import CHUNK_RECORDS, BlockCorruptionError
+from repro.storage.log import LogReader, LogWriter, list_logs, log_name
 from repro.storage.manifest import ManifestCorruptionError
 from repro.storage.recovery import CommittedState
 from repro.storage.snapshot import pin_snapshot
+from repro.storage.sstable import FLAG_SORTED, head_span_len, keys_span_len
 
 OPTIONS = CarpOptions(
     pivot_count=16,
@@ -188,3 +190,54 @@ def test_session_release_and_close_release_maps(tmp_path):
         session.close()
         assert all(m.closed for m in live_maps)
         gc.collect()
+
+
+def _sorted_sst_log(tmp_path):
+    """One sorted SST of four chunks, row ``i`` holding key ``float(i)``."""
+    count = 4 * CHUNK_RECORDS
+    batch = RecordBatch.from_keys(np.arange(count, dtype=np.float32),
+                                  value_size=16)
+    path = tmp_path / log_name(0)
+    with LogWriter(path) as writer:
+        entry = writer.append_batch(batch, epoch=0)
+        writer.flush_epoch(0)
+    assert entry.flags & FLAG_SORTED
+    return path, entry
+
+
+def test_ranged_and_keys_reads_leave_no_export_on_the_map(tmp_path):
+    """Ranged reads of a sorted SST that match, miss and fail, and a
+    keys-only read, return arrays that own their memory: ``close()``
+    succeeds (no ``BufferError``) while the results are still held."""
+    path, entry = _sorted_sst_log(tmp_path)
+    # damage value chunk 2 only: ranges inside chunk 0 never touch it
+    data = bytearray(path.read_bytes())
+    data[entry.offset + head_span_len(entry.count)
+         + 2 * CHUNK_RECORDS * 16 + 3] ^= 0xFF
+    path.write_bytes(bytes(data))
+    reader = LogReader(path)
+    hit = reader.read_sst(entry, 10.0, 20.0).batch
+    miss = reader.read_sst(entry, -5.0, -1.0).batch
+    keys = reader.read_sst_keys(entry).keys
+    with pytest.raises(BlockCorruptionError, match="chunk"):
+        reader.read_sst(entry, 2.0 * CHUNK_RECORDS, 2.0 * CHUNK_RECORDS + 5)
+    reader.close()
+    assert reader._map is not None and reader._map.closed
+    assert hit.keys.tolist() == [float(k) for k in range(10, 21)]
+    assert hit.rids.tolist() == list(range(10, 21))
+    assert len(miss) == 0
+    assert len(keys) == entry.count
+
+
+def test_failed_keys_read_leaves_no_export_on_the_map(tmp_path):
+    path, entry = _sorted_sst_log(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[entry.offset + keys_span_len(entry.count) - 6] ^= 0xFF
+    path.write_bytes(bytes(data))
+    reader = LogReader(path)
+    with pytest.raises(BlockCorruptionError, match="key block"):
+        reader.read_sst_keys(entry)
+    with pytest.raises(BlockCorruptionError, match="key block"):
+        reader.read_sst(entry, 0.0, 1.0)
+    reader.close()
+    assert reader._map is not None and reader._map.closed

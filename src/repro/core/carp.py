@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.config import CarpOptions
-from repro.core.partition import PartitionTable, load_stddev
+from repro.core.partition import OOB_DEST, PartitionTable, load_stddev
 from repro.core.rank import CarpRankState
 from repro.core.records import RecordBatch
 from repro.core.renegotiation import RenegStats, negotiate
@@ -152,6 +153,7 @@ class CarpRun:
         self._m_records = metrics.counter("carp.records_ingested")
         self._m_routed = metrics.counter("carp.records_routed")
         self._m_shuffled = metrics.counter("carp.records_shuffled")
+        self._m_messages = metrics.counter("carp.shuffle_messages")
         self._m_oob = metrics.counter("carp.records_oob_buffered")
         self._m_reneg_rounds = metrics.counter("reneg.rounds")
         self._m_reneg_msgs = metrics.counter("reneg.messages")
@@ -378,11 +380,7 @@ class CarpRun:
             # OOB buffer must wait for a renegotiation that (per the
             # paper) folds in *every* rank's buffered keys
             for _attempt in range(_MAX_ROUTE_RETRIES):
-                pending = {
-                    r: left
-                    for r, piece in pending.items()
-                    if len(left := self._route(r, piece))
-                }
+                pending = self._route_round(pending)
                 if not pending:
                     break
                 self._renegotiate(TriggerReason.BOOTSTRAP)
@@ -455,17 +453,10 @@ class CarpRun:
 
     # ------------------------------------------------------------ routing
 
-    def _route(self, r: int, batch: RecordBatch) -> RecordBatch:
-        """Route one rank's chunk (paper Fig. 4 control flow).
-
-        In-bounds records are dispatched into the shuffle; out-of-bounds
-        records are buffered.  If the buffer fills mid-epoch, this rank
-        triggers an immediate renegotiation and retries.  During epoch
-        bootstrap (no table yet) renegotiation is *not* triggered here —
-        the leftover batch is returned so the run driver can wait for
-        all ranks to contribute their buffered keys first.
-        """
-        assert self._flow is not None
+    def _route_span(
+        self, r: int, batch: RecordBatch
+    ) -> AbstractContextManager[object]:
+        """Count ``batch`` as routed by rank ``r`` and open its route span."""
         self._m_route_hist.observe(len(batch))
         # counts every record a route pass handled — including OOB
         # leftovers re-routed after a renegotiation, so it exceeds
@@ -473,37 +464,97 @@ class CarpRun:
         # route span args carry the same quantity and carp-profile
         # joins the two (RECONCILIATIONS in repro.obs.profile)
         self._m_routed.add(len(batch))
-        rank = self.ranks[r]
-        pending = batch
-        with self.obs.span(
+        return self.obs.span(
             self._tr_route[r], "route", dur=len(batch) * RECORD_TICK,
             args={"rank": r, "records": len(batch)},
-        ):
-            for _attempt in range(_MAX_ROUTE_RETRIES):
-                if len(pending) == 0:
-                    return pending
-                if self.table is None:
-                    left = rank.oob.add(pending)
-                    self._m_oob.add(len(pending) - len(left))
-                    return left
-                dests = range_route(pending, self.table)
-                per_dest, oob_batch = split_by_destination(pending, dests)
-                in_bounds = len(pending) - len(oob_batch)
-                if in_bounds:
-                    sent_keys = np.concatenate(
-                        [b.keys for b in per_dest.values()]
+        )
+
+    def _route_round(
+        self, pending: dict[int, RecordBatch]
+    ) -> dict[int, RecordBatch]:
+        """Route one round's pieces, rank by rank (paper Fig. 4 control flow).
+
+        In-bounds records are dispatched into the shuffle; out-of-bounds
+        records are buffered, and a rank whose buffer fills triggers an
+        immediate renegotiation.  During epoch bootstrap (no table yet)
+        every record is buffered and nothing renegotiates here: the
+        pieces that did not fit are returned, so :meth:`ingest_epoch` can
+        wait for all ranks to contribute their buffered keys first.
+        """
+        if self.table is None:
+            left: dict[int, RecordBatch] = {}
+            for r, piece in pending.items():
+                with self._route_span(r, piece):
+                    rest = self.ranks[r].oob.add(piece)
+                    self._m_oob.add(len(piece) - len(rest))
+                if len(rest):
+                    left[r] = rest
+            return left
+        todo = list(pending.items())
+        while todo:
+            todo = self._route_pass(todo)
+        return {}
+
+    def _route_pass(
+        self, todo: list[tuple[int, RecordBatch]], attempt: int = 0
+    ) -> list[tuple[int, RecordBatch]]:
+        """Route rank-ordered pieces under the current table in one pass.
+
+        One ``range_route`` over the pieces' concatenation, and one
+        ``bincount`` of its out-of-bounds records per rank, find the
+        first rank whose OOB buffer the pass fills; the pass covers the
+        ranks up to and including it, since all of them route under the
+        same table.  One ``split_by_destination`` over that prefix then
+        sends each destination its share as one message: the prefix's
+        records for it in rank order, the sequence one message per
+        (rank, destination) would deliver.  Each rank then, in rank
+        order and inside its route span, accounts its sent keys and
+        buffers its out-of-bounds records; the filling rank renegotiates
+        and re-routes its overflow through this routine under the new
+        table (``attempt`` counts those re-routes, which run inside the
+        rank's open span).  Returns the pieces of the ranks after it.
+        """
+        assert self.table is not None
+        if attempt == _MAX_ROUTE_RETRIES:
+            raise RuntimeError("routing did not converge (OOB thrashing)")
+        ends = np.cumsum([len(piece) for _r, piece in todo])
+        batch = (
+            todo[0][1] if len(todo) == 1
+            else RecordBatch.concat([piece for _r, piece in todo])
+        )
+        dests = range_route(batch, self.table)
+        oob_counts = np.bincount(
+            np.searchsorted(ends, np.flatnonzero(dests == OOB_DEST), side="right"),
+            minlength=len(todo),
+        )
+        held = np.array([len(self.ranks[r].oob) for r, _piece in todo])
+        filling = np.flatnonzero(
+            (oob_counts > 0) & (held + oob_counts >= self.options.oob_capacity)
+        )
+        covered = int(filling[0]) + 1 if len(filling) else len(todo)
+        stop = int(ends[covered - 1])
+        if stop < len(batch):
+            batch, dests = batch.select(slice(stop)), dests[:stop]
+        per_dest, oob_batch = split_by_destination(batch, dests)
+        for dest, share in per_dest.items():
+            self._send(dest, share)
+        start = oob_start = 0
+        for (r, piece), end, n_oob in zip(todo[:covered], ends, oob_counts):
+            rank = self.ranks[r]
+            with self._route_span(r, piece) if attempt == 0 else nullcontext():
+                if end - start > n_oob:
+                    rank.observe_sent(batch.keys[start:end], dests[start:end])
+                if n_oob:
+                    overflow = rank.oob.add(
+                        oob_batch.select(slice(oob_start, oob_start + n_oob))
                     )
-                    rank.observe_sent(sent_keys)
-                    for dest, sub in per_dest.items():
-                        self._send(dest, sub)
-                if len(oob_batch) == 0:
-                    return oob_batch
-                overflow = rank.oob.add(oob_batch)
-                self._m_oob.add(len(oob_batch) - len(overflow))
-                if rank.oob.is_full:
-                    self._renegotiate(TriggerReason.OOB_FULL)
-                pending = overflow
-        raise RuntimeError("routing did not converge (OOB thrashing)")
+                    self._m_oob.add(int(n_oob) - len(overflow))
+                    if rank.oob.is_full:
+                        self._renegotiate(TriggerReason.OOB_FULL)
+                        if len(overflow):
+                            self._route_pass([(r, overflow)], attempt + 1)
+            start, oob_start = end, oob_start + n_oob
+        return todo[covered:]
 
     def _send(self, dest: int, batch: RecordBatch) -> None:
         """Dispatch a batch toward ``dest``.
@@ -514,6 +565,7 @@ class CarpRun:
         """
         assert self._flow is not None and self.table is not None
         self._m_shuffled.add(len(batch))
+        self._m_messages.add(1)
         if self._shuffle_injector is not None:
             spec = self._shuffle_injector.check(SITE_SHUFFLE_SEND)
             if spec is not None:
@@ -583,11 +635,7 @@ class CarpRun:
                 # bounds were computed over these very keys, so nothing
                 # should be left; tolerate float rounding by re-buffering
                 rank.oob.add(leftover)
-            rank.observe_sent(
-                np.concatenate([b.keys for b in per_dest.values()])
-                if per_dest
-                else np.empty(0, np.float32)
-            )
+            rank.observe_sent(buffered.keys, dests)
             for dest, sub in per_dest.items():
                 self._send(dest, sub)
         self._epoch_stats.triggers.record(self._round_idx, reason)

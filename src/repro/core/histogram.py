@@ -84,6 +84,19 @@ class RankHistogram:
         np.clip(idx, 0, len(self._counts) - 1, out=idx)
         self._counts += np.bincount(idx, minlength=len(self._counts))
 
+    def observe_routed(self, dests: np.ndarray) -> None:
+        """Record a batch of keys by the partitions they were routed to.
+
+        With this histogram rebinned to the routing table's bounds this
+        counts exactly what :meth:`observe` of the same keys would:
+        both place a key by float64 ``searchsorted(side="right")`` on
+        the same edges and fold the top bound into the last bin.
+        """
+        if self._counts is None:
+            raise RuntimeError("cannot observe keys before edges are set")
+        if len(dests):
+            self._counts += np.bincount(dests, minlength=len(self._counts))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self._edges is None:
             return "RankHistogram(<no edges>)"

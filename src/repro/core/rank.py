@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.config import CarpOptions
 from repro.core.histogram import RankHistogram
 from repro.core.oob import OOBBuffer
-from repro.core.partition import PartitionTable
+from repro.core.partition import OOB_DEST, PartitionTable
 from repro.core.pivots import Pivots, pivots_from_histogram
 from repro.core.sampling import BiasedReservoirSampler, ReservoirSampler
 
@@ -63,13 +63,24 @@ class CarpRankState:
             self.reservoir.reset()
         self._has_table = True
 
-    def observe_sent(self, keys: np.ndarray) -> None:
-        """Account keys this rank just dispatched through the shuffle."""
+    def observe_sent(self, keys: np.ndarray, dests: np.ndarray) -> None:
+        """Account keys this rank just routed under the current table.
+
+        ``dests`` are the keys' destinations; out-of-bounds keys
+        (:data:`OOB_DEST`) were buffered, not sent, and are skipped.
+        The histogram adds per-destination counts, since its bins are
+        the table's partitions (:meth:`adopt_table`); a reservoir
+        observes the sent keys in destination order, the order the
+        shuffle groups them in.
+        """
+        sent = dests != OOB_DEST
         if self.reservoir is not None:
-            self.reservoir.observe(keys)
+            self.reservoir.observe(
+                keys[sent][np.argsort(dests[sent], kind="stable")]
+            )
         else:
-            self.hist.observe(keys)
-        self.sent_records += len(keys)
+            self.hist.observe_routed(dests[sent])
+        self.sent_records += int(np.count_nonzero(sent))
 
     def compute_pivots(self) -> Pivots | None:
         """Summary-statistics step of renegotiation.

@@ -19,7 +19,8 @@ Fault sites (see ``docs/FAULTS.md``):
 * ``exec.task`` — a worker crash (``WorkerCrashError``) at a chosen
   task index in :func:`repro.exec.work.koidb_apply`,
 * ``shuffle.send`` — a delayed or dropped shuffle send in
-  :class:`repro.shuffle.flow.DelayQueue`.
+  :class:`repro.shuffle.flow.DelayQueue`; its n-th occurrence is the
+  n-th message, one per (routing pass, destination).
 
 Everything is driven by ``np.random.default_rng(seed)``; the same seed
 always yields the same plan, and the injector's per-site occurrence

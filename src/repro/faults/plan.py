@@ -29,13 +29,20 @@ SITE_SST_WRITE = "storage.sst_write"
 SITE_MANIFEST_WRITE = "storage.manifest_write"
 #: A worker crash at a chosen task index (``koidb_apply``).
 SITE_TASK = "exec.task"
-#: A delayed or dropped shuffle send (``CarpRun._send``).
+#: A delayed or dropped shuffle send (``CarpRun._send``).  Occurrences
+#: count shuffle messages, one per (routing pass, destination).
 SITE_SHUFFLE_SEND = "shuffle.send"
 
 #: Sites whose fault is scoped to one receiver rank.
 RANK_SITES = (SITE_SST_WRITE, SITE_MANIFEST_WRITE, SITE_TASK)
 #: Every known fault site.
 ALL_SITES = RANK_SITES + (SITE_SHUFFLE_SEND,)
+
+#: Upper bound, per epoch, of the ``shuffle.send`` indices
+#: :meth:`FaultPlan.generate` draws: at most the messages one chaos
+#: workload epoch sends (see ``repro.faults.chaos``), so every drawn
+#: spec fires.
+SHUFFLE_SENDS_PER_EPOCH = 15
 
 #: Spec actions: ``crash`` kills the write/task; ``delay``/``drop``
 #: apply to the shuffle site only.
@@ -66,9 +73,11 @@ class FaultSpec:
     """One planned fault: where, when, and how.
 
     ``index`` counts occurrences of ``site`` within the owning
-    injector (0-based); ``arg`` is the cut fraction for storage sites
-    (how much of the payload reaches the file before the crash) and
-    the extra delivery delay in rounds for ``delay`` shuffle faults.
+    injector (0-based; ``shuffle.send`` counts messages, one per
+    routing pass and destination); ``arg`` is the cut fraction for
+    storage sites (how much of the payload reaches the file before the
+    crash) and the extra delivery delay in rounds for ``delay`` shuffle
+    faults.
     """
 
     site: str
@@ -128,7 +137,7 @@ class FaultPlan:
             elif site == SITE_TASK:
                 index = int(rng.integers(0, 3 * max(epochs, 1)))
             else:
-                index = int(rng.integers(0, 48))
+                index = int(rng.integers(0, SHUFFLE_SENDS_PER_EPOCH * max(epochs, 1)))
             if site == SITE_SHUFFLE_SEND:
                 action = ACTION_DROP if rng.random() < 0.5 else ACTION_DELAY
                 arg = float(rng.integers(1, 4))

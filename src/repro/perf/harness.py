@@ -101,6 +101,10 @@ def _run_ingest(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
         # (or any other extra call per batch) changes this row
         Metric("koidb_ingest_calls",
                counters.counter_value("koidb.ingest_calls"), "calls"),
+        # a work count: one per shuffle message, so routing that sends
+        # more than one message per (pass, destination) changes this row
+        Metric("shuffle_messages",
+               counters.counter_value("carp.shuffle_messages"), "messages"),
         Metric("renegotiations", renegotiations, "renegotiations"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 

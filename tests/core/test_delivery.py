@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.core.records import RecordBatch
+from repro.core.records import RecordBatch, rid_rank
 from repro.exec import ProcessExecutor, SerialExecutor
 from repro.kernels import KERNEL_NAMES, use_kernels
 from repro.storage.koidb import KoiDB
@@ -149,17 +149,26 @@ def _ingest_logs(out_dir, make_exec, kernels="vector") -> dict[str, str]:
     }
 
 
-def _deliver_per_message(self, messages):
+def _deliver_per_rank_message(self, messages):
+    """One storage call per (source rank, destination) share.
+
+    A message carries one destination's share of a whole routing pass,
+    its records in source-rank order; cutting it where the rid's rank
+    changes re-creates the calls one message per rank would make.
+    """
     for msg in messages:
-        self.koidbs[msg.dest].ingest(msg.batch)
+        cuts = np.flatnonzero(np.diff(rid_rank(msg.batch.rids))) + 1
+        for rows in np.split(np.arange(len(msg.batch)), cuts):
+            self.koidbs[msg.dest].ingest(msg.batch.select(rows))
 
 
 def test_corner_is_reached_and_deterministic(tmp_path, monkeypatch):
     logs = _ingest_logs(tmp_path / "serial", SerialExecutor)
-    # the configuration really reaches the corner: per-message delivery
-    # lays out at least one rank log differently
+    # the configuration really reaches the corner: delivering each
+    # source rank's share on its own lays out at least one rank log
+    # differently
     with monkeypatch.context() as patch:
-        patch.setattr(CarpRun, "_deliver", _deliver_per_message)
+        patch.setattr(CarpRun, "_deliver", _deliver_per_rank_message)
         per_message = _ingest_logs(tmp_path / "per-message", SerialExecutor)
     assert sorted(per_message) == sorted(logs)
     assert per_message != logs

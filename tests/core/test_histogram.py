@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.histogram import RankHistogram, oracle_histogram
-from repro.core.partition import PartitionTable
+from repro.core.partition import OOB_DEST, PartitionTable
+from repro.kernels import KERNEL_NAMES, use_kernels
 
 
 class TestRankHistogram:
@@ -74,6 +76,60 @@ class TestRankHistogram:
         assert h.is_empty
         h.observe(np.array([0.5]))
         assert not h.is_empty
+
+
+def _edge_keys(bounds: np.ndarray) -> np.ndarray:
+    """float32 keys at and around every bound, plus both signed zeros."""
+    at = bounds.astype(np.float32)
+    return np.concatenate([
+        at,
+        np.nextafter(at, np.float32(-np.inf)),
+        np.nextafter(at, np.float32(np.inf)),
+        np.array([-0.0, 0.0], np.float32),
+    ])
+
+
+_bound = st.one_of(
+    st.floats(-1e6, 1e6, width=32),
+    st.floats(-1e6, 1e6),
+)
+
+
+class TestObserveRouted:
+    """Counting routed destinations is :meth:`RankHistogram.observe` exactly.
+
+    The sender counts a key in the partition the table routed it to,
+    instead of searching the edges again; with the histogram binned by
+    the table's bounds both must agree on every in-bounds key, including
+    keys equal to a bound, the top bound and the float32 neighbours of
+    each bound.
+    """
+
+    @given(
+        points=st.lists(_bound, min_size=2, max_size=12, unique=True),
+        extra=st.lists(st.floats(-2e6, 2e6, width=32), max_size=32),
+    )
+    @example(points=[-1.0, 0.0, 0.5, 2.0], extra=[])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_observe_on_both_kernels(self, points, extra):
+        bounds = np.unique(np.array(points, np.float64))
+        if len(bounds) < 2:
+            return
+        table = PartitionTable(bounds)
+        keys = np.concatenate([_edge_keys(bounds), np.array(extra, np.float32)])
+        for kernels in KERNEL_NAMES:
+            with use_kernels(kernels):
+                dests = table.lookup(keys)
+            sent = dests != OOB_DEST
+            routed = RankHistogram.for_table(table)
+            routed.observe_routed(dests[sent])
+            searched = RankHistogram.for_table(table)
+            searched.observe(keys[sent])
+            assert routed.counts.tolist() == searched.counts.tolist(), kernels
+
+    def test_before_edges_rejected(self):
+        with pytest.raises(RuntimeError):
+            RankHistogram().observe_routed(np.array([0]))
 
 
 class TestOracleHistogram:

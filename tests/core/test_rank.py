@@ -14,6 +14,12 @@ def make_rank(r=0):
     return CarpRankState(r, OPTS)
 
 
+def observe(rank, table, keys):
+    """Account ``keys`` as sent under ``table`` (their routed destinations)."""
+    keys = np.array(keys, np.float32)
+    rank.observe_sent(keys, table.lookup(keys))
+
+
 class TestCarpRankState:
     def test_no_pivots_before_any_data(self):
         assert make_rank().compute_pivots() is None
@@ -37,15 +43,17 @@ class TestCarpRankState:
 
     def test_observe_sent_counts(self):
         rank = make_rank()
-        rank.adopt_table(PartitionTable(np.array([0.0, 2.0])))
-        rank.observe_sent(np.array([0.5, 1.5]))
+        table = PartitionTable(np.array([0.0, 2.0]))
+        rank.adopt_table(table)
+        observe(rank, table, [0.5, 1.5])
         assert rank.sent_records == 2
         assert rank.hist.total == 2
 
     def test_pivots_combine_hist_and_oob(self):
         rank = make_rank()
-        rank.adopt_table(PartitionTable(np.array([0.0, 1.0])))
-        rank.observe_sent(np.array([0.5, 0.6]))
+        table = PartitionTable(np.array([0.0, 1.0]))
+        rank.adopt_table(table)
+        observe(rank, table, [0.5, 0.6])
         from repro.core.records import RecordBatch
 
         rank.oob.add(RecordBatch.from_keys(np.array([5.0], np.float32),
@@ -57,15 +65,17 @@ class TestCarpRankState:
 
     def test_adopt_table_resets_stats(self):
         rank = make_rank()
-        rank.adopt_table(PartitionTable(np.array([0.0, 1.0])))
-        rank.observe_sent(np.array([0.5]))
+        table = PartitionTable(np.array([0.0, 1.0]))
+        rank.adopt_table(table)
+        observe(rank, table, [0.5])
         rank.adopt_table(PartitionTable(np.array([0.0, 2.0])))
         assert rank.hist.total == 0
 
     def test_reset_for_epoch(self):
         rank = make_rank()
-        rank.adopt_table(PartitionTable(np.array([0.0, 1.0])))
-        rank.observe_sent(np.array([0.5]))
+        table = PartitionTable(np.array([0.0, 1.0]))
+        rank.adopt_table(table)
+        observe(rank, table, [0.5])
         rank.reset_for_epoch()
         assert rank.sent_records == 0
         assert rank.compute_pivots() is None

@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.core.carp import CarpRun
+from repro.exec import SerialExecutor
+from repro.faults import chaos
 from repro.faults.plan import (
     ACTION_CRASH,
     ACTION_DELAY,
     ACTION_DROP,
     ALL_SITES,
     RANK_SITES,
+    SHUFFLE_SENDS_PER_EPOCH,
     SITE_MANIFEST_WRITE,
     SITE_SHUFFLE_SEND,
     SITE_SST_WRITE,
@@ -16,6 +20,7 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
+from repro.obs import Obs
 
 
 def test_generate_is_deterministic():
@@ -112,3 +117,27 @@ def test_plan_is_picklable():
 
     plan = FaultPlan.generate(3, nranks=2)
     assert pickle.loads(pickle.dumps(plan)) == plan
+
+
+def test_shuffle_send_indices_fit_the_chaos_workload(tmp_path):
+    """Every ``shuffle.send`` index the generator draws fires in a chaos run.
+
+    A spec past the run's message count never fires; this keeps a later
+    change that sends fewer messages from silently thinning the chaos
+    shuffle leg.
+    """
+    bound = SHUFFLE_SENDS_PER_EPOCH * chaos.CHAOS_EPOCHS
+    for seed in range(200):
+        plan = FaultPlan.generate(
+            seed, chaos.CHAOS_RANKS, max_faults=chaos.CHAOS_TASK_RETRIES,
+            epochs=chaos.CHAOS_EPOCHS,
+        )
+        assert all(spec.index < bound for spec in plan.shuffle_specs())
+    for seed in range(40):
+        obs = Obs.recording()
+        with SerialExecutor() as executor:
+            with CarpRun(chaos.CHAOS_RANKS, tmp_path / f"seed{seed}",
+                         chaos.CHAOS_OPTIONS, obs=obs, executor=executor) as run:
+                for epoch in range(chaos.CHAOS_EPOCHS):
+                    run.ingest_epoch(epoch, chaos.chaos_streams(seed, epoch))
+        assert obs.metrics.counter_value("carp.shuffle_messages") >= bound, seed

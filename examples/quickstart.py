@@ -7,9 +7,7 @@ answers range queries directly against the partitioned on-disk output —
 no post-processing pass in between.
 
 One ``Session`` owns the whole pipeline: the ingest run, the query
-views, and the (optional) observability stack and worker pool — set
-``CARP_EXECUTOR=process`` to run ingest and probing on a process pool
-with byte-identical output.
+views, and the (optional) observability stack.
 
 Run:  python examples/quickstart.py
 """

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Crash-recovery chaos trials (docs/FAULTS.md): seeded ingest → kill →
-# recover → query loops across both executor backends.  Exits
-# nonzero on committed-data loss or cross-executor divergence; failing
-# seeds leave repro bundles under chaos-bundles/.
+# recover → query loops.  Exits nonzero on committed-data loss or a
+# recovered log that is not an epoch-aligned prefix of the fault-free
+# one; failing seeds leave repro bundles under chaos-bundles/.
 #
 #   scripts/chaos.sh            # 20 seeds (the CI smoke configuration)
 #   CHAOS_SEEDS=50 scripts/chaos.sh

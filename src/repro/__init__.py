@@ -27,7 +27,6 @@ from repro.core.carp import CarpRun, EpochStats
 from repro.core.config import CarpOptions, PAPER_OPTIONS, TEST_OPTIONS
 from repro.core.partition import PartitionTable, load_stddev
 from repro.core.records import RecordBatch, make_rids
-from repro.exec import Executor, ProcessExecutor, SerialExecutor, make_executor
 from repro.query.engine import PartitionedStore, QueryResult
 from repro.query.reader import RangeReader
 from repro.query.request import QueryRequest, QueryResponse
@@ -46,7 +45,6 @@ __all__ = [
     "CarpOptions",
     "ClusterSpec",
     "EpochStats",
-    "Executor",
     "IOModel",
     "KoiDB",
     "NetModel",
@@ -54,21 +52,18 @@ __all__ = [
     "PAPER_OPTIONS",
     "PartitionTable",
     "PartitionedStore",
-    "ProcessExecutor",
     "QueryRequest",
     "QueryResponse",
     "QueryResult",
     "QueryService",
     "RangeReader",
     "RecordBatch",
-    "SerialExecutor",
     "Session",
     "Snapshot",
     "TEST_OPTIONS",
     "compact_all_epochs",
     "compact_epoch",
     "load_stddev",
-    "make_executor",
     "make_rids",
     "pin_snapshot",
     "__version__",

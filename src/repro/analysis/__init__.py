@@ -11,8 +11,8 @@ Enforces, at review time, the invariants the reproduction rests on:
   iomodel/netmodel charging,
 * **clock and instrumentation discipline** (O-rules) — no wall clock
   and no self-built recording stack in the instrumented packages,
-* **executor, recovery, thread, write-path and lifetime safety**
-  (P, R, X, W and L-rules).
+* **recovery, thread, write-path and lifetime safety** (R, X, W and
+  L-rules).
 
 Generic hygiene and annotation coverage are ruff's and ``mypy
 --strict``'s (``pyproject.toml``), not carp-lint's.  See

@@ -4,13 +4,14 @@ Extends the intra-module, terminal-name call graph in
 :mod:`repro.analysis.core` to a graph over *every* analyzed file, with
 import-aware edge resolution.  The X (cross-thread safety) family uses
 it to answer "which functions can run on a worker thread?" — a
-reachability question that spans modules (``compact_all_epochs`` in
-``repro.storage`` submits ``compact_epoch_task`` from ``repro.exec.work``).
+reachability question that spans modules (a ``repro.query.service``
+worker thread reaches ``probe_entries`` in ``repro.exec.work`` through
+``PartitionedStore.query``).
 
 Resolution is deliberately conservative:
 
 * a bare call ``f(...)`` resolves through the file's import alias map
-  (``from repro.exec.work import compact_epoch_task``) to a definition in
+  (``from repro.exec.work import probe_entries``) to a definition in
   another analyzed file, or to a same-file definition of that name;
 * an attribute call ``mod.f(...)`` resolves when ``mod`` is an import
   alias of an analyzed module that defines ``f``;

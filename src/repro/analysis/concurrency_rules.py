@@ -1,9 +1,8 @@
 """Cross-thread safety rules (X-family).
 
-The executor architecture (``repro.exec``) keeps worker state disjoint
-by design: sticky shard ownership gives every worker an exclusive
-per-shard state dict, so *object* state never crosses threads.  The
-remaining race surface is exactly what these rules police:
+Threads share the process: a serve-plane worker, an ingest thread
+beside a reader, a thread pool.  The race surface these rules police
+is shared module state and what runs under a lock:
 
 X801
     Module-level mutable state mutated by code reachable from a
@@ -21,8 +20,8 @@ X802
     in a ``finally`` is honoured on exceptional paths.
 X803
     Spawning a process while holding a lock.  ``fork`` duplicates the
-    lock in an arbitrary state in the child; with the
-    ``ProcessExecutor`` this deadlocks the child on first contention.
+    lock in an arbitrary state in the child, which deadlocks the child
+    on first contention.
 
 Lock expressions are recognized by name: a ``Name``/``Attribute``
 whose final identifier *is* ``lock``/``mutex`` (or ends with
@@ -72,7 +71,7 @@ _BLOCKING_METHODS = frozenset(
 _SPAWN_QUALIFIED = frozenset(
     {"subprocess.Popen", "os.fork", "multiprocessing.Process"}
 )
-_SPAWN_TERMINALS = frozenset({"Popen", "Process", "ProcessExecutor", "fork"})
+_SPAWN_TERMINALS = frozenset({"Popen", "Process", "fork"})
 
 #: Methods that mutate the common mutable containers in place.
 _MUTATOR_METHODS = frozenset(

@@ -21,15 +21,15 @@ O501
 O502
     Recording-instrumentation construction (``VirtualClock()``,
     ``ChromeTracer()``, ``BufferingTracer()``, ``MetricsRegistry()``,
-    ``Obs(...)`` / ``Obs.recording()``) inside the data plane, executor
-    tasks included.  Instrumentation is *injected* by the driver;
-    data-plane modules accepting an ``obs`` parameter must default to
-    the shared ``NULL_OBS`` constant, not build their own recording
-    stack — otherwise a library import silently starts accumulating
-    events and runs stop being zero-overhead when observability is off.
+    ``Obs(...)`` / ``Obs.recording()``) inside the data plane.
+    Instrumentation is *injected* by the driver; data-plane modules
+    accepting an ``obs`` parameter must default to the shared
+    ``NULL_OBS`` constant, not build their own recording stack —
+    otherwise a library import silently starts accumulating events and
+    runs stop being zero-overhead when observability is off.
     ``Obs.deltas()`` is the sanctioned exception: it is how a driver
-    hands each shard its rank-local recording stack, whose counter
-    deltas and span records the driver merges in shard order.
+    hands each rank its rank-local recording stack, whose counter
+    deltas and span records the driver merges in rank order.
 O503
     Dynamic span/metric names — an f-string, string concatenation, or
     ``str.format`` where an instrumentation call expects a name.  Names

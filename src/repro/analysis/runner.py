@@ -16,7 +16,6 @@ from repro.analysis.concurrency_rules import CONCURRENCY_RULES
 from repro.analysis.core import FileContext, Rule, Violation
 from repro.analysis.costmodel import COSTMODEL_RULES
 from repro.analysis.determinism import DETERMINISM_RULES
-from repro.analysis.exec_rules import EXEC_RULES
 from repro.analysis.formats import FORMAT_RULES
 from repro.analysis.lifetime_rules import LIFETIME_RULES
 from repro.analysis.obs_rules import OBS_RULES
@@ -29,7 +28,6 @@ ALL_RULES: tuple[Rule, ...] = (
     *FORMAT_RULES,
     *COSTMODEL_RULES,
     *OBS_RULES,
-    *EXEC_RULES,
     *RECOVERY_RULES,
     *CONCURRENCY_RULES,
     *WRITE_RULES,

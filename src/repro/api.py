@@ -1,15 +1,14 @@
 """``repro.api`` — the :class:`Session` facade.
 
 The library's primitives compose by explicit injection: ``CarpRun``,
-``PartitionedStore`` and the compactor each take ``obs=``, and the two
-that fan work out (``CarpRun``, the compactor) take ``executor=``.
-That is the right seam for tests and benchmarks, but a user who just
-wants "ingest, then query, with one observability stack and one worker
-pool" ends up threading the same objects through several constructors
-(the scatter visible in ``docs/API.md``).
+``PartitionedStore`` and the compactor each take ``obs=``.  That is the
+right seam for tests and benchmarks, but a user who just wants "ingest,
+then query, with one observability stack" ends up threading the same
+objects through several constructors (the scatter visible in
+``docs/API.md``).
 
-``Session`` owns that wiring: one ``Obs``, one ``Executor``, one
-``CarpRun``, created together and torn down together::
+``Session`` owns that wiring: one ``Obs``, one ``CarpRun`` and the
+views over its output, created together and torn down together::
 
     from repro.api import Session
     from repro.query.request import QueryRequest
@@ -17,7 +16,7 @@ pool" ends up threading the same objects through several constructors
     with Session(nranks=16, out_dir="out/") as session:
         session.ingest_epoch(0, streams)
         result = session.query(QueryRequest(lo=16.0, hi=64.0, epoch=0))
-    # logs closed, executor shut down, metrics still readable
+    # logs closed, metrics still readable
 
 Views handed out by :meth:`Session.store` and :meth:`Session.reader`
 are attached: they share the session's obs, the reader wraps
@@ -45,8 +44,6 @@ from typing import TextIO
 from repro.core.carp import CarpRun, EpochStats
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
-from repro.exec.api import Executor
-from repro.exec.factory import resolve_executor
 from repro.faults.plan import FaultPlan
 from repro.obs import NULL_OBS, Obs, RequestIdAllocator, TelemetryStream
 from repro.query.engine import PartitionedStore
@@ -64,15 +61,11 @@ from repro.storage.snapshot import Snapshot, pin_snapshot
 
 
 class Session:
-    """One CARP ingest-and-query context: obs + executor + run + views.
+    """One CARP ingest-and-query context: obs + run + views.
 
     Parameters mirror :class:`~repro.core.carp.CarpRun`; ``record=True``
     is a convenience that builds a recording ``Obs`` stack
-    (``Obs.recording()``) when no explicit ``obs=`` is given.  The
-    executor resolves like everywhere else: explicit ``executor=``
-    wins, then ``CARP_EXECUTOR``/``CARP_WORKERS``, then serial — and a
-    session-created executor is closed by the session.  Only ingest
-    runs on it; queries never enter an executor.
+    (``Obs.recording()``) when no explicit ``obs=`` is given.
     """
 
     def __init__(
@@ -82,7 +75,6 @@ class Session:
         options: CarpOptions | None = None,
         nreceivers: int | None = None,
         obs: Obs | None = None,
-        executor: Executor | None = None,
         io: IOModel | None = None,
         record: bool = False,
         faults: FaultPlan | None = None,
@@ -92,7 +84,6 @@ class Session:
             self.obs = Obs.recording() if record else NULL_OBS
         else:
             self.obs = obs
-        self.executor, self._exec_owned = resolve_executor(executor)
         self.io = io or IOModel()
         self.out_dir = Path(out_dir)
         self._requests = RequestIdAllocator()
@@ -102,7 +93,6 @@ class Session:
             options,
             nreceivers=nreceivers,
             obs=self.obs,
-            executor=self.executor,
             faults=faults,
         )
         # ``telemetry=True`` opens <out_dir>/telemetry.jsonl and streams
@@ -152,7 +142,7 @@ class Session:
         Each epoch is one logical *request*: the session mints a
         deterministic ``ingest-NNNNNN`` id that tags every span and
         telemetry sample on the epoch's causal path, driver- and
-        worker-side (see :mod:`repro.obs.context`).
+        storage-side (see :mod:`repro.obs.context`).
         """
         ctx = self._requests.mint("ingest")
         stats = self.run.ingest_epoch(epoch, streams, ctx=ctx)
@@ -344,12 +334,13 @@ class Session:
         return target
 
     def close(self) -> None:
-        """Close views, the run, and any session-owned executor.
+        """Close views and the run.
 
-        With telemetry attached, the run teardown (final shard barrier)
-        is followed by one ``final`` full sample — the sample SLO
-        policies with ``over="final"`` gate on — plus the OpenMetrics
-        exposition, before the session-owned sink closes.
+        With telemetry attached, the run teardown (which merges the
+        rank stacks a last time) is followed by one ``final`` full
+        sample — the sample SLO policies with ``over="final"`` gate on —
+        plus the OpenMetrics exposition, before the session-owned sink
+        closes.
         """
         if self._closed:
             return
@@ -365,16 +356,11 @@ class Session:
         self._pinned.clear()
         self.run.close()
         if self.telemetry is not None:
-            self.telemetry.sample(
-                "final",
-                derived={"retries_done": float(self.executor.retries_done)},
-            )
+            self.telemetry.sample("final")
             self.write_exposition()
         if self._telemetry_file is not None:
             self._telemetry_file.close()
             self._telemetry_file = None
-        if self._exec_owned:
-            self.executor.close()
 
     def __enter__(self) -> "Session":
         return self

@@ -89,7 +89,7 @@ class DeltaFSRun:
                 per_dest, oob = split_by_destination(piece, dests)
                 assert len(oob) == 0  # hash routing is total
                 for dest, sub in per_dest.items():
-                    flow.send(dest, sub, 0)
+                    flow.send(dest, sub)
             for msg in flow.tick():
                 self.koidbs[msg.dest].ingest(msg.batch)
         for msg in flow.drain():

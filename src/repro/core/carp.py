@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Callable
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,9 +30,6 @@ from repro.core.rank import CarpRankState
 from repro.core.records import RecordBatch
 from repro.core.renegotiation import RenegStats, negotiate
 from repro.core.triggers import PeriodicTrigger, TriggerLog, TriggerReason
-from repro.exec.api import Executor
-from repro.exec.factory import resolve_executor
-from repro.exec.shards import KoiDBProxy, KoiDBShardClient
 from repro.faults.plan import (
     ACTION_DROP,
     SITE_SHUFFLE_SEND,
@@ -45,9 +43,11 @@ from repro.obs import (
     ROUND_TICK,
     Obs,
     RequestContext,
+    snapshot_delta,
 )
 from repro.shuffle.flow import DelayQueue, ShuffleMessage
 from repro.shuffle.router import range_route, split_by_destination
+from repro.storage.koidb import KoiDB
 
 _MAX_ROUTE_RETRIES = 64
 
@@ -122,7 +122,6 @@ class CarpRun:
         options: CarpOptions | None = None,
         nreceivers: int | None = None,
         obs: Obs | None = None,
-        executor: Executor | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
         if nranks < 1:
@@ -145,8 +144,8 @@ class CarpRun:
         self._tr_reneg = self.obs.track("renegotiate", "driver")
         self._tr_epoch = self.obs.track("epoch", "driver")
         # flush-track layout is driver-owned: KoiDB instances record
-        # onto rank-local buffering tracers inside koidb_apply, so they
-        # never declare driver tracks themselves
+        # onto rank-local buffering tracers, so they never declare
+        # driver tracks themselves
         for r in range(self.nreceivers):
             self.obs.track("flush", f"rank {r}")
         metrics = self.obs.metrics
@@ -163,27 +162,32 @@ class CarpRun:
         )
         self._g_in_flight = metrics.gauge("shuffle.in_flight_records")
         self.ranks = [CarpRankState(r, self.options) for r in range(nranks)]
-        # each receiver rank's KoiDB lives in its sticky shard state on
-        # the executor; the driver holds command-buffering proxies and
-        # syncs them at epoch barriers.  The per-rank command stream is
-        # what determines a log's bytes, so they are identical whether
-        # koidb_apply replays it inline or on a worker process
-        self._executor, self._exec_owned = resolve_executor(executor)
         # a fault plan arms the injection sites (see repro.faults): the
         # driver hosts the shuffle.send site, each receiver rank's KoiDB
         # hosts the storage sites.  With faults=None every hook below is
         # a single `is None` branch — production behaviour is unchanged.
-        self.faults = faults
         shuffle_specs = faults.shuffle_specs() if faults is not None else ()
         self._shuffle_injector = (
             FaultInjector(shuffle_specs, obs=self.obs)
             if shuffle_specs else None
         )
-        self._shards = KoiDBShardClient(
-            self._executor, self.out_dir, self.options,
-            self.nreceivers, obs=self.obs, faults=faults,
-        )
-        self.koidbs: list[KoiDBProxy] = self._shards.proxies
+        # each receiver rank's KoiDB records into a rank-local
+        # ``Obs.deltas()`` stack (its own virtual clock and buffering
+        # tracer); _merge_rank_obs folds the stacks into the driver's in
+        # rank order at epoch end and at close
+        self._rank_obs = [
+            Obs.deltas() if self.obs.enabled else NULL_OBS
+            for _r in range(self.nreceivers)
+        ]
+        self.koidbs = [
+            KoiDB(
+                r, self.out_dir, self.options, obs=self._rank_obs[r],
+                faults=faults.specs_for_rank(r) if faults is not None else (),
+            )
+            for r in range(self.nreceivers)
+        ]
+        self._rank_snapshots = [o.metrics.snapshot() for o in self._rank_obs]
+        self._closed = False
         self.table: PartitionTable | None = None
         self._version = 0
         self._flow: DelayQueue | None = None
@@ -195,9 +199,57 @@ class CarpRun:
     # ----------------------------------------------------------- plumbing
 
     def close(self) -> None:
-        self._shards.close()
-        if self._exec_owned:
-            self._executor.close()
+        """Close every rank's KoiDB and merge what they recorded.  Idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._each_koidb(KoiDB.close)
+        finally:
+            self._merge_rank_obs()
+
+    def _each_koidb(self, call: Callable[[KoiDB], None]) -> None:
+        """Call ``call`` on every rank's KoiDB, then raise the first failure.
+
+        Every rank is called even after one fails, and the failure
+        raised is the lowest rank's: one rank's torn flush must not
+        stop the other ranks from committing the epoch.
+        """
+        failure: Exception | None = None
+        for db in self.koidbs:
+            try:
+                call(db)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
+
+    def _set_owned_ranges(self, table: PartitionTable) -> None:
+        """Hand every receiver the key range it owns under ``table``."""
+        last = self.nreceivers - 1
+        self._each_koidb(lambda db: db.set_owned_range(
+            *table.owns(db.rank), inclusive_hi=(db.rank == last)
+        ))
+
+    def _merge_rank_obs(self) -> None:
+        """Fold each rank's metrics and spans into the driver's stack.
+
+        First every rank's metric delta since the previous merge, then
+        every rank's buffered spans (on its own timeline), each in rank
+        order, so the merged trace and registry do not depend on when
+        within the epoch a rank did its work.
+        """
+        if not self.obs.enabled:
+            return
+        for r, rank_obs in enumerate(self._rank_obs):
+            current = rank_obs.metrics.snapshot()
+            self.obs.metrics.merge_worker_delta(
+                snapshot_delta(current, self._rank_snapshots[r])
+            )
+            self._rank_snapshots[r] = current
+        for rank_obs in self._rank_obs:
+            self.obs.tracer.merge_events(rank_obs.tracer.drain())
 
     def __enter__(self) -> "CarpRun":
         return self
@@ -291,10 +343,15 @@ class CarpRun:
 
         ``ctx`` (minted by :class:`~repro.api.Session`) attributes every
         span and telemetry sample of this epoch — driver- and
-        worker-side — to one request id.  Without a context the epoch
-        records exactly as before; nothing extra enters the command
-        streams.
+        storage-side — to one request id.
+
+        A storage error (for instance an injected crash) propagates as
+        itself.  Raised mid-epoch, it aborts the epoch before any rank
+        commits it; raised by one rank's ``finish_epoch``, the other
+        ranks still commit.
         """
+        if self._closed:
+            raise RuntimeError("run is closed")
         if len(streams) != self.nranks:
             raise ValueError(f"need {self.nranks} streams, got {len(streams)}")
         bad = {s.value_size for s in streams if s.value_size != self.options.value_size}
@@ -309,9 +366,8 @@ class CarpRun:
         obs = self.obs
         rid = ctx.request_id if ctx is not None else None
         if obs.enabled and rid is not None:
-            # driver-side spans pick the id up from the obs stack;
-            # storage-side spans via a ("ctx", rid) command replayed at
-            # this position of each rank's stream.  Guarded: a request
+            # driver-side spans pick the id up from the obs stack,
+            # storage-side spans from each rank's.  Guarded: a request
             # id must never be assigned on the shared NULL_OBS
             obs.request_id = rid
             for db in self.koidbs:
@@ -324,19 +380,13 @@ class CarpRun:
             for rank in self.ranks:
                 rank.reset_for_epoch()
                 rank.adopt_table(table)
-            for db in self.koidbs:
-                db.begin_epoch(epoch)
-            for part in range(self.nreceivers):
-                lo_, hi_ = table.owns(part)
-                self.koidbs[part].set_owned_range(
-                    lo_, hi_, inclusive_hi=(part == self.nreceivers - 1)
-                )
+            self._each_koidb(lambda db: db.begin_epoch(epoch))
+            self._set_owned_ranges(table)
         else:
             self.table = None
             for rank in self.ranks:
                 rank.reset_for_epoch()
-            for db in self.koidbs:
-                db.begin_epoch(epoch)
+            self._each_koidb(lambda db: db.begin_epoch(epoch))
         records_before = [db.stats.records_in for db in self.koidbs]
         strays_before = sum(db.stats.stray_records for db in self.koidbs)
 
@@ -363,8 +413,8 @@ class CarpRun:
         for round_idx in range(n_rounds):
             self._round_idx = round_idx
             obs.clock.advance(ROUND_TICK)
-            # interval telemetry: driver-scoped counters only — worker
-            # deltas merge at barriers, never mid-epoch
+            # interval telemetry: driver-scoped counters only — rank
+            # stacks merge at epoch end, never mid-epoch
             obs.telemetry.tick()
             pending: dict[int, RecordBatch] = {}
             round_records = 0
@@ -412,18 +462,8 @@ class CarpRun:
 
         # flush the fabric and all storage buffers
         self._deliver(self._flow.drain())
-        if self.faults is not None:
-            # determinacy point for crash injection: surface any
-            # mid-epoch task failure *before* the first finish command,
-            # so a crashed epoch commits on no rank.  (Gated on a fault
-            # plan so fault-free runs keep their barrier/trace schedule.)
-            self._shards.barrier()
-        for db in self.koidbs:
-            db.finish_epoch()
-        # the barrier replays outstanding command streams and syncs
-        # proxy stats/offsets/metrics (and merges rank-local spans), so
-        # the reads below see the finished epoch
-        self._shards.barrier()
+        self._each_koidb(KoiDB.finish_epoch)
+        self._merge_rank_obs()
 
         stats.partition_loads = np.array(
             [db.stats.records_in - before for db, before in zip(self.koidbs, records_before)],
@@ -442,12 +482,9 @@ class CarpRun:
              "renegotiations": stats.renegotiations},
         )
         if obs.enabled:
-            # barrier-aligned full sample: worker deltas just merged,
-            # so the whole registry is deterministic here
-            obs.telemetry.sample(
-                "epoch", epoch=epoch, request=rid,
-                derived={"retries_done": float(self._executor.retries_done)},
-            )
+            # full sample: the rank stacks just merged, so the whole
+            # registry is deterministic here
+            obs.telemetry.sample("epoch", epoch=epoch, request=rid)
             obs.request_id = None
         return stats
 
@@ -563,7 +600,7 @@ class CarpRun:
         happens before any later renegotiation can strand the message,
         so no stray keys can form.
         """
-        assert self._flow is not None and self.table is not None
+        assert self._flow is not None
         self._m_shuffled.add(len(batch))
         self._m_messages.add(1)
         if self._shuffle_injector is not None:
@@ -574,17 +611,14 @@ class CarpRun:
                 # until the epoch-end drain retransmits it, a delay is
                 # held extra rounds — late delivery, never data loss
                 if spec.action == ACTION_DROP:
-                    self._flow.send(dest, batch, self.table.version, drop=True)
+                    self._flow.send(dest, batch, drop=True)
                 else:
-                    self._flow.send(
-                        dest, batch, self.table.version,
-                        extra_delay=int(spec.arg),
-                    )
+                    self._flow.send(dest, batch, extra_delay=int(spec.arg))
                 return
         if self.options.shuffle_delay_rounds == 0:
             self.koidbs[dest].ingest(batch)
         else:
-            self._flow.send(dest, batch, self.table.version)
+            self._flow.send(dest, batch)
 
     # ------------------------------------------------------ renegotiation
 
@@ -619,11 +653,7 @@ class CarpRun:
         self.table = PartitionTable.from_quantile_points(bounds, version=self._version)
         for rank in self.ranks:
             rank.adopt_table(self.table)
-        for part in range(self.nreceivers):
-            lo, hi = self.table.owns(part)
-            self.koidbs[part].set_owned_range(
-                lo, hi, inclusive_hi=(part == self.nreceivers - 1)
-            )
+        self._set_owned_ranges(self.table)
         # flush OOB buffers under the new table (step 4)
         for rank in self.ranks:
             buffered = rank.oob.drain()

@@ -16,16 +16,15 @@ Fault sites (see ``docs/FAULTS.md``):
   :class:`repro.storage.log.LogWriter`,
 * ``storage.manifest_write`` — a torn manifest block + footer at epoch
   flush,
-* ``exec.task`` — a worker crash (``WorkerCrashError``) at a chosen
-  task index in :func:`repro.exec.work.koidb_apply`,
 * ``shuffle.send`` — a delayed or dropped shuffle send in
   :class:`repro.shuffle.flow.DelayQueue`; its n-th occurrence is the
   n-th message, one per (routing pass, destination).
 
 Everything is driven by ``np.random.default_rng(seed)``; the same seed
-always yields the same plan, and the injector's per-site occurrence
-counters advance identically on every executor backend because the
-per-rank command streams are identical (the PR 3 replay contract).
+always yields the same plan, and each injector's per-site occurrence
+counters advance with its host's own event stream (a rank's storage
+writes, the driver's shuffle messages), so a plan fires at the same
+points on every run.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.faults.plan import (
     SITE_MANIFEST_WRITE,
     SITE_SHUFFLE_SEND,
     SITE_SST_WRITE,
-    SITE_TASK,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -45,7 +43,6 @@ __all__ = [
     "SITE_MANIFEST_WRITE",
     "SITE_SHUFFLE_SEND",
     "SITE_SST_WRITE",
-    "SITE_TASK",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

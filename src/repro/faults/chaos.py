@@ -2,22 +2,19 @@
 
 One chaos *seed* is a complete durability trial.  A seeded
 :class:`~repro.faults.plan.FaultPlan` is generated, a small CARP
-workload is run against it on every executor backend, the injected
-crash is taken, and recovery (``fsck --repair`` + ``KoiDB.open``)
-must then prove the paper's §V-A contract:
+workload is run against it, the injected crash is taken, and recovery
+(``fsck --repair`` + ``KoiDB.open``) must then prove the paper's §V-A
+contract:
 
 * **no committed-data loss** — every epoch whose ``ingest_epoch``
   returned before the crash is durable, byte-for-byte, on every rank;
 * **epoch-aligned truncation** — each recovered log is a byte prefix
   of the fault-free reference log, cut exactly at an epoch boundary;
-* **cross-executor determinism** — the recovered logs, the post-redo
-  logs, and all range-query results are bit-identical across the
-  serial and process backends;
 * **the log stays writable** — a redo epoch appended through
   ``KoiDB.open(recover=True)`` leaves a directory ``fsck`` calls clean.
 
 A failing seed serializes everything needed to replay it (the plan
-JSON, per-backend digests and fsck summaries) into a repro bundle.
+JSON, log and query digests and the fsck summary) into a repro bundle.
 """
 
 from __future__ import annotations
@@ -34,16 +31,14 @@ import numpy as np
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
-from repro.exec.api import ExecutorError
-from repro.exec.factory import make_executor
-from repro.faults.plan import SITE_SHUFFLE_SEND, FaultPlan
+from repro.faults.plan import SITE_SHUFFLE_SEND, FaultPlan, InjectedCrashError
 from repro.query.engine import PartitionedStore, QueryResult
 from repro.storage.fsck import fsck
 from repro.storage.koidb import KoiDB
 from repro.storage.log import log_name
 
 #: Chaos workload shape: small enough that one seed runs in well under
-#: a second per backend, large enough to span several memtable flushes,
+#: a second, large enough to span several memtable flushes,
 #: renegotiations, and manifest blocks per epoch.
 CHAOS_RANKS = 3
 CHAOS_EPOCHS = 2
@@ -64,17 +59,8 @@ CHAOS_OPTIONS = CarpOptions(
     shuffle_delay_rounds=1,
 )
 
-#: Executor backends every seed is run on: (name, workers).
-CHAOS_BACKENDS: tuple[tuple[str, int | None], ...] = (
-    ("serial", None),
-    ("process", 2),
-)
-
-#: Inline crash-retry budget handed to every backend.  Matches the
-#: plan generator's ``max_faults``: even a worst-case run of planned
-#: task crashes on consecutive indices is always rescued, so a task
-#: fault never makes one backend fail where another succeeds.
-CHAOS_TASK_RETRIES = 3
+#: Most faults one seed's plan draws.
+CHAOS_MAX_FAULTS = 3
 
 _FULL_RANGE = (-1e30, 1e30)
 
@@ -133,68 +119,40 @@ def _log_bytes(directory: Path, rank: int) -> bytes:
 # ------------------------------------------------------------- outcomes
 
 @dataclass
-class BackendOutcome:
-    """Everything one backend's crash-recovery trial produced."""
+class SeedResult:
+    """Everything one seed's crash-recovery trial produced."""
 
-    backend: str
+    seed: int
+    plan: FaultPlan
     epochs_completed: int = 0
     crashed: bool = False
     error: str = ""
     fsck_summary: str = ""
     #: rank -> sha of the log right after ``fsck --repair``
     recovered: dict[int, str] = field(default_factory=dict)
-    #: rank -> committed byte length after repair
-    recovered_len: dict[int, int] = field(default_factory=dict)
     #: rank -> sha of the log after the redo epoch + final fsck
     final: dict[int, str] = field(default_factory=dict)
     #: epoch -> sha of the full-range query result after redo
     queries: dict[int, str] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
 
-
-@dataclass
-class SeedResult:
-    """One chaos seed, across all backends."""
-
-    seed: int
-    plan: FaultPlan
-    backends: dict[str, BackendOutcome] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
-
     @property
     def ok(self) -> bool:
-        return not self.failures and all(
-            not b.failures for b in self.backends.values()
-        )
-
-    @property
-    def crashed(self) -> bool:
-        return any(b.crashed for b in self.backends.values())
-
-    def all_failures(self) -> list[str]:
-        out = list(self.failures)
-        for name, outcome in sorted(self.backends.items()):
-            out.extend(f"[{name}] {msg}" for msg in outcome.failures)
-        return out
+        return not self.failures
 
     def to_bundle(self) -> dict[str, object]:
         """A JSON-serializable repro bundle for this seed."""
         return {
             "seed": self.seed,
             "plan": json.loads(self.plan.to_json()),
-            "failures": self.all_failures(),
-            "backends": {
-                name: {
-                    "epochs_completed": b.epochs_completed,
-                    "crashed": b.crashed,
-                    "error": b.error,
-                    "fsck": b.fsck_summary,
-                    "recovered": {str(k): v for k, v in b.recovered.items()},
-                    "final": {str(k): v for k, v in b.final.items()},
-                    "queries": {str(k): v for k, v in b.queries.items()},
-                }
-                for name, b in sorted(self.backends.items())
-            },
+            "failures": list(self.failures),
+            "epochs_completed": self.epochs_completed,
+            "crashed": self.crashed,
+            "error": self.error,
+            "fsck": self.fsck_summary,
+            "recovered": {str(k): v for k, v in self.recovered.items()},
+            "final": {str(k): v for k, v in self.final.items()},
+            "queries": {str(k): v for k, v in self.queries.items()},
         }
 
 
@@ -213,12 +171,12 @@ class _Reference:
 
 
 def _run_reference(seed: int, plan: FaultPlan, directory: Path) -> _Reference:
-    """Run the workload serially with only the (lossless) shuffle faults.
+    """Run the workload with only the (lossless) shuffle faults.
 
     Shuffle delay/drop faults perturb delivery timing but never lose
-    data, and they fire in every backend's run identically — so this
-    run's logs are the exact bytes every crashed run's committed prefix
-    must match.
+    data, and they fire in the faulted run identically — so this run's
+    logs are the exact bytes the crashed run's committed prefix must
+    match.
     """
     boundaries: dict[int, list[int]] = {
         r: [0] for r in range(CHAOS_RANKS)
@@ -245,49 +203,39 @@ def _run_reference(seed: int, plan: FaultPlan, directory: Path) -> _Reference:
 
 # ------------------------------------------------------------ the trial
 
-def _run_backend(
-    seed: int,
-    plan: FaultPlan,
-    backend: str,
-    workers: int | None,
-    directory: Path,
-    reference: _Reference,
-) -> BackendOutcome:
-    outcome = BackendOutcome(backend=backend)
-    executor = make_executor(
-        backend, workers, task_retries=CHAOS_TASK_RETRIES
-    )
-    run = CarpRun(
-        CHAOS_RANKS, directory, CHAOS_OPTIONS,
-        executor=executor, faults=plan,
-    )
+def _run_faulted(
+    result: SeedResult, directory: Path, reference: _Reference
+) -> None:
+    """Run ``result.plan`` to its crash, recover, redo, and check it."""
+    seed = result.seed
+    run = CarpRun(CHAOS_RANKS, directory, CHAOS_OPTIONS, faults=result.plan)
     try:
         for epoch in range(CHAOS_EPOCHS):
             run.ingest_epoch(epoch, chaos_streams(seed, epoch))
-            outcome.epochs_completed += 1
-    except ExecutorError as exc:
-        outcome.crashed = True
-        outcome.error = repr(exc)
+            result.epochs_completed += 1
+    except InjectedCrashError as exc:
+        result.crashed = True
+        result.error = repr(exc)
     finally:
         try:
             run.close()
-        except (ExecutorError, RuntimeError) as exc:
-            # a planned fault can also fire inside the close fan-out;
-            # the process died either way — recovery takes it from here
-            outcome.crashed = True
-            if not outcome.error:
-                outcome.error = repr(exc)
-        executor.close()
+        except RuntimeError as exc:
+            # a crashed log refuses further writes, so its close can
+            # fail too; the process died either way — recovery takes
+            # it from here
+            result.crashed = True
+            if not result.error:
+                result.error = repr(exc)
 
     # ---- recover: fsck --repair must leave a clean directory
     report = fsck(directory, deep=True, repair=True)
-    outcome.fsck_summary = report.summary()
+    result.fsck_summary = report.summary()
     if not report.ok:
-        benign_empty = outcome.epochs_completed == 0 and all(
+        benign_empty = result.epochs_completed == 0 and all(
             "no KoiDB logs" in err for err in report.errors
         )
         if not benign_empty:
-            outcome.failures.append(
+            result.failures.append(
                 f"fsck not clean after repair: {report.errors}"
             )
 
@@ -295,24 +243,23 @@ def _run_backend(
     # epoch boundary, holding every fully-ingested epoch
     for rank in range(CHAOS_RANKS):
         data = _log_bytes(directory, rank)
-        outcome.recovered[rank] = _digest_bytes(data)
-        outcome.recovered_len[rank] = len(data)
+        result.recovered[rank] = _digest_bytes(data)
         bounds = reference.boundaries[rank]
         if len(data) not in bounds:
-            outcome.failures.append(
+            result.failures.append(
                 f"rank {rank}: recovered length {len(data)} is not an "
                 f"epoch boundary (expected one of {bounds})"
             )
             continue
         committed_epochs = bounds.index(len(data))
-        if committed_epochs < outcome.epochs_completed:
-            outcome.failures.append(
+        if committed_epochs < result.epochs_completed:
+            result.failures.append(
                 f"rank {rank}: COMMITTED DATA LOST — only "
                 f"{committed_epochs} epoch(s) durable, "
-                f"{outcome.epochs_completed} were committed"
+                f"{result.epochs_completed} were committed"
             )
         if data != reference.log_bytes[rank][: len(data)]:
-            outcome.failures.append(
+            result.failures.append(
                 f"rank {rank}: recovered bytes diverge from the "
                 "fault-free reference log"
             )
@@ -328,65 +275,36 @@ def _run_backend(
             db.close()
     final = fsck(directory, deep=True)
     if not final.ok:
-        outcome.failures.append(
+        result.failures.append(
             f"fsck not clean after redo epoch: {final.errors}"
         )
     for rank in range(CHAOS_RANKS):
-        outcome.final[rank] = _digest_bytes(_log_bytes(directory, rank))
+        result.final[rank] = _digest_bytes(_log_bytes(directory, rank))
 
     # ---- query every surviving epoch end-to-end
     with PartitionedStore(directory) as store:
         for epoch in store.epochs():
-            outcome.queries[epoch] = _digest_query(
+            result.queries[epoch] = _digest_query(
                 store.query(epoch, *_FULL_RANGE)
             )
-    for epoch in range(outcome.epochs_completed):
-        if outcome.queries.get(epoch) != reference.queries.get(epoch):
-            outcome.failures.append(
+    for epoch in range(result.epochs_completed):
+        if result.queries.get(epoch) != reference.queries.get(epoch):
+            result.failures.append(
                 f"epoch {epoch}: query digest diverges from the "
                 "fault-free reference (committed data loss)"
             )
-    return outcome
 
 
 def run_seed(seed: int, base_dir: Path | str) -> SeedResult:
-    """Run one full chaos trial (all backends) for ``seed``."""
+    """Run one full chaos trial for ``seed``."""
     base_dir = Path(base_dir)
     plan = FaultPlan.generate(
-        seed, CHAOS_RANKS, max_faults=CHAOS_TASK_RETRIES,
-        epochs=CHAOS_EPOCHS,
+        seed, CHAOS_RANKS, max_faults=CHAOS_MAX_FAULTS, epochs=CHAOS_EPOCHS,
     )
     result = SeedResult(seed=seed, plan=plan)
-    ref_dir = base_dir / f"seed{seed}-ref"
-    reference = _run_reference(seed, plan, ref_dir)
-    for backend, workers in CHAOS_BACKENDS:
-        directory = base_dir / f"seed{seed}-{backend}"
-        result.backends[backend] = _run_backend(
-            seed, plan, backend, workers, directory, reference
-        )
-    _check_cross_backend(result)
+    reference = _run_reference(seed, plan, base_dir / f"seed{seed}-ref")
+    _run_faulted(result, base_dir / f"seed{seed}-run", reference)
     return result
-
-
-def _check_cross_backend(result: SeedResult) -> None:
-    """Every backend must have produced bit-identical outcomes."""
-    names = [name for name, _ in CHAOS_BACKENDS]
-    first = result.backends[names[0]]
-    for name in names[1:]:
-        other = result.backends[name]
-        for label, a, b in (
-            ("epochs_completed", first.epochs_completed,
-             other.epochs_completed),
-            ("crashed", first.crashed, other.crashed),
-            ("recovered logs", first.recovered, other.recovered),
-            ("final logs", first.final, other.final),
-            ("query results", first.queries, other.queries),
-        ):
-            if a != b:
-                result.failures.append(
-                    f"cross-executor divergence in {label}: "
-                    f"{names[0]}={a!r} vs {name}={b!r}"
-                )
 
 
 def run_seeds(
@@ -414,11 +332,8 @@ def run_seeds(
             target = bundle / f"chaos-seed-{seed}.json"
             target.write_text(json.dumps(result.to_bundle(), indent=2))
         if result.ok and not keep:
-            for backend, _ in CHAOS_BACKENDS:
-                shutil.rmtree(
-                    base_dir / f"seed{seed}-{backend}", ignore_errors=True
-                )
-            shutil.rmtree(base_dir / f"seed{seed}-ref", ignore_errors=True)
+            for name in ("ref", "run"):
+                shutil.rmtree(base_dir / f"seed{seed}-{name}", ignore_errors=True)
         if progress is not None:
             progress(result)
     return results

@@ -1,14 +1,12 @@
 """Fault plans and the runtime injector.
 
 A :class:`FaultPlan` is pure data — frozen, picklable, serializable to
-JSON — so the same plan object (or its per-rank slice) can travel to a
-``ProcessExecutor`` worker and into a repro bundle unchanged.  The
-runtime half, :class:`FaultInjector`, holds the only mutable state: one
-occurrence counter per site.  Each host subsystem owns its own injector
-(one per KoiDB for the storage sites, one in the driver for the shuffle
-site, one per worker shard for the task site), so counters advance with
-the rank-local event stream and stay identical across executor
-backends.
+JSON — so the same plan object can travel into a repro bundle
+unchanged.  The runtime half, :class:`FaultInjector`, holds the only
+mutable state: one occurrence counter per site.  Each host subsystem
+owns its own injector (one per KoiDB for the storage sites, one in the
+driver for the shuffle site), so counters advance with the rank-local
+event stream.
 """
 
 from __future__ import annotations
@@ -27,14 +25,12 @@ if TYPE_CHECKING:
 SITE_SST_WRITE = "storage.sst_write"
 #: A torn manifest block + footer at epoch flush (``LogWriter.flush_epoch``).
 SITE_MANIFEST_WRITE = "storage.manifest_write"
-#: A worker crash at a chosen task index (``koidb_apply``).
-SITE_TASK = "exec.task"
 #: A delayed or dropped shuffle send (``CarpRun._send``).  Occurrences
 #: count shuffle messages, one per (routing pass, destination).
 SITE_SHUFFLE_SEND = "shuffle.send"
 
 #: Sites whose fault is scoped to one receiver rank.
-RANK_SITES = (SITE_SST_WRITE, SITE_MANIFEST_WRITE, SITE_TASK)
+RANK_SITES = (SITE_SST_WRITE, SITE_MANIFEST_WRITE)
 #: Every known fault site.
 ALL_SITES = RANK_SITES + (SITE_SHUFFLE_SEND,)
 
@@ -44,7 +40,7 @@ ALL_SITES = RANK_SITES + (SITE_SHUFFLE_SEND,)
 #: spec fires.
 SHUFFLE_SENDS_PER_EPOCH = 15
 
-#: Spec actions: ``crash`` kills the write/task; ``delay``/``drop``
+#: Spec actions: ``crash`` kills the write; ``delay``/``drop``
 #: apply to the shuffle site only.
 ACTION_CRASH = "crash"
 ACTION_DELAY = "delay"
@@ -134,8 +130,6 @@ class FaultPlan:
                 index = int(rng.integers(0, max(epochs, 1)))
             elif site == SITE_SST_WRITE:
                 index = int(rng.integers(0, 4 * max(epochs, 1)))
-            elif site == SITE_TASK:
-                index = int(rng.integers(0, 3 * max(epochs, 1)))
             else:
                 index = int(rng.integers(0, SHUFFLE_SENDS_PER_EPOCH * max(epochs, 1)))
             if site == SITE_SHUFFLE_SEND:
@@ -170,7 +164,7 @@ class FaultPlan:
         )
 
     def specs_for_rank(self, rank: int) -> tuple[FaultSpec, ...]:
-        """Rank-scoped specs (storage + task sites) for one receiver."""
+        """Rank-scoped specs (the storage sites) for one receiver."""
         return tuple(
             s for s in self.specs if s.site in RANK_SITES and s.rank == rank
         )
@@ -232,7 +226,6 @@ class FaultInjector:
                 SITE_MANIFEST_WRITE: metrics.counter(
                     "faults.manifest_write_crashes"
                 ),
-                SITE_TASK: metrics.counter("faults.task_crashes"),
                 ACTION_DELAY: metrics.counter("faults.shuffle_delayed"),
                 ACTION_DROP: metrics.counter("faults.shuffle_dropped"),
             }

@@ -180,8 +180,8 @@ class Obs:
         self.enabled = enabled
         #: the in-flight request id (see :class:`RequestContext`);
         #: spans opened while set carry a ``request`` arg.  Set/reset
-        #: by the driver around each request and replayed into worker
-        #: stacks via the ``("ctx", request_id)`` KoiDB command.
+        #: by the driver around each request, and set on each rank's
+        #: stack through ``KoiDB.set_request``.
         self.request_id: str | None = None
         #: the attached telemetry stream; :data:`NULL_TELEMETRY` when
         #: no stream is wired, so hot-path hooks stay branch-free.
@@ -201,17 +201,15 @@ class Obs:
     def deltas(cls) -> "Obs":
         """A rank-local stack: private metrics, fresh clock, buffering tracer.
 
-        The one sanctioned observability stack inside executor tasks
-        (lint rule O502 bans ``Obs.recording()`` there); ``koidb_apply``
-        builds one per rank on every backend.  Metric instruments
-        record into a private registry whose
-        :func:`~repro.obs.metrics.snapshot_delta` the task ships back
-        for the driver to merge in shard order.  Spans land in a
+        ``CarpRun`` builds one per receiver rank's KoiDB (lint rule
+        O502 bans ``Obs.recording()`` in the data plane).  Metric
+        instruments record into a private registry whose
+        :func:`~repro.obs.metrics.snapshot_delta` the driver merges in
+        rank order.  Spans land in a
         :class:`~repro.obs.buffer.BufferingTracer` on a *rank-local*
         virtual timeline starting at zero; the driver merges them in
-        rank order at barrier points, which keeps trace.json
-        bit-identical across executors (the per-rank command stream is
-        the same on every backend).
+        rank order at epoch end and close, so trace.json depends only
+        on each rank's own call sequence.
         """
         return cls(VirtualClock(), MetricsRegistry(), BufferingTracer())
 
@@ -224,10 +222,9 @@ class Obs:
         """Open a span that advances the clock by ``dur`` on exit.
 
         While a request id is set on this stack (driver-side around
-        each ingest/query, worker-side via the ``("ctx", ...)``
-        command), the span's args gain a ``request`` entry so
-        ``carp-trace --request <id>`` can pull one request's
-        cross-worker tree out of the merged timeline.
+        each ingest/query, rank-side via ``KoiDB.set_request``), the
+        span's args gain a ``request`` entry so ``carp-trace --request
+        <id>`` can pull one request's tree out of the merged timeline.
         """
         if not self.enabled:
             return _NULL_SPAN

@@ -1,22 +1,18 @@
 """A tracer that buffers span records as plain data for later merging.
 
-:class:`BufferingTracer` is the worker-side (and rank-local) recording
-tracer: instead of assigning Chrome pid/tid pairs, it remembers each
-track's *names* and buffers every event as a picklable
+:class:`BufferingTracer` is the rank-local recording tracer: instead
+of assigning Chrome pid/tid pairs, it remembers each track's *names*
+and buffers every event as a plain-data
 :data:`~repro.obs.tracer.SpanRecord`.  The driver periodically calls
-:meth:`BufferingTracer.drain` (directly for serial rank-local domains,
-or via the executor result payload for worker tasks) and replays the
-records in rank order through
-:meth:`~repro.obs.tracer.Tracer.merge_events` on its own
+:meth:`BufferingTracer.drain` and replays the records in rank order
+through :meth:`~repro.obs.tracer.Tracer.merge_events` on its own
 :class:`~repro.obs.tracer.ChromeTracer` — so one trace document covers
-the whole run regardless of execution backend.
+the whole run.
 
 Timestamps remain *virtual*: the owning :class:`~repro.obs.Obs` stack
 pairs this tracer with a rank-local
-:class:`~repro.obs.clock.VirtualClock` starting at zero, which is what
-makes the buffered timeline reproducible across the serial and process
-executors (the per-rank command stream, and hence the per-rank span
-sequence, is identical on every backend).
+:class:`~repro.obs.clock.VirtualClock` starting at zero, so a rank's
+buffered timeline depends only on that rank's own call sequence.
 """
 
 from __future__ import annotations

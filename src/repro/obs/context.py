@@ -4,18 +4,15 @@ A :class:`RequestContext` names one logical request — an ingested
 epoch or a range query — with a *deterministic* id minted at the
 :class:`repro.api.Session` entry points.  The id rides along the
 request's whole causal path: driver-side spans pick it up from
-``Obs.request_id``, worker-side spans pick it up from the ``("ctx",
-request_id)`` command the driver enqueues into each rank's KoiDB
-command stream, and telemetry samples carry it so counter deltas are
-attributable to the request that caused them.
+``Obs.request_id``, storage-side spans pick it up from each rank's
+stack (``KoiDB.set_request``), and telemetry samples carry it so
+counter deltas are attributable to the request that caused them.
 
 Determinism is the point: ids are sequence numbers per request kind
 (``ingest-000001``, ``query-000002``, ...), not UUIDs or timestamps,
-so the same workload produces the same ids on every executor backend —
-which is what lets ``carp-trace --request <id>`` reconstruct one
-query's cross-worker tree from a trace recorded on *any* backend and
-lets the cross-backend determinism suite compare attribution
-bit-for-bit.
+so the same workload produces the same ids on every run — which is
+what lets ``carp-trace --request <id>`` reconstruct one request's tree
+from an archived trace and lets tests compare attribution bit-for-bit.
 """
 
 from __future__ import annotations

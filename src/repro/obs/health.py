@@ -6,14 +6,14 @@ documents a :class:`~repro.obs.telemetry.TelemetryStream` appends to
 *selector* —
 
 ``counters.<name>``
-    a cumulative counter, e.g. ``counters.faults.task_crashes``
+    a cumulative counter, e.g. ``counters.faults.manifest_write_crashes``
 ``gauges.<name>``
     a gauge, e.g. ``gauges.shuffle.in_flight_records``
 ``deltas.<name>``
     the counter's delta since the previous full sample
 ``derived.<name>``
     a derived SLO gauge, e.g. ``derived.read_amp`` or
-    ``derived.retries_done``
+    ``derived.faults_total``
 ``histograms.<name>.<stat>``
     a histogram statistic, where ``<stat>`` is one of
     ``p50``/``p95``/``p99``/``mean``/``min``/``max``/``count``/``sum``,

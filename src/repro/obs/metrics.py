@@ -202,12 +202,12 @@ class MetricsRegistry:
     # --------------------------------------------------- worker merging
 
     def merge_worker_delta(self, delta: Mapping[str, object]) -> None:
-        """Fold a worker's :func:`snapshot_delta` into this registry.
+        """Fold a rank-local registry's :func:`snapshot_delta` into this one.
 
-        Executor worker tasks record into their own private registry
-        (``Obs.deltas()``) and ship back plain data; the driver merges
-        the deltas in shard order, which keeps ``metrics.json``
-        bit-identical to a serial run.  Counters accumulate their
+        Each receiver rank's KoiDB records into its own private registry
+        (``Obs.deltas()``); the driver merges the deltas in rank order,
+        so ``metrics.json`` does not depend on when within an epoch a
+        rank did its work.  Counters accumulate their
         (integer, hence exact) deltas; gauges and histograms arrive as
         cumulative worker-side state and *replace* the driver's copy —
         exact because their names are per-shard-exclusive (e.g.
@@ -256,7 +256,7 @@ def snapshot_delta(
     and histograms are carried as the *cumulative* current state, since
     float state cannot be delta'd exactly — see
     :meth:`MetricsRegistry.merge_worker_delta` for the matching merge
-    semantics.  This is what executor workers return to the driver.
+    semantics.
     """
     cur_counters = cur.get("counters", {})
     prev_counters = prev.get("counters", {})

@@ -14,11 +14,10 @@ cost, and wall time belongs to the top-level ``ledger/``.  The fold
 nests spans by per-lane event order alone and never reads ``ts`` or
 ``dur``.
 
-Because the inputs are bit-identical across the serial and process
-executors (the trace contract) and the fold is pure integer arithmetic
-over them, the profiles themselves are bit-identical across backends —
-a determinism contract of their own, enforced by
-``tests/exec/test_profile_determinism.py`` and lint rule O505: profile
+Because the inputs are deterministic (the trace contract) and the fold
+is pure integer arithmetic over them, the profiles themselves are
+deterministic — a contract of their own, enforced by the committed
+profile baselines and lint rule O505: profile
 builders operate on *archived artifacts only*.  This module therefore
 imports nothing from the live observability stack — no clocks, no
 tracers, no registries — and consumes plain decoded JSON.

@@ -9,21 +9,19 @@ cadences —
 * **virtual-time ticks** (:meth:`TelemetryStream.tick`), emitted from
   the ``CarpRun`` round loop whenever the driver clock crosses the
   sampling interval.  Tick samples are restricted to *driver-owned*
-  metric prefixes (:data:`DRIVER_SCOPE_PREFIXES`): mid-epoch, worker
+  metric prefixes (:data:`DRIVER_SCOPE_PREFIXES`): mid-epoch, storage
   counters live in rank-local registries that only merge into the
-  driver at barriers, so a full-registry sample here would differ
-  between serial (shared registry, live updates) and parallel (deltas
-  at barriers) backends.  The scoped subset is updated synchronously
-  by driver code on every backend, keeping the stream bit-identical.
-* **barrier-aligned full samples** (:meth:`TelemetryStream.sample`),
-  emitted at epoch end, after each query, and at session close — the
-  points where worker deltas have merged and the whole registry is
+  driver at epoch end and close, so the scoped subset is what the
+  driver has actually seen mid-epoch.
+* **full samples** (:meth:`TelemetryStream.sample`), emitted at epoch
+  end, after each query, and at session close — the points where the
+  rank registries have merged and the whole registry is
   deterministic.  Full samples carry cumulative counters, counter
   *deltas* since the previous full sample (per-request attribution
   when the sample is tagged with a request id), gauges, histogram
   state including bucket ``bounds``/``counts`` and the
   p50/p95/p99 bucket-upper-bound quantiles, and derived SLO gauges
-  (read amplification, retries, fault totals).
+  (read amplification, fault totals).
 
 Everything is injected — the metrics registry, the clock, and the
 output sink — never acquired here (no ``open()`` or wall clock at
@@ -45,10 +43,9 @@ from repro.obs.clock import Clock, NullClock
 from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
 
 #: Counter/gauge name prefixes owned by the driver: updated
-#: synchronously by driver code on every executor backend, hence safe
-#: to sample mid-epoch.  Worker-owned prefixes (``koidb.``,
-#: ``faults.`` storage sites) merge only at barriers and appear in
-#: full samples.
+#: synchronously by driver code, hence safe to sample mid-epoch.
+#: Rank-owned prefixes (``koidb.``, ``faults.`` storage sites) merge
+#: only at epoch end and close, and appear in full samples.
 DRIVER_SCOPE_PREFIXES = ("carp.", "reneg.", "net.", "shuffle.")
 
 #: Default virtual-time sampling interval, in driver-clock ticks
@@ -154,15 +151,13 @@ class TelemetryStream:
         kind: str,
         epoch: int | None = None,
         request: str | None = None,
-        derived: Mapping[str, float] | None = None,
     ) -> dict[str, object]:
-        """Emit a full-registry sample (barrier-aligned points only).
+        """Emit a full-registry sample (merge points only).
 
         ``kind`` labels the cadence point (``epoch`` | ``query`` |
         ``final``); ``request`` attributes the sample — and therefore
         its counter ``deltas`` since the previous full sample — to the
-        originating request.  ``derived`` entries are merged into the
-        computed SLO gauges.  Returns the emitted document.
+        originating request.  Returns the emitted document.
         """
         snap = self._metrics.snapshot()
         counters = snap.get("counters")
@@ -181,7 +176,7 @@ class TelemetryStream:
             "deltas": deltas,
             "gauges": snap.get("gauges"),
             "histograms": snap.get("histograms"),
-            "derived": self._derived(cur, derived),
+            "derived": self._derived(cur),
         }
         if epoch is not None:
             doc["epoch"] = epoch
@@ -191,10 +186,7 @@ class TelemetryStream:
         self._emit(doc)
         return doc
 
-    def _derived(
-        self, counters: Mapping[str, float],
-        extra: Mapping[str, float] | None,
-    ) -> dict[str, float]:
+    def _derived(self, counters: Mapping[str, float]) -> dict[str, float]:
         out: dict[str, float] = {
             "faults_total": sum(
                 v for n, v in counters.items() if n.startswith("faults.")
@@ -208,8 +200,6 @@ class TelemetryStream:
             out["read_amp"] = (
                 probed / (matched * self._record_bytes) if matched else 0.0
             )
-        if extra is not None:
-            out.update({str(k): float(v) for k, v in extra.items()})
         return out
 
     # ------------------------------------------------------- exposition
@@ -236,7 +226,6 @@ class NullTelemetryStream(TelemetryStream):
         kind: str,
         epoch: int | None = None,
         request: str | None = None,
-        derived: Mapping[str, float] | None = None,
     ) -> dict[str, object]:
         return {}
 

@@ -33,7 +33,6 @@ from typing import Any
 from repro.bench.results import emit, results_dir
 from repro.bench.tables import render_table
 from repro.core.carp import CarpRun
-from repro.exec import SerialExecutor
 from repro.obs import Obs, TelemetryStream
 from repro.obs.profile import Profile, fold
 from repro.perf.workloads import WorkloadSpec
@@ -77,12 +76,10 @@ def _ingest(spec: WorkloadSpec, out_dir: Path, obs: Obs) -> int:
     """Ingest every epoch; return the total renegotiation count."""
     trace = _trace_spec(spec)
     renegotiations = 0
-    with SerialExecutor() as executor:
-        with CarpRun(spec.nranks, out_dir, spec.options(), obs=obs,
-                     executor=executor) as run:
-            for epoch in range(spec.epochs):
-                stats = run.ingest_epoch(epoch, generate_timestep(trace, epoch))
-                renegotiations += stats.renegotiations
+    with CarpRun(spec.nranks, out_dir, spec.options(), obs=obs) as run:
+        for epoch in range(spec.epochs):
+            stats = run.ingest_epoch(epoch, generate_timestep(trace, epoch))
+            renegotiations += stats.renegotiations
     return renegotiations
 
 
@@ -152,9 +149,7 @@ def _run_compact(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     dst = scratch / "compacted"
     _ingest(spec, src, Obs.null())
     obs = Obs.recording()
-    with SerialExecutor() as executor:
-        epoch_dirs = compact_all_epochs(src, dst, spec.sst_records,
-                                        executor=executor, obs=obs)
+    epoch_dirs = compact_all_epochs(src, dst, spec.sst_records, obs=obs)
     out_bytes = sum(
         p.stat().st_size for d in epoch_dirs for p in list_logs(d)
     )

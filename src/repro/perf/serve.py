@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.api import Session
-from repro.exec import SerialExecutor
 from repro.perf.workloads import WorkloadSpec
 from repro.query.engine import LATENCY_BOUNDS
 from repro.query.service import QueryService
@@ -152,96 +151,95 @@ def run_serve_workload(
     )
     db_dir = scratch / "db"
     responses: list[QueryResponse] = []
-    with SerialExecutor() as executor:
-        with Session(
-            spec.nranks, db_dir, spec.options(),
-            executor=executor, record=True, telemetry=True,
-        ) as session:
-            session.ingest_epoch(0, generate_timestep(trace, 0))
-            lo, hi = session.store().key_range(0)
-            service = session.serve(
-                workers=spec.workers, max_pending=max(64, spec.clients * 2)
+    with Session(
+        spec.nranks, db_dir, spec.options(),
+        record=True, telemetry=True,
+    ) as session:
+        session.ingest_epoch(0, generate_timestep(trace, 0))
+        lo, hi = session.store().key_range(0)
+        service = session.serve(
+            workers=spec.workers, max_pending=max(64, spec.clients * 2)
+        )
+        # phase 1: serve while ingesting (the tentpole scenario)
+        for epoch in range(1, spec.epochs):
+            ingest = threading.Thread(
+                target=session.ingest_epoch,
+                args=(epoch, generate_timestep(trace, epoch)),
+                name=f"carp-ingest-{epoch}",
             )
-            # phase 1: serve while ingesting (the tentpole scenario)
-            for epoch in range(1, spec.epochs):
-                ingest = threading.Thread(
-                    target=session.ingest_epoch,
-                    args=(epoch, generate_timestep(trace, epoch)),
-                    name=f"carp-ingest-{epoch}",
-                )
-                ingest.start()
-                responses.extend(_run_clients(service, [
-                    _client_queries(spec, c, epoch, epoch, lo, hi)
-                    for c in range(spec.clients)
-                ]))
-                ingest.join()
-            # phase 2: cache hits (each client repeats its queries)
-            pairs = [
-                [r for req in _client_queries(
-                    spec, c, spec.epochs, spec.epochs, lo, hi
-                ) for r in (req, req)]
-                for c in range(spec.clients)
-            ]
-            responses.extend(_run_clients(service, pairs))
-            # phase 3: deadline-bounded wide scans.  Each client gets
-            # its own (near-full-span) window: with a shared window,
-            # single-flight would pick a timing-dependent owner and
-            # move the one nonzero latency to a different position in
-            # the close-time histogram summation, perturbing the float
-            # total by an ulp run-to-run
+            ingest.start()
             responses.extend(_run_clients(service, [
-                [QueryRequest(lo=lo + (hi - lo) * 1e-4 * c, hi=hi,
-                              epoch=0, client=f"client-{c:02d}",
-                              deadline=1e-9)]
+                _client_queries(spec, c, epoch, epoch, lo, hi)
                 for c in range(spec.clients)
             ]))
-            stats = service.stats
-            service.close()
-            hist = session.obs.metrics.histogram(
-                "serve.latency", LATENCY_BOUNDS
-            )
-            assert hist.count > 0, "service merged no served latencies"
-            p50, p95, p99 = (
-                hist.quantile(0.50), hist.quantile(0.95), hist.quantile(0.99)
-            )
-            assert p50 is not None and p95 is not None and p99 is not None
-            artifacts: list[str] = []
-            if out_dir is not None:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                artifacts.append(
-                    str(session.write_metrics(out_dir / "metrics.json"))
-                )
-                session.obs.tracer.write(out_dir / "trace.json")
-                artifacts.append(str(out_dir / "trace.json"))
-            report = ServeReport(
-                workload=spec.name,
-                requests=stats.submitted,
-                ok=stats.ok,
-                deadline_exceeded=stats.deadline_exceeded,
-                rejected=stats.rejected,
-                errors=stats.errors,
-                cache_hits=stats.cache_hits,
-                cache_misses=stats.cache_misses,
-                invalidations=stats.invalidations,
-                engine_queries=stats.engine_queries,
-                payload_digest=combined_digest(responses),
-                latency_p50=p50,
-                latency_p95=p95,
-                latency_p99=p99,
-                latency_mean=hist.mean,
-                served_count=hist.count,
-                artifacts=tuple(artifacts),
-            )
+            ingest.join()
+        # phase 2: cache hits (each client repeats its queries)
+        pairs = [
+            [r for req in _client_queries(
+                spec, c, spec.epochs, spec.epochs, lo, hi
+            ) for r in (req, req)]
+            for c in range(spec.clients)
+        ]
+        responses.extend(_run_clients(service, pairs))
+        # phase 3: deadline-bounded wide scans.  Each client gets
+        # its own (near-full-span) window: with a shared window,
+        # single-flight would pick a timing-dependent owner and
+        # move the one nonzero latency to a different position in
+        # the close-time histogram summation, perturbing the float
+        # total by an ulp run-to-run
+        responses.extend(_run_clients(service, [
+            [QueryRequest(lo=lo + (hi - lo) * 1e-4 * c, hi=hi,
+                          epoch=0, client=f"client-{c:02d}",
+                          deadline=1e-9)]
+            for c in range(spec.clients)
+        ]))
+        stats = service.stats
+        service.close()
+        hist = session.obs.metrics.histogram(
+            "serve.latency", LATENCY_BOUNDS
+        )
+        assert hist.count > 0, "service merged no served latencies"
+        p50, p95, p99 = (
+            hist.quantile(0.50), hist.quantile(0.95), hist.quantile(0.99)
+        )
+        assert p50 is not None and p95 is not None and p99 is not None
+        artifacts: list[str] = []
         if out_dir is not None:
-            # the session's own telemetry sink closes with the session;
-            # copy the stream into the artifact directory afterwards
-            telemetry = db_dir / "telemetry.jsonl"
-            if telemetry.is_file():
-                target = out_dir / "telemetry.jsonl"
-                target.write_bytes(telemetry.read_bytes())
-                report = replace(
-                    report, artifacts=report.artifacts + (str(target),)
-                )
+            out_dir.mkdir(parents=True, exist_ok=True)
+            artifacts.append(
+                str(session.write_metrics(out_dir / "metrics.json"))
+            )
+            session.obs.tracer.write(out_dir / "trace.json")
+            artifacts.append(str(out_dir / "trace.json"))
+        report = ServeReport(
+            workload=spec.name,
+            requests=stats.submitted,
+            ok=stats.ok,
+            deadline_exceeded=stats.deadline_exceeded,
+            rejected=stats.rejected,
+            errors=stats.errors,
+            cache_hits=stats.cache_hits,
+            cache_misses=stats.cache_misses,
+            invalidations=stats.invalidations,
+            engine_queries=stats.engine_queries,
+            payload_digest=combined_digest(responses),
+            latency_p50=p50,
+            latency_p95=p95,
+            latency_p99=p99,
+            latency_mean=hist.mean,
+            served_count=hist.count,
+            artifacts=tuple(artifacts),
+        )
+    if out_dir is not None:
+        # the session's own telemetry sink closes with the session;
+        # copy the stream into the artifact directory afterwards
+        telemetry = db_dir / "telemetry.jsonl"
+        if telemetry.is_file():
+            target = out_dir / "telemetry.jsonl"
+            target.write_bytes(telemetry.read_bytes())
+            report = replace(
+                report, artifacts=report.artifacts + (str(target),)
+            )
     # sanity: the status split must reconcile with the response list
     assert report.ok == sum(1 for r in responses if r.status == STATUS_OK)
     assert report.deadline_exceeded == sum(

@@ -2,12 +2,9 @@
 
 Each :class:`WorkloadSpec` pins everything that influences the
 measured numbers: the workload kind (ingest / query / compact / …),
-the synthetic-trace seed and sizes.  Every workload runs on a
-:class:`~repro.exec.SerialExecutor`: output bytes do not depend on the
-backend (``tests/exec/test_determinism.py`` proves it), so a second
-registration per backend would gate the same rows twice.  No row reads
-a host clock — which backend is *faster* is the ledger's question
-(``ledger/``), not this registry's.
+the synthetic-trace seed and sizes.  No row reads a host clock — how
+fast a workload runs is the ledger's question (``ledger/``), not this
+registry's.
 
 Sizes are small on purpose (a CI perf job runs every workload on
 every push); the counts and modeled costs they gate are deterministic,

@@ -8,7 +8,7 @@ adds the serving-plane ones (epoch-or-latest, client id, deadline);
 :class:`QueryResponse` is the typed reply every read-path entry point
 now returns, with a *canonical byte payload* so "the same query
 against the same committed snapshot" can be compared bit-for-bit
-across executor backends and across served-vs-serial execution.
+across kernel backends and across served-vs-serial execution.
 
 Deadlines are budgets on the *modeled* query latency
 (:attr:`~repro.query.engine.QueryCost.latency`, virtual seconds): the

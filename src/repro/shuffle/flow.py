@@ -7,8 +7,8 @@ may be delivered after the table has moved to ``v + 1``, in which case
 it can land on a rank that no longer owns its key.
 
 :class:`DelayQueue` models this with a configurable delivery delay in
-simulation rounds.  Messages carry the table version they were routed
-under so receivers (KoiDB) can account for stray arrivals.
+simulation rounds.  A receiver (KoiDB) recognizes a stray arrival by
+checking its keys against the range it owns when the message lands.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class ShuffleMessage:
 
     dest: int
     batch: RecordBatch
-    table_version: int
 
 
 class DelayQueue:
@@ -66,11 +65,10 @@ class DelayQueue:
         self,
         dest: int,
         batch: RecordBatch,
-        table_version: int,
         extra_delay: int = 0,
         drop: bool = False,
     ) -> None:
-        """Dispatch a batch toward ``dest`` under ``table_version``.
+        """Dispatch a batch toward ``dest``.
 
         ``extra_delay`` holds the message that many rounds beyond the
         fabric's base delay; ``drop=True`` withholds it from every tick
@@ -84,7 +82,7 @@ class DelayQueue:
             raise ValueError(f"invalid destination {dest}")
         if extra_delay < 0:
             raise ValueError("extra_delay must be >= 0")
-        message = ShuffleMessage(dest, batch, table_version)
+        message = ShuffleMessage(dest, batch)
         if drop:
             self._dropped.append(message)
         else:

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.records import RecordBatch
-from repro.exec.api import Executor
 from repro.exec.factory import resolve_executor
 from repro.obs import NULL_OBS, RECORD_TICK, Obs
 from repro.storage.log import LogReader, LogWriter, list_logs, log_name
@@ -85,27 +84,22 @@ def compact_all_epochs(
     in_dir: Path | str,
     out_dir: Path | str,
     sst_records: int = 4096,
-    executor: Executor | None = None,
     obs: Obs = NULL_OBS,
 ) -> list[Path]:
     """Compact every epoch present in the input logs.
 
-    One ``compact_epoch_task`` per epoch on every backend; with a
-    parallel executor whole epochs compact concurrently (each epoch
-    writes its own output directory, so workers never share a file).
-    Returns the per-epoch output directories, sorted by epoch —
-    the directory structure matches the paper artifact's
-    ``particle.sorted/<epoch>/`` layout.
+    One :func:`compact_epoch` task per epoch on a
+    :class:`~repro.exec.api.SerialExecutor`, so a failed epoch does not
+    stop the others and surfaces as ``WorkerTaskError``.  Returns the
+    per-epoch output directories, sorted by epoch — the directory
+    structure matches the paper artifact's ``particle.sorted/<epoch>/``
+    layout.
 
     Under a recording ``obs`` the driver emits one modeled ``compact``
     span per epoch (``records * RECORD_TICK`` virtual ticks) and
     increments ``compact.records`` / ``compact.bytes_written``, both
-    computed from the *output* manifests after the work completes — so
-    the recording is bit-identical whether the epochs compacted
-    serially or fanned out across workers.
+    computed from the *output* manifests after the work completes.
     """
-    from repro.exec.work import compact_epoch_task
-
     if sst_records < 1:
         # checked before the fan-out so the caller sees the plain
         # ValueError, not a WorkerTaskError wrapping it
@@ -117,17 +111,12 @@ def compact_all_epochs(
     for path in logs:
         with LogReader(path) as reader:
             epochs.update(e.epoch for e in reader.entries)
-    exec_, owned = resolve_executor(executor)
-    try:
-        done = exec_.map(
-            compact_epoch_task,
-            [(str(in_dir), str(out_dir), epoch, sst_records)
-             for epoch in sorted(epochs)],
+    exec_, _owned = resolve_executor()  # a fresh executor, always owned
+    with exec_:
+        dirs: list[Path] = exec_.map(
+            compact_epoch,
+            [(in_dir, out_dir, epoch, sst_records) for epoch in sorted(epochs)],
         )
-    finally:
-        if owned:
-            exec_.close()
-    dirs = [Path(d) for d in done]
     if obs.enabled:
         track = obs.track("compact", "driver")
         m_records = obs.metrics.counter("compact.records")

@@ -106,9 +106,9 @@ class KoiDB:
         self._m_stray_ssts = metrics.counter("koidb.stray_ssts_written")
         self._m_bytes = metrics.counter("koidb.bytes_written")
         self._m_flushes = metrics.counter("koidb.memtable_flushes")
-        # per-rank name: ranks may flush on different workers under a
-        # parallel executor, and a shared histogram would make the
-        # merged snapshot depend on cross-rank observe order.  The
+        # per-rank name: each rank records into its own registry, and
+        # a shared histogram would make the merged snapshot depend on
+        # cross-rank merge order (histograms merge by replacement).  The
         # cardinality is bounded by the receiver count, the sanctioned
         # exception to static instrument names.
         self._m_fill = metrics.histogram(
@@ -162,12 +162,11 @@ class KoiDB:
     def set_request(self, request_id: str | None) -> None:
         """Attribute subsequent storage spans to one request.
 
-        What ``koidb_apply`` runs for the ``("ctx", request_id)``
-        command a :class:`~repro.exec.shards.KoiDBProxy` enqueues, so
-        flush spans carry the ``request`` arg of the epoch whose
-        command stream they belong to.  Only for recording stacks: the
+        ``CarpRun`` calls it at the start of each epoch ingested under
+        a request context, so flush spans carry the ``request`` arg of
+        the epoch they belong to.  Only for recording stacks: the
         shared ``NULL_OBS`` must never be assigned a request id (the
-        driver enqueues no ``ctx`` command when obs is off).
+        driver makes no such call when obs is off).
         """
         self.obs.request_id = request_id
 

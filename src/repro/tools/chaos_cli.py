@@ -1,14 +1,12 @@
 """``carp-chaos`` — seeded crash-recovery trials for KoiDB logs.
 
 Runs ``N`` chaos seeds (see :mod:`repro.faults.chaos`): each seed
-generates a fault plan, runs a CARP workload against it on both
-executor backends (serial, process), injects the planned crash,
-recovers with ``fsck --repair``, appends a redo epoch, and checks that
-no committed data was lost and that the two backends produced
-bit-identical logs and query results.
+generates a fault plan, runs a CARP workload against it, injects the
+planned crash, recovers with ``fsck --repair``, appends a redo epoch,
+and checks that no committed data was lost.
 
 Exit status is nonzero if any seed fails; failing seeds write a JSON
-repro bundle (the plan plus per-backend digests) under ``--bundle-dir``
+repro bundle (the plan plus log and query digests) under ``--bundle-dir``
 so the exact trial can be replayed with ``--seed-start <seed> --seeds 1``.
 """
 
@@ -25,8 +23,7 @@ from repro.faults.chaos import SeedResult, run_seeds
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carp-chaos",
-        description="seeded ingest → kill → recover → query trials, each "
-        "run on both executor backends (serial, process)",
+        description="seeded ingest → kill → recover → query trials",
     )
     parser.add_argument(
         "--seeds", type=int, default=10,
@@ -73,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
             f"({faults} fault(s), {crashed})"
         )
         if not result.ok:
-            for failure in result.all_failures():
+            for failure in result.failures:
                 print(f"    {failure}")
 
     def run(base: Path) -> list[SeedResult]:

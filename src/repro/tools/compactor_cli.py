@@ -3,14 +3,13 @@
 Merges CARP's partially sorted per-rank logs into a fully sorted,
 clustered index, one output directory per epoch — the layout used as
 the sorted baseline in the paper's Fig. 7a.  ``-e N`` compacts one
-epoch inline; ``--all`` runs one task per epoch on the executor that
-``--executor`` / ``--workers`` (or ``CARP_EXECUTOR`` / ``CARP_WORKERS``)
-select.
+epoch; ``--all`` compacts every epoch, one task each, and reports a
+failed epoch task as an error.
 
 Example::
 
     carp-compactor -i /tmp/carp-out -o /tmp/carp-out.sorted -e 0
-    carp-compactor -i /tmp/carp-out -o /tmp/carp-out.sorted --all --executor process
+    carp-compactor -i /tmp/carp-out -o /tmp/carp-out.sorted --all
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import sys
 from pathlib import Path
 
 from repro.exec.api import ExecutorError
-from repro.exec.factory import add_executor_args, executor_from_args
 from repro.storage.compactor import compact_all_epochs, compact_epoch
 
 
@@ -39,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compact every epoch present in the input")
     p.add_argument("--sst-records", type=int, default=4096,
                    help="records per output SSTable (default: 4096)")
-    add_executor_args(p)
     return p
 
 
@@ -47,10 +44,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.all:
-            with executor_from_args(args) as executor:
-                dirs = compact_all_epochs(args.input, args.output,
-                                          sst_records=args.sst_records,
-                                          executor=executor)
+            dirs = compact_all_epochs(args.input, args.output,
+                                      sst_records=args.sst_records)
         else:
             dirs = [compact_epoch(args.input, args.output, args.epoch,
                                   sst_records=args.sst_records)]

@@ -11,8 +11,7 @@ status therefore certifies that the report is exact, not an estimate.
 
 With ``--lo``/``--hi`` omitted the query covers the epoch's central
 half (25th-75th percentile of the key range), a selective-but-nonempty
-default for eyeballing a store.  The executor resolves like everywhere
-else (``CARP_EXECUTOR``/``CARP_WORKERS``, default serial).
+default for eyeballing a store.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from pathlib import Path
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
-from repro.exec.factory import add_executor_args, executor_from_args
 from repro.traces import io as trace_io
 
 
@@ -53,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="payload bytes per record (default: 8)")
     p.add_argument("--timesteps", type=int, nargs="*", default=None,
                    help="subset of trace timesteps to replay (default: all)")
-    add_executor_args(p)
     return p
 
 
@@ -94,9 +92,7 @@ def main(argv: list[str] | None = None) -> int:
         separate_strays=not args.no_stray_separation,
         value_size=args.value_size,
     )
-    with executor_from_args(args) as executor, CarpRun(
-        args.ranks, args.output, options, executor=executor
-    ) as run:
+    with CarpRun(args.ranks, args.output, options) as run:
         for epoch, ts in enumerate(timesteps):
             streams = trace_io.read_timestep(
                 args.input, ts, value_size=args.value_size,

@@ -5,7 +5,7 @@ mutated from a worker body without a lock, blocking calls and process
 spawns under a held lock — plus locked/clean counterparts proving the
 rules stay quiet on the sanctioned patterns.
 """
-# carp-lint: disable=O501,P601
+# carp-lint: disable=O501
 
 import subprocess
 import threading

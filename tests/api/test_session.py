@@ -10,7 +10,6 @@ import pytest
 from repro import Session
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.exec import ProcessExecutor, SerialExecutor
 from repro.query.engine import PartitionedStore
 from repro.query.request import QueryRequest
 from repro.storage.log import list_logs
@@ -70,69 +69,14 @@ def test_reader_wraps_session_store(tmp_path):
         assert reader.analyze(epoch=0).total_records > 0
 
 
-def test_injected_executor_survives_session_close(tmp_path):
-    executor = ProcessExecutor(2)
-    try:
-        with Session(
-            SPEC.nranks, tmp_path, OPTIONS, executor=executor
-        ) as session:
-            assert session.executor is executor
-            session.ingest_epoch(0, _streams(0))
-            assert len(session.query(QueryRequest(lo=-10.0, hi=10.0, epoch=0))) > 0
-        # caller-injected executor survives session close
-        assert executor.map(lambda s: 1, []) == []  # still usable
-    finally:
-        executor.close()
-
-
-class _CountingExecutor(SerialExecutor):
-    """Records how many tasks were ever submitted."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.submitted = 0
-
-    def submit(self, shard, fn, /, *args):
-        self.submitted += 1
-        super().submit(shard, fn, *args)
-
-
-def test_reads_submit_nothing_to_session_executor(tmp_path):
-    """Ingest fans out through the session executor; reads never enter it."""
-    executor = _CountingExecutor()
-    with Session(SPEC.nranks, tmp_path, OPTIONS, executor=executor) as session:
-        session.ingest_epoch(0, _streams(0))
-        after_ingest = executor.submitted
-        assert after_ingest > 0
-        req = QueryRequest(lo=-10.0, hi=10.0, epoch=0)
-        assert len(session.query(req)) > 0
-        assert session.explain(req).cost.ssts_read > 0
-        snap = session.snapshot()
-        assert len(session.query(req, snapshot=snap)) > 0
-        assert executor.submitted == after_ingest
-
-
-def test_session_owns_env_created_executor(tmp_path, monkeypatch):
-    monkeypatch.setenv("CARP_EXECUTOR", "process")
-    monkeypatch.setenv("CARP_WORKERS", "2")
-    session = Session(SPEC.nranks, tmp_path, OPTIONS)
-    assert isinstance(session.executor, ProcessExecutor)
-    session.ingest_epoch(0, _streams(0))
-    assert len(session.query(QueryRequest(lo=-10.0, hi=10.0, epoch=0))) > 0
-    session.close()
-    with pytest.raises(Exception):
-        session.executor.submit(0, print)
-
-
 def _log_bytes(out_dir):
     return {p.name: p.read_bytes() for p in list_logs(out_dir)}
 
 
 @pytest.mark.parametrize("make", [CarpRun, Session], ids=["carprun", "session"])
-def test_two_live_runs_on_default_executor(tmp_path, monkeypatch, make):
-    """Each run keeps its KoiDBs in a private executor: two alive at
-    once never meet on a shard key, and close independently."""
-    monkeypatch.delenv("CARP_EXECUTOR", raising=False)
+def test_two_live_runs_close_independently(tmp_path, make):
+    """Each run owns its KoiDBs: two alive at once write the same logs
+    as each would alone, and close independently."""
     first = make(SPEC.nranks, tmp_path / "first", OPTIONS)
     second = make(SPEC.nranks, tmp_path / "second", OPTIONS)
     first.ingest_epoch(0, _streams(0))
@@ -148,10 +92,10 @@ def test_two_live_runs_on_default_executor(tmp_path, monkeypatch, make):
         assert _log_bytes(tmp_path / name) == _log_bytes(tmp_path / f"solo-{name}")
 
 
-def test_default_session_is_serial_and_unrecorded(tmp_path, monkeypatch):
-    monkeypatch.delenv("CARP_EXECUTOR", raising=False)
+def test_default_session_is_serial_and_unrecorded(tmp_path):
     with Session(SPEC.nranks, tmp_path, OPTIONS) as session:
-        assert isinstance(session.executor, SerialExecutor)
+        # ingest calls each rank's KoiDB inline: there is no executor
+        assert not hasattr(session, "executor")
         assert not session.obs.enabled
 
 
@@ -188,21 +132,17 @@ def test_session_close_releases_log_handles(tmp_path):
 def test_ingest_leaves_no_view_of_caller_arrays(tmp_path):
     """Slices of the caller's streams are views; none outlives the call.
 
-    After ``ingest_epoch`` returns, every memtable, OOB buffer and
-    buffered command stream is empty, so overwriting the caller's
-    arrays cannot reach the committed epoch.
+    After ``ingest_epoch`` returns, every memtable and OOB buffer is
+    empty, so overwriting the caller's arrays cannot reach the
+    committed epoch.
     """
     streams = _streams(0)
     originals = [(s.keys.copy(), s.rids.copy()) for s in streams]
-    with SerialExecutor() as executor, Session(
-        SPEC.nranks, tmp_path, OPTIONS, executor=executor
-    ) as session:
+    with Session(SPEC.nranks, tmp_path, OPTIONS) as session:
         session.ingest_epoch(0, streams)
         run = session.run
         assert all(len(rank.oob) == 0 for rank in run.ranks)
-        assert all(not commands for commands in run._shards._buffers)
-        for rank in range(SPEC.nranks):
-            db = executor._states[rank]["koidb"]
+        for db in run.koidbs:
             assert len(db._main) == 0 and len(db._stray) == 0
         for stream in streams:
             stream.keys[:] = 0.0

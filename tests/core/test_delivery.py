@@ -7,8 +7,7 @@ sequence as one call per message would give, so the log bytes are the
 same — except in one corner: when a rank's stray memtable fills inside
 the call, the stray SST is appended before main SSTs that per-message
 delivery would have appended first.  These tests pin both halves, and
-that the corner is itself deterministic across executor and kernel
-backends.
+that the corner is itself deterministic across kernel backends.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch, rid_rank
-from repro.exec import ProcessExecutor, SerialExecutor
 from repro.kernels import KERNEL_NAMES, use_kernels
 from repro.storage.koidb import KoiDB
 from repro.storage.log import LogReader, list_logs, log_name
@@ -136,13 +134,11 @@ CORNER_OPTS = CarpOptions(
 CORNER_SPEC = VpicTraceSpec(nranks=4, particles_per_rank=300, value_size=8, seed=0)
 
 
-def _ingest_logs(out_dir, make_exec, kernels="vector") -> dict[str, str]:
+def _ingest_logs(out_dir, kernels="vector") -> dict[str, str]:
     with use_kernels(kernels):
-        with make_exec() as executor:
-            with CarpRun(CORNER_SPEC.nranks, out_dir, CORNER_OPTS,
-                         executor=executor) as run:
-                for epoch in range(2):
-                    run.ingest_epoch(epoch, generate_timestep(CORNER_SPEC, epoch))
+        with CarpRun(CORNER_SPEC.nranks, out_dir, CORNER_OPTS) as run:
+            for epoch in range(2):
+                run.ingest_epoch(epoch, generate_timestep(CORNER_SPEC, epoch))
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in list_logs(out_dir)
@@ -163,16 +159,15 @@ def _deliver_per_rank_message(self, messages):
 
 
 def test_corner_is_reached_and_deterministic(tmp_path, monkeypatch):
-    logs = _ingest_logs(tmp_path / "serial", SerialExecutor)
+    logs = _ingest_logs(tmp_path / "coalesced")
     # the configuration really reaches the corner: delivering each
     # source rank's share on its own lays out at least one rank log
     # differently
     with monkeypatch.context() as patch:
         patch.setattr(CarpRun, "_deliver", _deliver_per_rank_message)
-        per_message = _ingest_logs(tmp_path / "per-message", SerialExecutor)
+        per_message = _ingest_logs(tmp_path / "per-message")
     assert sorted(per_message) == sorted(logs)
     assert per_message != logs
-    # ... and the coalesced layout does not depend on the backends
-    assert _ingest_logs(tmp_path / "process", lambda: ProcessExecutor(2)) == logs
+    # ... and the coalesced layout does not depend on the kernels
     for kernels in KERNEL_NAMES:
-        assert _ingest_logs(tmp_path / f"k-{kernels}", SerialExecutor, kernels) == logs
+        assert _ingest_logs(tmp_path / f"k-{kernels}", kernels) == logs

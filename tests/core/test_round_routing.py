@@ -20,7 +20,6 @@ from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
 from repro.core.triggers import TriggerReason
-from repro.exec import SerialExecutor
 from repro.shuffle.router import range_route, split_by_destination
 
 EPOCHS = 2
@@ -98,11 +97,9 @@ def _ingest(tmp_path, name, nranks, nreceivers, opts, epoch_streams, reference):
         CarpRun._renegotiate = spy
         if reference:
             CarpRun._route_round = _route_round_per_rank
-        with SerialExecutor() as executor:
-            with CarpRun(nranks, out_dir, opts, nreceivers=nreceivers,
-                         executor=executor) as run:
-                stats = [run.ingest_epoch(e, s) for e, s in enumerate(epoch_streams)]
-                run.write_run_manifest()
+        with CarpRun(nranks, out_dir, opts, nreceivers=nreceivers) as run:
+            stats = [run.ingest_epoch(e, s) for e, s in enumerate(epoch_streams)]
+            run.write_run_manifest()
     finally:
         CarpRun._renegotiate = real_reneg
         CarpRun._route_round = original

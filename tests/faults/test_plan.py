@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.carp import CarpRun
-from repro.exec import SerialExecutor
 from repro.faults import chaos
 from repro.faults.plan import (
     ACTION_CRASH,
@@ -15,7 +14,6 @@ from repro.faults.plan import (
     SITE_MANIFEST_WRITE,
     SITE_SHUFFLE_SEND,
     SITE_SST_WRITE,
-    SITE_TASK,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -66,7 +64,7 @@ def test_json_round_trip():
 def test_site_slicing():
     specs = (
         FaultSpec(SITE_SST_WRITE, 1, 0),
-        FaultSpec(SITE_TASK, 0, 2),
+        FaultSpec(SITE_MANIFEST_WRITE, 0, 2),
         FaultSpec(SITE_SHUFFLE_SEND, 0, 5, 2.0, ACTION_DELAY),
     )
     plan = FaultPlan(seed=0, specs=specs)
@@ -129,15 +127,14 @@ def test_shuffle_send_indices_fit_the_chaos_workload(tmp_path):
     bound = SHUFFLE_SENDS_PER_EPOCH * chaos.CHAOS_EPOCHS
     for seed in range(200):
         plan = FaultPlan.generate(
-            seed, chaos.CHAOS_RANKS, max_faults=chaos.CHAOS_TASK_RETRIES,
+            seed, chaos.CHAOS_RANKS, max_faults=chaos.CHAOS_MAX_FAULTS,
             epochs=chaos.CHAOS_EPOCHS,
         )
         assert all(spec.index < bound for spec in plan.shuffle_specs())
     for seed in range(40):
         obs = Obs.recording()
-        with SerialExecutor() as executor:
-            with CarpRun(chaos.CHAOS_RANKS, tmp_path / f"seed{seed}",
-                         chaos.CHAOS_OPTIONS, obs=obs, executor=executor) as run:
-                for epoch in range(chaos.CHAOS_EPOCHS):
-                    run.ingest_epoch(epoch, chaos.chaos_streams(seed, epoch))
+        with CarpRun(chaos.CHAOS_RANKS, tmp_path / f"seed{seed}",
+                     chaos.CHAOS_OPTIONS, obs=obs) as run:
+            for epoch in range(chaos.CHAOS_EPOCHS):
+                run.ingest_epoch(epoch, chaos.chaos_streams(seed, epoch))
         assert obs.metrics.counter_value("carp.shuffle_messages") >= bound, seed

@@ -2,16 +2,12 @@
 
 The ``CARP_KERNELS`` seam (:mod:`repro.kernels`) promises the vector
 backend changes throughput, never bytes.  This suite proves it
-dynamically, per executor backend: the same seeded ingest run under
+dynamically: the same seeded ingest run under
 ``scalar`` and under ``vector`` must leave byte-identical log files,
 an identical ``trace.json`` document, an identical metrics snapshot,
 and a profile fold that reconciles exactly against that snapshot —
 and the same range query against identically-ingested data must
 return an equal ``QueryResponse.digest()``.
-
-Patterns follow ``tests/exec/test_profile_determinism.py`` (same
-options, backends, hypothesis settings); the axis compared here is
-kernels, not executors.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import Session
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.exec import ProcessExecutor, SerialExecutor
 from repro.kernels import KERNEL_NAMES, use_kernels
 from repro.obs import Obs, validate_trace_events
 from repro.obs.profile import fold_trace_doc
@@ -42,11 +37,6 @@ OPTIONS = CarpOptions(
 
 EPOCHS = 2
 
-BACKENDS = {
-    "serial": SerialExecutor,
-    "process": lambda: ProcessExecutor(2),
-}
-
 #: Query ranges spanning the VPIC energy domain: the full range, a
 #: wide mid slice, a narrow slice, and the low-energy bulk.
 RANGES = ((0.0, 1e6), (1.0, 40.0), (10.0, 12.0), (0.5, 2.5))
@@ -58,22 +48,17 @@ def _spec(seed: int) -> VpicTraceSpec:
     )
 
 
-def _ingest_artifacts(out_dir, make_exec, kernels: str, seed: int):
+def _ingest_artifacts(out_dir, kernels: str, seed: int):
     """Run a recorded ingest under one kernel backend.
 
-    Returns ``(log bytes by name, trace doc, metrics snapshot)``.  The
-    executor is created *inside* the ``use_kernels`` scope so worker
-    processes inherit the selection through the environment.
+    Returns ``(log bytes by name, trace doc, metrics snapshot)``.
     """
     spec = _spec(seed)
     obs = Obs.recording()
     with use_kernels(kernels):
-        with make_exec() as executor:
-            with CarpRun(
-                spec.nranks, out_dir, OPTIONS, obs=obs, executor=executor
-            ) as run:
-                for ep in range(EPOCHS):
-                    run.ingest_epoch(ep, generate_timestep(spec, ep))
+        with CarpRun(spec.nranks, out_dir, OPTIONS, obs=obs) as run:
+            for ep in range(EPOCHS):
+                run.ingest_epoch(ep, generate_timestep(spec, ep))
     doc = obs.tracer.to_doc()
     assert validate_trace_events(doc) == []
     logs = {p.name: p.read_bytes() for p in list_logs(out_dir)}
@@ -87,38 +72,34 @@ def _ingest_artifacts(out_dir, make_exec, kernels: str, seed: int):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_ingest_bit_identical_across_kernels(tmp_path_factory, seed):
-    for name, make_exec in BACKENDS.items():
-        arts = {
-            kernels: _ingest_artifacts(
-                tmp_path_factory.mktemp(f"diff_{name}_{kernels}"),
-                make_exec,
-                kernels,
-                seed,
-            )
-            for kernels in KERNEL_NAMES
-        }
-        scalar_logs, scalar_doc, scalar_snap = arts["scalar"]
-        vector_logs, vector_doc, vector_snap = arts["vector"]
-        # byte-identical on-disk logs, file by file
-        assert sorted(vector_logs) == sorted(scalar_logs), name
-        for fname, blob in scalar_logs.items():
-            assert vector_logs[fname] == blob, (name, fname)
-        # identical trace archive and metrics snapshot
-        assert json.dumps(vector_doc, sort_keys=True) == json.dumps(
-            scalar_doc, sort_keys=True
-        ), name
-        assert vector_snap == scalar_snap, name
-        # each backend's profile reconciles exactly (zero drift), and
-        # the rendered profiles agree across kernels
-        profiles = {}
-        for kernels, (_logs, doc, snap) in arts.items():
-            profile = fold_trace_doc(doc)
-            assert profile.reconcile(snap) == [], (name, kernels)
-            profiles[kernels] = (profile.to_json(), profile.to_folded())
-        assert profiles["vector"] == profiles["scalar"], name
+    arts = {
+        kernels: _ingest_artifacts(
+            tmp_path_factory.mktemp(f"diff_{kernels}"), kernels, seed
+        )
+        for kernels in KERNEL_NAMES
+    }
+    scalar_logs, scalar_doc, scalar_snap = arts["scalar"]
+    vector_logs, vector_doc, vector_snap = arts["vector"]
+    # byte-identical on-disk logs, file by file
+    assert sorted(vector_logs) == sorted(scalar_logs)
+    for fname, blob in scalar_logs.items():
+        assert vector_logs[fname] == blob, fname
+    # identical trace archive and metrics snapshot
+    assert json.dumps(vector_doc, sort_keys=True) == json.dumps(
+        scalar_doc, sort_keys=True
+    )
+    assert vector_snap == scalar_snap
+    # each backend's profile reconciles exactly (zero drift), and
+    # the rendered profiles agree across kernels
+    profiles = {}
+    for kernels, (_logs, doc, snap) in arts.items():
+        profile = fold_trace_doc(doc)
+        assert profile.reconcile(snap) == [], kernels
+        profiles[kernels] = (profile.to_json(), profile.to_folded())
+    assert profiles["vector"] == profiles["scalar"]
 
 
-def _query_digests(out_dir, make_exec, kernels: str, seed: int):
+def _query_digests(out_dir, kernels: str, seed: int):
     """Ingest then query under one kernel backend; return digests.
 
     Queries run both against the live store and against a pinned
@@ -129,32 +110,27 @@ def _query_digests(out_dir, make_exec, kernels: str, seed: int):
     digests: list[str] = []
     matched = 0
     with use_kernels(kernels):
-        with make_exec() as executor:
-            with Session(
-                spec.nranks,
-                out_dir,
-                options=OPTIONS,
-                record=True,
-                executor=executor,
-            ) as session:
-                for ep in range(EPOCHS):
-                    session.ingest_epoch(ep, generate_timestep(spec, ep))
-                snapshot = session.snapshot()
-                for epoch in range(EPOCHS):
-                    for lo, hi in RANGES:
-                        for keys_only in (False, True):
-                            req = QueryRequest(
-                                lo=lo, hi=hi, epoch=epoch, keys_only=keys_only
-                            )
-                            live = session.query(req)
-                            pinned = session.query(req, snapshot=snapshot)
-                            assert live.ok and pinned.ok
-                            # pinned view covers the same epochs here,
-                            # so the payloads must already agree
-                            assert pinned.digest() == live.digest()
-                            digests.append(live.digest())
-                            matched += len(live)
-                session.release(snapshot)
+        with Session(
+            spec.nranks, out_dir, options=OPTIONS, record=True
+        ) as session:
+            for ep in range(EPOCHS):
+                session.ingest_epoch(ep, generate_timestep(spec, ep))
+            snapshot = session.snapshot()
+            for epoch in range(EPOCHS):
+                for lo, hi in RANGES:
+                    for keys_only in (False, True):
+                        req = QueryRequest(
+                            lo=lo, hi=hi, epoch=epoch, keys_only=keys_only
+                        )
+                        live = session.query(req)
+                        pinned = session.query(req, snapshot=snapshot)
+                        assert live.ok and pinned.ok
+                        # pinned view covers the same epochs here,
+                        # so the payloads must already agree
+                        assert pinned.digest() == live.digest()
+                        digests.append(live.digest())
+                        matched += len(live)
+            session.release(snapshot)
     assert matched > 0, "differential queries never matched anything"
     return digests
 
@@ -166,14 +142,10 @@ def _query_digests(out_dir, make_exec, kernels: str, seed: int):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_query_digests_equal_across_kernels(tmp_path_factory, seed):
-    for name, make_exec in BACKENDS.items():
-        digests = {
-            kernels: _query_digests(
-                tmp_path_factory.mktemp(f"qdiff_{name}_{kernels}"),
-                make_exec,
-                kernels,
-                seed,
-            )
-            for kernels in KERNEL_NAMES
-        }
-        assert digests["vector"] == digests["scalar"], name
+    digests = {
+        kernels: _query_digests(
+            tmp_path_factory.mktemp(f"qdiff_{kernels}"), kernels, seed
+        )
+        for kernels in KERNEL_NAMES
+    }
+    assert digests["vector"] == digests["scalar"]

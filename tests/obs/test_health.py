@@ -38,7 +38,7 @@ def test_rule_rejects_unknown_section():
 
 def test_rule_needs_some_bound():
     with pytest.raises(ValueError, match="max and/or min"):
-        HealthRule(selector="counters.faults.task_crashes")
+        HealthRule(selector="counters.faults.manifest_write_crashes")
 
 
 def test_rule_rejects_unknown_window():
@@ -62,7 +62,7 @@ def test_parse_policy_json_roundtrip():
         "rules": [
             {"selector": "derived.read_amp", "max": 10.0,
              "description": "bounded amplification"},
-            {"selector": "counters.faults.task_crashes", "max": 0,
+            {"selector": "counters.faults.manifest_write_crashes", "max": 0,
              "over": "any"},
         ],
     }
@@ -141,12 +141,12 @@ def test_any_window_catches_mid_run_excursions():
 
 
 def test_ticks_are_ignored_by_evaluation():
-    rule = HealthRule(selector="counters.faults.task_crashes", max=0,
+    rule = HealthRule(selector="counters.faults.manifest_write_crashes", max=0,
                       over="any")
     samples = [
         {"kind": "tick", "seq": 0, "ts": 10.0,
-         "counters": {"faults.task_crashes": 5}, "gauges": {}},
-        _sample(1, kind="final", counters={"faults.task_crashes": 0}),
+         "counters": {"faults.manifest_write_crashes": 5}, "gauges": {}},
+        _sample(1, kind="final", counters={"faults.manifest_write_crashes": 0}),
     ]
     report = evaluate(_policy(rule), samples)
     assert report.results[0].status == "ok"

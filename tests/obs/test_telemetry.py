@@ -7,9 +7,13 @@ import json
 
 import pytest
 
+from repro.api import Session
+from repro.core.config import CarpOptions
 from repro.obs import NULL_TELEMETRY, TelemetryStream, render_openmetrics
 from repro.obs.clock import VirtualClock
 from repro.obs.metrics import MetricsRegistry
+from repro.query.request import QueryRequest
+from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
 
 def _stream(interval=10.0, record_bytes=None):
@@ -91,15 +95,14 @@ def test_sample_omits_epoch_and_request_when_untagged():
 
 def test_derived_faults_total_and_read_amp():
     metrics, clock, sink, stream = _stream(record_bytes=12)
-    metrics.counter("faults.task_crashes").add(2)
+    metrics.counter("faults.manifest_write_crashes").add(2)
     metrics.counter("faults.torn_writes").add(1)
     metrics.counter("query.records_matched").add(10)
     metrics.counter("query.probe_bytes").add(600)
-    doc = stream.sample("query", derived={"retries_done": 3.0})
+    doc = stream.sample("query")
     assert doc["derived"]["faults_total"] == 3.0
     # 600 bytes probed / (10 records * 12 B) = 5x amplification
     assert doc["derived"]["read_amp"] == pytest.approx(5.0)
-    assert doc["derived"]["retries_done"] == 3.0
 
 
 def test_read_amp_zero_when_nothing_matched_or_unconfigured():
@@ -159,3 +162,46 @@ def test_openmetrics_of_empty_snapshot_is_just_eof():
         {"counters": {}, "gauges": {}, "histograms": {}}
     )
     assert text == "# EOF\n"
+
+
+def test_request_ids_deterministic_and_attributed(tmp_path):
+    """Full samples carry request ids in mint order, and each rank's
+    flush spans carry the id of the epoch they belong to."""
+    spec = VpicTraceSpec(nranks=6, particles_per_rank=500, value_size=8, seed=9)
+    options = CarpOptions(
+        pivot_count=32, oob_capacity=32, renegotiations_per_epoch=3,
+        memtable_records=256, round_records=128, value_size=8,
+    )
+    with Session(spec.nranks, tmp_path, options, record=True,
+                 telemetry=True) as session:
+        for epoch in range(2):
+            session.ingest_epoch(epoch, generate_timestep(spec, epoch))
+        store = session.store()
+        for epoch in store.epochs():
+            lo, hi = store.key_range(epoch)
+            for q in range(2):
+                width = (hi - lo) / 8
+                session.query(QueryRequest(
+                    lo=lo + q * width, hi=lo + (q + 1) * width, epoch=epoch
+                ))
+        events = session.obs.tracer.to_doc()["traceEvents"]
+    lines = [
+        json.loads(line)
+        for line in (tmp_path / "telemetry.jsonl").read_text().splitlines()
+    ]
+    full = [d for d in lines if d["kind"] != "tick"]
+    assert [d.get("request") for d in full] == [
+        "ingest-000001", "ingest-000002",
+        "query-000001", "query-000002", "query-000003", "query-000004",
+        None,  # the final sample belongs to no single request
+    ]
+    attribution = [
+        (e.get("name"), e["args"]["request"])
+        for e in events
+        if isinstance(e.get("args"), dict) and "request" in e["args"]
+    ]
+    attributed = {rid for _, rid in attribution}
+    assert "ingest-000001" in attributed
+    assert "query-000001" in attributed
+    flush_requests = {rid for name, rid in attribution if name == "flush"}
+    assert flush_requests == {"ingest-000001", "ingest-000002"}

@@ -2,7 +2,6 @@
 
 import dataclasses
 import inspect
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import example, given, strategies as st
 
 import repro.query.engine as engine_module
 from repro.core.carp import CarpRun
-from repro.exec import Executor
 from repro.query.engine import PartitionedStore, _overlapping_run_bytes
 from repro.query.reader import RangeReader
 from repro.query.request import LIVE_TOKEN, QueryRequest, response_from_result
@@ -263,23 +261,8 @@ class TestNoExecutorOnTheReadSide:
         for cls in (PartitionedStore, RangeReader):
             assert "executor" not in inspect.signature(cls.__init__).parameters
         # nothing of the executor API is even imported by the engine
-        for name in ("Executor", "SerialExecutor", "resolve_executor"):
+        for name in ("SerialExecutor", "resolve_executor"):
             assert not hasattr(engine_module, name)
-
-    def test_process_env_spawns_no_worker(self, carp_output, monkeypatch):
-        monkeypatch.setenv("CARP_EXECUTOR", "process")
-        monkeypatch.setenv("CARP_WORKERS", "2")
-        before = {p.pid for p in multiprocessing.active_children()}
-        with PartitionedStore(carp_output["dir"]) as store:
-            lo, hi = store.key_range(0)
-            assert len(store.query(0, lo, hi)) == store.total_records(0)
-            assert store.explain(0, lo, hi).cost.ssts_read > 0
-            after = {p.pid for p in multiprocessing.active_children()}
-            assert after <= before
-            # close() has readers to release and no executor to shut down
-            assert not any(
-                isinstance(v, Executor) for v in vars(store).values()
-            )
 
 
 class TestRecovery:

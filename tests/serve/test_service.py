@@ -13,7 +13,6 @@ import threading
 import pytest
 
 from repro.api import Session
-from repro.exec import ProcessExecutor, SerialExecutor
 from repro.query import service as service_module
 from repro.query.engine import LATENCY_BOUNDS, PartitionedStore
 from repro.query.request import (
@@ -229,63 +228,43 @@ class TestInvalidation:
             assert service.stats.invalidations == 1
 
 
-class _Backends:
-    @staticmethod
-    def make(backend: str):
-        if backend == "serial":
-            return SerialExecutor()
-        return ProcessExecutor(2)
-
-
 class TestConcurrentIngestIdentity:
     """The acceptance criterion: a mixed workload — ingest interleaved
     with >= 8 concurrent clients — returns byte-identical payloads vs
-    a serial post-hoc run against the matching committed epochs, on
-    both executor backends."""
+    a serial post-hoc run against the matching committed epochs."""
 
-    def _mixed_run(self, backend: str, out_dir):
-        with _Backends.make(backend) as executor:
-            with Session(
-                TRACE.nranks, out_dir, OPTIONS, executor=executor
-            ) as session:
-                session.ingest_epoch(0, streams(0))
-                service = session.serve(workers=3)
-                ingest = threading.Thread(
-                    target=session.ingest_epoch, args=(1, streams(1))
-                )
-                ingest.start()
-                per_client = {
-                    f"client-{c}": [
-                        QueryRequest(
-                            lo=_window(c, q)[0], hi=_window(c, q)[1],
-                            epoch=0, client=f"client-{c}",
-                        )
-                        for q in range(3)
-                    ]
-                    for c in range(CLIENTS)
-                }
-                responses = _run_clients(service, per_client)
-                ingest.join()
-                service.close()
-                flat = [r for rs in responses.values() for r in rs]
-                assert len(flat) == CLIENTS * 3
-                assert all(r.ok for r in flat)
-                # serial post-hoc replay through the session (epoch 0
-                # bytes are immutable, so "the matching committed
-                # snapshot" is simply the epoch itself)
-                for resp in flat:
-                    replay = session.query(
-                        QueryRequest(lo=resp.lo, hi=resp.hi, epoch=0)
+    def test_payloads_match_serial_replay(self, tmp_path):
+        with Session(TRACE.nranks, tmp_path, OPTIONS) as session:
+            session.ingest_epoch(0, streams(0))
+            service = session.serve(workers=3)
+            ingest = threading.Thread(
+                target=session.ingest_epoch, args=(1, streams(1))
+            )
+            ingest.start()
+            per_client = {
+                f"client-{c}": [
+                    QueryRequest(
+                        lo=_window(c, q)[0], hi=_window(c, q)[1],
+                        epoch=0, client=f"client-{c}",
                     )
-                    assert resp.payload() == replay.payload()
-                return sorted(r.digest() for r in flat)
-
-    def test_payloads_identical_across_backends(self, tmp_path):
-        digests = {
-            backend: self._mixed_run(backend, tmp_path / backend)
-            for backend in ("serial", "process")
-        }
-        assert digests["serial"] == digests["process"]
+                    for q in range(3)
+                ]
+                for c in range(CLIENTS)
+            }
+            responses = _run_clients(service, per_client)
+            ingest.join()
+            service.close()
+            flat = [r for rs in responses.values() for r in rs]
+            assert len(flat) == CLIENTS * 3
+            assert all(r.ok for r in flat)
+            # serial post-hoc replay through the session (epoch 0
+            # bytes are immutable, so "the matching committed
+            # snapshot" is simply the epoch itself)
+            for resp in flat:
+                replay = session.query(
+                    QueryRequest(lo=resp.lo, hi=resp.hi, epoch=0)
+                )
+                assert resp.payload() == replay.payload()
 
 
 class TestObservabilityMerge:

@@ -1,12 +1,10 @@
 """Unit tests for the compactor (sorted clustered layout builder)."""
 
 import inspect
-import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.exec import make_executor
 from repro.storage.compactor import (
     compact_all_epochs,
     compact_epoch,
@@ -92,19 +90,8 @@ class TestCompactEpoch:
 
 class TestInlineCompaction:
     def test_signatures_take_no_executor(self):
-        for fn in (read_epoch, compact_epoch):
+        for fn in (read_epoch, compact_epoch, compact_all_epochs):
             assert "executor" not in inspect.signature(fn).parameters
-
-    def test_process_env_spawns_no_worker(self, tmp_path, monkeypatch):
-        write_carp_like(tmp_path / "in", ranks=4, n=64)
-        serial = compact_epoch(tmp_path / "in", tmp_path / "serial", 0, sst_records=16)
-        monkeypatch.setenv("CARP_EXECUTOR", "process")
-        monkeypatch.setenv("CARP_WORKERS", "2")
-        before = {p.pid for p in multiprocessing.active_children()}
-        assert len(read_epoch(tmp_path / "in", 0)) == 256
-        pooled = compact_epoch(tmp_path / "in", tmp_path / "process", 0, sst_records=16)
-        assert {p.pid for p in multiprocessing.active_children()} <= before
-        assert list_logs(pooled)[0].read_bytes() == list_logs(serial)[0].read_bytes()
 
 
 class TestCompactAll:
@@ -117,15 +104,12 @@ class TestCompactAll:
         with pytest.raises(FileNotFoundError):
             compact_all_epochs(tmp_path / "in", tmp_path / "out")
 
-    @pytest.mark.parametrize("kind", ["serial", "process"])
-    def test_validation_precedes_fan_out(self, tmp_path, kind):
-        # the caller sees the plain ValueError on every backend, not a
-        # WorkerTaskError wrapping it from inside an epoch task
+    def test_validation_precedes_fan_out(self, tmp_path):
+        # the caller sees the plain ValueError, not a WorkerTaskError
+        # wrapping it from inside an epoch task
         write_carp_like(tmp_path / "in")
-        with make_executor(kind, 2) as executor:
-            with pytest.raises(ValueError, match="sst_records"):
-                compact_all_epochs(tmp_path / "in", tmp_path / "out",
-                                   sst_records=0, executor=executor)
+        with pytest.raises(ValueError, match="sst_records"):
+            compact_all_epochs(tmp_path / "in", tmp_path / "out", sst_records=0)
 
 
 class TestSortedBoundaries:

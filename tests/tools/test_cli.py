@@ -161,10 +161,9 @@ class TestRangeReader:
 
     def test_executor_flag_is_a_usage_error(self, carp_dir):
         # queries never enter an executor, so the reader has no such flag
-        for flag in (["--executor", "process"], ["--workers", "2"]):
-            with pytest.raises(SystemExit) as exc:
-                reader_main(["-i", str(carp_dir), "-a", *flag])
-            assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            reader_main(["-i", str(carp_dir), "-a", "--executor", "process"])
+        assert exc.value.code == 2
 
     def test_missing_store_errors(self, tmp_path):
         rc = reader_main(["-i", str(tmp_path / "nope"), "-a"])

@@ -6,8 +6,8 @@ encode/decode — funnels through a :class:`Kernels` table so the whole
 pipeline can run on either implementation:
 
 * ``vector`` (:mod:`repro.kernels.vector`) — NumPy batch kernels:
-  ``np.searchsorted`` routing, vectorized masks, bulk struct-free
-  block codecs over memoryviews.  The production default.
+  compare-count routing, vectorized masks, radix-sorted grouping,
+  bulk struct-free block codecs over memoryviews.  The production default.
 * ``scalar`` (:mod:`repro.kernels.scalar`) — the retained per-record
   reference implementation: explicit Python loops, ``bisect`` routing,
   ``struct`` codecs.  Slow on purpose; it exists so the vector path is
@@ -66,7 +66,9 @@ class Kernels:
         NaN payloads survive a round trip unchanged.
     encode_values(rids, value_size) / decode_values(payload, value_size)
         Value-block payload codec: per record, the rid (8 B LE) plus
-        deterministic filler bytes ``(rid + j) mod 256``.
+        deterministic filler bytes ``(rid + j) mod 256``.  The encoder
+        returns any flat bytes-like buffer (the vector backend hands
+        back its array's memory rather than a ``bytes`` copy).
     filler_matches(payload, rids, value_size)
         Verify the filler bytes of a decoded value-block payload.
     """
@@ -78,7 +80,7 @@ class Kernels:
     group_runs: Callable[[np.ndarray], list[tuple[int, np.ndarray]]]
     encode_keys: Callable[[np.ndarray], bytes]
     decode_keys: Callable[["_Buffer"], np.ndarray]
-    encode_values: Callable[[np.ndarray, int], bytes]
+    encode_values: Callable[[np.ndarray, int], "_Buffer"]
     decode_values: Callable[["_Buffer", int], np.ndarray]
     filler_matches: Callable[["_Buffer", np.ndarray, int], bool]
 

@@ -16,10 +16,11 @@ Bit-exactness notes
   through ``struct.pack("<f", ...)`` — a float64 round trip would
   canonicalize non-standard NaN payloads, and the contract is
   *bit*-identity even for keys the pipeline itself never produces.
-* ``bisect_right`` and ``np.searchsorted(..., side="right")`` agree on
-  every input including NaN (both compare ``key < bound``, which is
-  always False for NaN, pushing NaN past the last bound) — pinned by
-  the edge-case corpus in tests/kernels/.
+* ``bisect_right``, the vector router's count of bounds above a key,
+  and ``np.searchsorted(..., side="right")`` agree on every input
+  including NaN (all compare ``key < bound``, which is always False
+  for NaN, pushing NaN past the last bound) — pinned by the edge-case
+  corpus and the property tests in tests/kernels/.
 """
 
 from __future__ import annotations

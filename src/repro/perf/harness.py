@@ -103,6 +103,13 @@ def _run_ingest(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
         Metric("shuffle_messages",
                counters.counter_value("carp.shuffle_messages"), "messages"),
         Metric("renegotiations", renegotiations, "renegotiations"),
+        # work counts: where the memtables flushed, and how many
+        # delivered records took the stray path rather than the
+        # owned-range fast path
+        Metric("memtable_flushes",
+               counters.counter_value("koidb.memtable_flushes"), "flushes"),
+        Metric("stray_records",
+               counters.counter_value("koidb.stray_records"), "records"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 

@@ -42,12 +42,14 @@ __all__ = [
     "chunk_count",
     "chunk_table_size",
     "value_block_size",
+    "key_block_parts",
     "encode_key_block",
     "decode_key_block",
     "key_block_view",
     "make_filler",
     "encode_chunk_table",
     "decode_chunk_table",
+    "value_block_parts",
     "encode_value_block",
     "decode_value_rows",
     "decode_value_block",
@@ -102,10 +104,15 @@ def value_block_size(count: int, value_size: int) -> int:
     return chunk_table_size(count) + count * value_size
 
 
+def key_block_parts(keys: np.ndarray) -> tuple[bytes, bytes]:
+    """A key block as its two pieces, (payload, CRC), left unjoined."""
+    payload = active_kernels().encode_keys(np.asarray(keys))
+    return payload, _crc(payload)
+
+
 def encode_key_block(keys: np.ndarray) -> bytes:
     """Serialize keys as a little-endian float32 array + CRC."""
-    payload = active_kernels().encode_keys(np.asarray(keys))
-    return payload + _crc(payload)
+    return b"".join(key_block_parts(keys))
 
 
 def decode_key_block(data: _Buffer) -> np.ndarray:
@@ -154,14 +161,24 @@ def decode_chunk_table(data: _Buffer, count: int) -> list[int]:
     return np.frombuffer(table, dtype=_CRC_DTYPE).tolist()
 
 
-def encode_value_block(rids: np.ndarray, value_size: int) -> bytes:
-    """Serialize values: chunk CRC table, then per record rid (8 B LE) + filler."""
+def value_block_parts(rids: np.ndarray, value_size: int) -> tuple[bytes, _Buffer]:
+    """A value block as its two pieces, (chunk CRC table, payload), left unjoined.
+
+    The payload is whatever buffer the kernel backend encoded into; a
+    caller joins the pieces into the bytes it writes, so the values
+    are copied once.
+    """
     if value_size - RID_DTYPE.itemsize < 0:
         raise ValueError(f"value_size {value_size} smaller than a rid")
     payload = active_kernels().encode_values(
         np.ascontiguousarray(rids, dtype=RID_DTYPE), value_size
     )
-    return encode_chunk_table(payload, value_size) + payload
+    return encode_chunk_table(payload, value_size), payload
+
+
+def encode_value_block(rids: np.ndarray, value_size: int) -> bytes:
+    """Serialize values: chunk CRC table, then per record rid (8 B LE) + filler."""
+    return b"".join(value_block_parts(rids, value_size))
 
 
 def _verify_chunks(payload: _Buffer, crcs: list[int], value_size: int) -> None:

@@ -194,24 +194,32 @@ class KoiDB:
         buffered = self._main.drain()
         if len(buffered):
             stray_mask = self._stray_mask(buffered.keys)
-            self._stray.add(buffered.select(stray_mask))
-            self._add_bounded(self._main, buffered.select(~stray_mask),
-                              stray=False)
+            if stray_mask is not None:
+                self._stray.add(buffered.select(stray_mask))
+                buffered = buffered.select(~stray_mask)
+            self._add_bounded(self._main, buffered, stray=False)
         stray = self._stray.drain()
         if len(stray):
             self.stats.memtable_flushes += 1
             self._m_flushes.add(1)
             self._flush(stray, stray=True)
 
-    def _stray_mask(self, keys: np.ndarray) -> np.ndarray:
+    def _stray_mask(self, keys: np.ndarray) -> np.ndarray | None:
+        """Mask of the non-empty ``keys`` outside the owned range, or None if none are.
+
+        The batch's extremes settle most calls without a mask: they widen
+        to Python floats, so they compare in float64 exactly as the mask
+        does, and a NaN extreme compares false and takes the mask path.
+        """
         if self._owned is None:
             # before the first table of the epoch nothing is stray
-            return np.zeros(len(keys), dtype=bool)
+            return None
         lo, hi = self._owned
-        inside = active_kernels().interval_mask(
-            np.asarray(keys), lo, hi, self._owned_inclusive_hi
-        )
-        return ~inside
+        inclusive_hi = self._owned_inclusive_hi
+        kmin, kmax = float(keys.min()), float(keys.max())
+        if lo <= kmin and (kmax <= hi if inclusive_hi else kmax < hi):
+            return None
+        return ~active_kernels().interval_mask(np.asarray(keys), lo, hi, inclusive_hi)
 
     # ------------------------------------------------------------- ingest
 
@@ -225,11 +233,11 @@ class KoiDB:
             return 0
         self.stats.records_in += n
         stray_mask = self._stray_mask(batch.keys)
-        n_stray = int(stray_mask.sum())
+        n_stray = 0 if stray_mask is None else int(stray_mask.sum())
         self.stats.stray_records += n_stray
         self._m_records_in.add(n)
         self._m_strays.add(n_stray)
-        if n_stray and self.options.separate_strays:
+        if stray_mask is not None and n_stray and self.options.separate_strays:
             self._add_bounded(self._stray, batch.select(stray_mask), stray=True)
             self._add_bounded(self._main, batch.select(~stray_mask), stray=False)
         else:

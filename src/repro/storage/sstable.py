@@ -33,10 +33,10 @@ from repro.storage.blocks import (
     decode_chunk_table,
     decode_key_block,
     decode_value_block,
-    encode_key_block,
-    encode_value_block,
+    key_block_parts,
     key_block_size,
     key_block_view,
+    value_block_parts,
 )
 
 _Buffer = bytes | bytearray | memoryview
@@ -92,7 +92,8 @@ def build_sstable(
 
     Compaction optionally sorts the contents by key, then serializes
     keys and values into separate sub-blocks for efficient query-time
-    parsing.
+    parsing.  Header, key block, chunk CRC table and values are joined
+    into the result in one copy.
     """
     if len(batch) == 0:
         raise ValueError("cannot build an empty SSTable")
@@ -101,8 +102,8 @@ def build_sstable(
     if sort:
         batch = batch.sorted_by_key()
     flags = (FLAG_SORTED if sort else 0) | (FLAG_STRAY if stray else 0)
-    kb = encode_key_block(batch.keys)
-    vb = encode_value_block(batch.rids, batch.value_size)
+    key_payload, key_crc = key_block_parts(batch.keys)
+    chunk_table, values = value_block_parts(batch.rids, batch.value_size)
     info = SSTableInfo(
         flags=flags,
         epoch=epoch,
@@ -110,8 +111,8 @@ def build_sstable(
         count=len(batch),
         kmin=float(batch.keys.min()),
         kmax=float(batch.keys.max()),
-        key_block_len=len(kb),
-        val_block_len=len(vb),
+        key_block_len=len(key_payload) + len(key_crc),
+        val_block_len=len(chunk_table) + len(values),
         value_size=batch.value_size,
     )
     header_wo_crc = struct.pack(
@@ -132,7 +133,7 @@ def build_sstable(
     )[:-4]
     crc = zlib.crc32(header_wo_crc) & 0xFFFFFFFF
     header = header_wo_crc + crc.to_bytes(4, "little")
-    return header + kb + vb, info
+    return b"".join((header, key_payload, key_crc, chunk_table, values)), info
 
 
 def parse_header(data: _Buffer) -> SSTableInfo:

@@ -13,7 +13,9 @@ return an equal ``QueryResponse.digest()``.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import Session
@@ -35,6 +37,11 @@ OPTIONS = CarpOptions(
     value_size=8,
 )
 
+#: Value sizes the suite runs at: rid only (no filler), the paper's
+#: 56 B, and a size that is not a whole number of 8-byte words (the
+#: vector encoder gathers filler rows differently for it).
+VALUE_SIZES = (8, 56, 60)
+
 EPOCHS = 2
 
 #: Query ranges spanning the VPIC energy domain: the full range, a
@@ -42,21 +49,22 @@ EPOCHS = 2
 RANGES = ((0.0, 1e6), (1.0, 40.0), (10.0, 12.0), (0.5, 2.5))
 
 
-def _spec(seed: int) -> VpicTraceSpec:
+def _spec(seed: int, value_size: int) -> VpicTraceSpec:
     return VpicTraceSpec(
-        nranks=4, particles_per_rank=300, value_size=8, seed=seed
+        nranks=4, particles_per_rank=300, value_size=value_size, seed=seed
     )
 
 
-def _ingest_artifacts(out_dir, kernels: str, seed: int):
+def _ingest_artifacts(out_dir, kernels: str, seed: int, value_size: int):
     """Run a recorded ingest under one kernel backend.
 
     Returns ``(log bytes by name, trace doc, metrics snapshot)``.
     """
-    spec = _spec(seed)
+    spec = _spec(seed, value_size)
+    options = replace(OPTIONS, value_size=value_size)
     obs = Obs.recording()
     with use_kernels(kernels):
-        with CarpRun(spec.nranks, out_dir, OPTIONS, obs=obs) as run:
+        with CarpRun(spec.nranks, out_dir, options, obs=obs) as run:
             for ep in range(EPOCHS):
                 run.ingest_epoch(ep, generate_timestep(spec, ep))
     doc = obs.tracer.to_doc()
@@ -71,10 +79,11 @@ def _ingest_artifacts(out_dir, kernels: str, seed: int):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_ingest_bit_identical_across_kernels(tmp_path_factory, seed):
+@pytest.mark.parametrize("value_size", VALUE_SIZES)
+def test_ingest_bit_identical_across_kernels(tmp_path_factory, seed, value_size):
     arts = {
         kernels: _ingest_artifacts(
-            tmp_path_factory.mktemp(f"diff_{kernels}"), kernels, seed
+            tmp_path_factory.mktemp(f"diff_{kernels}"), kernels, seed, value_size
         )
         for kernels in KERNEL_NAMES
     }
@@ -99,19 +108,20 @@ def test_ingest_bit_identical_across_kernels(tmp_path_factory, seed):
     assert profiles["vector"] == profiles["scalar"]
 
 
-def _query_digests(out_dir, kernels: str, seed: int):
+def _query_digests(out_dir, kernels: str, seed: int, value_size: int):
     """Ingest then query under one kernel backend; return digests.
 
     Queries run both against the live store and against a pinned
     snapshot view (the latter exercises the pin-aware worker probe
     path), in values and keys-only modes.
     """
-    spec = _spec(seed)
+    spec = _spec(seed, value_size)
     digests: list[str] = []
     matched = 0
     with use_kernels(kernels):
         with Session(
-            spec.nranks, out_dir, options=OPTIONS, record=True
+            spec.nranks, out_dir, options=replace(OPTIONS, value_size=value_size),
+            record=True
         ) as session:
             for ep in range(EPOCHS):
                 session.ingest_epoch(ep, generate_timestep(spec, ep))
@@ -141,10 +151,11 @@ def _query_digests(out_dir, kernels: str, seed: int):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_query_digests_equal_across_kernels(tmp_path_factory, seed):
+@pytest.mark.parametrize("value_size", VALUE_SIZES)
+def test_query_digests_equal_across_kernels(tmp_path_factory, seed, value_size):
     digests = {
         kernels: _query_digests(
-            tmp_path_factory.mktemp(f"qdiff_{kernels}"), kernels, seed
+            tmp_path_factory.mktemp(f"qdiff_{kernels}"), kernels, seed, value_size
         )
         for kernels in KERNEL_NAMES
     }

@@ -11,9 +11,9 @@ cd "$(dirname "$0")/.."
 
 SEEDS="${CHAOS_SEEDS:-20}"
 
-if command -v carp-chaos >/dev/null 2>&1; then
-    carp-chaos --seeds "$SEEDS" --bundle-dir chaos-bundles
+if command -v carp >/dev/null 2>&1; then
+    carp chaos --seeds "$SEEDS" --bundle-dir chaos-bundles
 else
-    PYTHONPATH=src python -m repro.tools.chaos_cli \
+    PYTHONPATH=src python -m repro chaos \
         --seeds "$SEEDS" --bundle-dir chaos-bundles
 fi

@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 status=0
 
 echo "== carp-lint =="
-PYTHONPATH=src python -m repro.analysis.cli src/repro || status=1
+PYTHONPATH=src python -m repro lint src/repro || status=1
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="

@@ -17,7 +17,7 @@ Enforces, at review time, the invariants the reproduction rests on:
 Generic hygiene and annotation coverage are ruff's and ``mypy
 --strict``'s (``pyproject.toml``), not carp-lint's.  See
 ``docs/INVARIANTS.md`` for the rule catalogue and suppression syntax,
-and :mod:`repro.analysis.cli` for the ``carp-lint`` command.
+and :mod:`repro.analysis.cli` for the ``carp lint`` subcommand.
 """
 
 from repro.analysis.core import FileContext, Rule, Violation

@@ -1,13 +1,13 @@
-"""``carp-lint`` — the repository's invariant linter, as a CLI.
+"""``carp lint`` — the repository's invariant linter, as a subcommand.
 
 Usage::
 
-    carp-lint src/repro                 # human output, exit 1 on findings
-    carp-lint --format json src/repro   # machine-readable
-    carp-lint --format sarif src/repro  # GitHub code-scanning upload
-    carp-lint --list-rules              # rule catalogue
-    carp-lint --select D,F201 src       # run a subset
-    carp-lint --ignore O503 src         # drop a family or rule
+    carp lint src/repro                 # human output, exit 1 on findings
+    carp lint --format json src/repro   # machine-readable
+    carp lint --format sarif src/repro  # GitHub code-scanning upload
+    carp lint --list-rules              # rule catalogue
+    carp lint --select D,F201 src       # run a subset
+    carp lint --ignore O503 src         # drop a family or rule
 
 Exit status: 0 when clean, 1 when any violation or parse error
 survives suppression, 2 on usage errors.
@@ -36,13 +36,7 @@ def _split_spec(spec: list[str]) -> list[str]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="carp-lint",
-        description="Repo-aware static analysis: determinism, on-disk "
-        "format safety, cost-model accounting, clock discipline, "
-        "cross-thread safety, crash consistency, resource lifetime.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
@@ -62,12 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
-    return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-
+def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         for rule in ALL_RULES:
             scope = ", ".join(rule.scope) if rule.scope else "everywhere"
@@ -80,13 +71,13 @@ def main(argv: list[str] | None = None) -> int:
             _split_spec(args.ignore) if args.ignore else None,
         )
     except ValueError as exc:
-        print(f"carp-lint: {exc}", file=sys.stderr)
+        print(f"carp lint: {exc}", file=sys.stderr)
         return 2
 
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
         print(
-            f"carp-lint: no such file or directory: {', '.join(missing)}",
+            f"carp lint: no such file or directory: {', '.join(missing)}",
             file=sys.stderr,
         )
         return 2
@@ -100,7 +91,3 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(format_human(result))
     return 0 if result.ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

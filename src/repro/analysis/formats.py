@@ -1,6 +1,6 @@
 """On-disk format-safety rules (F-family).
 
-KoiDB's byte formats (``repro.storage``) are what ``carp-fsck``
+KoiDB's byte formats (``repro.storage``) are what ``carp fsck``
 verifies *after* the fact; these rules catch format drift at review
 time, before any byte hits a disk:
 

@@ -16,7 +16,7 @@ O501
     ``time`` APIs cannot sneak in.  The scope includes ``repro.perf``:
     the baseline gate holds only deterministic rows, and wall time is
     measured by the top-level ``ledger/`` alone.  The one sanctioned
-    home for a host stopwatch is ``repro.tools`` (the ``carp-trace``
+    home for a host stopwatch is ``repro.tools`` (the ``carp trace``
     report footer).
 O502
     Recording-instrumentation construction (``VirtualClock()``,
@@ -27,9 +27,12 @@ O502
     ``NULL_OBS`` constant, not build their own recording stack —
     otherwise a library import silently starts accumulating events and
     runs stop being zero-overhead when observability is off.
-    ``Obs.deltas()`` is the sanctioned exception: it is how a driver
-    hands each rank its rank-local recording stack, whose counter
-    deltas and span records the driver merges in rank order.
+    A stack *derived* from the injected one is not a construction:
+    ``obs.for_rank()`` is how ``CarpRun`` hands each rank a stack that
+    records metrics into the driver's registry and buffers spans on a
+    rank-local clock, which the driver merges in rank order.
+    ``Obs.deltas()`` (a private registry, for the serve plane's worker
+    threads) is not flagged either.
 O503
     Dynamic span/metric names — an f-string, string concatenation, or
     ``str.format`` where an instrumentation call expects a name.  Names

@@ -1,7 +1,7 @@
 """Lint driver: file discovery, rule execution, result aggregation.
 
 Usable as a library (:func:`lint_paths` returns a :class:`LintResult`)
-and by the ``carp-lint`` CLI (:mod:`repro.analysis.cli`).  A tier-1
+and by the ``carp lint`` subcommand (:mod:`repro.analysis.cli`).  A tier-1
 test (``tests/analysis/test_repo_clean.py``) runs :func:`lint_paths`
 over ``src/repro`` so every invariant rule is enforced on every
 ``pytest`` run, not just in CI.

@@ -1,6 +1,6 @@
 """SARIF 2.1.0 rendering of lint results.
 
-``carp-lint --format sarif`` emits one run in the Static Analysis
+``carp lint --format sarif`` emits one run in the Static Analysis
 Results Interchange Format so CI can upload findings to GitHub code
 scanning and annotate PRs inline.  Only the fields code scanning
 consumes are emitted: the tool driver with its rule catalogue, and one

@@ -250,7 +250,7 @@ class Session:
         See :meth:`repro.query.engine.PartitionedStore.explain`; the
         report reconciles exactly against :attr:`QueryResponse.cost`.
         Mints an ``explain-NNNNNN`` request id carried by one
-        zero-duration trace span, so ``carp-trace --request`` covers
+        zero-duration trace span, so ``carp trace --request`` covers
         EXPLAIN requests too.
         """
         request.validate()

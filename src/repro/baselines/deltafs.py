@@ -1,8 +1,8 @@
 """DeltaFS baseline: write-optimized in-situ *hash* partitioning.
 
 DeltaFS (Zheng et al., SC'18) intercepts application writes like CARP
-does and shuffles them through the same 3-hop overlay, but routes by a
-hash of the record id.  That supports efficient point queries (find a
+does and shuffles them all-to-all through the same delivery-delay
+fabric, but routes by a hash of the record id.  That supports efficient point queries (find a
 particle by ID) with no renegotiation machinery at all — but it
 destroys key locality, so a range query degenerates to a full scan of
 every partition (the reason it lands in the "efficient indexing,

@@ -43,7 +43,6 @@ from repro.obs import (
     ROUND_TICK,
     Obs,
     RequestContext,
-    snapshot_delta,
 )
 from repro.shuffle.flow import DelayQueue, ShuffleMessage
 from repro.shuffle.router import range_route, split_by_destination
@@ -171,14 +170,11 @@ class CarpRun:
             FaultInjector(shuffle_specs, obs=self.obs)
             if shuffle_specs else None
         )
-        # each receiver rank's KoiDB records into a rank-local
-        # ``Obs.deltas()`` stack (its own virtual clock and buffering
-        # tracer); _merge_rank_obs folds the stacks into the driver's in
+        # each receiver rank's KoiDB records metrics into the driver's
+        # registry and spans onto its own clock and buffering tracer;
+        # _merge_rank_spans folds the spans into the driver's trace in
         # rank order at epoch end and at close
-        self._rank_obs = [
-            Obs.deltas() if self.obs.enabled else NULL_OBS
-            for _r in range(self.nreceivers)
-        ]
+        self._rank_obs = [self.obs.for_rank() for _r in range(self.nreceivers)]
         self.koidbs = [
             KoiDB(
                 r, self.out_dir, self.options, obs=self._rank_obs[r],
@@ -186,7 +182,6 @@ class CarpRun:
             )
             for r in range(self.nreceivers)
         ]
-        self._rank_snapshots = [o.metrics.snapshot() for o in self._rank_obs]
         self._closed = False
         self.table: PartitionTable | None = None
         self._version = 0
@@ -206,7 +201,7 @@ class CarpRun:
         try:
             self._each_koidb(KoiDB.close)
         finally:
-            self._merge_rank_obs()
+            self._merge_rank_spans()
 
     def _each_koidb(self, call: Callable[[KoiDB], None]) -> None:
         """Call ``call`` on every rank's KoiDB, then raise the first failure.
@@ -232,22 +227,14 @@ class CarpRun:
             *table.owns(db.rank), inclusive_hi=(db.rank == last)
         ))
 
-    def _merge_rank_obs(self) -> None:
-        """Fold each rank's metrics and spans into the driver's stack.
+    def _merge_rank_spans(self) -> None:
+        """Fold every rank's buffered spans into the driver's trace.
 
-        First every rank's metric delta since the previous merge, then
-        every rank's buffered spans (on its own timeline), each in rank
-        order, so the merged trace and registry do not depend on when
-        within the epoch a rank did its work.
+        In rank order, each on its own timeline, so the merged trace
+        does not depend on when within the epoch a rank did its work.
         """
         if not self.obs.enabled:
             return
-        for r, rank_obs in enumerate(self._rank_obs):
-            current = rank_obs.metrics.snapshot()
-            self.obs.metrics.merge_worker_delta(
-                snapshot_delta(current, self._rank_snapshots[r])
-            )
-            self._rank_snapshots[r] = current
         for rank_obs in self._rank_obs:
             self.obs.tracer.merge_events(rank_obs.tracer.drain())
 
@@ -463,7 +450,7 @@ class CarpRun:
         # flush the fabric and all storage buffers
         self._deliver(self._flow.drain())
         self._each_koidb(KoiDB.finish_epoch)
-        self._merge_rank_obs()
+        self._merge_rank_spans()
 
         stats.partition_loads = np.array(
             [db.stats.records_in - before for db, before in zip(self.koidbs, records_before)],
@@ -498,7 +485,7 @@ class CarpRun:
         # counts every record a route pass handled — including OOB
         # leftovers re-routed after a renegotiation, so it exceeds
         # carp.records_ingested exactly when re-routing happened; the
-        # route span args carry the same quantity and carp-profile
+        # route span args carry the same quantity and carp profile
         # joins the two (RECONCILIATIONS in repro.obs.profile)
         self._m_routed.add(len(batch))
         return self.obs.span(

@@ -58,12 +58,6 @@ class CarpOptions:
     sort_ssts:
         Whether KoiDB sorts SST contents by key at compaction time
         (paper: optional; sorted SSTs make query-time merging cheaper).
-    async_renegotiation:
-        Keep routing data with the old partition table while a
-        renegotiation is underway instead of pausing the shuffle (paper
-        §VI: possible but "not found necessary").  Affects the timing
-        model only — renegotiation pauses stop contributing to the
-        simulated runtime.
     warm_start:
         Begin each epoch with the previous epoch's final partition
         table instead of bootstrapping from scratch (the paper
@@ -80,8 +74,8 @@ class CarpOptions:
     reservoir_capacity:
         Keys held by the reservoir backend (ignored for histograms).
     seed:
-        Seed for any stochastic choices inside the runtime (none today,
-        reserved for extensions).
+        Seeds the reservoir statistics backends: rank ``r`` samples
+        with seed ``seed * 65537 + r`` (ignored for histograms).
     """
 
     pivot_count: int = 512
@@ -96,7 +90,6 @@ class CarpOptions:
     round_records: int = 2048
     value_size: int = PAPER_VALUE_SIZE
     sort_ssts: bool = True
-    async_renegotiation: bool = False
     warm_start: bool = False
     stats_backend: str = "histogram"
     reservoir_capacity: int = 1024

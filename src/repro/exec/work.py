@@ -38,7 +38,7 @@ class LogProbeResult:
 
         The per-log share of ``QueryCost.records_matched``: the merged
         result concatenates every log's runs, so the per-log counts sum
-        exactly to the query total (the reconciliation ``carp-explain``
+        exactly to the query total (the reconciliation ``carp explain``
         relies on).
         """
         return (sum(len(r) for r in self.runs)

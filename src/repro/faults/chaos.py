@@ -1,4 +1,4 @@
-"""The ``carp-chaos`` harness: ingest → kill → recover → query loops.
+"""The ``carp chaos`` harness: ingest → kill → recover → query loops.
 
 One chaos *seed* is a complete durability trial.  A seeded
 :class:`~repro.faults.plan.FaultPlan` is generated, a small CARP

@@ -12,7 +12,7 @@ totals.  This package is the measurement substrate: a
 
 Instrumented subsystems receive one :class:`Obs` object; they never
 construct clocks, tracers, or registries themselves (rule O502) — the
-caller (``carp-trace``, a benchmark, a test) decides whether to record:
+caller (``carp trace``, a benchmark, a test) decides whether to record:
 
     obs = Obs.recording()
     with CarpRun(16, out, opts, obs=obs) as run:
@@ -41,7 +41,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
-    snapshot_delta,
 )
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
@@ -66,7 +65,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullMetricsRegistry",
-    "snapshot_delta",
     "BufferingTracer",
     "ChromeTracer",
     "NullTracer",
@@ -118,7 +116,7 @@ class Span:
 
         For values only known once the work ran (bytes actually
         written, SSTs actually produced): the ``E`` event carries them,
-        and ``carp-profile`` joins them against the metrics counters
+        and ``carp profile`` joins them against the metrics counters
         incremented at the same code sites.
         """
         if self._exit_args is None:
@@ -199,19 +197,31 @@ class Obs:
 
     @classmethod
     def deltas(cls) -> "Obs":
-        """A rank-local stack: private metrics, fresh clock, buffering tracer.
+        """A worker-local stack: private metrics, fresh clock, buffering tracer.
 
-        ``CarpRun`` builds one per receiver rank's KoiDB (lint rule
-        O502 bans ``Obs.recording()`` in the data plane).  Metric
-        instruments record into a private registry whose
-        :func:`~repro.obs.metrics.snapshot_delta` the driver merges in
-        rank order.  Spans land in a
-        :class:`~repro.obs.buffer.BufferingTracer` on a *rank-local*
-        virtual timeline starting at zero; the driver merges them in
-        rank order at epoch end and close, so trace.json depends only
-        on each rank's own call sequence.
+        The serve plane gives each worker thread one, so threads never
+        share a registry; ``QueryService`` folds their counters and
+        spans into its own stack in request order at close.
         """
         return cls(VirtualClock(), MetricsRegistry(), BufferingTracer())
+
+    def for_rank(self) -> "Obs":
+        """A receiver rank's stack: this registry, its own clock and tracer.
+
+        ``CarpRun`` derives one per rank's KoiDB (lint rule O502 bans
+        building a recording stack in the data plane).  Metrics go
+        straight into this stack's registry: counters are exact ints
+        and every rank gauge or histogram has a per-rank name, so the
+        order ranks record in does not show in ``metrics.json``.  Spans
+        land in a :class:`~repro.obs.buffer.BufferingTracer` on a
+        *rank-local* virtual timeline starting at zero, which the
+        driver merges in rank order at epoch end and close, so
+        trace.json depends only on each rank's own call sequence.
+        A disabled stack hands out :data:`NULL_OBS`.
+        """
+        if not self.enabled:
+            return NULL_OBS
+        return Obs(VirtualClock(), self.metrics, BufferingTracer())
 
     def track(self, process: str, thread: str = "main") -> Track:
         """Shorthand for ``obs.tracer.track(...)``."""
@@ -223,7 +233,7 @@ class Obs:
 
         While a request id is set on this stack (driver-side around
         each ingest/query, rank-side via ``KoiDB.set_request``), the
-        span's args gain a ``request`` entry so ``carp-trace --request
+        span's args gain a ``request`` entry so ``carp trace --request
         <id>`` can pull one request's tree out of the merged timeline.
         """
         if not self.enabled:

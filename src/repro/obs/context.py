@@ -11,7 +11,7 @@ counter deltas are attributable to the request that caused them.
 Determinism is the point: ids are sequence numbers per request kind
 (``ingest-000001``, ``query-000002``, ...), not UUIDs or timestamps,
 so the same workload produces the same ids on every run — which is
-what lets ``carp-trace --request <id>`` reconstruct one request's tree
+what lets ``carp trace --request <id>`` reconstruct one request's tree
 from an archived trace and lets tests compare attribution bit-for-bit.
 """
 

@@ -34,7 +34,7 @@ everything a run *might* emit.
 Policies load from JSON anywhere, and from TOML on interpreters that
 ship :mod:`tomllib` (3.11+) — the repo supports 3.10, so TOML is
 capability-gated, never required.  This module is pure (text/dicts in,
-report out); file handling lives in the ``carp-health`` CLI
+report out); file handling lives in the ``carp health`` CLI
 (``repro.tools.health_cli``), which keeps the module O504-clean and
 the evaluation unit-testable without a filesystem.
 """

@@ -4,7 +4,7 @@ A :class:`MetricsRegistry` is the single mutable sink every
 instrumented subsystem writes into: routing increments counters, KoiDB
 sets memtable-occupancy gauges, flushes observe histogram samples.
 :meth:`MetricsRegistry.snapshot` renders the whole registry as plain
-JSON-serializable data, which ``carp-trace`` persists next to the
+JSON-serializable data, which ``carp trace`` persists next to the
 trace and reconciles against ``EpochStats``/``KoiDBStats``.
 
 The ``Null*`` variants share the registry's interface but drop every
@@ -199,88 +199,6 @@ class MetricsRegistry:
         target.write_text(json.dumps(self.snapshot(), indent=2) + "\n")
         return target
 
-    # --------------------------------------------------- worker merging
-
-    def merge_worker_delta(self, delta: Mapping[str, object]) -> None:
-        """Fold a rank-local registry's :func:`snapshot_delta` into this one.
-
-        Each receiver rank's KoiDB records into its own private registry
-        (``Obs.deltas()``); the driver merges the deltas in rank order,
-        so ``metrics.json`` does not depend on when within an epoch a
-        rank did its work.  Counters accumulate their
-        (integer, hence exact) deltas; gauges and histograms arrive as
-        cumulative worker-side state and *replace* the driver's copy —
-        exact because their names are per-shard-exclusive (e.g.
-        ``koidb.memtable_occupancy.r3``), where re-summing floats in a
-        different order would not be.
-        """
-        counters = delta.get("counters", {})
-        assert isinstance(counters, Mapping)
-        for name, inc in counters.items():
-            assert isinstance(inc, (int, float))
-            # register even for a zero delta: a serial run registers
-            # every instrument at construction, and snapshots must match
-            self.counter(name).add(inc)
-        gauges = delta.get("gauges", {})
-        assert isinstance(gauges, Mapping)
-        for name, value in gauges.items():
-            assert isinstance(value, (int, float))
-            self.gauge(name).set(value)
-        histograms = delta.get("histograms", {})
-        assert isinstance(histograms, Mapping)
-        for name, data in histograms.items():
-            assert isinstance(data, Mapping)
-            bounds = data["bounds"]
-            assert isinstance(bounds, Sequence)
-            hist = self.histogram(name, bounds)
-            counts = data["counts"]
-            assert isinstance(counts, Sequence)
-            count, total = data["count"], data["sum"]
-            assert isinstance(count, int) and isinstance(total, (int, float))
-            hmin, hmax = data["min"], data["max"]
-            assert hmin is None or isinstance(hmin, (int, float))
-            assert hmax is None or isinstance(hmax, (int, float))
-            hist.counts = [int(c) for c in counts]
-            hist.count = count
-            hist.total = float(total)
-            hist.min = float(hmin) if hmin is not None else float("inf")
-            hist.max = float(hmax) if hmax is not None else float("-inf")
-
-
-def snapshot_delta(
-    cur: Mapping[str, object], prev: Mapping[str, object]
-) -> dict[str, object]:
-    """What changed between two registry snapshots, as mergeable data.
-
-    Counters become numeric deltas (monotonic, so always >= 0); gauges
-    and histograms are carried as the *cumulative* current state, since
-    float state cannot be delta'd exactly — see
-    :meth:`MetricsRegistry.merge_worker_delta` for the matching merge
-    semantics.
-    """
-    cur_counters = cur.get("counters", {})
-    prev_counters = prev.get("counters", {})
-    assert isinstance(cur_counters, Mapping)
-    assert isinstance(prev_counters, Mapping)
-    counters: dict[str, float] = {}
-    for name, value in cur_counters.items():
-        assert isinstance(value, (int, float))
-        before = prev_counters.get(name, 0)
-        assert isinstance(before, (int, float))
-        # zero deltas are kept: merging registers the instrument, so
-        # the driver snapshot carries the same names a serial run would
-        counters[name] = value - before
-    cur_gauges = cur.get("gauges", {})
-    cur_histograms = cur.get("histograms", {})
-    assert isinstance(cur_gauges, Mapping)
-    assert isinstance(cur_histograms, Mapping)
-    return {
-        "counters": counters,
-        "gauges": dict(cur_gauges),
-        "histograms": {n: dict(h) for n, h in cur_histograms.items()
-                       if isinstance(h, Mapping)},
-    }
-
 
 class NullCounter(Counter):
     """Shared counter that ignores every increment."""
@@ -329,7 +247,3 @@ class NullMetricsRegistry(MetricsRegistry):
 
     def snapshot(self) -> dict[str, object]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def merge_worker_delta(self, delta: Mapping[str, object]) -> None:
-        # dropping the merge keeps the shared no-op instruments pristine
-        return None

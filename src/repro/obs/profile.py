@@ -6,7 +6,7 @@ into collapsed-stack profiles that attribute *counts*: every stack
 frame carries how many spans folded into it plus the bytes, records,
 SST-probe and match counts those spans reported, and
 :meth:`Profile.reconcile` cross-checks the folded totals against the
-metrics registry the same way ``carp-explain`` reconciles
+metrics registry the same way ``carp explain`` reconciles
 :class:`~repro.query.explain.QueryExplain` (any drift is an
 instrumentation bug, worth a nonzero exit).  Profiles carry no time:
 span timestamps are virtual ticks priced per record, not measured
@@ -62,7 +62,7 @@ PHASE_BY_TRACK: Mapping[str, str] = {
 #: of ``attribute`` over frames whose stack starts at ``phase`` and
 #: ends at ``leaf`` must equal the metrics counter *exactly*.  These
 #: pair the span-arg attribution with the counters incremented at the
-#: same code sites (see ``carp-trace``'s run-stats reconciliation).
+#: same code sites (see ``carp trace``'s run-stats reconciliation).
 RECONCILIATIONS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
     # route spans count every record a route pass handled, including
     # OOB leftovers re-routed after renegotiation — the counter is
@@ -215,7 +215,7 @@ class Profile:
             raise ValueError(
                 f"{_V1_SCHEMA} documents carry retired virtual-time "
                 f"columns; re-record the profile as {_SCHEMA} "
-                "(`carp-perf run` or `carp-profile record`)"
+                "(`carp perf run` or `carp profile record`)"
             )
         if schema != _SCHEMA:
             raise ValueError(f"not a {_SCHEMA} document (schema={schema!r})")

@@ -1,6 +1,6 @@
 """Human-readable reports over a recorded run.
 
-Turns the three artifacts ``carp-trace`` produces — the run manifest
+Turns the three artifacts ``carp trace`` produces — the run manifest
 (``carp_run.json`` shape), the metrics snapshot, and the trace-event
 list — into a per-epoch timeline/summary a terminal can show.  The
 functions here take plain dicts/lists, not live run objects, so the
@@ -10,7 +10,7 @@ and introduces no import cycle with the instrumented packages.
 Trace events are turned into spans in one place only,
 :func:`repro.obs.profile.fold`; :func:`phase_table` and
 :func:`frame_table` render its :class:`~repro.obs.profile.Profile` for
-both ``carp-trace`` and ``carp-profile record``.  They show counts
+both ``carp trace`` and ``carp profile record``.  They show counts
 (spans, bytes, records, SSTs, matches), never trace timestamps.
 """
 
@@ -75,7 +75,7 @@ def normalize_snapshot(
             else:
                 annotations.append(
                     f"legacy snapshot: no {section!r} section "
-                    "(recorded by an older carp-trace); table omitted"
+                    "(recorded by an older carp trace); table omitted"
                 )
             normalized[section] = {}
     return normalized, annotations
@@ -152,7 +152,7 @@ def frame_table(profile: Profile, top: int | None = None) -> str:
 
 def render_report(run_doc: dict[str, object], snapshot: dict[str, object],
                   events: list[dict[str, object]]) -> str:
-    """The full ``carp-trace`` terminal report."""
+    """The full ``carp trace`` terminal report."""
     epochs = run_doc.get("epochs")
     waf = run_doc.get("write_amplification")
     waf_s = f"{float(waf):.3f}x" if isinstance(waf, (int, float)) else "-"

@@ -9,13 +9,12 @@ cadences —
 * **virtual-time ticks** (:meth:`TelemetryStream.tick`), emitted from
   the ``CarpRun`` round loop whenever the driver clock crosses the
   sampling interval.  Tick samples are restricted to *driver-owned*
-  metric prefixes (:data:`DRIVER_SCOPE_PREFIXES`): mid-epoch, storage
-  counters live in rank-local registries that only merge into the
-  driver at epoch end and close, so the scoped subset is what the
-  driver has actually seen mid-epoch.
+  metric prefixes (:data:`DRIVER_SCOPE_PREFIXES`): the storage and
+  fault counters each rank's KoiDB records are left to the full
+  samples, so a tick shows the driver's view of the round loop only.
 * **full samples** (:meth:`TelemetryStream.sample`), emitted at epoch
-  end, after each query, and at session close — the points where the
-  rank registries have merged and the whole registry is
+  end, after each query, and at session close — the points where
+  every rank's epoch work is done and the whole registry is
   deterministic.  Full samples carry cumulative counters, counter
   *deltas* since the previous full sample (per-request attribution
   when the sample is tagged with a request id), gauges, histogram

@@ -6,7 +6,7 @@ into a *regression-proof trajectory*: deterministic workload specs
 recording stack, summarized into a small set of metrics, persisted as
 committed baselines (``results/baselines/<workload>.json``, written
 through :func:`repro.bench.results.emit` with units and the git SHA),
-and re-checked by ``carp-perf compare`` on every CI run.
+and re-checked by ``carp perf compare`` on every CI run.
 
 Every metric is an exact workload output (bytes written, records
 matched, renegotiations, digests) or an ``IOModel`` cost-model output

@@ -1,13 +1,13 @@
-"""``carp-perf`` — run perf workloads and gate on committed baselines.
+"""``carp perf`` — run perf workloads and gate on committed baselines.
 
 Four subcommands:
 
-* ``carp-perf list`` — the registered workloads.
-* ``carp-perf run [WORKLOAD ...]`` — run workloads and (re)write their
+* ``carp perf list`` — the registered workloads.
+* ``carp perf run [WORKLOAD ...]`` — run workloads and (re)write their
   baselines under ``results/baselines/`` (set ``REPRO_RESULTS_DIR`` to
   redirect), including the cost-attribution profile committed under
   ``results/baselines/profiles/``.
-* ``carp-perf compare [WORKLOAD ...] [--json PATH]`` — re-run and diff
+* ``carp perf compare [WORKLOAD ...] [--json PATH]`` — re-run and diff
   against the committed baselines; exits nonzero when any row
   ``changed`` (is no longer equal to its baseline) or went
   ``missing`` — every row is deterministic and every row blocks.
@@ -15,20 +15,19 @@ Four subcommands:
   artifact).  When a gate trips, the failure output names a diff
   profile (written under ``--profile-dir``) and the top-3 changed
   span paths inline, so the CI log itself attributes the change.
-* ``carp-perf profile [WORKLOAD ...] --out DIR`` — run workloads and
+* ``carp perf profile [WORKLOAD ...] --out DIR`` — run workloads and
   write *fresh* profiles (profile.json + .folded) under ``DIR``
   without touching baselines; CI ``cmp``s these against the committed
-  ones and attributes any mismatch with ``carp-profile diff``.
+  ones and attributes any mismatch with ``carp profile diff``.
 
-    carp-perf run
-    carp-perf compare --json results/perf_compare.json
-    carp-perf profile ingest-serial --out profiles/
+    carp perf run
+    carp perf compare --json results/perf_compare.json
+    carp perf profile ingest-serial --out profiles/
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -44,13 +43,10 @@ from repro.perf.harness import (
     write_baseline,
 )
 from repro.perf.workloads import WORKLOADS
+from repro.tools import add_json_report, add_out_dir, write_json_report
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="carp-perf",
-        description="Baseline-gated performance benchmarks for CARP.",
-    )
+def add_arguments(p: argparse.ArgumentParser) -> None:
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list registered workloads")
@@ -64,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmpp.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                       help="workload names (default: all)")
-    cmpp.add_argument("--json", type=Path, default=None,
-                      help="also write the comparison document to PATH")
+    add_json_report(cmpp, "also write the comparison document to PATH")
     cmpp.add_argument("--profile-dir", type=Path, default=None,
                       metavar="DIR",
                       help="where diff profiles are written when a gate "
@@ -76,10 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                       help="workload names (default: all)")
-    prof.add_argument("--out", type=Path, default=Path("profiles"),
-                      metavar="DIR",
-                      help="output directory (default: profiles/)")
-    return p
+    add_out_dir(prof, "output directory (default: profiles/)",
+                default=Path("profiles"))
 
 
 def _select(names: list[str]) -> list[str]:
@@ -168,7 +161,7 @@ def _emit_diff_profile(
     base = load_profile_baseline(comparison.workload)
     if base is None:
         print(f"note: no baseline profile for {comparison.workload}; "
-              "re-run `carp-perf run` to commit one", file=sys.stderr)
+              "re-run `carp perf run` to commit one", file=sys.stderr)
         return
     diff = diff_profiles(base, comparison.current_profile)
     profile_dir.mkdir(parents=True, exist_ok=True)
@@ -207,11 +200,9 @@ def _cmd_compare(names: list[str], json_path: Path | None,
         "workloads": [c.to_dict() for c in comparisons],
     }
     if json_path is not None:
-        json_path.parent.mkdir(parents=True, exist_ok=True)
-        json_path.write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"comparison document: {json_path}")
+        write_json_report(json_path, doc, "comparison document")
     for name in missing:
-        print(f"error: no baseline for {name} (run `carp-perf run {name}`)",
+        print(f"error: no baseline for {name} (run `carp perf run {name}`)",
               file=sys.stderr)
     if blocking:
         failed = [
@@ -224,7 +215,7 @@ def _cmd_compare(names: list[str], json_path: Path | None,
                  if any(m.status == "missing" for m in c.metrics)]
         if stale:
             print("error: baseline rows the run no longer produces; "
-                  f"re-record the baseline (`carp-perf run {' '.join(stale)}`)",
+                  f"re-record the baseline (`carp perf run {' '.join(stale)}`)",
                   file=sys.stderr)
         for comparison in comparisons:
             if comparison.blocking:
@@ -232,8 +223,7 @@ def _cmd_compare(names: list[str], json_path: Path | None,
     return 1 if (blocking or missing) else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     try:
@@ -246,7 +236,3 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "profile":
         return _cmd_profile(names, args.out)
     return _cmd_compare(names, args.json, args.profile_dir)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

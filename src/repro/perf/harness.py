@@ -59,7 +59,7 @@ class Metric:
 #: What every runner hands back: metric rows plus the raw material of
 #: the run's count-attribution profile — trace events and the metrics
 #: snapshot they must reconcile against (both in archived-artifact
-#: form, so the fold is exactly what ``carp-profile record`` would do).
+#: form, so the fold is exactly what ``carp profile record`` would do).
 _RunnerResult = tuple[list[Metric], list[dict[str, Any]], dict[str, Any]]
 
 
@@ -218,7 +218,7 @@ def _run_obs_overhead(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
 
 
 def _run_serve(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
-    """The serving plane under concurrent ingest (``carp-serve``).
+    """The serving plane under concurrent ingest (``carp serve``).
 
     Count rows pin the admission/caching behaviour *and* the served
     bytes (an order-independent payload digest); the latency rows pin
@@ -322,7 +322,7 @@ def write_baseline(spec: WorkloadSpec, run: WorkloadRun) -> Path:
     ``results/baselines/<name>.json``; the folded profile is committed
     beside them as ``results/baselines/profiles/<name>.json`` (+ the
     collapsed-stack ``.folded`` rendering) — the reference that
-    ``carp-perf compare`` diffs against when a gate trips.
+    ``carp perf compare`` diffs against when a gate trips.
     """
     baseline_dir()  # ensure results/baselines/ exists before emit()
     metrics = run.metrics
@@ -399,7 +399,7 @@ class WorkloadComparison:
     workload: str
     baseline_sha: str | None
     metrics: tuple[MetricComparison, ...]
-    #: the fresh run's folded profile — what ``carp-perf compare``
+    #: the fresh run's folded profile — what ``carp perf compare``
     #: diffs against the committed baseline profile when this
     #: comparison blocks, to name the changed span paths
     current_profile: Profile | None = None

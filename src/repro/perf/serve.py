@@ -1,4 +1,4 @@
-"""The ``carp-serve`` closed-loop serving workload.
+"""The ``carp serve`` closed-loop serving workload.
 
 Drives :meth:`repro.api.Session.serve` the way the acceptance test for
 the serving plane is phrased: epochs keep ingesting while ``clients``
@@ -6,7 +6,7 @@ concurrent closed-loop clients (submit → wait → next) issue typed
 :class:`~repro.query.request.QueryRequest` objects against the
 service, and the run reports served-latency p50/p95/p99 via
 :meth:`~repro.obs.metrics.Histogram.quantile` plus exact workload
-counters, baseline-gated through ``carp-perf compare``.
+counters, baseline-gated through ``carp perf compare``.
 
 Three phases, shaped so every *exact* metric is independent of thread
 interleaving (the whole point of the serve plane's determinism

@@ -1,4 +1,4 @@
-"""Deterministic workload specs for the carp-perf harness.
+"""Deterministic workload specs for the carp perf harness.
 
 Each :class:`WorkloadSpec` pins everything that influences the
 measured numbers: the workload kind (ingest / query / compact / …),

@@ -401,12 +401,12 @@ class PartitionedStore:
         modeled per-log read time.  The report's ``cost`` is computed
         by the exact expressions :meth:`query` uses, so it reconciles
         field-for-field with a real ``QueryResult.cost`` — that exact
-        reconciliation is enforced by ``carp-explain``.  No metrics are
+        reconciliation is enforced by ``carp explain``.  No metrics are
         recorded — EXPLAIN is introspection, not workload — and no
         virtual time passes.  With a ``ctx`` (minted by
         :meth:`repro.api.Session.explain` as ``explain-NNNNNN``) one
         zero-duration span tagged with the request id is emitted so
-        ``carp-trace --request`` covers EXPLAIN requests too.
+        ``carp trace --request`` covers EXPLAIN requests too.
         """
         from repro.query.explain import LogExplain, QueryExplain
 

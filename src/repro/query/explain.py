@@ -10,7 +10,7 @@ time) plus the exact :class:`QueryCost` the
 real query path would compute, and :meth:`QueryExplain.reconcile`
 proves the two agree: every per-log column must sum to the matching
 cost field, and an independently measured ``QueryCost`` must match
-field-for-field.  ``carp-explain`` renders this as text or JSON and
+field-for-field.  ``carp explain`` renders this as text or JSON and
 fails on any discrepancy.
 """
 
@@ -92,7 +92,7 @@ class QueryExplain:
         breakdown sums exactly to the report's ``cost``, and — when a
         ``measured`` cost from a real :meth:`PartitionedStore.query` is
         given — that every cost field matches it exactly.  Any
-        non-empty result is an engine bug, which is why ``carp-explain``
+        non-empty result is an engine bug, which is why ``carp explain``
         exits nonzero on it.
         """
         errors: list[str] = []

@@ -1,10 +1,9 @@
-"""Shuffle substrate: routing, 3-hop overlay topology, in-flight delay."""
+"""Shuffle substrate: routing and in-flight delay."""
 
 from repro.shuffle.flow import DelayQueue, ShuffleMessage
-from repro.shuffle.overlay import Overlay3Hop
 from repro.shuffle.router import hash_route, range_route, split_by_destination
 
 __all__ = [
-    "DelayQueue", "ShuffleMessage", "Overlay3Hop",
+    "DelayQueue", "ShuffleMessage",
     "hash_route", "range_route", "split_by_destination",
 ]

@@ -17,7 +17,7 @@ torn tail quarantined and truncated (:func:`repro.storage.recovery.
 repair_log`), and the report carries a before/after diff — the errors
 the pre-repair walk saw plus a description of every repair performed.
 
-Exposed as a library function and as the ``carp-fsck`` CLI.
+Exposed as a library function and as the ``carp fsck`` CLI.
 """
 
 from __future__ import annotations

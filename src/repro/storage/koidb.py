@@ -299,7 +299,7 @@ class KoiDB:
             else:
                 self._append(batch, sort=sort, stray=stray, sub_id=0)
             # the E event carries the exact bytes this flush appended,
-            # so carp-profile can join frame bytes against the
+            # so carp profile can join frame bytes against the
             # koidb.bytes_written counter with zero drift
             span.annotate({"bytes": self.stats.bytes_written - bytes_before})
 

@@ -1,12 +1,44 @@
-"""Command-line tools mirroring the paper artifact's binaries.
+"""The ``carp`` subcommands (dispatched by :mod:`repro.cli`).
 
-* ``carp-range-runner`` — replay an eparticle trace through CARP (A3),
-* ``carp-compactor``    — build the fully sorted layout (A4),
-* ``carp-range-reader`` — analyze / query / batch-query output (A5),
-* ``carp-tracegen``     — synthesize VPIC/AMR traces (stand-in for A1/A2),
-* ``carp-fsck``         — verify CRCs and invariants of KoiDB output.
+Each module here exports ``add_arguments(parser)`` and
+``run(args) -> int``; :mod:`repro.cli` builds one parser from them.
+The artifact-equivalent tools keep their paper names as aliases:
+
+* ``carp range-runner`` (``carp-range-runner``) — replay an eparticle
+  trace through CARP (A3),
+* ``carp compactor``    (``carp-compactor``)    — build the fully
+  sorted layout (A4),
+* ``carp range-reader`` (``carp-range-reader``) — analyze / query /
+  batch-query output (A5).
+
+Two conventions every subcommand shares, through the helpers below: a
+directory it writes is ``-o/--out DIR``, and a report document it
+writes is ``--json PATH``.
 """
 
-from repro.tools import compactor_cli, fsck_cli, range_reader_cli, range_runner, tracegen
+from __future__ import annotations
 
-__all__ = ["compactor_cli", "fsck_cli", "range_reader_cli", "range_runner", "tracegen"]
+import argparse
+import json
+from pathlib import Path
+from typing import Any
+
+
+def add_out_dir(parser: argparse.ArgumentParser, help: str, *,
+                required: bool = False, default: Path | None = None) -> None:
+    """Add the output-directory option, spelled ``-o/--out DIR``."""
+    parser.add_argument("-o", "--out", type=Path, required=required,
+                        default=default, metavar="DIR", help=help)
+
+
+def add_json_report(parser: argparse.ArgumentParser, help: str) -> None:
+    """Add the report-document option, spelled ``--json PATH``."""
+    parser.add_argument("--json", type=Path, default=None, metavar="PATH",
+                        help=help)
+
+
+def write_json_report(path: Path, doc: Any, label: str = "report") -> None:
+    """Write ``doc`` as canonical JSON (sorted keys) and say where."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(f"{label}: {path}")

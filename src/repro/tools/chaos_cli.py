@@ -1,4 +1,4 @@
-"""``carp-chaos`` — seeded crash-recovery trials for KoiDB logs.
+"""``carp chaos`` — seeded crash-recovery trials for KoiDB logs.
 
 Runs ``N`` chaos seeds (see :mod:`repro.faults.chaos`): each seed
 generates a fault plan, runs a CARP workload against it, injects the
@@ -18,13 +18,10 @@ import tempfile
 from pathlib import Path
 
 from repro.faults.chaos import SeedResult, run_seeds
+from repro.tools import add_out_dir
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="carp-chaos",
-        description="seeded ingest → kill → recover → query trials",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seeds", type=int, default=10,
         help="number of consecutive seeds to run (default: 10)",
@@ -33,10 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed-start", type=int, default=0,
         help="first seed (default: 0)",
     )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="scratch directory (default: a temporary directory)",
-    )
+    add_out_dir(parser, "scratch directory (default: a temporary directory)")
     parser.add_argument(
         "--bundle-dir", type=Path, default=None,
         help="where to write JSON repro bundles for failing seeds",
@@ -49,13 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
         "-q", "--quiet", action="store_true",
         help="only print the final summary",
     )
-    return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     if args.seeds <= 0:
-        print("carp-chaos: --seeds must be positive", file=sys.stderr)
+        print("carp chaos: --seeds must be positive", file=sys.stderr)
         return 2
     seeds = list(range(args.seed_start, args.seed_start + args.seeds))
 
@@ -73,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
             for failure in result.failures:
                 print(f"    {failure}")
 
-    def run(base: Path) -> list[SeedResult]:
+    def trials(base: Path) -> list[SeedResult]:
         return run_seeds(
             seeds, base,
             bundle_dir=args.bundle_dir,
@@ -82,10 +74,10 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     if args.out is not None:
-        results = run(args.out)
+        results = trials(args.out)
     else:
         with tempfile.TemporaryDirectory(prefix="carp-chaos-") as tmp:
-            results = run(Path(tmp))
+            results = trials(Path(tmp))
 
     failed = [r for r in results if not r.ok]
     crashed = sum(1 for r in results if r.crashed)
@@ -102,7 +94,3 @@ def main(argv: list[str] | None = None) -> int:
             print(f"repro bundles under {args.bundle_dir}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""``carp-explain`` — plan + cost report for a range query.
+"""``carp explain`` — plan + cost report for a range query.
 
 Opens a directory of KoiDB logs (CARP or compacted output), builds the
 EXPLAIN report for one range query, and — unless ``--no-verify`` —
@@ -6,8 +6,8 @@ also *executes* the query and reconciles the report's cost
 field-for-field against the measured :class:`QueryCost`.  A zero exit
 status therefore certifies that the report is exact, not an estimate.
 
-    carp-explain out/db --epoch 0 --lo 0.5 --hi 2.0
-    carp-explain out/db --epoch 1 --keys-only --json
+    carp explain out/db --epoch 0 --lo 0.5 --hi 2.0
+    carp explain out/db --epoch 1 --keys-only --json explain.json
 
 With ``--lo``/``--hi`` omitted the query covers the epoch's central
 half (25th-75th percentile of the key range), a selective-but-nonempty
@@ -17,23 +17,15 @@ default for eyeballing a store.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from repro.query.engine import PartitionedStore
 from repro.sim.iomodel import IOModel
+from repro.tools import add_json_report, write_json_report
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="carp-explain",
-        description=(
-            "Explain a range query over KoiDB logs: per-log plan, "
-            "cost breakdown, and exact reconciliation against the "
-            "executed query's measured cost."
-        ),
-    )
+def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("store", type=Path,
                    help="directory of KoiDB logs (CARP or compacted output)")
     p.add_argument("--epoch", type=int, default=None,
@@ -46,15 +38,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explain a key-block-only query")
     p.add_argument("--recover", action="store_true",
                    help="tolerate crash-torn log tails")
-    p.add_argument("--json", action="store_true",
-                   help="emit the report as JSON instead of text")
+    add_json_report(p, "also write the report as JSON")
     p.add_argument("--no-verify", action="store_true",
                    help="skip executing the query for reconciliation")
-    return p
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     if not args.store.is_dir():
         print(f"error: {args.store} is not a directory", file=sys.stderr)
         return 2
@@ -83,21 +72,15 @@ def main(argv: list[str] | None = None) -> int:
             measured = store.query(epoch, lo, hi,
                                    keys_only=args.keys_only).cost
     errors = report.reconcile(measured)
-    if args.json:
+    print(report.render_text())
+    if measured is not None and not errors:
+        print("reconciliation: explain cost == measured QueryCost (exact)")
+    if args.json is not None:
         doc = report.to_dict()
         doc["verified"] = measured is not None and not errors
-        print(json.dumps(doc, indent=2))
-    else:
-        print(report.render_text())
-        if measured is not None and not errors:
-            print("reconciliation: explain cost == measured QueryCost "
-                  "(exact)")
+        write_json_report(args.json, doc)
     if errors:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

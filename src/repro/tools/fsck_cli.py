@@ -1,14 +1,14 @@
-"""``carp-fsck`` — verify the integrity of a partitioned output directory.
+"""``carp fsck`` — verify the integrity of a partitioned output directory.
 
 Walks every KoiDB log, checking CRCs, manifest chains, and the
 metadata invariants the query engine relies on.
 
 Examples::
 
-    carp-fsck -i /tmp/carp-out
-    carp-fsck -i /tmp/carp-out --fast        # manifests only
-    carp-fsck -i /tmp/carp-out --recover     # tolerate torn tails
-    carp-fsck -i /tmp/carp-out --repair      # quarantine + truncate damage
+    carp fsck -i /tmp/carp-out
+    carp fsck -i /tmp/carp-out --fast        # manifests only
+    carp fsck -i /tmp/carp-out --recover     # tolerate torn tails
+    carp fsck -i /tmp/carp-out --repair      # quarantine + truncate damage
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from pathlib import Path
 from repro.storage.fsck import fsck
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="carp-fsck",
-        description="Verify CRCs and invariants of KoiDB output.",
-    )
+def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-i", "--input", required=True, type=Path,
                    help="partitioned output directory")
     p.add_argument("--fast", action="store_true",
@@ -34,11 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repair", action="store_true",
                    help="quarantine torn tails, truncate logs to their "
                         "commit point, and re-verify (prints a diff)")
-    return p
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     report = fsck(args.input, deep=not args.fast,
                   recover=args.recover, repair=args.repair)
     print(report.summary())
@@ -52,7 +46,3 @@ def main(argv: list[str] | None = None) -> int:
     for err in report.errors:
         print(f"  error: {err}", file=sys.stderr)
     return 0 if report.ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -1,12 +1,12 @@
-"""``carp-health`` — gate a run on a declarative SLO policy.
+"""``carp health`` — gate a run on a declarative SLO policy.
 
 Evaluates a :class:`~repro.obs.health.HealthPolicy` (JSON, or TOML on
 python >= 3.11) against the ``telemetry.jsonl`` stream a telemetry-
 enabled session produced, prints the breach report, and exits nonzero
 when any rule breached — the CI-facing end of the telemetry plane::
 
-    carp-health out/telemetry.jsonl --policy configs/health_default.json
-    carp-health out/telemetry.jsonl --policy slo.toml --json health.json
+    carp health out/telemetry.jsonl --policy configs/health_default.json
+    carp health out/telemetry.jsonl --policy slo.toml --json health.json
 
 Exit status: 0 all rules ok (or skipped), 1 at least one breach, 2 a
 usage/input problem (unreadable stream, malformed policy).  Skipped
@@ -22,7 +22,6 @@ See docs/OBSERVABILITY.md for the policy format and the
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,25 +31,17 @@ from repro.obs.health import (
     parse_policy,
     parse_telemetry_lines,
 )
+from repro.tools import add_json_report, write_json_report
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="carp-health",
-        description=(
-            "Evaluate an SLO health policy over a telemetry.jsonl stream "
-            "and exit nonzero on any breach."
-        ),
-    )
+def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("telemetry", type=Path,
                    help="path to the telemetry.jsonl stream to gate on")
     p.add_argument("--policy", required=True, type=Path,
                    help="health policy file (.json, or .toml on py3.11+)")
-    p.add_argument("--json", type=Path, default=None, metavar="PATH",
-                   help="also write the full report as JSON")
+    add_json_report(p, "also write the full report as JSON")
     p.add_argument("--strict-skips", action="store_true",
                    help="fail when any rule's selector never resolved")
-    return p
 
 
 def _load_policy(path: Path) -> HealthPolicy:
@@ -58,8 +49,7 @@ def _load_policy(path: Path) -> HealthPolicy:
     return parse_policy(path.read_text(encoding="utf-8"), fmt=fmt)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     try:
         policy = _load_policy(args.policy)
     except (OSError, ValueError, RuntimeError) as exc:
@@ -78,11 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     report = evaluate(policy, samples)
     print(report.render())
     if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"report: {args.json}")
+        write_json_report(args.json, report.to_dict())
 
     if not report.ok:
         return 1
@@ -93,7 +79,3 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

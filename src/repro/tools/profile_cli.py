@@ -1,7 +1,7 @@
-"""``carp-profile`` — deterministic cost-attribution profiles.
+"""``carp profile`` — deterministic cost-attribution profiles.
 
-Folds the artifacts an instrumented run already archived (``carp-trace
--o DIR``, ``carp-serve --out DIR``, a perf workload's recording) into
+Folds the artifacts an instrumented run already archived (``carp trace
+-o DIR``, ``carp serve --out DIR``, a perf workload's recording) into
 collapsed-stack profiles that attribute *counts* — spans, bytes,
 records, SST probes and matches per span path, no time — and diffs two
 profiles to blame a change on specific span paths.  Everything operates on *archived artifacts only* (lint
@@ -10,21 +10,21 @@ invocations over the same inputs are byte-identical.
 
 Two subcommands:
 
-* ``carp-profile record DIR [-o OUT]`` — fold ``DIR/trace.json`` (+
+* ``carp profile record DIR [-o OUT]`` — fold ``DIR/trace.json`` (+
   ``DIR/metrics.json`` when present) into ``OUT/profile.json`` and
   ``OUT/profile.folded`` (FlameGraph/speedscope collapsed stacks,
   weighted by span count).
   The folded totals are reconciled against the metrics counters the
-  same way ``carp-explain`` reconciles query costs; any drift exits 1.
+  same way ``carp explain`` reconciles query costs; any drift exits 1.
   A missing ``metrics.json`` degrades to a warning (profile still
   written, reconciliation skipped).
-* ``carp-profile diff A B [--json PATH]`` — differential profile:
+* ``carp profile diff A B [--json PATH]`` — differential profile:
   span-count and byte deltas per span path, sorted by contribution.
   ``A``/``B`` may be ``profile.json`` files or artifact directories
   (their committed profile is used, else their trace is folded).
 
-    carp-profile record /tmp/carp-obs
-    carp-profile diff results/baselines/profiles/ingest-serial.json run2/
+    carp profile record /tmp/carp-obs
+    carp profile diff results/baselines/profiles/ingest-serial.json run2/
 """
 
 from __future__ import annotations
@@ -43,17 +43,10 @@ from repro.obs.profile import (
     fold_trace_doc,
 )
 from repro.obs.report import frame_table, phase_table
+from repro.tools import add_json_report, add_out_dir, write_json_report
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="carp-profile",
-        description=(
-            "Fold archived trace/metrics artifacts into deterministic "
-            "count-attribution profiles; diff profiles to blame "
-            "changes on span paths."
-        ),
-    )
+def add_arguments(p: argparse.ArgumentParser) -> None:
     sub = p.add_subparsers(dest="command", required=True)
 
     rec = sub.add_parser(
@@ -62,9 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("directory", type=Path, metavar="DIR",
                      help="artifact directory holding trace.json "
                           "(+ metrics.json for reconciliation)")
-    rec.add_argument("-o", "--output", type=Path, default=None,
-                     help="where to write profile.json/profile.folded "
-                          "(default: DIR)")
+    add_out_dir(rec, "where to write profile.json/profile.folded "
+                     "(default: DIR)")
     rec.add_argument("--top", type=int, default=10, metavar="N",
                      help="frames to print, by span count (default: 10)")
 
@@ -73,11 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="baseline profile.json or artifact directory")
     dif.add_argument("b", type=Path, metavar="B",
                      help="candidate profile.json or artifact directory")
-    dif.add_argument("--json", type=Path, default=None,
-                     help="also write the diff document to PATH")
+    add_json_report(dif, "also write the diff document to PATH")
     dif.add_argument("--top", type=int, default=10, metavar="N",
                      help="changed paths to print (default: 10)")
-    return p
 
 
 def _load_json(path: Path) -> Any:
@@ -148,7 +138,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
               file=sys.stderr)
 
     json_path, folded_path = write_profile(
-        profile, args.output if args.output is not None else directory
+        profile, args.out if args.out is not None else directory
     )
     print(phase_table(profile))
     print()
@@ -201,18 +191,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
               f"net spans {doc['count_delta']:+d}, "
               f"net bytes {doc['bytes_delta']:+d}")
     if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(diff.to_json())
-        print(f"diff document: {args.json}")
+        write_json_report(args.json, doc, "diff document")
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     if args.command == "record":
         return _cmd_record(args)
     return _cmd_diff(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""``carp-range-reader`` — analyze and query partitioned output (artifact A5).
+"""``carp range-reader`` — analyze and query partitioned output (artifact A5).
 
 Mirrors the paper artifact's CLI:
 
@@ -11,9 +11,9 @@ Works identically against CARP output and compactor (sorted) output.
 
 Examples::
 
-    carp-range-reader -i /tmp/carp-out -a
-    carp-range-reader -i /tmp/carp-out -q -e 0 -x 16 -y 64
-    carp-range-reader -i /tmp/carp-out -b batch.csv --querylog qlog.csv
+    carp range-reader -i /tmp/carp-out -a
+    carp range-reader -i /tmp/carp-out -q -e 0 -x 16 -y 64
+    carp range-reader -i /tmp/carp-out -b batch.csv --querylog qlog.csv
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from repro.query.reader import RangeReader, read_batch_csv
 from repro.query.request import QueryRequest
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="carp-range-reader",
-        description="Query client for CARP / sorted partitioned output.",
-    )
+def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-i", "--input", required=True, type=Path,
                    help="partitioned output directory")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -46,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-y", "--query-end", type=float, default=None)
     p.add_argument("--querylog", type=Path, default=Path("querylog.csv"),
                    help="batch-mode per-query log (default: querylog.csv)")
-    return p
 
 
 def _analyze(reader: RangeReader, epoch: int | None) -> int:
@@ -86,8 +81,7 @@ def _batch(reader: RangeReader, batch_path: Path, log_path: Path) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     try:
         with RangeReader(args.input) as reader:
             if args.analyze:
@@ -99,7 +93,3 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

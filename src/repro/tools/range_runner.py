@@ -1,4 +1,4 @@
-"""``carp-range-runner`` — replay a trace through CARP (artifact A3).
+"""``carp range-runner`` — replay a trace through CARP (artifact A3).
 
 The paper's ``range-runner`` loads a VPIC trace and replays it to
 simulate application I/O while the preloaded ``carp`` library indexes
@@ -8,7 +8,7 @@ the other tools can compact and query.
 
 Example::
 
-    carp-range-runner -i /tmp/trace -o /tmp/carp-out -n 16 \
+    carp range-runner -i /tmp/trace -o /tmp/carp-out -n 16 \
         --pivots 512 --renegs 6
 """
 
@@ -21,19 +21,14 @@ from pathlib import Path
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
+from repro.tools import add_out_dir
 from repro.traces import io as trace_io
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="carp-range-runner",
-        description="Replay an eparticle trace through CARP's in-situ "
-                    "range partitioner.",
-    )
+def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-i", "--input", required=True, type=Path,
                    help="trace directory (T.<ts>/eparticle.<rank> layout)")
-    p.add_argument("-o", "--output", required=True, type=Path,
-                   help="output directory for KoiDB logs")
+    add_out_dir(p, "output directory for KoiDB logs", required=True)
     p.add_argument("-n", "--ranks", type=int, default=16,
                    help="number of CARP ranks (default: 16)")
     p.add_argument("--pivots", type=int, default=512,
@@ -52,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="payload bytes per record (default: 8)")
     p.add_argument("--timesteps", type=int, nargs="*", default=None,
                    help="subset of trace timesteps to replay (default: all)")
-    return p
 
 
 def reshard(streams: list[RecordBatch], nranks: int) -> list[RecordBatch]:
@@ -66,8 +60,7 @@ def reshard(streams: list[RecordBatch], nranks: int) -> list[RecordBatch]:
     ]
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     try:
         timesteps = trace_io.list_timesteps(args.input)
     except FileNotFoundError:
@@ -92,25 +85,21 @@ def main(argv: list[str] | None = None) -> int:
         separate_strays=not args.no_stray_separation,
         value_size=args.value_size,
     )
-    with CarpRun(args.ranks, args.output, options) as run:
+    with CarpRun(args.ranks, args.out, options) as carp:
         for epoch, ts in enumerate(timesteps):
             streams = trace_io.read_timestep(
                 args.input, ts, value_size=args.value_size,
                 seq_offset=epoch * (1 << 24),
             )
             streams = reshard(streams, args.ranks)
-            stats = run.ingest_epoch(epoch, streams)
+            stats = carp.ingest_epoch(epoch, streams)
             print(
                 f"epoch {epoch} (T.{ts}): {stats.records} records, "
                 f"{stats.renegotiations} renegotiations, "
                 f"normalized load std-dev {stats.load_stddev:.4f}, "
                 f"strays {stats.stray_fraction:.2%}"
             )
-        manifest = run.write_run_manifest()
-    print(f"partitioned output written to {args.output}")
+        manifest = carp.write_run_manifest()
+    print(f"partitioned output written to {args.out}")
     print(f"run manifest written to {manifest}")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

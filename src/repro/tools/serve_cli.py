@@ -1,20 +1,20 @@
-"""``carp-serve`` — closed-loop serving-plane workload driver.
+"""``carp serve`` — closed-loop serving-plane workload driver.
 
 Runs a registered ``serve`` workload (``clients`` concurrent
 closed-loop clients against :meth:`repro.api.Session.serve` while
 epochs keep ingesting), prints served-latency p50/p95/p99 from
 :meth:`~repro.obs.metrics.Histogram.quantile` plus the exact workload
 counters, and optionally persists the run's observability artifacts
-(metrics.json / trace.json / telemetry.jsonl) for ``carp-health``::
+(metrics.json / trace.json / telemetry.jsonl) for ``carp health``::
 
-    carp-serve                          # serve-mixed, table on stdout
-    carp-serve --out serve-obs          # + artifacts under serve-obs/
-    carp-serve --json serve-report.json
+    carp serve                          # serve-mixed, table on stdout
+    carp serve --out serve-obs          # + artifacts under serve-obs/
+    carp serve --json serve-report.json
 
 Exit status: 0 when every request was answered (ok / deadline-
 exceeded are both answers), 1 when the run surfaced errors or
 rejections, 2 for usage problems.  The same workload is baseline-
-gated by ``carp-perf compare serve-mixed``; this tool is the
+gated by ``carp perf compare serve-mixed``; this tool is the
 interactive / artifact-producing front end.  Every number it prints is
 modeled or exact — the serve plane's wall clock is the ledger's
 ``serve-hot`` / ``serve-live`` workloads (``python -m ledger``).
@@ -25,7 +25,6 @@ See docs/SERVING.md for the serving-plane contract.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 from dataclasses import asdict
@@ -34,23 +33,14 @@ from pathlib import Path
 from repro.bench.tables import render_table
 from repro.perf.serve import ServeReport, run_serve_workload
 from repro.perf.workloads import WORKLOADS
+from repro.tools import add_json_report, add_out_dir, write_json_report
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="carp-serve",
-        description=(
-            "Drive Session.serve() with concurrent closed-loop clients "
-            "while epochs ingest; report latency quantiles and counters."
-        ),
-    )
+def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workload", default="serve-mixed", metavar="NAME",
                    help="registered serve workload (default: serve-mixed)")
-    p.add_argument("--out", type=Path, default=None, metavar="DIR",
-                   help="persist metrics/trace/telemetry artifacts to DIR")
-    p.add_argument("--json", type=Path, default=None, metavar="PATH",
-                   help="also write the full report as JSON")
-    return p
+    add_out_dir(p, "persist metrics/trace/telemetry artifacts to DIR")
+    add_json_report(p, "also write the full report as JSON")
 
 
 def render_report(report: ServeReport) -> str:
@@ -75,8 +65,7 @@ def render_report(report: ServeReport) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     spec = WORKLOADS.get(args.workload)
     if spec is None or spec.kind != "serve":
         serve_names = sorted(
@@ -96,11 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     for artifact in report.artifacts:
         print(f"artifact: {artifact}")
     if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(
-            json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"report: {args.json}")
+        write_json_report(args.json, asdict(report))
 
     if report.errors or report.rejected:
         print(
@@ -110,7 +95,3 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""``carp-trace`` — record an instrumented CARP run and emit its trace.
+"""``carp trace`` — record an instrumented CARP run and emit its trace.
 
 Drives a synthetic VPIC (or AMR) workload through a telemetry-enabled
 :class:`~repro.api.Session`, then writes the observability artifacts
@@ -12,7 +12,7 @@ into the output directory:
 * ``metrics.json`` — the metrics snapshot (counters/gauges/histograms
   with bucket bounds and p50/p95/p99).
 * ``telemetry.jsonl`` — the streaming samples (see
-  docs/OBSERVABILITY.md for the schema; ``carp-health`` gates on it).
+  docs/OBSERVABILITY.md for the schema; ``carp health`` gates on it).
 * ``metrics.om`` — OpenMetrics-style text exposition of the final
   snapshot.
 * ``carp_run.json`` — the run manifest (config + per-epoch stats).
@@ -25,22 +25,22 @@ self-consistent recording.  This module is the sanctioned home for
 packages by carp-lint O501): the report footer shows real
 elapsed time, which never feeds back into the recording.
 
-    carp-trace -o /tmp/carp-obs --ranks 16 --epochs 3 --records 2000
+    carp trace -o /tmp/carp-obs --ranks 16 --epochs 3 --records 2000
 
 The terminal report folds the trace through
-:func:`repro.obs.profile.fold`, the same reader ``carp-profile record``
+:func:`repro.obs.profile.fold`, the same reader ``carp profile record``
 uses, and prints counts (spans, bytes, records per span path), never
 tick durations.  Two read-only modes work on archived artifacts,
 tolerating legacy ``metrics.json`` files that predate histogram
 snapshots:
 
-    carp-trace --report /tmp/carp-obs            # re-render the report
-    carp-trace --report /tmp/carp-obs --request query-000002
+    carp trace --report /tmp/carp-obs            # re-render the report
+    carp trace --report /tmp/carp-obs --request query-000002
 
 ``--request ID`` prints the folded frames attributed to that request:
 its spans on every lane and worker, each under its full stack path.
 For the busiest span paths of a whole run use
-``carp-profile record DIR --top N``.
+``carp profile record DIR --top N``.
 """
 
 from __future__ import annotations
@@ -58,24 +58,16 @@ from repro.obs import Obs, validate_trace_events
 from repro.obs.profile import fold
 from repro.obs.report import frame_table, normalize_snapshot, render_report
 from repro.query.request import QueryRequest
+from repro.tools import add_out_dir
 from repro.traces.amr import AmrTraceSpec
 from repro.traces.amr import generate_timestep as amr_timestep
 from repro.traces.vpic import VpicTraceSpec
 from repro.traces.vpic import generate_timestep as vpic_timestep
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="carp-trace",
-        description=(
-            "Run an instrumented synthetic CARP ingestion and write a "
-            "Perfetto-loadable trace plus metrics/telemetry snapshots; "
-            "or re-render reports from archived artifacts."
-        ),
-    )
-    p.add_argument("-o", "--output", type=Path, default=None,
-                   help="output directory (trace.json, metrics.json, "
-                        "telemetry.jsonl, DB logs)")
+def add_arguments(p: argparse.ArgumentParser) -> None:
+    add_out_dir(p, "output directory (trace.json, metrics.json, "
+                   "telemetry.jsonl, DB logs)")
     p.add_argument("--report", type=Path, default=None, metavar="DIR",
                    help="render the report from an existing artifact "
                         "directory instead of running a workload")
@@ -90,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", choices=("vpic", "amr"), default="vpic")
     p.add_argument("--queries", type=int, default=4,
                    help="instrumented range queries per epoch (default: 4)")
-    return p
 
 
 def _epoch_streams(args: argparse.Namespace, epoch: int) -> list[RecordBatch]:
@@ -214,7 +205,7 @@ def _report_mode(args: argparse.Namespace) -> int:
         telemetry_path = directory / "db" / "telemetry.jsonl"
     if not telemetry_path.is_file():
         annotations.append(
-            "telemetry.jsonl missing; carp-health has nothing to gate on"
+            "telemetry.jsonl missing; carp health has nothing to gate on"
         )
     run_doc: dict[str, object] = {}
     if run_path.exists():
@@ -230,12 +221,11 @@ def _report_mode(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     if args.report is not None:
         return _report_mode(args)
-    if args.output is None:
-        print("error: -o/--output is required unless --report is given",
+    if args.out is None:
+        print("error: -o/--out is required unless --report is given",
               file=sys.stderr)
         return 2
     if args.ranks < 1 or args.epochs < 1 or args.records < 1:
@@ -243,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    out = args.output
+    out = args.out
     db_dir = out / "db"
     out.mkdir(parents=True, exist_ok=True)
 
@@ -305,7 +295,3 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {e}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

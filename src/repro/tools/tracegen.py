@@ -1,20 +1,20 @@
-"""``carp-tracegen`` — materialize synthetic traces on disk.
+"""``carp tracegen`` — materialize synthetic traces on disk.
 
 Generates the synthetic VPIC or AMR traces (see :mod:`repro.traces`)
 in the paper artifact's ``eparticle`` layout, so the CLI workflow runs
 end-to-end without Python code:
 
-    carp-tracegen -o /tmp/trace --workload vpic --ranks 32 \
+    carp tracegen -o /tmp/trace --workload vpic --ranks 32 \
         --records 4000 --timesteps 200 2000 3800
-    carp-range-runner -i /tmp/trace -o /tmp/carp-out
+    carp range-runner -i /tmp/trace -o /tmp/carp-out
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
+from repro.tools import add_out_dir
 from repro.traces import io as trace_io
 from repro.traces.amr import AmrTraceSpec
 from repro.traces.amr import generate_timestep as amr_timestep
@@ -22,13 +22,8 @@ from repro.traces.vpic import VpicTraceSpec
 from repro.traces.vpic import generate_timestep as vpic_timestep
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="carp-tracegen",
-        description="Generate a synthetic VPIC/AMR trace in eparticle format.",
-    )
-    p.add_argument("-o", "--output", required=True, type=Path,
-                   help="trace output directory")
+def add_arguments(p: argparse.ArgumentParser) -> None:
+    add_out_dir(p, "trace output directory", required=True)
     p.add_argument("--workload", choices=("vpic", "amr"), default="vpic")
     p.add_argument("--ranks", type=int, default=32)
     p.add_argument("--records", type=int, default=4000,
@@ -36,11 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timesteps", type=int, nargs="+", default=None,
                    help="timestep ids (default: the workload's schedule)")
     p.add_argument("--seed", type=int, default=42)
-    return p
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     try:
         if args.workload == "vpic":
             kwargs = dict(nranks=args.ranks, particles_per_rank=args.records,
@@ -61,11 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     for i, ts in enumerate(spec.timesteps):
-        trace_io.write_timestep(args.output, ts, gen(spec, i))
+        trace_io.write_timestep(args.out, ts, gen(spec, i))
         print(f"wrote T.{ts}: {spec.nranks} ranks x {args.records} records")
-    print(f"trace written to {args.output}")
+    print(f"trace written to {args.out}")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

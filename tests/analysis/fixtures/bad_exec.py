@@ -15,5 +15,5 @@ def task_builds_recording_obs(shard):
 
 
 def task_uses_deltas_stack(shard):
-    # the sanctioned pattern: a rank-local stack the driver merges
+    # not flagged: a worker-local stack whose registry stays private
     return Obs.deltas(), shard

@@ -1,15 +1,15 @@
-"""Exit codes, JSON output shape, and rule selection for carp-lint."""
+"""Exit codes, JSON output shape, and rule selection for carp lint."""
 
 import json
 
 import pytest
 
 from repro.analysis import ALL_RULES
-from repro.analysis.cli import main
+from repro.cli import main
 
 
 def test_clean_repo_exits_zero(repo_src, capsys):
-    assert main([str(repo_src)]) == 0
+    assert main(["lint", str(repo_src)]) == 0
     out = capsys.readouterr().out
     assert "OK" in out
 
@@ -28,14 +28,14 @@ def test_clean_repo_exits_zero(repo_src, capsys):
     ],
 )
 def test_each_bad_fixture_exits_nonzero(fixtures_dir, fixture, capsys):
-    assert main([str(fixtures_dir / fixture)]) == 1
+    assert main(["lint", str(fixtures_dir / fixture)]) == 1
     out = capsys.readouterr().out
     assert fixture in out
 
 
 def test_json_output_shape(fixtures_dir, capsys):
     code = main(
-        [str(fixtures_dir / "bad_determinism.py"), "--format", "json"]
+        ["lint", str(fixtures_dir / "bad_determinism.py"), "--format", "json"]
     )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
@@ -50,7 +50,7 @@ def test_json_output_shape(fixtures_dir, capsys):
 def test_select_restricts_rules(fixtures_dir, capsys):
     # only W rules requested: determinism fixture is then clean
     code = main(
-        [str(fixtures_dir / "bad_determinism.py"), "--select", "W"]
+        ["lint", str(fixtures_dir / "bad_determinism.py"), "--select", "W"]
     )
     assert code == 0
     capsys.readouterr()
@@ -58,20 +58,20 @@ def test_select_restricts_rules(fixtures_dir, capsys):
 
 def test_ignore_drops_family(fixtures_dir, capsys):
     code = main(
-        [str(fixtures_dir / "bad_determinism.py"), "--ignore", "D,O501"]
+        ["lint", str(fixtures_dir / "bad_determinism.py"), "--ignore", "D,O501"]
     )
     assert code == 0
     capsys.readouterr()
 
 
 def test_unknown_selector_is_usage_error(capsys):
-    assert main(["--select", "Z999", "src"]) == 2
+    assert main(["lint", "--select", "Z999", "src"]) == 2
     err = capsys.readouterr().err
     assert "Z999" in err
 
 
 def test_list_rules(capsys):
-    assert main(["--list-rules"]) == 0
+    assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("D102", "F201", "C301", "O501", "L1001"):
         assert rule_id in out
@@ -79,5 +79,5 @@ def test_list_rules(capsys):
 
 
 def test_missing_path_is_usage_error(tmp_path, capsys):
-    assert main([str(tmp_path / "nope.py")]) == 2
+    assert main(["lint", str(tmp_path / "nope.py")]) == 2
     capsys.readouterr()

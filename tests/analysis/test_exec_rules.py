@@ -32,7 +32,7 @@ def test_recording_obs_flagged_in_exec():
 
 
 def test_deltas_stack_is_sanctioned():
-    # the rank-local stack a driver merges
+    # a worker-local stack whose registry stays private
     src = (
         "from repro.obs import Obs\n"
         "def t():\n"

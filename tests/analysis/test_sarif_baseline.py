@@ -3,9 +3,9 @@
 import json
 
 from repro.analysis import lint_paths
-from repro.analysis.cli import main
 from repro.analysis.runner import rules_by_id
 from repro.analysis.sarif import SARIF_SCHEMA, to_sarif
+from repro.cli import main
 
 # ----------------------------------------------------------------- SARIF
 
@@ -44,7 +44,7 @@ def test_sarif_results_reference_the_rule_catalogue(fixtures_dir):
 
 def test_sarif_cli_output_is_valid_json(fixtures_dir, capsys):
     code = main(
-        [str(fixtures_dir / "bad_determinism.py"), "--format", "sarif"]
+        ["lint", str(fixtures_dir / "bad_determinism.py"), "--format", "sarif"]
     )
     assert code == 1
     doc = json.loads(capsys.readouterr().out)

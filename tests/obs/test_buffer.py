@@ -94,3 +94,22 @@ class TestMerge:
         _filled(buffered)
         tracer.merge_events(buffered.drain())  # must not raise
         assert tracer.drain() == []
+
+
+class TestRankStack:
+    def test_for_rank_shares_registry_not_clock_or_tracer(self):
+        from repro.obs import Obs
+
+        driver = Obs.recording()
+        driver.clock.advance(5.0)
+        rank = driver.for_rank()
+        assert rank.metrics is driver.metrics
+        assert isinstance(rank.tracer, BufferingTracer)
+        assert rank.clock is not driver.clock and rank.clock.now() == 0.0
+        rank.metrics.counter("koidb.records_in").add(3)
+        assert driver.metrics.counter_value("koidb.records_in") == 3
+
+    def test_disabled_stack_hands_out_null_obs(self):
+        from repro.obs import NULL_OBS
+
+        assert NULL_OBS.for_rank() is NULL_OBS

@@ -272,7 +272,7 @@ class TestSerialization:
 
     def test_from_doc_rejects_v1_with_rerecord_hint(self):
         v1 = {"schema": "carp-profile-v1", "frames": []}
-        with pytest.raises(ValueError, match=r"re-record .*carp-perf run"):
+        with pytest.raises(ValueError, match=r"re-record .*carp perf run"):
             Profile.from_doc(v1)
 
     def test_folded_lines_are_sorted_collapsed_stacks(self):

@@ -1,4 +1,4 @@
-"""carp-perf: deterministic workloads, baseline gating, CLI exit codes.
+"""carp perf: deterministic workloads, baseline gating, CLI exit codes.
 
 The gate's contract is exercised end-to-end through the CLI against a
 redirected ``REPRO_RESULTS_DIR``: a fresh baseline compares clean
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf.cli import main as perf_main
+from repro.cli import main
 from repro.perf.harness import (
     Metric,
     _compare_metric,
@@ -108,7 +108,7 @@ class TestCompareMetric:
 
 class TestCli:
     def test_list(self, capsys):
-        assert perf_main(["list"]) == 0
+        assert main(["perf", "list"]) == 0
         out = capsys.readouterr().out
         for name in WORKLOADS:
             assert name in out
@@ -119,21 +119,21 @@ class TestCli:
         assert "backend" not in out
 
     def test_unknown_workload_exits_2(self, results_dir):
-        assert perf_main(["run", "no-such-workload"]) == 2
+        assert main(["perf", "run", "no-such-workload"]) == 2
 
     def test_fresh_baseline_compares_clean(self, results_dir, capsys):
-        assert perf_main(["run", "ingest-serial"]) == 0
+        assert main(["perf", "run", "ingest-serial"]) == 0
         assert baseline_path("ingest-serial").is_file()
-        assert perf_main(["compare", "ingest-serial"]) == 0
+        assert main(["perf", "compare", "ingest-serial"]) == 0
         out = capsys.readouterr().out
         assert "renegotiations" in out
 
     def test_injected_regression_fails_gate(self, results_dir, capsys):
-        assert perf_main(["run", "ingest-serial"]) == 0
+        assert main(["perf", "run", "ingest-serial"]) == 0
         _tamper("ingest-serial", "koidb_bytes_written", scale=0.9)
         json_out = results_dir / "cmp.json"
-        rc = perf_main(["compare", "ingest-serial",
-                        "--json", str(json_out)])
+        rc = main(["perf", "compare", "ingest-serial",
+                   "--json", str(json_out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert "perf regression gate failed" in err
@@ -150,41 +150,41 @@ class TestCli:
     def test_one_ulp_modeled_latency_drift_fails_gate(self, results_dir,
                                                       capsys):
         """Modeled latency is compared by equality: no tolerance band."""
-        assert perf_main(["run", "query-serial"]) == 0
+        assert main(["perf", "run", "query-serial"]) == 0
         _tamper("query-serial", "query_latency_modeled", ulp=True)
         capsys.readouterr()
-        assert perf_main(["compare", "query-serial"]) == 1
+        assert main(["perf", "compare", "query-serial"]) == 1
         err = capsys.readouterr().err
         assert "query_latency_modeled (changed)" in err
 
     def test_exact_output_change_fails_gate(self, results_dir):
-        assert perf_main(["run", "ingest-serial"]) == 0
+        assert main(["perf", "run", "ingest-serial"]) == 0
         _tamper("ingest-serial", "records_ingested", shift=1.0)
-        assert perf_main(["compare", "ingest-serial"]) == 1
+        assert main(["perf", "compare", "ingest-serial"]) == 1
 
     def test_stale_row_kind_fails_gate_with_rerecord_hint(
         self, results_dir, capsys
     ):
-        assert perf_main(["run", "ingest-serial"]) == 0
+        assert main(["perf", "run", "ingest-serial"]) == 0
         path = baseline_path("ingest-serial")
         doc = json.loads(path.read_text())
         # e.g. a wall-clock or virtual-tick row from an old checkout
         doc["rows"].append({"metric": "ingest_wall_s", "kind": "wall",
                             "unit": "s", "value": 0.04, "tolerance": 0.25})
         path.write_text(json.dumps(doc))
-        assert perf_main(["compare", "ingest-serial"]) == 1
+        assert main(["perf", "compare", "ingest-serial"]) == 1
         err = capsys.readouterr().err
         assert "ingest_wall_s (missing)" in err
-        assert "re-record the baseline (`carp-perf run ingest-serial`)" in err
+        assert "re-record the baseline (`carp perf run ingest-serial`)" in err
 
     def test_missing_baseline_fails(self, results_dir, capsys):
-        assert perf_main(["compare", "ingest-serial"]) == 1
+        assert main(["perf", "compare", "ingest-serial"]) == 1
         assert "no baseline" in capsys.readouterr().err
 
 
 class TestProfileIntegration:
     def test_run_commits_profile_baseline(self, results_dir, capsys):
-        assert perf_main(["run", "ingest-serial"]) == 0
+        assert main(["perf", "run", "ingest-serial"]) == 0
         path = profile_baseline_path("ingest-serial")
         assert path.is_file()
         assert path.with_suffix(".folded").is_file()
@@ -203,8 +203,8 @@ class TestProfileIntegration:
     def test_profile_subcommand_writes_fresh_profiles(self, results_dir,
                                                       capsys):
         out = results_dir / "fresh"
-        assert perf_main(["profile", "ingest-serial",
-                          "--out", str(out)]) == 0
+        assert main(["perf", "profile", "ingest-serial",
+                     "--out", str(out)]) == 0
         assert (out / "ingest-serial.json").is_file()
         assert (out / "ingest-serial.folded").is_file()
 
@@ -217,7 +217,7 @@ class TestProfileIntegration:
         path; the compare failure output must name the diff-profile
         artifact and put that path first in the inline blame lines.
         """
-        assert perf_main(["run", "ingest-serial"]) == 0
+        assert main(["perf", "run", "ingest-serial"]) == 0
         _tamper("ingest-serial", "ssts_written", shift=-1.0)
         path = profile_baseline_path("ingest-serial")
         doc = json.loads(path.read_text())
@@ -226,7 +226,7 @@ class TestProfileIntegration:
         hot["bytes"] -= 100
         path.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert perf_main(["compare", "ingest-serial"]) == 1
+        assert main(["perf", "compare", "ingest-serial"]) == 1
         err = capsys.readouterr().err
         diff_path = (results_dir / "profile-diffs"
                      / "ingest-serial.profile-diff.json")
@@ -243,10 +243,10 @@ class TestProfileIntegration:
 
     def test_gate_failure_without_profile_baseline_notes_it(
             self, results_dir, capsys):
-        assert perf_main(["run", "ingest-serial"]) == 0
+        assert main(["perf", "run", "ingest-serial"]) == 0
         _tamper("ingest-serial", "records_ingested", shift=1.0)
         profile_baseline_path("ingest-serial").unlink()
         capsys.readouterr()
-        assert perf_main(["compare", "ingest-serial"]) == 1
+        assert main(["perf", "compare", "ingest-serial"]) == 1
         err = capsys.readouterr().err
         assert "no baseline profile" in err

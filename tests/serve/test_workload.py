@@ -1,14 +1,13 @@
-"""The serve-mixed perf workload and the carp-serve CLI: run-to-run
+"""The serve-mixed perf workload and the carp serve CLI: run-to-run
 determinism, the committed baseline, and artifact production."""
 
 from __future__ import annotations
 
 import json
 
-from repro.perf.cli import main as perf_main
+from repro.cli import main
 from repro.perf.harness import run_workload
 from repro.perf.workloads import WORKLOADS
-from repro.tools.serve_cli import main as serve_main
 
 
 class TestServeWorkload:
@@ -29,7 +28,7 @@ class TestServeWorkload:
     def test_committed_baseline_matches(self, capsys):
         """The checked-in results/baselines/serve-mixed.json must stay
         in sync with what the workload actually produces."""
-        assert perf_main(["compare", "serve-mixed"]) == 0
+        assert main(["perf", "compare", "serve-mixed"]) == 0
         out = capsys.readouterr().out
         assert "serve_payload_digest" in out
         assert "serve_latency_p99" in out
@@ -37,13 +36,13 @@ class TestServeWorkload:
 
 class TestServeCli:
     def test_unknown_workload_exits_2(self, capsys):
-        assert serve_main(["--workload", "ingest-serial"]) == 2
+        assert main(["serve", "--workload", "ingest-serial"]) == 2
         assert "unknown serve workload" in capsys.readouterr().err
 
     def test_run_reports_and_persists_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "obs"
         report_path = tmp_path / "serve-report.json"
-        rc = serve_main([
+        rc = main(["serve",
             "--out", str(out_dir), "--json", str(report_path)
         ])
         assert rc == 0

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
 from repro.storage.fsck import fsck
 from repro.storage.log import LogWriter, list_logs, log_name
-from repro.tools.fsck_cli import main as fsck_main
 
 OPTS = CarpOptions(
     pivot_count=32, oob_capacity=32, renegotiations_per_epoch=2,
@@ -115,7 +115,7 @@ class TestFsck:
 
 class TestFsckCli:
     def test_clean_exit_zero(self, clean_output, capsys):
-        assert fsck_main(["-i", str(clean_output)]) == 0
+        assert main(["fsck", "-i", str(clean_output)]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_corrupt_exit_one(self, clean_output, capsys):
@@ -123,11 +123,11 @@ class TestFsckCli:
         data = bytearray(path.read_bytes())
         data[90] ^= 0xFF
         path.write_bytes(bytes(data))
-        assert fsck_main(["-i", str(clean_output)]) == 1
+        assert main(["fsck", "-i", str(clean_output)]) == 1
 
     def test_recover_flag(self, clean_output):
         path = list_logs(clean_output)[0]
         with open(path, "ab") as fh:
             fh.write(b"\x00" * 16)
-        assert fsck_main(["-i", str(clean_output)]) == 1
-        assert fsck_main(["-i", str(clean_output), "--recover"]) == 0
+        assert main(["fsck", "-i", str(clean_output)]) == 1
+        assert main(["fsck", "-i", str(clean_output), "--recover"]) == 0

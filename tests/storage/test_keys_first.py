@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cli import main
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch, range_mask
@@ -45,7 +46,6 @@ from repro.storage.sstable import (
     keys_span_len,
     parse_header,
 )
-from repro.tools.fsck_cli import main as fsck_main
 
 VALUE_SIZE = 24
 #: four chunks: 256 + 256 + 256 + 232 records
@@ -178,7 +178,7 @@ class TestIntegrityMatrix:
         report = fsck(path.parent)
         assert not report.ok
         assert any("corrupt SST" in e for e in report.errors)
-        assert fsck_main(["-i", str(path.parent)]) == 1
+        assert main(["fsck", "-i", str(path.parent)]) == 1
         assert classify_log(path, deep=True).kind == KIND_CORRUPT_SST
 
 

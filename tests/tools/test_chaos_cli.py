@@ -1,14 +1,14 @@
-"""The ``carp-chaos`` CLI: exit codes, bundles, scratch handling."""
+"""The ``carp chaos`` subcommand: exit codes, bundles, scratch handling."""
 
 import json
 
+from repro.cli import main
 from repro.faults import chaos
 from repro.faults.plan import FaultPlan
-from repro.tools.chaos_cli import main
 
 
 def test_passing_seeds_exit_zero(tmp_path, capsys):
-    rc = main(["--seeds", "2", "--out", str(tmp_path / "scratch")])
+    rc = main(["chaos", "--seeds", "2", "--out", str(tmp_path / "scratch")])
     captured = capsys.readouterr()
     assert rc == 0
     assert "2 seed(s)" in captured.out
@@ -17,20 +17,20 @@ def test_passing_seeds_exit_zero(tmp_path, capsys):
 
 def test_keep_retains_scratch_directories(tmp_path):
     out = tmp_path / "scratch"
-    rc = main(["--seeds", "1", "--out", str(out), "--keep"])
+    rc = main(["chaos", "--seeds", "1", "--out", str(out), "--keep"])
     assert rc == 0
     assert {p.name for p in out.iterdir()} == {"seed0-ref", "seed0-run"}
 
 
 def test_scratch_removed_for_passing_seeds(tmp_path):
     out = tmp_path / "scratch"
-    rc = main(["--seeds", "1", "--out", str(out)])
+    rc = main(["chaos", "--seeds", "1", "--out", str(out)])
     assert rc == 0
     assert list(out.iterdir()) == []
 
 
 def test_nonpositive_seed_count_rejected(capsys):
-    assert main(["--seeds", "0"]) == 2
+    assert main(["chaos", "--seeds", "0"]) == 2
     assert "--seeds" in capsys.readouterr().err
 
 
@@ -43,7 +43,7 @@ def test_failing_seed_writes_repro_bundle(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(chaos, "run_seed", fake_run_seed)
     bundles = tmp_path / "bundles"
     rc = main(
-        [
+        ["chaos",
             "--seeds", "3",
             "--seed-start", "40",
             "--out", str(tmp_path / "scratch"),

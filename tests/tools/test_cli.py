@@ -1,14 +1,21 @@
-"""End-to-end tests for the artifact-equivalent CLI tools."""
+"""The ``carp`` dispatcher, and end-to-end tests for the
+artifact-equivalent tools."""
 
 import csv
+import importlib
+import os
+import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.tools.compactor_cli import main as compactor_main
-from repro.tools.range_reader_cli import main as reader_main
-from repro.tools.range_runner import main as runner_main, reshard
+from repro import cli
+from repro.cli import SUBCOMMANDS, main
+from repro.tools.range_runner import reshard
 from repro.core.records import RecordBatch
 from repro.storage.log import LogReader, list_logs
 from repro.traces import io as trace_io
@@ -16,6 +23,64 @@ from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
 SPEC = VpicTraceSpec(nranks=8, particles_per_rank=500,
                      timesteps=(200, 2000), seed=31, value_size=8)
+
+PYPROJECT = Path(__file__).resolve().parents[2] / "pyproject.toml"
+
+#: The paper artifact's binaries, kept as aliases of their subcommand.
+ALIASES = {
+    "carp-range-runner": ("range_runner_alias", "range-runner"),
+    "carp-compactor": ("compactor_alias", "compactor"),
+    "carp-range-reader": ("range_reader_alias", "range-reader"),
+}
+
+
+def _console_scripts() -> dict[str, str]:
+    """``[project.scripts]`` of pyproject.toml: name -> ``module:attr``."""
+    section = PYPROJECT.read_text().split("[project.scripts]\n", 1)[1]
+    section = section.split("\n[", 1)[0]
+    return dict(re.findall(r'^([\w-]+) = "([\w.:]+)"$', section, re.M))
+
+
+class TestDispatcher:
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_help_exits_zero(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: carp {name}" in capsys.readouterr().out
+
+    def test_console_scripts_resolve_to_callables(self):
+        scripts = _console_scripts()
+        assert set(scripts) == {"carp", *ALIASES}
+        for target in scripts.values():
+            module, attr = target.split(":")
+            assert callable(getattr(importlib.import_module(module), attr))
+
+    @pytest.mark.parametrize("script", sorted(ALIASES))
+    def test_alias_forwards_argv_unchanged(self, script, monkeypatch):
+        func, subcommand = ALIASES[script]
+        assert _console_scripts()[script] == f"repro.cli:{func}"
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda argv: seen.append(argv) or 7)
+        argv = ["-i", "in dir", "-o", "out", "--flag", "--", "-x"]
+        monkeypatch.setattr(sys, "argv", [script, *argv])
+        assert getattr(cli, func)() == 7
+        assert seen == [[subcommand, *argv]]
+
+    def test_python_dash_m_repro_is_the_carp_command(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "fsck", "--help"],
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: carp fsck")
+
+    def test_missing_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +94,7 @@ def trace_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def carp_dir(trace_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_carp")
-    rc = runner_main([
+    rc = main(["range-runner",
         "-i", str(trace_dir), "-o", str(out), "-n", "4",
         "--pivots", "64", "--oob", "64", "--memtable", "256",
     ])
@@ -71,12 +136,12 @@ class TestRangeRunner:
             assert store.total_records(1) == 4000
 
     def test_missing_trace_errors(self, tmp_path, capsys):
-        rc = runner_main(["-i", str(tmp_path / "nope"), "-o",
-                          str(tmp_path / "out")])
+        rc = main(["range-runner", "-i", str(tmp_path / "nope"), "-o",
+                   str(tmp_path / "out")])
         assert rc == 2
 
     def test_unknown_timestep_errors(self, trace_dir, tmp_path):
-        rc = runner_main([
+        rc = main(["range-runner",
             "-i", str(trace_dir), "-o", str(tmp_path / "out"),
             "--timesteps", "999",
         ])
@@ -84,7 +149,7 @@ class TestRangeRunner:
 
     def test_timestep_subset(self, trace_dir, tmp_path):
         out = tmp_path / "subset"
-        rc = runner_main([
+        rc = main(["range-runner",
             "-i", str(trace_dir), "-o", str(out), "-n", "4",
             "--oob", "64", "--timesteps", "2000",
         ])
@@ -98,19 +163,19 @@ class TestRangeRunner:
 class TestCompactor:
     def test_compact_single_epoch(self, carp_dir, tmp_path):
         out = tmp_path / "sorted"
-        rc = compactor_main(["-i", str(carp_dir), "-o", str(out), "-e", "0"])
+        rc = main(["compactor", "-i", str(carp_dir), "-o", str(out), "-e", "0"])
         assert rc == 0
         assert (out / "0").is_dir()
 
     def test_compact_all(self, carp_dir, tmp_path):
         out = tmp_path / "sorted_all"
-        rc = compactor_main(["-i", str(carp_dir), "-o", str(out), "--all"])
+        rc = main(["compactor", "-i", str(carp_dir), "-o", str(out), "--all"])
         assert rc == 0
         assert (out / "0").is_dir() and (out / "1").is_dir()
 
     def test_missing_input_errors(self, tmp_path):
-        rc = compactor_main(["-i", str(tmp_path / "nope"), "-o",
-                             str(tmp_path / "out"), "-e", "0"])
+        rc = main(["compactor", "-i", str(tmp_path / "nope"), "-o",
+                   str(tmp_path / "out"), "-e", "0"])
         assert rc == 2
 
     def test_failed_epoch_task_exits_two(self, carp_dir, tmp_path, capsys):
@@ -124,37 +189,37 @@ class TestCompactor:
         raw = bytearray(log.read_bytes())
         raw[entry.offset + entry.length // 2] ^= 0xFF
         log.write_bytes(bytes(raw))
-        rc = compactor_main(["-i", str(broken), "-o", str(tmp_path / "out"),
-                             "--all"])
+        rc = main(["compactor", "-i", str(broken), "-o", str(tmp_path / "out"),
+                   "--all"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
 
 class TestRangeReader:
     def test_analyze(self, carp_dir, capsys):
-        rc = reader_main(["-i", str(carp_dir), "-a"])
+        rc = main(["range-reader", "-i", str(carp_dir), "-a"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "median selectivity" in out
         assert "epochs: [0, 1]" in out
 
     def test_query(self, carp_dir, capsys):
-        rc = reader_main(["-i", str(carp_dir), "-q", "-e", "0",
-                          "-x", "0.0", "-y", "100.0"])
+        rc = main(["range-reader", "-i", str(carp_dir), "-q", "-e", "0",
+                   "-x", "0.0", "-y", "100.0"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "matched 4000 records" in out
 
     def test_query_missing_args(self, carp_dir, capsys):
-        rc = reader_main(["-i", str(carp_dir), "-q"])
+        rc = main(["range-reader", "-i", str(carp_dir), "-q"])
         assert rc == 2
 
     def test_batch(self, carp_dir, tmp_path, capsys):
         batch = tmp_path / "batch.csv"
         batch.write_text("0,0.1,0.5\n1,0.1,0.5\n")
         qlog = tmp_path / "qlog.csv"
-        rc = reader_main(["-i", str(carp_dir), "-b", str(batch),
-                          "--querylog", str(qlog)])
+        rc = main(["range-reader", "-i", str(carp_dir), "-b", str(batch),
+                   "--querylog", str(qlog)])
         assert rc == 0
         rows = list(csv.reader(qlog.open()))
         assert len(rows) == 3  # header + 2 queries
@@ -162,19 +227,17 @@ class TestRangeReader:
     def test_executor_flag_is_a_usage_error(self, carp_dir):
         # queries never enter an executor, so the reader has no such flag
         with pytest.raises(SystemExit) as exc:
-            reader_main(["-i", str(carp_dir), "-a", "--executor", "process"])
+            main(["range-reader", "-i", str(carp_dir), "-a", "--executor", "process"])
         assert exc.value.code == 2
 
     def test_missing_store_errors(self, tmp_path):
-        rc = reader_main(["-i", str(tmp_path / "nope"), "-a"])
+        rc = main(["range-reader", "-i", str(tmp_path / "nope"), "-a"])
         assert rc == 2
 
 
 class TestTracegen:
     def test_vpic_trace_generated(self, tmp_path):
-        from repro.tools.tracegen import main as tracegen_main
-
-        rc = tracegen_main([
+        rc = main(["tracegen",
             "-o", str(tmp_path / "t"), "--workload", "vpic",
             "--ranks", "4", "--records", "50",
             "--timesteps", "200", "2000",
@@ -184,9 +247,7 @@ class TestTracegen:
         assert len(trace_io.list_ranks(tmp_path / "t", 200)) == 4
 
     def test_amr_trace_generated(self, tmp_path):
-        from repro.tools.tracegen import main as tracegen_main
-
-        rc = tracegen_main([
+        rc = main(["tracegen",
             "-o", str(tmp_path / "t"), "--workload", "amr",
             "--ranks", "2", "--records", "30",
         ])
@@ -194,19 +255,15 @@ class TestTracegen:
         assert len(trace_io.list_timesteps(tmp_path / "t")) >= 1
 
     def test_bad_geometry_errors(self, tmp_path):
-        from repro.tools.tracegen import main as tracegen_main
-
-        rc = tracegen_main(["-o", str(tmp_path / "t"), "--ranks", "0"])
+        rc = main(["tracegen", "-o", str(tmp_path / "t"), "--ranks", "0"])
         assert rc == 2
 
     def test_chains_into_range_runner(self, tmp_path):
-        from repro.tools.tracegen import main as tracegen_main
-
-        assert tracegen_main([
+        assert main(["tracegen",
             "-o", str(tmp_path / "t"), "--ranks", "4", "--records", "200",
             "--timesteps", "200",
         ]) == 0
-        assert runner_main([
+        assert main(["range-runner",
             "-i", str(tmp_path / "t"), "-o", str(tmp_path / "out"),
             "-n", "2", "--oob", "64", "--memtable", "128",
         ]) == 0
@@ -218,22 +275,21 @@ class TestTracegen:
 
 class TestExplainCli:
     def test_reconciles_and_exits_zero(self, carp_dir, capsys):
-        from repro.tools.explain_cli import main as explain_main
-
-        rc = explain_main([str(carp_dir), "--lo", "0.5", "--hi", "2.0"])
+        rc = main(["explain", str(carp_dir), "--lo", "0.5", "--hi", "2.0"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "EXPLAIN epoch" in out
         assert "reconciliation: explain cost == measured QueryCost" in out
 
-    def test_json_report_verified(self, carp_dir, capsys):
+    def test_json_report_verified(self, carp_dir, tmp_path, capsys):
         import json
 
-        from repro.tools.explain_cli import main as explain_main
-
-        rc = explain_main([str(carp_dir), "--json", "--keys-only"])
+        path = tmp_path / "explain.json"
+        rc = main(["explain", str(carp_dir), "--json", str(path),
+                   "--keys-only"])
         assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
+        assert f"report: {path}" in capsys.readouterr().out
+        doc = json.loads(path.read_text())
         assert doc["verified"] is True
         assert doc["keys_only"] is True
         assert doc["logs"]
@@ -241,28 +297,22 @@ class TestExplainCli:
         assert totals == doc["cost"]["bytes_read"]
 
     def test_bad_epoch_errors(self, carp_dir, capsys):
-        from repro.tools.explain_cli import main as explain_main
-
-        rc = explain_main([str(carp_dir), "--epoch", "99"])
+        rc = main(["explain", str(carp_dir), "--epoch", "99"])
         assert rc == 2
         assert "epoch 99" in capsys.readouterr().err
 
     def test_missing_store_errors(self, tmp_path):
-        from repro.tools.explain_cli import main as explain_main
-
-        assert explain_main([str(tmp_path / "nope")]) == 2
+        assert main(["explain", str(tmp_path / "nope")]) == 2
 
 
 class TestTraceCli:
     def test_profile_top_frames_report(self, tmp_path, capsys):
-        from repro.tools.profile_cli import main as profile_main
-
         out_dir = self._recorded(tmp_path, capsys)
         assert (out_dir / "trace.json").is_file()
         # telemetry plane artifacts ride along
         assert (out_dir / "db" / "telemetry.jsonl").is_file()
         assert (out_dir / "db" / "metrics.om").is_file()
-        rc = profile_main([
+        rc = main(["profile",
             "record", str(out_dir), "-o", str(tmp_path / "prof"),
             "--top", "3",
         ])
@@ -273,22 +323,17 @@ class TestTraceCli:
         assert "flush;flush" in out
 
     def test_top_flag_is_a_usage_error(self, tmp_path, capsys):
-        from repro.tools.trace_cli import main as trace_main
-
         with pytest.raises(SystemExit) as exc:
-            trace_main(["--report", str(tmp_path), "--top", "3"])
+            main(["trace", "--report", str(tmp_path), "--top", "3"])
         assert exc.value.code == 2
         assert "--top" in capsys.readouterr().err
 
     def test_trace_report_has_no_ticks(self, tmp_path, capsys):
-        """carp-trace prints carp-profile's phase table, no tick column."""
-        from repro.tools.profile_cli import main as profile_main
-        from repro.tools.trace_cli import main as trace_main
-
+        """carp trace prints carp profile's phase table, no tick column."""
         out_dir = self._recorded(tmp_path, capsys)
-        assert trace_main(["--report", str(out_dir)]) == 0
+        assert main(["trace", "--report", str(out_dir)]) == 0
         report = capsys.readouterr().out
-        assert profile_main([
+        assert main(["profile",
             "record", str(out_dir), "-o", str(tmp_path / "prof"),
         ]) == 0
         profile_out = capsys.readouterr().out
@@ -298,10 +343,8 @@ class TestTraceCli:
         assert phase_table in report
 
     def _recorded(self, tmp_path, capsys):
-        from repro.tools.trace_cli import main as trace_main
-
         out_dir = tmp_path / "obs"
-        rc = trace_main([
+        rc = main(["trace",
             "-o", str(out_dir), "--ranks", "4", "--epochs", "2",
             "--records", "300",
         ])
@@ -310,16 +353,12 @@ class TestTraceCli:
         return out_dir
 
     def test_output_required_without_report(self, capsys):
-        from repro.tools.trace_cli import main as trace_main
-
-        assert trace_main([]) == 2
-        assert "--output is required" in capsys.readouterr().err
+        assert main(["trace"]) == 2
+        assert "-o/--out is required" in capsys.readouterr().err
 
     def test_report_mode_re_renders(self, tmp_path, capsys):
-        from repro.tools.trace_cli import main as trace_main
-
         out_dir = self._recorded(tmp_path, capsys)
-        rc = trace_main(["--report", str(out_dir)])
+        rc = main(["trace", "--report", str(out_dir)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "CARP run" in out
@@ -330,14 +369,12 @@ class TestTraceCli:
         """A metrics.json without histograms is annotated, not fatal."""
         import json
 
-        from repro.tools.trace_cli import main as trace_main
-
         out_dir = self._recorded(tmp_path, capsys)
         metrics_path = out_dir / "metrics.json"
         snapshot = json.loads(metrics_path.read_text())
         del snapshot["histograms"]  # simulate a pre-histogram recording
         metrics_path.write_text(json.dumps(snapshot))
-        rc = trace_main(["--report", str(out_dir)])
+        rc = main(["trace", "--report", str(out_dir)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "note: legacy snapshot: no 'histograms' section" in out
@@ -350,12 +387,10 @@ class TestTraceCli:
         pruned) must render a partial report with a warning — not
         exit 2 — because the span timeline is useful on its own.
         """
-        from repro.tools.trace_cli import main as trace_main
-
         out_dir = self._recorded(tmp_path, capsys)
         (out_dir / "metrics.json").unlink()
         (out_dir / "db" / "telemetry.jsonl").unlink()
-        rc = trace_main(["--report", str(out_dir)])
+        rc = main(["trace", "--report", str(out_dir)])
         captured = capsys.readouterr()
         assert rc == 0
         assert "warning:" in captured.err
@@ -365,16 +400,12 @@ class TestTraceCli:
         assert "telemetry.jsonl missing" in captured.out
 
     def test_report_mode_missing_artifacts_exit_two(self, tmp_path, capsys):
-        from repro.tools.trace_cli import main as trace_main
-
-        assert trace_main(["--report", str(tmp_path / "nope")]) == 2
+        assert main(["trace", "--report", str(tmp_path / "nope")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_request_tree_from_archived_trace(self, tmp_path, capsys):
-        from repro.tools.trace_cli import main as trace_main
-
         out_dir = self._recorded(tmp_path, capsys)
-        rc = trace_main([
+        rc = main(["trace",
             "--report", str(out_dir), "--request", "ingest-000001",
         ])
         out = capsys.readouterr().out

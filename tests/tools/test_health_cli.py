@@ -1,4 +1,4 @@
-"""``carp-health`` end to end: breach gating over real telemetry."""
+"""``carp health`` end to end: breach gating over real telemetry."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import json
 from pathlib import Path
 
 from repro.api import Session
+from repro.cli import main
 from repro.core.config import CarpOptions
 from repro.query.request import QueryRequest
-from repro.tools.health_cli import main as health_main
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
 REPO = Path(__file__).resolve().parents[2]
@@ -47,7 +47,7 @@ def _policy_file(tmp_path: Path, rules: list[dict]) -> Path:
 
 def test_clean_run_passes_default_policy(tmp_path, capsys):
     telemetry = _telemetry_run(tmp_path / "out")
-    rc = health_main([str(telemetry), "--policy", str(DEFAULT_POLICY)])
+    rc = main(["health", str(telemetry), "--policy", str(DEFAULT_POLICY)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "0 breach(es)" in out
@@ -60,7 +60,7 @@ def test_seeded_breach_exits_nonzero(tmp_path, capsys):
         {"selector": "counters.carp.records_ingested", "max": 0,
          "description": "seeded breach"},
     ])
-    rc = health_main([str(telemetry), "--policy", str(policy)])
+    rc = main(["health", str(telemetry), "--policy", str(policy)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "1 breach(es)" in out
@@ -70,7 +70,7 @@ def test_seeded_breach_exits_nonzero(tmp_path, capsys):
 def test_json_report_written(tmp_path):
     telemetry = _telemetry_run(tmp_path / "out")
     report_path = tmp_path / "health" / "report.json"
-    rc = health_main([
+    rc = main(["health",
         str(telemetry), "--policy", str(DEFAULT_POLICY),
         "--json", str(report_path),
     ])
@@ -86,8 +86,8 @@ def test_strict_skips_fails_on_unresolved_selector(tmp_path, capsys):
     policy = _policy_file(tmp_path, [
         {"selector": "counters.never.emitted", "max": 0},
     ])
-    assert health_main([str(telemetry), "--policy", str(policy)]) == 0
-    rc = health_main([
+    assert main(["health", str(telemetry), "--policy", str(policy)]) == 0
+    rc = main(["health",
         str(telemetry), "--policy", str(policy), "--strict-skips",
     ])
     assert rc == 1
@@ -97,13 +97,13 @@ def test_strict_skips_fails_on_unresolved_selector(tmp_path, capsys):
 def test_usage_errors_exit_two(tmp_path, capsys):
     telemetry = _telemetry_run(tmp_path / "out")
     missing_policy = tmp_path / "nope.json"
-    assert health_main([str(telemetry), "--policy",
-                        str(missing_policy)]) == 2
+    assert main(["health", str(telemetry), "--policy",
+                 str(missing_policy)]) == 2
     bad_policy = _policy_file(tmp_path, [])
     bad_policy.write_text("{not json")
-    assert health_main([str(telemetry), "--policy", str(bad_policy)]) == 2
-    assert health_main([str(tmp_path / "missing.jsonl"), "--policy",
-                        str(DEFAULT_POLICY)]) == 2
+    assert main(["health", str(telemetry), "--policy", str(bad_policy)]) == 2
+    assert main(["health", str(tmp_path / "missing.jsonl"), "--policy",
+                 str(DEFAULT_POLICY)]) == 2
     err = capsys.readouterr().err
     assert "cannot load policy" in err
     assert "cannot read telemetry" in err
@@ -114,6 +114,6 @@ def test_truncated_stream_is_a_usage_error(tmp_path, capsys):
     clipped = tmp_path / "clipped.jsonl"
     text = telemetry.read_text()
     clipped.write_text(text[: len(text) // 2])
-    rc = health_main([str(clipped), "--policy", str(DEFAULT_POLICY)])
+    rc = main(["health", str(clipped), "--policy", str(DEFAULT_POLICY)])
     assert rc == 2
     assert "not valid JSON" in capsys.readouterr().err

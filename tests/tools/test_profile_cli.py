@@ -1,7 +1,7 @@
-"""carp-profile: record/diff over archived artifacts, byte-stable.
+"""carp profile: record/diff over archived artifacts, byte-stable.
 
 The CLI never runs a workload — everything here operates on artifact
-directories built by hand (exact, fast) plus one real ``carp-trace``
+directories built by hand (exact, fast) plus one real ``carp trace``
 recording for the end-to-end exact-reconciliation path.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from repro.tools.profile_cli import main as profile_main
+from repro.cli import main
 
 
 def _events(extra_flush_child: bool = False) -> list[dict]:
@@ -52,7 +52,7 @@ def _write_artifacts(directory, *, records=10, bytes_written=100,
 class TestRecord:
     def test_writes_profile_and_reconciles_exactly(self, tmp_path, capsys):
         d = _write_artifacts(tmp_path / "run")
-        assert profile_main(["record", str(d)]) == 0
+        assert main(["profile", "record", str(d)]) == 0
         out = capsys.readouterr().out
         assert "profile totals match metrics counters exactly" in out
         assert (d / "profile.json").is_file()
@@ -63,17 +63,17 @@ class TestRecord:
 
     def test_repeat_invocations_are_byte_identical(self, tmp_path, capsys):
         d = _write_artifacts(tmp_path / "run")
-        assert profile_main(["record", str(d)]) == 0
+        assert main(["profile", "record", str(d)]) == 0
         first = ((d / "profile.json").read_bytes(),
                  (d / "profile.folded").read_bytes())
-        assert profile_main(["record", str(d)]) == 0
+        assert main(["profile", "record", str(d)]) == 0
         second = ((d / "profile.json").read_bytes(),
                   (d / "profile.folded").read_bytes())
         assert second == first
 
     def test_metric_drift_exits_nonzero(self, tmp_path, capsys):
         d = _write_artifacts(tmp_path / "run", bytes_written=101)
-        assert profile_main(["record", str(d)]) == 1
+        assert main(["profile", "record", str(d)]) == 1
         err = capsys.readouterr().err
         assert "reconcile" in err and "koidb.bytes_written" in err
         # the profile is still written — it is the evidence
@@ -81,20 +81,20 @@ class TestRecord:
 
     def test_missing_metrics_degrades_to_warning(self, tmp_path, capsys):
         d = _write_artifacts(tmp_path / "run", metrics=False)
-        assert profile_main(["record", str(d)]) == 0
+        assert main(["profile", "record", str(d)]) == 0
         captured = capsys.readouterr()
         assert "reconciliation skipped" in captured.err
         assert "profile totals match" not in captured.out
         assert (d / "profile.json").is_file()
 
     def test_missing_trace_exits_two(self, tmp_path, capsys):
-        assert profile_main(["record", str(tmp_path / "nope")]) == 2
+        assert main(["profile", "record", str(tmp_path / "nope")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_output_redirect(self, tmp_path, capsys):
         d = _write_artifacts(tmp_path / "run")
         out = tmp_path / "elsewhere"
-        assert profile_main(["record", str(d), "-o", str(out)]) == 0
+        assert main(["profile", "record", str(d), "-o", str(out)]) == 0
         assert (out / "profile.json").is_file()
         assert not (d / "profile.json").exists()
 
@@ -104,19 +104,19 @@ class TestDiff:
         a = _write_artifacts(tmp_path / "a")
         b = _write_artifacts(tmp_path / "b")
         for d in (a, b):
-            profile_main(["record", str(d)])
+            main(["profile", "record", str(d)])
         capsys.readouterr()
-        assert profile_main(["diff", str(a), str(b)]) == 0
+        assert main(["profile", "diff", str(a), str(b)]) == 0
         assert "profiles are identical" in capsys.readouterr().out
 
     def test_regression_blames_injected_hot_span(self, tmp_path, capsys):
         a = _write_artifacts(tmp_path / "a")
         b = _write_artifacts(tmp_path / "b", hot_span=True)
         for d in (a, b):
-            profile_main(["record", str(d)])
+            main(["profile", "record", str(d)])
         capsys.readouterr()
         json_out = tmp_path / "diff.json"
-        rc = profile_main(["diff", str(a), str(b), "--json", str(json_out)])
+        rc = main(["profile", "diff", str(a), str(b), "--json", str(json_out)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "flush;flush;checksum" in out
@@ -136,8 +136,8 @@ class TestDiff:
         json_out = tmp_path / "diff.json"
         renders = []
         for _ in range(2):
-            assert profile_main(
-                ["diff", str(a), str(b), "--json", str(json_out)]
+            assert main(
+                ["profile", "diff", str(a), str(b), "--json", str(json_out)]
             ) == 0
             renders.append(json_out.read_bytes())
         capsys.readouterr()
@@ -146,15 +146,15 @@ class TestDiff:
     def test_folds_trace_on_the_fly_with_note(self, tmp_path, capsys):
         a = _write_artifacts(tmp_path / "a")  # no committed profile.json
         b = _write_artifacts(tmp_path / "b")
-        assert profile_main(["diff", str(a), str(b)]) == 0
+        assert main(["profile", "diff", str(a), str(b)]) == 0
         out = capsys.readouterr().out
         assert "folded" in out and "on the fly" in out
 
     def test_accepts_profile_json_files(self, tmp_path, capsys):
         a = _write_artifacts(tmp_path / "a")
-        profile_main(["record", str(a)])
+        main(["profile", "record", str(a)])
         capsys.readouterr()
-        rc = profile_main([
+        rc = main(["profile",
             "diff", str(a / "profile.json"), str(a / "profile.json"),
         ])
         assert rc == 0
@@ -164,7 +164,7 @@ class TestDiff:
         a = _write_artifacts(tmp_path / "a")
         empty = tmp_path / "empty"
         empty.mkdir()
-        assert profile_main(["diff", str(a), str(empty)]) == 2
+        assert main(["profile", "diff", str(a), str(empty)]) == 2
         assert "neither profile.json nor trace.json" in (
             capsys.readouterr().err
         )
@@ -173,15 +173,13 @@ class TestDiff:
 class TestEndToEnd:
     def test_carp_trace_recording_reconciles_exactly(self, tmp_path,
                                                      capsys):
-        from repro.tools.trace_cli import main as trace_main
-
         obs_dir = tmp_path / "obs"
-        assert trace_main([
+        assert main(["trace",
             "-o", str(obs_dir), "--ranks", "4", "--epochs", "2",
             "--records", "300",
         ]) == 0
         capsys.readouterr()
-        assert profile_main(["record", str(obs_dir)]) == 0
+        assert main(["profile", "record", str(obs_dir)]) == 0
         out = capsys.readouterr().out
         assert "profile totals match metrics counters exactly" in out
         folded = (obs_dir / "profile.folded").read_text()

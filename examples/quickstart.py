@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import CarpOptions, QueryRequest, Session
+from repro.query.reader import analyze_store
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
 NRANKS = 16
@@ -57,9 +58,8 @@ def main() -> None:
                   f"({result.cost.bytes_read / total:.1%} of data), "
                   f"modeled latency {result.cost.latency * 1e3:.2f} ms")
 
-            # 4. the range-reader client (wrapping the same open store)
-            #    adds analyze/batch modes
-            analysis = session.reader().analyze(epoch=0)
+            # 4. range-reader's analyze mode, over the same open store
+            analysis = analyze_store(session.store(), epoch=0)
             print(f"analysis: {analysis.ssts} SSTs, median point-selectivity "
                   f"{analysis.median_selectivity:.1%} "
                   f"(floor for {NRANKS} partitions is {1 / NRANKS:.1%})")

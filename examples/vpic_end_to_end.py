@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import CarpOptions, CarpRun, PartitionedStore, RangeReader, compact_epoch
+from repro import CarpOptions, CarpRun, PartitionedStore, compact_epoch
+from repro.query.reader import analyze_store
 from repro.traces import io as trace_io
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
@@ -63,8 +64,8 @@ def main() -> None:
                       f"load std-dev {stats.load_stddev:.1%}")
 
         # -- step 3: analyze (range-reader -a)
-        with RangeReader(carp_dir) as reader:
-            analysis = reader.analyze(epoch=0)
+        with PartitionedStore(carp_dir) as store:
+            analysis = analyze_store(store, epoch=0)
             print(f"analysis: selectivity at keyspace probes: "
                   + ", ".join(f"{s:.1%}" for s in analysis.probe_selectivity[:5]))
 

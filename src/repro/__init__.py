@@ -28,7 +28,6 @@ from repro.core.config import CarpOptions, PAPER_OPTIONS, TEST_OPTIONS
 from repro.core.partition import PartitionTable, load_stddev
 from repro.core.records import RecordBatch, make_rids
 from repro.query.engine import PartitionedStore, QueryResult
-from repro.query.reader import RangeReader
 from repro.query.request import QueryRequest, QueryResponse
 from repro.query.service import QueryService
 from repro.sim.cluster import ClusterSpec, PAPER_CLUSTER
@@ -56,7 +55,6 @@ __all__ = [
     "QueryResponse",
     "QueryResult",
     "QueryService",
-    "RangeReader",
     "RecordBatch",
     "Session",
     "Snapshot",

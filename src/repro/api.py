@@ -18,11 +18,10 @@ views over its output, created together and torn down together::
         result = session.query(QueryRequest(lo=16.0, hi=64.0, epoch=0))
     # logs closed, metrics still readable
 
-Views handed out by :meth:`Session.store` and :meth:`Session.reader`
-are attached: they share the session's obs, the reader wraps
-the session's store (one set of file handles), and the session closes
-them.  The underlying constructors keep working unchanged for callers
-that want manual control.
+Views handed out by :meth:`Session.store` are attached: they share the
+session's obs, and the session closes them.  The underlying
+constructors keep working unchanged for callers that want manual
+control.
 
 The read side is *snapshot-first* (``docs/SERVING.md``):
 :meth:`Session.snapshot` pins the last committed manifest chain of
@@ -48,7 +47,6 @@ from repro.faults.plan import FaultPlan
 from repro.obs import NULL_OBS, Obs, RequestIdAllocator, TelemetryStream
 from repro.query.engine import PartitionedStore
 from repro.query.explain import QueryExplain
-from repro.query.reader import RangeReader
 from repro.query.request import (
     LIVE_TOKEN,
     QueryRequest,
@@ -124,7 +122,6 @@ class Session:
                 )
             self.obs.telemetry = self.telemetry
         self._store: PartitionedStore | None = None
-        self._reader: RangeReader | None = None
         #: Pinned read views by snapshot token.  Deliberately *not*
         #: torn down by :meth:`_invalidate_views`: a pinned store only
         #: consults bytes before its snapshot's commit points, which a
@@ -208,13 +205,6 @@ class Session:
                 self.out_dir, io=self.io, obs=self.obs
             )
         return self._store
-
-    def reader(self) -> RangeReader:
-        """An attached :class:`RangeReader` wrapping the session store."""
-        self._check_open()
-        if self._reader is None:
-            self._reader = RangeReader(store=self.store())
-        return self._reader
 
     # ------------------------------------------------------------- reads
 
@@ -301,16 +291,13 @@ class Session:
     # ---------------------------------------------------------- plumbing
 
     def _invalidate_views(self) -> None:
-        """Tear down the *live* views (they are stale after an ingest).
+        """Tear down the *live* store view (stale after an ingest).
 
         Pinned stores (``self._pinned``) and serving planes
         (``self._services``) deliberately survive: both read only the
         committed prefixes named by their snapshots, which an ingest
         appends after, never into.
         """
-        if self._reader is not None:
-            self._reader.close()  # wrapped: does not close the store
-            self._reader = None
         if self._store is not None:
             self._store.close()
             self._store = None

@@ -11,8 +11,10 @@ from repro.query.metrics import (
 from repro.query.reader import (
     BatchQuerySpec,
     BatchResult,
-    RangeReader,
+    StoreAnalysis,
+    analyze_store,
     read_batch_csv,
+    run_batch,
     write_batch_csv,
 )
 from repro.query.request import (
@@ -31,8 +33,8 @@ __all__ = [
     "PartitionedStore", "QueryCost", "QueryResult",
     "LogExplain", "QueryExplain", "raf_percentiles",
     "read_amplification_profile", "selectivity", "selectivity_profile",
-    "BatchQuerySpec", "BatchResult", "RangeReader", "read_batch_csv",
-    "write_batch_csv",
+    "BatchQuerySpec", "BatchResult", "StoreAnalysis", "analyze_store",
+    "read_batch_csv", "run_batch", "write_batch_csv",
     "LIVE_TOKEN", "STATUS_DEADLINE_EXCEEDED", "STATUS_ERROR", "STATUS_OK",
     "STATUS_REJECTED", "QueryRequest", "QueryResponse",
     "response_from_result", "PendingQuery", "QueryService", "ServeStats",

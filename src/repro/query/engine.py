@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -157,7 +157,7 @@ class PartitionedStore:
                 reader.close()
             raise
         # (reader index, entry) pairs across all logs, grouped by
-        # reader index — _probe walks logs in this order, which fixes
+        # reader index — _plan walks logs in this order, which fixes
         # the order runs are concatenated in
         self._entries: list[tuple[int, ManifestEntry]] = []
         for i, r in enumerate(self._readers):
@@ -176,6 +176,16 @@ class PartitionedStore:
             )
             for epoch, pairs in self._by_epoch.items()
         }
+        # per epoch, the unprobed row of every log holding data, in
+        # reader order: _plan replaces the rows of the logs it probes
+        self._idle_rows: dict[int, list[_LogRow]] = {}
+        for epoch, pairs in self._by_epoch.items():
+            counts: dict[int, int] = {}
+            for log, _ in pairs:
+                counts[log] = counts.get(log, 0) + 1
+            self._idle_rows[epoch] = [
+                _LogRow(log, n, [], _NOT_PROBED) for log, n in counts.items()
+            ]
 
     def close(self) -> None:
         for r in self._readers:
@@ -262,11 +272,9 @@ class PartitionedStore:
         and per-log probe spans, and the post-query telemetry sample,
         with the request id.
         """
-        check_bounds(lo, hi)
-        candidates = self.overlapping_entries(epoch, lo, hi)
-        probes = self._probe(candidates, lo, hi, keys_only)
-        runs = [r for _, p in probes for r in p.runs]
-        key_runs = [k for _, p in probes for k in p.key_runs]
+        rows, cost = self._plan(epoch, lo, hi, keys_only)
+        runs = [r for row in rows for r in row.probe.runs]
+        key_runs = [k for row in rows for k in row.probe.key_runs]
 
         if keys_only:
             keys = (np.sort(np.concatenate(key_runs))
@@ -284,10 +292,6 @@ class PartitionedStore:
             keys = np.empty(0, dtype=np.float32)
             rids = np.empty(0, dtype=np.uint64)
 
-        cost = self._cost(
-            len(self._by_epoch.get(epoch, ())), candidates,
-            [p for _, p in probes], len(keys),
-        )
         if self.obs.enabled:
             rid = ctx.request_id if ctx is not None else None
             # one span per query; the modeled latency is the virtual
@@ -295,19 +299,21 @@ class PartitionedStore:
             # at that log's share of the modeled read time
             t0 = self.obs.clock.now()
             self.obs.clock.advance(cost.latency)
-            for reader_idx, probe in probes:
+            for row in rows:
+                probe = row.probe
+                if not probe.ssts:
+                    continue
+                name = self._paths[row.log].name
                 probe_args: dict[str, object] = {
-                    "log": self._paths[reader_idx].name,
+                    "log": name,
                     "ssts": probe.requests, "bytes": probe.bytes_read,
                     "scanned": probe.scanned, "matched": probe.matched,
                 }
                 if rid is not None:
                     probe_args["request"] = rid
                 self.obs.tracer.complete(
-                    self.obs.track("query", self._paths[reader_idx].name),
-                    "probe", t0,
-                    self.io.read_time(probe.candidate_bytes, probe.ssts),
-                    probe_args,
+                    self.obs.track("query", name), "probe", t0,
+                    self._read_time(probe), probe_args,
                 )
             query_args: dict[str, object] = {
                 "epoch": epoch, "lo": lo, "hi": hi,
@@ -321,7 +327,7 @@ class PartitionedStore:
             )
             self._m_probe_bytes.add(cost.bytes_read)
             self._m_requests.add(cost.read_requests)
-            self._m_ssts_read.add(len(candidates))
+            self._m_ssts_read.add(cost.ssts_read)
             self._m_matched.add(len(keys))
             self._m_io_bytes.add(cost.candidate_bytes)
             self._m_latency.observe(cost.latency)
@@ -331,58 +337,6 @@ class PartitionedStore:
                 self.obs.telemetry.sample("query", request=rid)
         return QueryResult(lo, hi, epoch, keys, rids, cost)
 
-    def _cost(
-        self,
-        considered: int,
-        candidates: list[tuple[int, ManifestEntry]],
-        probes: list[LogProbeResult],
-        matched: int,
-    ) -> QueryCost:
-        """The one place a query's measurements become a :class:`QueryCost`.
-
-        Measured fields report what the probes touched; the modeled
-        times price the candidate SSTs fetched whole, one request each.
-        """
-        candidate_bytes = sum(p.candidate_bytes for p in probes)
-        merge_bytes = _overlapping_run_bytes(
-            [(e.kmin, e.kmax, e.length) for _, e in candidates]
-        )
-        return QueryCost(
-            ssts_considered=considered,
-            ssts_read=len(candidates),
-            bytes_read=sum(p.bytes_read for p in probes),
-            read_requests=sum(p.requests for p in probes),
-            candidate_bytes=candidate_bytes,
-            records_scanned=sum(p.scanned for p in probes),
-            records_matched=matched,
-            merge_bytes=merge_bytes,
-            read_time=self.io.read_time(candidate_bytes, len(candidates)),
-            merge_time=self.io.merge_time(merge_bytes)
-            + self.io.scan_time(candidate_bytes),
-        )
-
-    def _probe(
-        self,
-        candidates: list[tuple[int, ManifestEntry]],
-        lo: float,
-        hi: float,
-        keys_only: bool,
-    ) -> list[tuple[int, LogProbeResult]]:
-        """Probe the candidate SSTs, one result per log, in reader order.
-
-        Every log is probed inline through the mmap'd reader the store
-        already holds (pinned readers never consult bytes past their
-        commit point), so ``query`` and ``explain`` see the same
-        per-log measurements whatever backend ingested the data.
-        """
-        by_reader: dict[int, list[ManifestEntry]] = {}
-        for reader_idx, entry in candidates:
-            by_reader.setdefault(reader_idx, []).append(entry)
-        return [
-            (idx, probe_entries(self._readers[idx], entries, lo, hi, keys_only))
-            for idx, entries in by_reader.items()
-        ]
-
     def explain(
         self,
         epoch: int,
@@ -391,54 +345,41 @@ class PartitionedStore:
         keys_only: bool = False,
         ctx: RequestContext | None = None,
     ) -> "QueryExplain":
-        """Plan + cost report for a range query, without running it.
+        """Plan + cost report for a range query, without merging it.
 
-        Executes the *probe* stage for real (same manifests consulted,
-        same SSTs read and range-filtered, same byte/request counts)
-        but skips the final merge, and reports per-log attribution: for
-        every log holding epoch data, the SSTs considered vs. read,
-        bytes and requests, records scanned vs. matched, and the
-        modeled per-log read time.  The report's ``cost`` is computed
-        by the exact expressions :meth:`query` uses, so it reconciles
-        field-for-field with a real ``QueryResult.cost`` — that exact
-        reconciliation is enforced by ``carp explain``.  No metrics are
-        recorded — EXPLAIN is introspection, not workload — and no
-        virtual time passes.  With a ``ctx`` (minted by
-        :meth:`repro.api.Session.explain` as ``explain-NNNNNN``) one
-        zero-duration span tagged with the request id is emitted so
-        ``carp trace --request`` covers EXPLAIN requests too.
+        Runs the same plan-and-probe step as :meth:`query` (same
+        candidates, same SSTs read and range-filtered, same byte and
+        request counts) but skips the final merge, and reports per-log
+        attribution: for every log holding epoch data, the SSTs
+        considered vs. read, bytes and requests, records scanned vs.
+        matched, and the modeled per-log read time (the duration of
+        that log's ``probe`` span in :meth:`query`).  The report's
+        ``cost`` is the one that step computes, so it reconciles
+        field-for-field with a real ``QueryResult.cost`` — ``carp
+        explain`` enforces that.  No metrics are recorded — EXPLAIN is
+        introspection, not workload — and no virtual time passes.
+        With a ``ctx`` (minted by :meth:`repro.api.Session.explain` as
+        ``explain-NNNNNN``) one zero-duration span tagged with the
+        request id is emitted so ``carp trace --request`` covers
+        EXPLAIN requests too.
         """
         from repro.query.explain import LogExplain, QueryExplain
 
-        check_bounds(lo, hi)
-        all_entries = self.entries(epoch)
-        candidates = self.overlapping_entries(epoch, lo, hi)
-        probes = dict(self._probe(candidates, lo, hi, keys_only))
-        by_reader_all: dict[int, list[ManifestEntry]] = {}
-        for reader_idx, entry in all_entries:
-            by_reader_all.setdefault(reader_idx, []).append(entry)
-        by_reader_cand: dict[int, list[ManifestEntry]] = {}
-        for reader_idx, entry in candidates:
-            by_reader_cand.setdefault(reader_idx, []).append(entry)
-        logs = []
-        for reader_idx in sorted(by_reader_all):
-            probe = probes.get(reader_idx)
-            logs.append(LogExplain(
-                log=self._paths[reader_idx].name,
-                ssts_considered=len(by_reader_all[reader_idx]),
-                ssts_read=len(by_reader_cand.get(reader_idx, [])),
-                bytes_read=probe.bytes_read if probe else 0,
-                read_requests=probe.requests if probe else 0,
-                candidate_bytes=probe.candidate_bytes if probe else 0,
-                records_scanned=probe.scanned if probe else 0,
-                records_matched=probe.matched if probe else 0,
-                read_time=(self.io.read_time(probe.candidate_bytes, probe.ssts)
-                           if probe else 0.0),
-                entries=tuple(by_reader_cand.get(reader_idx, [])),
-            ))
-        cost = self._cost(
-            len(all_entries), candidates, list(probes.values()),
-            sum(p.matched for p in probes.values()),
+        rows, cost = self._plan(epoch, lo, hi, keys_only)
+        logs = tuple(
+            LogExplain(
+                log=self._paths[row.log].name,
+                ssts_considered=row.considered,
+                ssts_read=row.probe.ssts,
+                bytes_read=row.probe.bytes_read,
+                read_requests=row.probe.requests,
+                candidate_bytes=row.probe.candidate_bytes,
+                records_scanned=row.probe.scanned,
+                records_matched=row.probe.matched,
+                read_time=self._read_time(row.probe),
+                entries=tuple(row.entries),
+            )
+            for row in rows
         )
         if ctx is not None and self.obs.enabled:
             # zero-duration: EXPLAIN spends no virtual time, the span
@@ -450,22 +391,89 @@ class PartitionedStore:
             )
         return QueryExplain(
             directory=str(self.directory), epoch=epoch, lo=lo, hi=hi,
-            keys_only=keys_only, logs=tuple(logs), cost=cost,
+            keys_only=keys_only, logs=logs, cost=cost,
         )
+
+    def _plan(
+        self, epoch: int, lo: float, hi: float, keys_only: bool
+    ) -> tuple[list[_LogRow], QueryCost]:
+        """The read path shared by :meth:`query` and :meth:`explain`.
+
+        Selects the candidate SSTs (:meth:`overlapping_entries`), probes
+        each log's candidates inline through the mmap'd reader the store
+        holds (pinned readers never consult bytes past their commit
+        point), and returns one row per log holding epoch data, in
+        reader order — the order runs are concatenated in — plus the
+        query's :class:`QueryCost`.  A log without candidates is not
+        probed; its row carries :data:`_NOT_PROBED`.
+        """
+        check_bounds(lo, hi)
+        candidates: dict[int, list[ManifestEntry]] = {}
+        for log, entry in self.overlapping_entries(epoch, lo, hi):
+            candidates.setdefault(log, []).append(entry)
+        rows = []
+        for row in self._idle_rows.get(epoch, ()):
+            entries = candidates.get(row.log)
+            if entries is not None:
+                row = _LogRow(row.log, row.considered, entries, probe_entries(
+                    self._readers[row.log], entries, lo, hi, keys_only
+                ))
+            rows.append(row)
+        return rows, self._cost(rows)
+
+    def _cost(self, rows: list[_LogRow]) -> QueryCost:
+        """The one place a query's measurements become a :class:`QueryCost`.
+
+        Measured fields report what the probes touched; the modeled
+        times price the candidate SSTs fetched whole, one request each.
+        """
+        probes = [row.probe for row in rows if row.entries]
+        candidate_bytes = sum(p.candidate_bytes for p in probes)
+        ssts_read = sum(p.ssts for p in probes)
+        merge_bytes = _overlapping_run_bytes(
+            [(e.kmin, e.kmax, e.length) for row in rows for e in row.entries]
+        )
+        return QueryCost(
+            ssts_considered=sum(row.considered for row in rows),
+            ssts_read=ssts_read,
+            bytes_read=sum(p.bytes_read for p in probes),
+            read_requests=sum(p.requests for p in probes),
+            candidate_bytes=candidate_bytes,
+            records_scanned=sum(p.scanned for p in probes),
+            records_matched=sum(p.matched for p in probes),
+            merge_bytes=merge_bytes,
+            read_time=self.io.read_time(candidate_bytes, ssts_read),
+            merge_time=self.io.merge_time(merge_bytes)
+            + self.io.scan_time(candidate_bytes),
+        )
+
+    def _read_time(self, probe: LogProbeResult) -> float:
+        """Modeled time to fetch one log's candidates whole, alone."""
+        return self.io.read_time(probe.candidate_bytes, probe.ssts)
 
     def scan(self, epoch: int) -> QueryResult:
         """Full scan of an epoch (the Fig. 7a "full scan" reference)."""
         lo, hi = self.key_range(epoch)
         return self.query(epoch, lo, hi)
 
-    def query_all_epochs(self, lo: float, hi: float) -> dict[int, QueryResult]:
-        """Run one range query against every stored epoch.
 
-        The paper's latency suite indexes 12 timesteps and queries them
-        individually; this is the convenience wrapper for that pattern
-        (e.g. tracking an energy band across the whole simulation).
-        """
-        return {epoch: self.query(epoch, lo, hi) for epoch in self.epochs()}
+class _LogRow(NamedTuple):
+    """One log's share of a planned and probed query."""
+
+    #: reader index (the log's position in the store)
+    log: int
+    #: the log's SSTs of the queried epoch
+    considered: int
+    #: the candidate SSTs probed, in manifest order
+    entries: list[ManifestEntry]
+    probe: LogProbeResult
+
+
+#: The probe result of a log with no candidate SST (never mutated).
+_NOT_PROBED = LogProbeResult(
+    bytes_read=0, scanned=0, requests=0, ssts=0, candidate_bytes=0,
+    runs=[], key_runs=[],
+)
 
 
 def _overlapping_run_bytes(spans: list[tuple[float, float, int]]) -> int:

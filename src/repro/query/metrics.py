@@ -25,13 +25,6 @@ def selectivity(matched_records: int, total_records: int) -> float:
     return matched_records / total_records
 
 
-def probe_bytes(store: PartitionedStore, epoch: int, key: float) -> int:
-    """Bytes of SSTs whose key range contains ``key``."""
-    return sum(
-        e.length for _, e in store.entries(epoch) if e.kmin <= key <= e.kmax
-    )
-
-
 def read_amplification_profile(
     store: PartitionedStore,
     epoch: int,
@@ -82,7 +75,10 @@ def selectivity_profile(
     total = store.total_bytes(epoch)
     if total == 0:
         raise ValueError(f"epoch {epoch} holds no data")
-    return np.array([probe_bytes(store, epoch, float(k)) / total for k in probes])
+    return np.array([
+        sum(e.length for _, e in store.overlapping_entries(epoch, k, k)) / total
+        for k in probes.tolist()
+    ])
 
 
 def raf_percentiles(

@@ -1,14 +1,12 @@
 """Typed request/response surface for the read path.
 
-Before this module, the read-side API spread the same positional
-``(epoch, lo, hi, keys_only)`` tuple across ``Session.query``,
-``Session.explain``, ``PartitionedStore.query``/``explain`` and
-``RangeReader``.  :class:`QueryRequest` names those fields once and
-adds the serving-plane ones (epoch-or-latest, client id, deadline);
-:class:`QueryResponse` is the typed reply every read-path entry point
-now returns, with a *canonical byte payload* so "the same query
-against the same committed snapshot" can be compared bit-for-bit
-across kernel backends and across served-vs-serial execution.
+:class:`QueryRequest` names the fields of one range read (``lo``,
+``hi``, epoch-or-latest, ``keys_only``) plus the serving-plane ones
+(client id, deadline); :class:`QueryResponse` is the typed reply of
+``Session.query`` and the serve plane, with a *canonical byte
+payload* so "the same query against the same committed snapshot" can
+be compared bit-for-bit across kernel backends and across
+served-vs-serial execution.
 
 Deadlines are budgets on the *modeled* query latency
 (:attr:`~repro.query.engine.QueryCost.latency`, virtual seconds): the
@@ -94,9 +92,9 @@ _EMPTY_RIDS = np.empty(0, dtype=np.uint64)
 class QueryResponse:
     """Typed reply of the read path.
 
-    Field-compatible with the places :class:`~repro.query.engine.QueryResult`
-    used to appear (``keys``, ``rids``, ``cost``, ``epoch``, ``lo``,
-    ``hi``, ``len()``), plus the serving-plane envelope: the request it
+    The fields of a :class:`~repro.query.engine.QueryResult`
+    (``keys``, ``rids``, ``cost``, ``epoch``, ``lo``, ``hi``,
+    ``len()``) plus the serving-plane envelope: the request it
     answers, its deterministic ``query-NNNNNN`` id, the snapshot token
     it executed against, its status, and whether it was served from
     the result cache.

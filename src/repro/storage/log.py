@@ -349,16 +349,9 @@ class LogReader:
     def entries(self) -> list[ManifestEntry]:
         return self._entries
 
-    def entries_for(
-        self, epoch: int | None = None, lo: float | None = None, hi: float | None = None
-    ) -> list[ManifestEntry]:
-        """Manifest entries filtered by epoch and/or key-range overlap."""
-        out = self._entries
-        if epoch is not None:
-            out = [e for e in out if e.epoch == epoch]
-        if lo is not None and hi is not None:
-            out = [e for e in out if e.overlaps(lo, hi)]
-        return out
+    def entries_for(self, epoch: int) -> list[ManifestEntry]:
+        """Manifest entries of one epoch, in manifest order."""
+        return [e for e in self._entries if e.epoch == epoch]
 
     def _span(self, offset: int, length: int) -> memoryview:
         """Zero-copy view of ``length`` bytes at ``offset``."""

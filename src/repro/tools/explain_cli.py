@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from repro.query.engine import PartitionedStore
+from repro.query.request import check_bounds
 from repro.sim.iomodel import IOModel
 from repro.tools import add_json_report, write_json_report
 
@@ -63,8 +64,10 @@ def run(args: argparse.Namespace) -> int:
         kmin, kmax = store.key_range(epoch)
         lo = args.lo if args.lo is not None else kmin + 0.25 * (kmax - kmin)
         hi = args.hi if args.hi is not None else kmin + 0.75 * (kmax - kmin)
-        if hi < lo:
-            print(f"error: empty range [{lo}, {hi}]", file=sys.stderr)
+        try:
+            check_bounds(lo, hi)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         report = store.explain(epoch, lo, hi, keys_only=args.keys_only)
         measured = None

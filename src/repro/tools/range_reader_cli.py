@@ -22,8 +22,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.query.reader import RangeReader, read_batch_csv
-from repro.query.request import QueryRequest
+from repro.query.engine import PartitionedStore
+from repro.query.reader import analyze_store, read_batch_csv, run_batch
+from repro.query.request import LIVE_TOKEN, QueryRequest, response_from_result
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
@@ -44,8 +45,8 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
                    help="batch-mode per-query log (default: querylog.csv)")
 
 
-def _analyze(reader: RangeReader, epoch: int | None) -> int:
-    analysis = reader.analyze(epoch=epoch)
+def _analyze(store: PartitionedStore, epoch: int | None) -> int:
+    analysis = analyze_store(store, epoch=epoch)
     print(f"epochs: {list(analysis.epochs)}")
     print(f"records: {analysis.total_records}  bytes: {analysis.total_bytes}"
           f"  SSTs: {analysis.ssts}")
@@ -56,12 +57,13 @@ def _analyze(reader: RangeReader, epoch: int | None) -> int:
     return 0
 
 
-def _query(reader: RangeReader, epoch: int | None, lo: float | None,
+def _query(store: PartitionedStore, epoch: int | None, lo: float | None,
            hi: float | None) -> int:
     if epoch is None or lo is None or hi is None:
         print("error: query mode needs -e, -x and -y", file=sys.stderr)
         return 2
-    res = reader.request(QueryRequest(lo=lo, hi=hi, epoch=epoch))
+    res = response_from_result(QueryRequest(lo=lo, hi=hi, epoch=epoch), "",
+                               LIVE_TOKEN, store.query(epoch, lo, hi))
     c = res.cost
     print(f"matched {len(res)} records in [{lo}, {hi}] (epoch {epoch})")
     print(f"SSTs read: {c.ssts_read}/{c.ssts_considered}  "
@@ -71,9 +73,9 @@ def _query(reader: RangeReader, epoch: int | None, lo: float | None,
     return 0
 
 
-def _batch(reader: RangeReader, batch_path: Path, log_path: Path) -> int:
+def _batch(store: PartitionedStore, batch_path: Path, log_path: Path) -> int:
     queries = read_batch_csv(batch_path)
-    result = reader.run_batch(queries, log_path=log_path)
+    result = run_batch(store, queries, log_path=log_path)
     print(f"ran {len(queries)} queries: matched {result.total_matched} "
           f"records, read {result.total_bytes_read} bytes, "
           f"total modeled latency {result.total_latency:.3f} s")
@@ -83,13 +85,13 @@ def _batch(reader: RangeReader, batch_path: Path, log_path: Path) -> int:
 
 def run(args: argparse.Namespace) -> int:
     try:
-        with RangeReader(args.input) as reader:
+        with PartitionedStore(args.input) as store:
             if args.analyze:
-                return _analyze(reader, args.epoch)
+                return _analyze(store, args.epoch)
             if args.query:
-                return _query(reader, args.epoch, args.query_begin,
+                return _query(store, args.epoch, args.query_begin,
                               args.query_end)
-            return _batch(reader, args.batch, args.querylog)
+            return _batch(store, args.batch, args.querylog)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

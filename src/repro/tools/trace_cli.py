@@ -46,6 +46,7 @@ For the busiest span paths of a whole run use
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -92,19 +93,18 @@ def _epoch_streams(args: argparse.Namespace, epoch: int) -> list[RecordBatch]:
     renegotiations and strays), not just a stationary ingest.
     """
     if args.workload == "vpic":
-        spec = VpicTraceSpec(nranks=args.ranks,
-                             particles_per_rank=args.records,
-                             seed=args.seed, value_size=8)
-        gen = vpic_timestep
-        nsteps = len(spec.timesteps)
+        vspec = VpicTraceSpec(nranks=args.ranks,
+                              particles_per_rank=args.records,
+                              seed=args.seed, value_size=8)
+        nsteps = len(vspec.timesteps)
+        gen = functools.partial(vpic_timestep, vspec)
     else:
         aspec = AmrTraceSpec(nranks=args.ranks, cells_per_rank=args.records,
-                             seed=args.seed)
+                             seed=args.seed, value_size=8)
         nsteps = len(aspec.timesteps)
-        idx = (epoch * (nsteps - 1)) // max(args.epochs - 1, 1)
-        return amr_timestep(aspec, min(idx, nsteps - 1))
+        gen = functools.partial(amr_timestep, aspec)
     idx = (epoch * (nsteps - 1)) // max(args.epochs - 1, 1)
-    return gen(spec, min(idx, nsteps - 1))
+    return gen(min(idx, nsteps - 1))
 
 
 def _run_queries(session: Session, epochs: int, nqueries: int) -> int:

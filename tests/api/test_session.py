@@ -59,16 +59,6 @@ def test_store_view_is_cached_until_next_ingest(tmp_path):
         assert list(second.epochs()) == [0, 1]
 
 
-def test_reader_wraps_session_store(tmp_path):
-    with Session(SPEC.nranks, tmp_path, OPTIONS) as session:
-        session.ingest_epoch(0, _streams(0))
-        reader = session.reader()
-        # one set of file handles: the reader wraps the session's store
-        assert reader.store is session.store()
-        assert not reader._owns_store
-        assert reader.analyze(epoch=0).total_records > 0
-
-
 def _log_bytes(out_dir):
     return {p.name: p.read_bytes() for p in list_logs(out_dir)}
 

@@ -194,9 +194,11 @@ def test_concurrent_probes_on_one_reader_account_their_own_bytes(db_dir):
     """Per-probe bytes come from the read calls, not the shared counter."""
     ranges = [(10.0 + 7 * i, 14.0 + 7 * i) for i in range(8)]
     with PartitionedStore(db_dir) as store:
-        reader = max(store._readers, key=lambda r: len(r.entries))
+        log, reader = max(enumerate(store._readers),
+                          key=lambda pair: len(pair[1].entries))
         work = [
-            (reader.entries_for(epoch=0, lo=lo, hi=hi), lo, hi)
+            ([e for i, e in store.overlapping_entries(0, lo, hi) if i == log],
+             lo, hi)
             for lo, hi in ranges
         ]
         serial = [probe_entries(reader, e, lo, hi, False) for e, lo, hi in work]

@@ -10,7 +10,6 @@ from hypothesis import example, given, strategies as st
 import repro.query.engine as engine_module
 from repro.core.carp import CarpRun
 from repro.query.engine import PartitionedStore, _overlapping_run_bytes
-from repro.query.reader import RangeReader
 from repro.query.request import LIVE_TOKEN, QueryRequest, response_from_result
 from repro.storage.sstable import FLAG_SORTED, head_span_len
 
@@ -258,8 +257,8 @@ def test_overlapping_run_bytes_matches_pairwise_reference(spans):
 
 class TestNoExecutorOnTheReadSide:
     def test_constructors_take_no_executor(self):
-        for cls in (PartitionedStore, RangeReader):
-            assert "executor" not in inspect.signature(cls.__init__).parameters
+        params = inspect.signature(PartitionedStore.__init__).parameters
+        assert "executor" not in params
         # nothing of the executor API is even imported by the engine
         for name in ("SerialExecutor", "resolve_executor"):
             assert not hasattr(engine_module, name)
@@ -289,8 +288,8 @@ class TestRecovery:
 
 
 class TestMultiEpoch:
-    def test_query_all_epochs(self, store, trace_keys, trace_rids):
-        results = store.query_all_epochs(0.5, 2.0)
+    def test_query_every_epoch(self, store, trace_keys, trace_rids):
+        results = {e: store.query(e, 0.5, 2.0) for e in store.epochs()}
         assert sorted(results) == [0, 1]
         for epoch, res in results.items():
             keys, rids = trace_keys[epoch], trace_rids[epoch]

@@ -21,6 +21,7 @@ RANGES = [
     (0, 30.0, 60.0, True),
     (1, 0.5, 2.0, False),
     (0, -5.0, -1.0, False),  # empty result
+    (0, 0.1, 0.5, True),
 ]
 
 
@@ -37,6 +38,30 @@ def test_explain_reconciles_with_measured_cost(store, epoch, lo, hi,
     measured = store.query(epoch, lo, hi, keys_only=keys_only).cost
     assert report.reconcile(measured) == []
     assert report.cost == measured
+
+
+@pytest.mark.parametrize("layout", ["carp", "compacted"])
+@pytest.mark.parametrize("epoch,lo,hi,keys_only", RANGES)
+def test_query_probe_spans_carry_explain_rows(carp_output, sorted_output,
+                                              layout, epoch, lo, hi,
+                                              keys_only):
+    """Each per-log ``probe`` span of a query is that log's EXPLAIN row."""
+    directory = carp_output["dir"] if layout == "carp" else sorted_output
+    obs = Obs.recording()
+    with PartitionedStore(directory, obs=obs) as s:
+        report = s.explain(epoch, lo, hi, keys_only=keys_only)
+        s.query(epoch, lo, hi, keys_only=keys_only)
+    spans = [e for e in obs.tracer.to_doc()["traceEvents"]
+             if e["ph"] == "X" and e["name"] == "probe"]
+    probed = [log for log in report.logs if log.ssts_read]
+    assert [span["args"]["log"] for span in spans] == [l.log for l in probed]
+    for span, log in zip(spans, probed):
+        # a per-log probe span's ``ssts`` arg is its read-request count
+        assert span["args"]["ssts"] == log.read_requests
+        assert span["args"]["bytes"] == log.bytes_read
+        assert span["args"]["scanned"] == log.records_scanned
+        assert span["args"]["matched"] == log.records_matched
+        assert span["dur"] == log.read_time
 
 
 def test_explain_covers_every_log_with_epoch_data(store):

@@ -1,68 +1,69 @@
-"""Tests for the RangeReader client (analyze / query / batch modes)."""
+"""Tests for the range-reader modes (analyze / query / batch)."""
 
 import csv
 
-import numpy as np
 import pytest
 
+from repro.query.engine import PartitionedStore
 from repro.query.reader import (
     BatchQuerySpec,
-    RangeReader,
+    analyze_store,
     read_batch_csv,
+    run_batch,
     write_batch_csv,
 )
-from repro.query.request import QueryRequest
 
 
 @pytest.fixture(scope="module")
-def reader(carp_output):
-    with RangeReader(carp_output["dir"]) as r:
-        yield r
+def store(carp_output):
+    with PartitionedStore(carp_output["dir"]) as s:
+        yield s
 
 
 class TestAnalyze:
-    def test_basic_stats(self, reader, trace_keys):
-        analysis = reader.analyze(epoch=0)
+    def test_basic_stats(self, store, trace_keys):
+        analysis = analyze_store(store, epoch=0)
         assert analysis.total_records == len(trace_keys[0])
         assert analysis.ssts > 0
         assert analysis.epochs == (0, 1)
 
-    def test_probe_selectivity_positive(self, reader):
-        analysis = reader.analyze(epoch=0, probes=5)
+    def test_probe_selectivity_positive(self, store):
+        analysis = analyze_store(store, epoch=0, probes=5)
         assert len(analysis.probe_selectivity) == 5
         assert all(0 < s <= 1 for s in analysis.probe_selectivity)
 
-    def test_median_selectivity(self, reader):
-        analysis = reader.analyze(epoch=0)
+    def test_median_selectivity(self, store):
+        analysis = analyze_store(store, epoch=0)
         assert 0 < analysis.median_selectivity < 1
 
-    def test_default_epoch_is_first(self, reader):
-        assert reader.analyze().total_records == reader.analyze(epoch=0).total_records
+    def test_default_epoch_is_first(self, store):
+        assert (analyze_store(store).total_records
+                == analyze_store(store, epoch=0).total_records)
 
 
 class TestQuery:
-    def test_single_query(self, reader, trace_keys, trace_rids):
-        res = reader.request(QueryRequest(lo=0.5, hi=2.0, epoch=0))
+    def test_single_query(self, store, trace_keys, trace_rids):
+        res = store.query(0, 0.5, 2.0)
         mask = (trace_keys[0] >= 0.5) & (trace_keys[0] <= 2.0)
         assert set(res.rids.tolist()) == set(trace_rids[0][mask].tolist())
 
 
 class TestBatch:
-    def test_run_batch(self, reader):
+    def test_run_batch(self, store):
         queries = [
             BatchQuerySpec(0, 0.1, 0.5),
             BatchQuerySpec(0, 1.0, 5.0),
             BatchQuerySpec(1, 0.1, 0.5),
         ]
-        batch = reader.run_batch(queries)
+        batch = run_batch(store, queries)
         assert len(batch.results) == 3
         assert batch.total_latency > 0
         assert batch.total_matched == sum(len(r) for r in batch.results)
         assert batch.total_bytes_read > 0
 
-    def test_query_log_written(self, reader, tmp_path):
+    def test_query_log_written(self, store, tmp_path):
         log = tmp_path / "querylog.csv"
-        reader.run_batch([BatchQuerySpec(0, 0.1, 0.2)], log_path=log)
+        run_batch(store, [BatchQuerySpec(0, 0.1, 0.2)], log_path=log)
         rows = list(csv.reader(log.open()))
         assert rows[0][0] == "epoch"
         assert len(rows) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.records import RecordBatch
+from repro.query.engine import PartitionedStore
 from repro.storage.log import LogReader, LogWriter, list_logs, log_name, log_rank
 from repro.storage.manifest import ManifestError
 
@@ -57,16 +58,16 @@ class TestWriteRead:
             assert [e.epoch for e in r.entries] == [0, 1, 1]
             assert len(r.entries_for(epoch=1)) == 2
 
-    def test_entries_for_range_filter(self, tmp_path):
+    def test_overlapping_entries_range_filter(self, tmp_path):
         path = tmp_path / log_name(0)
         with LogWriter(path) as w:
             w.append_batch(batch(1.0, 2.0), 0)
             w.append_batch(batch(10.0, 11.0), 0)
             w.flush_epoch(0)
-        with LogReader(path) as r:
-            hits = r.entries_for(epoch=0, lo=9.0, hi=12.0)
+        with PartitionedStore(tmp_path) as store:
+            hits = store.overlapping_entries(0, 9.0, 12.0)
             assert len(hits) == 1
-            assert hits[0].kmin == 10.0
+            assert hits[0][1].kmin == 10.0
 
     def test_empty_epoch_manifest(self, tmp_path):
         path = tmp_path / log_name(0)

@@ -304,6 +304,14 @@ class TestExplainCli:
     def test_missing_store_errors(self, tmp_path):
         assert main(["explain", str(tmp_path / "nope")]) == 2
 
+    @pytest.mark.parametrize("bounds", [("nan", "1.0"), ("0.5", "nan"),
+                                        ("2.0", "0.5")])
+    def test_bad_range_is_a_usage_error(self, carp_dir, capsys, bounds):
+        # one check (check_bounds) rejects NaN and an empty range alike
+        lo, hi = bounds
+        assert main(["explain", str(carp_dir), "--lo", lo, "--hi", hi]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTraceCli:
     def test_profile_top_frames_report(self, tmp_path, capsys):
@@ -351,6 +359,12 @@ class TestTraceCli:
         capsys.readouterr()
         assert rc == 0
         return out_dir
+
+    def test_amr_workload_records(self, tmp_path, capsys):
+        rc = main(["trace", "-o", str(tmp_path / "obs"), "--workload", "amr",
+                   "--ranks", "4", "--epochs", "2", "--records", "200"])
+        capsys.readouterr()
+        assert rc == 0
 
     def test_output_required_without_report(self, capsys):
         assert main(["trace"]) == 2

@@ -628,8 +628,6 @@ class CarpRun:
             pivot_sets,
             self.nreceivers,
             self.options.pivot_count,
-            protocol=self.options.reneg_protocol,
-            fanout=self.options.trp_fanout,
             obs=self.obs,
         )
         obs.clock.advance(MESSAGE_TICK)  # table broadcast

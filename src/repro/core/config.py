@@ -30,11 +30,6 @@ class CarpOptions:
     renegotiations_per_epoch:
         Periodic rebalance-trigger frequency (paper sweeps 2x-26x per
         epoch; gains diminish beyond ~6x).
-    reneg_protocol:
-        ``"trp"`` for the scalable Tree-based Renegotiation Protocol or
-        ``"naive"`` for direct all-to-root pivot collection.
-    trp_fanout:
-        Reduction-tree fanout (paper: up to 64, depth 3).
     memtable_records:
         KoiDB memtable capacity in records.  The paper uses two 12 MB
         memtables per rank (= ~200K 60-byte records); tests use far
@@ -81,8 +76,6 @@ class CarpOptions:
     pivot_count: int = 512
     oob_capacity: int = 512
     renegotiations_per_epoch: int = 6
-    reneg_protocol: str = "trp"
-    trp_fanout: int = 64
     memtable_records: int = 4096
     subpartitions: int = 1
     separate_strays: bool = True
@@ -102,12 +95,6 @@ class CarpOptions:
             raise ValueError("oob_capacity must be >= 1")
         if self.renegotiations_per_epoch < 1:
             raise ValueError("renegotiations_per_epoch must be >= 1")
-        if self.reneg_protocol not in ("trp", "naive"):
-            raise ValueError(
-                f"reneg_protocol must be 'trp' or 'naive', got {self.reneg_protocol!r}"
-            )
-        if self.trp_fanout < 2:
-            raise ValueError("trp_fanout must be >= 2")
         if self.memtable_records < 1:
             raise ValueError("memtable_records must be >= 1")
         if self.subpartitions < 1:

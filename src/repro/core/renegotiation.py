@@ -21,7 +21,9 @@ Two implementations are provided:
 
 Both return the new partition bounds plus a :class:`RenegStats` that a
 network model (see :mod:`repro.sim.netmodel`) can turn into a simulated
-round latency.
+round latency.  A CARP run always calls :func:`negotiate` (TRP at
+fan-out 64); the naive protocol and other fan-outs serve the TRP
+ablation benchmark.
 """
 
 from __future__ import annotations
@@ -201,13 +203,7 @@ def negotiate(
     rank_pivots: list[Pivots | None],
     nparts: int,
     pivot_width: int,
-    protocol: str = "trp",
-    fanout: int = 64,
     obs: Obs | None = None,
 ) -> tuple[np.ndarray, RenegStats]:
-    """Dispatch to the configured renegotiation protocol."""
-    if protocol == "naive":
-        return negotiate_naive(rank_pivots, nparts, pivot_width)
-    if protocol == "trp":
-        return negotiate_trp(rank_pivots, nparts, pivot_width, fanout, obs=obs)
-    raise ValueError(f"unknown renegotiation protocol {protocol!r}")
+    """The renegotiation a CARP run performs: TRP at the paper's fanout."""
+    return negotiate_trp(rank_pivots, nparts, pivot_width, obs=obs)

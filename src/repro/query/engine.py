@@ -96,23 +96,21 @@ class PartitionedStore:
     Works for both CARP output (one log per rank, overlapping SSTs) and
     compacted output (one log, key-disjoint sorted SSTs).  Query
     clients access logs read-only, so any number of stores may be open
-    concurrently.  ``recover=True`` tolerates crash-torn log tails by
-    opening each log at its newest valid footer (epoch-aligned
-    durability, paper §V-A).
+    concurrently.  Each log opens strictly at its end-of-file footer,
+    so a crash-torn log fails the open.
 
     ``snapshot=`` (a :class:`~repro.storage.snapshot.Snapshot` from
     :func:`~repro.storage.snapshot.pin_snapshot`) opens every log at
-    its *pinned* commit point instead of the current footer: the store
-    then never consults bytes appended after the pin, so it can serve
-    reads while an ingest appends to the same logs — the snapshot
-    isolation contract of ``docs/SERVING.md``.
+    its *pinned* commit point instead: bytes after the pin are never
+    consulted, so the store can serve reads while an ingest appends to
+    the same logs (``docs/SERVING.md``) and reads a crash-torn
+    directory at each log's newest valid footer (paper §V-A).
     """
 
     def __init__(
         self,
         directory: Path | str,
         io: IOModel | None = None,
-        recover: bool = False,
         obs: Obs | None = None,
         snapshot: Snapshot | None = None,
     ) -> None:
@@ -151,7 +149,7 @@ class PartitionedStore:
         self._readers = []
         try:
             for p, pin in zip(paths, pins):
-                self._readers.append(LogReader(p, recover=recover, pin=pin))
+                self._readers.append(LogReader(p, pin=pin))
         except BaseException:
             for reader in self._readers:
                 reader.close()
@@ -176,6 +174,7 @@ class PartitionedStore:
             )
             for epoch, pairs in self._by_epoch.items()
         }
+        self._latest = max(self._by_epoch, default=None)
         # per epoch, the unprobed row of every log holding data, in
         # reader order: _plan replaces the rows of the logs it probes
         self._idle_rows: dict[int, list[_LogRow]] = {}
@@ -205,19 +204,18 @@ class PartitionedStore:
     def resolve_epoch(self, epoch: int | None) -> int:
         """Map an epoch-or-latest request onto an epoch of this view.
 
-        Pinned: the snapshot decides (``None`` = newest at pin time, an
-        epoch it did not pin raises).  Live: ``None`` = newest stored
-        epoch; a named epoch is taken as given, and one with no data
-        answers empty.
+        One rule, live or pinned: ``None`` means the newest epoch the
+        view holds, and an epoch it does not hold raises
+        :class:`ValueError` naming the epochs it does.
         """
-        if self.snapshot is not None:
-            return self.snapshot.resolve_epoch(epoch)
-        if epoch is not None:
-            return epoch
-        epochs = self.epochs()
-        if not epochs:
-            raise ValueError(f"no committed epochs under {self.directory}")
-        return epochs[-1]
+        if epoch is None:
+            epoch = self._latest
+        if epoch not in self._by_epoch:
+            raise ValueError(
+                f"epoch {epoch} is not committed in {self.directory} "
+                f"(committed: {self.epochs()})"
+            )
+        return epoch
 
     def entries(self, epoch: int | None = None) -> list[tuple[int, ManifestEntry]]:
         if epoch is None:

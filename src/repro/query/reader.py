@@ -99,7 +99,14 @@ def run_batch(
     queries: list[BatchQuerySpec],
     log_path: Path | str | None = None,
 ) -> BatchResult:
-    """Batch mode: run queries in order; optionally write querylog.csv."""
+    """Batch mode: run queries in order; optionally write querylog.csv.
+
+    Every row's epoch is checked first (:meth:`PartitionedStore.
+    resolve_epoch`), so a batch naming an epoch the store does not hold
+    raises :class:`ValueError` before any query runs.
+    """
+    for q in queries:
+        store.resolve_epoch(q.epoch)
     batch = BatchResult([store.query(q.epoch, q.lo, q.hi) for q in queries])
     if log_path is not None:
         write_query_log(batch.results, log_path)

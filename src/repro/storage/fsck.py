@@ -2,19 +2,22 @@
 
 Every on-disk structure carries a CRC (blocks, SST headers, manifest
 blocks, footers); ``fsck`` walks a partitioned output directory and
-verifies all of them plus the cross-structure invariants queries rely
-on:
+diagnoses each log once:
 
-* each manifest entry's (offset, length, count, kmin, kmax) matches the
-  SSTable bytes it points at,
-* SST contents are sorted when flagged sorted,
-* record ids are unique across the whole directory,
-* every log's manifest chain parses back to its first epoch.
+* :func:`repro.storage.recovery.classify_log` finds the log's commit
+  point (the newest footer whose manifest chain validates) and names
+  the kind of any tail after it — a tail is an error unless
+  ``recover=True``, a log with no commit point is an error either way,
+* the committed prefix is then read through a reader pinned at that
+  commit point, torn tail or not, and every committed SST is checked
+  by :func:`repro.storage.log.check_sst` (CRCs, record count, key
+  range, SORTED flag),
+* record ids are checked unique across the whole directory.
 
-``repair=True`` turns the walk into ``fsck --repair``: each damaged
-log is classified (:func:`repro.storage.recovery.classify_log`), its
-torn tail quarantined and truncated (:func:`repro.storage.recovery.
-repair_log`), and the report carries a before/after diff — the errors
+``repair=True`` turns the walk into ``fsck --repair``: each log's
+diagnosis goes to :func:`repro.storage.recovery.repair_log` (torn tail
+quarantined, log truncated to its commit point), the directory is
+walked again, and the report carries a before/after diff — the errors
 the pre-repair walk saw plus a description of every repair performed.
 
 Exposed as a library function and as the ``carp fsck`` CLI.
@@ -25,12 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from repro.storage.blocks import BlockCorruptionError
-from repro.storage.log import QUARANTINE_DIR, LogReader, list_logs
-from repro.storage.manifest import ManifestError
-from repro.storage.recovery import classify_log, repair_log
+from repro.storage.log import QUARANTINE_DIR, LogReader, check_sst, list_logs
+from repro.storage.recovery import (
+    KIND_CLEAN,
+    KIND_CORRUPT_SST,
+    LogDiagnosis,
+    classify_log,
+    repair_log,
+)
 
 
 @dataclass
@@ -44,7 +49,7 @@ class FsckReport:
     errors: list[str] = field(default_factory=list)
     #: Errors the pre-repair walk found (``repair=True`` only).
     errors_before: list[str] = field(default_factory=list)
-    #: Per-log damage diagnosis, name -> kind (``repair=True`` only).
+    #: Per-log damage diagnosis, name -> kind (before any repair).
     classifications: dict[str, str] = field(default_factory=dict)
     #: Human-readable description of every repair performed.
     repairs: list[str] = field(default_factory=list)
@@ -77,92 +82,78 @@ def fsck(directory: Path | str, deep: bool = True,
     """Verify a KoiDB output directory.
 
     ``deep=False`` checks only manifests/footers (fast); ``deep=True``
-    additionally reads and CRC-verifies every SSTable and validates its
-    metadata.  ``recover`` opens crash-torn logs at their last valid
-    footer instead of reporting the torn tail as an error.  ``repair``
-    physically fixes the damage first (quarantine + truncate, see
+    additionally reads and verifies every committed SSTable.
+    ``recover`` accepts a crash-torn tail after a log's commit point
+    instead of reporting it as an error.  ``repair`` physically fixes
+    the damage first (quarantine + truncate, see
     :mod:`repro.storage.recovery`) and re-verifies; the report then
     holds both the pre-repair errors and the repairs performed.
     """
-    if repair:
-        return _fsck_repair(Path(directory), deep=deep)
-    return _walk(Path(directory), deep=deep, recover=recover)
-
-
-def _fsck_repair(directory: Path, deep: bool) -> FsckReport:
-    """``fsck --repair``: diagnose, repair, re-verify — with a diff."""
-    before = _walk(directory, deep=deep, recover=False)
+    directory = Path(directory)
+    # a repair's diff shows every tail it is about to quarantine
+    report, diagnoses = _walk(directory, deep, recover and not repair)
+    if not repair:
+        return report
     quarantine = directory / QUARANTINE_DIR
-    classifications: dict[str, str] = {}
-    repairs: list[str] = []
-    for path in list_logs(directory):
-        diag = classify_log(path, deep=deep)
-        classifications[path.name] = diag.kind
-        action = repair_log(path, quarantine, deep=deep)
+    repairs = []
+    for diag in diagnoses:
+        action = repair_log(diag, quarantine)
         if action.changed:
             repairs.append(action.describe())
-    report = _walk(directory, deep=deep, recover=False)
-    report.errors_before = before.errors
-    report.classifications = classifications
-    report.repairs = repairs
-    return report
+    after, _ = _walk(directory, deep, recover=False)
+    after.errors_before = report.errors
+    after.classifications = report.classifications
+    after.repairs = repairs
+    return after
 
 
-def _walk(directory: Path, deep: bool, recover: bool) -> FsckReport:
+def _walk(
+    directory: Path, deep: bool, recover: bool
+) -> tuple[FsckReport, list[LogDiagnosis]]:
+    """One pass: each log classified once, its committed prefix verified."""
     report = FsckReport()
+    diagnoses: list[LogDiagnosis] = []
     paths = list_logs(directory)
     if not paths:
         report.errors.append(f"no KoiDB logs under {directory}")
-        return report
+        return report, diagnoses
 
     seen_rids: set[int] = set()
     for path in paths:
         try:
-            reader = LogReader(path, recover=recover)
-        except (ManifestError, OSError) as exc:
-            report.errors.append(f"{path.name}: unreadable manifest: {exc}")
+            diag = classify_log(path)
+        except OSError as exc:
+            report.errors.append(f"{path.name}: unreadable: {exc}")
             continue
+        diagnoses.append(diag)
+        report.classifications[path.name] = diag.kind
+        if diag.state is None:
+            report.errors.append(
+                f"{path.name}: {diag.kind}: no commit point ({diag.detail})"
+            )
+            continue
+        if diag.kind != KIND_CLEAN and not recover:
+            report.errors.append(f"{path.name}: {diag.kind}: {diag.detail}")
         report.logs_checked += 1
-        with reader:
+        with LogReader(path, pin=diag.state) as reader:
             for entry in reader.entries:
                 report.ssts_checked += 1
                 report.epochs.add(entry.epoch)
                 if not deep:
                     continue
-                try:
-                    batch = reader.read_sst(entry).batch
-                except (BlockCorruptionError, ManifestError, OSError) as exc:
-                    report.errors.append(
-                        f"{path.name}@{entry.offset}: corrupt SST: {exc}"
-                    )
+                batch, problems = check_sst(reader, entry)
+                if problems and diag.kind == KIND_CLEAN:
+                    report.classifications[path.name] = KIND_CORRUPT_SST
+                report.errors.extend(problems)
+                if batch is None:
                     continue
                 report.records_checked += len(batch)
-                if len(batch) != entry.count:
-                    report.errors.append(
-                        f"{path.name}@{entry.offset}: count mismatch "
-                        f"({len(batch)} != {entry.count})"
-                    )
-                if len(batch):
-                    kmin = float(batch.keys.min())
-                    kmax = float(batch.keys.max())
-                    if kmin != entry.kmin or kmax != entry.kmax:
-                        report.errors.append(
-                            f"{path.name}@{entry.offset}: key range mismatch "
-                            f"([{kmin}, {kmax}] != [{entry.kmin}, {entry.kmax}])"
-                        )
-                from repro.storage.sstable import FLAG_SORTED
-
-                if entry.flags & FLAG_SORTED and len(batch) > 1:
-                    if np.any(np.diff(batch.keys) < 0):
-                        report.errors.append(
-                            f"{path.name}@{entry.offset}: SORTED flag set "
-                            "but keys are unsorted"
-                        )
-                dupes = seen_rids.intersection(batch.rids.tolist())
+                rids = batch.rids.tolist()
+                dupes = seen_rids.intersection(rids)
                 if dupes:
                     report.errors.append(
                         f"{path.name}@{entry.offset}: {len(dupes)} duplicate "
                         f"record id(s), e.g. {next(iter(dupes))}"
                     )
-                seen_rids.update(batch.rids.tolist())
-    return report
+                seen_rids.update(rids)
+    return report, diagnoses

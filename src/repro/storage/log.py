@@ -44,11 +44,12 @@ from repro.storage.manifest import (
 from repro.storage.recovery import (
     CommittedState,
     RepairAction,
-    find_committed_state,
+    classify_log,
     repair_log,
     walk_manifest_chain,
 )
 from repro.storage.sstable import (
+    FLAG_SORTED,
     SSTableInfo,
     build_sstable,
     head_span_len,
@@ -121,7 +122,7 @@ class LogWriter:
         self.recovery: RepairAction | None = None
         if recover and self.path.exists():
             self.recovery = repair_log(
-                self.path, self.path.parent / QUARANTINE_DIR
+                classify_log(self.path), self.path.parent / QUARANTINE_DIR
             )
         if recover and self.path.exists():
             size = os.path.getsize(self.path)
@@ -267,27 +268,22 @@ class LogReader:
     before ``__init__`` returns; the map itself is released by
     :meth:`close` / ``__exit__`` (lint rules L1001/L1002 track it).
 
-    With ``recover=True`` a log whose tail is damaged (e.g. the writer
-    crashed mid-epoch, leaving SST bytes after the last footer) is
-    opened at its newest *valid* footer instead of failing — the
-    epoch-aligned recovery semantics of paper §V-A: data is durable at
-    checkpoint-epoch granularity, and a torn epoch simply disappears.
-
-    ``pin=`` opens the reader at a previously validated commit point
-    (a :class:`~repro.storage.recovery.CommittedState`, usually taken
-    by :func:`repro.storage.snapshot.pin_snapshot`) instead of parsing
-    the current footer: the manifest chain is *not* re-walked and
-    bytes appended after the pin are never consulted, which is what
-    lets a pinned reader coexist with a live writer appending to the
-    same log.  A pinned empty state (``pin`` with no entries) is
-    legal even for a zero-length file (which cannot be mapped; such a
-    reader holds no map at all).
+    Without ``pin`` the reader opens at the footer at end of file and
+    walks the manifest chain behind it, strictly: a torn tail or any
+    other damage raises.  ``pin=`` opens it at a validated commit point
+    instead (a :class:`~repro.storage.recovery.CommittedState` from
+    :func:`~repro.storage.recovery.find_committed_state`, usually via
+    :func:`repro.storage.snapshot.pin_snapshot`): no chain walk, and no
+    byte after the pin is consulted.  That is the tail-tolerant open —
+    a torn epoch simply disappears (paper §V-A) — and what lets a pinned
+    reader coexist with a writer appending to the same log.  An empty
+    pin (:data:`~repro.storage.recovery.NOTHING_COMMITTED`) is legal
+    even for a zero-length file, which such a reader does not map.
     """
 
     def __init__(
         self,
         path: Path | str,
-        recover: bool = False,
         pin: "CommittedState | None" = None,
     ) -> None:
         self.path = Path(path)
@@ -295,11 +291,10 @@ class LogReader:
         fh = open(self.path, "rb")
         try:
             self._size = os.path.getsize(self.path)
-            self.recovered_bytes_dropped = 0
             if pin is not None:
                 self._entries = list(pin.entries)
             else:
-                self._entries = self._load_entries(fh, recover)
+                self._entries = self._load_entries(fh)
             if self._size:
                 self._map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except BaseException:
@@ -319,21 +314,13 @@ class LogReader:
         #: nothing, so a long-lived serve reader does not grow.
         self.touched: list[tuple[int, int]] | None = None
 
-    def _load_entries(self, fh: BinaryIO, recover: bool) -> list[ManifestEntry]:
+    def _load_entries(self, fh: BinaryIO) -> list[ManifestEntry]:
         if self._size < FOOTER_SIZE:
             raise ManifestCorruptionError(
                 self.path,
                 f"too small to hold a footer ({self._size} bytes)",
                 offset=0,
             )
-        if recover:
-            state = find_committed_state(fh, self._size, self.path)
-            if state is None:
-                raise ManifestCorruptionError(
-                    self.path, "no valid footer found", offset=0
-                )
-            self.recovered_bytes_dropped = self._size - state.footer_end
-            return list(state.entries)
         fh.seek(self._size - FOOTER_SIZE)
         try:
             offset = decode_footer(fh.read(FOOTER_SIZE))
@@ -463,3 +450,43 @@ class LogReader:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+class SSTCheck(NamedTuple):
+    """What :func:`check_sst` found in one committed SST."""
+
+    #: the SST's records (``None`` when they could not be read)
+    batch: RecordBatch | None
+    #: one line per violated invariant, each naming ``log@offset``
+    problems: list[str]
+
+
+def check_sst(reader: LogReader, entry: ManifestEntry) -> SSTCheck:
+    """Read one committed SST whole and check it against its manifest entry.
+
+    The one verifier of committed data (``fsck`` and
+    :func:`~repro.storage.recovery.classify_log` with ``deep=True``):
+    every block and chunk CRC (through :meth:`LogReader.read_sst`), the
+    record count, the key range, and the SORTED flag.
+    """
+    where = f"{reader.path.name}@{entry.offset}"
+    try:
+        batch = reader.read_sst(entry).batch
+    except (BlockCorruptionError, ManifestError, OSError) as exc:
+        return SSTCheck(None, [f"{where}: corrupt SST: {exc}"])
+    problems = []
+    if len(batch) != entry.count:
+        problems.append(
+            f"{where}: count mismatch ({len(batch)} != {entry.count})"
+        )
+    if len(batch):
+        kmin = float(batch.keys.min())
+        kmax = float(batch.keys.max())
+        if kmin != entry.kmin or kmax != entry.kmax:
+            problems.append(
+                f"{where}: key range mismatch ([{kmin}, {kmax}] != "
+                f"[{entry.kmin}, {entry.kmax}])"
+            )
+    if entry.flags & FLAG_SORTED and np.any(np.diff(batch.keys) < 0):
+        problems.append(f"{where}: SORTED flag set but keys are unsorted")
+    return SSTCheck(batch, problems)

@@ -136,6 +136,11 @@ class CommittedState:
         return tuple(sorted({e.epoch for e in self.entries}))
 
 
+#: The commit point of a log that has committed nothing: a reader
+#: pinned on it holds no entries.
+NOTHING_COMMITTED = CommittedState(footer_end=0, manifest_offset=0, entries=())
+
+
 def find_committed_state(
     fh: BinaryIO, size: int, path: Path | str
 ) -> CommittedState | None:
@@ -199,12 +204,23 @@ class LogDiagnosis:
     path: str
     kind: str
     size: int
-    #: Commit point: end of the newest valid footer (0 when none).
-    footer_end: int
-    #: Bytes after the commit point (the repairable tail).
-    tail_bytes: int
-    committed_epochs: tuple[int, ...]
+    #: The log's commit point (``None`` when it has none).
+    state: CommittedState | None
     detail: str = ""
+
+    @property
+    def footer_end(self) -> int:
+        """End of the newest valid footer (0 when none)."""
+        return self.state.footer_end if self.state is not None else 0
+
+    @property
+    def tail_bytes(self) -> int:
+        """Bytes after the commit point (the repairable tail)."""
+        return self.size - self.footer_end
+
+    @property
+    def committed_epochs(self) -> tuple[int, ...]:
+        return self.state.epochs if self.state is not None else ()
 
     @property
     def needs_repair(self) -> bool:
@@ -283,66 +299,40 @@ def _classify_tail(tail: bytes) -> tuple[str, str]:
 def classify_log(path: Path | str, deep: bool = False) -> LogDiagnosis:
     """Diagnose one log file without modifying it.
 
-    ``deep=True`` additionally CRC-verifies every *committed* SSTable;
-    damage there is classified :data:`KIND_CORRUPT_SST` and is not
-    repairable (it is inside the durable prefix, outside the
-    single-crash fault model).
+    Finds the log's commit point (:func:`find_committed_state`) and
+    names what follows it.  ``deep=True`` also verifies every committed
+    SSTable of a clean log (:func:`repro.storage.log.check_sst`);
+    damage there is :data:`KIND_CORRUPT_SST`, not repairable (inside
+    the durable prefix, outside the single-crash fault model).
     """
     path = Path(path)
     size = os.path.getsize(path)
     if size == 0:
         return LogDiagnosis(
-            path=str(path), kind=KIND_EMPTY, size=0, footer_end=0,
-            tail_bytes=0, committed_epochs=(),
+            path=str(path), kind=KIND_EMPTY, size=0, state=None,
             detail="zero-length log file",
         )
     with open(path, "rb") as fh:
         state = find_committed_state(fh, size, path)
         if state is None:
             return LogDiagnosis(
-                path=str(path), kind=KIND_NO_FOOTER, size=size,
-                footer_end=0, tail_bytes=size, committed_epochs=(),
+                path=str(path), kind=KIND_NO_FOOTER, size=size, state=None,
                 detail=f"no valid footer in {size} bytes",
-            )
-        if state.footer_end == size:
-            kind, detail = KIND_CLEAN, ""
-            if deep:
-                bad = _deep_check(fh, state)
-                if bad:
-                    kind, detail = KIND_CORRUPT_SST, bad
-            return LogDiagnosis(
-                path=str(path), kind=kind, size=size,
-                footer_end=state.footer_end, tail_bytes=0,
-                committed_epochs=state.epochs, detail=detail,
             )
         fh.seek(state.footer_end)
         tail = fh.read(size - state.footer_end)
-        kind, detail = _classify_tail(tail)
-        return LogDiagnosis(
-            path=str(path), kind=kind, size=size,
-            footer_end=state.footer_end, tail_bytes=len(tail),
-            committed_epochs=state.epochs, detail=detail,
-        )
+    kind, detail = _classify_tail(tail) if tail else (KIND_CLEAN, "")
+    if deep and not tail:
+        from repro.storage.log import LogReader, check_sst
 
-
-def _deep_check(fh: BinaryIO, state: CommittedState) -> str:
-    """CRC-verify every committed SST; returns a description or ''."""
-    from repro.storage.blocks import BlockCorruptionError
-    from repro.storage.sstable import parse_sstable
-
-    for entry in state.entries:
-        fh.seek(entry.offset)
-        data = fh.read(entry.length)
-        try:
-            _info, batch = parse_sstable(data)
-        except BlockCorruptionError as exc:
-            return f"committed SST at {entry.offset} is corrupt: {exc}"
-        if len(batch) != entry.count:
-            return (
-                f"committed SST at {entry.offset} holds {len(batch)} "
-                f"records, manifest says {entry.count}"
-            )
-    return ""
+        with LogReader(path, pin=state) as reader:
+            problems = (check_sst(reader, e).problems for e in state.entries)
+            detail = next((p[0] for p in problems if p), "")
+        if detail:
+            kind = KIND_CORRUPT_SST
+    return LogDiagnosis(
+        path=str(path), kind=kind, size=size, state=state, detail=detail,
+    )
 
 
 @dataclass(frozen=True)
@@ -419,26 +409,24 @@ def quarantine_whole_file(path: Path, quarantine_dir: Path) -> Path:
     return target
 
 
-def repair_log(
-    path: Path | str, quarantine_dir: Path | str, deep: bool = False
-) -> RepairAction:
-    """Repair one log in place; returns what was done.
+def repair_log(diag: LogDiagnosis, quarantine_dir: Path | str) -> RepairAction:
+    """Repair one diagnosed log in place; returns what was done.
 
-    Clean logs (and logs whose only damage is inside the committed
-    prefix, which repair must not touch) are left as-is.  Damaged
-    tails move to quarantine and the log is truncated to its commit
-    point; logs with no commit point at all are quarantined whole.
+    ``diag`` comes from :func:`classify_log`.  Clean logs (and logs
+    whose only damage is inside the committed prefix, which repair must
+    not touch) are left as-is.  Damaged tails move to quarantine and the
+    log is truncated to its commit point; logs with no commit point at
+    all are quarantined whole.
     """
-    path = Path(path)
+    path = Path(diag.path)
     quarantine_dir = Path(quarantine_dir)
-    diag = classify_log(path, deep=deep)
     if not diag.needs_repair:
         return RepairAction(
             path=str(path), kind=diag.kind, quarantined_bytes=0,
             quarantine_path=None, removed=False,
             committed_epochs=diag.committed_epochs,
         )
-    if diag.footer_end == 0:
+    if diag.state is None:
         target = quarantine_whole_file(path, quarantine_dir)
         return RepairAction(
             path=str(path), kind=diag.kind,

@@ -27,30 +27,25 @@ from functools import cached_property
 from pathlib import Path
 
 from repro.storage.log import list_logs
-from repro.storage.manifest import ManifestEntry
-from repro.storage.recovery import CommittedState, find_committed_state
+from repro.storage.recovery import (
+    NOTHING_COMMITTED,
+    CommittedState,
+    find_committed_state,
+)
 
 
 @dataclass(frozen=True)
 class LogPin:
     """One log's pinned commit point.
 
-    ``state`` is ``None`` for a log that existed at pin time but had
-    no committed data yet (e.g. a snapshot taken before the first
-    epoch finished) — readers treat it as empty.
+    A log that existed at pin time but had no commit point yet (e.g. a
+    snapshot taken before the first epoch finished, or a rank whose
+    first commit tore) is pinned at :data:`NOTHING_COMMITTED`: readers
+    open it empty.
     """
 
     path: str
-    state: CommittedState | None
-
-    @property
-    def footer_end(self) -> int:
-        """The pinned commit point (0 when nothing was committed)."""
-        return self.state.footer_end if self.state is not None else 0
-
-    @property
-    def entries(self) -> tuple[ManifestEntry, ...]:
-        return self.state.entries if self.state is not None else ()
+    state: CommittedState
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ class Snapshot:
         # equality and the hash still cover only the pinned extents
         seen: set[int] = set()
         for pin in self.logs:
-            for entry in pin.entries:
+            for entry in pin.state.entries:
                 seen.add(entry.epoch)
         return tuple(sorted(seen))
 
@@ -111,7 +106,7 @@ class Snapshot:
         return epoch
 
     def total_records(self) -> int:
-        return sum(e.count for pin in self.logs for e in pin.entries)
+        return sum(e.count for pin in self.logs for e in pin.state.entries)
 
 
 def pin_snapshot(directory: Path | str) -> Snapshot:
@@ -131,13 +126,12 @@ def pin_snapshot(directory: Path | str) -> Snapshot:
     digest = hashlib.sha256()
     for path in paths:
         size = os.path.getsize(path)
-        state: CommittedState | None = None
+        state = NOTHING_COMMITTED
         if size > 0:
             with open(path, "rb") as fh:
-                state = find_committed_state(fh, size, path)
-        pin = LogPin(path=str(path), state=state)
-        pins.append(pin)
-        digest.update(f"{path.name}:{pin.footer_end};".encode())
+                state = find_committed_state(fh, size, path) or state
+        pins.append(LogPin(path=str(path), state=state))
+        digest.update(f"{path.name}:{state.footer_end};".encode())
     return Snapshot(
         directory=str(directory),
         logs=tuple(pins),

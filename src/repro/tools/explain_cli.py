@@ -23,6 +23,7 @@ from pathlib import Path
 from repro.query.engine import PartitionedStore
 from repro.query.request import check_bounds
 from repro.sim.iomodel import IOModel
+from repro.storage.snapshot import pin_snapshot
 from repro.tools import add_json_report, write_json_report
 
 
@@ -49,8 +50,8 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {args.store} is not a directory", file=sys.stderr)
         return 2
     try:
-        store = PartitionedStore(args.store, io=IOModel(),
-                                 recover=args.recover)
+        snapshot = pin_snapshot(args.store) if args.recover else None
+        store = PartitionedStore(args.store, io=IOModel(), snapshot=snapshot)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

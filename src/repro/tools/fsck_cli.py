@@ -1,7 +1,8 @@
 """``carp fsck`` — verify the integrity of a partitioned output directory.
 
-Walks every KoiDB log, checking CRCs, manifest chains, and the
-metadata invariants the query engine relies on.
+Diagnoses every KoiDB log once — its commit point and the kind of any
+tail after it — and verifies the committed prefix: CRCs, manifest
+chains, and the metadata invariants the query engine relies on.
 
 Examples::
 
@@ -26,7 +27,8 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fast", action="store_true",
                    help="check manifests/footers only (skip SST bodies)")
     p.add_argument("--recover", action="store_true",
-                   help="open crash-torn logs at their last valid footer")
+                   help="accept crash-torn tails after each log's commit "
+                        "point (the committed prefix is verified either way)")
     p.add_argument("--repair", action="store_true",
                    help="quarantine torn tails, truncate logs to their "
                         "commit point, and re-verify (prints a diff)")

@@ -62,6 +62,7 @@ def _query(store: PartitionedStore, epoch: int | None, lo: float | None,
     if epoch is None or lo is None or hi is None:
         print("error: query mode needs -e, -x and -y", file=sys.stderr)
         return 2
+    store.resolve_epoch(epoch)
     res = response_from_result(QueryRequest(lo=lo, hi=hi, epoch=epoch), "",
                                LIVE_TOKEN, store.query(epoch, lo, hi))
     c = res.cost

@@ -6,6 +6,7 @@ import pytest
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
+from repro.core.renegotiation import negotiate_naive
 from repro.core.triggers import TriggerReason
 from repro.storage.log import LogReader, list_logs
 
@@ -188,10 +189,16 @@ class TestIngestEpoch:
             assert r.nranks == 4
             assert r.pivot_width == OPTS.pivot_count
 
-    def test_naive_protocol_equivalent_storage(self, tmp_path):
-        opts = OPTS.with_(reneg_protocol="naive")
-        with CarpRun(4, tmp_path, opts) as run:
+    def test_naive_protocol_equivalent_storage(self, tmp_path, monkeypatch):
+        # a run always negotiates with TRP; swap in the naive protocol
+        # (kept for the TRP ablation) to check it stores the same data
+        def naive(rank_pivots, nparts, pivot_width, obs=None):
+            return negotiate_naive(rank_pivots, nparts, pivot_width)
+
+        monkeypatch.setattr("repro.core.carp.negotiate", naive)
+        with CarpRun(4, tmp_path, OPTS) as run:
             stats = run.ingest_epoch(0, uniform_streams(4, 500))
+        assert stats.renegotiations > 0
         assert stored_records(tmp_path, 0) == stats.records
 
     def test_partition_loads_sum_to_records(self, tmp_path):

@@ -135,15 +135,13 @@ class TestTRP:
 
 
 class TestDispatch:
-    def test_negotiate_dispatch(self):
-        pivots = rank_pivots(4)
-        b1, _ = negotiate(pivots, 4, 64, protocol="naive")
-        b2, _ = negotiate(pivots, 4, 64, protocol="trp", fanout=2)
-        assert len(b1) == len(b2) == 5
-
-    def test_unknown_protocol(self):
-        with pytest.raises(ValueError, match="unknown"):
-            negotiate(rank_pivots(2), 2, 64, protocol="magic")
+    def test_negotiate_is_trp_at_fanout_64(self):
+        pivots = rank_pivots(80)
+        bounds, stats = negotiate(pivots, 80, 64)
+        tb, ts = negotiate_trp(pivots, 80, 64, fanout=64)
+        assert np.array_equal(bounds, tb)
+        assert stats.depth == ts.depth == 2
+        assert stats.total_messages == ts.total_messages
 
     def test_broadcast_bytes_scale_with_nparts(self):
         pivots = rank_pivots(4)

@@ -269,6 +269,7 @@ class TestRecovery:
         from repro.core.records import RecordBatch
         from repro.storage.log import LogWriter, log_name
         from repro.storage.manifest import ManifestError
+        from repro.storage.snapshot import pin_snapshot
 
         path = tmp_path / log_name(0)
         w = LogWriter(path)
@@ -282,7 +283,7 @@ class TestRecovery:
         w.close()
         with pytest.raises(ManifestError):
             PartitionedStore(tmp_path)
-        with PartitionedStore(tmp_path, recover=True) as store:
+        with PartitionedStore(tmp_path, snapshot=pin_snapshot(tmp_path)) as store:
             assert store.epochs() == [0]
             assert store.total_records(0) == 2
 

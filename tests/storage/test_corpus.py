@@ -20,6 +20,7 @@ from repro.storage.recovery import (
     KIND_CLEAN,
     KIND_CORRUPT_SST,
     classify_log,
+    find_committed_state,
     repair_log,
 )
 
@@ -47,7 +48,7 @@ def test_repair_preserves_every_byte(tmp_path, name):
     path = _install(tmp_path, name)
     original = path.read_bytes()
     quarantine = tmp_path / QUARANTINE_DIR
-    action = repair_log(path, quarantine, deep=True)
+    action = repair_log(classify_log(path, deep=True), quarantine)
     assert action.kind == EXPECTED[name]["kind"]
 
     if action.removed:
@@ -68,7 +69,7 @@ def test_repair_preserves_every_byte(tmp_path, name):
 @pytest.mark.parametrize("name", CASES)
 def test_repaired_log_is_consistent(tmp_path, name):
     path = _install(tmp_path, name)
-    action = repair_log(path, tmp_path / QUARANTINE_DIR, deep=True)
+    action = repair_log(classify_log(path, deep=True), tmp_path / QUARANTINE_DIR)
     if action.removed:
         return
     diag = classify_log(path, deep=True)
@@ -85,18 +86,53 @@ def test_repaired_log_is_consistent(tmp_path, name):
 def test_reader_recover_matches_expected_epochs(tmp_path, name):
     path = _install(tmp_path, name)
     committed = EXPECTED[name]["committed_epochs"]
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        state = find_committed_state(fh, size, path)
     if not committed:
+        assert state is None
         with pytest.raises(ManifestCorruptionError):
-            LogReader(path, recover=True)
+            LogReader(path)
         return
-    with LogReader(path, recover=True) as reader:
+    with LogReader(path, pin=state) as reader:
         assert sorted({e.epoch for e in reader.entries}) == committed
-        if EXPECTED[name]["kind"] in (KIND_CLEAN, KIND_CORRUPT_SST):
-            # damage (if any) is inside the committed prefix; the
-            # commit point is still end-of-file
-            assert reader.recovered_bytes_dropped == 0
-        else:
-            assert reader.recovered_bytes_dropped > 0
+    if EXPECTED[name]["kind"] in (KIND_CLEAN, KIND_CORRUPT_SST):
+        # damage (if any) is inside the committed prefix; the
+        # commit point is still end-of-file
+        assert size - state.footer_end == 0
+    else:
+        assert size - state.footer_end > 0
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in CASES if EXPECTED[n]["committed_epochs"]]
+)
+def test_plain_fsck_checks_committed_prefix(tmp_path, name):
+    """Plain fsck verifies the committed epochs in front of any tail."""
+    path = _install(tmp_path, name)
+    kind = EXPECTED[name]["kind"]
+    state = classify_log(path).state
+    report = fsck(tmp_path)
+    assert report.logs_checked == 1
+    assert sorted(report.epochs) == EXPECTED[name]["committed_epochs"]
+    assert report.ssts_checked == len(state.entries)
+    counts = [e.count for e in state.entries]
+    if kind == KIND_CORRUPT_SST:
+        # the corrupt SST's records cannot be read, every other one is
+        assert report.records_checked in (sum(counts) - c for c in counts)
+        assert any("corrupt SST" in e for e in report.errors)
+        return
+    assert report.records_checked == sum(counts) > 0
+    if kind == KIND_CLEAN:
+        assert report.ok, report.errors
+    else:
+        # the tail is the one error, and it names its kind
+        assert len(report.errors) == 1
+        assert report.errors[0].startswith(f"{log_name(0)}: {kind}: ")
+        # --recover accepts the tail and still checks the prefix
+        recovered = fsck(tmp_path, recover=True)
+        assert recovered.ok, recovered.errors
+        assert recovered.records_checked == report.records_checked
 
 
 @pytest.mark.parametrize("name", CASES)

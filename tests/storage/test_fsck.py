@@ -5,10 +5,12 @@ import pytest
 
 from repro.cli import main
 from repro.core.carp import CarpRun
-from repro.core.config import CarpOptions
+from repro.core.config import TEST_OPTIONS, CarpOptions
 from repro.core.records import RecordBatch
+from repro.storage import log as log_module
+from repro.storage import sstable
 from repro.storage.fsck import fsck
-from repro.storage.log import LogWriter, list_logs, log_name
+from repro.storage.log import LogReader, LogWriter, list_logs, log_name
 
 OPTS = CarpOptions(
     pivot_count=32, oob_capacity=32, renegotiations_per_epoch=2,
@@ -111,6 +113,57 @@ class TestFsck:
         report = fsck(tmp_path)
         assert not report.ok
         assert any("SORTED flag" in e for e in report.errors)
+
+
+class TestParseCount:
+    """fsck diagnoses each log once: every committed SST is fully
+    parsed once per walk, and ``--repair`` walks twice."""
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        rng = np.random.default_rng(5)
+        with CarpRun(4, tmp_path, TEST_OPTIONS) as run:
+            for epoch in range(2):
+                run.ingest_epoch(epoch, [
+                    RecordBatch.from_keys(
+                        rng.random(600).astype(np.float32), rank=r,
+                        start_seq=600 * epoch, value_size=8)
+                    for r in range(4)
+                ])
+        nssts = 0
+        for path in list_logs(tmp_path):
+            with LogReader(path) as reader:
+                nssts += len(reader.entries)
+        assert nssts == 29
+        return tmp_path, nssts
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        calls = []
+        real = sstable.parse_sstable
+
+        def spy(data):
+            calls.append(len(data))
+            return real(data)
+
+        monkeypatch.setattr(sstable, "parse_sstable", spy)
+        monkeypatch.setattr(log_module, "parse_sstable", spy)
+        return calls
+
+    def test_fsck_parses_each_sst_once(self, store, parses):
+        directory, nssts = store
+        report = fsck(directory)
+        assert report.ok, report.errors
+        assert report.ssts_checked == nssts
+        assert report.records_checked == 4 * 600 * 2
+        assert len(parses) == nssts
+
+    def test_repair_parses_each_sst_at_most_twice(self, store, parses):
+        directory, nssts = store
+        report = fsck(directory, repair=True)
+        assert report.ok, report.errors
+        assert not report.repaired
+        assert len(parses) <= 2 * nssts
 
 
 class TestFsckCli:

@@ -132,7 +132,7 @@ def test_any_crash_point_recovers_to_an_epoch_prefix(
     cut = int(len(data) * cut_fraction)
     path.write_bytes(data[:cut])
 
-    repair_log(path, workdir / QUARANTINE_DIR, deep=True)
+    repair_log(classify_log(path, deep=True), workdir / QUARANTINE_DIR)
 
     # the crash landed between boundary k and k+1: exactly epochs 0..k-1
     # survive, as the byte-identical prefix of the original log
@@ -167,7 +167,7 @@ def test_any_bitflip_never_yields_a_superset(tmp_path, seed, flip_fraction):
         data[:offset] + bytes([data[offset] ^ 0xFF]) + data[offset + 1 :]
     )
 
-    repair_log(path, workdir / QUARANTINE_DIR, deep=True)
+    repair_log(classify_log(path, deep=True), workdir / QUARANTINE_DIR)
 
     all_entries = [e for epoch in entries_per_epoch for e in epoch]
     if not path.exists():

@@ -7,10 +7,16 @@ from repro.core.records import RecordBatch
 from repro.query.engine import PartitionedStore
 from repro.storage.log import LogReader, LogWriter, list_logs, log_name, log_rank
 from repro.storage.manifest import ManifestError
+from repro.storage.recovery import find_committed_state
 
 
 def batch(*keys):
     return RecordBatch.from_keys(np.array(keys, np.float32), value_size=8)
+
+
+def committed_state(path):
+    with open(path, "rb") as fh:
+        return find_committed_state(fh, path.stat().st_size, path)
 
 
 class TestNaming:
@@ -186,10 +192,11 @@ class TestRecovery:
 
     def test_recover_reopens_at_last_epoch(self, tmp_path):
         path = self._torn_log(tmp_path)
-        with LogReader(path, recover=True) as r:
+        state = committed_state(path)
+        with LogReader(path, pin=state) as r:
             assert [e.epoch for e in r.entries] == [0]
             assert r.read_sst(r.entries[0]).batch.keys.tolist() == [1.0, 2.0]
-            assert r.recovered_bytes_dropped > 0
+        assert path.stat().st_size - state.footer_end > 0
 
     def test_without_recover_fails(self, tmp_path):
         path = self._torn_log(tmp_path)
@@ -201,9 +208,10 @@ class TestRecovery:
         with LogWriter(path) as w:
             w.append_batch(batch(1.0), 0)
             w.flush_epoch(0)
-        with LogReader(path, recover=True) as r:
+        state = committed_state(path)
+        with LogReader(path, pin=state) as r:
             assert len(r.entries) == 1
-            assert r.recovered_bytes_dropped == 0
+        assert path.stat().st_size - state.footer_end == 0
 
     def test_recover_multi_epoch_keeps_complete_ones(self, tmp_path):
         path = tmp_path / log_name(0)
@@ -214,11 +222,12 @@ class TestRecovery:
         w.flush_epoch(1)
         w.append_batch(batch(3.0), 2)  # torn epoch 2
         w.close()
-        with LogReader(path, recover=True) as r:
+        with LogReader(path, pin=committed_state(path)) as r:
             assert sorted({e.epoch for e in r.entries}) == [0, 1]
 
     def test_unrecoverable_garbage(self, tmp_path):
         path = tmp_path / log_name(0)
         path.write_bytes(b"\x01" * 256)
-        with pytest.raises(ManifestError, match="no valid footer"):
-            LogReader(path, recover=True)
+        assert committed_state(path) is None
+        with pytest.raises(ManifestError, match="bad footer magic"):
+            LogReader(path)

@@ -16,6 +16,8 @@ import pytest
 from repro import cli
 from repro.cli import SUBCOMMANDS, main
 from repro.tools.range_runner import reshard
+from repro.core.carp import CarpRun
+from repro.core.config import TEST_OPTIONS
 from repro.core.records import RecordBatch
 from repro.storage.log import LogReader, list_logs
 from repro.traces import io as trace_io
@@ -195,6 +197,20 @@ class TestCompactor:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def three_epoch_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_three_epochs")
+    rng = np.random.default_rng(3)
+    with CarpRun(2, out, TEST_OPTIONS) as run:
+        for epoch in range(3):
+            run.ingest_epoch(epoch, [
+                RecordBatch.from_keys(rng.random(300).astype(np.float32),
+                                      rank=r, value_size=8)
+                for r in range(2)
+            ])
+    return out
+
+
 class TestRangeReader:
     def test_analyze(self, carp_dir, capsys):
         rc = main(["range-reader", "-i", str(carp_dir), "-a"])
@@ -209,6 +225,26 @@ class TestRangeReader:
         assert rc == 0
         out = capsys.readouterr().out
         assert "matched 4000 records" in out
+
+    def test_query_unknown_epoch_exits_two(self, three_epoch_dir, capsys):
+        rc = main(["range-reader", "-i", str(three_epoch_dir), "-q",
+                   "-e", "7", "-x", "0.0", "-y", "1.0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "matched" not in captured.out
+        assert "error: epoch 7 is not committed" in captured.err
+        assert "[0, 1, 2]" in captured.err
+
+    def test_batch_unknown_epoch_exits_two(self, three_epoch_dir, tmp_path,
+                                           capsys):
+        batch = tmp_path / "batch.csv"
+        batch.write_text("0,0.1,0.5\n7,0.1,0.5\n")
+        qlog = tmp_path / "qlog.csv"
+        rc = main(["range-reader", "-i", str(three_epoch_dir), "-b",
+                   str(batch), "--querylog", str(qlog)])
+        assert rc == 2
+        assert "error: epoch 7 is not committed" in capsys.readouterr().err
+        assert not qlog.exists()
 
     def test_query_missing_args(self, carp_dir, capsys):
         rc = main(["range-reader", "-i", str(carp_dir), "-q"])

@@ -31,9 +31,12 @@ class CarpOptions:
         Periodic rebalance-trigger frequency (paper sweeps 2x-26x per
         epoch; gains diminish beyond ~6x).
     memtable_records:
-        KoiDB memtable capacity in records.  The paper uses two 12 MB
-        memtables per rank (= ~200K 60-byte records); tests use far
-        smaller values for speed.
+        KoiDB memtable capacity in records, and so the size of the
+        SSTs a flush writes.  The paper uses two 12 MB memtables per
+        rank (= ~200K 60-byte records); the default, 16,384, won a
+        measured sweep of 4K-64K on the wall-clock query and ingest
+        workloads (``docs/PERFORMANCE.md``, "Keys-first probes and SST
+        format v3"); tests use far smaller values for speed.
     subpartitions:
         KoiDB subpartitioning factor: each memtable flush is split into
         this many smaller key-disjoint SSTs (1 = disabled; paper
@@ -76,7 +79,7 @@ class CarpOptions:
     pivot_count: int = 512
     oob_capacity: int = 512
     renegotiations_per_epoch: int = 6
-    memtable_records: int = 4096
+    memtable_records: int = 16384
     subpartitions: int = 1
     separate_strays: bool = True
     shuffle_delay_rounds: int = 1

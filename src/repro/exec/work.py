@@ -12,9 +12,10 @@ import dataclasses
 import numpy as np
 
 from repro.core.records import RecordBatch
-from repro.storage.log import LogReader
+from repro.storage.blocks import chunk_count
+from repro.storage.log import LogReader, SSTKeysRead, SSTRead
 from repro.storage.manifest import ManifestEntry
-from repro.storage.sstable import match_rows
+from repro.storage.sstable import keys_span_len
 
 @dataclasses.dataclass(frozen=True)
 class LogProbeResult:
@@ -29,6 +30,10 @@ class LogProbeResult:
     #: of them whole would move — what the I/O model prices
     ssts: int
     candidate_bytes: int
+    #: key chunks the probes verified and searched, and the candidate
+    #: SSTs' chunks their zone maps pruned
+    key_chunks_read: int
+    key_chunks_skipped: int
     runs: list[RecordBatch]
     key_runs: list[np.ndarray]
 
@@ -58,44 +63,48 @@ def probe_entries(
     per open reader and concatenates the per-log results in
     reader-index order.
 
-    Full-record probes are keys-first (``LogReader.read_sst`` with
-    bounds): value bytes are fetched only for matched rows.  Bytes and
-    requests are summed from what each read call reports it touched —
-    never from the reader's shared counters, which other threads of a
-    serving plane advance too.
+    Probes are keys-first: each reads the SST's head, then only the
+    key chunks whose zone meets ``[lo, hi]``, and a full-record probe
+    (``LogReader.read_sst`` with bounds) then fetches value bytes for
+    the matched rows only.  Bytes, requests and key chunks are summed
+    from what each read call reports it touched — never from the
+    reader's shared counters, which other threads of a serving plane
+    advance too.
     """
     bytes_read = 0
     requests = 0
     candidate_bytes = 0
     scanned = 0
+    chunks_read = 0
+    chunks = 0
     runs: list[RecordBatch] = []
     key_runs: list[np.ndarray] = []
     for entry in entries:
+        read: SSTRead | SSTKeysRead
         if keys_only:
-            info, sst_keys, nbytes = reader.read_sst_keys(entry)
-            # a keys-only client fetches exactly this prefix: the
-            # touched bytes are the priced bytes
-            bytes_read += nbytes
-            candidate_bytes += nbytes
-            requests += 1
-            scanned += entry.count
-            matched = sst_keys[match_rows(info, sst_keys, lo, hi)]
-            if len(matched):
-                key_runs.append(matched)
+            read = reader.read_sst_keys(entry, lo, hi)
+            # a keys-only client fetches the head and key block whole
+            candidate_bytes += keys_span_len(entry.count)
+            if len(read.keys):
+                key_runs.append(read.keys)
         else:
             read = reader.read_sst(entry, lo, hi)
-            bytes_read += read.bytes_read
-            requests += read.requests
             candidate_bytes += entry.length
-            scanned += entry.count
             if len(read.batch):
                 runs.append(read.batch)
+        bytes_read += read.bytes_read
+        requests += read.requests
+        chunks_read += read.key_chunks
+        chunks += chunk_count(entry.count)
+        scanned += entry.count
     return LogProbeResult(
         bytes_read=bytes_read,
         scanned=scanned,
         requests=requests,
         ssts=len(entries),
         candidate_bytes=candidate_bytes,
+        key_chunks_read=chunks_read,
+        key_chunks_skipped=chunks - chunks_read,
         runs=runs,
         key_runs=key_runs,
     )

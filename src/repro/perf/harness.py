@@ -126,6 +126,7 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     requests = 0
     ssts_read = 0
     scanned = 0
+    key_chunks = 0
     with PartitionedStore(db_dir, obs=obs) as store:
         for epoch in store.epochs():
             lo, hi = store.key_range(epoch)
@@ -139,6 +140,7 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
                 requests += res.cost.read_requests
                 ssts_read += res.cost.ssts_read
                 scanned += res.cost.records_scanned
+                key_chunks += res.cost.key_chunks_read
     return [
         Metric("query_latency_modeled", latency, "s"),
         Metric("query_bytes_read", bytes_read, "B"),
@@ -148,6 +150,10 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
         # probe that touches more SSTs or records changes these rows
         Metric("query_ssts_read", ssts_read, "ssts"),
         Metric("query_records_scanned", scanned, "records"),
+        # a work count: key chunks verified and searched after zone-map
+        # pruning, so a probe that searches more of its SSTs' keys
+        # changes this row
+        Metric("query_key_chunks_read", key_chunks, "chunks"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 

@@ -8,9 +8,10 @@ ordered range-query semantics.  The same engine reads fully sorted
 compactor output — there the overlapping-run merge degenerates to
 concatenation, which is exactly why sorted layouts pay no merge cost.
 
-Probes are keys-first: an SST's head (header, key block, chunk CRC
-table) is read and its matched rows found (by binary search when the
-SST is sorted), and only the value chunks covering them are fetched.
+Probes are keys-first: an SST's head (header and chunk index) is
+read, only the key chunks whose zone meets the range are verified and
+searched (by binary search when the SST is sorted), and only the value
+chunks covering the matched rows are fetched.
 ``QueryCost.bytes_read`` / ``read_requests`` are those touched spans,
 measured on the real files.  The
 :class:`~repro.sim.iomodel.IOModel` keeps pricing the paper's client,
@@ -58,6 +59,10 @@ class QueryCost:
     #: keys-only query) — what ``read_time``/``merge_time`` price: the
     #: model keeps costing the paper's whole-SST client (§VII-A)
     candidate_bytes: int
+    #: key chunks the probes verified and searched, and the candidate
+    #: SSTs' key chunks their zone maps pruned
+    key_chunks_read: int
+    key_chunks_skipped: int
     records_scanned: int
     records_matched: int
     merge_bytes: int
@@ -372,6 +377,8 @@ class PartitionedStore:
                 bytes_read=row.probe.bytes_read,
                 read_requests=row.probe.requests,
                 candidate_bytes=row.probe.candidate_bytes,
+                key_chunks_read=row.probe.key_chunks_read,
+                key_chunks_skipped=row.probe.key_chunks_skipped,
                 records_scanned=row.probe.scanned,
                 records_matched=row.probe.matched,
                 read_time=self._read_time(row.probe),
@@ -437,6 +444,8 @@ class PartitionedStore:
             bytes_read=sum(p.bytes_read for p in probes),
             read_requests=sum(p.requests for p in probes),
             candidate_bytes=candidate_bytes,
+            key_chunks_read=sum(p.key_chunks_read for p in probes),
+            key_chunks_skipped=sum(p.key_chunks_skipped for p in probes),
             records_scanned=sum(p.scanned for p in probes),
             records_matched=sum(p.matched for p in probes),
             merge_bytes=merge_bytes,
@@ -470,7 +479,7 @@ class _LogRow(NamedTuple):
 #: The probe result of a log with no candidate SST (never mutated).
 _NOT_PROBED = LogProbeResult(
     bytes_read=0, scanned=0, requests=0, ssts=0, candidate_bytes=0,
-    runs=[], key_runs=[],
+    key_chunks_read=0, key_chunks_skipped=0, runs=[], key_runs=[],
 )
 
 

@@ -35,6 +35,10 @@ class LogExplain:
     #: Bytes of this log's candidate SSTs fetched whole; the probe
     #: touched ``bytes_read`` of them and skipped the rest.
     candidate_bytes: int
+    #: Key chunks this log's probes verified and searched, and the
+    #: candidates' key chunks their zone maps pruned.
+    key_chunks_read: int
+    key_chunks_skipped: int
     records_scanned: int
     records_matched: int
     #: Modeled time to fetch this log's candidates whole, in isolation
@@ -57,6 +61,8 @@ class LogExplain:
             "read_requests": self.read_requests,
             "candidate_bytes": self.candidate_bytes,
             "bytes_skipped": self.bytes_skipped,
+            "key_chunks_read": self.key_chunks_read,
+            "key_chunks_skipped": self.key_chunks_skipped,
             "records_scanned": self.records_scanned,
             "records_matched": self.records_matched,
             "read_time": self.read_time,
@@ -102,6 +108,8 @@ class QueryExplain:
             "bytes_read": sum(l.bytes_read for l in self.logs),
             "read_requests": sum(l.read_requests for l in self.logs),
             "candidate_bytes": sum(l.candidate_bytes for l in self.logs),
+            "key_chunks_read": sum(l.key_chunks_read for l in self.logs),
+            "key_chunks_skipped": sum(l.key_chunks_skipped for l in self.logs),
             "records_scanned": sum(l.records_scanned for l in self.logs),
             "records_matched": sum(l.records_matched for l in self.logs),
         }
@@ -136,6 +144,8 @@ class QueryExplain:
                 "read_requests": self.cost.read_requests,
                 "candidate_bytes": self.cost.candidate_bytes,
                 "bytes_skipped": self.cost.bytes_skipped,
+                "key_chunks_read": self.cost.key_chunks_read,
+                "key_chunks_skipped": self.cost.key_chunks_skipped,
                 "records_scanned": self.cost.records_scanned,
                 "records_matched": self.cost.records_matched,
                 "merge_bytes": self.cost.merge_bytes,
@@ -156,11 +166,13 @@ class QueryExplain:
             "",
             render_table(
                 ("log", "ssts", "read", "candidate", "bytes", "skipped",
-                 "reqs", "scanned", "matched", "read time"),
+                 "reqs", "chunks", "pruned", "scanned", "matched",
+                 "read time"),
                 [
                     (l.log, l.ssts_considered, l.ssts_read,
                      fmt_bytes(l.candidate_bytes), fmt_bytes(l.bytes_read),
                      fmt_bytes(l.bytes_skipped), l.read_requests,
+                     l.key_chunks_read, l.key_chunks_skipped,
                      l.records_scanned, l.records_matched,
                      fmt_seconds(l.read_time))
                     for l in self.logs
@@ -175,6 +187,8 @@ class QueryExplain:
             f"{fmt_bytes(cost.bytes_skipped)} skipped",
             f"      {fmt_bytes(cost.candidate_bytes)} in {cost.ssts_read} "
             f"whole-SST fetches modeled -> {fmt_seconds(cost.read_time)} read",
+            f"keys: {cost.key_chunks_read} key chunks searched, "
+            f"{cost.key_chunks_skipped} pruned by zone maps",
             f"cpu:  {fmt_bytes(cost.merge_bytes)} overlapping to merge -> "
             f"{fmt_seconds(cost.merge_time)} merge+scan",
             f"total modeled latency: {fmt_seconds(cost.latency)}",

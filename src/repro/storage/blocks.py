@@ -2,11 +2,12 @@
 
 KoiDB serializes the keys and values of an SSTable into separate
 sub-blocks (paper Fig. 6) so that query clients can fetch and parse key
-blocks alone when deciding which records match.  A key block carries a
-trailing CRC32.  A value block *leads* with a table of one CRC32 per
-:data:`CHUNK_RECORDS`-record chunk of its payload (the table has a
-trailing CRC32 of its own), so a reader that needs rows ``[a, b)``
-verifies and decodes only the chunks covering them — integrity follows
+blocks alone when deciding which records match.  Both blocks are cut
+into the same :data:`CHUNK_RECORDS`-record chunks, and integrity is per
+chunk: the SST's *chunk index* holds, for every chunk, a zone (the
+chunk's min and max key) and a (key CRC, value CRC) pair, and ends in a
+CRC32 of its own.  A reader that needs rows ``[a, b)`` verifies and
+decodes only the key and value chunks covering them — integrity follows
 the slice — while a full read verifies every chunk.
 
 Values are deterministic functions of the record id: the rid itself
@@ -16,12 +17,12 @@ bytes on disk of the paper's record geometry (4-byte key + 56-byte
 payload).
 
 The payload transforms (keys↔bytes, rids↔bytes, filler verification)
-dispatch through the active kernel backend (``CARP_KERNELS``); the CRC
-frame and the structural checks stay here so both backends produce and
+dispatch through the active kernel backend (``CARP_KERNELS``); the CRCs
+and the structural checks stay here so both backends produce and
 accept exactly the same on-disk bytes.  Decoders accept any buffer —
 ``bytes`` from a file read or a zero-copy ``memoryview`` slice of an
 mmap-backed log — and return arrays detached from the input buffer;
-the one exception, :func:`key_block_view`, says so in its name.
+the one exception, :func:`key_chunks_view`, says so in its name.
 """
 
 from __future__ import annotations
@@ -38,18 +39,17 @@ __all__ = [
     "CRC_BYTES",
     "CHUNK_RECORDS",
     "BlockCorruptionError",
-    "key_block_size",
     "chunk_count",
-    "chunk_table_size",
+    "chunk_index_size",
+    "key_block_size",
     "value_block_size",
-    "key_block_parts",
+    "zone_map",
     "encode_key_block",
     "decode_key_block",
-    "key_block_view",
+    "key_chunks_view",
     "make_filler",
-    "encode_chunk_table",
-    "decode_chunk_table",
-    "value_block_parts",
+    "encode_chunk_index",
+    "decode_chunk_index",
     "encode_value_block",
     "decode_value_rows",
     "decode_value_block",
@@ -57,12 +57,17 @@ __all__ = [
 
 CRC_BYTES = 4
 
-#: Records per value chunk — the unit of value-side integrity.  A format
-#: constant (written in the SST header so a reader can refuse a file
-#: built with another), not a tunable.
+#: Records per chunk — the unit of key- and value-side integrity, and
+#: of zone-map pruning.  A format constant (written in the SST header
+#: so a reader can refuse a file built with another), not a tunable.
 CHUNK_RECORDS = 256
 
 _CRC_DTYPE = np.dtype("<u4")
+
+#: Bytes per chunk in the chunk index: a zone (min and max key) and a
+#: (key CRC, value CRC) pair.
+_ZONE_BYTES = 2 * KEY_DTYPE.itemsize
+_PAIR_BYTES = 2 * CRC_BYTES
 
 _Buffer = bytes | bytearray | memoryview
 
@@ -84,141 +89,155 @@ def _check_crc(data: _Buffer, what: str) -> _Buffer:
     return payload
 
 
-def key_block_size(count: int) -> int:
-    """On-disk size of a key block holding ``count`` keys."""
-    return count * KEY_DTYPE.itemsize + CRC_BYTES
-
-
 def chunk_count(count: int) -> int:
-    """Value chunks an SST of ``count`` records has (the last may be short)."""
+    """Chunks an SST of ``count`` records has (the last may be short)."""
     return -(-count // CHUNK_RECORDS)
 
 
-def chunk_table_size(count: int) -> int:
-    """On-disk size of the chunk CRC table: one CRC per chunk + its own."""
-    return (chunk_count(count) + 1) * CRC_BYTES
+def chunk_index_size(count: int) -> int:
+    """On-disk size of the chunk index: zone map, chunk table, CRC."""
+    return chunk_count(count) * (_ZONE_BYTES + _PAIR_BYTES) + CRC_BYTES
+
+
+def key_block_size(count: int) -> int:
+    """On-disk size of a key block holding ``count`` keys."""
+    return count * KEY_DTYPE.itemsize
 
 
 def value_block_size(count: int, value_size: int) -> int:
     """On-disk size of a value block holding ``count`` values."""
-    return chunk_table_size(count) + count * value_size
+    return count * value_size
 
 
-def key_block_parts(keys: np.ndarray) -> tuple[bytes, bytes]:
-    """A key block as its two pieces, (payload, CRC), left unjoined."""
-    payload = active_kernels().encode_keys(np.asarray(keys))
-    return payload, _crc(payload)
+def zone_map(keys: np.ndarray) -> np.ndarray:
+    """The (min, max) key of every chunk of ``keys``, shape ``(C, 2)``."""
+    keys = np.asarray(keys, dtype=KEY_DTYPE)
+    if not len(keys):
+        return np.empty((0, 2), dtype=KEY_DTYPE)
+    starts = np.arange(0, len(keys), CHUNK_RECORDS)
+    return np.stack(
+        [np.minimum.reduceat(keys, starts), np.maximum.reduceat(keys, starts)],
+        axis=1,
+    )
 
 
-def encode_key_block(keys: np.ndarray) -> bytes:
-    """Serialize keys as a little-endian float32 array + CRC."""
-    return b"".join(key_block_parts(keys))
-
-
-def decode_key_block(data: _Buffer) -> np.ndarray:
-    """Parse and CRC-verify a key block."""
-    return active_kernels().decode_keys(_key_payload(data))
-
-
-def key_block_view(data: _Buffer) -> np.ndarray:
-    """CRC-verify a key block; return its keys as a read-only view of ``data``.
-
-    Zero-copy, unlike :func:`decode_key_block`: the result keeps
-    ``data`` exported, so a caller handed an mmap slice copies what it
-    keeps and drops the view before the map is closed.
-    """
-    return np.frombuffer(_key_payload(data), dtype=KEY_DTYPE)
-
-
-def _key_payload(data: _Buffer) -> _Buffer:
-    payload = _check_crc(data, "key block")
-    if len(payload) % KEY_DTYPE.itemsize:
-        raise BlockCorruptionError("key block payload not a multiple of key size")
-    return payload
-
-
-def _chunk_crcs(payload: _Buffer, value_size: int) -> np.ndarray:
-    """CRC32 of every ``CHUNK_RECORDS``-record slice of a value payload."""
+def _chunk_crcs(payload: _Buffer, item_size: int) -> np.ndarray:
+    """CRC32 of every ``CHUNK_RECORDS``-item slice of a payload."""
     view = memoryview(payload)
-    step = CHUNK_RECORDS * value_size
+    step = CHUNK_RECORDS * item_size
     return np.array(
         [zlib.crc32(view[i : i + step]) for i in range(0, len(view), step)],
         dtype=_CRC_DTYPE,
     )
 
 
-def encode_chunk_table(payload: _Buffer, value_size: int) -> bytes:
-    """The chunk CRC table of a value payload, with its trailing CRC."""
-    table = _chunk_crcs(payload, value_size).tobytes()
-    return table + _crc(table)
+def _verify_chunks(
+    payload: _Buffer, crcs: list[int], item_size: int, what: str, first: int = 0
+) -> None:
+    """CRC-check consecutive whole chunks against their table entries.
+
+    ``first`` is the index of the payload's first chunk in its SST, so
+    an error names the chunk as the SST numbers it.
+    """
+    if item_size <= 0 or len(payload) % item_size:
+        raise BlockCorruptionError(f"{what} payload not a multiple of {what} size")
+    if chunk_count(len(payload) // item_size) != len(crcs):
+        raise BlockCorruptionError(f"{what} payload does not match its chunk table")
+    view = memoryview(payload)
+    step = CHUNK_RECORDS * item_size
+    for i, expect in enumerate(crcs):
+        if zlib.crc32(view[i * step : (i + 1) * step]) != expect:
+            raise BlockCorruptionError(f"{what} chunk {first + i}: CRC mismatch")
 
 
-def decode_chunk_table(data: _Buffer, count: int) -> list[int]:
-    """CRC-verify a chunk table; return the per-chunk CRCs of ``count`` records."""
-    table = _check_crc(data, "chunk CRC table")
-    if len(table) != chunk_count(count) * CRC_BYTES:
-        raise BlockCorruptionError("chunk CRC table does not match record count")
-    return np.frombuffer(table, dtype=_CRC_DTYPE).tolist()
+def encode_key_block(keys: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Serialize keys as little-endian float32; return (payload, chunk CRCs)."""
+    payload = active_kernels().encode_keys(np.asarray(keys))
+    return payload, _chunk_crcs(payload, KEY_DTYPE.itemsize)
 
 
-def value_block_parts(rids: np.ndarray, value_size: int) -> tuple[bytes, _Buffer]:
-    """A value block as its two pieces, (chunk CRC table, payload), left unjoined.
+def key_chunks_view(payload: _Buffer, crcs: list[int], first: int = 0) -> np.ndarray:
+    """CRC-verify consecutive key chunks; return their keys as a view of ``payload``.
+
+    Zero-copy, unlike :func:`decode_key_block`: the result keeps
+    ``payload`` exported, so a caller handed an mmap slice copies what
+    it keeps and drops the view before the map is closed.
+    """
+    _verify_chunks(payload, crcs, KEY_DTYPE.itemsize, "key", first)
+    return np.frombuffer(payload, dtype=KEY_DTYPE)
+
+
+def decode_key_block(payload: _Buffer, crcs: list[int]) -> np.ndarray:
+    """Parse a key block, verifying every chunk against ``crcs``."""
+    _verify_chunks(payload, crcs, KEY_DTYPE.itemsize, "key")
+    return active_kernels().decode_keys(payload)
+
+
+def encode_chunk_index(
+    zones: np.ndarray, key_crcs: np.ndarray, value_crcs: np.ndarray
+) -> bytes:
+    """The chunk index: zone map, (key CRC, value CRC) table, trailing CRC."""
+    table = np.stack([key_crcs, value_crcs], axis=1).astype(_CRC_DTYPE)
+    body = np.asarray(zones, dtype=KEY_DTYPE).tobytes() + table.tobytes()
+    return body + _crc(body)
+
+
+def decode_chunk_index(data: _Buffer, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """CRC-verify a chunk index of ``count`` records; return (zones, CRC pairs).
+
+    Both arrays have one row per chunk: ``zones[i]`` is chunk ``i``'s
+    (min, max) key and ``crcs[i]`` its (key CRC, value CRC).
+    """
+    body = _check_crc(data, "chunk index")
+    chunks = chunk_count(count)
+    if len(body) != chunks * (_ZONE_BYTES + _PAIR_BYTES):
+        raise BlockCorruptionError("chunk index does not match record count")
+    # one copy of both tables; the zones are float32 bits
+    words = np.frombuffer(body, dtype=_CRC_DTYPE).copy()
+    zones = words[: 2 * chunks].view(KEY_DTYPE).reshape(chunks, 2)
+    return zones, words[2 * chunks :].reshape(chunks, 2)
+
+
+def encode_value_block(rids: np.ndarray, value_size: int) -> tuple[_Buffer, np.ndarray]:
+    """Serialize values (per record rid 8 B LE + filler); return (payload, chunk CRCs).
 
     The payload is whatever buffer the kernel backend encoded into; a
-    caller joins the pieces into the bytes it writes, so the values
-    are copied once.
+    caller joins it into the bytes it writes, so the values are copied
+    once.
     """
     if value_size - RID_DTYPE.itemsize < 0:
         raise ValueError(f"value_size {value_size} smaller than a rid")
     payload = active_kernels().encode_values(
         np.ascontiguousarray(rids, dtype=RID_DTYPE), value_size
     )
-    return encode_chunk_table(payload, value_size), payload
-
-
-def encode_value_block(rids: np.ndarray, value_size: int) -> bytes:
-    """Serialize values: chunk CRC table, then per record rid (8 B LE) + filler."""
-    return b"".join(value_block_parts(rids, value_size))
-
-
-def _verify_chunks(payload: _Buffer, crcs: list[int], value_size: int) -> None:
-    """CRC-check consecutive whole value chunks against their table entries."""
-    if value_size <= 0 or len(payload) % value_size:
-        raise BlockCorruptionError("value payload not a multiple of value size")
-    if chunk_count(len(payload) // value_size) != len(crcs):
-        raise BlockCorruptionError("value payload does not match its chunk table")
-    view = memoryview(payload)
-    step = CHUNK_RECORDS * value_size
-    for i, expect in enumerate(crcs):
-        if zlib.crc32(view[i * step : (i + 1) * step]) != expect:
-            raise BlockCorruptionError(f"value chunk {i}: CRC mismatch")
+    return payload, _chunk_crcs(payload, value_size)
 
 
 def decode_value_rows(
-    payload: _Buffer, crcs: list[int], value_size: int, start: int, stop: int
+    payload: _Buffer, crcs: list[int], value_size: int, start: int, stop: int,
+    first: int = 0,
 ) -> np.ndarray:
     """Verify consecutive whole value chunks; decode the rids of rows ``[start, stop)``.
 
     ``payload`` is the value bytes of the chunks and ``crcs`` their
-    entries of an already-verified chunk table; every chunk handed in
+    entries of an already-verified chunk index; every chunk handed in
     is CRC-checked, so every rid returned was verified.  Rows count
-    from the start of ``payload``.
+    from the start of ``payload``, whose first chunk is chunk ``first``
+    of its SST.
     """
-    _verify_chunks(payload, crcs, value_size)
+    _verify_chunks(payload, crcs, value_size, "value", first)
     rows = memoryview(payload)[start * value_size : stop * value_size]
     return active_kernels().decode_values(rows, value_size)
 
 
 def decode_value_block(
-    data: _Buffer, value_size: int, count: int, verify_filler: bool = False
+    payload: _Buffer, crcs: list[int], value_size: int, count: int,
+    verify_filler: bool = False,
 ) -> np.ndarray:
     """Parse a value block of ``count`` records, verifying every chunk."""
-    if value_size <= 0 or len(data) != value_block_size(count, value_size):
+    if value_size <= 0 or len(payload) != value_block_size(count, value_size):
         raise BlockCorruptionError("value block length does not match record count")
-    table_len = chunk_table_size(count)
-    crcs = decode_chunk_table(data[:table_len], count)
-    payload = data[table_len:]
-    _verify_chunks(payload, crcs, value_size)
+    _verify_chunks(payload, crcs, value_size, "value")
     kernels = active_kernels()
     rids = kernels.decode_values(payload, value_size)
     if verify_filler and not kernels.filler_matches(payload, rids, value_size):

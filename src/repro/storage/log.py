@@ -19,7 +19,7 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from repro.core.records import RecordBatch
+from repro.core.records import KEY_DTYPE, RecordBatch
 from repro.faults.plan import (
     ACTION_CRASH,
     SITE_MANIFEST_WRITE,
@@ -30,7 +30,9 @@ from repro.faults.plan import (
 from repro.storage.blocks import (
     CHUNK_RECORDS,
     BlockCorruptionError,
+    chunk_count,
     decode_value_rows,
+    key_chunks_view,
 )
 from repro.storage.manifest import (
     FOOTER_SIZE,
@@ -53,16 +55,22 @@ from repro.storage.sstable import (
     SSTableInfo,
     build_sstable,
     head_span_len,
+    key_chunks_span,
     keys_span_len,
     match_rows,
     parse_head,
     parse_keys_only,
     parse_sstable,
     value_chunks_span,
+    zone_chunks,
 )
 
 LOG_PREFIX = "RDB-"
 LOG_SUFFIX = ".tbl"
+
+#: The keys a ranged read searches when no chunk's zone meets its range.
+_NO_KEYS = np.empty(0, dtype=KEY_DTYPE)
+_NO_KEYS.flags.writeable = False
 
 
 def log_name(rank: int) -> str:
@@ -247,14 +255,37 @@ class SSTRead(NamedTuple):
     bytes_read: int
     #: spans this call issued
     requests: int
+    #: key chunks this call verified and searched
+    key_chunks: int
 
 
 class SSTKeysRead(NamedTuple):
     """What one :meth:`LogReader.read_sst_keys` call returned and touched."""
 
-    info: SSTableInfo
+    #: the SST's keys — all of them, or those in ``[lo, hi]``
     keys: np.ndarray
     bytes_read: int
+    requests: int
+    key_chunks: int
+
+
+class _KeySearch(NamedTuple):
+    """The head and searched key chunks of one ranged read."""
+
+    info: SSTableInfo
+    #: the chunk table: one (key CRC, value CRC) row per chunk
+    crcs: np.ndarray
+    #: the first chunk searched
+    first: int
+    #: the verified keys of the chunks searched: a view of the map,
+    #: empty when no zone meets the range
+    keys: np.ndarray
+    bytes_read: int
+    requests: int
+
+    @property
+    def chunks(self) -> int:
+        return chunk_count(len(self.keys))
 
 
 class LogReader:
@@ -361,13 +392,13 @@ class LogReader:
     ) -> SSTRead:
         """Read an SSTable: all of it, or the records with keys in ``[lo, hi]``.
 
-        Without bounds the whole SST is one span and every block and
-        value chunk is verified.  With bounds the read is keys-first:
-        the head (header, key block, chunk CRC table — each verified)
-        is fetched and its matched rows found (binary search on a
-        sorted SST, range mask otherwise); only the value chunks
-        covering them are fetched and verified, and only the matched
-        rows are decoded — no value chunk at all when nothing matches.
+        Without bounds the whole SST is one span and every chunk and
+        zone is verified.  With bounds the read is keys-first: the head
+        (header and chunk index, each verified) is fetched, and only
+        the key chunks whose zone meets the range are fetched, verified
+        and searched (binary search on a sorted SST, range mask
+        otherwise); only the value chunks covering the matched rows are
+        fetched and verified, and only the matched rows are decoded.
         Either way every byte returned was CRC-checked by this call,
         and the returned arrays own their memory.
         """
@@ -388,43 +419,70 @@ class LogReader:
 
     def _read_whole(self, entry: ManifestEntry) -> SSTRead:
         view = self._span(entry.offset, entry.length)
-        _info, batch = parse_sstable(view)
-        return SSTRead(batch, len(view), 1)
+        info, batch = parse_sstable(view)
+        return SSTRead(batch, len(view), 1, chunk_count(info.count))
 
     def _read_range(self, entry: ManifestEntry, lo: float, hi: float) -> SSTRead:
-        head = self._span(
-            entry.offset, min(head_span_len(entry.count), entry.length)
-        )
+        found = self._search_keys(entry, lo, hi)
+        info, crcs, first, keys = found.info, found.crcs, found.first, found.keys
         # keys is a view of the map: only copies of its rows leave here
-        info, keys, crcs = parse_head(head)
         rows = match_rows(info, keys, lo, hi)
         if isinstance(rows, slice):
             start, stop = rows.start, rows.stop
         else:
             start, stop = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
         if start == stop:
-            return SSTRead(RecordBatch.empty(info.value_size), len(head), 1)
-        # one span over the chunks covering the matched rows: contiguous
-        # for a sorted SST, first-to-last match for an unsorted one
-        first = start // CHUNK_RECORDS
-        last = (stop - 1) // CHUNK_RECORDS + 1
-        offset, length = value_chunks_span(info, first, last)
+            return SSTRead(RecordBatch.empty(info.value_size), found.bytes_read,
+                           found.requests, found.chunks)
+        # one span over the value chunks covering the matched rows:
+        # contiguous for a sorted SST, first-to-last match for an
+        # unsorted one.  Rows count from the first searched chunk.
+        vfirst = first + start // CHUNK_RECORDS
+        vstop = first + (stop - 1) // CHUNK_RECORDS + 1
+        offset, length = value_chunks_span(info, vfirst, vstop)
         values = self._span(entry.offset + offset, length)
-        base = first * CHUNK_RECORDS
+        skip = (vfirst - first) * CHUNK_RECORDS
         rids = decode_value_rows(
-            values, crcs[first:last], info.value_size, start - base, stop - base
+            values, crcs[vfirst:vstop, 1].tolist(), info.value_size,
+            start - skip, stop - skip, vfirst,
         )
         if isinstance(rows, slice):
             batch = RecordBatch(keys[rows].copy(), rids, info.value_size)
         else:
             batch = RecordBatch(keys[rows], rids[rows - start], info.value_size)
-        return SSTRead(batch, len(head) + len(values), 2)
+        return SSTRead(batch, found.bytes_read + len(values),
+                       found.requests + 1, found.chunks)
 
-    def read_sst_keys(self, entry: ManifestEntry) -> SSTKeysRead:
-        """Read just an SSTable's header and key block."""
+    def _search_keys(
+        self, entry: ManifestEntry, lo: float, hi: float
+    ) -> "_KeySearch":
+        """Fetch and verify the head, then the key chunks whose zone meets ``[lo, hi]``."""
+        head = self._span(entry.offset, min(head_span_len(entry.count), entry.length))
+        info, zones, crcs = parse_head(head)
+        first, stop = zone_chunks(info, zones, lo, hi)
+        if first >= stop:
+            return _KeySearch(info, crcs, 0, _NO_KEYS, len(head), 1)
+        offset, length = key_chunks_span(info.count, first, stop)
+        span = self._span(entry.offset + offset, length)
+        keys = key_chunks_view(span, crcs[first:stop, 0].tolist(), first)
+        return _KeySearch(info, crcs, first, keys, len(head) + len(span), 2)
+
+    def read_sst_keys(
+        self,
+        entry: ManifestEntry,
+        lo: float | None = None,
+        hi: float | None = None,
+    ) -> SSTKeysRead:
+        """Read an SSTable's keys: all of them, or those in ``[lo, hi]``.
+
+        Without bounds the head and the whole key block are one span and
+        every key chunk is verified.  With bounds only the key chunks
+        whose zone meets the range are fetched, verified and searched,
+        as in :meth:`read_sst`.
+        """
         err: BlockCorruptionError | None = None
         try:
-            read = self._read_keys(entry)
+            read = self._read_keys(entry, lo, hi)
         except BlockCorruptionError as exc:
             # as in read_sst: no frame holding a slice of the map
             # survives in the raised error's traceback
@@ -433,13 +491,19 @@ class LogReader:
             raise err
         return read
 
-    def _read_keys(self, entry: ManifestEntry) -> SSTKeysRead:
-        # header + key block length is derivable from the entry count
-        view = self._span(
-            entry.offset, min(keys_span_len(entry.count), entry.length)
-        )
-        info, keys = parse_keys_only(view)
-        return SSTKeysRead(info, keys, len(view))
+    def _read_keys(
+        self, entry: ManifestEntry, lo: float | None, hi: float | None
+    ) -> SSTKeysRead:
+        if lo is None or hi is None:
+            # head + key block length is derivable from the entry count
+            view = self._span(
+                entry.offset, min(keys_span_len(entry.count), entry.length)
+            )
+            info, keys = parse_keys_only(view)
+            return SSTKeysRead(keys, len(view), 1, chunk_count(info.count))
+        found = self._search_keys(entry, lo, hi)
+        keys = found.keys[match_rows(found.info, found.keys, lo, hi)].copy()
+        return SSTKeysRead(keys, found.bytes_read, found.requests, found.chunks)
 
     def close(self) -> None:
         if self._map is not None and not self._map.closed:
@@ -466,8 +530,9 @@ def check_sst(reader: LogReader, entry: ManifestEntry) -> SSTCheck:
 
     The one verifier of committed data (``fsck`` and
     :func:`~repro.storage.recovery.classify_log` with ``deep=True``):
-    every block and chunk CRC (through :meth:`LogReader.read_sst`), the
-    record count, the key range, and the SORTED flag.
+    every chunk CRC and every chunk's zone (through
+    :meth:`LogReader.read_sst`), the record count, the key range, and
+    the SORTED flag.
     """
     where = f"{reader.path.name}@{entry.offset}"
     try:

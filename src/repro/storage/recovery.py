@@ -146,13 +146,28 @@ def find_committed_state(
 ) -> CommittedState | None:
     """Newest footer whose *entire* manifest chain validates.
 
-    Scans backwards from EOF over every ``KFTR`` occurrence, walking
-    the whole file in :data:`SCAN_WINDOW` chunks; a footer only counts
-    if it CRC-decodes *and* the chain it points at walks cleanly, so a
-    valid-looking footer over a corrupt block falls back to the
-    previous commit point.  Returns ``None`` when the log has no
-    committed data at all.
+    A footer that ends at EOF is the newest candidate there can be, so
+    it is tried first: on a clean log that is one footer read and the
+    chain walk.  Otherwise (or when it fails) the scan runs backwards
+    from EOF over every ``KFTR`` occurrence, walking the whole file in
+    :data:`SCAN_WINDOW` chunks; a footer only counts if it CRC-decodes
+    *and* the chain it points at walks cleanly, so a valid-looking
+    footer over a corrupt block falls back to the previous commit
+    point.  Returns ``None`` when the log has no committed data at all.
     """
+    if size < FOOTER_SIZE:
+        return None
+    fh.seek(size - FOOTER_SIZE)
+    state = _try_footer(fh, fh.read(FOOTER_SIZE), size - FOOTER_SIZE, size, path)
+    if state is not None:
+        return state
+    return _scan_footers(fh, size, path)
+
+
+def _scan_footers(
+    fh: BinaryIO, size: int, path: Path | str
+) -> CommittedState | None:
+    """The backward :data:`SCAN_WINDOW` scan of :func:`find_committed_state`."""
     if size < FOOTER_SIZE:
         return None
     chunk = max(SCAN_WINDOW, 2 * FOOTER_SIZE)
@@ -175,26 +190,35 @@ def find_committed_state(
                 # bytes; re-read it whole from the file
                 fh.seek(abs_pos)
                 candidate = fh.read(FOOTER_SIZE)
-            try:
-                manifest_offset = decode_footer(candidate)
-            except ManifestError:
-                continue
-            if manifest_offset >= abs_pos:
-                continue  # footer pointing past itself: torn rewrite
-            try:
-                entries = walk_manifest_chain(fh, size, manifest_offset, path)
-            except ManifestError:
-                continue
-            return CommittedState(
-                footer_end=abs_pos + FOOTER_SIZE,
-                manifest_offset=manifest_offset,
-                entries=tuple(entries),
-            )
+            state = _try_footer(fh, candidate, abs_pos, size, path)
+            if state is not None:
+                return state
         if base == 0:
             return None
         # overlap the next window so a magic string straddling the
         # window boundary is still found
         window_end = base + len(FOOTER_MAGIC) - 1
+
+
+def _try_footer(
+    fh: BinaryIO, candidate: bytes, pos: int, size: int, path: Path | str
+) -> CommittedState | None:
+    """The commit point of the footer bytes at ``pos``, if they are one."""
+    try:
+        manifest_offset = decode_footer(candidate)
+    except ManifestError:
+        return None
+    if manifest_offset >= pos:
+        return None  # footer pointing past itself: torn rewrite
+    try:
+        entries = walk_manifest_chain(fh, size, manifest_offset, path)
+    except ManifestError:
+        return None
+    return CommittedState(
+        footer_end=pos + FOOTER_SIZE,
+        manifest_offset=manifest_offset,
+        entries=tuple(entries),
+    )
 
 
 @dataclass(frozen=True)

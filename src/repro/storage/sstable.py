@@ -6,47 +6,60 @@ value block.  The header records the key range, the epoch, flags
 CRC.  SSTables are append-only: once written to a log they are never
 modified.
 
-Format v2 — the value block leads with its chunk CRC table, so the
-*head* (everything a reader needs to decide which values to fetch, and
-to verify them once fetched) is one contiguous span::
+Format v3 — keys and values are cut into the same 256-record chunks,
+and a *chunk index* between the header and the keys holds, per chunk,
+its zone (min and max key; fence keys on a sorted SST) and its (key
+CRC, value CRC) pair, then one CRC over both tables.  The *head* is
+the header plus the chunk index: everything a reader needs to decide
+which key chunks to search, and to verify whatever it fetches after::
 
-    | header 64 B | keys 4 B x n | CRC | chunk CRCs 4 B x ceil(n/256) | CRC | values value_size x n |
-    |<--------- keys span -------->|
-    |<------------------------------ head span ----------------------------->|
-                                   |<---------------------- value block -------------------------->|
+    | header 64 B | zones 8 B x C | CRC pairs 8 B x C | CRC | keys 4 B x n | values value_size x n |
+    |<--------------------- head span ------------------->|
+    |<------------------------------- keys span ------------------------->|
+
+with ``C = ceil(n / 256)``.  A ranged read verifies the head, searches
+only the key chunks whose zone meets the range, and fetches only the
+value chunks of the rows that match.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.records import RecordBatch, range_mask, sorted_range
+from repro.core.records import (
+    KEY_DTYPE,
+    RecordBatch,
+    _f32_bounds,
+    range_mask,
+    sorted_range,
+)
 from repro.storage.blocks import (
     CHUNK_RECORDS,
     BlockCorruptionError,
-    chunk_table_size,
-    decode_chunk_table,
+    chunk_index_size,
+    decode_chunk_index,
     decode_key_block,
     decode_value_block,
-    key_block_parts,
+    encode_chunk_index,
+    encode_key_block,
+    encode_value_block,
     key_block_size,
-    key_block_view,
-    value_block_parts,
+    value_block_size,
+    zone_map,
 )
 
 _Buffer = bytes | bytearray | memoryview
 
 SST_MAGIC = b"KSST"
-SST_FORMAT_VERSION = 2
+SST_FORMAT_VERSION = 3
 
 #: Header layout: magic, format version, flags, epoch, sub_id, count,
 #: kmin, kmax, key block len, value block len, value size, records per
-#: value chunk, header CRC.
+#: chunk, header CRC.
 _HEADER_FMT = "<4sHHIIQddQQHHI"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
@@ -78,7 +91,7 @@ class SSTableInfo(NamedTuple):
 
     @property
     def total_len(self) -> int:
-        return HEADER_SIZE + self.key_block_len + self.val_block_len
+        return keys_span_len(self.count) + self.val_block_len
 
 
 def build_sstable(
@@ -92,8 +105,8 @@ def build_sstable(
 
     Compaction optionally sorts the contents by key, then serializes
     keys and values into separate sub-blocks for efficient query-time
-    parsing.  Header, key block, chunk CRC table and values are joined
-    into the result in one copy.
+    parsing.  Header, chunk index, keys and values are joined into the
+    result in one copy.
     """
     if len(batch) == 0:
         raise ValueError("cannot build an empty SSTable")
@@ -102,17 +115,18 @@ def build_sstable(
     if sort:
         batch = batch.sorted_by_key()
     flags = (FLAG_SORTED if sort else 0) | (FLAG_STRAY if stray else 0)
-    key_payload, key_crc = key_block_parts(batch.keys)
-    chunk_table, values = value_block_parts(batch.rids, batch.value_size)
+    zones = zone_map(batch.keys)
+    keys, key_crcs = encode_key_block(batch.keys)
+    values, value_crcs = encode_value_block(batch.rids, batch.value_size)
     info = SSTableInfo(
         flags=flags,
         epoch=epoch,
         sub_id=sub_id,
         count=len(batch),
-        kmin=float(batch.keys.min()),
-        kmax=float(batch.keys.max()),
-        key_block_len=len(key_payload) + len(key_crc),
-        val_block_len=len(chunk_table) + len(values),
+        kmin=float(zones[:, 0].min()),
+        kmax=float(zones[:, 1].max()),
+        key_block_len=len(keys),
+        val_block_len=len(values),
         value_size=batch.value_size,
     )
     header_wo_crc = struct.pack(
@@ -133,7 +147,8 @@ def build_sstable(
     )[:-4]
     crc = zlib.crc32(header_wo_crc) & 0xFFFFFFFF
     header = header_wo_crc + crc.to_bytes(4, "little")
-    return b"".join((header, key_payload, key_crc, chunk_table, values)), info
+    index = encode_chunk_index(zones, key_crcs, value_crcs)
+    return b"".join((header, index, keys, values)), info
 
 
 def parse_header(data: _Buffer) -> SSTableInfo:
@@ -154,86 +169,130 @@ def parse_header(data: _Buffer) -> SSTableInfo:
         raise BlockCorruptionError("SSTable header CRC mismatch")
     if chunk_records != CHUNK_RECORDS:
         raise BlockCorruptionError(
-            f"unsupported value chunk size {chunk_records} records"
+            f"unsupported chunk size {chunk_records} records"
         )
+    if (kb_len != key_block_size(count)
+            or vb_len != value_block_size(count, value_size)):
+        raise BlockCorruptionError("SSTable block lengths do not match its count")
     return SSTableInfo(flags, epoch, sub_id, count, kmin, kmax, kb_len, vb_len,
                        value_size)
 
 
+def head_span_len(count: int) -> int:
+    """Length of header + chunk index (the SST *head*)."""
+    return HEADER_SIZE + chunk_index_size(count)
+
+
+def keys_span_len(count: int) -> int:
+    """Length of the head + key block: what a keys-only full read fetches."""
+    return head_span_len(count) + key_block_size(count)
+
+
+def key_chunks_span(count: int, first: int, stop: int) -> tuple[int, int]:
+    """(offset, length), relative to the SST start, of key chunks ``[first, stop)``."""
+    return _chunks_span(
+        head_span_len(count), KEY_DTYPE.itemsize, count, first, stop
+    )
+
+
+def value_chunks_span(info: SSTableInfo, first: int, stop: int) -> tuple[int, int]:
+    """(offset, length), relative to the SST start, of value chunks ``[first, stop)``."""
+    return _chunks_span(
+        keys_span_len(info.count), info.value_size, info.count, first, stop
+    )
+
+
+def _chunks_span(
+    base: int, item_size: int, count: int, first: int, stop: int
+) -> tuple[int, int]:
+    begin = first * CHUNK_RECORDS * item_size
+    end = min(stop * CHUNK_RECORDS, count) * item_size
+    return base + begin, end - begin
+
+
+def parse_head(data: _Buffer) -> tuple[SSTableInfo, np.ndarray, np.ndarray]:
+    """Parse header and chunk index — each CRC-verified.
+
+    Returns the header, the zone map (one (min, max) row per chunk) and
+    the chunk table (one (key CRC, value CRC) row per chunk): what
+    :func:`zone_chunks` prunes with and what the key and value chunks
+    fetched after are checked against.
+    """
+    info = parse_header(data)
+    end = head_span_len(info.count)
+    if len(data) < end:
+        raise BlockCorruptionError("truncated SSTable chunk index")
+    zones, crcs = decode_chunk_index(data[HEADER_SIZE:end], info.count)
+    return info, zones, crcs
+
+
 def parse_sstable(data: _Buffer) -> tuple[SSTableInfo, RecordBatch]:
-    """Parse a complete SSTable, verifying every block and value chunk.
+    """Parse a complete SSTable, verifying every chunk and every zone.
 
     Accepts any buffer; the returned batch owns its arrays (the block
     decoders copy), so the input may be an mmap slice that is unmapped
     right after the call.
     """
-    info, keys = parse_keys_only(data)
+    info, keys, zones, crcs = _parse_keys(data)
     if len(data) < info.total_len:
         raise BlockCorruptionError("truncated SSTable body")
-    vb_start = HEADER_SIZE + info.key_block_len
+    bad = np.flatnonzero(np.any(zone_map(keys) != zones, axis=1))
+    if len(bad):
+        raise BlockCorruptionError(
+            f"chunk {int(bad[0])}: zone does not match its keys"
+        )
+    values = data[keys_span_len(info.count) : info.total_len]
     rids = decode_value_block(
-        data[vb_start : vb_start + info.val_block_len], info.value_size, info.count
+        values, crcs[:, 1].tolist(), info.value_size, info.count
     )
     return info, RecordBatch(keys, rids, info.value_size)
 
 
 def parse_keys_only(data: _Buffer) -> tuple[SSTableInfo, np.ndarray]:
-    """Parse just the header and key block.
+    """Parse just the head and the whole key block, verifying every key chunk.
 
     Query clients use this to fetch key blocks first (paper §VII-A) and
     defer value-block reads until matches are known.
     """
-    return _parse_keys(data, decode_key_block)
-
-
-def _parse_keys(
-    data: _Buffer, decode: Callable[[_Buffer], np.ndarray]
-) -> tuple[SSTableInfo, np.ndarray]:
-    info = parse_header(data)
-    kb_start = HEADER_SIZE
-    kb_end = kb_start + info.key_block_len
-    if len(data) < kb_end:
-        raise BlockCorruptionError("truncated SSTable key block")
-    keys = decode(data[kb_start:kb_end])
-    if len(keys) != info.count:
-        raise BlockCorruptionError("SSTable count does not match key block")
+    info, keys, _zones, _crcs = _parse_keys(data)
     return info, keys
 
 
-def keys_span_len(count: int) -> int:
-    """Length of header + key block for an SST of ``count`` records."""
-    return HEADER_SIZE + key_block_size(count)
+def _parse_keys(
+    data: _Buffer,
+) -> tuple[SSTableInfo, np.ndarray, np.ndarray, np.ndarray]:
+    info, zones, crcs = parse_head(data)
+    start = head_span_len(info.count)
+    end = keys_span_len(info.count)
+    if len(data) < end:
+        raise BlockCorruptionError("truncated SSTable key block")
+    keys = decode_key_block(data[start:end], crcs[:, 0].tolist())
+    return info, keys, zones, crcs
 
 
-def head_span_len(count: int) -> int:
-    """Length of header + key block + chunk CRC table (the SST *head*)."""
-    return keys_span_len(count) + chunk_table_size(count)
+def zone_chunks(
+    info: SSTableInfo, zones: np.ndarray, lo: float, hi: float
+) -> tuple[int, int]:
+    """The span ``[first, stop)`` of chunks whose zone meets ``[lo, hi]``.
 
-
-def value_chunks_span(info: SSTableInfo, first: int, stop: int) -> tuple[int, int]:
-    """(offset, length), relative to the SST start, of value chunks ``[first, stop)``."""
-    values_start = HEADER_SIZE + info.key_block_len + chunk_table_size(info.count)
-    begin = first * CHUNK_RECORDS * info.value_size
-    end = min(stop * CHUNK_RECORDS, info.count) * info.value_size
-    return values_start + begin, end - begin
-
-
-def parse_head(data: _Buffer) -> tuple[SSTableInfo, np.ndarray, list[int]]:
-    """Parse header, key block and chunk CRC table — each CRC-verified.
-
-    The keys are a zero-copy, read-only view of ``data``
-    (:func:`~repro.storage.blocks.key_block_view`): a caller handed an
-    mmap slice copies the rows it returns and drops the view before the
-    map is closed.  The third result is what
-    :func:`~repro.storage.blocks.decode_value_rows` checks fetched
-    value chunks against.
+    First to last meeting chunk: on a sorted SST the zones are fence
+    keys, ascending in both columns, so binary search finds the span
+    and every chunk in it meets; on an unsorted one the span is what
+    gets searched.  The bounds are rounded as
+    :func:`~repro.core.records.sorted_range` rounds them, so a chunk
+    holding a row that :func:`~repro.core.records.range_mask` would
+    match is never pruned.  ``first >= stop`` when no chunk meets.
     """
-    info, keys = _parse_keys(data, key_block_view)
-    table_start = HEADER_SIZE + info.key_block_len
-    table_end = table_start + chunk_table_size(info.count)
-    if len(data) < table_end:
-        raise BlockCorruptionError("truncated SSTable chunk CRC table")
-    return info, keys, decode_chunk_table(data[table_start:table_end], info.count)
+    if not lo <= hi:
+        return 0, 0
+    lo32, hi32 = _f32_bounds(float(lo), float(hi))
+    if info.is_sorted:
+        return (int(zones[:, 1].searchsorted(lo32, "left")),
+                int(zones[:, 0].searchsorted(hi32, "right")))
+    hits = np.flatnonzero((zones[:, 1] >= lo32) & (zones[:, 0] <= hi32))
+    if not len(hits):
+        return 0, 0
+    return int(hits[0]), int(hits[-1]) + 1
 
 
 def match_rows(
@@ -244,6 +303,7 @@ def match_rows(
     A sorted SST (``FLAG_SORTED``) answers by binary search, as a
     slice; any other by range mask, as an index array.  Either selects
     exactly the rows ``np.flatnonzero(range_mask(keys, lo, hi))``.
+    ``keys`` may be any run of the SST's chunks.
     """
     if info.is_sorted:
         return sorted_range(keys, lo, hi)

@@ -23,6 +23,8 @@ from pathlib import Path
 from repro.query.engine import PartitionedStore
 from repro.query.request import check_bounds
 from repro.sim.iomodel import IOModel
+from repro.storage.blocks import BlockCorruptionError
+from repro.storage.manifest import ManifestError
 from repro.storage.snapshot import pin_snapshot
 from repro.tools import add_json_report, write_json_report
 
@@ -50,13 +52,24 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {args.store} is not a directory", file=sys.stderr)
         return 2
     try:
-        snapshot = pin_snapshot(args.store) if args.recover else None
-        store = PartitionedStore(args.store, io=IOModel(), snapshot=snapshot)
+        return _explain(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with store:
+    except (ManifestError, BlockCorruptionError) as exc:
+        # a torn or damaged log: the strict open refuses it
+        print(f"error: {exc} (see carp fsck, or --recover)", file=sys.stderr)
+        return 2
+
+
+def _explain(args: argparse.Namespace) -> int:
+    snapshot = pin_snapshot(args.store) if args.recover else None
+    with PartitionedStore(args.store, io=IOModel(), snapshot=snapshot) as store:
         epochs = store.epochs()
+        if not epochs:
+            print(f"error: {args.store} holds no committed SST",
+                  file=sys.stderr)
+            return 2
         epoch = args.epoch if args.epoch is not None else epochs[0]
         if epoch not in epochs:
             print(f"error: epoch {epoch} not in store (has {epochs})",

@@ -25,6 +25,8 @@ from pathlib import Path
 from repro.query.engine import PartitionedStore
 from repro.query.reader import analyze_store, read_batch_csv, run_batch
 from repro.query.request import LIVE_TOKEN, QueryRequest, response_from_result
+from repro.storage.blocks import BlockCorruptionError
+from repro.storage.manifest import ManifestError
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
@@ -95,4 +97,8 @@ def run(args: argparse.Namespace) -> int:
             return _batch(store, args.batch, args.querylog)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ManifestError, BlockCorruptionError) as exc:
+        # a torn or damaged log: the strict open refuses it
+        print(f"error: {exc} (see carp fsck)", file=sys.stderr)
         return 2

@@ -26,27 +26,44 @@ from repro.traces import io as trace_io
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
+    # every CARP default is CarpOptions', so the two cannot drift apart
+    # (value size is the exception: traces carry 8-byte payloads)
+    defaults = CarpOptions()
     p.add_argument("-i", "--input", required=True, type=Path,
                    help="trace directory (T.<ts>/eparticle.<rank> layout)")
     add_out_dir(p, "output directory for KoiDB logs", required=True)
     p.add_argument("-n", "--ranks", type=int, default=16,
                    help="number of CARP ranks (default: 16)")
-    p.add_argument("--pivots", type=int, default=512,
-                   help="pivot count per rank (default: 512)")
-    p.add_argument("--renegs", type=int, default=6,
-                   help="renegotiations per epoch (default: 6)")
-    p.add_argument("--oob", type=int, default=512,
-                   help="OOB buffer capacity (default: 512)")
-    p.add_argument("--memtable", type=int, default=4096,
-                   help="memtable capacity in records (default: 4096)")
-    p.add_argument("--subpartitions", type=int, default=1,
-                   help="KoiDB subpartitioning factor (default: 1)")
+    p.add_argument("--pivots", type=int, default=defaults.pivot_count,
+                   help="pivot count per rank (default: %(default)s)")
+    p.add_argument("--renegs", type=int,
+                   default=defaults.renegotiations_per_epoch,
+                   help="renegotiations per epoch (default: %(default)s)")
+    p.add_argument("--oob", type=int, default=defaults.oob_capacity,
+                   help="OOB buffer capacity (default: %(default)s)")
+    p.add_argument("--memtable", type=int, default=defaults.memtable_records,
+                   help="memtable capacity in records (default: %(default)s)")
+    p.add_argument("--subpartitions", type=int, default=defaults.subpartitions,
+                   help="KoiDB subpartitioning factor (default: %(default)s)")
     p.add_argument("--no-stray-separation", action="store_true",
                    help="disable KoiDB repartitioning (stray SSTs)")
     p.add_argument("--value-size", type=int, default=8,
-                   help="payload bytes per record (default: 8)")
+                   help="payload bytes per record (default: %(default)s)")
     p.add_argument("--timesteps", type=int, nargs="*", default=None,
                    help="subset of trace timesteps to replay (default: all)")
+
+
+def options_from_args(args: argparse.Namespace) -> CarpOptions:
+    """The :class:`CarpOptions` a parsed command line asks for."""
+    return CarpOptions(
+        pivot_count=args.pivots,
+        renegotiations_per_epoch=args.renegs,
+        oob_capacity=args.oob,
+        memtable_records=args.memtable,
+        subpartitions=args.subpartitions,
+        separate_strays=not args.no_stray_separation,
+        value_size=args.value_size,
+    )
 
 
 def reshard(streams: list[RecordBatch], nranks: int) -> list[RecordBatch]:
@@ -76,16 +93,7 @@ def run(args: argparse.Namespace) -> int:
             return 2
         timesteps = sorted(args.timesteps)
 
-    options = CarpOptions(
-        pivot_count=args.pivots,
-        renegotiations_per_epoch=args.renegs,
-        oob_capacity=args.oob,
-        memtable_records=args.memtable,
-        subpartitions=args.subpartitions,
-        separate_strays=not args.no_stray_separation,
-        value_size=args.value_size,
-    )
-    with CarpRun(args.ranks, args.out, options) as carp:
+    with CarpRun(args.ranks, args.out, options_from_args(args)) as carp:
         for epoch, ts in enumerate(timesteps):
             streams = trace_io.read_timestep(
                 args.input, ts, value_size=args.value_size,

@@ -11,6 +11,7 @@ import repro.query.engine as engine_module
 from repro.core.carp import CarpRun
 from repro.query.engine import PartitionedStore, _overlapping_run_bytes
 from repro.query.request import LIVE_TOKEN, QueryRequest, response_from_result
+from repro.storage.blocks import CHUNK_RECORDS
 from repro.storage.sstable import FLAG_SORTED, head_span_len
 
 
@@ -143,28 +144,38 @@ class TestCosts:
         assert cost.candidate_bytes == sum(e.length for _, e in entries)
         heads = sum(head_span_len(e.count) for _, e in entries)
         assert heads < cost.bytes_read <= cost.candidate_bytes
-        assert len(entries) <= cost.read_requests <= 2 * len(entries)
+        assert len(entries) <= cost.read_requests <= 3 * len(entries)
 
     def test_scan_touches_every_candidate_byte(self, store):
         cost = store.scan(0).cost
         assert cost.bytes_read == cost.candidate_bytes == store.total_bytes(0)
-        assert cost.read_requests == 2 * cost.ssts_read
+        # head, every key chunk, every value chunk: three spans an SST
+        assert cost.read_requests == 3 * cost.ssts_read
+        assert cost.key_chunks_skipped == 0
 
     def test_no_match_touches_heads_only(self, store):
-        """A candidate whose key block holds no match costs its head."""
+        """A range that falls between two chunks' zones costs the head alone.
+
+        A sorted SST's zones are fence keys: a gap between the last key
+        of one chunk and the first of the next meets no zone, so the
+        probe verifies the head and prunes every key chunk.
+        """
         reader_idx, entry = next(
-            (i, e) for i, e in store.entries(0) if e.kmin < e.kmax
+            (i, e) for i, e in store.entries(0)
+            if e.count > CHUNK_RECORDS and e.flags & FLAG_SORTED
         )
         reader = store._readers[reader_idx]
-        keys = np.sort(reader.read_sst_keys(entry).keys)
-        gaps = np.flatnonzero(np.diff(keys) > 0)
-        lo = float(np.nextafter(keys[gaps[0]], np.float32(np.inf)))
-        hi = float(np.nextafter(keys[gaps[0] + 1], np.float32(-np.inf)))
+        keys = reader.read_sst_keys(entry).keys
+        below, above = keys[CHUNK_RECORDS - 1], keys[CHUNK_RECORDS]
+        lo = float(np.nextafter(below, np.float32(np.inf)))
+        hi = float(np.nextafter(above, np.float32(-np.inf)))
         if hi < lo:
-            pytest.skip("no representable gap between adjacent keys")
+            pytest.skip("no representable gap between the two chunks")
         read = reader.read_sst(entry, lo, hi)
         assert len(read.batch) == 0
-        assert (read.bytes_read, read.requests) == (head_span_len(entry.count), 1)
+        assert (read.bytes_read, read.requests, read.key_chunks) == (
+            head_span_len(entry.count), 1, 0
+        )
 
     def test_modeled_times_price_whole_candidates(self, store):
         cost = store.query(0, 0.2, 0.4).cost

@@ -169,3 +169,57 @@ def test_corpus_matches_generator(tmp_path):
     for name, (blob, meta) in cases.items():
         assert (CORPUS_DIR / f"{name}.bin").read_bytes() == blob, name
         assert EXPECTED[name] == meta
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_eof_footer_first_finds_what_the_scan_finds(tmp_path, name):
+    """Trying the footer at EOF first is only a shortcut: every corpus
+    case commits at exactly the state the full backward scan finds."""
+    from repro.storage.recovery import _scan_footers
+
+    path = _install(tmp_path, name)
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        fast = find_committed_state(fh, size, path)
+        scanned = _scan_footers(fh, size, path)
+    assert fast == scanned
+
+
+class _ReadSpy:
+    """A file wrapper recording the size of every ``read``."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.sizes: list[int] = []
+
+    def read(self, n=-1):
+        data = self._fh.read(n)
+        self.sizes.append(len(data))
+        return data
+
+    def seek(self, *args):
+        return self._fh.seek(*args)
+
+
+def test_clean_log_pins_without_a_window_scan(tmp_path, monkeypatch):
+    """On a clean log the commit point is the footer at EOF: no read of a
+    scan window's size, however small the window."""
+    from repro.storage import recovery
+
+    monkeypatch.setattr(recovery, "SCAN_WINDOW", 256)
+    path = _install(tmp_path, "clean")
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        spy = _ReadSpy(fh)
+        state = find_committed_state(spy, size, path)
+    assert state is not None and state.footer_end == size
+    assert list(state.epochs) == EXPECTED["clean"]["committed_epochs"]
+    # the footer, then the manifest chain: a small share of the file
+    assert 256 not in spy.sizes
+    assert sum(spy.sizes) < size / 4
+    # a torn tail still falls back to the scan
+    torn = _install(tmp_path, "garbage-tail")
+    with open(torn, "rb") as fh:
+        spy = _ReadSpy(fh)
+        state = find_committed_state(spy, torn.stat().st_size, torn)
+    assert state is not None and 256 in spy.sizes

@@ -1,17 +1,23 @@
-"""Keys-first ranged reads over SST format v2: integrity follows the slice.
+"""Keys-first ranged reads over SST format v3: integrity follows the slice.
 
 Two contracts.  *Integrity*: a ranged ``LogReader.read_sst(entry, lo,
-hi)`` verifies everything it returns — damage to the header, the key
-block, the chunk CRC table, the table's own CRC or a *matched* value
-chunk raises ``BlockCorruptionError`` — while damage to an *unmatched*
-chunk is invisible to it and is caught by every full read (plain
-``read_sst``, ``scan``, ``carp-fsck``, deep recovery classification).
-*Equivalence*: on both kernel backends, a ranged read returns exactly
-what a full read followed by ``range_mask`` returns — same records,
-same order — whatever the SST's size, ordering or flags.
+hi)`` verifies everything it returns — damage to the header, the chunk
+index (zone map, CRC pairs, the index's own CRC), a *searched* key
+chunk or a *matched* value chunk raises ``BlockCorruptionError`` —
+while damage to a key chunk whose zone misses the range, or to an
+unmatched value chunk, is invisible to it and is caught by every full
+read (plain ``read_sst``, ``scan``, ``carp fsck``, deep recovery
+classification).  *Equivalence*: on both kernel backends, a ranged
+``read_sst`` or ``read_sst_keys`` returns exactly what a full read
+followed by ``range_mask`` returns — same records, same order —
+whatever the SST's size, ordering or flags, and searches exactly the
+chunks from the first to the last whose zone meets the range.
 """
 
 from __future__ import annotations
+
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -23,11 +29,14 @@ from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch, range_mask
 from repro.kernels import KERNEL_NAMES, use_kernels
 from repro.query.engine import PartitionedStore
+from repro.storage import sstable
 from repro.storage.blocks import (
     CHUNK_RECORDS,
     CRC_BYTES,
     BlockCorruptionError,
     chunk_count,
+    chunk_index_size,
+    zone_map,
 )
 from repro.storage.fsck import fsck
 from repro.storage.log import LogReader, LogWriter, log_name
@@ -50,14 +59,18 @@ from repro.storage.sstable import (
 VALUE_SIZE = 24
 #: four chunks: 256 + 256 + 256 + 232 records
 COUNT = 3 * CHUNK_RECORDS + 232
+CHUNKS = chunk_count(COUNT)
 CHUNK_BYTES = CHUNK_RECORDS * VALUE_SIZE
+KEY_CHUNK_BYTES = CHUNK_RECORDS * 4
 #: row i holds key float(i), so [300, 400] matches rows of chunk 1 only
 LO, HI = 300.0, 400.0
 MATCHED_CHUNK, UNMATCHED_CHUNK = 1, 3
 
-KEYS_START = HEADER_SIZE
-TABLE_START = keys_span_len(COUNT)
-VALUES_START = head_span_len(COUNT)
+ZONES_START = HEADER_SIZE
+PAIRS_START = ZONES_START + 8 * CHUNKS
+INDEX_CRC_START = PAIRS_START + 8 * CHUNKS
+KEYS_START = head_span_len(COUNT)
+VALUES_START = keys_span_len(COUNT)
 
 
 def _write_log(directory, batch, **sst_kwargs):
@@ -84,46 +97,90 @@ def _flip(path, offset):
     path.write_bytes(bytes(data))
 
 
+def _forge_header(data: bytes, field: int, value: int) -> bytes:
+    """``data`` with one header field replaced and the header re-CRC'd."""
+    fields = list(struct.unpack(sstable._HEADER_FMT, data[:HEADER_SIZE]))
+    fields[field] = value
+    hdr = struct.pack(sstable._HEADER_FMT, *fields)[:-CRC_BYTES]
+    crc = (zlib.crc32(hdr) & 0xFFFFFFFF).to_bytes(CRC_BYTES, "little")
+    return hdr + crc + data[HEADER_SIZE:]
+
+
 class TestFormat:
     def test_v1_is_rejected(self):
         data = bytearray(build_sstable(RecordBatch.from_keys(
             np.array([1.0], np.float32), value_size=8), 0)[0])
-        assert int.from_bytes(data[4:6], "little") == SST_FORMAT_VERSION == 2
+        assert int.from_bytes(data[4:6], "little") == SST_FORMAT_VERSION == 3
         data[4:6] = (1).to_bytes(2, "little")
         with pytest.raises(BlockCorruptionError, match="format version 1"):
             parse_header(bytes(data))
 
+    def test_v2_is_rejected(self, tmp_path):
+        """A well-formed v2 header (its CRC intact) is refused, on every path."""
+        batch = RecordBatch.from_keys(np.array([1.0, 2.0], np.float32),
+                                      value_size=8)
+        path, entry = _write_log(tmp_path, batch)
+        data = path.read_bytes()
+        sst = _forge_header(data[: entry.length], 1, 2)
+        path.write_bytes(sst + data[entry.length :])
+        with pytest.raises(BlockCorruptionError, match="format version 2"):
+            parse_header(sst)
+        with LogReader(path) as reader:
+            for read in (lambda: reader.read_sst(entry),
+                         lambda: reader.read_sst(entry, 0.0, 5.0),
+                         lambda: reader.read_sst_keys(entry, 0.0, 5.0)):
+                with pytest.raises(BlockCorruptionError) as info:
+                    read()
+                assert type(info.value) is BlockCorruptionError
+        assert not fsck(tmp_path).ok
+
     def test_foreign_chunk_size_is_rejected(self):
-        import struct
-        import zlib
-
-        from repro.storage import sstable
-
         data = build_sstable(RecordBatch.from_keys(
             np.array([1.0], np.float32), value_size=8), 0)[0]
-        fields = list(struct.unpack(sstable._HEADER_FMT, data[:HEADER_SIZE]))
+        fields = struct.unpack(sstable._HEADER_FMT, data[:HEADER_SIZE])
         assert fields[-2] == CHUNK_RECORDS
-        fields[-2] = 128
-        hdr = struct.pack(sstable._HEADER_FMT, *fields)[:-CRC_BYTES]
-        forged = hdr + (zlib.crc32(hdr) & 0xFFFFFFFF).to_bytes(4, "little")
         with pytest.raises(BlockCorruptionError, match="chunk size 128"):
-            parse_header(forged + data[HEADER_SIZE:])
+            parse_header(_forge_header(data, len(fields) - 2, 128))
 
-    def test_table_costs_four_bytes_a_chunk(self, log):
+    def test_index_costs_sixteen_bytes_a_chunk(self, log):
         _path, entry, _batch = log
-        table = (chunk_count(COUNT) + 1) * CRC_BYTES
-        assert VALUES_START - TABLE_START == table
+        # zone (min, max f32) + (key CRC, value CRC) per chunk, one CRC
+        assert KEYS_START - HEADER_SIZE == chunk_index_size(COUNT)
+        assert chunk_index_size(COUNT) == 16 * CHUNKS + CRC_BYTES
+        assert VALUES_START - KEYS_START == 4 * COUNT
         assert entry.length == VALUES_START + COUNT * VALUE_SIZE
+
+    def test_head_is_small_for_a_big_sst(self):
+        """The head a ranged probe verifies grows 16 B per 256 records."""
+        assert head_span_len(16_384) == 64 + 64 * 16 + 4 == 1092
+        assert keys_span_len(16_384) - head_span_len(16_384) == 65_536
+
+
+def _assert_every_full_read_catches(log, offset):
+    """Damage at ``offset`` (outside the [LO, HI] probe) is invisible to
+    ranged queries and caught by scan, fsck and deep classification."""
+    path, _entry, _batch = log
+    _flip(path, offset)
+    with PartitionedStore(path.parent) as store:
+        assert len(store.query(0, LO, HI)) == 101
+        assert len(store.query(0, LO, HI, keys_only=True)) == 101
+        with pytest.raises(BlockCorruptionError):
+            store.scan(0)
+    report = fsck(path.parent)
+    assert not report.ok
+    assert any("corrupt SST" in e for e in report.errors)
+    assert main(["fsck", "-i", str(path.parent)]) == 1
+    assert classify_log(path, deep=True).kind == KIND_CORRUPT_SST
 
 
 class TestIntegrityMatrix:
     @pytest.mark.parametrize("offset", [
         pytest.param(20, id="header"),
-        pytest.param(KEYS_START + 4 * 700 + 1, id="key-block"),
-        pytest.param(TABLE_START + CRC_BYTES * UNMATCHED_CHUNK,
+        pytest.param(KEYS_START + 4 * 350 + 1, id="key-block"),
+        pytest.param(ZONES_START + 8 * UNMATCHED_CHUNK + 2, id="zone-map"),
+        pytest.param(PAIRS_START + 8 * UNMATCHED_CHUNK + CRC_BYTES,
                      id="crc-table-entry"),
-        pytest.param(TABLE_START + CRC_BYTES * chunk_count(COUNT) + 2,
-                     id="crc-table-crc"),
+        pytest.param(INDEX_CRC_START + 2, id="crc-table-crc"),
         pytest.param(VALUES_START + MATCHED_CHUNK * CHUNK_BYTES + 17,
                      id="matched-chunk"),
     ])
@@ -131,10 +188,14 @@ class TestIntegrityMatrix:
         path, entry, _batch = log
         _flip(path, offset)
         with LogReader(path) as reader:
-            with pytest.raises(BlockCorruptionError):
-                reader.read_sst(entry, LO, HI)
-            with pytest.raises(BlockCorruptionError):
-                reader.read_sst(entry)
+            for read in (lambda: reader.read_sst(entry, LO, HI),
+                         lambda: reader.read_sst(entry)):
+                with pytest.raises(BlockCorruptionError) as info:
+                    read()
+                assert type(info.value) is BlockCorruptionError
+            if offset < VALUES_START:
+                with pytest.raises(BlockCorruptionError):
+                    reader.read_sst_keys(entry, LO, HI)
 
     def test_truncated_value_block_raises(self, log):
         path, entry, _batch = log
@@ -157,29 +218,59 @@ class TestIntegrityMatrix:
     def test_unmatched_chunk_damage_is_invisible_to_the_ranged_read(self, log):
         path, entry, batch = log
         _flip(path, VALUES_START + UNMATCHED_CHUNK * CHUNK_BYTES + 5)
+        _flip(path, KEYS_START + UNMATCHED_CHUNK * KEY_CHUNK_BYTES + 9)
         want = batch.select(range_mask(batch.keys, LO, HI))
         with LogReader(path) as reader:
             read = reader.read_sst(entry, LO, HI)
             assert np.array_equal(read.batch.keys, want.keys)
             assert np.array_equal(read.batch.rids, want.rids)
-            # head + exactly the one covering chunk
-            assert read.bytes_read == VALUES_START + CHUNK_BYTES
-            assert read.requests == 2
-            with pytest.raises(BlockCorruptionError, match="chunk 3"):
+            # head + the one key chunk searched + its value chunk
+            assert read.bytes_read == (
+                KEYS_START + KEY_CHUNK_BYTES + CHUNK_BYTES
+            )
+            assert (read.requests, read.key_chunks) == (3, 1)
+            keys = reader.read_sst_keys(entry, LO, HI)
+            assert np.array_equal(keys.keys, want.keys)
+            assert (keys.bytes_read, keys.requests, keys.key_chunks) == (
+                KEYS_START + KEY_CHUNK_BYTES, 2, 1
+            )
+            with pytest.raises(BlockCorruptionError, match="key chunk 3"):
                 reader.read_sst(entry)
+            with pytest.raises(BlockCorruptionError, match="key chunk 3"):
+                reader.read_sst_keys(entry)
 
     def test_unmatched_chunk_damage_is_caught_by_every_full_read(self, log):
-        path, _entry, _batch = log
-        _flip(path, VALUES_START + UNMATCHED_CHUNK * CHUNK_BYTES + 5)
-        with PartitionedStore(path.parent) as store:
-            assert len(store.query(0, LO, HI)) == 101
-            with pytest.raises(BlockCorruptionError):
-                store.scan(0)
+        _assert_every_full_read_catches(
+            log, VALUES_START + UNMATCHED_CHUNK * CHUNK_BYTES + 5
+        )
+
+    def test_unmatched_key_chunk_damage_is_caught_by_every_full_read(self, log):
+        _assert_every_full_read_catches(
+            log, KEYS_START + UNMATCHED_CHUNK * KEY_CHUNK_BYTES + 9
+        )
+
+    def test_a_zone_that_lies_is_caught_by_fsck(self, log):
+        """A zone map that disagrees with its chunk's keys (the index CRC
+        re-computed over it, as a writer bug would) fails every full read."""
+        path, entry, _batch = log
+        data = bytearray(path.read_bytes())
+        zones = np.frombuffer(
+            bytes(data[ZONES_START:PAIRS_START]), dtype="<f4"
+        ).reshape(CHUNKS, 2).copy()
+        assert np.array_equal(zones, zone_map(np.arange(COUNT, dtype="<f4")))
+        zones[2] = (-2.0, -1.0)
+        data[ZONES_START:PAIRS_START] = zones.tobytes()
+        body = bytes(data[ZONES_START:INDEX_CRC_START])
+        data[INDEX_CRC_START:KEYS_START] = (
+            zlib.crc32(body) & 0xFFFFFFFF
+        ).to_bytes(CRC_BYTES, "little")
+        path.write_bytes(bytes(data))
+        with LogReader(path) as reader:
+            with pytest.raises(BlockCorruptionError, match="chunk 2: zone"):
+                reader.read_sst(entry)
         report = fsck(path.parent)
-        assert not report.ok
-        assert any("corrupt SST" in e for e in report.errors)
+        assert any("zone does not match" in e for e in report.errors)
         assert main(["fsck", "-i", str(path.parent)]) == 1
-        assert classify_log(path, deep=True).kind == KIND_CORRUPT_SST
 
 
 # ---------------------------------------------------------- equivalence
@@ -193,7 +284,7 @@ _KEY = st.one_of(
 )
 _COUNT = st.sampled_from(
     [1, 2, CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 1,
-     2 * CHUNK_RECORDS + 37, 3 * CHUNK_RECORDS]
+     2 * CHUNK_RECORDS + 37, 3 * CHUNK_RECORDS, 5 * CHUNK_RECORDS + 3]
 )
 
 
@@ -233,6 +324,14 @@ def _sst_and_bounds(draw):
     return keys, float(lo), float(hi), draw(st.booleans()), draw(st.booleans())
 
 
+def _searched_chunks(keys: np.ndarray, lo: float, hi: float) -> int:
+    """Chunks from the first to the last whose [min, max] meets [lo, hi],
+    compared in float64 as ``range_mask`` compares."""
+    zones = zone_map(keys).astype(np.float64)
+    hits = np.flatnonzero((zones[:, 1] >= lo) & (zones[:, 0] <= hi))
+    return int(hits[-1] - hits[0] + 1) if len(hits) else 0
+
+
 @pytest.mark.parametrize("kernels", KERNEL_NAMES)
 @given(case=_sst_and_bounds())
 @settings(max_examples=60, deadline=None,
@@ -248,17 +347,32 @@ def test_ranged_read_equals_full_read_plus_mask(tmp_path, kernels, case):
         with LogReader(path) as reader:
             full = reader.read_sst(entry)
             read = reader.read_sst(entry, lo, hi)
+            keys_read = reader.read_sst_keys(entry, lo, hi)
         want = full.batch.select(range_mask(full.batch.keys, lo, hi))
     assert np.array_equal(read.batch.keys, want.keys)
     assert read.batch.keys.tobytes() == want.keys.tobytes()  # -0.0 stays -0.0
     assert np.array_equal(read.batch.rids, want.rids)
     assert read.batch.value_size == want.value_size
+    assert keys_read.keys.tobytes() == want.keys.tobytes()
     assert (full.bytes_read, full.requests) == (entry.length, 1)
+    assert full.key_chunks == chunk_count(entry.count)
+    # zone pruning searches exactly the first-to-last meeting chunks
+    searched = _searched_chunks(full.batch.keys, lo, hi)
+    assert read.key_chunks == keys_read.key_chunks == searched
     head = head_span_len(entry.count)
-    if len(want):
-        assert read.requests == 2 and head < read.bytes_read <= entry.length
+    key_bytes = min(searched * CHUNK_RECORDS, entry.count) * 4
+    if searched:
+        assert keys_read.requests == 2
+        assert head + key_bytes >= keys_read.bytes_read > head
     else:
-        assert (read.bytes_read, read.requests) == (head, 1)
+        assert (keys_read.bytes_read, keys_read.requests) == (head, 1)
+    if len(want):
+        assert read.requests == 3
+        assert keys_read.bytes_read < read.bytes_read <= entry.length
+    else:
+        assert (read.bytes_read, read.requests) == (
+            keys_read.bytes_read, keys_read.requests
+        )
 
 
 @pytest.fixture(scope="module", params=[True, False],

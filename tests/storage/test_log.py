@@ -92,7 +92,7 @@ class TestWriteRead:
             w.flush_epoch(0)
         with LogReader(path) as r:
             entry = r.entries[0]
-            info, keys, _nbytes = r.read_sst_keys(entry)
+            keys = r.read_sst_keys(entry).keys
             assert len(keys) == 100
             assert r.bytes_read < entry.length
 

@@ -212,7 +212,7 @@ def test_ranged_and_keys_reads_leave_no_export_on_the_map(tmp_path):
     path, entry = _sorted_sst_log(tmp_path)
     # damage value chunk 2 only: ranges inside chunk 0 never touch it
     data = bytearray(path.read_bytes())
-    data[entry.offset + head_span_len(entry.count)
+    data[entry.offset + keys_span_len(entry.count)
          + 2 * CHUNK_RECORDS * 16 + 3] ^= 0xFF
     path.write_bytes(bytes(data))
     reader = LogReader(path)
@@ -232,12 +232,15 @@ def test_ranged_and_keys_reads_leave_no_export_on_the_map(tmp_path):
 def test_failed_keys_read_leaves_no_export_on_the_map(tmp_path):
     path, entry = _sorted_sst_log(tmp_path)
     data = bytearray(path.read_bytes())
-    data[entry.offset + keys_span_len(entry.count) - 6] ^= 0xFF
+    # damage key chunk 0, which the ranged reads below search too
+    data[entry.offset + head_span_len(entry.count) + 6] ^= 0xFF
     path.write_bytes(bytes(data))
     reader = LogReader(path)
-    with pytest.raises(BlockCorruptionError, match="key block"):
+    with pytest.raises(BlockCorruptionError, match="key chunk 0"):
         reader.read_sst_keys(entry)
-    with pytest.raises(BlockCorruptionError, match="key block"):
+    with pytest.raises(BlockCorruptionError, match="key chunk 0"):
+        reader.read_sst_keys(entry, 0.0, 1.0)
+    with pytest.raises(BlockCorruptionError, match="key chunk 0"):
         reader.read_sst(entry, 0.0, 1.0)
     reader.close()
     assert reader._map is not None and reader._map.closed

@@ -11,6 +11,7 @@ from repro.storage.sstable import (
     FLAG_STRAY,
     HEADER_SIZE,
     build_sstable,
+    keys_span_len,
     parse_header,
     parse_keys_only,
     parse_sstable,
@@ -78,7 +79,7 @@ class TestParse:
 
     def test_keys_only_without_value_block(self):
         data, info = build_sstable(batch(1.0, 2.0), 0)
-        truncated = data[: HEADER_SIZE + info.key_block_len]
+        truncated = data[: keys_span_len(info.count)]
         _, keys = parse_keys_only(truncated)
         assert len(keys) == 2
 

@@ -15,9 +15,9 @@ import pytest
 
 from repro import cli
 from repro.cli import SUBCOMMANDS, main
-from repro.tools.range_runner import reshard
+from repro.tools.range_runner import options_from_args, reshard
 from repro.core.carp import CarpRun
-from repro.core.config import TEST_OPTIONS
+from repro.core.config import TEST_OPTIONS, CarpOptions
 from repro.core.records import RecordBatch
 from repro.storage.log import LogReader, list_logs
 from repro.traces import io as trace_io
@@ -125,6 +125,13 @@ class TestReshard:
 
 
 class TestRangeRunner:
+    def test_defaults_are_carp_options(self):
+        """With no tuning flags the runner builds ``CarpOptions``' defaults
+        (bar the trace's 8-byte payloads)."""
+        parser = cli.build_parser()
+        args = parser.parse_args(["range-runner", "-i", "t", "-o", "o"])
+        assert options_from_args(args) == CarpOptions(value_size=8)
+
     def test_produces_koidb_logs(self, carp_dir):
         from repro.storage.log import list_logs
 
@@ -270,6 +277,14 @@ class TestRangeReader:
         rc = main(["range-reader", "-i", str(tmp_path / "nope"), "-a"])
         assert rc == 2
 
+    def test_torn_log_exits_two(self, carp_dir, tmp_path, capsys):
+        torn = _torn_copy(carp_dir, tmp_path)
+        rc = main(["range-reader", "-i", str(torn), "-a"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "see carp fsck" in err
+        assert "Traceback" not in err
+
 
 class TestTracegen:
     def test_vpic_trace_generated(self, tmp_path):
@@ -309,6 +324,15 @@ class TestTracegen:
             assert store.total_records(0) == 800
 
 
+def _torn_copy(store: Path, tmp_path: Path) -> Path:
+    """A copy of ``store`` with garbage appended to its first log."""
+    torn = tmp_path / "torn"
+    shutil.copytree(store, torn)
+    with open(list_logs(torn)[0], "ab") as fh:
+        fh.write(b"\xde\xad" * 40)
+    return torn
+
+
 class TestExplainCli:
     def test_reconciles_and_exits_zero(self, carp_dir, capsys):
         rc = main(["explain", str(carp_dir), "--lo", "0.5", "--hi", "2.0"])
@@ -339,6 +363,24 @@ class TestExplainCli:
 
     def test_missing_store_errors(self, tmp_path):
         assert main(["explain", str(tmp_path / "nope")]) == 2
+
+    def test_torn_log_exits_two_unless_recovered(self, carp_dir, tmp_path,
+                                                 capsys):
+        torn = _torn_copy(carp_dir, tmp_path)
+        assert main(["explain", str(torn)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "(see carp fsck, or --recover)" in err
+        assert main(["explain", str(torn), "--recover"]) == 0
+        assert "reconciliation: explain cost" in capsys.readouterr().out
+
+    def test_store_without_sst_exits_two(self, tmp_path, capsys):
+        from repro.storage.log import LogWriter, log_name
+
+        with LogWriter(tmp_path / log_name(0)) as writer:
+            writer.flush_epoch(0)  # commits an epoch that holds no SST
+        assert main(["explain", str(tmp_path)]) == 2
+        assert "holds no committed SST" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bounds", [("nan", "1.0"), ("0.5", "nan"),
                                         ("2.0", "0.5")])

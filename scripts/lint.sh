@@ -7,7 +7,8 @@
 #   ruff       — runs when installed (pip install -e '.[lint]'); the only
 #                local check for generic hygiene (see pyproject.toml)
 #   mypy       — runs when installed; strict on
-#                repro.core/storage/sim/obs/exec/faults/api/kernels, the
+#                repro.core/storage/sim/obs/exec/faults/api/kernels and
+#                the kernels' test oracle (tests/kernels/scalar.py), the
 #                only local check for annotation coverage
 #
 # Exit non-zero if any available checker finds a problem.
@@ -28,7 +29,7 @@ fi
 
 if command -v mypy >/dev/null 2>&1; then
     echo "== mypy =="
-    mypy src/repro/core src/repro/storage src/repro/sim src/repro/obs src/repro/exec src/repro/faults src/repro/api.py src/repro/kernels || status=1
+    mypy src/repro/core src/repro/storage src/repro/sim src/repro/obs src/repro/exec src/repro/faults src/repro/api.py src/repro/kernels tests/kernels/scalar.py || status=1
 else
     echo "== mypy == (not installed; skipping — pip install -e '.[lint]')"
 fi

@@ -45,8 +45,8 @@ def range_mask(keys: np.ndarray, lo: float, hi: float) -> np.ndarray:
     boundaries with the float64 comparisons used for manifest-range
     pruning — an SST could be pruned while its keys would have matched.
 
-    Dispatches through the active kernel backend (``CARP_KERNELS``);
-    both backends honour the float64 contract above.
+    Dispatches through :func:`~repro.kernels.active_kernels`; the
+    kernels and their test oracle honour the float64 contract above.
     """
     return active_kernels().range_mask(np.asarray(keys), lo, hi)
 

@@ -1,72 +1,31 @@
-"""Hot-path kernel selection (``CARP_KERNELS=scalar|vector``).
+"""The hot-path kernel table.
 
-The active :class:`~repro.kernels.api.Kernels` table is resolved once
-at import time from ``CARP_KERNELS`` (default: ``vector``) and consumed
-by the dispatch sites in :mod:`repro.core.partition`,
+Every dispatch site — :mod:`repro.core.partition`,
 :mod:`repro.core.records`, :mod:`repro.shuffle.router`,
-:mod:`repro.storage.blocks`, and :mod:`repro.storage.koidb`.  Both
-backends are observationally equivalent (docs/PERFORMANCE.md), so the
-selection changes throughput, never bytes.
-
-:func:`use_kernels` swaps the backend for a scope — it also exports
-``CARP_KERNELS`` into the process environment so worker *processes*
-spawned inside the scope inherit the same selection (worker threads
-share the module global directly).  Swapping mid-run, while an ingest
-or a pool drain is in flight, is not supported; switch at workload
-boundaries only, the way the differential suite and the kernel perf
-workloads do.
+:mod:`repro.storage.blocks` and :mod:`repro.storage.koidb` — calls
+:func:`active_kernels` for the :class:`~repro.kernels.api.Kernels`
+table it runs, which is :data:`VECTOR_KERNELS`.  That call is the one
+seam a test uses to run the pipeline on the per-record oracle in
+``tests/kernels/scalar.py`` and prove the two bit-identical
+(docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
-import os
-from collections.abc import Iterator
-from contextlib import contextmanager
-
 from repro.kernels.api import OOB_DEST, Kernels
-from repro.kernels.scalar import SCALAR_KERNELS
 from repro.kernels.vector import VECTOR_KERNELS
 
 __all__ = [
-    "ENV_KERNELS",
-    "KERNEL_NAMES",
     "OOB_DEST",
     "Kernels",
-    "SCALAR_KERNELS",
     "VECTOR_KERNELS",
     "active_kernels",
-    "get_kernels",
     "kernels_name",
-    "set_kernels",
-    "use_kernels",
 ]
 
-ENV_KERNELS = "CARP_KERNELS"
-
-#: Recognized ``CARP_KERNELS`` backend names.
-KERNEL_NAMES = ("scalar", "vector")
-
-_BY_NAME = {"scalar": SCALAR_KERNELS, "vector": VECTOR_KERNELS}
-
-
-def get_kernels(name: str) -> Kernels:
-    """Look a backend up by name (``scalar`` | ``vector``)."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel backend {name!r} (expected one of {KERNEL_NAMES})"
-        ) from None
-
-
-def _from_env() -> Kernels:
-    raw = os.environ.get(ENV_KERNELS, "").strip().lower()
-    return get_kernels(raw) if raw else VECTOR_KERNELS
-
-
-#: The active backend — resolved eagerly so reads from worker threads
-#: and processes never mutate module state (carp-lint X801).
-_ACTIVE: Kernels = _from_env()
+#: The table every dispatch site runs; only the differential tests
+#: replace it, for a scope, with the oracle.
+_ACTIVE: Kernels = VECTOR_KERNELS
 
 
 def active_kernels() -> Kernels:
@@ -77,35 +36,3 @@ def active_kernels() -> Kernels:
 def kernels_name() -> str:
     """Name of the active backend (for reports and telemetry labels)."""
     return _ACTIVE.name
-
-
-def set_kernels(name: str) -> Kernels:
-    """Select a backend for this process; returns the previous one.
-
-    Prefer :func:`use_kernels` in tests — it restores the previous
-    selection (and the environment) on exit.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = get_kernels(name)
-    return previous
-
-
-@contextmanager
-def use_kernels(name: str) -> Iterator[Kernels]:
-    """Run a scope under the named backend, restoring state on exit.
-
-    Exports ``CARP_KERNELS`` for the scope so worker processes spawned
-    inside it resolve the same backend at import time.
-    """
-    previous = set_kernels(name)
-    prev_env = os.environ.get(ENV_KERNELS)
-    os.environ[ENV_KERNELS] = name
-    try:
-        yield _ACTIVE
-    finally:
-        set_kernels(previous.name)
-        if prev_env is None:
-            os.environ.pop(ENV_KERNELS, None)
-        else:
-            os.environ[ENV_KERNELS] = prev_env

@@ -1,19 +1,19 @@
-"""The kernel seam: one table of hot-path primitives, two backends.
+"""The kernel seam: one table of hot-path primitives.
 
 CARP's per-record work — shuffle routing, in-range filtering, stray
 classification, destination grouping, and SST key/value block
-encode/decode — funnels through a :class:`Kernels` table so the whole
-pipeline can run on either implementation:
+encode/decode — funnels through a :class:`Kernels` table:
 
 * ``vector`` (:mod:`repro.kernels.vector`) — NumPy batch kernels:
   compare-count routing, vectorized masks, radix-sorted grouping,
-  bulk struct-free block codecs over memoryviews.  The production default.
-* ``scalar`` (:mod:`repro.kernels.scalar`) — the retained per-record
-  reference implementation: explicit Python loops, ``bisect`` routing,
-  ``struct`` codecs.  Slow on purpose; it exists so the vector path is
+  bulk struct-free block codecs over memoryviews.  The one table
+  ``src/`` runs.
+* ``scalar`` (``tests/kernels/scalar.py``) — the per-record test
+  oracle: explicit Python loops, ``bisect`` routing, ``struct``
+  codecs.  Slow on purpose; it exists so the vector table is
   *differentially testable*.
 
-The contract (docs/PERFORMANCE.md, INVARIANTS.md): both backends are
+The contract (docs/PERFORMANCE.md, INVARIANTS.md): the two tables are
 **observationally equivalent** — identical destinations, masks, group
 orders, and encoded bytes for identical inputs, bit for bit, including
 non-finite and negative-zero float32 keys.  ``tests/kernels/`` proves

@@ -11,9 +11,10 @@ slices of an mmap-backed log); the value encoder gathers rows of a
 cached 256-row filler template and returns the array's buffer without
 copying it.
 
-Observational equivalence with :mod:`repro.kernels.scalar` is the
-load-bearing contract: any behavioural drift here is a bug even if it
-"looks faster" (see tests/kernels/).
+Observational equivalence with the per-record oracle
+(``tests/kernels/scalar.py``) is the load-bearing contract: any
+behavioural drift here is a bug even if it "looks faster" (see
+tests/kernels/).
 """
 
 from __future__ import annotations

@@ -127,6 +127,7 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     ssts_read = 0
     scanned = 0
     key_chunks = 0
+    key_chunks_skipped = 0
     with PartitionedStore(db_dir, obs=obs) as store:
         for epoch in store.epochs():
             lo, hi = store.key_range(epoch)
@@ -141,6 +142,7 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
                 ssts_read += res.cost.ssts_read
                 scanned += res.cost.records_scanned
                 key_chunks += res.cost.key_chunks_read
+                key_chunks_skipped += res.cost.key_chunks_skipped
     return [
         Metric("query_latency_modeled", latency, "s"),
         Metric("query_bytes_read", bytes_read, "B"),
@@ -150,10 +152,11 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
         # probe that touches more SSTs or records changes these rows
         Metric("query_ssts_read", ssts_read, "ssts"),
         Metric("query_records_scanned", scanned, "records"),
-        # a work count: key chunks verified and searched after zone-map
-        # pruning, so a probe that searches more of its SSTs' keys
-        # changes this row
+        # work counts: key chunks of the SSTs read that were verified
+        # and searched, and those zone-map pruning left unread, so a
+        # probe that searches more of its SSTs' keys changes both rows
         Metric("query_key_chunks_read", key_chunks, "chunks"),
+        Metric("query_key_chunks_skipped", key_chunks_skipped, "chunks"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 

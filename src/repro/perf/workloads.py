@@ -39,13 +39,16 @@ class WorkloadSpec:
     sst_records: int = 512
     #: concurrent closed-loop clients (serve workloads)
     clients: int = 8
+    #: records per memtable, so per full SST (one 256-record key chunk
+    #: by default)
+    memtable_records: int = 256
 
     def options(self) -> CarpOptions:
         return CarpOptions(
             pivot_count=32,
             oob_capacity=32,
             renegotiations_per_epoch=3,
-            memtable_records=256,
+            memtable_records=self.memtable_records,
             round_records=128,
             value_size=8,
         )
@@ -54,7 +57,10 @@ class WorkloadSpec:
 def _registry() -> dict[str, WorkloadSpec]:
     specs = [
         WorkloadSpec("ingest-serial", "ingest"),
-        WorkloadSpec("query-serial", "query"),
+        # full SSTs of four key chunks, so zone-map pruning inside an
+        # SST shows in query_key_chunks_read/_skipped
+        WorkloadSpec("query-serial", "query", records_per_rank=4096,
+                     memtable_records=1024),
         WorkloadSpec("compact-serial", "compact"),
         WorkloadSpec("obs-overhead", "obs-overhead"),
         # the serving plane under concurrent ingest: >= 8 closed-loop

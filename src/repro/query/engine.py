@@ -410,14 +410,17 @@ class PartitionedStore:
         point), and returns one row per log holding epoch data, in
         reader order — the order runs are concatenated in — plus the
         query's :class:`QueryCost`.  A log without candidates is not
-        probed; its row carries :data:`_NOT_PROBED`.
+        probed; its row carries :data:`_NOT_PROBED`.  An epoch the view
+        does not hold raises :meth:`resolve_epoch`'s :class:`ValueError`
+        rather than reading as empty.
         """
         check_bounds(lo, hi)
+        epoch = self.resolve_epoch(epoch)
         candidates: dict[int, list[ManifestEntry]] = {}
         for log, entry in self.overlapping_entries(epoch, lo, hi):
             candidates.setdefault(log, []).append(entry)
         rows = []
-        for row in self._idle_rows.get(epoch, ()):
+        for row in self._idle_rows[epoch]:
             entries = candidates.get(row.log)
             if entries is not None:
                 row = _LogRow(row.log, row.considered, entries, probe_entries(

@@ -46,10 +46,10 @@ def split_by_destination(
     destination to its sub-batch and ``oob`` holds the records whose
     destination was :data:`OOB_DEST`.
 
-    Grouping goes through the active kernel backend; both backends
-    emit groups in ascending destination order with original batch
-    order inside each group, which fixes the shuffle send order (and
-    therefore the on-disk log bytes) independent of ``CARP_KERNELS``.
+    Grouping goes through :func:`~repro.kernels.active_kernels`, which
+    emits groups in ascending destination order with original batch
+    order inside each group, as the per-record test oracle does: that
+    fixes the shuffle send order, and therefore the on-disk log bytes.
     """
     dests = np.asarray(dests)
     if len(dests) != len(batch):

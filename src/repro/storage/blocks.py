@@ -17,9 +17,9 @@ bytes on disk of the paper's record geometry (4-byte key + 56-byte
 payload).
 
 The payload transforms (keys↔bytes, rids↔bytes, filler verification)
-dispatch through the active kernel backend (``CARP_KERNELS``); the CRCs
-and the structural checks stay here so both backends produce and
-accept exactly the same on-disk bytes.  Decoders accept any buffer —
+dispatch through :func:`~repro.kernels.active_kernels`; the CRCs and
+the structural checks stay here, so the kernels and their per-record
+test oracle produce and accept exactly the same on-disk bytes.  Decoders accept any buffer —
 ``bytes`` from a file read or a zero-copy ``memoryview`` slice of an
 mmap-backed log — and return arrays detached from the input buffer;
 the one exception, :func:`key_chunks_view`, says so in its name.

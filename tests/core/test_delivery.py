@@ -20,11 +20,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch, rid_rank
-from repro.kernels import KERNEL_NAMES, use_kernels
 from repro.storage.koidb import KoiDB
 from repro.storage.log import LogReader, list_logs, log_name
 from repro.storage.sstable import FLAG_STRAY
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
+
+from tests.kernels.scalar import BACKENDS, use_backend
 
 MEMTABLE = 8
 KOIDB_OPTS = CarpOptions(memtable_records=MEMTABLE, value_size=8, subpartitions=1)
@@ -135,7 +136,7 @@ CORNER_SPEC = VpicTraceSpec(nranks=4, particles_per_rank=300, value_size=8, seed
 
 
 def _ingest_logs(out_dir, kernels="vector") -> dict[str, str]:
-    with use_kernels(kernels):
+    with use_backend(kernels):
         with CarpRun(CORNER_SPEC.nranks, out_dir, CORNER_OPTS) as run:
             for epoch in range(2):
                 run.ingest_epoch(epoch, generate_timestep(CORNER_SPEC, epoch))
@@ -169,5 +170,5 @@ def test_corner_is_reached_and_deterministic(tmp_path, monkeypatch):
     assert sorted(per_message) == sorted(logs)
     assert per_message != logs
     # ... and the coalesced layout does not depend on the kernels
-    for kernels in KERNEL_NAMES:
+    for kernels in BACKENDS:
         assert _ingest_logs(tmp_path / f"k-{kernels}", kernels) == logs

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.histogram import RankHistogram, oracle_histogram
 from repro.core.partition import OOB_DEST, PartitionTable
-from repro.kernels import KERNEL_NAMES, use_kernels
+
+from tests.kernels.scalar import BACKENDS, use_backend
 
 
 class TestRankHistogram:
@@ -117,8 +118,8 @@ class TestObserveRouted:
             return
         table = PartitionTable(bounds)
         keys = np.concatenate([_edge_keys(bounds), np.array(extra, np.float32)])
-        for kernels in KERNEL_NAMES:
-            with use_kernels(kernels):
+        for kernels in BACKENDS:
+            with use_backend(kernels):
                 dests = table.lookup(keys)
             sent = dests != OOB_DEST
             routed = RankHistogram.for_table(table)

@@ -16,7 +16,8 @@ from repro.core.records import (
     rid_seq,
     sorted_range,
 )
-from repro.kernels import KERNEL_NAMES, use_kernels
+
+from tests.kernels.scalar import BACKENDS, use_backend
 
 
 class TestMakeRids:
@@ -291,12 +292,12 @@ class TestSortedRange:
     """Binary search on conservatively rounded bounds selects exactly
     the rows ``range_mask`` selects, under its float64 contract."""
 
-    @pytest.mark.parametrize("kernels", KERNEL_NAMES)
+    @pytest.mark.parametrize("kernels", BACKENDS)
     @given(case=_sorted_keys_and_bounds())
     def test_equals_range_mask(self, kernels, case):
         keys, lo, hi = case
         rows = sorted_range(keys, lo, hi)
-        with use_kernels(kernels):
+        with use_backend(kernels):
             want = np.flatnonzero(range_mask(keys, lo, hi))
         assert np.array_equal(np.arange(len(keys))[rows], want)
         assert rows.start <= rows.stop

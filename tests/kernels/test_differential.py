@@ -1,9 +1,10 @@
 """Scalar/vector kernel differential: observational equivalence.
 
-The ``CARP_KERNELS`` seam (:mod:`repro.kernels`) promises the vector
-backend changes throughput, never bytes.  This suite proves it
-dynamically: the same seeded ingest run under
-``scalar`` and under ``vector`` must leave byte-identical log files,
+The production kernels (:mod:`repro.kernels.vector`) promise the bytes
+of the per-record oracle (``scalar.py`` beside this file), only
+faster.  This suite proves it dynamically: the same seeded ingest run
+with :func:`~tests.kernels.scalar.use_backend` swapping in ``scalar``
+and ``vector`` must leave byte-identical log files,
 an identical ``trace.json`` document, an identical metrics snapshot,
 and a profile fold that reconciles exactly against that snapshot —
 and the same range query against identically-ingested data must
@@ -21,12 +22,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import Session
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.kernels import KERNEL_NAMES, use_kernels
 from repro.obs import Obs, validate_trace_events
 from repro.obs.profile import fold_trace_doc
 from repro.query.request import QueryRequest
 from repro.storage.log import list_logs
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
+
+from tests.kernels.scalar import BACKENDS, use_backend
 
 OPTIONS = CarpOptions(
     pivot_count=32,
@@ -63,7 +65,7 @@ def _ingest_artifacts(out_dir, kernels: str, seed: int, value_size: int):
     spec = _spec(seed, value_size)
     options = replace(OPTIONS, value_size=value_size)
     obs = Obs.recording()
-    with use_kernels(kernels):
+    with use_backend(kernels):
         with CarpRun(spec.nranks, out_dir, options, obs=obs) as run:
             for ep in range(EPOCHS):
                 run.ingest_epoch(ep, generate_timestep(spec, ep))
@@ -85,7 +87,7 @@ def test_ingest_bit_identical_across_kernels(tmp_path_factory, seed, value_size)
         kernels: _ingest_artifacts(
             tmp_path_factory.mktemp(f"diff_{kernels}"), kernels, seed, value_size
         )
-        for kernels in KERNEL_NAMES
+        for kernels in BACKENDS
     }
     scalar_logs, scalar_doc, scalar_snap = arts["scalar"]
     vector_logs, vector_doc, vector_snap = arts["vector"]
@@ -118,7 +120,7 @@ def _query_digests(out_dir, kernels: str, seed: int, value_size: int):
     spec = _spec(seed, value_size)
     digests: list[str] = []
     matched = 0
-    with use_kernels(kernels):
+    with use_backend(kernels):
         with Session(
             spec.nranks, out_dir, options=replace(OPTIONS, value_size=value_size),
             record=True
@@ -157,6 +159,6 @@ def test_query_digests_equal_across_kernels(tmp_path_factory, seed, value_size):
         kernels: _query_digests(
             tmp_path_factory.mktemp(f"qdiff_{kernels}"), kernels, seed, value_size
         )
-        for kernels in KERNEL_NAMES
+        for kernels in BACKENDS
     }
     assert digests["vector"] == digests["scalar"]

@@ -23,9 +23,11 @@ from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.partition import OOB_DEST as PARTITION_OOB
 from repro.core.records import RecordBatch
-from repro.kernels import KERNEL_NAMES, OOB_DEST, get_kernels, use_kernels
+from repro.kernels import OOB_DEST
 from repro.query.engine import PartitionedStore
 from repro.storage.log import LogReader, list_logs
+
+from tests.kernels.scalar import BACKENDS, use_backend
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CASES = json.loads((CORPUS_DIR / "cases.json").read_text())
@@ -46,10 +48,10 @@ def test_oob_sentinel_consistent():
     assert OOB_DEST == PARTITION_OOB
 
 
-@pytest.mark.parametrize("kernels_name", KERNEL_NAMES)
+@pytest.mark.parametrize("kernels_name", BACKENDS)
 @pytest.mark.parametrize("case", _by_name("route"))
 def test_route_golden(case, kernels_name):
-    kernels = get_kernels(kernels_name)
+    kernels = BACKENDS[kernels_name]
     dests = kernels.route(
         np.asarray(case["bounds"], dtype=np.float64), _keys(case["keys_hex"])
     )
@@ -57,39 +59,39 @@ def test_route_golden(case, kernels_name):
     assert list(dests) == case["dests"]
 
 
-@pytest.mark.parametrize("kernels_name", KERNEL_NAMES)
+@pytest.mark.parametrize("kernels_name", BACKENDS)
 @pytest.mark.parametrize("case", _by_name("range_mask"))
 def test_range_mask_golden(case, kernels_name):
-    kernels = get_kernels(kernels_name)
+    kernels = BACKENDS[kernels_name]
     mask = kernels.range_mask(_keys(case["keys_hex"]), case["lo"], case["hi"])
     assert mask.dtype == np.bool_
     assert [bool(m) for m in mask] == case["mask"]
 
 
-@pytest.mark.parametrize("kernels_name", KERNEL_NAMES)
+@pytest.mark.parametrize("kernels_name", BACKENDS)
 @pytest.mark.parametrize("case", _by_name("interval_mask"))
 def test_interval_mask_golden(case, kernels_name):
-    kernels = get_kernels(kernels_name)
+    kernels = BACKENDS[kernels_name]
     mask = kernels.interval_mask(
         _keys(case["keys_hex"]), case["lo"], case["hi"], case["inclusive_hi"]
     )
     assert [bool(m) for m in mask] == case["mask"]
 
 
-@pytest.mark.parametrize("kernels_name", KERNEL_NAMES)
+@pytest.mark.parametrize("kernels_name", BACKENDS)
 @pytest.mark.parametrize("case", _by_name("group_runs"))
 def test_group_runs_golden(case, kernels_name):
-    kernels = get_kernels(kernels_name)
+    kernels = BACKENDS[kernels_name]
     groups = kernels.group_runs(np.asarray(case["dests"], dtype=np.int64))
     assert [
         [int(d), [int(i) for i in idx]] for d, idx in groups
     ] == case["groups"]
 
 
-@pytest.mark.parametrize("kernels_name", KERNEL_NAMES)
+@pytest.mark.parametrize("kernels_name", BACKENDS)
 @pytest.mark.parametrize("case", _by_name("key_codec"))
 def test_key_codec_golden(case, kernels_name):
-    kernels = get_kernels(kernels_name)
+    kernels = BACKENDS[kernels_name]
     keys = _keys(case["keys_hex"])
     payload = kernels.encode_keys(keys)
     assert payload.hex() == case["payload_hex"]
@@ -100,10 +102,10 @@ def test_key_codec_golden(case, kernels_name):
         assert decoded.view("<u4").tolist() == keys.view("<u4").tolist()
 
 
-@pytest.mark.parametrize("kernels_name", KERNEL_NAMES)
+@pytest.mark.parametrize("kernels_name", BACKENDS)
 @pytest.mark.parametrize("case", _by_name("value_codec"))
 def test_value_codec_golden(case, kernels_name):
-    kernels = get_kernels(kernels_name)
+    kernels = BACKENDS[kernels_name]
     rids = np.asarray(case["rids"], dtype="<u8")
     value_size = case["value_size"]
     payload = kernels.encode_values(rids, value_size)
@@ -179,8 +181,8 @@ def _ingest_edges(out_dir) -> dict[str, bytes]:
 
 def test_empty_and_single_record_epochs_bit_identical(tmp_path):
     logs = {}
-    for kernels_name in KERNEL_NAMES:
-        with use_kernels(kernels_name):
+    for kernels_name in BACKENDS:
+        with use_backend(kernels_name):
             logs[kernels_name] = _ingest_edges(tmp_path / kernels_name)
     assert logs["vector"] == logs["scalar"]
     assert logs["vector"], "edge ingest produced no logs"
@@ -188,8 +190,8 @@ def test_empty_and_single_record_epochs_bit_identical(tmp_path):
 
 def test_fully_empty_epoch_rejected_on_both_backends(tmp_path):
     empty = [RecordBatch.empty(OPTIONS.value_size) for _ in range(NRANKS)]
-    for kernels_name in KERNEL_NAMES:
-        with use_kernels(kernels_name):
+    for kernels_name in BACKENDS:
+        with use_backend(kernels_name):
             with CarpRun(NRANKS, tmp_path / kernels_name, OPTIONS) as run:
                 with pytest.raises(ValueError, match="empty epoch"):
                     run.ingest_epoch(0, empty)
@@ -218,8 +220,8 @@ def test_query_straddling_sst_boundaries(tmp_path):
         lo, hi = hi, lo
     assert lo < hi
     expected = None
-    for kernels_name in KERNEL_NAMES:
-        with use_kernels(kernels_name):
+    for kernels_name in BACKENDS:
+        with use_backend(kernels_name):
             with PartitionedStore(out_dir) as store:
                 result = store.query(0, lo, hi)
         got = (

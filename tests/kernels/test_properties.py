@@ -2,7 +2,7 @@
 
 Each test draws inputs on both sides of a branch the vector backend
 takes for speed, and checks it against the per-record reference
-(:mod:`repro.kernels.scalar`):
+(``tests/kernels/scalar.py``):
 
 * ``route`` counts comparisons for tables of up to
   :data:`~repro.kernels.vector.ROUTE_COMPARE_MAX_BOUNDS` bounds and
@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels import OOB_DEST
-from repro.kernels import scalar, vector
+from repro.kernels import OOB_DEST, vector
+
+from tests.kernels import scalar
 
 F32 = np.float32
 

@@ -24,6 +24,7 @@ from repro.perf.harness import (
     run_workload,
 )
 from repro.perf.workloads import WORKLOADS
+from repro.storage.blocks import CHUNK_RECORDS
 
 #: The committed baselines, whatever ``REPRO_RESULTS_DIR`` says.
 REPO_BASELINES = Path(__file__).resolve().parents[2] / "results" / "baselines"
@@ -73,6 +74,19 @@ class TestRunWorkload:
         row = next(r for r in committed["rows"]
                    if r["metric"] == "renegotiations")
         assert fresh["renegotiations"].value == row["value"]
+
+    def test_query_rows_see_zone_map_pruning(self):
+        """query-serial's full SSTs hold several key chunks, so its
+        probes search fewer key chunks than the SSTs they read hold."""
+        spec = WORKLOADS["query-serial"]
+        assert spec.memtable_records >= 4 * CHUNK_RECORDS
+        committed = {
+            r["metric"]: r["value"] for r in json.loads(
+                (REPO_BASELINES / "query-serial.json").read_text()
+            )["rows"]
+        }
+        assert committed["query_key_chunks_skipped"] > 0
+        assert committed["query_key_chunks_read"] > committed["query_ssts_read"]
 
     def test_unknown_kind_rejected(self):
         spec = WORKLOADS["ingest-serial"]

@@ -47,6 +47,11 @@ class TestMetadata:
         with pytest.raises(FileNotFoundError):
             PartitionedStore(tmp_path)
 
+    def test_unknown_epoch_is_an_error_not_an_empty_answer(self, store):
+        for call in (store.query, store.explain):
+            with pytest.raises(ValueError, match=r"epoch 7 is not committed .*\[0, 1\]"):
+                call(7, 0.0, 1e9)
+
 
 class TestCandidateSelection:
     def test_matches_the_per_entry_walk(self, store):

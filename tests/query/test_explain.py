@@ -13,6 +13,7 @@ from repro.obs import Obs
 from repro.query.engine import PartitionedStore
 from repro.query.explain import QueryExplain
 from repro.query.request import QueryRequest
+from repro.storage.compactor import compact_epoch
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
 RANGES = [
@@ -40,13 +41,23 @@ def test_explain_reconciles_with_measured_cost(store, epoch, lo, hi,
     assert report.cost == measured
 
 
+@pytest.fixture(scope="module")
+def compacted(tmp_path_factory, carp_output):
+    """The compacted layout of each epoch ``RANGES`` queries, by epoch."""
+    out = tmp_path_factory.mktemp("compacted")
+    return {
+        epoch: compact_epoch(carp_output["dir"], out, epoch, sst_records=1024)
+        for epoch in sorted({r[0] for r in RANGES})
+    }
+
+
 @pytest.mark.parametrize("layout", ["carp", "compacted"])
 @pytest.mark.parametrize("epoch,lo,hi,keys_only", RANGES)
-def test_query_probe_spans_carry_explain_rows(carp_output, sorted_output,
+def test_query_probe_spans_carry_explain_rows(carp_output, compacted,
                                               layout, epoch, lo, hi,
                                               keys_only):
     """Each per-log ``probe`` span of a query is that log's EXPLAIN row."""
-    directory = carp_output["dir"] if layout == "carp" else sorted_output
+    directory = carp_output["dir"] if layout == "carp" else compacted[epoch]
     obs = Obs.recording()
     with PartitionedStore(directory, obs=obs) as s:
         report = s.explain(epoch, lo, hi, keys_only=keys_only)

@@ -27,7 +27,6 @@ from repro.cli import main
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch, range_mask
-from repro.kernels import KERNEL_NAMES, use_kernels
 from repro.query.engine import PartitionedStore
 from repro.storage import sstable
 from repro.storage.blocks import (
@@ -55,6 +54,8 @@ from repro.storage.sstable import (
     keys_span_len,
     parse_header,
 )
+
+from tests.kernels.scalar import BACKENDS, use_backend
 
 VALUE_SIZE = 24
 #: four chunks: 256 + 256 + 256 + 232 records
@@ -332,14 +333,14 @@ def _searched_chunks(keys: np.ndarray, lo: float, hi: float) -> int:
     return int(hits[-1] - hits[0] + 1) if len(hits) else 0
 
 
-@pytest.mark.parametrize("kernels", KERNEL_NAMES)
+@pytest.mark.parametrize("kernels", BACKENDS)
 @given(case=_sst_and_bounds())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_ranged_read_equals_full_read_plus_mask(tmp_path, kernels, case):
     keys, lo, hi, sort, stray = case
     batch = RecordBatch.from_keys(keys, rank=3, value_size=16)
-    with use_kernels(kernels):
+    with use_backend(kernels):
         path, entry = _write_log(
             tmp_path, batch, sort=sort, stray=stray, sub_id=int(stray)
         )
@@ -408,7 +409,7 @@ def carp_dir(request, tmp_path_factory):
     return out, keys, rids
 
 
-@pytest.mark.parametrize("kernels", KERNEL_NAMES)
+@pytest.mark.parametrize("kernels", BACKENDS)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_store_query_equals_full_reads_plus_mask(carp_dir, kernels, data):
@@ -417,7 +418,7 @@ def test_store_query_equals_full_reads_plus_mask(carp_dir, kernels, data):
                                           min_size=2, max_size=2)))
     lo, hi = sorted(data.draw(st.lists(st.sampled_from(anchors),
                                        min_size=2, max_size=2)))
-    with use_kernels(kernels), PartitionedStore(out) as store:
+    with use_backend(kernels), PartitionedStore(out) as store:
         result = store.query(0, lo, hi)
         runs = []
         for reader_idx, entry in store.overlapping_entries(0, lo, hi):

@@ -164,7 +164,7 @@ class RecordBatch:
             raise ValueError(
                 f"value_size must hold at least a rid ({RID_DTYPE.itemsize} bytes)"
             )
-        if len(self.keys) and not np.all(np.isfinite(self.keys)):
+        if len(self.keys) and not np.isfinite(self.keys).all():
             raise ValueError("keys must be finite (no NaN/inf)")
 
     def __len__(self) -> int:

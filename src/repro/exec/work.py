@@ -1,7 +1,7 @@
 """The per-log query probe: :func:`probe_entries`.
 
-``PartitionedStore`` calls it inline, once per open log reader, on
-every query.  It lives in ``repro.exec`` because the ledger's tracer
+``PartitionedStore`` calls it inline on every query, once per log with
+candidate SSTs.  It lives in ``repro.exec`` because the ledger's tracer
 wraps ``repro.exec.work.probe_entries`` by name.
 """
 
@@ -60,13 +60,13 @@ def probe_entries(
     """Read and range-filter one log's candidate SSTs for a query.
 
     The one per-entry probe loop: ``PartitionedStore`` calls it inline
-    per open reader and concatenates the per-log results in
+    per log with candidates and concatenates the per-log results in
     reader-index order.
 
-    Probes are keys-first: each reads the SST's head, then only the
-    key chunks whose zone meets ``[lo, hi]``, and a full-record probe
-    (``LogReader.read_sst`` with bounds) then fetches value bytes for
-    the matched rows only.  Bytes, requests and key chunks are summed
+    Probes are keys-first: against the head the reader decoded at
+    open, each reads only the key chunks whose zone meets ``[lo, hi]``,
+    and a full-record probe (``LogReader.read_sst`` with bounds) then
+    fetches value bytes for the matched rows only.  Bytes, requests and key chunks are summed
     from what each read call reports it touched — never from the
     reader's shared counters, which other threads of a serving plane
     advance too.

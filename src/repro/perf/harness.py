@@ -129,6 +129,7 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     key_chunks = 0
     key_chunks_skipped = 0
     with PartitionedStore(db_dir, obs=obs) as store:
+        heads = store.heads_decoded
         for epoch in store.epochs():
             lo, hi = store.key_range(epoch)
             width = (hi - lo) / max(spec.queries * 4, 1)
@@ -157,6 +158,10 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
         # probe that searches more of its SSTs' keys changes both rows
         Metric("query_key_chunks_read", key_chunks, "chunks"),
         Metric("query_key_chunks_skipped", key_chunks_skipped, "chunks"),
+        # a work count: SST heads verified and decoded by the store's
+        # open, so a reader that decodes a head more than once per open
+        # (or re-reads it per probe) changes this row or the byte rows
+        Metric("query_heads_decoded", heads, "heads"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 

@@ -8,10 +8,11 @@ ordered range-query semantics.  The same engine reads fully sorted
 compactor output — there the overlapping-run merge degenerates to
 concatenation, which is exactly why sorted layouts pay no merge cost.
 
-Probes are keys-first: an SST's head (header and chunk index) is
-read, only the key chunks whose zone meets the range are verified and
-searched (by binary search when the SST is sorted), and only the value
-chunks covering the matched rows are fetched.
+Probes are keys-first: each log's SST heads (header and chunk index)
+are verified and decoded once, when the store opens it, so a probe
+reads no head.  It fetches, verifies and searches only the key chunks
+whose zone meets the range (by binary search when the SST is sorted),
+then only the value chunks covering the matched rows.
 ``QueryCost.bytes_read`` / ``read_requests`` are those touched spans,
 measured on the real files.  The
 :class:`~repro.sim.iomodel.IOModel` keeps pricing the paper's client,
@@ -21,7 +22,9 @@ one request per SST), at paper scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -52,7 +55,8 @@ class QueryCost:
 
     ssts_considered: int
     ssts_read: int
-    #: bytes the probes actually touched, in ``read_requests`` spans
+    #: bytes the probes actually touched, in ``read_requests`` spans:
+    #: key and value chunks only, since heads are read once at open
     bytes_read: int
     read_requests: int
     #: bytes of the candidate SSTs fetched whole (key prefixes for a
@@ -180,16 +184,18 @@ class PartitionedStore:
             for epoch, pairs in self._by_epoch.items()
         }
         self._latest = max(self._by_epoch, default=None)
-        # per epoch, the unprobed row of every log holding data, in
-        # reader order: _plan replaces the rows of the logs it probes
-        self._idle_rows: dict[int, list[_LogRow]] = {}
+        # per epoch, the SST count of every log holding data, in reader
+        # order: a query's ssts_considered, and explain's per-log rows
+        self._ssts_per_log: dict[int, dict[int, int]] = {}
         for epoch, pairs in self._by_epoch.items():
-            counts: dict[int, int] = {}
+            counts = self._ssts_per_log[epoch] = {}
             for log, _ in pairs:
                 counts[log] = counts.get(log, 0) + 1
-            self._idle_rows[epoch] = [
-                _LogRow(log, n, [], _NOT_PROBED) for log, n in counts.items()
-            ]
+
+    @property
+    def heads_decoded(self) -> int:
+        """SST heads the open verified and decoded, over every log."""
+        return sum(r.heads_decoded for r in self._readers)
 
     def close(self) -> None:
         for r in self._readers:
@@ -211,9 +217,12 @@ class PartitionedStore:
 
         One rule, live or pinned: ``None`` means the newest epoch the
         view holds, and an epoch it does not hold raises
-        :class:`ValueError` naming the epochs it does.
+        :class:`ValueError` naming the epochs it does (or saying that
+        it holds none).
         """
         if epoch is None:
+            if self._latest is None:
+                raise ValueError(f"{self.directory} holds no committed SST")
             epoch = self._latest
         if epoch not in self._by_epoch:
             raise ValueError(
@@ -288,7 +297,7 @@ class PartitionedStore:
             # pairwise-disjoint sorted runs in ascending order (always so
             # on compacted output) concatenate already ordered, and a
             # stable sort of an ordered array is the identity
-            if not np.all(merged.keys[:-1] <= merged.keys[1:]):
+            if not (merged.keys[:-1] <= merged.keys[1:]).all():
                 merged = merged.sorted_by_key()
             keys, rids = merged.keys, merged.rids
         else:
@@ -304,8 +313,6 @@ class PartitionedStore:
             self.obs.clock.advance(cost.latency)
             for row in rows:
                 probe = row.probe
-                if not probe.ssts:
-                    continue
                 name = self._paths[row.log].name
                 probe_args: dict[str, object] = {
                     "log": name,
@@ -369,23 +376,30 @@ class PartitionedStore:
         from repro.query.explain import LogExplain, QueryExplain
 
         rows, cost = self._plan(epoch, lo, hi, keys_only)
-        logs = tuple(
-            LogExplain(
-                log=self._paths[row.log].name,
-                ssts_considered=row.considered,
-                ssts_read=row.probe.ssts,
-                bytes_read=row.probe.bytes_read,
-                read_requests=row.probe.requests,
-                candidate_bytes=row.probe.candidate_bytes,
-                key_chunks_read=row.probe.key_chunks_read,
-                key_chunks_skipped=row.probe.key_chunks_skipped,
-                records_scanned=row.probe.scanned,
-                records_matched=row.probe.matched,
-                read_time=self._read_time(row.probe),
+        probed = {row.log: row for row in rows}
+        logs = []
+        for log, considered in self._ssts_per_log[epoch].items():
+            name = self._paths[log].name
+            row = probed.get(log)
+            if row is None:
+                # a log with no candidate: considered, never probed
+                logs.append(LogExplain(log=name, ssts_considered=considered))
+                continue
+            probe = row.probe
+            logs.append(LogExplain(
+                log=name,
+                ssts_considered=considered,
+                ssts_read=probe.ssts,
+                bytes_read=probe.bytes_read,
+                read_requests=probe.requests,
+                candidate_bytes=probe.candidate_bytes,
+                key_chunks_read=probe.key_chunks_read,
+                key_chunks_skipped=probe.key_chunks_skipped,
+                records_scanned=probe.scanned,
+                records_matched=probe.matched,
+                read_time=self._read_time(probe),
                 entries=tuple(row.entries),
-            )
-            for row in rows
-        )
+            ))
         if ctx is not None and self.obs.enabled:
             # zero-duration: EXPLAIN spends no virtual time, the span
             # exists purely to carry the request id into the trace
@@ -396,7 +410,7 @@ class PartitionedStore:
             )
         return QueryExplain(
             directory=str(self.directory), epoch=epoch, lo=lo, hi=hi,
-            keys_only=keys_only, logs=logs, cost=cost,
+            keys_only=keys_only, logs=tuple(logs), cost=cost,
         )
 
     def _plan(
@@ -407,42 +421,40 @@ class PartitionedStore:
         Selects the candidate SSTs (:meth:`overlapping_entries`), probes
         each log's candidates inline through the mmap'd reader the store
         holds (pinned readers never consult bytes past their commit
-        point), and returns one row per log holding epoch data, in
-        reader order — the order runs are concatenated in — plus the
-        query's :class:`QueryCost`.  A log without candidates is not
-        probed; its row carries :data:`_NOT_PROBED`.  An epoch the view
-        does not hold raises :meth:`resolve_epoch`'s :class:`ValueError`
-        rather than reading as empty.
+        point), and returns one row per log with candidates, in reader
+        order — the order runs are concatenated in — plus the query's
+        :class:`QueryCost`.  A log without candidates gets no row.  An
+        epoch the view does not hold raises :meth:`resolve_epoch`'s
+        :class:`ValueError` rather than reading as empty.
         """
         check_bounds(lo, hi)
         epoch = self.resolve_epoch(epoch)
         candidates: dict[int, list[ManifestEntry]] = {}
         for log, entry in self.overlapping_entries(epoch, lo, hi):
             candidates.setdefault(log, []).append(entry)
-        rows = []
-        for row in self._idle_rows[epoch]:
-            entries = candidates.get(row.log)
-            if entries is not None:
-                row = _LogRow(row.log, row.considered, entries, probe_entries(
-                    self._readers[row.log], entries, lo, hi, keys_only
-                ))
-            rows.append(row)
-        return rows, self._cost(rows)
+        rows = [
+            _LogRow(log, entries, probe_entries(
+                self._readers[log], entries, lo, hi, keys_only
+            ))
+            for log, entries in candidates.items()
+        ]
+        return rows, self._cost(len(self._by_epoch[epoch]), rows)
 
-    def _cost(self, rows: list[_LogRow]) -> QueryCost:
+    def _cost(self, considered: int, rows: list[_LogRow]) -> QueryCost:
         """The one place a query's measurements become a :class:`QueryCost`.
 
-        Measured fields report what the probes touched; the modeled
-        times price the candidate SSTs fetched whole, one request each.
+        ``considered`` is the epoch's SST count.  Measured fields report
+        what the probes touched; the modeled times price the candidate
+        SSTs fetched whole, one request each.
         """
-        probes = [row.probe for row in rows if row.entries]
+        probes = [row.probe for row in rows]
         candidate_bytes = sum(p.candidate_bytes for p in probes)
         ssts_read = sum(p.ssts for p in probes)
         merge_bytes = _overlapping_run_bytes(
             [(e.kmin, e.kmax, e.length) for row in rows for e in row.entries]
         )
         return QueryCost(
-            ssts_considered=sum(row.considered for row in rows),
+            ssts_considered=considered,
             ssts_read=ssts_read,
             bytes_read=sum(p.bytes_read for p in probes),
             read_requests=sum(p.requests for p in probes),
@@ -472,18 +484,9 @@ class _LogRow(NamedTuple):
 
     #: reader index (the log's position in the store)
     log: int
-    #: the log's SSTs of the queried epoch
-    considered: int
     #: the candidate SSTs probed, in manifest order
     entries: list[ManifestEntry]
     probe: LogProbeResult
-
-
-#: The probe result of a log with no candidate SST (never mutated).
-_NOT_PROBED = LogProbeResult(
-    bytes_read=0, scanned=0, requests=0, ssts=0, candidate_bytes=0,
-    key_chunks_read=0, key_chunks_skipped=0, runs=[], key_runs=[],
-)
 
 
 def _overlapping_run_bytes(spans: list[tuple[float, float, int]]) -> int:
@@ -493,18 +496,16 @@ def _overlapping_run_bytes(spans: list[tuple[float, float, int]]) -> int:
     no merge cost; CARP's partially ordered SSTs overlap and must be
     merge-sorted (the cost the paper includes in CARP's latency).
     """
-    if len(spans) <= 1:
-        return 0
-    kmin = np.array([s[0] for s in spans])
-    order = np.argsort(kmin, kind="stable")
-    kmin = kmin[order]
-    kmax = np.array([s[1] for s in spans])[order]
-    length = np.array([s[2] for s in spans], dtype=np.int64)[order]
     # in kmin order an SST overlaps an earlier one iff the running max
     # of the earlier kmax reaches its kmin, and a later one iff the
     # next kmin is within its kmax (closed intervals: touching counts);
-    # an SST that overlaps any other participates in the merge
-    overlap = np.zeros(len(spans), dtype=bool)
-    overlap[1:] = np.maximum.accumulate(kmax)[:-1] >= kmin[1:]
-    overlap[:-1] |= kmin[1:] <= kmax[:-1]
-    return int(length[overlap].sum())
+    # an SST that overlaps any other participates in the merge.  A
+    # query's candidates are few, so a Python sweep beats arrays.
+    ordered = sorted(spans, key=itemgetter(0))
+    total = 0
+    reach = -math.inf
+    for i, (kmin, kmax, length) in enumerate(ordered):
+        if reach >= kmin or (i + 1 < len(ordered) and ordered[i + 1][0] <= kmax):
+            total += length
+        reach = max(reach, kmax)
+    return total

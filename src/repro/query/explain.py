@@ -25,28 +25,32 @@ from repro.storage.manifest import ManifestEntry
 
 @dataclass(frozen=True)
 class LogExplain:
-    """One log's share of a query plan."""
+    """One log's share of a query plan.
+
+    Everything after ``ssts_considered`` defaults to zero: the row of a
+    log the query has no candidate in, considered but never probed.
+    """
 
     log: str
     ssts_considered: int
-    ssts_read: int
-    bytes_read: int
-    read_requests: int
+    ssts_read: int = 0
+    bytes_read: int = 0
+    read_requests: int = 0
     #: Bytes of this log's candidate SSTs fetched whole; the probe
     #: touched ``bytes_read`` of them and skipped the rest.
-    candidate_bytes: int
+    candidate_bytes: int = 0
     #: Key chunks this log's probes verified and searched, and the
     #: candidates' key chunks their zone maps pruned.
-    key_chunks_read: int
-    key_chunks_skipped: int
-    records_scanned: int
-    records_matched: int
+    key_chunks_read: int = 0
+    key_chunks_skipped: int = 0
+    records_scanned: int = 0
+    records_matched: int = 0
     #: Modeled time to fetch this log's candidates whole, in isolation
     #: (the value the per-log "probe" trace span carries as its duration).
-    read_time: float
+    read_time: float = 0.0
     #: The candidate SSTs this query reads from the log, in manifest
     #: order.
-    entries: tuple[ManifestEntry, ...]
+    entries: tuple[ManifestEntry, ...] = ()
 
     @property
     def bytes_skipped(self) -> int:

@@ -28,6 +28,7 @@ the one exception, :func:`key_chunks_view`, says so in its name.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -132,7 +133,7 @@ def _chunk_crcs(payload: _Buffer, item_size: int) -> np.ndarray:
 
 
 def _verify_chunks(
-    payload: _Buffer, crcs: list[int], item_size: int, what: str, first: int = 0
+    payload: _Buffer, crcs: Sequence[int], item_size: int, what: str, first: int = 0
 ) -> None:
     """CRC-check consecutive whole chunks against their table entries.
 
@@ -156,7 +157,7 @@ def encode_key_block(keys: np.ndarray) -> tuple[bytes, np.ndarray]:
     return payload, _chunk_crcs(payload, KEY_DTYPE.itemsize)
 
 
-def key_chunks_view(payload: _Buffer, crcs: list[int], first: int = 0) -> np.ndarray:
+def key_chunks_view(payload: _Buffer, crcs: Sequence[int], first: int = 0) -> np.ndarray:
     """CRC-verify consecutive key chunks; return their keys as a view of ``payload``.
 
     Zero-copy, unlike :func:`decode_key_block`: the result keeps
@@ -214,7 +215,7 @@ def encode_value_block(rids: np.ndarray, value_size: int) -> tuple[_Buffer, np.n
 
 
 def decode_value_rows(
-    payload: _Buffer, crcs: list[int], value_size: int, start: int, stop: int,
+    payload: _Buffer, crcs: Sequence[int], value_size: int, start: int, stop: int,
     first: int = 0,
 ) -> np.ndarray:
     """Verify consecutive whole value chunks; decode the rids of rows ``[start, stop)``.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import mmap
 import os
+from array import array
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
@@ -269,12 +270,21 @@ class SSTKeysRead(NamedTuple):
     key_chunks: int
 
 
-class _KeySearch(NamedTuple):
-    """The head and searched key chunks of one ranged read."""
+class _Head(NamedTuple):
+    """One committed SST's head, verified and decoded when its reader opened."""
 
     info: SSTableInfo
-    #: the chunk table: one (key CRC, value CRC) row per chunk
-    crcs: np.ndarray
+    #: the zone map's min and max columns, one float per chunk
+    zmin: array[float]
+    zmax: array[float]
+    #: the CRC of every key chunk and of every value chunk
+    key_crcs: array[int]
+    value_crcs: array[int]
+
+
+class _KeySearch(NamedTuple):
+    """The key chunks one ranged read searched."""
+
     #: the first chunk searched
     first: int
     #: the verified keys of the chunks searched: a view of the map,
@@ -286,6 +296,10 @@ class _KeySearch(NamedTuple):
     @property
     def chunks(self) -> int:
         return chunk_count(len(self.keys))
+
+
+#: The search of a ranged read whose range meets no chunk's zone.
+_NO_SEARCH = _KeySearch(0, _NO_KEYS, 0, 0)
 
 
 class LogReader:
@@ -310,6 +324,15 @@ class LogReader:
     reader coexist with a writer appending to the same log.  An empty
     pin (:data:`~repro.storage.recovery.NOTHING_COMMITTED`) is legal
     even for a zero-length file, which such a reader does not map.
+
+    Either way the open makes one pass over the committed entries and
+    verifies and decodes each SST's head (header and chunk index) into
+    a table, so a ranged read fetches only key and value chunks: the
+    head gets the manifest's trust, checked once at open.  A head that
+    fails its check does not fail the open; its error is raised by
+    every ranged read of that SST, so a damaged SST fails only the
+    queries that touch it.  Whole reads ignore the table and verify
+    every byte from the file.
     """
 
     def __init__(
@@ -326,6 +349,7 @@ class LogReader:
                 self._entries = list(pin.entries)
             else:
                 self._entries = self._load_entries(fh)
+            self._heads = self._decode_heads(fh)
             if self._size:
                 self._map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except BaseException:
@@ -335,6 +359,8 @@ class LogReader:
         # the map holds its own reference to the underlying file; the
         # opening descriptor is not needed past this point
         fh.close()
+        #: SST heads this reader's open verified and decoded.
+        self.heads_decoded = len(self._heads)
         #: Bytes of data read through this reader (for I/O accounting).
         self.bytes_read = 0
         #: Number of distinct read requests issued (proxy for seeks).
@@ -362,6 +388,51 @@ class LogReader:
                 self.path, str(exc), offset=self._size - FOOTER_SIZE
             ) from exc
         return walk_manifest_chain(fh, self._size, offset, self.path)
+
+    def _decode_heads(
+        self, fh: BinaryIO
+    ) -> dict[int, "_Head | BlockCorruptionError"]:
+        """Verify and decode every committed SST's head, keyed by offset.
+
+        Reads each head with one ``pread`` rather than through the map:
+        the open's reads are not a query's, so they advance neither the
+        I/O counters nor :attr:`touched`, and they fault no page of the
+        map into the process.  A head that fails its check maps to its
+        error, kept for the ranged reads of that SST.
+        """
+        heads: dict[int, _Head | BlockCorruptionError] = {}
+        for entry in self._entries:
+            length = min(head_span_len(entry.count), entry.length)
+            try:
+                info, zones, crcs = parse_head(
+                    os.pread(fh.fileno(), length, entry.offset)
+                )
+            except BlockCorruptionError as exc:
+                heads[entry.offset] = exc.with_traceback(None)
+                continue
+            # compact arrays of native items: a reader holds one head
+            # per committed SST for as long as it is open
+            heads[entry.offset] = _Head(
+                info,
+                array("f", zones[:, 0].astype(np.single).tobytes()),
+                array("f", zones[:, 1].astype(np.single).tobytes()),
+                array("I", crcs[:, 0].astype(np.uintc).tobytes()),
+                array("I", crcs[:, 1].astype(np.uintc).tobytes()),
+            )
+        return heads
+
+    def _head(self, entry: ManifestEntry) -> _Head:
+        """The head decoded at open for a committed SST, or its error."""
+        head = self._heads.get(entry.offset)
+        if isinstance(head, _Head):
+            return head
+        if head is None:
+            raise ValueError(
+                f"{self.path.name}: no committed SST at offset {entry.offset}"
+            )
+        # a fresh error per read: the kept one is shared by every read
+        # of this SST, and raising it would attach this read's traceback
+        raise BlockCorruptionError(*head.args)
 
     @property
     def entries(self) -> list[ManifestEntry]:
@@ -393,14 +464,15 @@ class LogReader:
         """Read an SSTable: all of it, or the records with keys in ``[lo, hi]``.
 
         Without bounds the whole SST is one span and every chunk and
-        zone is verified.  With bounds the read is keys-first: the head
-        (header and chunk index, each verified) is fetched, and only
-        the key chunks whose zone meets the range are fetched, verified
-        and searched (binary search on a sorted SST, range mask
-        otherwise); only the value chunks covering the matched rows are
-        fetched and verified, and only the matched rows are decoded.
-        Either way every byte returned was CRC-checked by this call,
-        and the returned arrays own their memory.
+        zone is verified from the file.  With bounds the read is
+        keys-first, against the head decoded at open: only the key
+        chunks whose zone meets the range are fetched, verified and
+        searched (binary search on a sorted SST, range mask otherwise);
+        only the value chunks covering the matched rows are fetched and
+        verified, and only the matched rows are decoded.  A range that
+        meets no zone reads nothing.  Either way every key and rid
+        returned was CRC-checked by this call, and the returned arrays
+        own their memory.
         """
         err: BlockCorruptionError | None = None
         try:
@@ -423,8 +495,10 @@ class LogReader:
         return SSTRead(batch, len(view), 1, chunk_count(info.count))
 
     def _read_range(self, entry: ManifestEntry, lo: float, hi: float) -> SSTRead:
-        found = self._search_keys(entry, lo, hi)
-        info, crcs, first, keys = found.info, found.crcs, found.first, found.keys
+        head = self._head(entry)
+        info = head.info
+        found = self._search_keys(entry, head, lo, hi)
+        first, keys = found.first, found.keys
         # keys is a view of the map: only copies of its rows leave here
         rows = match_rows(info, keys, lo, hi)
         if isinstance(rows, slice):
@@ -443,7 +517,7 @@ class LogReader:
         values = self._span(entry.offset + offset, length)
         skip = (vfirst - first) * CHUNK_RECORDS
         rids = decode_value_rows(
-            values, crcs[vfirst:vstop, 1].tolist(), info.value_size,
+            values, head.value_crcs[vfirst:vstop], info.value_size,
             start - skip, stop - skip, vfirst,
         )
         if isinstance(rows, slice):
@@ -454,18 +528,16 @@ class LogReader:
                        found.requests + 1, found.chunks)
 
     def _search_keys(
-        self, entry: ManifestEntry, lo: float, hi: float
-    ) -> "_KeySearch":
-        """Fetch and verify the head, then the key chunks whose zone meets ``[lo, hi]``."""
-        head = self._span(entry.offset, min(head_span_len(entry.count), entry.length))
-        info, zones, crcs = parse_head(head)
-        first, stop = zone_chunks(info, zones, lo, hi)
+        self, entry: ManifestEntry, head: _Head, lo: float, hi: float
+    ) -> _KeySearch:
+        """Fetch and verify the key chunks whose zone meets ``[lo, hi]``."""
+        first, stop = zone_chunks(head.info, head.zmin, head.zmax, lo, hi)
         if first >= stop:
-            return _KeySearch(info, crcs, 0, _NO_KEYS, len(head), 1)
-        offset, length = key_chunks_span(info.count, first, stop)
+            return _NO_SEARCH
+        offset, length = key_chunks_span(entry.count, first, stop)
         span = self._span(entry.offset + offset, length)
-        keys = key_chunks_view(span, crcs[first:stop, 0].tolist(), first)
-        return _KeySearch(info, crcs, first, keys, len(head) + len(span), 2)
+        keys = key_chunks_view(span, head.key_crcs[first:stop], first)
+        return _KeySearch(first, keys, len(span), 1)
 
     def read_sst_keys(
         self,
@@ -478,7 +550,7 @@ class LogReader:
         Without bounds the head and the whole key block are one span and
         every key chunk is verified.  With bounds only the key chunks
         whose zone meets the range are fetched, verified and searched,
-        as in :meth:`read_sst`.
+        against the head decoded at open, as in :meth:`read_sst`.
         """
         err: BlockCorruptionError | None = None
         try:
@@ -501,8 +573,9 @@ class LogReader:
             )
             info, keys = parse_keys_only(view)
             return SSTKeysRead(keys, len(view), 1, chunk_count(info.count))
-        found = self._search_keys(entry, lo, hi)
-        keys = found.keys[match_rows(found.info, found.keys, lo, hi)].copy()
+        head = self._head(entry)
+        found = self._search_keys(entry, head, lo, hi)
+        keys = found.keys[match_rows(head.info, found.keys, lo, hi)].copy()
         return SSTKeysRead(keys, found.bytes_read, found.requests, found.chunks)
 
     def close(self) -> None:

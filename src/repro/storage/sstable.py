@@ -17,15 +17,18 @@ which key chunks to search, and to verify whatever it fetches after::
     |<--------------------- head span ------------------->|
     |<------------------------------- keys span ------------------------->|
 
-with ``C = ceil(n / 256)``.  A ranged read verifies the head, searches
-only the key chunks whose zone meets the range, and fetches only the
-value chunks of the rows that match.
+with ``C = ceil(n / 256)``.  A log reader verifies each head once, when
+it opens the log; a ranged read then searches only the key chunks
+whose zone meets the range, and fetches only the value chunks of the
+rows that match.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -271,28 +274,36 @@ def _parse_keys(
 
 
 def zone_chunks(
-    info: SSTableInfo, zones: np.ndarray, lo: float, hi: float
+    info: SSTableInfo, zmin: Sequence[float], zmax: Sequence[float],
+    lo: float, hi: float,
 ) -> tuple[int, int]:
     """The span ``[first, stop)`` of chunks whose zone meets ``[lo, hi]``.
 
-    First to last meeting chunk: on a sorted SST the zones are fence
-    keys, ascending in both columns, so binary search finds the span
-    and every chunk in it meets; on an unsorted one the span is what
-    gets searched.  The bounds are rounded as
-    :func:`~repro.core.records.sorted_range` rounds them, so a chunk
-    holding a row that :func:`~repro.core.records.range_mask` would
-    match is never pruned.  ``first >= stop`` when no chunk meets.
+    ``zmin`` and ``zmax`` are the zone map's columns (from
+    :func:`parse_head`) as sequences that yield Python floats, such as
+    an ``array('f')``: at a few dozen chunks, :mod:`bisect` over them
+    beats ``searchsorted`` on a NumPy column.  First to last meeting
+    chunk: on a sorted SST the zones are fence keys, ascending in both
+    columns, so binary search finds the span and every chunk in it
+    meets; on an unsorted one the span is what gets searched.  The
+    bounds are rounded as :func:`~repro.core.records.sorted_range`
+    rounds them, so a chunk holding a row that
+    :func:`~repro.core.records.range_mask` would match is never pruned.
+    ``first >= stop`` when no chunk meets.
     """
     if not lo <= hi:
         return 0, 0
     lo32, hi32 = _f32_bounds(float(lo), float(hi))
+    # zones hold float32 values exactly, so comparing them with the
+    # rounded bounds as Python floats is the float32 comparison
+    lo_f, hi_f = float(lo32), float(hi32)
     if info.is_sorted:
-        return (int(zones[:, 1].searchsorted(lo32, "left")),
-                int(zones[:, 0].searchsorted(hi32, "right")))
-    hits = np.flatnonzero((zones[:, 1] >= lo32) & (zones[:, 0] <= hi32))
-    if not len(hits):
+        return bisect_left(zmax, lo_f), bisect_right(zmin, hi_f)
+    hits = [i for i, (a, b) in enumerate(zip(zmin, zmax))
+            if b >= lo_f and a <= hi_f]
+    if not hits:
         return 0, 0
-    return int(hits[0]), int(hits[-1]) + 1
+    return hits[0], hits[-1] + 1
 
 
 def match_rows(

@@ -33,7 +33,7 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("store", type=Path,
                    help="directory of KoiDB logs (CARP or compacted output)")
     p.add_argument("--epoch", type=int, default=None,
-                   help="epoch to query (default: first stored epoch)")
+                   help="epoch to query (default: the latest committed epoch)")
     p.add_argument("--lo", type=float, default=None,
                    help="range lower bound (default: 25th pct of key range)")
     p.add_argument("--hi", type=float, default=None,
@@ -65,15 +65,10 @@ def run(args: argparse.Namespace) -> int:
 def _explain(args: argparse.Namespace) -> int:
     snapshot = pin_snapshot(args.store) if args.recover else None
     with PartitionedStore(args.store, io=IOModel(), snapshot=snapshot) as store:
-        epochs = store.epochs()
-        if not epochs:
-            print(f"error: {args.store} holds no committed SST",
-                  file=sys.stderr)
-            return 2
-        epoch = args.epoch if args.epoch is not None else epochs[0]
-        if epoch not in epochs:
-            print(f"error: epoch {epoch} not in store (has {epochs})",
-                  file=sys.stderr)
+        try:
+            epoch = store.resolve_epoch(args.epoch)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         kmin, kmax = store.key_range(epoch)
         lo = args.lo if args.lo is not None else kmin + 0.25 * (kmax - kmin)

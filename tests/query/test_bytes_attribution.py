@@ -2,7 +2,8 @@
 
 Before the mmap readers, ``PartitionedStore.query`` re-read whole log
 files per probe; before keys-first probes it read every candidate SST
-whole.  This pins both fixes.  A list attached to ``LogReader.touched``
+whole.  This pins both fixes, and that no probe re-reads an SST head
+the open already verified.  A list attached to ``LogReader.touched``
 records the ``(offset, length)`` of every span actually consulted, so
 the tests can assert byte-range containment exactly: every touched
 span lies inside a manifest entry that overlaps the query, the totals
@@ -97,10 +98,10 @@ def test_probe_touches_only_in_range_entries(db_dir, keys_only):
                 f"{reader.path.name}: touched spans escape the in-range "
                 f"entries: {reader.touched} vs {allowed}"
             )
-            # a head span per candidate entry, a key-chunk span for
-            # those whose zones meet the range, and a value span for
-            # those with matches — never one per file
-            assert len(allowed) <= len(reader.touched) <= 3 * len(allowed)
+            # a key-chunk span for each candidate whose zones meet the
+            # range and a value span for those with matches (the heads
+            # were read at open) — never one per file
+            assert len(reader.touched) <= 2 * len(allowed)
             total_touched += sum(length for _, length in reader.touched)
             total_spans += len(reader.touched)
         # the touched spans ARE the accounted bytes and requests
@@ -126,7 +127,7 @@ def test_keys_only_touches_key_prefix_only(db_dir):
         assert result.cost.bytes_read <= result.cost.candidate_bytes
         for reader_idx, reader in enumerate(store._readers):
             mine = [e for i, e in candidates if i == reader_idx]
-            # every span (head, key chunks) lies inside a key prefix
+            # every span (key chunks) lies inside a key prefix
             assert _spans_within(
                 reader.touched, [(e.offset, keys_span_len(e.count)) for e in mine]
             )
@@ -145,6 +146,23 @@ def test_other_epoch_entries_untouched(db_dir):
         for reader_idx, reader in enumerate(store._readers):
             for offset, _length in reader.touched:
                 assert (reader_idx, offset) not in epoch0
+
+
+@pytest.mark.parametrize("keys_only", [False, True], ids=["values", "keys"])
+def test_no_query_reads_a_head_after_open(db_dir, keys_only):
+    """Every SST head was verified at open: no probe span starts at an
+    SST's offset, over narrow, empty, wide and whole-epoch ranges."""
+    with PartitionedStore(db_dir) as store:
+        _attach(store)
+        for epoch in store.epochs():
+            lo, hi = store.key_range(epoch)
+            for qlo, qhi in [(LO, HI), (-5.0, -1.0), (10.0, 90.0), (lo, hi)]:
+                store.query(epoch, qlo, qhi, keys_only=keys_only)
+        assert sum(len(r.touched) for r in store._readers) > 0
+        for reader in store._readers:
+            starts = {e.offset for e in reader.entries}
+            assert not starts & {off for off, _ in reader.touched}
+            assert reader.heads_decoded == len(reader.entries)
 
 
 def test_touched_records_nothing_unless_attached(db_dir):
@@ -183,12 +201,13 @@ def test_selective_probe_skips_most_candidate_bytes(tmp_path):
             e.length for _, e in store.overlapping_entries(0, lo, hi)
         )
         assert cost.bytes_read < 0.25 * cost.candidate_bytes
-        # every candidate pays its head; only matching ones pay values
+        # no candidate pays its head (read at open); only matching ones
+        # pay values
         heads = sum(
             head_span_len(e.count)
             for _, e in store.overlapping_entries(0, lo, hi)
         )
-        assert cost.bytes_read >= heads
+        assert cost.bytes_read <= cost.candidate_bytes - heads
         assert cost.bytes_read == sum(
             length for reader in store._readers
             for _, length in reader.touched

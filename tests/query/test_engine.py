@@ -142,28 +142,31 @@ class TestCosts:
         assert res.cost.bytes_read < store.total_bytes(0) * 0.7
 
     def test_bytes_read_matches_entries(self, store):
-        """Touched bytes sit between the heads and the whole candidates."""
+        """Touched bytes are the candidates' chunks, never their heads."""
         res = store.query(0, 0.2, 0.4)
         entries = store.overlapping_entries(0, 0.2, 0.4)
         cost = res.cost
         assert cost.candidate_bytes == sum(e.length for _, e in entries)
         heads = sum(head_span_len(e.count) for _, e in entries)
-        assert heads < cost.bytes_read <= cost.candidate_bytes
-        assert len(entries) <= cost.read_requests <= 3 * len(entries)
+        assert 0 < cost.bytes_read <= cost.candidate_bytes - heads
+        assert 0 < cost.read_requests <= 2 * len(entries)
 
     def test_scan_touches_every_candidate_byte(self, store):
+        """Every candidate byte but the heads, which the open read."""
         cost = store.scan(0).cost
-        assert cost.bytes_read == cost.candidate_bytes == store.total_bytes(0)
-        # head, every key chunk, every value chunk: three spans an SST
-        assert cost.read_requests == 3 * cost.ssts_read
+        assert cost.candidate_bytes == store.total_bytes(0)
+        heads = sum(head_span_len(e.count) for _, e in store.entries(0))
+        assert cost.bytes_read == cost.candidate_bytes - heads
+        # every key chunk, every value chunk: two spans an SST
+        assert cost.read_requests == 2 * cost.ssts_read
         assert cost.key_chunks_skipped == 0
 
-    def test_no_match_touches_heads_only(self, store):
-        """A range that falls between two chunks' zones costs the head alone.
+    def test_no_match_touches_nothing(self, store):
+        """A range that falls between two chunks' zones reads no byte.
 
         A sorted SST's zones are fence keys: a gap between the last key
         of one chunk and the first of the next meets no zone, so the
-        probe verifies the head and prunes every key chunk.
+        probe prunes every key chunk against the head decoded at open.
         """
         reader_idx, entry = next(
             (i, e) for i, e in store.entries(0)
@@ -178,9 +181,7 @@ class TestCosts:
             pytest.skip("no representable gap between the two chunks")
         read = reader.read_sst(entry, lo, hi)
         assert len(read.batch) == 0
-        assert (read.bytes_read, read.requests, read.key_chunks) == (
-            head_span_len(entry.count), 1, 0
-        )
+        assert (read.bytes_read, read.requests, read.key_chunks) == (0, 0, 0)
 
     def test_modeled_times_price_whole_candidates(self, store):
         cost = store.query(0, 0.2, 0.4).cost

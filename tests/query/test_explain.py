@@ -41,22 +41,29 @@ def test_explain_reconciles_with_measured_cost(store, epoch, lo, hi,
     assert report.cost == measured
 
 
+#: Ranges that probe at least one log on both layouts, so every case
+#: checks span against row.
+PROBE_RANGES = [
+    (0, 0.1, 0.5, False),
+    (0, 1.0, 10.0, False),
+    (1, 0.5, 2.0, False),
+    (0, 0.1, 0.5, True),
+    (0, 1.0, 10.0, True),
+]
+
+
 @pytest.fixture(scope="module")
 def compacted(tmp_path_factory, carp_output):
-    """The compacted layout of each epoch ``RANGES`` queries, by epoch."""
+    """The compacted layout of each epoch the tests query, by epoch."""
     out = tmp_path_factory.mktemp("compacted")
     return {
         epoch: compact_epoch(carp_output["dir"], out, epoch, sst_records=1024)
-        for epoch in sorted({r[0] for r in RANGES})
+        for epoch in sorted({r[0] for r in RANGES + PROBE_RANGES})
     }
 
 
-@pytest.mark.parametrize("layout", ["carp", "compacted"])
-@pytest.mark.parametrize("epoch,lo,hi,keys_only", RANGES)
-def test_query_probe_spans_carry_explain_rows(carp_output, compacted,
-                                              layout, epoch, lo, hi,
-                                              keys_only):
-    """Each per-log ``probe`` span of a query is that log's EXPLAIN row."""
+def _probe_spans(carp_output, compacted, layout, epoch, lo, hi, keys_only):
+    """A query's ``probe`` spans and the same range's EXPLAIN report."""
     directory = carp_output["dir"] if layout == "carp" else compacted[epoch]
     obs = Obs.recording()
     with PartitionedStore(directory, obs=obs) as s:
@@ -64,7 +71,19 @@ def test_query_probe_spans_carry_explain_rows(carp_output, compacted,
         s.query(epoch, lo, hi, keys_only=keys_only)
     spans = [e for e in obs.tracer.to_doc()["traceEvents"]
              if e["ph"] == "X" and e["name"] == "probe"]
+    return spans, report
+
+
+@pytest.mark.parametrize("layout", ["carp", "compacted"])
+@pytest.mark.parametrize("epoch,lo,hi,keys_only", PROBE_RANGES)
+def test_query_probe_spans_carry_explain_rows(carp_output, compacted,
+                                              layout, epoch, lo, hi,
+                                              keys_only):
+    """Each per-log ``probe`` span of a query is that log's EXPLAIN row."""
+    spans, report = _probe_spans(carp_output, compacted, layout,
+                                 epoch, lo, hi, keys_only)
     probed = [log for log in report.logs if log.ssts_read]
+    assert probed, "every case must probe at least one log"
     assert [span["args"]["log"] for span in spans] == [l.log for l in probed]
     for span, log in zip(spans, probed):
         # a per-log probe span's ``ssts`` arg is its read-request count
@@ -73,6 +92,16 @@ def test_query_probe_spans_carry_explain_rows(carp_output, compacted,
         assert span["args"]["scanned"] == log.records_scanned
         assert span["args"]["matched"] == log.records_matched
         assert span["dur"] == log.read_time
+
+
+@pytest.mark.parametrize("layout", ["carp", "compacted"])
+def test_a_range_that_probes_nothing_emits_no_probe_span(carp_output,
+                                                         compacted, layout):
+    spans, report = _probe_spans(carp_output, compacted, layout,
+                                 0, -5.0, -1.0, False)
+    assert spans == []
+    assert report.logs, "the plan still lists the logs it considered"
+    assert all(log.ssts_read == 0 for log in report.logs)
 
 
 def test_explain_covers_every_log_with_epoch_data(store):

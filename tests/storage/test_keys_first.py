@@ -152,7 +152,7 @@ class TestFormat:
         assert entry.length == VALUES_START + COUNT * VALUE_SIZE
 
     def test_head_is_small_for_a_big_sst(self):
-        """The head a ranged probe verifies grows 16 B per 256 records."""
+        """The head a reader verifies at open grows 16 B per 256 records."""
         assert head_span_len(16_384) == 64 + 64 * 16 + 4 == 1092
         assert keys_span_len(16_384) - head_span_len(16_384) == 65_536
 
@@ -225,15 +225,14 @@ class TestIntegrityMatrix:
             read = reader.read_sst(entry, LO, HI)
             assert np.array_equal(read.batch.keys, want.keys)
             assert np.array_equal(read.batch.rids, want.rids)
-            # head + the one key chunk searched + its value chunk
-            assert read.bytes_read == (
-                KEYS_START + KEY_CHUNK_BYTES + CHUNK_BYTES
-            )
-            assert (read.requests, read.key_chunks) == (3, 1)
+            # the one key chunk searched + its value chunk: the head
+            # was read when the reader opened
+            assert read.bytes_read == KEY_CHUNK_BYTES + CHUNK_BYTES
+            assert (read.requests, read.key_chunks) == (2, 1)
             keys = reader.read_sst_keys(entry, LO, HI)
             assert np.array_equal(keys.keys, want.keys)
             assert (keys.bytes_read, keys.requests, keys.key_chunks) == (
-                KEYS_START + KEY_CHUNK_BYTES, 2, 1
+                KEY_CHUNK_BYTES, 1, 1
             )
             with pytest.raises(BlockCorruptionError, match="key chunk 3"):
                 reader.read_sst(entry)
@@ -360,15 +359,15 @@ def test_ranged_read_equals_full_read_plus_mask(tmp_path, kernels, case):
     # zone pruning searches exactly the first-to-last meeting chunks
     searched = _searched_chunks(full.batch.keys, lo, hi)
     assert read.key_chunks == keys_read.key_chunks == searched
-    head = head_span_len(entry.count)
+    # the head was read at open: a ranged read fetches chunks only
     key_bytes = min(searched * CHUNK_RECORDS, entry.count) * 4
     if searched:
-        assert keys_read.requests == 2
-        assert head + key_bytes >= keys_read.bytes_read > head
+        assert keys_read.requests == 1
+        assert key_bytes >= keys_read.bytes_read > 0
     else:
-        assert (keys_read.bytes_read, keys_read.requests) == (head, 1)
+        assert (keys_read.bytes_read, keys_read.requests) == (0, 0)
     if len(want):
-        assert read.requests == 3
+        assert read.requests == 2
         assert keys_read.bytes_read < read.bytes_read <= entry.length
     else:
         assert (read.bytes_read, read.requests) == (

@@ -19,6 +19,7 @@ from repro.tools.range_runner import options_from_args, reshard
 from repro.core.carp import CarpRun
 from repro.core.config import TEST_OPTIONS, CarpOptions
 from repro.core.records import RecordBatch
+from repro.query.engine import PartitionedStore
 from repro.storage.log import LogReader, list_logs
 from repro.traces import io as trace_io
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
@@ -359,7 +360,17 @@ class TestExplainCli:
     def test_bad_epoch_errors(self, carp_dir, capsys):
         rc = main(["explain", str(carp_dir), "--epoch", "99"])
         assert rc == 2
-        assert "epoch 99" in capsys.readouterr().err
+        # the message every read surface prints (resolve_epoch)
+        assert "error: epoch 99 is not committed in" in (
+            capsys.readouterr().err
+        )
+
+    def test_default_epoch_is_the_latest(self, carp_dir, capsys):
+        with PartitionedStore(carp_dir) as store:
+            latest = store.epochs()[-1]
+        assert latest > 0
+        assert main(["explain", str(carp_dir)]) == 0
+        assert f"EXPLAIN epoch {latest}" in capsys.readouterr().out
 
     def test_missing_store_errors(self, tmp_path):
         assert main(["explain", str(tmp_path / "nope")]) == 2

@@ -9,13 +9,14 @@ sorted clustered index with zero write amplification.
 Quick start::
 
     from repro import CarpRun, CarpOptions, PartitionedStore
+    from repro.obs import Obs
     from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
     spec = VpicTraceSpec(nranks=16, particles_per_rank=10_000)
     with CarpRun(16, "out/", CarpOptions()) as run:
         run.ingest_epoch(0, generate_timestep(spec, 0))
     with PartitionedStore("out/") as store:
-        result = store.query(epoch=0, lo=1.0, hi=4.0)
+        result = store.query(0, 1.0, 4.0, obs=Obs.recording())
         print(len(result), result.cost.latency)
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -332,48 +332,3 @@ def build_cfg(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> CFG:
     builder._edge(end, builder.exit)
     return CFG(blocks=builder.blocks, entry=entry.index, exit=builder.exit)
 
-
-def enumerate_paths(
-    cfg: CFG, max_paths: int = 20000, max_edge_visits: int = 2
-) -> list[list[tuple[ast.AST, bool]]]:
-    """All entry→exit paths, each edge taken at most ``max_edge_visits``.
-
-    A path is a list of ``(element, effective)`` pairs; ``effective``
-    is ``False`` for the final element of a block left via an
-    exceptional edge (its effect did not happen — pre-state semantics).
-    Used by tests to cross-check the dataflow fixpoint against brute
-    force; for loop-free functions with ``max_edge_visits=1`` this is
-    exactly the set of simple paths.
-    """
-    blocks = {b.index: b for b in cfg.blocks}
-    paths: list[list[tuple[ast.AST, bool]]] = []
-
-    def walk(
-        index: int,
-        trail: list[tuple[ast.AST, bool]],
-        edge_counts: dict[tuple[int, int, str], int],
-    ) -> None:
-        if len(paths) >= max_paths:
-            return
-        if index == cfg.exit:
-            paths.append(trail)
-            return
-        block = blocks[index]
-        for target, kind in block.succs:
-            key = (index, target, kind)
-            if edge_counts.get(key, 0) >= max_edge_visits:
-                continue
-            if kind == EXC and block.elems:
-                # the last element raised before completing
-                elems = [(e, True) for e in block.elems[:-1]]
-                elems.append((block.elems[-1], False))
-            else:
-                elems = [(e, True) for e in block.elems]
-            walk(
-                target,
-                trail + elems,
-                {**edge_counts, key: edge_counts.get(key, 0) + 1},
-            )
-
-    walk(cfg.entry, [], {})
-    return paths

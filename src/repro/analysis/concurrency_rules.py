@@ -18,10 +18,6 @@ X802
     (``with <lock>:`` bodies) and by dataflow over ``acquire``/
     ``release`` pairs (:mod:`repro.analysis.dataflow`), so a release
     in a ``finally`` is honoured on exceptional paths.
-X803
-    Spawning a process while holding a lock.  ``fork`` duplicates the
-    lock in an arbitrary state in the child, which deadlocks the child
-    on first contention.
 
 Lock expressions are recognized by name: a ``Name``/``Attribute``
 whose final identifier *is* ``lock``/``mutex`` (or ends with
@@ -33,7 +29,6 @@ from __future__ import annotations
 
 import ast
 import re
-from collections.abc import Callable
 
 from repro.analysis.callgraph import ProjectCallGraph
 from repro.analysis.cfg import build_cfg
@@ -66,12 +61,6 @@ _BLOCKING_QUALIFIED = frozenset(
 _BLOCKING_METHODS = frozenset(
     {"submit", "result", "acquire", "wait", "recv", "send", "accept", "connect"}
 )
-
-#: Process-spawning calls (X803).
-_SPAWN_QUALIFIED = frozenset(
-    {"subprocess.Popen", "os.fork", "multiprocessing.Process"}
-)
-_SPAWN_TERMINALS = frozenset({"Popen", "Process", "fork"})
 
 #: Methods that mutate the common mutable containers in place.
 _MUTATOR_METHODS = frozenset(
@@ -118,16 +107,6 @@ def _is_blocking(call: ast.Call, aliases: dict[str, str]) -> str | None:
         ):
             return None
         return f".{terminal}()"
-    return None
-
-
-def _is_spawn(call: ast.Call, aliases: dict[str, str]) -> str | None:
-    qual = qualified_name(call.func, aliases)
-    if qual in _SPAWN_QUALIFIED:
-        return f"{qual}()"
-    terminal = _terminal_ident(call.func)
-    if terminal in _SPAWN_TERMINALS:
-        return f"{terminal}()"
     return None
 
 
@@ -270,16 +249,11 @@ class SharedStateFromWorkersRule(Rule):
         return out
 
 
-# --------------------------------------------------------- X802 / X803
+# --------------------------------------------------------------- X802
 
 
-def _check_held_locks(
-    rule: Rule,
-    ctx: FileContext,
-    classify: Callable[[ast.Call, dict[str, str]], str | None],
-    hazard: Callable[[str, str], str],
-) -> list[Violation]:
-    """Findings for calls matched by ``classify`` while a lock is held.
+def _check_held_locks(rule: Rule, ctx: FileContext) -> list[Violation]:
+    """Findings for blocking calls made while a lock is held.
 
     Two complementary passes per function: a syntactic walk of
     ``with <lock>:`` bodies, and a CFG dataflow over ``acquire``/
@@ -291,14 +265,18 @@ def _check_held_locks(
     seen: set[tuple[int, int, str]] = set()
 
     def report(call: ast.Call, lock_desc: str) -> None:
-        desc = classify(call, ctx.aliases)
+        desc = _is_blocking(call, ctx.aliases)
         if desc is None:
             return
         key = (call.lineno, call.col_offset, desc)
         if key in seen:
             return
         seen.add(key)
-        out.append(rule.violation(ctx, call, hazard(desc, lock_desc)))
+        out.append(rule.violation(
+            ctx, call,
+            f"blocking call {desc} while holding lock {lock_desc} — "
+            "convoy/deadlock hazard; release the lock first",
+        ))
 
     def structural(node: ast.AST, lock_desc: str | None) -> None:
         if isinstance(node, (ast.With, ast.AsyncWith)):
@@ -356,33 +334,10 @@ class BlockingUnderLockRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> list[Violation]:
-        return _check_held_locks(
-            self, ctx, _is_blocking,
-            lambda desc, lock: (
-                f"blocking call {desc} while holding lock {lock} — "
-                "convoy/deadlock hazard; release the lock first"
-            ),
-        )
-
-
-class SpawnUnderLockRule(Rule):
-    id = "X803"
-    name = "process-spawn-under-lock"
-    description = "process creation while holding a lock"
-
-    def check(self, ctx: FileContext) -> list[Violation]:
-        return _check_held_locks(
-            self, ctx, _is_spawn,
-            lambda desc, lock: (
-                f"process spawn {desc} while holding lock {lock} — the "
-                "child inherits the lock state and can deadlock on first "
-                "contention"
-            ),
-        )
+        return _check_held_locks(self, ctx)
 
 
 CONCURRENCY_RULES: tuple[Rule, ...] = (
     SharedStateFromWorkersRule(),
     BlockingUnderLockRule(),
-    SpawnUnderLockRule(),
 )

@@ -15,7 +15,7 @@ Two join modes cover the rule families:
 * **must** (intersection) — "does this fact hold on *every* path
   here?"  Exposed for completeness and exercised by the property
   tests, which cross-check both modes against brute-force path
-  enumeration (:func:`repro.analysis.cfg.enumerate_paths`).
+  enumeration (``tests/analysis/paths.py``).
 
 Exceptional edges propagate the state from *before* the source block's
 final element (see :mod:`repro.analysis.cfg`): a statement that raised
@@ -161,18 +161,3 @@ def solve(analysis: GenKillAnalysis, cfg: CFG) -> DataflowResult:
                 changed = True
     return DataflowResult(analysis=analysis, cfg=cfg, block_in=block_in)
 
-
-def facts_along_path(
-    analysis: GenKillAnalysis, path: list[tuple[ast.AST, bool]]
-) -> Facts:
-    """Fold one enumerated path (from :func:`enumerate_paths`).
-
-    Elements flagged non-effective (left via an exceptional edge before
-    completing) are skipped — the same pre-state semantics the solver
-    applies to exceptional edges.
-    """
-    facts = analysis.entry_facts
-    for elem, effective in path:
-        if effective:
-            facts = analysis.transfer(facts, elem)
-    return facts

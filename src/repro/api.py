@@ -1,11 +1,11 @@
 """``repro.api`` — the :class:`Session` facade.
 
-The library's primitives compose by explicit injection: ``CarpRun``,
-``PartitionedStore`` and the compactor each take ``obs=``.  That is the
-right seam for tests and benchmarks, but a user who just wants "ingest,
-then query, with one observability stack" ends up threading the same
-objects through several constructors (the scatter visible in
-``docs/API.md``).
+The library's primitives compose by explicit injection: ``CarpRun``
+and the compactor take ``obs=``, and ``PartitionedStore.query`` takes
+it per call.  That is the right seam for tests and benchmarks, but a
+user who just wants "ingest, then query, with one observability stack"
+ends up threading the same objects through several calls (the scatter
+visible in ``docs/API.md``).
 
 ``Session`` owns that wiring: one ``Obs``, one ``CarpRun`` and the
 views over its output, created together and torn down together::
@@ -18,10 +18,11 @@ views over its output, created together and torn down together::
         result = session.query(QueryRequest(lo=16.0, hi=64.0, epoch=0))
     # logs closed, metrics still readable
 
-Views handed out by :meth:`Session.store` are attached: they share the
-session's obs, and the session closes them.  The underlying
-constructors keep working unchanged for callers that want manual
-control.
+Views handed out by :meth:`Session.store` are attached: the session
+closes them.  A view records nothing itself; :meth:`Session.query` and
+:meth:`Session.explain` pass the session's obs to each call.  The
+underlying constructors keep working unchanged for callers that want
+manual control.
 
 The read side is *snapshot-first* (``docs/SERVING.md``):
 :meth:`Session.snapshot` pins the last committed manifest chain of
@@ -196,14 +197,12 @@ class Session:
             pinned = self._pinned.get(snapshot.token)
             if pinned is None:
                 pinned = PartitionedStore(
-                    self.out_dir, io=self.io, obs=self.obs, snapshot=snapshot,
+                    self.out_dir, io=self.io, snapshot=snapshot,
                 )
                 self._pinned[snapshot.token] = pinned
             return pinned
         if self._store is None:
-            self._store = PartitionedStore(
-                self.out_dir, io=self.io, obs=self.obs
-            )
+            self._store = PartitionedStore(self.out_dir, io=self.io)
         return self._store
 
     # ------------------------------------------------------------- reads
@@ -227,7 +226,7 @@ class Session:
         ctx = self._requests.mint("query")
         result = store.query(
             target, request.lo, request.hi,
-            keys_only=request.keys_only, ctx=ctx,
+            keys_only=request.keys_only, ctx=ctx, obs=self.obs,
         )
         token = snapshot.token if snapshot is not None else LIVE_TOKEN
         return response_from_result(request, ctx.request_id, token, result)
@@ -249,7 +248,7 @@ class Session:
         ctx = self._requests.mint("explain")
         return store.explain(
             target, request.lo, request.hi,
-            keys_only=request.keys_only, ctx=ctx,
+            keys_only=request.keys_only, ctx=ctx, obs=self.obs,
         )
 
     # ------------------------------------------------------------- serve

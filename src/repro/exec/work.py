@@ -67,9 +67,8 @@ def probe_entries(
     open, each reads only the key chunks whose zone meets ``[lo, hi]``,
     and a full-record probe (``LogReader.read_sst`` with bounds) then
     fetches value bytes for the matched rows only.  Bytes, requests and key chunks are summed
-    from what each read call reports it touched — never from the
-    reader's shared counters, which other threads of a serving plane
-    advance too.
+    from what each read call reports it touched, so probes on one
+    reader from several threads each account their own.
     """
     bytes_read = 0
     requests = 0

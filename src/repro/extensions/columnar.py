@@ -104,7 +104,12 @@ class ColumnarReader:
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         self._fh = open(self.path, "rb")
-        self._stats = self._load_footer()
+        try:
+            self._stats = self._load_footer()
+        except BaseException:
+            # a reader that failed to open has no owner to close it
+            self._fh.close()
+            raise
         self.bytes_read = 0
         self.rowgroups_read = 0
 

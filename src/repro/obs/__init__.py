@@ -161,9 +161,11 @@ _NULL_SPAN = _NullSpan()
 class Obs:
     """One observability stack: clock + metrics + tracer.
 
-    The single object instrumented subsystems accept (``obs=`` keyword
-    of ``CarpRun``, ``KoiDB``, ``PartitionedStore``,
-    ``simulate_ingestion``).
+    The single object instrumented subsystems accept: the ``obs=``
+    keyword of ``CarpRun``, ``KoiDB`` and ``simulate_ingestion``, and
+    of each ``PartitionedStore.query``/``explain`` call — a store is a
+    read view shared by its callers, so the caller says where a query
+    records.
     """
 
     __slots__ = ("clock", "metrics", "tracer", "enabled", "request_id",

@@ -128,14 +128,14 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
     scanned = 0
     key_chunks = 0
     key_chunks_skipped = 0
-    with PartitionedStore(db_dir, obs=obs) as store:
+    with PartitionedStore(db_dir) as store:
         heads = store.heads_decoded
         for epoch in store.epochs():
             lo, hi = store.key_range(epoch)
             width = (hi - lo) / max(spec.queries * 4, 1)
             for q in range(spec.queries):
                 qlo = lo + (hi - lo) * q / max(spec.queries, 1)
-                res = store.query(epoch, qlo, qlo + width)
+                res = store.query(epoch, qlo, qlo + width, obs=obs)
                 latency += res.cost.latency
                 bytes_read += res.cost.bytes_read
                 matched += res.cost.records_matched

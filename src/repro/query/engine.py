@@ -105,8 +105,10 @@ class PartitionedStore:
     Works for both CARP output (one log per rank, overlapping SSTs) and
     compacted output (one log, key-disjoint sorted SSTs).  Query
     clients access logs read-only, so any number of stores may be open
-    concurrently.  Each log opens strictly at its end-of-file footer,
-    so a crash-torn log fails the open.
+    concurrently, and one store may be queried from many threads at
+    once: after the open nothing in it changes, and each query records
+    into the ``obs`` stack it is given.  Each log opens strictly at its
+    end-of-file footer, so a crash-torn log fails the open.
 
     ``snapshot=`` (a :class:`~repro.storage.snapshot.Snapshot` from
     :func:`~repro.storage.snapshot.pin_snapshot`) opens every log at
@@ -120,22 +122,10 @@ class PartitionedStore:
         self,
         directory: Path | str,
         io: IOModel | None = None,
-        obs: Obs | None = None,
         snapshot: Snapshot | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.io = io or IOModel()
-        self.obs = obs if obs is not None else NULL_OBS
-        self._tr_query = self.obs.track("query", "client")
-        metrics = self.obs.metrics
-        self._m_probe_bytes = metrics.counter("query.probe_bytes")
-        self._m_requests = metrics.counter("query.read_requests")
-        self._m_ssts_read = metrics.counter("query.ssts_read")
-        self._m_matched = metrics.counter("query.records_matched")
-        self._m_io_bytes = metrics.counter("io.bytes_charged")
-        # modeled end-to-end latency distribution, in virtual seconds —
-        # the p50/p95/p99 source for telemetry samples and SLO gating
-        self._m_latency = metrics.histogram("query.latency", LATENCY_BOUNDS)
         self.snapshot = snapshot
         if snapshot is not None:
             if Path(snapshot.directory) != self.directory:
@@ -268,6 +258,7 @@ class PartitionedStore:
         hi: float,
         keys_only: bool = False,
         ctx: RequestContext | None = None,
+        obs: Obs = NULL_OBS,
     ) -> QueryResult:
         """Execute a range query for keys in ``[lo, hi]``.
 
@@ -280,9 +271,10 @@ class PartitionedStore:
         that only need the indexed attribute skip the value blocks
         entirely.  The result's rids are then zero-filled.
 
-        ``ctx`` (minted by :class:`~repro.api.Session`) tags the query
-        and per-log probe spans, and the post-query telemetry sample,
-        with the request id.
+        ``obs`` receives the query and per-log probe spans, the
+        ``query.*`` counters and the latency histogram.  ``ctx``
+        (minted by :class:`~repro.api.Session`) tags those spans, and
+        the post-query telemetry sample, with the request id.
         """
         rows, cost = self._plan(epoch, lo, hi, keys_only)
         runs = [r for row in rows for r in row.probe.runs]
@@ -304,13 +296,16 @@ class PartitionedStore:
             keys = np.empty(0, dtype=np.float32)
             rids = np.empty(0, dtype=np.uint64)
 
-        if self.obs.enabled:
+        if obs.enabled:
             rid = ctx.request_id if ctx is not None else None
+            # the client track before the per-log ones, so its thread
+            # id comes first in the trace
+            track = obs.track("query", "client")
             # one span per query; the modeled latency is the virtual
             # duration, with one per-log "probe" breakdown span priced
             # at that log's share of the modeled read time
-            t0 = self.obs.clock.now()
-            self.obs.clock.advance(cost.latency)
+            t0 = obs.clock.now()
+            obs.clock.advance(cost.latency)
             for row in rows:
                 probe = row.probe
                 name = self._paths[row.log].name
@@ -321,8 +316,8 @@ class PartitionedStore:
                 }
                 if rid is not None:
                     probe_args["request"] = rid
-                self.obs.tracer.complete(
-                    self.obs.track("query", name), "probe", t0,
+                obs.tracer.complete(
+                    obs.track("query", name), "probe", t0,
                     self._read_time(probe), probe_args,
                 )
             query_args: dict[str, object] = {
@@ -332,19 +327,25 @@ class PartitionedStore:
             }
             if rid is not None:
                 query_args["request"] = rid
-            self.obs.tracer.complete(
-                self._tr_query, "query", t0, cost.latency, query_args,
+            obs.tracer.complete(
+                track, "query", t0, cost.latency, query_args,
             )
-            self._m_probe_bytes.add(cost.bytes_read)
-            self._m_requests.add(cost.read_requests)
-            self._m_ssts_read.add(cost.ssts_read)
-            self._m_matched.add(len(keys))
-            self._m_io_bytes.add(cost.candidate_bytes)
-            self._m_latency.observe(cost.latency)
+            metrics = obs.metrics
+            metrics.counter("query.probe_bytes").add(cost.bytes_read)
+            metrics.counter("query.read_requests").add(cost.read_requests)
+            metrics.counter("query.ssts_read").add(cost.ssts_read)
+            metrics.counter("query.records_matched").add(len(keys))
+            metrics.counter("io.bytes_charged").add(cost.candidate_bytes)
+            # modeled end-to-end latency distribution, in virtual
+            # seconds — the p50/p95/p99 source for telemetry samples
+            # and SLO gating
+            metrics.histogram("query.latency", LATENCY_BOUNDS).observe(
+                cost.latency
+            )
             if ctx is not None:
                 # queries run outside ingest barriers, so the registry
                 # is fully merged here on every backend
-                self.obs.telemetry.sample("query", request=rid)
+                obs.telemetry.sample("query", request=rid)
         return QueryResult(lo, hi, epoch, keys, rids, cost)
 
     def explain(
@@ -354,6 +355,7 @@ class PartitionedStore:
         hi: float,
         keys_only: bool = False,
         ctx: RequestContext | None = None,
+        obs: Obs = NULL_OBS,
     ) -> "QueryExplain":
         """Plan + cost report for a range query, without merging it.
 
@@ -370,8 +372,8 @@ class PartitionedStore:
         introspection, not workload — and no virtual time passes.
         With a ``ctx`` (minted by :meth:`repro.api.Session.explain` as
         ``explain-NNNNNN``) one zero-duration span tagged with the
-        request id is emitted so ``carp trace --request`` covers
-        EXPLAIN requests too.
+        request id is emitted into ``obs`` so ``carp trace --request``
+        covers EXPLAIN requests too.
         """
         from repro.query.explain import LogExplain, QueryExplain
 
@@ -400,11 +402,11 @@ class PartitionedStore:
                 read_time=self._read_time(probe),
                 entries=tuple(row.entries),
             ))
-        if ctx is not None and self.obs.enabled:
+        if ctx is not None and obs.enabled:
             # zero-duration: EXPLAIN spends no virtual time, the span
             # exists purely to carry the request id into the trace
-            self.obs.tracer.complete(
-                self._tr_query, "explain", self.obs.clock.now(), 0.0,
+            obs.tracer.complete(
+                obs.track("query", "client"), "explain", obs.clock.now(), 0.0,
                 {"epoch": epoch, "lo": lo, "hi": hi,
                  "keys_only": keys_only, "request": ctx.request_id},
             )

@@ -43,9 +43,9 @@ while ``ingest_epoch`` keeps appending, and answers each with a
   zero.  The merged trace and metrics are therefore identical for a
   given served workload regardless of worker interleaving.
 
-There is no executor on the read side: a worker's store probes inline
-through its own mmap'd readers, and the service's thread pool is the
-only concurrency.
+There is no executor on the read side: the workers share one store
+per pin and probe inline through its mmap'd readers, and the service's
+thread pool is the only concurrency.
 """
 
 from __future__ import annotations
@@ -123,6 +123,27 @@ class PendingQuery:
             self._event.set()
 
 
+class _Pin:
+    """A pinned snapshot, the store its fills share, and ``fills``: the
+    misses admitted under it and not yet resolved, which keep the store
+    open.  The first fill that needs the store opens it; once the pin
+    is superseded, its last fill closes it (or ``invalidate``, if none
+    is in flight)."""
+
+    __slots__ = ("snapshot", "store", "fills")
+
+    def __init__(self, snapshot: Snapshot) -> None:
+        self.snapshot = snapshot
+        self.store: PartitionedStore | None = None
+        self.fills = 0
+
+    def retire(self) -> None:
+        """Close the store, if one was opened (lock held)."""
+        if self.store is not None:
+            self.store.close()
+            self.store = None
+
+
 class _CacheSlot:
     """One single-flight cache entry.
 
@@ -132,13 +153,11 @@ class _CacheSlot:
     followers in attach order.  Completed, only ``result`` is read.
     """
 
-    __slots__ = ("key", "snapshot", "waiters", "result")
+    __slots__ = ("key", "pin", "waiters", "result")
 
-    def __init__(
-        self, key: _Key, snapshot: Snapshot, owner: PendingQuery
-    ) -> None:
+    def __init__(self, key: _Key, pin: _Pin, owner: PendingQuery) -> None:
         self.key = key
-        self.snapshot = snapshot
+        self.pin = pin
         self.waiters = [owner]
         self.result: QueryResult | None = None
 
@@ -240,8 +259,8 @@ class QueryService:
         lock = threading.Lock()
         self._cond = threading.Condition(lock)
         self._idle = threading.Condition(lock)
-        self._snapshot = snapshot if snapshot is not None else pin_snapshot(
-            self.directory
+        self._pin = _Pin(
+            snapshot if snapshot is not None else pin_snapshot(self.directory)
         )
         self._queues: dict[str, deque[_CacheSlot]] = {}
         self._rr: list[str] = []
@@ -319,6 +338,9 @@ class QueryService:
             self._spawn_workers()
         for thread in self._threads:
             thread.join()
+        # every fill has landed, so only the current pin's store is open
+        with self._cond:
+            self._pin.retire()
         self._merge()
 
     def __enter__(self) -> "QueryService":
@@ -348,7 +370,8 @@ class QueryService:
                 request, self._requests.mint("query").request_id
             )
             self._submitted += 1
-            snap = self._snapshot
+            pin = self._pin
+            snap = pin.snapshot
             try:
                 epoch = snap.resolve_epoch(request.epoch)
             except ValueError as exc:
@@ -383,7 +406,8 @@ class QueryService:
                 )
                 return handle
             handle._event = threading.Event()
-            slot = _CacheSlot(key, snap, handle)
+            slot = _CacheSlot(key, pin, handle)
+            pin.fills += 1
             self._cache[key] = slot
             self._evict_locked()
             queue = self._queues.get(request.client)
@@ -410,7 +434,7 @@ class QueryService:
     @property
     def snapshot(self) -> Snapshot:
         with self._cond:
-            return self._snapshot
+            return self._pin.snapshot
 
     def invalidate(self, snapshot: Snapshot | None = None) -> Snapshot:
         """Advance to a newer snapshot (called on each epoch commit).
@@ -419,12 +443,15 @@ class QueryService:
         submitted after this point execute — and cache — against the
         new pin; requests already admitted finish against the pin they
         were admitted under (their cache keys carry the old token, so
-        the two never mix).
+        the two never mix).  The superseded pin's store is closed here
+        when no fill of it is in flight, else by its last fill.
         """
         snap = snapshot if snapshot is not None else pin_snapshot(self.directory)
         with self._cond:
-            if snap.token != self._snapshot.token:
-                self._snapshot = snap
+            if snap.token != self._pin.snapshot.token:
+                if self._pin.fills == 0:
+                    self._pin.retire()
+                self._pin = _Pin(snap)
                 self._invalidations += 1
                 # completed entries of older snapshots are unreachable
                 # (keys carry the token) — drop them eagerly; in-flight
@@ -434,7 +461,7 @@ class QueryService:
                     if s.result is not None and k[0] != snap.token
                 ]:
                     del self._cache[key]
-            return self._snapshot
+            return self._pin.snapshot
 
     # ------------------------------------------------------------ stats
 
@@ -456,7 +483,7 @@ class QueryService:
                 # one successful engine execution, and nothing else is
                 engine_queries=self._cache_misses,
                 pending=self._pending,
-                snapshot_token=self._snapshot.token,
+                snapshot_token=self._pin.snapshot.token,
             )
 
     @property
@@ -527,58 +554,49 @@ class QueryService:
         return None
 
     def _worker_loop(self, worker_obs: Obs) -> None:
-        stores: dict[str, PartitionedStore] = {}
-        try:
-            while True:
-                with self._cond:
+        while True:
+            with self._cond:
+                slot = self._next_locked()
+                while slot is None:
+                    if self._draining:
+                        return
+                    self._cond.wait()
                     slot = self._next_locked()
-                    while slot is None:
-                        if self._draining:
-                            return
-                        self._cond.wait()
-                        slot = self._next_locked()
-                    self._pending -= 1
-                    self._active += 1
-                self._execute(slot, worker_obs, stores)
-        finally:
-            for store in stores.values():
-                store.close()
+                self._pending -= 1
+                self._active += 1
+            self._execute(slot, worker_obs)
 
-    def _store_for(
-        self,
-        snap: Snapshot,
-        worker_obs: Obs,
-        stores: dict[str, PartitionedStore],
-    ) -> PartitionedStore:
-        store = stores.get(snap.token)
-        if store is None:
-            store = PartitionedStore(
-                self.directory, io=self.io, obs=worker_obs, snapshot=snap,
-            )
-            stores[snap.token] = store
-            # retire stores of superseded snapshots (bounded handles)
-            for token in [t for t in stores if t != snap.token]:
-                if len(stores) <= 2:
-                    break
-                stores.pop(token).close()
-        return store
+    def _store_for(self, pin: _Pin) -> PartitionedStore:
+        """The pin's shared store (the caller's fill keeps it open)."""
+        store = pin.store
+        if store is not None:
+            return store
+        # mapping every log and decoding its heads happens outside the
+        # lock, so admission and the other fills never wait on it
+        store = PartitionedStore(self.directory, io=self.io, snapshot=pin.snapshot)
+        with self._cond:
+            if pin.store is None:
+                pin.store = store
+                return store
+            published = pin.store
+        # another fill published first: one store per pin
+        store.close()
+        return published
 
-    def _execute(
-        self,
-        slot: _CacheSlot,
-        worker_obs: Obs,
-        stores: dict[str, PartitionedStore],
-    ) -> None:
+    def _execute(self, slot: _CacheSlot, worker_obs: Obs) -> None:
         """Fill ``slot``: run its key on the pin it was admitted under."""
         _token, epoch, lo, hi, keys_only = slot.key
         result: QueryResult | None = None
         error = ""
         # the worker must outlive anything the fill raises — opening
         # the store included — so the failure becomes this slot's
-        # typed error response instead of a dead thread
+        # typed error response instead of a dead thread; the next fill
+        # of the pin retries the open
         try:
-            store = self._store_for(slot.snapshot, worker_obs, stores)
-            result = store.query(epoch, lo, hi, keys_only=keys_only)
+            store = self._store_for(slot.pin)
+            result = store.query(
+                epoch, lo, hi, keys_only=keys_only, obs=worker_obs
+            )
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         # the engine spans recorded for *this* fill (the worker handles
@@ -595,6 +613,10 @@ class QueryService:
         """Land a fill: resolve the owner, then its followers."""
         token, epoch = slot.key[:2]
         with self._cond:
+            pin = slot.pin
+            pin.fills -= 1
+            if pin.fills == 0 and pin is not self._pin:
+                pin.retire()  # a superseded pin's last fill
             if result is None:
                 # errors are not cached: the next identical request
                 # executes again

@@ -361,10 +361,6 @@ class LogReader:
         fh.close()
         #: SST heads this reader's open verified and decoded.
         self.heads_decoded = len(self._heads)
-        #: Bytes of data read through this reader (for I/O accounting).
-        self.bytes_read = 0
-        #: Number of distinct read requests issued (proxy for seeks).
-        self.read_requests = 0
         #: Attach a list to record the (offset, length) of every span
         #: consulted, in read order — the ground truth for the
         #: bytes-attribution tests.  ``None`` (the default) records
@@ -395,9 +391,8 @@ class LogReader:
         """Verify and decode every committed SST's head, keyed by offset.
 
         Reads each head with one ``pread`` rather than through the map:
-        the open's reads are not a query's, so they advance neither the
-        I/O counters nor :attr:`touched`, and they fault no page of the
-        map into the process.  A head that fails its check maps to its
+        the open's reads are not a query's, so :attr:`touched` does not
+        record them, and they fault no page of the map into the process.  A head that fails its check maps to its
         error, kept for the ranged reads of that SST.
         """
         heads: dict[int, _Head | BlockCorruptionError] = {}
@@ -447,10 +442,6 @@ class LogReader:
         if self._map is None:
             raise ValueError(f"{self.path.name}: reader holds no data")
         view = memoryview(self._map)[offset : offset + length]
-        # account the bytes actually available, matching what a
-        # short read() at end-of-file would have returned
-        self.bytes_read += len(view)
-        self.read_requests += 1
         if self.touched is not None:
             self.touched.append((offset, len(view)))
         return view

@@ -1,13 +1,12 @@
 """Fixture: every X-family rule must fire on this file.
 
 A deliberately broken thread-pool module: a shared module-level dict
-mutated from a worker body without a lock, blocking calls and process
-spawns under a held lock — plus locked/clean counterparts proving the
-rules stay quiet on the sanctioned patterns.
+mutated from a worker body without a lock and blocking calls under a
+held lock — plus locked/clean counterparts proving the rules stay
+quiet on the sanctioned patterns.
 """
 # carp-lint: disable=O501
 
-import subprocess
 import threading
 import time
 
@@ -42,11 +41,6 @@ def blocking_under_with_lock(pool, item):
     with _lock:
         time.sleep(0.1)  # X802
         pool.submit(0, item)  # X802
-
-
-def spawn_under_lock(cmd):
-    with _lock:
-        subprocess.Popen(cmd)  # X803
 
 
 def blocking_under_acquired_lock(pool, item):

@@ -26,7 +26,7 @@ def _check(rule_id: str, source: str, path: str = _STORAGE):
 @pytest.mark.parametrize(
     ("fixture", "expected"),
     [
-        ("bad_concurrency.py", {"X801": 2, "X802": 3, "X803": 1}),
+        ("bad_concurrency.py", {"X801": 2, "X802": 3}),
         ("bad_writepath.py", {"W901": 1, "W902": 1, "W903": 1}),
         ("bad_lifetime.py", {"L1001": 1, "L1002": 1, "L1003": 1}),
     ],
@@ -117,16 +117,6 @@ def test_x802_block_name_is_not_a_lock():
         "        pool.submit(1)\n"
     )
     assert _check("X802", src) == []
-
-
-def test_x803_popen_under_lock():
-    src = (
-        "import subprocess\n"
-        "def f(lock, cmd):\n"
-        "    with lock:\n"
-        "        subprocess.Popen(cmd)\n"
-    )
-    assert len(_check("X803", src)) == 1
 
 
 # ----------------------------------------------------------------- W family

@@ -122,8 +122,8 @@ class TestMetricsReconciliation:
 
     def test_query_counters(self, recorded):
         obs, _, _, out = recorded
-        with PartitionedStore(out, obs=obs) as store:
-            res = store.query(0, 0.5, 2.0)
+        with PartitionedStore(out) as store:
+            res = store.query(0, 0.5, 2.0, obs=obs)
         m = obs.metrics
         assert m.counter_value("query.read_requests") == res.cost.read_requests
         assert m.counter_value("query.probe_bytes") == res.cost.bytes_read

@@ -168,12 +168,8 @@ def test_no_query_reads_a_head_after_open(db_dir, keys_only):
 def test_touched_records_nothing_unless_attached(db_dir):
     with PartitionedStore(db_dir) as store:
         result = store.query(0, LO, HI)
+        assert result.cost.bytes_read > 0
         assert all(reader.touched is None for reader in store._readers)
-        # the shared counters keep counting regardless
-        assert (sum(reader.bytes_read for reader in store._readers)
-                == result.cost.bytes_read)
-        assert (sum(reader.read_requests for reader in store._readers)
-                == result.cost.read_requests)
 
 
 def test_selective_probe_skips_most_candidate_bytes(tmp_path):
@@ -215,7 +211,7 @@ def test_selective_probe_skips_most_candidate_bytes(tmp_path):
 
 
 def test_concurrent_probes_on_one_reader_account_their_own_bytes(db_dir):
-    """Per-probe bytes come from the read calls, not the shared counter."""
+    """Per-probe bytes come from the read calls, whatever else runs."""
     ranges = [(10.0 + 7 * i, 14.0 + 7 * i) for i in range(8)]
     with PartitionedStore(db_dir) as store:
         log, reader = max(enumerate(store._readers),
@@ -226,7 +222,6 @@ def test_concurrent_probes_on_one_reader_account_their_own_bytes(db_dir):
             for lo, hi in ranges
         ]
         serial = [probe_entries(reader, e, lo, hi, False) for e, lo, hi in work]
-        before = reader.bytes_read
         got: dict[int, list] = {}
 
         def loop(worker: int) -> None:
@@ -253,6 +248,3 @@ def test_concurrent_probes_on_one_reader_account_their_own_bytes(db_dir):
                     want.bytes_read, want.requests
                 )
         assert all(p.bytes_read > 0 for p in serial)
-        # the shared counter moved under both threads at once, which is
-        # why no probe may derive its own share from it
-        assert reader.bytes_read > before

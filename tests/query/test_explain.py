@@ -66,9 +66,9 @@ def _probe_spans(carp_output, compacted, layout, epoch, lo, hi, keys_only):
     """A query's ``probe`` spans and the same range's EXPLAIN report."""
     directory = carp_output["dir"] if layout == "carp" else compacted[epoch]
     obs = Obs.recording()
-    with PartitionedStore(directory, obs=obs) as s:
-        report = s.explain(epoch, lo, hi, keys_only=keys_only)
-        s.query(epoch, lo, hi, keys_only=keys_only)
+    with PartitionedStore(directory) as s:
+        report = s.explain(epoch, lo, hi, keys_only=keys_only, obs=obs)
+        s.query(epoch, lo, hi, keys_only=keys_only, obs=obs)
     spans = [e for e in obs.tracer.to_doc()["traceEvents"]
              if e["ph"] == "X" and e["name"] == "probe"]
     return spans, report
@@ -128,10 +128,10 @@ def test_explain_on_compacted_store(sorted_output):
 
 def test_explain_records_no_observability(carp_output):
     obs = Obs.recording()
-    with PartitionedStore(carp_output["dir"], obs=obs) as store:
+    with PartitionedStore(carp_output["dir"]) as store:
         before_events = len(obs.tracer.to_doc()["traceEvents"])
         before_metrics = json.dumps(obs.metrics.snapshot(), sort_keys=True)
-        store.explain(0, 0.5, 2.0)
+        store.explain(0, 0.5, 2.0, obs=obs)
         assert len(obs.tracer.to_doc()["traceEvents"]) == before_events
         assert json.dumps(obs.metrics.snapshot(),
                           sort_keys=True) == before_metrics

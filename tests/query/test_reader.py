@@ -64,7 +64,7 @@ class TestBatch:
     def test_query_log_written(self, store, tmp_path):
         log = tmp_path / "querylog.csv"
         run_batch(store, [BatchQuerySpec(0, 0.1, 0.2)], log_path=log)
-        rows = list(csv.reader(log.open()))
+        rows = list(csv.reader(log.read_text().splitlines()))
         assert rows[0][0] == "epoch"
         assert len(rows) == 2
         assert rows[1][0] == "0"

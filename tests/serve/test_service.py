@@ -55,6 +55,27 @@ def _run_clients(service, per_client):
     return responses
 
 
+def _count_opens(monkeypatch, after_open=None):
+    """Record every store the service opens (``after_open`` runs after
+    each construction, before the service sees the store)."""
+    opened: list[PartitionedStore] = []
+    original = service_module.PartitionedStore
+
+    def counting(*args, **kwargs):
+        store = original(*args, **kwargs)
+        opened.append(store)  # list.append is atomic under the GIL
+        if after_open is not None:
+            after_open()
+        return store
+
+    monkeypatch.setattr(service_module, "PartitionedStore", counting)
+    return opened
+
+
+def _maps_closed(store) -> bool:
+    return all(r._map is None or r._map.closed for r in store._readers)
+
+
 class TestAdmission:
     def test_submit_and_result(self, db_dir):
         lo, hi = WIDE
@@ -233,7 +254,8 @@ class TestConcurrentIngestIdentity:
     with >= 8 concurrent clients — returns byte-identical payloads vs
     a serial post-hoc run against the matching committed epochs."""
 
-    def test_payloads_match_serial_replay(self, tmp_path):
+    def test_payloads_match_serial_replay(self, tmp_path, monkeypatch):
+        opened = _count_opens(monkeypatch)
         with Session(TRACE.nranks, tmp_path, OPTIONS) as session:
             session.ingest_epoch(0, streams(0))
             service = session.serve(workers=3)
@@ -254,6 +276,8 @@ class TestConcurrentIngestIdentity:
             responses = _run_clients(service, per_client)
             ingest.join()
             service.close()
+            # the re-pin and the service's close left no map open
+            assert opened and all(_maps_closed(store) for store in opened)
             flat = [r for rs in responses.values() for r in rs]
             assert len(flat) == CLIENTS * 3
             assert all(r.ok for r in flat)
@@ -626,6 +650,107 @@ class TestFailedFills:
         assert gate.calls == 1
 
 
+class TestSharedStore:
+    """One read store per pin, shared by every worker (docs/SERVING.md,
+    "What is contractual", item 2)."""
+
+    def test_every_worker_shares_one_store_per_pin(self, tmp_path,
+                                                   monkeypatch):
+        workers, pins = 3, 3
+        opened = _count_opens(monkeypatch)
+        # a held fill waits inside the engine until every worker holds
+        # one, so each pin's held fills run on distinct workers
+        held = {_req(1 + i).lo for i in range(workers)}
+        barrier = threading.Barrier(workers, timeout=TIMEOUT)
+        original = PartitionedStore.query
+
+        def query(store, epoch, lo, hi, **kwargs):
+            if lo in held:
+                barrier.wait()
+            return original(store, epoch, lo, hi, **kwargs)
+
+        monkeypatch.setattr(PartitionedStore, "query", query)
+        with Session(TRACE.nranks, tmp_path / "db", OPTIONS) as session:
+            session.ingest_epoch(0, streams(0))
+            service = session.serve(workers=workers)
+            for pin in range(pins):
+                if pin:
+                    session.ingest_epoch(pin, streams(pin))
+                # the first fill opens the pin's store ...
+                assert service.query(_req(0)).ok
+                # ... and a fill on every worker at once reads it
+                handles = [service.submit(_req(1 + i)) for i in range(workers)]
+                assert all(h.result(TIMEOUT).ok for h in handles)
+            service.close()
+            assert service.stats.invalidations == pins - 1
+        assert len(opened) == pins
+        assert all(_maps_closed(store) for store in opened)
+
+    @pytest.mark.parametrize("followers", [0, 2])
+    def test_superseded_store_closes_after_its_last_fill(
+        self, tmp_path, monkeypatch, followers
+    ):
+        opened = _count_opens(monkeypatch)
+        gate = _Gate(monkeypatch, hold={_req(1).lo})
+        with Session(TRACE.nranks, tmp_path / "db", OPTIONS) as session:
+            session.ingest_epoch(0, streams(0))
+            service = session.serve(workers=2)
+            owner = service.submit(_req(1))
+            assert gate.entered.wait(TIMEOUT)
+            waiting = [service.submit(_req(1)) for _ in range(followers)]
+            [old] = opened
+            session.ingest_epoch(1, streams(1))  # re-pins the service
+            # the superseded pin still has a fill in flight
+            assert not _maps_closed(old)
+            assert service.submit(_req(2)).result(TIMEOUT).ok
+            [_, current] = opened
+            assert not _maps_closed(old)
+            gate.open()
+            responses = [h.result(TIMEOUT) for h in [owner, *waiting]]
+            assert all(r.ok and r.epoch == 0 for r in responses)
+            assert [r.cached for r in responses] == [False] + [True] * followers
+            # the last fill closed its pin's store before answering
+            assert _maps_closed(old)
+            assert not _maps_closed(current)
+            assert service.submit(_req(3)).result(TIMEOUT).ok
+            assert len(opened) == 2 and not _maps_closed(current)
+            service.close()
+            assert _maps_closed(current)
+
+    def test_invalidate_closes_a_superseded_store_with_no_fill(
+        self, tmp_path, monkeypatch
+    ):
+        opened = _count_opens(monkeypatch)
+        with Session(TRACE.nranks, tmp_path / "db", OPTIONS) as session:
+            session.ingest_epoch(0, streams(0))
+            service = session.serve(workers=2)
+            assert service.query(_req(0)).ok
+            [old] = opened
+            assert not _maps_closed(old)
+            session.ingest_epoch(1, streams(1))
+            assert _maps_closed(old)
+            # a pin that never ran a fill has no store to close
+            session.ingest_epoch(2, streams(2))
+            assert len(opened) == 1
+            service.close()
+
+    def test_racing_opens_publish_one_store(self, db_dir, monkeypatch):
+        # both workers construct a store before either can publish
+        barrier = threading.Barrier(2, timeout=TIMEOUT)
+        opened = _count_opens(monkeypatch, after_open=barrier.wait)
+        service = QueryService(db_dir, workers=2)
+        handles = [service.submit(_req(i)) for i in range(2)]
+        responses = [h.result(TIMEOUT) for h in handles]
+        assert all(r.ok for r in responses)
+        assert len(opened) == 2
+        published = service._pin.store
+        [loser] = [store for store in opened if store is not published]
+        assert published in opened and _maps_closed(loser)
+        assert not _maps_closed(published)
+        service.close()
+        assert all(_maps_closed(store) for store in opened)
+
+
 class TestStress:
     def test_mixed_load_matches_serial_replay(self, tmp_path, monkeypatch):
         """Six closed-loop clients (three times the cores of the CI
@@ -633,6 +758,7 @@ class TestStress:
         evictions and concurrent duplicates: every payload equals a
         serial ``Session.query`` replay and the counters reconcile."""
         gate = _Gate(monkeypatch)
+        opened = _count_opens(monkeypatch)
         pool = [
             _req(i, epoch=i % 2, keys_only=i % 3 == 0,
                  deadline=1e-9 if i == 5 else None)
@@ -673,6 +799,9 @@ class TestStress:
                 assert _drains(service)
                 assert all(t.is_alive() for t in service._threads)
                 service.close()
+                # every store the workers opened (racing opens included)
+                # is closed
+                assert opened and all(_maps_closed(s) for s in opened)
                 stats = service.stats
                 flat = [r for name in per_client for r in responses[name]]
                 assert len(flat) == stats.submitted == stats.served == 480

@@ -91,10 +91,11 @@ class TestWriteRead:
             w.append_batch(batch(*np.arange(100, dtype=float)), 0)
             w.flush_epoch(0)
         with LogReader(path) as r:
+            r.touched = []
             entry = r.entries[0]
             keys = r.read_sst_keys(entry).keys
             assert len(keys) == 100
-            assert r.bytes_read < entry.length
+            assert sum(length for _, length in r.touched) < entry.length
 
     def test_io_accounting(self, tmp_path):
         path = tmp_path / log_name(0)
@@ -103,10 +104,13 @@ class TestWriteRead:
             w.append_batch(batch(2.0), 0)
             w.flush_epoch(0)
         with LogReader(path) as r:
+            r.touched = []
             r.read_sst(r.entries[0])
             r.read_sst(r.entries[1])
-            assert r.read_requests == 2
-            assert r.bytes_read == sum(e.length for e in r.entries)
+            assert len(r.touched) == 2
+            assert sum(length for _, length in r.touched) == sum(
+                e.length for e in r.entries
+            )
 
     def test_pending_entries_visible(self, tmp_path):
         with LogWriter(tmp_path / log_name(0)) as w:

@@ -265,7 +265,7 @@ class TestRangeReader:
         rc = main(["range-reader", "-i", str(carp_dir), "-b", str(batch),
                    "--querylog", str(qlog)])
         assert rc == 0
-        rows = list(csv.reader(qlog.open()))
+        rows = list(csv.reader(qlog.read_text().splitlines()))
         assert len(rows) == 3  # header + 2 queries
 
     def test_executor_flag_is_a_usage_error(self, carp_dir):

@@ -266,7 +266,8 @@ class Session:
         The service admits :class:`QueryRequest` objects from many
         client threads while :meth:`ingest_epoch` keeps running —
         bounded admission, per-client round-robin fairness, and a
-        single-flight LRU result cache keyed on the snapshot token
+        single-flight result cache keyed on the snapshot token that
+        evicts the result cheapest to refill
         (see :mod:`repro.query.service` and ``docs/SERVING.md``).
         Each epoch commit re-pins every attached service.  The session
         closes attached services on :meth:`close`; closing a service

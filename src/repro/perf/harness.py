@@ -265,6 +265,10 @@ def _run_serve(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
         Metric("serve_invalidations", report.invalidations, "epochs"),
         Metric("serve_payload_digest",
                float(int(report.payload_digest[:12], 16)), "id"),
+        Metric("serve_evict_engine_queries", report.evict_engine_queries,
+               "queries"),
+        Metric("serve_evict_refill_bytes", report.evict_refill_bytes,
+               "bytes"),
     ], events, snapshot
 
 

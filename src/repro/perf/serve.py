@@ -8,7 +8,7 @@ service, and the run reports served-latency p50/p95/p99 via
 :meth:`~repro.obs.metrics.Histogram.quantile` plus exact workload
 counters, baseline-gated through ``carp perf compare``.
 
-Three phases, shaped so every *exact* metric is independent of thread
+Four phases, shaped so every *exact* metric is independent of thread
 interleaving (the whole point of the serve plane's determinism
 contract — see ``docs/SERVING.md``):
 
@@ -22,6 +22,13 @@ contract — see ``docs/SERVING.md``):
 3. **deadline** — each client issues one near-full-span query of its
    own with a vanishing deadline (virtual-time budget), yielding a
    deterministic ``deadline-exceeded`` count.
+4. **evict** — once the serve plane is closed, one client replays a seeded
+   Zipf draw (:func:`evict_requests`) against a standalone
+   one-worker service whose cache holds :data:`EVICT_CAPACITY`
+   results, a fraction of the ranges drawn, so the cache's eviction
+   policy decides which refills the draw pays for.  It has no obs
+   stack and its payloads stay out of the digest: it adds its two
+   counts and moves nothing else.
 
 Response payloads are folded into one order-independent digest
 (responses are hashed, sorted, re-hashed), so the baseline gate also
@@ -31,6 +38,7 @@ pins the *served bytes*, not just the counters.
 from __future__ import annotations
 
 import hashlib
+import random
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -68,6 +76,9 @@ class ServeReport:
     latency_p99: float
     latency_mean: float
     served_count: int
+    #: engine executions of the evict phase, and the bytes they read
+    evict_engine_queries: int
+    evict_refill_bytes: int
     #: Paths of artifacts persisted under the run's output directory
     #: (metrics.json / telemetry.jsonl / trace.json), when requested.
     artifacts: tuple[str, ...] = ()
@@ -128,6 +139,47 @@ def _run_clients(
     for t in threads:
         t.join()
     return responses
+
+
+#: The evict phase's range widths (fractions of epoch 0's key span),
+#: each 10x the last, so refill costs span orders of magnitude.
+EVICT_WIDTHS = (1e-4, 1e-3, 1e-2, 1e-1)
+EVICT_RANGES = 24
+EVICT_REQUESTS = 200
+EVICT_CAPACITY = 8
+
+
+def evict_requests(lo: float, hi: float, seed: int) -> list[QueryRequest]:
+    """The evict phase's draw: Zipf(1) over 24 epoch-0 ranges.
+
+    Rank ``r`` (popularity order) has width ``EVICT_WIDTHS[r % 4]`` and
+    an anchor that spreads each width over the key span, so every
+    popularity level mixes cheap and costly refills; only the draw
+    order comes from ``seed``.
+    """
+    span = hi - lo
+    pool = []
+    for r in range(EVICT_RANGES):
+        width = span * EVICT_WIDTHS[r % len(EVICT_WIDTHS)]
+        # 7 is coprime to 24: a permutation of the anchor slots
+        qlo = lo + (span - width) * ((7 * r) % EVICT_RANGES) / EVICT_RANGES
+        pool.append(QueryRequest(lo=qlo, hi=qlo + width, epoch=0, client="evict"))
+    weights = [1.0 / (r + 1) for r in range(EVICT_RANGES)]
+    return random.Random(seed).choices(pool, weights, k=EVICT_REQUESTS)
+
+
+def _run_evict(db_dir: Path, requests: list[QueryRequest]) -> tuple[int, int]:
+    """Serve ``requests`` in order; (engine executions, bytes they read)."""
+    refill_bytes = 0
+    with QueryService(db_dir, workers=1, cache_capacity=EVICT_CAPACITY) as service:
+        for request in requests:
+            response = service.query(request)
+            assert response.status == STATUS_OK, response.detail
+            if not response.cached:
+                assert response.cost is not None
+                refill_bytes += response.cost.bytes_read
+        engine_queries = service.stats.engine_queries
+    return engine_queries, refill_bytes
 
 
 def combined_digest(responses: list[QueryResponse]) -> str:
@@ -203,6 +255,10 @@ def run_serve_workload(
             hist.quantile(0.50), hist.quantile(0.95), hist.quantile(0.99)
         )
         assert p50 is not None and p95 is not None and p99 is not None
+        # phase 4: eviction, over more ranges than the cache holds
+        evict_queries, evict_bytes = _run_evict(
+            db_dir, evict_requests(lo, hi, spec.seed)
+        )
         artifacts: list[str] = []
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,6 +284,8 @@ def run_serve_workload(
             latency_p99=p99,
             latency_mean=hist.mean,
             served_count=hist.count,
+            evict_engine_queries=evict_queries,
+            evict_refill_bytes=evict_bytes,
             artifacts=tuple(artifacts),
         )
     if out_dir is not None:

@@ -45,8 +45,15 @@ if TYPE_CHECKING:
 
 #: Bucket bounds (virtual seconds) shared by the ``query.latency`` and
 #: ``serve.latency`` histograms — one scale, so served and engine-side
-#: quantiles are directly comparable.
-LATENCY_BOUNDS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
+#: quantiles are directly comparable.  Four log-spaced bounds per
+#: decade from 10 µs to 10 s: a cold narrow query models well under a
+#: millisecond, so a coarser floor would put every quantile in its
+#: first bucket.
+LATENCY_BOUNDS: tuple[float, ...] = tuple(
+    float(f"{mantissa}e{exponent}")
+    for exponent in range(-5, 1)
+    for mantissa in ("1", "1.8", "3.2", "5.6")
+) + (10.0,)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,11 @@ while ``ingest_epoch`` keeps appending, and answers each with a
   The session re-pins the service on each epoch commit
   (:meth:`invalidate`).
 - **Single-flight result cache, looked up by the caller.**  A bounded
-  LRU keyed on ``(snapshot token, epoch, lo, hi, keys_only)``.
+  map keyed on ``(snapshot token, epoch, lo, hi, keys_only)`` that
+  evicts by GreedyDual-Size-Frequency (Cao & Irani, USITS 1997): the
+  victim is the completed entry that is cheapest to refill, weighted
+  by how often it was asked for, not the least recently used one
+  (:meth:`QueryService._evict_locked`).
   :meth:`QueryService.submit` binds the request to the current pin,
   resolves its epoch and looks the key up *on the submitting thread*:
   a completed entry is answered right there (the handle is ``done()``
@@ -51,7 +55,7 @@ thread pool is the only concurrency.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,15 +130,17 @@ class PendingQuery:
 class _Pin:
     """A pinned snapshot, the store its fills share, and ``fills``: the
     misses admitted under it and not yet resolved, which keep the store
-    open.  The first fill that needs the store opens it; once the pin
-    is superseded, its last fill closes it (or ``invalidate``, if none
-    is in flight)."""
+    open.  The first fill that needs the store opens it (``opening`` is
+    set meanwhile, and any other fill of the pin waits for that open);
+    once the pin is superseded, its last fill closes it (or
+    ``invalidate``, if none is in flight)."""
 
-    __slots__ = ("snapshot", "store", "fills")
+    __slots__ = ("snapshot", "store", "opening", "fills")
 
     def __init__(self, snapshot: Snapshot) -> None:
         self.snapshot = snapshot
         self.store: PartitionedStore | None = None
+        self.opening = False
         self.fills = 0
 
     def retire(self) -> None:
@@ -150,16 +156,23 @@ class _CacheSlot:
     In flight (``result is None``) it is the unit of work a worker
     takes: the key to execute, the pin it was admitted under, and the
     handles to resolve when the fill lands — the owner first, then the
-    followers in attach order.  Completed, only ``result`` is read.
+    followers in attach order.  Completed, hits read ``result`` and
+    eviction reads ``priority``: ``age + uses × cost``, where ``cost``
+    is the result's ``bytes_read`` (the bytes a refill would touch
+    again) and ``uses`` counts the owner, its followers and every
+    later hit.
     """
 
-    __slots__ = ("key", "pin", "waiters", "result")
+    __slots__ = ("key", "pin", "waiters", "result", "cost", "uses", "priority")
 
     def __init__(self, key: _Key, pin: _Pin, owner: PendingQuery) -> None:
         self.key = key
         self.pin = pin
         self.waiters = [owner]
         self.result: QueryResult | None = None
+        self.cost = 0
+        self.uses = 0
+        self.priority = 0
 
 
 def _unanswered(
@@ -252,13 +265,16 @@ class QueryService:
         self._cache_capacity = cache_capacity
         # one lock guards all mutable service state (queues, cache map,
         # counters, snapshot pointer) and is entered as ``_cond``; cache
-        # *fills* happen outside it.  Two conditions share it so a
+        # *fills* happen outside it.  Three conditions share it so a
         # wake-up reaches who it is for: ``_cond`` is notified once per
         # queued miss (idle workers wait on it), ``_idle`` when nothing
-        # is queued or running any more (``drain()`` waits on it)
+        # is queued or running any more (``drain()`` waits on it), and
+        # ``_opened`` when a store open ends (fills of that pin wait on
+        # it meanwhile)
         lock = threading.Lock()
         self._cond = threading.Condition(lock)
         self._idle = threading.Condition(lock)
+        self._opened = threading.Condition(lock)
         self._pin = _Pin(
             snapshot if snapshot is not None else pin_snapshot(self.directory)
         )
@@ -267,7 +283,11 @@ class QueryService:
         self._rr_idx = 0
         self._pending = 0  # misses admitted, not yet dispatched
         self._active = 0  # misses dispatched, not yet resolved
-        self._cache: OrderedDict[_Key, _CacheSlot] = OrderedDict()
+        # insertion-ordered, so a priority tie evicts the oldest entry
+        self._cache: dict[_Key, _CacheSlot] = {}
+        # the GreedyDual "inflation" value: the priority of the last
+        # victim, a floor under every completed entry's priority
+        self._age = 0
         # running counters, updated where a request is recorded
         self._by_status = dict.fromkeys(
             (STATUS_OK, STATUS_DEADLINE_EXCEEDED, STATUS_REJECTED, STATUS_ERROR),
@@ -383,8 +403,9 @@ class QueryService:
             key = (snap.token, epoch, request.lo, request.hi, request.keys_only)
             slot = self._cache.get(key)
             if slot is not None:
-                self._cache.move_to_end(key)
                 if slot.result is not None:
+                    slot.uses += 1
+                    slot.priority = self._age + slot.uses * slot.cost
                     self._record_locked(
                         handle,
                         response_from_result(
@@ -567,21 +588,34 @@ class QueryService:
             self._execute(slot, worker_obs)
 
     def _store_for(self, pin: _Pin) -> PartitionedStore:
-        """The pin's shared store (the caller's fill keeps it open)."""
+        """The pin's shared store (the caller's fill keeps it open).
+
+        Exactly one open per pin: a fill that finds the store being
+        opened waits for that open.  If it raises, the opener's slot
+        gets the error and a waiting fill retries the open.
+        """
         store = pin.store
         if store is not None:
             return store
-        # mapping every log and decoding its heads happens outside the
-        # lock, so admission and the other fills never wait on it
-        store = PartitionedStore(self.directory, io=self.io, snapshot=pin.snapshot)
         with self._cond:
-            if pin.store is None:
-                pin.store = store
-                return store
-            published = pin.store
-        # another fill published first: one store per pin
-        store.close()
-        return published
+            while pin.opening:
+                self._opened.wait()
+            if pin.store is not None:
+                return pin.store
+            pin.opening = True
+        # mapping every log and decoding its heads happens outside the
+        # lock, so admission and the other pins' fills never wait on it
+        opened: PartitionedStore | None = None
+        try:
+            opened = PartitionedStore(
+                self.directory, io=self.io, snapshot=pin.snapshot
+            )
+            return opened
+        finally:
+            with self._cond:
+                pin.store = opened  # still None if the open raised
+                pin.opening = False
+                self._opened.notify_all()
 
     def _execute(self, slot: _CacheSlot, worker_obs: Obs) -> None:
         """Fill ``slot``: run its key on the pin it was admitted under."""
@@ -621,6 +655,10 @@ class QueryService:
                 # errors are not cached: the next identical request
                 # executes again
                 del self._cache[slot.key]
+            else:
+                slot.cost = result.cost.bytes_read
+                slot.uses = len(slot.waiters)
+                slot.priority = self._age + slot.uses * slot.cost
             slot.result = result
             for position, handle in enumerate(slot.waiters):
                 owner = position == 0
@@ -637,21 +675,33 @@ class QueryService:
                     handle, response, spans if owner else ()
                 )
             slot.waiters.clear()
+            self._evict_locked()
             self._active -= 1
             if self._pending == 0 and self._active == 0:
                 self._idle.notify_all()
 
     def _evict_locked(self) -> None:
-        """Drop least-recently-used *completed* entries over capacity."""
+        """Drop *completed* entries over capacity, cheapest first (lock held).
+
+        GreedyDual-Size-Frequency with every entry one unit of
+        capacity: the victim is the completed entry with the lowest
+        ``priority`` (ties: the oldest insertion), and ``age`` rises to
+        that priority, so entries that are not asked for again age out
+        however costly they were.  A fresh, cheap entry (one use of a
+        narrow range) can be the very next victim.  In-flight fills are
+        never evicted: while every entry is one, the cache over-admits.
+        """
         while len(self._cache) > self._cache_capacity:
-            victim = None
-            for key, slot in self._cache.items():
-                if slot.result is not None:
-                    victim = key
-                    break
+            victim: _CacheSlot | None = None
+            for slot in self._cache.values():
+                if slot.result is not None and (
+                    victim is None or slot.priority < victim.priority
+                ):
+                    victim = slot
             if victim is None:
-                return  # every entry is an in-flight fill; over-admit
-            del self._cache[victim]
+                return
+            self._age = victim.priority
+            del self._cache[victim.key]
 
     # ------------------------------------------------------- obs merge
 

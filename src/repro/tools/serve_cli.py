@@ -59,6 +59,8 @@ def render_report(report: ServeReport) -> str:
         ("latency_p95 (virtual s)", f"{report.latency_p95:.6g}"),
         ("latency_p99 (virtual s)", f"{report.latency_p99:.6g}"),
         ("latency_mean (virtual s)", f"{report.latency_mean:.6g}"),
+        ("evict_engine_queries", report.evict_engine_queries),
+        ("evict_refill_bytes", report.evict_refill_bytes),
     ]
     return render_table(
         ("metric", "value"), rows, title=f"carp-serve: {report.workload}"

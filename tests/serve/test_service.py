@@ -9,10 +9,13 @@ import random
 import re
 import sys
 import threading
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
+from repro.perf.serve import evict_requests
 from repro.query import service as service_module
 from repro.query.engine import LATENCY_BOUNDS, PartitionedStore
 from repro.query.request import (
@@ -181,20 +184,90 @@ class TestCache:
         assert stats.engine_queries == 1
 
     def test_eviction_keeps_cache_bounded(self, db_dir):
-        lo, _ = WIDE
+        """Equal refill costs and one use each: oldest evicted first."""
+        cheap = [QueryRequest(lo=lo, hi=lo + 0.5) for lo in (1.0, 2.0, 3.0, 4.0)]
         with QueryService(db_dir, workers=1, cache_capacity=2) as service:
-            for i in range(5):
-                assert service.query(
-                    QueryRequest(lo=lo + i, hi=lo + i + 0.5)
-                ).ok
-            # re-issuing the newest entry hits; the evicted oldest misses
-            assert service.query(
-                QueryRequest(lo=lo + 4, hi=lo + 4 + 0.5)
-            ).cached
-            assert not service.query(
-                QueryRequest(lo=lo, hi=lo + 0.5)
-            ).cached
-            assert service.stats.engine_queries == 6
+            costs = set()
+            for request in cheap:
+                response = service.query(request)
+                assert response.ok and not response.cached
+                costs.add(response.cost.bytes_read)
+                assert len(service._cache) <= 2
+            assert len(costs) == 1 and costs != {0}
+            # the two newest stayed; the two oldest were the victims
+            assert service.query(cheap[3]).cached
+            assert service.query(cheap[2]).cached
+            assert not service.query(cheap[0]).cached
+            assert len(service._cache) == 2
+            assert service.stats.engine_queries == 5
+
+    def test_expensive_entry_outlives_cheaper_ones(self, db_dir):
+        """The entry that is costliest to refill survives newer, cheaper
+        ones (LRU would drop it first), but not forever: each eviction
+        raises the age every later priority starts from."""
+        costly = QueryRequest(lo=0.0, hi=0.5)
+        cheap = [QueryRequest(lo=lo, hi=lo + 0.5) for lo in (1.0, 2.0, 3.0)]
+        with QueryService(db_dir, workers=1, cache_capacity=2) as service:
+            expensive = service.query(costly)
+            for request in cheap:
+                response = service.query(request)
+                assert response.cost.bytes_read < expensive.cost.bytes_read
+            assert service.query(costly).cached
+            # one-use cheap entries keep arriving: the unasked-for costly
+            # result ages out after finitely many of them
+            for k in range(100):
+                lo = 1.0 + 0.07 * k
+                service.query(QueryRequest(lo=lo, hi=lo + 0.05))
+                if all(key[2] != costly.lo for key in service._cache):
+                    break
+            else:
+                pytest.fail("the costly entry never aged out")
+            assert not service.query(costly).cached
+
+    def test_hit_raises_priority(self, db_dir):
+        """Of two equal-cost entries, the one hit more often stays, even
+        when the other was used more recently."""
+        a, b, c = (QueryRequest(lo=lo, hi=lo + 0.5) for lo in (1.0, 2.0, 3.0))
+        with QueryService(db_dir, workers=1, cache_capacity=2) as service:
+            first, second = service.query(a), service.query(b)
+            assert first.cost.bytes_read == second.cost.bytes_read
+            assert service.query(a).cached and service.query(a).cached
+            assert service.query(b).cached  # b is now the most recent
+            assert not service.query(c).cached  # evicts one of a, b
+            assert service.query(a).cached
+            assert not service.query(b).cached
+
+    def test_refill_bytes_beat_an_lru_over_the_same_draw(self, db_dir):
+        """Oracle: replay the perf workload's seeded Zipf draw through
+        one worker, then an LRU of the same capacity over the same keys
+        and per-key ``bytes_read``; the service refills fewer bytes."""
+        with PartitionedStore(db_dir) as store:
+            lo, hi = store.key_range(0)
+        draw = evict_requests(lo, hi, seed=3)
+        capacity = 6
+        bytes_of: dict[tuple[float, float], int] = {}
+        refilled = 0
+        with QueryService(
+            db_dir, workers=1, cache_capacity=capacity
+        ) as service:
+            for request in draw:
+                response = service.query(request)
+                assert response.ok
+                if not response.cached:
+                    bytes_of[request.lo, request.hi] = response.cost.bytes_read
+                    refilled += response.cost.bytes_read
+        lru: OrderedDict[tuple[float, float], None] = OrderedDict()
+        lru_refilled = 0
+        for request in draw:
+            key = (request.lo, request.hi)
+            if key in lru:
+                lru.move_to_end(key)
+                continue
+            lru_refilled += bytes_of[key]
+            lru[key] = None
+            if len(lru) > capacity:
+                lru.popitem(last=False)
+        assert refilled < lru_refilled
 
     def test_uncommitted_epoch_is_an_error_response(self, db_dir):
         with QueryService(db_dir, workers=1) as service:
@@ -206,6 +279,81 @@ class TestCache:
             assert service.stats.errors == 1
             # errors never enter the cache or the hit/miss counters
             assert service.stats.cache_misses == 0
+
+
+#: Distinct keys whose refill costs differ by up to ~15x.
+_POLICY_POOL = [
+    QueryRequest(lo=lo, hi=hi, epoch=epoch, keys_only=keys_only)
+    for lo, hi in ((0.0, 0.5), (0.08, 0.48), (1.0, 1.5), (3.0, 3.5))
+    for epoch in (0, 1)
+    for keys_only in (False, True)
+]
+
+
+class _CheckedService(QueryService):
+    """Records every breach of the cache bounds, checked around each
+    eviction pass (lock held): at most ``cache_capacity`` completed
+    entries, and no in-flight slot evicted."""
+
+    def __init__(self, *args, **kwargs):
+        self.breaches: list[str] = []
+        super().__init__(*args, **kwargs)
+
+    def _evict_locked(self):
+        in_flight = {k for k, s in self._cache.items() if s.result is None}
+        super()._evict_locked()
+        if not in_flight <= self._cache.keys():
+            self.breaches.append("evicted an in-flight slot")
+        completed = sum(1 for s in self._cache.values() if s.result is not None)
+        if completed > self._cache_capacity:
+            self.breaches.append(f"{completed} completed entries cached")
+
+
+@pytest.fixture(scope="module")
+def replay_session(tmp_path_factory):
+    """An open session over two committed epochs, for serial replays."""
+    with Session(
+        TRACE.nranks, tmp_path_factory.mktemp("replay") / "db", OPTIONS
+    ) as session:
+        session.ingest_epoch(0, streams(0))
+        session.ingest_epoch(1, streams(1))
+        yield session
+
+
+class TestCacheProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        capacity=st.integers(1, 4),
+        workers=st.integers(1, 3),
+        bursts=st.lists(
+            st.lists(st.integers(0, len(_POLICY_POOL) - 1), min_size=1,
+                     max_size=6),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_bounded_and_replay_identical(
+        self, replay_session, capacity, workers, bursts
+    ):
+        """Bursts of concurrent submits (duplicates become followers):
+        the cache never holds more than ``capacity`` completed entries
+        beside its in-flight ones, never evicts an in-flight slot, and
+        every payload equals a serial ``Session.query`` replay."""
+        service = _CheckedService(
+            replay_session.out_dir, workers=workers, cache_capacity=capacity
+        )
+        try:
+            for burst in bursts:
+                handles = [service.submit(_POLICY_POOL[i]) for i in burst]
+                for index, handle in zip(burst, handles):
+                    response = handle.result(TIMEOUT)
+                    assert response.ok
+                    replay = replay_session.query(_POLICY_POOL[index])
+                    assert response.payload() == replay.payload()
+        finally:
+            service.close()
+        assert service.breaches == []
+        stats = service.stats
+        assert stats.cache_hits + stats.cache_misses == sum(map(len, bursts))
 
 
 class TestDeadline:
@@ -277,8 +425,10 @@ class TestConcurrentIngestIdentity:
             ingest.join()
             service.close()
             # the re-pin and the service's close left no map open
-            assert opened and all(_maps_closed(store) for store in opened)
+            assert all(_maps_closed(store) for store in opened)
             flat = [r for rs in responses.values() for r in rs]
+            # exactly one store open per pin that ran a fill
+            assert len(opened) == len({r.snapshot_token for r in flat})
             assert len(flat) == CLIENTS * 3
             assert all(r.ok for r in flat)
             # serial post-hoc replay through the session (epoch 0
@@ -734,21 +884,66 @@ class TestSharedStore:
             assert len(opened) == 1
             service.close()
 
+    @staticmethod
+    def _spy_on_open_waits(service) -> threading.Event:
+        """An event set when a fill starts waiting on another's open."""
+        waiting = threading.Event()
+        cond = service._opened
+        wait = cond.wait
+
+        def spying_wait(timeout=None):
+            waiting.set()
+            return wait(timeout)
+
+        cond.wait = spying_wait
+        return waiting
+
     def test_racing_opens_publish_one_store(self, db_dir, monkeypatch):
-        # both workers construct a store before either can publish
-        barrier = threading.Barrier(2, timeout=TIMEOUT)
-        opened = _count_opens(monkeypatch, after_open=barrier.wait)
-        service = QueryService(db_dir, workers=2)
+        service = QueryService(db_dir, workers=2, autostart=False)
+        waiting = self._spy_on_open_waits(service)
+
+        def hold():
+            # the first open lands only once the second fill waits on it
+            assert waiting.wait(TIMEOUT)
+
+        opened = _count_opens(monkeypatch, after_open=hold)
         handles = [service.submit(_req(i)) for i in range(2)]
+        service.start()
         responses = [h.result(TIMEOUT) for h in handles]
         assert all(r.ok for r in responses)
-        assert len(opened) == 2
-        published = service._pin.store
-        [loser] = [store for store in opened if store is not published]
-        assert published in opened and _maps_closed(loser)
-        assert not _maps_closed(published)
+        assert waiting.is_set()
+        [store] = opened
+        assert service._pin.store is store and not _maps_closed(store)
         service.close()
-        assert all(_maps_closed(store) for store in opened)
+        assert _maps_closed(store)
+
+    def test_waiting_fill_retries_a_failed_open(self, db_dir, monkeypatch):
+        """The open fails for the fill that ran it; the fill that waited
+        on it opens the store itself, once."""
+        service = QueryService(db_dir, workers=2, autostart=False)
+        waiting = self._spy_on_open_waits(service)
+        original = service_module.PartitionedStore
+        calls: list[int] = []
+
+        def failing_first(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                assert waiting.wait(TIMEOUT)
+                raise OSError("injected open failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "PartitionedStore", failing_first)
+        handles = [service.submit(_req(i)) for i in range(2)]
+        service.start()
+        responses = [h.result(TIMEOUT) for h in handles]
+        assert sorted(r.status for r in responses) == [STATUS_ERROR, STATUS_OK]
+        [failed] = [r for r in responses if not r.ok]
+        assert "injected open failure" in failed.detail
+        assert len(calls) == 2
+        assert service.submit(_req(2)).result(TIMEOUT).ok
+        assert len(calls) == 2
+        service.close()
+        assert service.stats.errors == 1 and service.stats.ok == 2
 
 
 class TestStress:
@@ -799,9 +994,8 @@ class TestStress:
                 assert _drains(service)
                 assert all(t.is_alive() for t in service._threads)
                 service.close()
-                # every store the workers opened (racing opens included)
-                # is closed
-                assert opened and all(_maps_closed(s) for s in opened)
+                # one pin, so one store, closed with the service
+                assert len(opened) == 1 and _maps_closed(opened[0])
                 stats = service.stats
                 flat = [r for name in per_client for r in responses[name]]
                 assert len(flat) == stats.submitted == stats.served == 480

@@ -1,23 +1,23 @@
 """``carp-lint``: repo-aware static analysis for the CARP reproduction.
 
-Enforces, at review time, the invariants the reproduction rests on:
+Enforces, at review time, the invariants the reproduction rests on
+that no runtime test can see:
 
-* **determinism** (D-rules) — no unseeded or global RNG anywhere in
-  the simulation core,
-* **on-disk format safety** (F-rules) — ``struct`` formats stay
-  pack/unpack-consistent and every block writer has a CRC-checking
-  reader,
-* **cost accounting** (C-rules) — no simulated I/O escapes the
-  iomodel/netmodel charging,
+* **determinism** (D-rules) — no per-process salted ``hash()`` in the
+  simulation core,
+* **on-disk format safety** (F-rules) — every ``struct`` format pins
+  its byte order,
 * **clock and instrumentation discipline** (O-rules) — no wall clock
   and no self-built recording stack in the instrumented packages,
-* **recovery, thread, write-path and lifetime safety** (R, X, W and
-  L-rules).
+* **thread and write-path safety** (X and W-rules).
 
-Generic hygiene and annotation coverage are ruff's and ``mypy
---strict``'s (``pyproject.toml``), not carp-lint's.  See
-``docs/INVARIANTS.md`` for the rule catalogue and suppression syntax,
-and :mod:`repro.analysis.cli` for the ``carp lint`` subcommand.
+Each rule earned its place by a keep test: its bug, planted in a real
+module, failed no runtime test (``docs/ANALYSIS.md`` has the table,
+with the test that replaced each deleted rule).  Generic hygiene and
+annotation coverage are ruff's and ``mypy --strict``'s
+(``pyproject.toml``), not carp-lint's.  See ``docs/INVARIANTS.md`` for
+the rule catalogue and suppression syntax, and
+:mod:`repro.analysis.cli` for the ``carp lint`` subcommand.
 """
 
 from repro.analysis.core import FileContext, Rule, Violation

@@ -1,9 +1,9 @@
 """Per-function control-flow graphs for ``carp-lint`` dataflow rules.
 
-The W (write-path crash-consistency) and L (resource-lifetime) rule
-families make *all-paths* claims — "every durable write is fsynced
-before its commit lands", "every opened handle is closed before the
-function returns" — which a flat AST walk cannot decide.  This module
+The W (write-path crash-consistency) rules and X802 make *all-paths*
+claims — "every durable write is fsynced before its commit lands", "no
+path from an ``acquire`` to its ``release`` blocks" — which a flat AST
+walk cannot decide.  This module
 lowers one function body into a :class:`CFG` of basic blocks whose
 elements are the original AST nodes, so the dataflow framework in
 :mod:`repro.analysis.dataflow` can reason about paths.
@@ -16,9 +16,9 @@ Design points that matter to the rules built on top:
 * **Exception edges are per-statement and carry *pre*-state.**  Inside
   a ``try`` with handlers, every statement gets its own block with an
   :data:`EXC` edge to each handler.  Exceptional edges propagate the
-  state from *before* the raising element: a resource-acquiring
-  statement that raises did not acquire (``fh = open(p)`` failing
-  binds nothing), which is exactly the semantics the L rules need.
+  state from *before* the raising element: a statement that raises
+  did not complete (``fh.write(b)`` failing dirtied nothing), which is
+  exactly the semantics a may-analysis of completed effects needs.
 * **``finally`` blocks are on every exit route.**  ``return``/``raise``
   /``break``/``continue`` inside ``try ... finally`` are routed through
   the finally body before reaching their target, so a ``finally:

@@ -4,9 +4,8 @@ Usage::
 
     carp lint src/repro                 # human output, exit 1 on findings
     carp lint --format json src/repro   # machine-readable
-    carp lint --format sarif src/repro  # GitHub code-scanning upload
     carp lint --list-rules              # rule catalogue
-    carp lint --select D,F201 src       # run a subset
+    carp lint --select D,F203 src       # run a subset
     carp lint --ignore O503 src         # drop a family or rule
 
 Exit status: 0 when clean, 1 when any violation or parse error
@@ -26,7 +25,6 @@ from repro.analysis.runner import (
     lint_paths,
     select_rules,
 )
-from repro.analysis.sarif import format_sarif
 
 
 def _split_spec(spec: list[str]) -> list[str]:
@@ -42,12 +40,12 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="output format",
     )
     parser.add_argument(
         "--select", action="append", default=None, metavar="RULES",
-        help="comma-separated rule ids/prefixes to run (e.g. D,F201)",
+        help="comma-separated rule ids/prefixes to run (e.g. D,F203)",
     )
     parser.add_argument(
         "--ignore", action="append", default=None, metavar="RULES",
@@ -86,8 +84,6 @@ def run(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
-    elif args.format == "sarif":
-        print(format_sarif(result, rules))
     else:
         print(format_human(result))
     return 0 if result.ok else 1

@@ -39,7 +39,7 @@ from repro.analysis.core import (
     iter_functions,
     qualified_name,
 )
-from repro.analysis.dataflow import MAY, GenKillAnalysis, solve
+from repro.analysis.dataflow import GenKillAnalysis, solve
 
 #: Anchored so ``block``/``clock``/``key_block_size`` never match.
 _LOCK_NAME_RE = re.compile(r"(^|_)(lock|mutex)s?$", re.IGNORECASE)
@@ -309,7 +309,6 @@ def _check_held_locks(rule: Rule, ctx: FileContext) -> list[Violation]:
     analysis = GenKillAnalysis(
         gen=lambda e: acq_rel(e, "acquire"),
         kill=lambda e: acq_rel(e, "release"),
-        mode=MAY,
     )
     for _qual, fn in iter_functions(ctx.tree):
         for stmt in fn.body:

@@ -2,9 +2,8 @@
 
 The linter is a small AST-based rule engine specialized to this
 repository's invariants (determinism in the simulation core, on-disk
-format safety in the storage layer, cost-model accounting in the
-simulator).  This module provides the pieces every rule family builds
-on:
+format safety and write-path durability in the storage layer).  This
+module provides the pieces every rule family builds on:
 
 * :class:`Violation` — one finding, with location and rule id,
 * :class:`FileContext` — a parsed file: source, AST, inferred module
@@ -13,12 +12,12 @@ on:
   checks, module-prefix scoping),
 * qualified-name resolution for call sites (``np.random.default_rng``
   resolves through ``import numpy as np``),
-* an intra-module call-graph builder used by the cost-accounting and
-  format-safety rules.
+* an intra-module call-graph builder used by the format-safety and
+  write-path rules.
 
 Suppressions come in three forms, from widest to narrowest:
 
-* file-wide — ``# carp-lint: disable=D103`` (or ``disable=D103,F202``
+* file-wide — ``# carp-lint: disable=D104`` (or ``disable=D104,F203``
   / ``disable=all``) anywhere in a file disables those rules for the
   whole file;
 * next-line — ``# carp-lint: disable-next=RULE`` on its own line
@@ -332,8 +331,8 @@ def build_call_graph(tree: ast.Module) -> dict[str, set[str]]:
     under their terminal name (``method``); edges record the terminal
     names of everything called from the body.  Deliberately
     approximate — names are matched without type resolution — but that
-    is the right trade-off for enforcing "this module charges the cost
-    model somewhere along every I/O path".
+    is the right trade-off for "does some helper of this module reach a
+    CRC / an fsync".
     """
     graph: dict[str, set[str]] = {}
     for qual, fn in iter_functions(tree):
@@ -354,18 +353,3 @@ def reachable(graph: dict[str, set[str]], start: str) -> set[str]:
         seen.add(cur)
         stack.extend(graph.get(cur, ()))
     return seen
-
-
-def callers_of(graph: dict[str, set[str]], target: str) -> set[str]:
-    """Names that can transitively reach ``target``."""
-    out: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for caller, callees in graph.items():
-            if caller in out:
-                continue
-            if target in callees or callees & out:
-                out.add(caller)
-                changed = True
-    return out

@@ -1,21 +1,17 @@
 """Forward dataflow over :mod:`repro.analysis.cfg` graphs.
 
 A small gen/kill framework, specialized to what the lint rules need:
-facts are strings ("dirty", "open:fh@12", "commit-unsynced"), the
-transfer function of one CFG element is ``(facts - kill) | gen``, and
-block states are solved to fixpoint with a worklist.
+facts are strings ("dirty:fh", "unsynced:self", "lock:_mint_lock"),
+the transfer function of one CFG element is ``(facts - kill) | gen``,
+and block states are solved to fixpoint.
 
-Two join modes cover the rule families:
-
-* **may** (union) — "does this fact hold on *some* path here?"  The W
-  and L rules phrase their invariants so a violation is a fact that
-  *may* survive to a program point (an unsynced write reaching a
-  commit, an open handle reaching the exit), which makes every check a
-  may-analysis reachability question.
-* **must** (intersection) — "does this fact hold on *every* path
-  here?"  Exposed for completeness and exercised by the property
-  tests, which cross-check both modes against brute-force path
-  enumeration (``tests/analysis/paths.py``).
+The join is union — "does this fact hold on *some* path here?"  The
+rules phrase their invariants so a violation is a fact that *may*
+survive to a program point (an unsynced write reaching a commit, a
+held lock reaching a blocking call), which makes every check a
+may-analysis reachability question.  The property tests cross-check
+the fixpoint against brute-force path enumeration
+(``tests/analysis/paths.py``).
 
 Exceptional edges propagate the state from *before* the source block's
 final element (see :mod:`repro.analysis.cfg`): a statement that raised
@@ -35,9 +31,6 @@ Facts = frozenset[str]
 #: ``gen``/``kill`` signature: AST element -> fact strings.
 FactFn = Callable[[ast.AST], Iterable[str]]
 
-MAY = "may"
-MUST = "must"
-
 
 @dataclass
 class GenKillAnalysis:
@@ -45,9 +38,6 @@ class GenKillAnalysis:
 
     gen: FactFn
     kill: FactFn
-    mode: str = MAY
-    #: Facts holding at function entry.
-    entry_facts: frozenset[str] = frozenset()
 
     def transfer(self, facts: Facts, elem: ast.AST) -> Facts:
         return (facts - frozenset(self.kill(elem))) | frozenset(self.gen(elem))
@@ -69,19 +59,6 @@ class DataflowResult:
     cfg: CFG
     block_in: dict[int, Facts]
 
-    def facts_before(self, block_index: int, elem_index: int) -> Facts:
-        """State just before element ``elem_index`` of a block."""
-        block = self.cfg.blocks[block_index]
-        return self.analysis.transfer_block(
-            self.block_in[block_index], block.elems[:elem_index]
-        )
-
-    def facts_out(self, block_index: int) -> Facts:
-        block = self.cfg.blocks[block_index]
-        return self.analysis.transfer_block(
-            self.block_in[block_index], block.elems
-        )
-
     def facts_at_exit(self) -> Facts:
         return self.block_in[self.cfg.exit]
 
@@ -95,25 +72,12 @@ class DataflowResult:
 
 
 def solve(analysis: GenKillAnalysis, cfg: CFG) -> DataflowResult:
-    """Worklist fixpoint of ``analysis`` over ``cfg``.
+    """Round-robin fixpoint of ``analysis`` over ``cfg``.
 
-    Unreachable blocks keep the identity state for the join (empty for
-    may, the running universe for must), so they never influence
-    reachable results.
+    Nothing holds at function entry.  Unreachable blocks keep the empty
+    state, so they never influence reachable results.
     """
-    must = analysis.mode == MUST
-    # the must-join needs a universe; every fact any element can gen
-    # (plus the entry facts) bounds it
-    universe: set[str] = set(analysis.entry_facts)
-    for block in cfg.blocks:
-        for elem in block.elems:
-            universe.update(analysis.gen(elem))
-    top = frozenset(universe)
-
-    block_in: dict[int, Facts] = {
-        b.index: (top if must else frozenset()) for b in cfg.blocks
-    }
-    block_in[cfg.entry] = analysis.entry_facts
+    block_in: dict[int, Facts] = {b.index: frozenset() for b in cfg.blocks}
     preds = cfg.preds()
 
     # blocks unreachable from entry (dead code after a return/raise)
@@ -142,20 +106,12 @@ def solve(analysis: GenKillAnalysis, cfg: CFG) -> DataflowResult:
         for block in cfg.blocks:
             index = block.index
             if index not in reachable:
-                continue  # dead code: keep the identity state
-            states = []
-            if index == cfg.entry:
-                states.append(analysis.entry_facts)
+                continue  # dead code: keep the empty state
+            joined: Facts = frozenset()
             for src, kind in preds[index]:
-                if src not in reachable:
-                    continue
-                normal, exc = outs(src)
-                states.append(exc if kind == EXC else normal)
-            if not states:
-                continue
-            joined = states[0]
-            for state in states[1:]:
-                joined = joined & state if must else joined | state
+                if src in reachable:
+                    normal, exc = outs(src)
+                    joined |= exc if kind == EXC else normal
             if joined != block_in[index]:
                 block_in[index] = joined
                 changed = True

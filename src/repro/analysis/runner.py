@@ -14,24 +14,18 @@ from pathlib import Path
 
 from repro.analysis.concurrency_rules import CONCURRENCY_RULES
 from repro.analysis.core import FileContext, Rule, Violation
-from repro.analysis.costmodel import COSTMODEL_RULES
 from repro.analysis.determinism import DETERMINISM_RULES
 from repro.analysis.formats import FORMAT_RULES
-from repro.analysis.lifetime_rules import LIFETIME_RULES
 from repro.analysis.obs_rules import OBS_RULES
-from repro.analysis.recovery_rules import RECOVERY_RULES
 from repro.analysis.write_rules import WRITE_RULES
 
 #: Every registered rule, in family order.
 ALL_RULES: tuple[Rule, ...] = (
     *DETERMINISM_RULES,
     *FORMAT_RULES,
-    *COSTMODEL_RULES,
     *OBS_RULES,
-    *RECOVERY_RULES,
     *CONCURRENCY_RULES,
     *WRITE_RULES,
-    *LIFETIME_RULES,
 )
 
 
@@ -81,7 +75,7 @@ def iter_python_files(paths: list[Path | str]) -> list[Path]:
 def select_rules(
     select: list[str] | None = None, ignore: list[str] | None = None
 ) -> list[Rule]:
-    """Resolve a rule subset by id or family prefix (``D``, ``F201``)."""
+    """Resolve a rule subset by id or family prefix (``D``, ``F203``)."""
 
     def matches(rule: Rule, spec: str) -> bool:
         return rule.id == spec or rule.id.startswith(spec)

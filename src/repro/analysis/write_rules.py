@@ -53,7 +53,7 @@ from repro.analysis.core import (
     qualified_name,
     reachable,
 )
-from repro.analysis.dataflow import MAY, Facts, GenKillAnalysis, solve
+from repro.analysis.dataflow import Facts, GenKillAnalysis, solve
 
 #: The on-disk layer the W-family governs.
 WRITE_SCOPE = ("repro.storage",)
@@ -288,7 +288,7 @@ class _WChecker:
                 out = (out - {"*"}) | full
             return out
 
-        result = solve(GenKillAnalysis(gen=gen, kill=kill, mode=MAY), cfg)
+        result = solve(GenKillAnalysis(gen=gen, kill=kill), cfg)
         findings: list[tuple[str, ast.AST, str]] = []
 
         # W901/W903: simulate event order inside each element, starting

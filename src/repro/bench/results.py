@@ -78,7 +78,10 @@ def emit(
     ``rows`` (a list of per-series/per-scale dicts) triggers the JSON
     companion ``<figure>.json``; ``units`` maps row keys to their unit
     strings (e.g. ``{"carp": "B/s"}``).  The rendered text file is
-    written either way and remains the return value.
+    written either way and remains the return value.  A JSON companion
+    whose figure, units and rows are unchanged is left as it is, so a
+    re-run at a new commit does not rewrite it for its ``git_sha``
+    alone.
     """
     print(text)
     path = results_dir() / f"{figure}.txt"
@@ -91,5 +94,16 @@ def emit(
             "rows": rows,
         }
         json_path = results_dir() / f"{figure}.json"
-        json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        if not _same_results(json_path, doc):
+            json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _same_results(path: Path, doc: dict[str, Any]) -> bool:
+    """Whether ``path`` already holds ``doc``'s figure, units and rows."""
+    try:
+        old = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return False
+    new = json.loads(json.dumps(doc))
+    return all(old.get(k) == new[k] for k in ("figure", "units", "rows"))

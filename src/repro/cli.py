@@ -60,8 +60,7 @@ SUBCOMMANDS: dict[str, tuple[ModuleType, str]] = {
     "lint": (
         lint_cli,
         "Repo-aware static analysis: determinism, on-disk format safety, "
-        "cost-model accounting, clock discipline, cross-thread safety, "
-        "crash consistency, resource lifetime.",
+        "clock discipline, cross-thread safety, crash consistency.",
     ),
     "trace": (
         trace_cli,

@@ -311,7 +311,7 @@ class LogReader:
     touches only that SST's byte range — no whole-file ``read()``
     copies.  The file descriptor used to create the map is closed
     before ``__init__`` returns; the map itself is released by
-    :meth:`close` / ``__exit__`` (lint rules L1001/L1002 track it).
+    :meth:`close` / ``__exit__`` (``tests/storage/test_mmap_lifetime.py``).
 
     Without ``pin`` the reader opens at the footer at end of file and
     walks the manifest chain behind it, strictly: a torn tail or any

@@ -18,9 +18,9 @@ contract:
   subdirectory and truncate the log back to its commit point.
 
 Repair never deletes bytes: tails are *moved* to quarantine files and
-logs are truncated (carp-lint rule R701 statically bans deletion APIs
-in ``repro.storage`` outside quarantine helpers).  A log with no
-committed data at all is quarantined whole.  Corruption *inside* the
+logs are truncated (the golden corpus in ``tests/storage/corpus/``
+checks every byte taken out of a log lands in quarantine).  A log with
+no committed data at all is quarantined whole.  Corruption *inside* the
 committed prefix (a bit-flipped committed SST) is outside the
 single-crash fault model and is reported, never repaired.
 """
@@ -400,7 +400,7 @@ def quarantine_tail(
 
     The tail is copied to ``quarantine_dir/<name>.orphan-<offset>`` and
     the log truncated back to its commit point.  Rename/truncate only —
-    never a delete (rule R701) — so an interrupted repair loses nothing.
+    never a delete — so an interrupted repair loses nothing.
     """
     quarantine_dir.mkdir(parents=True, exist_ok=True)
     target = quarantine_dir / f"{path.name}.orphan-{footer_end}"

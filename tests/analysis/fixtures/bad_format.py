@@ -1,43 +1,15 @@
-"""Fixture: F-rule violations — drifting struct formats, CRC-less IO."""
+"""Fixture: F203 — an on-disk struct format without a byte order."""
 
 import struct
 
-_HEADER_FMT = "<4sHHI"  # 4 fields
-_ORPHAN_FMT = "<QQd"  # packed below, never unpacked anywhere (F202)
 NATIVE_FMT = "IHH"  # no byte-order prefix (F203)
-
-
-def pack_header(magic, version, flags):
-    # F201: 4-field format, 3 values
-    return struct.pack(_HEADER_FMT, magic, version, flags)
-
-
-def unpack_header(data):
-    # F201: 4-field format, 5 target names
-    magic, version, flags, count, extra = struct.unpack(_HEADER_FMT, data)
-    return magic, version, flags, count, extra
-
-
-def pack_orphan(a, b, c):
-    return struct.pack(_ORPHAN_FMT, a, b, c)  # F202: no unpack anywhere
+_PINNED_FMT = "<IHH"
 
 
 def pack_native(a, b, c):
-    return struct.pack(NATIVE_FMT, a, b, c)  # F203 (+F202)
+    return struct.pack(NATIVE_FMT, a, b, c)  # F203
 
 
-def encode_record_block(payload: bytes) -> bytes:
-    # F204: a writer that emits no CRC at all
-    return len(payload).to_bytes(4, "little") + payload
-
-
-def encode_index_block(entries: list) -> bytes:
-    import zlib
-
-    body = b"".join(entries)
-    return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
-
-
-def decode_index_block(data: bytes) -> bytes:
-    # F204: reader exists but never verifies the trailing CRC
-    return data[:-4]
+def pack_pinned(a, b, c):
+    # an explicit byte order must NOT be flagged
+    return struct.pack(_PINNED_FMT, a, b, c)

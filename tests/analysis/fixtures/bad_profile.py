@@ -5,7 +5,7 @@ events and ``metrics.json`` snapshots); importing the live stack,
 borrowing a recording ``Obs``, or taking one as a parameter wires the
 profile to a run and breaks bit-identical replay.
 """
-# carp-lint: disable=O501,O502,L1001,L1002,L1003
+# carp-lint: disable=O501,O502
 
 import repro.obs.tracer  # O505: live-stack import
 

@@ -5,7 +5,7 @@ injection (the ``TelemetryStream(metrics, clock, sink)`` shape);
 acquiring either at import time or inside a constructor hard-wires
 the host environment into the recording.
 """
-# carp-lint: disable=O501,L1001,L1002,L1003
+# carp-lint: disable=O501
 
 import time
 from pathlib import Path

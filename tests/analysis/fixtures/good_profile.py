@@ -5,7 +5,6 @@ in, an aggregate out.  No ``repro.obs`` import, no ``obs`` parameter,
 no clocks — rerunning the fold over the same archive is byte-identical
 by construction.
 """
-# carp-lint: disable=L1001,L1002,L1003
 
 
 def fold_events(events):

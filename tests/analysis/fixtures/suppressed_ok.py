@@ -1,9 +1,8 @@
 """Fixture: violations silenced by per-file suppressions."""
-# carp-lint: disable=O501,D103
+# carp-lint: disable=O501,D104
 
-import random
 import time
 
 
-def timed_draw():
-    return time.time(), random.random()  # both suppressed file-wide
+def timed_bucket(key):
+    return time.time(), hash(key)  # both suppressed file-wide

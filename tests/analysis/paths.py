@@ -3,7 +3,7 @@
 :func:`enumerate_paths` walks every entry→exit path of a
 :class:`~repro.analysis.cfg.CFG` and :func:`facts_along_path` folds a
 gen/kill analysis along one of them.  On a loop-free function the
-union (may) or intersection (must) of the folded paths is exactly what
+union of the folded paths is exactly what
 :func:`repro.analysis.dataflow.solve` must report at the exit, which
 ``test_cfg_dataflow.py`` checks.  Nothing here is meant to be fast:
 the path count is exponential in the number of branches, so the walk
@@ -88,7 +88,7 @@ def facts_along_path(analysis: GenKillAnalysis, path: Path) -> Facts:
     completing) are skipped — the same pre-state semantics the solver
     applies to exceptional edges.
     """
-    facts = analysis.entry_facts
+    facts: Facts = frozenset()
     for elem, effective in path:
         if effective:
             facts = analysis.transfer(facts, elem)

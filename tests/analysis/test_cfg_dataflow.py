@@ -1,18 +1,17 @@
 """CFG builder and dataflow engine: totality and path-exactness.
 
-Two property suites back the whole X/W/L machinery:
+Two property suites back the whole X/W machinery:
 
 * the CFG builder must accept *every* statement form Python can parse
   (hypothesis generates nested programs from a grammar of all
   statement templates) without crashing, and produce structurally
   sound graphs (edges in range, every element reachable);
-* on loop-free functions, the may-/must-dataflow fixpoint must agree
-  *exactly* with brute-force path enumeration (``paths.py``) — union
-  respectively intersection of folding the transfer function along
-  every simple entry→exit path.  When the enumeration stops at its
-  cap, only the inclusions a subset of the paths still implies are
-  checked: what some enumerated path may hold, the solver may hold;
-  what the solver says every path holds, every enumerated path holds.
+* on loop-free functions, the may-dataflow fixpoint must agree
+  *exactly* with brute-force path enumeration (``paths.py``) — the
+  union of folding the transfer function along every simple
+  entry→exit path.  When the enumeration stops at its cap, only the
+  inclusion a subset of the paths still implies is checked: what some
+  enumerated path may hold, the solver may hold.
 """
 
 import ast
@@ -21,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cfg import EXC, NORMAL, build_cfg
-from repro.analysis.dataflow import MAY, MUST, GenKillAnalysis, solve
+from repro.analysis.dataflow import GenKillAnalysis, solve
 from tests.analysis.paths import enumerate_paths, facts_along_path
 
 # ----------------------------------------------------- program generation
@@ -187,7 +186,7 @@ def _loopfree_block(draw, depth: int) -> list[str]:
     return lines
 
 
-def _stores_loads_analysis(mode: str) -> GenKillAnalysis:
+def _stores_loads_analysis() -> GenKillAnalysis:
     """Facts: 'names with a pending store, not yet observed by a load'."""
 
     def gen(elem: ast.AST) -> list[str]:
@@ -204,37 +203,28 @@ def _stores_loads_analysis(mode: str) -> GenKillAnalysis:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
         ]
 
-    return GenKillAnalysis(gen=gen, kill=kill, mode=mode)
+    return GenKillAnalysis(gen=gen, kill=kill)
 
 
 def _check_against_paths(source: str) -> bool:
-    """Solve both modes on ``source`` and check them against the paths.
+    """Solve ``source`` and check the fixpoint against the paths.
 
     Returns whether the enumeration was complete (exact equality was
-    checked) rather than truncated (only the inclusions were).
+    checked) rather than truncated (only the inclusion was).
     """
     cfg = build_cfg(_parse_fn(source))
     paths, complete = enumerate_paths(cfg, max_paths=20000, max_edge_visits=1)
     assert paths, "a loop-free CFG must have at least one entry->exit path"
 
-    for mode in (MAY, MUST):
-        analysis = _stores_loads_analysis(mode)
-        solved = solve(analysis, cfg).facts_at_exit()
-        folded = [facts_along_path(analysis, p) for p in paths]
-        brute = folded[0]
-        for facts in folded[1:]:
-            brute = brute | facts if mode == MAY else brute & facts
-        if complete:
-            ok = solved == brute
-        elif mode == MAY:
-            ok = brute <= solved
-        else:
-            ok = solved <= brute
-        assert ok, (
-            f"{mode}-dataflow disagrees with brute force "
-            f"({'complete' if complete else 'truncated'} enumeration) on:\n"
-            f"{source}"
-        )
+    analysis = _stores_loads_analysis()
+    solved = solve(analysis, cfg).facts_at_exit()
+    brute = frozenset().union(*(facts_along_path(analysis, p) for p in paths))
+    ok = solved == brute if complete else brute <= solved
+    assert ok, (
+        "dataflow disagrees with brute force "
+        f"({'complete' if complete else 'truncated'} enumeration) on:\n"
+        f"{source}"
+    )
     return complete
 
 
@@ -247,8 +237,8 @@ def test_dataflow_matches_path_enumeration_on_loopfree(data):
 
 def test_truncated_enumeration_checks_inclusion_only():
     # 2 * 2**15 paths, far past the cap: the walk reaches only paths
-    # through the first arm, so its union lacks 'z' and its
-    # intersection still holds 'y' — neither may be read as exact
+    # through the first arm, so its union lacks 'z' and may not be
+    # read as exact
     lines = ["if cond:", "    y = 1", "else:", "    z = 1"]
     for i in range(15):
         lines += ["if cond:", f"    x{i} = 1"]
@@ -256,10 +246,8 @@ def test_truncated_enumeration_checks_inclusion_only():
     cfg = build_cfg(_parse_fn(source))
     paths, complete = enumerate_paths(cfg, max_paths=20000, max_edge_visits=1)
     assert not complete and len(paths) == 20000
-    may = solve(_stores_loads_analysis(MAY), cfg).facts_at_exit()
-    must = solve(_stores_loads_analysis(MUST), cfg).facts_at_exit()
+    may = solve(_stores_loads_analysis(), cfg).facts_at_exit()
     assert {"y", "z"} <= may
-    assert must.isdisjoint({"y", "z"})
     assert _check_against_paths(source) is False
 
 
@@ -280,15 +268,11 @@ def test_loop_fixpoint_reaches_loop_carried_facts():
     fn = _parse_fn(source)
     cfg = build_cfg(fn)
 
-    def facts_before_return(mode):
-        solved = solve(_stores_loads_analysis(mode), cfg)
-        for elem, facts in solved.iter_elements():
-            if isinstance(elem, ast.Return):
-                return facts
-        raise AssertionError("no return element in the CFG")
-
     # 'x' may be stored (loop taken) or not (zero iterations): the
-    # may-fixpoint carries it around the back edge, the must-join
-    # drops it at the zero-iteration merge
-    assert "x" in facts_before_return(MAY)
-    assert "x" not in facts_before_return(MUST)
+    # may-fixpoint carries it around the back edge
+    solved = solve(_stores_loads_analysis(), cfg)
+    facts = next(
+        facts for elem, facts in solved.iter_elements()
+        if isinstance(elem, ast.Return)
+    )
+    assert "x" in facts

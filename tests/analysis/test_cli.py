@@ -19,12 +19,10 @@ def test_clean_repo_exits_zero(repo_src, capsys):
     [
         "bad_determinism.py",
         "bad_format.py",
-        "bad_costmodel.py",
         "bad_obs.py",
         "bad_exec.py",
         "bad_concurrency.py",
         "bad_writepath.py",
-        "bad_lifetime.py",
     ],
 )
 def test_each_bad_fixture_exits_nonzero(fixtures_dir, fixture, capsys):
@@ -73,7 +71,7 @@ def test_unknown_selector_is_usage_error(capsys):
 def test_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("D102", "F201", "C301", "O501", "L1001"):
+    for rule_id in ("D104", "F203", "O501", "W901", "X802"):
         assert rule_id in out
     assert len(out.splitlines()) == len(ALL_RULES)
 

@@ -1,4 +1,4 @@
-"""X/W/L rule families: the CFG-dataflow rules behave path-sensitively."""
+"""X/W rule families: the CFG-dataflow rules behave path-sensitively."""
 
 from pathlib import Path
 
@@ -9,7 +9,6 @@ from repro.analysis.core import FileContext
 from repro.analysis.runner import rules_by_id
 
 _STORAGE = "src/repro/storage/snippet.py"
-_QUERY = "src/repro/query/snippet.py"
 
 
 def _check(rule_id: str, source: str, path: str = _STORAGE):
@@ -28,7 +27,6 @@ def _check(rule_id: str, source: str, path: str = _STORAGE):
     [
         ("bad_concurrency.py", {"X801": 2, "X802": 3}),
         ("bad_writepath.py", {"W901": 1, "W902": 1, "W903": 1}),
-        ("bad_lifetime.py", {"L1001": 1, "L1002": 1, "L1003": 1}),
     ],
 )
 def test_fixture_fires_expected_rules(fixtures_dir, fixture, expected):
@@ -221,96 +219,3 @@ def test_w_rules_scoped_to_storage():
     )
     ctx = FileContext.from_source(src, Path("src/repro/tools/snippet.py"))
     assert not rules_by_id()["W901"].applies(ctx)
-
-
-# ----------------------------------------------------------------- L family
-
-
-def test_l1001_early_return_leak():
-    src = (
-        "def f(path, cond):\n"
-        "    fh = open(path)\n"
-        "    if cond:\n"
-        "        return None\n"
-        "    fh.close()\n"
-        "    return 1\n"
-    )
-    assert len(_check("L1001", src, _QUERY)) == 1
-
-
-def test_l1001_closed_on_all_paths_is_clean():
-    src = (
-        "def f(path, cond):\n"
-        "    fh = open(path)\n"
-        "    try:\n"
-        "        if cond:\n"
-        "            return None\n"
-        "        return fh.read()\n"
-        "    finally:\n"
-        "        fh.close()\n"
-    )
-    assert _check("L1001", src, _QUERY) == []
-
-
-def test_l1001_exception_during_open_binds_nothing():
-    # pre-state exceptional semantics: open() raising leaves no handle
-    src = (
-        "def f(path):\n"
-        "    try:\n"
-        "        fh = open(path)\n"
-        "    except OSError:\n"
-        "        return None\n"
-        "    data = fh.read()\n"
-        "    fh.close()\n"
-        "    return data\n"
-    )
-    assert _check("L1001", src, _QUERY) == []
-
-
-def test_l1001_escape_by_return_is_ownership_transfer():
-    src = "def f(path):\n    fh = open(path)\n    return fh\n"
-    assert _check("L1001", src, _QUERY) == []
-
-
-def test_l1001_escape_into_attribute_is_ownership_transfer():
-    src = (
-        "class C:\n"
-        "    def attach(self, path):\n"
-        "        fh = open(path)\n"
-        "        self._fh = fh\n"
-    )
-    assert _check("L1001", src, _QUERY) == []
-
-
-def test_l1002_resource_attribute_without_close():
-    src = (
-        "class C:\n"
-        "    def __init__(self, path):\n"
-        "        self.fh = open(path)\n"
-    )
-    assert len(_check("L1002", src, _QUERY)) == 1
-
-
-def test_l1002_close_method_is_clean():
-    src = (
-        "class C:\n"
-        "    def __init__(self, path):\n"
-        "        self.fh = open(path)\n"
-        "    def close(self):\n"
-        "        self.fh.close()\n"
-    )
-    assert _check("L1002", src, _QUERY) == []
-
-
-def test_l1003_orphan_open():
-    src = "def f(path):\n    return open(path).read()\n"
-    assert len(_check("L1003", src, _QUERY)) == 1
-
-
-def test_l1003_with_open_is_clean():
-    src = (
-        "def f(path):\n"
-        "    with open(path) as fh:\n"
-        "        return fh.read()\n"
-    )
-    assert _check("L1003", src, _QUERY) == []

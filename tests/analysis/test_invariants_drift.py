@@ -20,7 +20,7 @@ from repro.analysis.runner import ALL_RULES
 _REPO = Path(__file__).resolve().parents[2]
 _INVARIANTS = _REPO / "docs" / "INVARIANTS.md"
 
-# rule ids are one family letter plus 3-4 digits (D102 ... L1001)
+# rule ids are one family letter plus 3-4 digits (D104 ... W903)
 _RULE_ID_RE = re.compile(r"\b([A-Z]\d{3,4})\b")
 
 

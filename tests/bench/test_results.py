@@ -52,6 +52,26 @@ class TestEmit:
         assert doc["rows"][0]["raf_p50"] == 1.25
 
 
+    def test_unchanged_rows_leave_the_file_alone(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.bench.results as results_module
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        rows = [{"ranks": 32, "carp": 1.5}]
+        monkeypatch.setattr(results_module, "git_sha", lambda: "a" * 40)
+        emit("figZ", "t", rows=rows, units={"carp": "B/s"})
+        before = (tmp_path / "figZ.json").read_bytes()
+        monkeypatch.setattr(results_module, "git_sha", lambda: "b" * 40)
+        emit("figZ", "t", rows=[dict(r) for r in rows], units={"carp": "B/s"})
+        assert (tmp_path / "figZ.json").read_bytes() == before
+        emit("figZ", "t", rows=[{"ranks": 32, "carp": 2.5}], units={"carp": "B/s"})
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "figZ.json").read_text())
+        assert doc["git_sha"] == "b" * 40
+        assert doc["rows"] == [{"ranks": 32, "carp": 2.5}]
+
+
 class TestGitSha:
     @pytest.mark.skipif(not IN_CHECKOUT, reason="export without .git")
     def test_resolves_head_in_this_repo(self):

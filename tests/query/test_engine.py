@@ -304,6 +304,39 @@ class TestRecovery:
             assert store.epochs() == [0]
             assert store.total_records(0) == 2
 
+    def test_failed_open_closes_the_readers_it_opened(
+        self, tmp_path, monkeypatch
+    ):
+        # a LogReader holds only an mmap, which emits no ResourceWarning,
+        # so the leak check alone cannot see a half-built store's readers
+        from repro.core.records import RecordBatch
+        from repro.storage.log import LogReader, LogWriter, log_name
+
+        for rank in range(3):
+            with LogWriter(tmp_path / log_name(rank)) as w:
+                w.append_batch(RecordBatch.from_keys(
+                    np.array([float(rank)], np.float32), value_size=8), 0)
+                w.flush_epoch(0)
+        opened: list[LogReader] = []
+        closed: list[LogReader] = []
+
+        class FailsOnSecondLog(LogReader):
+            def __init__(self, *args, **kwargs):
+                if len(opened) == 1:
+                    raise OSError("injected open failure")
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        monkeypatch.setattr(engine_module, "LogReader", FailsOnSecondLog)
+        with pytest.raises(OSError, match="injected open failure"):
+            PartitionedStore(tmp_path)
+        assert len(opened) == 1
+        assert closed == opened
+
 
 class TestMultiEpoch:
     def test_query_every_epoch(self, store, trace_keys, trace_rids):

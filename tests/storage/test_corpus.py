@@ -3,8 +3,8 @@
 Each ``tests/storage/corpus/<name>.bin`` is one hand-broken KoiDB log
 (see ``generate.py`` there); ``expected.json`` records the damage
 class the recovery scanner must diagnose and the epochs that must
-survive.  Repair is additionally held to the R701 discipline: every
-byte it takes out of a log must land in ``quarantine/``.
+survive.  Repair never deletes: every byte it takes out of a log must
+land in ``quarantine/`` (``test_repair_preserves_every_byte``).
 """
 
 import json

@@ -3,8 +3,7 @@
 The reader contract (docs/PERFORMANCE.md): the opening descriptor is
 closed before ``__init__`` returns — even when ``__init__`` fails
 mid-way — and the map is released by ``close()``/``__exit__``, which
-the L1001/L1002 lint rules track statically and these tests exercise
-dynamically, including through the ``Session.snapshot()`` /
+these tests exercise, including through the ``Session.snapshot()`` /
 ``release()`` / close lifecycle.
 """
 

@@ -33,13 +33,16 @@ def setups(bench_carp, bench_sorted, bench_streams, bench_keys,
                         sst_records=1024)
     index = BitmapIndex.from_streams(bench_streams[LATE_TS], nbins=512,
                                      record_size=12)
-    return {
-        "carp": PartitionedStore(bench_carp["dir"]),
-        "sorted": PartitionedStore(bench_sorted[LATE_TS]),
-        "raw": PartitionedStore(raw_dir),
-        "fastquery": index,
-        "keys": bench_keys[LATE_TS],
-    }
+    with PartitionedStore(bench_carp["dir"]) as carp, \
+         PartitionedStore(bench_sorted[LATE_TS]) as tsort, \
+         PartitionedStore(raw_dir) as raw:
+        yield {
+            "carp": carp,
+            "sorted": tsort,
+            "raw": raw,
+            "fastquery": index,
+            "keys": bench_keys[LATE_TS],
+        }
 
 
 def run_suite(setups):

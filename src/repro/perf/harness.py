@@ -269,6 +269,8 @@ def _run_serve(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
                "queries"),
         Metric("serve_evict_refill_bytes", report.evict_refill_bytes,
                "bytes"),
+        Metric("serve_evict_contained_hits", report.evict_contained_hits,
+               "hits"),
     ], events, snapshot
 
 

@@ -26,9 +26,10 @@ contract — see ``docs/SERVING.md``):
    Zipf draw (:func:`evict_requests`) against a standalone
    one-worker service whose cache holds :data:`EVICT_CAPACITY`
    results, a fraction of the ranges drawn, so the cache's eviction
-   policy decides which refills the draw pays for.  It has no obs
-   stack and its payloads stay out of the digest: it adds its two
-   counts and moves nothing else.
+   policy decides which refills the draw pays for, and a narrow range
+   drawn while a wider one holding it is cached is a contained hit.
+   It has no obs stack and its payloads stay out of the digest: it
+   adds its three counts and moves nothing else.
 
 Response payloads are folded into one order-independent digest
 (responses are hashed, sorted, re-hashed), so the baseline gate also
@@ -76,9 +77,11 @@ class ServeReport:
     latency_p99: float
     latency_mean: float
     served_count: int
-    #: engine executions of the evict phase, and the bytes they read
+    #: engine executions of the evict phase, the bytes they read, and
+    #: its hits sliced from a cached range containing the request's
     evict_engine_queries: int
     evict_refill_bytes: int
+    evict_contained_hits: int
     #: Paths of artifacts persisted under the run's output directory
     #: (metrics.json / telemetry.jsonl / trace.json), when requested.
     artifacts: tuple[str, ...] = ()
@@ -168,8 +171,11 @@ def evict_requests(lo: float, hi: float, seed: int) -> list[QueryRequest]:
     return random.Random(seed).choices(pool, weights, k=EVICT_REQUESTS)
 
 
-def _run_evict(db_dir: Path, requests: list[QueryRequest]) -> tuple[int, int]:
-    """Serve ``requests`` in order; (engine executions, bytes they read)."""
+def _run_evict(
+    db_dir: Path, requests: list[QueryRequest]
+) -> tuple[int, int, int]:
+    """Serve ``requests`` in order; (engine executions, bytes they read,
+    contained hits)."""
     refill_bytes = 0
     with QueryService(db_dir, workers=1, cache_capacity=EVICT_CAPACITY) as service:
         for request in requests:
@@ -178,8 +184,8 @@ def _run_evict(db_dir: Path, requests: list[QueryRequest]) -> tuple[int, int]:
             if not response.cached:
                 assert response.cost is not None
                 refill_bytes += response.cost.bytes_read
-        engine_queries = service.stats.engine_queries
-    return engine_queries, refill_bytes
+        stats = service.stats
+    return stats.engine_queries, refill_bytes, stats.contained_hits
 
 
 def combined_digest(responses: list[QueryResponse]) -> str:
@@ -256,7 +262,7 @@ def run_serve_workload(
         )
         assert p50 is not None and p95 is not None and p99 is not None
         # phase 4: eviction, over more ranges than the cache holds
-        evict_queries, evict_bytes = _run_evict(
+        evict_queries, evict_bytes, evict_contained = _run_evict(
             db_dir, evict_requests(lo, hi, spec.seed)
         )
         artifacts: list[str] = []
@@ -286,6 +292,7 @@ def run_serve_workload(
             served_count=hist.count,
             evict_engine_queries=evict_queries,
             evict_refill_bytes=evict_bytes,
+            evict_contained_hits=evict_contained,
             artifacts=tuple(artifacts),
         )
     if out_dir is not None:

@@ -23,14 +23,20 @@ while ``ingest_epoch`` keeps appending, and answers each with a
   resolves its epoch and looks the key up *on the submitting thread*:
   a completed entry is answered right there (the handle is ``done()``
   before ``submit`` returns), so a slow miss costs its own requests,
-  never the hits on every other range.  A key that is *in flight*
-  takes the handle as a follower — it occupies neither an admission
-  slot nor a worker, counts as a hit, and is resolved by the slot's
-  owner when the fill lands.  One engine execution per key is what
-  makes hit/miss counters — and the engine-side query counters they
-  reconcile against — exact under any thread timing.  A fill that
-  raises resolves owner and followers with a typed error and drops
-  the key: errors are never cached.
+  never the hits on every other range.  A request whose exact key
+  misses is then answered from a completed entry of the same pin,
+  epoch and ``keys_only=False`` whose range contains its own (the
+  "semantic caching" of Dar et al., VLDB 1996): results are sorted by
+  key with ties in a fixed order, so the rows of the sub-range are its
+  exact answer.  Keys-only and deadline requests, and in-flight
+  containers, are not eligible (:meth:`QueryService.submit` says
+  why).  A key that is *in flight* takes the handle as a follower —
+  it occupies neither an admission slot nor a worker, counts as a
+  hit, and is resolved by the slot's owner when the fill lands.  One
+  engine execution per key is what makes hit/miss counters — and the
+  engine-side query counters they reconcile against — exact under any
+  thread timing.  A fill that raises resolves owner and followers
+  with a typed error and drops the key: errors are never cached.
 - **Admission control.**  Only a true miss is admitted: it creates the
   slot it owns and queues it for a worker.  ``max_pending`` bounds
   those queued misses; past it a miss is answered
@@ -59,6 +65,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.records import sorted_range
 from repro.obs import NULL_OBS, Obs, RequestIdAllocator, SpanRecord
 from repro.query.engine import LATENCY_BOUNDS, PartitionedStore, QueryResult
 from repro.query.request import (
@@ -218,6 +225,9 @@ class ServeStats:
     rejected: int
     errors: int
     cache_hits: int
+    #: the hits answered by slicing a cached range that contains the
+    #: request's (a subset of ``cache_hits``)
+    contained_hits: int
     cache_misses: int
     invalidations: int
     engine_queries: int
@@ -294,6 +304,7 @@ class QueryService:
             0,
         )
         self._cache_hits = 0
+        self._contained_hits = 0
         self._cache_misses = 0
         self._submitted = 0
         self._invalidations = 0
@@ -376,7 +387,9 @@ class QueryService:
 
         The request is bound to the current pin and looked up in the
         single-flight cache here, on the caller's thread.  A completed
-        entry, an epoch the pin does not hold and a full miss queue
+        entry — the exact key's or, failing that, one of the same pin
+        and epoch whose range contains the request's, sliced to it —
+        an epoch the pin does not hold and a full miss queue
         (:data:`~repro.query.request.STATUS_REJECTED` — bounded
         admission instead of unbounded buffering) resolve the handle
         *now*; a key already in flight takes the handle as a follower;
@@ -402,15 +415,28 @@ class QueryService:
                 return handle
             key = (snap.token, epoch, request.lo, request.hi, request.keys_only)
             slot = self._cache.get(key)
+            # keys-only results are sorted by an unstable np.sort, so the
+            # order of -0.0 and +0.0 does not survive taking a subset; a
+            # deadline's status must come from the request's own latency
+            if slot is None and not request.keys_only and request.deadline is None:
+                slot = self._container_locked(key)
             if slot is not None:
-                if slot.result is not None:
+                result = slot.result
+                if result is not None:
                     slot.uses += 1
                     slot.priority = self._age + slot.uses * slot.cost
+                    if slot.key != key:
+                        self._contained_hits += 1
+                        rows = sorted_range(result.keys, request.lo, request.hi)
+                        result = QueryResult(
+                            request.lo, request.hi, epoch,
+                            result.keys[rows], result.rids[rows], result.cost,
+                        )
                     self._record_locked(
                         handle,
                         response_from_result(
                             request, handle.request_id, snap.token,
-                            slot.result, cached=True,
+                            result, cached=True,
                         ),
                     )
                 else:
@@ -439,6 +465,25 @@ class QueryService:
             self._pending += 1
             self._cond.notify()
             return handle
+
+    def _container_locked(self, key: _Key) -> _CacheSlot | None:
+        """The first completed, not keys-only entry of ``key``'s pin and
+        epoch whose range contains ``key``'s (lock held).
+
+        An in-flight container does not count: a hit never waits on a
+        fill it did not ask for, so the hit/miss split stays free of
+        thread timing.
+        """
+        token, epoch, lo, hi, _keys_only = key
+        for slot in self._cache.values():
+            s_token, s_epoch, s_lo, s_hi, s_keys_only = slot.key
+            if (
+                slot.result is not None and s_token == token
+                and s_epoch == epoch and not s_keys_only
+                and s_lo <= lo and hi <= s_hi
+            ):
+                return slot
+        return None
 
     def query(self, request: QueryRequest) -> QueryResponse:
         """Submit and wait: the one-call convenience path."""
@@ -498,6 +543,7 @@ class QueryService:
                 rejected=by_status[STATUS_REJECTED],
                 errors=by_status[STATUS_ERROR],
                 cache_hits=self._cache_hits,
+                contained_hits=self._contained_hits,
                 cache_misses=self._cache_misses,
                 invalidations=self._invalidations,
                 # single-flight: an answer that is not a hit is exactly

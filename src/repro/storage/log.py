@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import warnings
 from array import array
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
@@ -311,7 +312,9 @@ class LogReader:
     touches only that SST's byte range — no whole-file ``read()``
     copies.  The file descriptor used to create the map is closed
     before ``__init__`` returns; the map itself is released by
-    :meth:`close` / ``__exit__`` (``tests/storage/test_mmap_lifetime.py``).
+    :meth:`close` / ``__exit__`` (``tests/storage/test_mmap_lifetime.py``),
+    and a reader collected with its map still open warns
+    :class:`ResourceWarning`.
 
     Without ``pin`` the reader opens at the footer at end of file and
     walks the manifest chain behind it, strictly: a torn tail or any
@@ -572,6 +575,16 @@ class LogReader:
     def close(self) -> None:
         if self._map is not None and not self._map.closed:
             self._map.close()
+
+    def __del__(self) -> None:
+        # an mmap collected while open warns nothing, so without this a
+        # reader dropped unclosed would leak unseen; an __init__ that
+        # raised early (a subclass's, too) may not have set _map
+        mapped = getattr(self, "_map", None)
+        if mapped is not None and not mapped.closed:
+            warnings.warn(
+                f"unclosed LogReader {self.path}", ResourceWarning, source=self
+            )
 
     def __enter__(self) -> "LogReader":
         return self

@@ -61,6 +61,7 @@ def render_report(report: ServeReport) -> str:
         ("latency_mean (virtual s)", f"{report.latency_mean:.6g}"),
         ("evict_engine_queries", report.evict_engine_queries),
         ("evict_refill_bytes", report.evict_refill_bytes),
+        ("evict_contained_hits", report.evict_contained_hits),
     ]
     return render_table(
         ("metric", "value"), rows, title=f"carp-serve: {report.workload}"

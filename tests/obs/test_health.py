@@ -110,6 +110,41 @@ def test_default_policy_file_parses():
     assert len(policy.rules) >= 5
 
 
+def test_default_serve_p99_cap_is_one_bucket_above_the_baseline():
+    """The serve p99 cap is the ``LATENCY_BOUNDS`` edge after the
+    ``serve-mixed`` baseline's p99, so a p99 that moves two buckets up
+    breaches it."""
+    from pathlib import Path
+
+    from repro.query.engine import LATENCY_BOUNDS
+
+    repo = Path(__file__).resolve().parents[2]
+    policy = parse_policy(
+        (repo / "configs" / "health_default.json").read_text()
+    )
+    [rule] = [
+        r for r in policy.rules
+        if r.selector == "histograms.serve.latency.p99"
+    ]
+    baseline = json.loads(
+        (repo / "results" / "baselines" / "serve-mixed.json").read_text()
+    )
+    [p99] = [
+        row["value"] for row in baseline["rows"]
+        if row["metric"] == "serve_latency_p99"
+    ]
+    edge = LATENCY_BOUNDS.index(p99)
+    assert rule.max == LATENCY_BOUNDS[edge + 1]
+
+    def status(observed):
+        hist = {"p99": observed}
+        sample = _sample(0, kind="final", histograms={"serve.latency": hist})
+        return evaluate(_policy(rule), [sample]).results[0].status
+
+    assert status(p99) == "ok"
+    assert status(LATENCY_BOUNDS[edge + 2]) == "breach"
+
+
 # ------------------------------------------------------------ evaluation
 
 

@@ -307,8 +307,8 @@ class TestRecovery:
     def test_failed_open_closes_the_readers_it_opened(
         self, tmp_path, monkeypatch
     ):
-        # a LogReader holds only an mmap, which emits no ResourceWarning,
-        # so the leak check alone cannot see a half-built store's readers
+        # the store closes the readers it opened before the failure;
+        # the collector would only warn about them later, in another test
         from repro.core.records import RecordBatch
         from repro.storage.log import LogReader, LogWriter, log_name
 

@@ -239,13 +239,17 @@ class TestCache:
 
     def test_refill_bytes_beat_an_lru_over_the_same_draw(self, db_dir):
         """Oracle: replay the perf workload's seeded Zipf draw through
-        one worker, then an LRU of the same capacity over the same keys
-        and per-key ``bytes_read``; the service refills fewer bytes."""
+        one worker, then an exact-key LRU of the same capacity over the
+        same keys, each priced by one engine execution; the service
+        refills no more bytes."""
         with PartitionedStore(db_dir) as store:
             lo, hi = store.key_range(0)
-        draw = evict_requests(lo, hi, seed=3)
+            draw = evict_requests(lo, hi, seed=3)
+            bytes_of = {
+                key: store.query(0, *key).cost.bytes_read
+                for key in {(r.lo, r.hi) for r in draw}
+            }
         capacity = 6
-        bytes_of: dict[tuple[float, float], int] = {}
         refilled = 0
         with QueryService(
             db_dir, workers=1, cache_capacity=capacity
@@ -254,7 +258,6 @@ class TestCache:
                 response = service.query(request)
                 assert response.ok
                 if not response.cached:
-                    bytes_of[request.lo, request.hi] = response.cost.bytes_read
                     refilled += response.cost.bytes_read
         lru: OrderedDict[tuple[float, float], None] = OrderedDict()
         lru_refilled = 0

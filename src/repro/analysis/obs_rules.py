@@ -209,8 +209,8 @@ OBS_NAME_SCOPE = (
 _NAME_AT_1 = frozenset({"begin", "complete", "instant", "span"})
 
 #: Method names whose *name* argument comes first
-#: (``metrics.gauge(name)``, ``metrics.histogram(name, bounds)``).
-_NAME_AT_0 = frozenset({"gauge", "histogram"})
+#: (``metrics.counter(name)``, ``metrics.histogram(name, bounds)``).
+_NAME_AT_0 = frozenset({"counter", "gauge", "histogram"})
 
 
 def _dynamic_name(node: ast.expr) -> str | None:
@@ -244,16 +244,7 @@ class StaticInstrumentNameRule(Rule):
         for kw in node.keywords:
             if kw.arg == "name":
                 return kw.value
-        if method in _NAME_AT_1:
-            idx = 1
-        elif method in _NAME_AT_0:
-            idx = 0
-        elif method == "counter":
-            # tracer.counter(track, name, ts, values) vs
-            # metrics.counter(name): arity disambiguates
-            idx = 1 if len(node.args) >= 3 else 0
-        else:
-            return None
+        idx = 1 if method in _NAME_AT_1 else 0
         return node.args[idx] if len(node.args) > idx else None
 
     def check(self, ctx: FileContext) -> list[Violation]:
@@ -265,7 +256,7 @@ class StaticInstrumentNameRule(Rule):
             if not isinstance(func, ast.Attribute):
                 continue
             method = func.attr
-            if method not in _NAME_AT_1 | _NAME_AT_0 | {"counter"}:
+            if method not in _NAME_AT_1 | _NAME_AT_0:
                 continue
             name_arg = self._name_arg(node, method)
             if name_arg is None:

@@ -239,8 +239,8 @@ class Session:
         See :meth:`repro.query.engine.PartitionedStore.explain`; the
         report reconciles exactly against :attr:`QueryResponse.cost`.
         Mints an ``explain-NNNNNN`` request id carried by one
-        zero-duration trace span, so ``carp trace --request`` covers
-        EXPLAIN requests too.
+        zero-duration trace span, so ``carp profile record --request``
+        covers EXPLAIN requests too.
         """
         request.validate()
         store = self.store(snapshot=snapshot)
@@ -311,23 +311,13 @@ class Session:
         target = Path(path) if path is not None else self.out_dir / "metrics.json"
         return self.obs.metrics.write_json(target)
 
-    def write_exposition(self, path: Path | str | None = None) -> Path:
-        """Persist the OpenMetrics-style text exposition (``metrics.om``)."""
-        from repro.obs import render_openmetrics
-
-        target = Path(path) if path is not None else self.out_dir / "metrics.om"
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(render_openmetrics(self.obs.metrics.snapshot()))
-        return target
-
     def close(self) -> None:
         """Close views and the run.
 
         With telemetry attached, the run teardown (which merges the
         rank stacks a last time) is followed by one ``final`` full
-        sample — the sample SLO policies with ``over="final"`` gate on —
-        plus the OpenMetrics exposition, before the session-owned sink
-        closes.
+        sample — the sample ``carp health`` policies gate on — before
+        the session-owned sink closes.
         """
         if self._closed:
             return
@@ -344,7 +334,6 @@ class Session:
         self.run.close()
         if self.telemetry is not None:
             self.telemetry.sample("final")
-            self.write_exposition()
         if self._telemetry_file is not None:
             self._telemetry_file.close()
             self._telemetry_file = None

@@ -42,11 +42,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    TelemetryStream,
-    render_openmetrics,
-)
+from repro.obs.telemetry import NULL_TELEMETRY, TelemetryStream
 from repro.obs.tracer import (
     ChromeTracer,
     NullTracer,
@@ -76,7 +72,6 @@ __all__ = [
     "RequestIdAllocator",
     "TelemetryStream",
     "NULL_TELEMETRY",
-    "render_openmetrics",
     "Obs",
     "Span",
     "NULL_OBS",
@@ -235,8 +230,9 @@ class Obs:
 
         While a request id is set on this stack (driver-side around
         each ingest/query, rank-side via ``KoiDB.set_request``), the
-        span's args gain a ``request`` entry so ``carp trace --request
-        <id>`` can pull one request's tree out of the merged timeline.
+        span's args gain a ``request`` entry so ``carp profile record
+        DIR --request <id>`` can pull one request's tree out of the
+        merged timeline.
         """
         if not self.enabled:
             return _NULL_SPAN

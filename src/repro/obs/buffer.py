@@ -87,12 +87,6 @@ class BufferingTracer(Tracer):
                 args: dict[str, object] | None = None) -> None:
         self._records.append(self._record("i", track, name, ts, args))
 
-    def counter(self, track: Track, name: str, ts: float,
-                values: dict[str, float]) -> None:
-        rec = self._record("C", track, name, ts, None)
-        rec["values"] = {k: float(v) for k, v in values.items()}
-        self._records.append(rec)
-
     # ------------------------------------------------------------- drain
 
     def drain(self) -> list[SpanRecord]:

@@ -5,14 +5,15 @@ epoch or a range query — with a *deterministic* id minted at the
 :class:`repro.api.Session` entry points.  The id rides along the
 request's whole causal path: driver-side spans pick it up from
 ``Obs.request_id``, storage-side spans pick it up from each rank's
-stack (``KoiDB.set_request``), and telemetry samples carry it so
-counter deltas are attributable to the request that caused them.
+stack (``KoiDB.set_request``), and the telemetry sample that closes
+the request carries it.
 
 Determinism is the point: ids are sequence numbers per request kind
 (``ingest-000001``, ``query-000002``, ...), not UUIDs or timestamps,
 so the same workload produces the same ids on every run — which is
-what lets ``carp trace --request <id>`` reconstruct one request's tree
-from an archived trace and lets tests compare attribution bit-for-bit.
+what lets ``carp profile record DIR --request <id>`` reconstruct one
+request's tree from an archived trace and lets tests compare
+attribution bit-for-bit.
 """
 
 from __future__ import annotations

@@ -1,16 +1,14 @@
 """Declarative SLO health policies over the telemetry stream.
 
-A :class:`HealthPolicy` is a list of threshold rules over the sample
-documents a :class:`~repro.obs.telemetry.TelemetryStream` appends to
-``telemetry.jsonl``.  Each rule names one value with a dotted
-*selector* —
+A :class:`HealthPolicy` is a list of threshold rules over the last full
+sample a :class:`~repro.obs.telemetry.TelemetryStream` appended to
+``telemetry.jsonl`` (the ``final`` sample of a closed session).  Each
+rule names one value with a dotted *selector* —
 
 ``counters.<name>``
-    a cumulative counter, e.g. ``counters.faults.manifest_write_crashes``
+    a cumulative counter, e.g. ``counters.serve.rejected``
 ``gauges.<name>``
     a gauge, e.g. ``gauges.shuffle.in_flight_records``
-``deltas.<name>``
-    the counter's delta since the previous full sample
 ``derived.<name>``
     a derived SLO gauge, e.g. ``derived.read_amp`` or
     ``derived.faults_total``
@@ -19,44 +17,39 @@ documents a :class:`~repro.obs.telemetry.TelemetryStream` appends to
     ``p50``/``p95``/``p99``/``mean``/``min``/``max``/``count``/``sum``,
     e.g. ``histograms.query.latency.p99``
 
-— and bounds it with ``max`` and/or ``min`` (inclusive; observing a
-value strictly beyond a bound is a breach).  ``over`` picks the
-evaluation window: ``"final"`` (default) checks only the last full
-sample — right for cumulative SLOs like total faults — while
-``"any"`` checks every full sample, so a mid-run excursion breaches
-even if the final state recovered.
+— and caps it with an inclusive ``max``: observing a value strictly
+above it is a breach.  Counters, histograms and the derived gauges
+are cumulative over the run, and a gauge worth gating (the shuffle
+backlog) must end drained, so the last sample is the one to gate on.
 
 A selector that resolves to nothing (metric never registered, e.g.
 quarantine counts on a run that never repaired a log) is reported as
 ``skipped``, not a breach: policies are written against the union of
 everything a run *might* emit.
 
-Policies load from JSON anywhere, and from TOML on interpreters that
-ship :mod:`tomllib` (3.11+) — the repo supports 3.10, so TOML is
-capability-gated, never required.  This module is pure (text/dicts in,
-report out); file handling lives in the ``carp health`` CLI
+Policies are JSON.  This module is pure (text/dicts in, report out);
+file handling lives in the ``carp health`` CLI
 (``repro.tools.health_cli``), which keeps the module O504-clean and
 the evaluation unit-testable without a filesystem.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-_SECTIONS = ("counters", "gauges", "deltas", "derived", "histograms")
+_SECTIONS = ("counters", "gauges", "derived", "histograms")
 _HIST_STATS = ("p50", "p95", "p99", "mean", "min", "max", "count", "sum")
-_WINDOWS = ("final", "any")
+_RULE_KEYS = frozenset({"selector", "max", "description"})
 
 
 @dataclass(frozen=True)
 class HealthRule:
-    """One SLO threshold over a telemetry selector."""
+    """One SLO cap over a telemetry selector."""
 
     selector: str
-    max: float | None = None
-    min: float | None = None
-    over: str = "final"
+    max: float
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -73,15 +66,6 @@ class HealthRule:
                     f"histogram selector {self.selector!r} must end in one "
                     f"of {', '.join(_HIST_STATS)}"
                 )
-        if self.max is None and self.min is None:
-            raise ValueError(
-                f"health rule {self.selector!r} needs a max and/or min bound"
-            )
-        if self.over not in _WINDOWS:
-            raise ValueError(
-                f"health rule {self.selector!r}: over={self.over!r} is not "
-                f"one of {_WINDOWS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -103,26 +87,23 @@ class HealthPolicy:
             selector = raw.get("selector")
             if not isinstance(selector, str):
                 raise ValueError(f"health policy rule #{i} needs a 'selector'")
+            # a key this evaluator does not read would be silently
+            # ignored, loosening the gate its author meant to write
+            unknown = sorted(set(raw) - _RULE_KEYS)
+            if unknown:
+                raise ValueError(
+                    f"rule {selector!r}: unknown key(s) {', '.join(unknown)}"
+                )
             max_ = raw.get("max")
-            min_ = raw.get("min")
-            if max_ is not None and not isinstance(max_, (int, float)):
+            if not isinstance(max_, (int, float)):
                 raise ValueError(f"rule {selector!r}: max must be a number")
-            if min_ is not None and not isinstance(min_, (int, float)):
-                raise ValueError(f"rule {selector!r}: min must be a number")
-            over = raw.get("over", "final")
-            if not isinstance(over, str):
-                raise ValueError(f"rule {selector!r}: over must be a string")
             description = raw.get("description", "")
             if not isinstance(description, str):
                 raise ValueError(
                     f"rule {selector!r}: description must be a string"
                 )
             rules.append(HealthRule(
-                selector=selector,
-                max=float(max_) if max_ is not None else None,
-                min=float(min_) if min_ is not None else None,
-                over=over,
-                description=description,
+                selector=selector, max=float(max_), description=description,
             ))
         name = doc.get("name", "unnamed")
         if not isinstance(name, str):
@@ -130,30 +111,11 @@ class HealthPolicy:
         return HealthPolicy(name=name, rules=tuple(rules))
 
 
-def parse_policy(text: str, fmt: str = "json") -> HealthPolicy:
-    """Parse a policy document from JSON or (where available) TOML.
-
-    TOML needs :mod:`tomllib` (python >= 3.11); on older interpreters
-    a TOML request raises ``RuntimeError`` with a pointer at the JSON
-    form, which every supported interpreter can load.
-    """
-    if fmt == "json":
-        import json
-
-        doc = json.loads(text)
-    elif fmt == "toml":
-        try:
-            import tomllib
-        except ImportError as exc:  # python 3.10: no stdlib TOML parser
-            raise RuntimeError(
-                "TOML health policies need python >= 3.11 (tomllib); "
-                "use the JSON policy format instead"
-            ) from exc
-        doc = tomllib.loads(text)
-    else:
-        raise ValueError(f"unknown health policy format {fmt!r}")
+def parse_policy(text: str) -> HealthPolicy:
+    """Parse a JSON policy document."""
+    doc = json.loads(text)
     if not isinstance(doc, dict):
-        raise ValueError("health policy document must be a table/object")
+        raise ValueError("health policy document must be an object")
     return HealthPolicy.from_dict(doc)
 
 
@@ -162,17 +124,13 @@ def parse_policy(text: str, fmt: str = "json") -> HealthPolicy:
 
 @dataclass(frozen=True)
 class RuleResult:
-    """Outcome of one rule over the evaluation window."""
+    """Outcome of one rule over the last full sample."""
 
     rule: HealthRule
     #: ``ok`` | ``breach`` | ``skipped``
     status: str
-    #: the worst value observed in the window (None when skipped)
+    #: the value in the last full sample (None when skipped)
     observed: float | None = None
-    #: ``seq`` of the sample holding the worst value
-    at_seq: int | None = None
-    #: ``kind`` of that sample
-    at_kind: str | None = None
     note: str = ""
 
 
@@ -201,13 +159,9 @@ class HealthReport:
                 {
                     "selector": r.rule.selector,
                     "max": r.rule.max,
-                    "min": r.rule.min,
-                    "over": r.rule.over,
                     "description": r.rule.description,
                     "status": r.status,
                     "observed": r.observed,
-                    "at_seq": r.at_seq,
-                    "at_kind": r.at_kind,
                     "note": r.note,
                 }
                 for r in self.results
@@ -227,16 +181,9 @@ class HealthReport:
         ]
         tag = {"breach": "BREACH", "ok": "ok", "skipped": "skip"}
         for r in self.results:
-            bounds = []
-            if r.rule.max is not None:
-                bounds.append(f"<= {r.rule.max:g}")
-            if r.rule.min is not None:
-                bounds.append(f">= {r.rule.min:g}")
-            line = f"  {tag[r.status]:6s} {r.rule.selector} {' and '.join(bounds)}"
+            line = f"  {tag[r.status]:6s} {r.rule.selector} <= {r.rule.max:g}"
             if r.observed is not None:
                 line += f": observed {r.observed:g}"
-                if r.at_seq is not None:
-                    line += f" at seq {r.at_seq} (kind={r.at_kind})"
             if r.note:
                 line += f" [{r.note}]"
             if r.rule.description:
@@ -267,79 +214,37 @@ def _resolve(sample: Mapping[str, object], selector: str) -> float | None:
     return float(value)
 
 
-def _full_samples(
-    samples: Sequence[Mapping[str, object]],
-) -> list[Mapping[str, object]]:
-    return [s for s in samples if s.get("kind") != "tick"]
-
-
 def evaluate(
     policy: HealthPolicy, samples: Sequence[Mapping[str, object]]
 ) -> HealthReport:
-    """Evaluate every rule in ``policy`` over parsed telemetry samples.
+    """Evaluate every rule in ``policy`` against the last full sample.
 
     ``samples`` is the parsed ``telemetry.jsonl`` in emission order;
     tick samples are ignored (they carry a driver-scoped subset that
     most selectors cannot resolve against).
     """
-    full = _full_samples(samples)
+    full = [s for s in samples if s.get("kind") != "tick"]
     results: list[RuleResult] = []
     for rule in policy.rules:
-        window = full[-1:] if rule.over == "final" else full
-        results.append(_evaluate_rule(rule, window))
+        if not full:
+            results.append(RuleResult(
+                rule=rule, status="skipped", note="no full telemetry samples"
+            ))
+            continue
+        value = _resolve(full[-1], rule.selector)
+        if value is None:
+            results.append(RuleResult(
+                rule=rule, status="skipped",
+                note=f"{rule.selector} absent from the last full sample",
+            ))
+            continue
+        results.append(RuleResult(
+            rule=rule, status="breach" if value > rule.max else "ok",
+            observed=value,
+        ))
     return HealthReport(
         policy=policy.name, results=tuple(results), samples_seen=len(full)
     )
-
-
-def _evaluate_rule(
-    rule: HealthRule, window: Sequence[Mapping[str, object]]
-) -> RuleResult:
-    if not window:
-        return RuleResult(
-            rule=rule, status="skipped", note="no full telemetry samples"
-        )
-    worst: float | None = None
-    worst_sample: Mapping[str, object] | None = None
-    breach = False
-    for sample in window:
-        value = _resolve(sample, rule.selector)
-        if value is None:
-            continue
-        value_breaches = (
-            (rule.max is not None and value > rule.max)
-            or (rule.min is not None and value < rule.min)
-        )
-        # track the worst observation: prefer any breaching value,
-        # then the largest excursion toward the violated direction
-        if worst is None or (value_breaches and not breach) or (
-            value_breaches == breach and _worse(rule, value, worst)
-        ):
-            worst = value
-            worst_sample = sample
-        breach = breach or value_breaches
-    if worst is None:
-        return RuleResult(
-            rule=rule, status="skipped",
-            note=f"{rule.selector} absent from sampled window",
-        )
-    assert worst_sample is not None
-    seq = worst_sample.get("seq")
-    kind = worst_sample.get("kind")
-    return RuleResult(
-        rule=rule,
-        status="breach" if breach else "ok",
-        observed=worst,
-        at_seq=seq if isinstance(seq, int) else None,
-        at_kind=kind if isinstance(kind, str) else None,
-    )
-
-
-def _worse(rule: HealthRule, candidate: float, incumbent: float) -> bool:
-    """Is ``candidate`` a worse observation than ``incumbent``?"""
-    if rule.max is not None:
-        return candidate > incumbent
-    return candidate < incumbent
 
 
 def parse_telemetry_lines(text: str) -> list[dict[str, object]]:
@@ -349,8 +254,6 @@ def parse_telemetry_lines(text: str) -> list[dict[str, object]]:
     naming its (1-based) line number so a truncated stream from a
     crashed run is diagnosable.
     """
-    import json
-
     samples: list[dict[str, object]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -306,9 +306,9 @@ def fold(events: Iterable[Mapping[str, Any]], *,
     Consumes the (already deterministic) archived event order: per
     (pid, tid) lane, ``B``/``E`` pairs nest and ``X`` completes nest
     under whatever span is open on the same lane — by event order
-    alone; ``ts`` and ``dur`` are never read.  Instants, counter
-    samples, and metadata contribute no frames; metadata names each
-    pid's track type, which picks the frame's phase.
+    alone; ``ts`` and ``dur`` are never read.  Instants and metadata
+    contribute no frames; metadata names each pid's track type, which
+    picks the frame's phase.
 
     With ``request`` set, only spans whose args carry that ``request``
     id are aggregated — one request's cross-worker tree.  The lane
@@ -383,12 +383,16 @@ def fold(events: Iterable[Mapping[str, Any]], *,
                    unclosed_spans=unclosed)
 
 
-def fold_trace_doc(doc: Mapping[str, Any]) -> Profile:
-    """Fold a whole ``trace.json`` document (``traceEvents`` list)."""
+def fold_trace_doc(doc: Mapping[str, Any], *,
+                   request: str | None = None) -> Profile:
+    """Fold a whole ``trace.json`` document (``traceEvents`` list).
+
+    ``request`` keeps one request's spans, as in :func:`fold`.
+    """
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         raise ValueError("trace document has no traceEvents list")
-    return fold(events)
+    return fold(events, request=request)
 
 
 # ------------------------------------------------------------------ diff

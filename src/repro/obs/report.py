@@ -4,8 +4,7 @@ Turns the three artifacts ``carp trace`` produces — the run manifest
 (``carp_run.json`` shape), the metrics snapshot, and the trace-event
 list — into a per-epoch timeline/summary a terminal can show.  The
 functions here take plain dicts/lists, not live run objects, so the
-module renders archived artifacts as readily as a just-finished run
-and introduces no import cycle with the instrumented packages.
+module introduces no import cycle with the instrumented packages.
 
 Trace events are turned into spans in one place only,
 :func:`repro.obs.profile.fold`; :func:`phase_table` and
@@ -51,36 +50,6 @@ def epoch_table(epochs: list[dict[str, object]]) -> str:
     return render_table(headers, rows)
 
 
-def normalize_snapshot(
-    snapshot: dict[str, object],
-) -> tuple[dict[str, object], list[str]]:
-    """Fill in sections an older ``metrics.json`` may lack.
-
-    Snapshots recorded before histograms existed carry only
-    ``counters``/``gauges``; rendering such an archive must degrade,
-    not crash.  Returns the snapshot with every section present (empty
-    where missing) plus human-readable annotations naming what was
-    filled in — the report prints them so a legacy artifact is
-    labelled, never silently mistaken for a complete recording.
-    """
-    annotations: list[str] = []
-    normalized = dict(snapshot)
-    for section in ("counters", "gauges", "histograms"):
-        if not isinstance(normalized.get(section), dict):
-            if section in normalized:
-                annotations.append(
-                    f"legacy snapshot: malformed {section!r} section replaced "
-                    "with an empty one"
-                )
-            else:
-                annotations.append(
-                    f"legacy snapshot: no {section!r} section "
-                    "(recorded by an older carp trace); table omitted"
-                )
-            normalized[section] = {}
-    return normalized, annotations
-
-
 def metrics_table(snapshot: dict[str, object]) -> str:
     """Counter/gauge totals from a metrics snapshot."""
     rows: list[list[object]] = []
@@ -104,11 +73,11 @@ def metrics_table(snapshot: dict[str, object]) -> str:
         for name, h in sorted(histograms.items()):
             if isinstance(h, dict):
                 mean = h.get("mean", 0.0)
-                mean_s = (f"{float(mean):.2f}"
+                mean_s = (f"{float(mean):.4g}"
                           if isinstance(mean, (int, float)) else "-")
                 summary = f"n={h.get('count')} mean={mean_s}"
                 quantiles = " ".join(
-                    f"{q}<={float(v):.2f}"
+                    f"{q}<={float(v):.4g}"
                     for q in ("p50", "p95", "p99")
                     if isinstance(v := h.get(q), (int, float))
                 )
@@ -117,7 +86,7 @@ def metrics_table(snapshot: dict[str, object]) -> str:
                     summary += f" {quantiles}"
                 hmax = h.get("max")
                 if isinstance(hmax, (int, float)):
-                    summary += f" max={float(hmax):.2f}"
+                    summary += f" max={float(hmax):.4g}"
                 rows.append(["histogram", name, summary])
     return render_table(["kind", "metric", "value"], rows)
 

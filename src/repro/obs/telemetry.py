@@ -15,12 +15,11 @@ cadences —
 * **full samples** (:meth:`TelemetryStream.sample`), emitted at epoch
   end, after each query, and at session close — the points where
   every rank's epoch work is done and the whole registry is
-  deterministic.  Full samples carry cumulative counters, counter
-  *deltas* since the previous full sample (per-request attribution
-  when the sample is tagged with a request id), gauges, histogram
-  state including bucket ``bounds``/``counts`` and the
+  deterministic.  Full samples carry cumulative counters, gauges,
+  histogram state including bucket ``bounds``/``counts`` and the
   p50/p95/p99 bucket-upper-bound quantiles, and derived SLO gauges
-  (read amplification, fault totals).
+  (read amplification, fault totals), tagged with the request they
+  close when there is one.
 
 Everything is injected — the metrics registry, the clock, and the
 output sink — never acquired here (no ``open()`` or wall clock at
@@ -28,9 +27,6 @@ module or constructor scope; carp-lint rule O504 enforces this), so
 the stream is as deterministic and testable as the rest of the stack.
 :data:`NULL_TELEMETRY` is the shared zero-overhead null path: hot-path
 hooks are no-ops and nothing is ever written.
-
-:func:`render_openmetrics` renders a snapshot in the OpenMetrics-style
-text exposition format, for scrape-compatible dashboards.
 """
 
 from __future__ import annotations
@@ -71,7 +67,7 @@ class TelemetryStream:
     """Appends metric samples to a sink on epoch/virtual-time cadence."""
 
     __slots__ = ("_metrics", "_clock", "_sink", "_interval", "_next_due",
-                 "_record_bytes", "_seq", "_prev_counters", "enabled",
+                 "_record_bytes", "_seq", "enabled",
                  "lines_written")
 
     def __init__(
@@ -94,7 +90,6 @@ class TelemetryStream:
         #: read-amplification gauge; ``None`` skips the derivation
         self._record_bytes = record_bytes
         self._seq = 0
-        self._prev_counters: dict[str, float] = {}
         self.enabled = True
         #: lines appended so far (ticks + samples); the zero-cost
         #: invariant of the null path is ``lines_written == 0``
@@ -105,12 +100,6 @@ class TelemetryStream:
     def _emit(self, doc: dict[str, object]) -> None:
         self._sink.write(json.dumps(doc, sort_keys=True) + "\n")
         self.lines_written += 1
-
-    def _counters(self) -> dict[str, float]:
-        snap = self._metrics.snapshot()
-        counters = snap.get("counters")
-        assert isinstance(counters, dict)
-        return {str(n): float(v) for n, v in counters.items()}
 
     def tick(self) -> bool:
         """Emit an interval sample if the clock crossed the cadence.
@@ -154,28 +143,22 @@ class TelemetryStream:
         """Emit a full-registry sample (merge points only).
 
         ``kind`` labels the cadence point (``epoch`` | ``query`` |
-        ``final``); ``request`` attributes the sample — and therefore
-        its counter ``deltas`` since the previous full sample — to the
+        ``final``); ``request`` attributes the sample to the
         originating request.  Returns the emitted document.
         """
         snap = self._metrics.snapshot()
         counters = snap.get("counters")
         assert isinstance(counters, dict)
-        cur = {str(n): float(v) for n, v in counters.items()}
-        deltas = {
-            name: value - self._prev_counters.get(name, 0.0)
-            for name, value in cur.items()
-        }
-        self._prev_counters = cur
         doc: dict[str, object] = {
             "kind": kind,
             "seq": self._seq,
             "ts": self._clock.now(),
-            "counters": snap.get("counters"),
-            "deltas": deltas,
+            "counters": counters,
             "gauges": snap.get("gauges"),
             "histograms": snap.get("histograms"),
-            "derived": self._derived(cur),
+            "derived": self._derived(
+                {str(n): float(v) for n, v in counters.items()}
+            ),
         }
         if epoch is not None:
             doc["epoch"] = epoch
@@ -201,12 +184,6 @@ class TelemetryStream:
             )
         return out
 
-    # ------------------------------------------------------- exposition
-
-    def exposition(self) -> str:
-        """Current registry state in OpenMetrics-style text format."""
-        return render_openmetrics(self._metrics.snapshot())
-
 
 class NullTelemetryStream(TelemetryStream):
     """Shared no-op stream: the telemetry half of ``NULL_OBS``."""
@@ -231,83 +208,3 @@ class NullTelemetryStream(TelemetryStream):
 
 #: The do-nothing stream hot paths see when telemetry is not attached.
 NULL_TELEMETRY = NullTelemetryStream()
-
-
-# ---------------------------------------------------------- OpenMetrics
-
-
-def _metric_name(name: str) -> str:
-    """Sanitize a dotted metric name into an OpenMetrics identifier."""
-    out = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-    if out and out[0].isdigit():
-        out = "_" + out
-    return out
-
-
-def _fmt(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
-
-def render_openmetrics(snapshot: Mapping[str, object]) -> str:
-    """Render a registry snapshot as OpenMetrics-style text exposition.
-
-    Counters become ``<name>_total``, gauges plain samples, histograms
-    cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count`` —
-    the subset of the format scrape-side tooling needs.  A pure
-    function over plain snapshot data: rendering archived
-    ``metrics.json`` files works identically to live registries.
-    """
-    lines: list[str] = []
-    counters = snapshot.get("counters")
-    if isinstance(counters, Mapping):
-        for name in sorted(counters):
-            value = counters[name]
-            if not isinstance(value, (int, float)):
-                continue
-            metric = _metric_name(str(name))
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric}_total {_fmt(float(value))}")
-    gauges = snapshot.get("gauges")
-    if isinstance(gauges, Mapping):
-        for name in sorted(gauges):
-            value = gauges[name]
-            if not isinstance(value, (int, float)):
-                continue
-            metric = _metric_name(str(name))
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {_fmt(float(value))}")
-    histograms = snapshot.get("histograms")
-    if isinstance(histograms, Mapping):
-        for name in sorted(histograms):
-            data = histograms[name]
-            if not isinstance(data, Mapping):
-                continue
-            metric = _metric_name(str(name))
-            lines.append(f"# TYPE {metric} histogram")
-            bounds = data.get("bounds")
-            counts = data.get("counts")
-            if isinstance(bounds, list) and isinstance(counts, list):
-                cumulative = 0.0
-                for bound, count in zip(bounds, counts):
-                    if not isinstance(count, (int, float)):
-                        continue
-                    cumulative += float(count)
-                    lines.append(
-                        f'{metric}_bucket{{le="{_fmt(float(bound))}"}} '
-                        f"{_fmt(cumulative)}"
-                    )
-                if len(counts) == len(bounds) + 1:
-                    overflow = counts[-1]
-                    if isinstance(overflow, (int, float)):
-                        cumulative += float(overflow)
-                lines.append(f'{metric}_bucket{{le="+Inf"}} {_fmt(cumulative)}')
-            total = data.get("sum")
-            count = data.get("count")
-            if isinstance(total, (int, float)):
-                lines.append(f"{metric}_sum {_fmt(float(total))}")
-            if isinstance(count, (int, float)):
-                lines.append(f"{metric}_count {_fmt(float(count))}")
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"

@@ -1,8 +1,7 @@
 """Chrome ``trace_event`` emission for CARP pipeline timelines.
 
-The tracer records span (``B``/``E``), complete (``X``), instant
-(``i``), and counter (``C``) events in the Chrome trace-event JSON
-format, so a recorded run opens directly in Perfetto
+The tracer records span (``B``/``E``), complete (``X``) and instant
+(``i``) events in the Chrome trace-event JSON format, so a recorded run opens directly in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``.  The track layout
 maps CARP's structure onto the viewer's process/thread hierarchy:
 
@@ -37,7 +36,7 @@ Track = tuple[int, int]
 SpanRecord = dict[str, object]
 
 #: Event phases this tracer emits (plus "M" metadata internally).
-_PHASES = frozenset({"B", "E", "X", "i", "I", "C", "M"})
+_PHASES = frozenset({"B", "E", "X", "i", "I", "M"})
 
 
 class Tracer:
@@ -67,11 +66,6 @@ class Tracer:
     def instant(self, track: Track, name: str, ts: float,
                 args: dict[str, object] | None = None) -> None:
         """Record a point-in-time marker."""
-        return None
-
-    def counter(self, track: Track, name: str, ts: float,
-                values: dict[str, float]) -> None:
-        """Record sampled counter series values."""
         return None
 
     def events(self) -> list[dict[str, object]]:
@@ -203,12 +197,6 @@ class ChromeTracer(Tracer):
         event["s"] = "t"  # thread-scoped marker
         self._push(event, 1, ts)
 
-    def counter(self, track: Track, name: str, ts: float,
-                values: dict[str, float]) -> None:
-        event = self._event("C", track, name, ts,
-                            {k: float(v) for k, v in values.items()})
-        self._push(event, 1, ts)
-
     # ------------------------------------------------------------ merging
 
     def merge_events(self, records: Sequence[Mapping[str, object]]) -> None:
@@ -240,15 +228,6 @@ class ChromeTracer(Tracer):
                 self.begin(track, name, float(ts), args)
             elif ph == "i":
                 self.instant(track, name, float(ts), args)
-            elif ph == "C":
-                values = rec.get("values")
-                if not isinstance(values, Mapping):
-                    raise ValueError(f"'C' record without values: {rec!r}")
-                self.counter(
-                    track, name, float(ts),
-                    {str(k): float(v) for k, v in values.items()  # type: ignore[arg-type]
-                     if isinstance(v, (int, float))},
-                )
             else:
                 raise ValueError(f"span record with unknown phase {ph!r}")
 

@@ -379,8 +379,8 @@ class PartitionedStore:
         introspection, not workload — and no virtual time passes.
         With a ``ctx`` (minted by :meth:`repro.api.Session.explain` as
         ``explain-NNNNNN``) one zero-duration span tagged with the
-        request id is emitted into ``obs`` so ``carp trace --request``
-        covers EXPLAIN requests too.
+        request id is emitted into ``obs`` so ``carp profile record
+        --request`` covers EXPLAIN requests too.
         """
         from repro.query.explain import LogExplain, QueryExplain
 

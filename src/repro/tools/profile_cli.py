@@ -17,13 +17,17 @@ Two subcommands:
   The folded totals are reconciled against the metrics counters the
   same way ``carp explain`` reconciles query costs; any drift exits 1.
   A missing ``metrics.json`` degrades to a warning (profile still
-  written, reconciliation skipped).
+  written, reconciliation skipped).  ``--request ID`` prints the frames
+  of one request (e.g. ``ingest-000001``, ``query-000003``) — its
+  spans on every lane and worker, each under its full stack path —
+  in place of the top frames of the whole run.
 * ``carp profile diff A B [--json PATH]`` — differential profile:
   span-count and byte deltas per span path, sorted by contribution.
   ``A``/``B`` may be ``profile.json`` files or artifact directories
   (their committed profile is used, else their trace is folded).
 
     carp profile record /tmp/carp-obs
+    carp profile record /tmp/carp-obs --request ingest-000001
     carp profile diff results/baselines/profiles/ingest-serial.json run2/
 """
 
@@ -59,6 +63,9 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
                      "(default: DIR)")
     rec.add_argument("--top", type=int, default=10, metavar="N",
                      help="frames to print, by span count (default: 10)")
+    rec.add_argument("--request", default=None, metavar="ID",
+                     help="print every frame of the named request "
+                          "(e.g. ingest-000001) instead of the top frames")
 
     dif = sub.add_parser("diff", help="differential profile A vs B")
     dif.add_argument("a", type=Path, metavar="A",
@@ -142,7 +149,11 @@ def _cmd_record(args: argparse.Namespace) -> int:
     )
     print(phase_table(profile))
     print()
-    print(frame_table(profile, args.top))
+    if args.request is None:
+        print(frame_table(profile, args.top))
+    else:
+        print(f"Frames for request {args.request}")
+        print(frame_table(fold_trace_doc(trace_doc, request=args.request)))
     totals = profile.totals()
     print()
     print(f"profile:  {json_path} ({len(profile.frames)} frames, "

@@ -13,8 +13,6 @@ into the output directory:
   with bucket bounds and p50/p95/p99).
 * ``telemetry.jsonl`` — the streaming samples (see
   docs/OBSERVABILITY.md for the schema; ``carp health`` gates on it).
-* ``metrics.om`` — OpenMetrics-style text exposition of the final
-  snapshot.
 * ``carp_run.json`` — the run manifest (config + per-epoch stats).
 
 Before exiting, the tool cross-checks the metrics totals against the
@@ -30,17 +28,9 @@ elapsed time, which never feeds back into the recording.
 The terminal report folds the trace through
 :func:`repro.obs.profile.fold`, the same reader ``carp profile record``
 uses, and prints counts (spans, bytes, records per span path), never
-tick durations.  Two read-only modes work on archived artifacts,
-tolerating legacy ``metrics.json`` files that predate histogram
-snapshots:
-
-    carp trace --report /tmp/carp-obs            # re-render the report
-    carp trace --report /tmp/carp-obs --request query-000002
-
-``--request ID`` prints the folded frames attributed to that request:
-its spans on every lane and worker, each under its full stack path.
-For the busiest span paths of a whole run use
-``carp profile record DIR --top N``.
+tick durations.  Archived artifacts are read by ``carp profile record
+DIR``: ``--top N`` for the busiest span paths of the run, ``--request
+ID`` for one request's frames.
 """
 
 from __future__ import annotations
@@ -50,14 +40,12 @@ import functools
 import json
 import sys
 import time
-from pathlib import Path
 
 from repro.api import Session
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
 from repro.obs import Obs, validate_trace_events
-from repro.obs.profile import fold
-from repro.obs.report import frame_table, normalize_snapshot, render_report
+from repro.obs.report import render_report
 from repro.query.request import QueryRequest
 from repro.tools import add_out_dir
 from repro.traces.amr import AmrTraceSpec
@@ -68,13 +56,7 @@ from repro.traces.vpic import generate_timestep as vpic_timestep
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
     add_out_dir(p, "output directory (trace.json, metrics.json, "
-                   "telemetry.jsonl, DB logs)")
-    p.add_argument("--report", type=Path, default=None, metavar="DIR",
-                   help="render the report from an existing artifact "
-                        "directory instead of running a workload")
-    p.add_argument("--request", type=str, default=None, metavar="ID",
-                   help="print the folded frames attributed to the named "
-                        "request (e.g. ingest-000001, query-000003)")
+                   "telemetry.jsonl, DB logs)", required=True)
     p.add_argument("--ranks", type=int, default=16)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--records", type=int, default=2000,
@@ -151,83 +133,7 @@ def _reconcile(obs: Obs, run_doc: dict[str, object],
     return errors
 
 
-def _request_report(events: list[dict[str, object]], request_id: str) -> str:
-    """Every folded frame attributed to one request, with its stack."""
-    return (f"Frames for request {request_id}\n"
-            + frame_table(fold(events, request=request_id)))
-
-
-def _report_mode(args: argparse.Namespace) -> int:
-    """Re-render reports from an archived artifact directory."""
-    directory: Path = args.report
-    trace_path = directory / "trace.json"
-    metrics_path = directory / "metrics.json"
-    run_path = directory / "db" / "carp_run.json"
-    if not run_path.exists():
-        run_path = directory / "carp_run.json"
-    try:
-        trace_doc = json.loads(trace_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {trace_path}: {exc}", file=sys.stderr)
-        return 2
-    events = trace_doc.get("traceEvents")
-    if not isinstance(events, list):
-        print(f"error: {trace_path} has no traceEvents list", file=sys.stderr)
-        return 2
-    if args.request is not None:
-        print(_request_report(events, args.request))
-        return 0
-    # a trace-only directory still renders a partial report: the
-    # metrics sections degrade to empty (with a note), they don't
-    # abort — archived artifacts get pruned and the span timeline is
-    # useful on its own
-    raw_snapshot: dict[str, object] = {}
-    missing_metrics: str | None = None
-    if metrics_path.is_file():
-        try:
-            raw_snapshot = json.loads(metrics_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raw_snapshot = {}
-            missing_metrics = f"cannot read {metrics_path}: {exc}"
-    else:
-        missing_metrics = f"{metrics_path} missing"
-    # older recordings may predate histogram (or even gauge) sections;
-    # degrade to what the snapshot has and say so, never crash
-    snapshot, annotations = normalize_snapshot(raw_snapshot)
-    if missing_metrics is not None:
-        print(f"warning: {missing_metrics}; metrics sections are empty",
-              file=sys.stderr)
-        # the per-section "legacy snapshot" notes are noise when the
-        # whole file is absent — one partial-report note says it all
-        annotations = [f"{missing_metrics}; report is partial"]
-    telemetry_path = directory / "telemetry.jsonl"
-    if not telemetry_path.is_file():
-        telemetry_path = directory / "db" / "telemetry.jsonl"
-    if not telemetry_path.is_file():
-        annotations.append(
-            "telemetry.jsonl missing; carp health has nothing to gate on"
-        )
-    run_doc: dict[str, object] = {}
-    if run_path.exists():
-        try:
-            run_doc = json.loads(run_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            annotations.append(f"run manifest unreadable ({exc})")
-    else:
-        annotations.append("run manifest not found; header shows no epochs")
-    print(render_report(run_doc, snapshot, events))
-    for note in annotations:
-        print(f"note: {note}")
-    return 0
-
-
 def run(args: argparse.Namespace) -> int:
-    if args.report is not None:
-        return _report_mode(args)
-    if args.out is None:
-        print("error: -o/--out is required unless --report is given",
-              file=sys.stderr)
-        return 2
     if args.ranks < 1 or args.epochs < 1 or args.records < 1:
         print("error: --ranks/--epochs/--records must be positive",
               file=sys.stderr)
@@ -279,9 +185,6 @@ def run(args: argparse.Namespace) -> int:
     events = trace_doc["traceEvents"]
     assert isinstance(events, list)
     print(render_report(run_doc, obs.metrics.snapshot(), events))
-    if args.request is not None:
-        print()
-        print(_request_report(events, args.request))
     print()
     print(f"trace:     {trace_path} ({len(events)} events, "
           f"{nqueries} queries traced)")

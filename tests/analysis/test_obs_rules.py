@@ -125,17 +125,6 @@ def test_dynamic_span_name_flagged_at_tracer_position():
     assert len(_check("O503", src)) == 1
 
 
-def test_tracer_counter_arity_disambiguates():
-    # tracer.counter(track, name, ts, values): name is arg 1, and the
-    # dynamic *track* expression in arg 0 must not be misread as a name
-    src = (
-        "def f(obs, track, rank):\n"
-        "    obs.tracer.counter(track, f'load.r{rank}', 0.0, {'v': 1})\n"
-        "    obs.tracer.counter(track, 'load', 0.0, {'v': 1})\n"
-    )
-    assert len(_check("O503", src)) == 1
-
-
 def test_static_names_and_variables_not_flagged():
     src = (
         "NAME = 'koidb.flushes'\n"

@@ -11,7 +11,6 @@ def _filled(tracer: BufferingTracer) -> None:
     tracer.end(flush, 0.5)
     tracer.complete(flush, "flush", 1.0, 0.25, {"records": 4, "stray": True})
     tracer.instant(flush, "checkpoint", 1.5)
-    tracer.counter(flush, "occupancy", 2.0, {"records": 7})
 
 
 class TestRecording:
@@ -19,14 +18,14 @@ class TestRecording:
         tracer = BufferingTracer()
         _filled(tracer)
         records = tracer.drain()
-        assert [r["ph"] for r in records] == ["B", "E", "X", "i", "C"]
+        assert [r["ph"] for r in records] == ["B", "E", "X", "i"]
         assert tracer.drain() == []
 
     def test_events_peeks_without_consuming(self):
         tracer = BufferingTracer()
         _filled(tracer)
-        assert len(tracer.events()) == 5
-        assert len(tracer.drain()) == 5
+        assert len(tracer.events()) == 4
+        assert len(tracer.drain()) == 4
 
     def test_records_carry_names_not_ids(self):
         tracer = BufferingTracer()
@@ -53,7 +52,6 @@ class TestMerge:
         direct.complete(_filled_direct, "flush", 1.0, 0.25,
                         {"records": 4, "stray": True})
         direct.instant(_filled_direct, "checkpoint", 1.5)
-        direct.counter(_filled_direct, "occupancy", 2.0, {"records": 7})
 
         buffered = BufferingTracer()
         _filled(buffered)

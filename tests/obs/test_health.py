@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
-import sys
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.obs.health import (
     HealthPolicy,
     HealthRule,
@@ -14,11 +15,15 @@ from repro.obs.health import (
     parse_policy,
     parse_telemetry_lines,
 )
+from repro.query.engine import LATENCY_BOUNDS
+
+REPO = Path(__file__).resolve().parents[2]
+DEFAULT_POLICY = REPO / "configs" / "health_default.json"
 
 
 def _sample(seq, kind="epoch", **sections):
     doc = {"kind": kind, "seq": seq, "ts": float(seq),
-           "counters": {}, "deltas": {}, "gauges": {}, "histograms": {},
+           "counters": {}, "gauges": {}, "histograms": {},
            "derived": {}}
     doc.update(sections)
     return doc
@@ -26,6 +31,13 @@ def _sample(seq, kind="epoch", **sections):
 
 def _policy(*rules):
     return HealthPolicy(name="test", rules=tuple(rules))
+
+
+def _default_rule(selector):
+    """The committed default policy's rule over ``selector``."""
+    policy = parse_policy(DEFAULT_POLICY.read_text())
+    [rule] = [r for r in policy.rules if r.selector == selector]
+    return rule
 
 
 # ------------------------------------------------------------ rule shape
@@ -37,13 +49,10 @@ def test_rule_rejects_unknown_section():
 
 
 def test_rule_needs_some_bound():
-    with pytest.raises(ValueError, match="max and/or min"):
-        HealthRule(selector="counters.faults.manifest_write_crashes")
-
-
-def test_rule_rejects_unknown_window():
-    with pytest.raises(ValueError, match="over="):
-        HealthRule(selector="counters.x", max=1.0, over="always")
+    with pytest.raises(ValueError, match="max must be a number"):
+        parse_policy(json.dumps(
+            {"rules": [{"selector": "counters.faults.torn_writes"}]}
+        ))
 
 
 def test_histogram_selector_needs_a_stat():
@@ -62,14 +71,14 @@ def test_parse_policy_json_roundtrip():
         "rules": [
             {"selector": "derived.read_amp", "max": 10.0,
              "description": "bounded amplification"},
-            {"selector": "counters.faults.manifest_write_crashes", "max": 0,
-             "over": "any"},
+            {"selector": "counters.faults.manifest_write_crashes", "max": 0},
         ],
     }
     policy = parse_policy(json.dumps(doc))
     assert policy.name == "demo"
     assert policy.rules[0].max == 10.0
-    assert policy.rules[1].over == "any"
+    assert policy.rules[1].max == 0.0
+    assert policy.rules[0].description == "bounded amplification"
 
 
 def test_parse_policy_rejects_malformed_documents():
@@ -81,30 +90,15 @@ def test_parse_policy_rejects_malformed_documents():
         parse_policy(json.dumps(
             {"rules": [{"selector": "counters.x", "max": "big"}]}
         ))
-    with pytest.raises(ValueError, match="unknown health policy format"):
-        parse_policy("{}", fmt="yaml")
-
-
-def test_parse_policy_toml_is_capability_gated():
-    toml = (
-        'name = "demo"\n'
-        "[[rules]]\n"
-        'selector = "derived.read_amp"\n'
-        "max = 10.0\n"
-    )
-    if sys.version_info >= (3, 11):
-        policy = parse_policy(toml, fmt="toml")
-        assert policy.rules[0].selector == "derived.read_amp"
-    else:
-        with pytest.raises(RuntimeError, match="JSON"):
-            parse_policy(toml, fmt="toml")
+    # a key the evaluator does not read would loosen the gate unseen
+    with pytest.raises(ValueError, match="unknown key.*over"):
+        parse_policy(json.dumps(
+            {"rules": [{"selector": "counters.x", "max": 0, "over": "any"}]}
+        ))
 
 
 def test_default_policy_file_parses():
-    from pathlib import Path
-
-    repo = Path(__file__).resolve().parents[2]
-    text = (repo / "configs" / "health_default.json").read_text()
+    text = DEFAULT_POLICY.read_text()
     policy = parse_policy(text)
     assert policy.name == "carp-default"
     assert len(policy.rules) >= 5
@@ -114,20 +108,9 @@ def test_default_serve_p99_cap_is_one_bucket_above_the_baseline():
     """The serve p99 cap is the ``LATENCY_BOUNDS`` edge after the
     ``serve-mixed`` baseline's p99, so a p99 that moves two buckets up
     breaches it."""
-    from pathlib import Path
-
-    from repro.query.engine import LATENCY_BOUNDS
-
-    repo = Path(__file__).resolve().parents[2]
-    policy = parse_policy(
-        (repo / "configs" / "health_default.json").read_text()
-    )
-    [rule] = [
-        r for r in policy.rules
-        if r.selector == "histograms.serve.latency.p99"
-    ]
+    rule = _default_rule("histograms.serve.latency.p99")
     baseline = json.loads(
-        (repo / "results" / "baselines" / "serve-mixed.json").read_text()
+        (REPO / "results" / "baselines" / "serve-mixed.json").read_text()
     )
     [p99] = [
         row["value"] for row in baseline["rows"]
@@ -145,6 +128,32 @@ def test_default_serve_p99_cap_is_one_bucket_above_the_baseline():
     assert status(LATENCY_BOUNDS[edge + 2]) == "breach"
 
 
+def test_default_query_p99_cap_is_one_bucket_above_the_ci_recording(
+        tmp_path, capsys):
+    """CI's ``carp trace`` recording passes the query p99 cap, which is
+    the ``LATENCY_BOUNDS`` edge after that recording's p99, so a p99
+    two buckets up breaches it."""
+    out = tmp_path / "obs"
+    assert main(["trace", "-o", str(out), "--ranks", "16", "--epochs", "3",
+                 "--records", "1000"]) == 0
+    capsys.readouterr()
+    samples = parse_telemetry_lines(
+        (out / "db" / "telemetry.jsonl").read_text()
+    )
+    rule = _default_rule("histograms.query.latency.p99")
+    result = evaluate(_policy(rule), samples).results[0]
+    assert result.status == "ok"
+    edge = LATENCY_BOUNDS.index(result.observed)
+    assert rule.max == LATENCY_BOUNDS[edge + 1]
+
+    final = samples[-1]
+    hist = final["histograms"]["query.latency"]
+    worse = {**final, "histograms": {
+        "query.latency": {**hist, "p99": LATENCY_BOUNDS[edge + 2]},
+    }}
+    assert evaluate(_policy(rule), [worse]).results[0].status == "breach"
+
+
 # ------------------------------------------------------------ evaluation
 
 
@@ -160,28 +169,12 @@ def test_final_window_checks_only_the_last_sample():
     assert result.observed == 0.0
 
 
-def test_any_window_catches_mid_run_excursions():
-    rule = HealthRule(selector="gauges.shuffle.in_flight_records", max=0,
-                      over="any")
-    samples = [
-        _sample(0, gauges={"shuffle.in_flight_records": 64.0}),
-        _sample(1, kind="final", gauges={"shuffle.in_flight_records": 0.0}),
-    ]
-    report = evaluate(_policy(rule), samples)
-    (result,) = report.results
-    assert result.status == "breach"
-    assert result.observed == 64.0
-    assert result.at_seq == 0
-    assert not report.ok
-
-
 def test_ticks_are_ignored_by_evaluation():
-    rule = HealthRule(selector="counters.faults.manifest_write_crashes", max=0,
-                      over="any")
+    rule = HealthRule(selector="counters.faults.manifest_write_crashes", max=0)
     samples = [
-        {"kind": "tick", "seq": 0, "ts": 10.0,
+        _sample(0, kind="final", counters={"faults.manifest_write_crashes": 0}),
+        {"kind": "tick", "seq": 1, "ts": 10.0,
          "counters": {"faults.manifest_write_crashes": 5}, "gauges": {}},
-        _sample(1, kind="final", counters={"faults.manifest_write_crashes": 0}),
     ]
     report = evaluate(_policy(rule), samples)
     assert report.results[0].status == "ok"
@@ -215,28 +208,6 @@ def test_histogram_stat_selector_resolves():
     (result,) = report.results
     assert result.status == "breach"
     assert result.observed == 6.0
-
-
-def test_min_bound_breaches_below():
-    rule = HealthRule(selector="deltas.carp.records_ingested", min=1.0)
-    report = evaluate(
-        _policy(rule),
-        [_sample(0, kind="final", deltas={"carp.records_ingested": 0.0})],
-    )
-    assert report.results[0].status == "breach"
-
-
-def test_worst_value_reported_across_window():
-    rule = HealthRule(selector="derived.read_amp", max=10.0, over="any")
-    samples = [
-        _sample(0, derived={"read_amp": 12.0}),
-        _sample(1, derived={"read_amp": 40.0}),
-        _sample(2, kind="final", derived={"read_amp": 2.0}),
-    ]
-    report = evaluate(_policy(rule), samples)
-    (result,) = report.results
-    assert result.observed == 40.0
-    assert result.at_seq == 1
 
 
 def test_report_render_and_to_dict():

@@ -1,8 +1,8 @@
-"""Report edge cases: the phase section and legacy metrics snapshots."""
+"""Report edge cases: the phase section and the metrics table."""
 
 from __future__ import annotations
 
-from repro.obs.report import metrics_table, normalize_snapshot, render_report
+from repro.obs.report import metrics_table, render_report
 
 
 def _meta(pid, name):
@@ -55,35 +55,11 @@ def test_duplicate_name_redeclaration_last_wins():
     assert _phase_rows(render_report({}, {}, events)) == {"route": (1, 1)}
 
 
-# ------------------------------------------------------ legacy snapshots
-
-
-def test_normalize_snapshot_fills_missing_sections():
-    legacy = {"counters": {"koidb.records_in": 5}, "gauges": {}}
-    normalized, notes = normalize_snapshot(legacy)
-    assert normalized["histograms"] == {}
-    assert normalized["counters"] == {"koidb.records_in": 5}
-    assert any("histograms" in n for n in notes)
-    assert not any("counters" in n for n in notes)
-
-
-def test_normalize_snapshot_replaces_malformed_sections():
-    broken = {"counters": "oops", "gauges": {}, "histograms": {}}
-    normalized, notes = normalize_snapshot(broken)
-    assert normalized["counters"] == {}
-    assert any("malformed" in n for n in notes)
-
-
-def test_normalize_snapshot_is_quiet_on_complete_input():
-    complete = {"counters": {}, "gauges": {}, "histograms": {}}
-    normalized, notes = normalize_snapshot(complete)
-    assert notes == []
-    assert normalized == complete
+# -------------------------------------------------------- metrics table
 
 
 def test_metrics_table_survives_legacy_and_odd_values():
-    snapshot, _ = normalize_snapshot({"counters": {"koidb.records_in": 5}})
-    text = metrics_table(snapshot)
+    text = metrics_table({"counters": {"koidb.records_in": 5}})
     assert "koidb.records_in" in text
     # non-numeric values degrade to str(), numeric histograms summarize
     weird = {
@@ -92,11 +68,20 @@ def test_metrics_table_survives_legacy_and_odd_values():
         "histograms": {"h": {"count": 2, "mean": "?", "p50": 1.0}},
     }
     text = metrics_table(weird)
-    assert "n/a" in text and "broken" in text and "p50<=1.00" in text
+    assert "n/a" in text and "broken" in text and "p50<=1" in text
 
 
 def test_render_report_on_legacy_artifacts():
-    snapshot, _ = normalize_snapshot({"counters": {}})
-    text = render_report({}, snapshot, [])
+    text = render_report({}, {"counters": {}}, [])
     assert "CARP run" in text
     assert "Metrics snapshot" in text
+
+
+def test_metrics_table_shows_sub_millisecond_latencies():
+    """``LATENCY_BOUNDS`` start at 10 µs: a fixed two-decimal format
+    printed every query latency as 0.00."""
+    hist = {"count": 8, "mean": 2.5e-4, "p50": 1e-4, "p95": 5.6e-4,
+            "p99": 1.8e-3, "max": 1.7e-3}
+    text = metrics_table({"histograms": {"query.latency": hist}})
+    assert "mean=0.00025 p50<=0.0001 p95<=0.00056 p99<=0.0018" in text
+    assert "max=0.0017" in text

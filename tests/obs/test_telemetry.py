@@ -1,4 +1,4 @@
-"""TelemetryStream: cadences, deltas, derived gauges, null path."""
+"""TelemetryStream: cadences, derived gauges, null path."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import Session
 from repro.core.config import CarpOptions
-from repro.obs import NULL_TELEMETRY, TelemetryStream, render_openmetrics
+from repro.obs import NULL_TELEMETRY, TelemetryStream
 from repro.obs.clock import VirtualClock
 from repro.obs.metrics import MetricsRegistry
 from repro.query.request import QueryRequest
@@ -66,7 +66,7 @@ def test_tick_is_restricted_to_driver_prefixes():
     assert doc["gauges"] == {"shuffle.in_flight_records": 2.0}
 
 
-def test_sample_carries_full_registry_and_deltas():
+def test_sample_carries_full_registry():
     metrics, clock, sink, stream = _stream()
     counter = metrics.counter("koidb.records_in")
     metrics.histogram("query.latency", (0.1, 1.0)).observe(0.05)
@@ -74,8 +74,7 @@ def test_sample_carries_full_registry_and_deltas():
     first = stream.sample("epoch", epoch=0, request="ingest-000001")
     counter.add(4)
     second = stream.sample("epoch", epoch=1, request="ingest-000002")
-    assert first["deltas"] == {"koidb.records_in": 10.0}
-    assert second["deltas"] == {"koidb.records_in": 4.0}
+    assert first["counters"] == {"koidb.records_in": 10}
     assert second["counters"] == {"koidb.records_in": 14}
     assert second["epoch"] == 1
     assert second["request"] == "ingest-000002"
@@ -126,42 +125,6 @@ def test_null_telemetry_never_writes():
     assert NULL_TELEMETRY.tick() is False
     assert NULL_TELEMETRY.sample("epoch", epoch=0, request="x") == {}
     assert NULL_TELEMETRY.lines_written == 0
-
-
-def test_exposition_matches_render_openmetrics():
-    metrics, _, _, stream = _stream()
-    metrics.counter("carp.records_ingested").add(2)
-    assert stream.exposition() == render_openmetrics(metrics.snapshot())
-
-
-# ------------------------------------------------------- OpenMetrics
-
-
-def test_openmetrics_rendering_shapes():
-    metrics = MetricsRegistry()
-    metrics.counter("carp.records_ingested").add(5)
-    metrics.gauge("shuffle.in_flight_records").set(1.5)
-    hist = metrics.histogram("query.latency", (0.1, 1.0))
-    hist.observe(0.05)
-    hist.observe(0.5)
-    hist.observe(99.0)  # overflow bucket
-    text = render_openmetrics(metrics.snapshot())
-    assert "# TYPE carp_records_ingested counter" in text
-    assert "carp_records_ingested_total 5" in text
-    assert "shuffle_in_flight_records 1.5" in text
-    # cumulative buckets, overflow folded into +Inf
-    assert 'query_latency_bucket{le="0.1"} 1' in text
-    assert 'query_latency_bucket{le="1"} 2' in text
-    assert 'query_latency_bucket{le="+Inf"} 3' in text
-    assert "query_latency_count 3" in text
-    assert text.endswith("# EOF\n")
-
-
-def test_openmetrics_of_empty_snapshot_is_just_eof():
-    text = render_openmetrics(
-        {"counters": {}, "gauges": {}, "histograms": {}}
-    )
-    assert text == "# EOF\n"
 
 
 def test_request_ids_deterministic_and_attributed(tmp_path):

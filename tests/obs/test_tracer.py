@@ -17,7 +17,6 @@ def canonical_trace() -> ChromeTracer:
     t.complete(shuffle, "deliver", 0.5, 0.25, {"records": 64})
     t.instant(shuffle, "renegotiation", 0.75)
     t.end(route, 1.0)
-    t.counter(shuffle, "in_flight", 1.0, {"records": 64.0})
     return t
 
 
@@ -174,7 +173,6 @@ class TestNullTracer:
         t.end(track, 1.0)
         t.complete(track, "y", 0.0, 1.0)
         t.instant(track, "z", 0.0)
-        t.counter(track, "c", 0.0, {"v": 1.0})
         assert t.events() == []
         path = t.write(tmp_path / "trace.json")
         assert json.loads(path.read_text()) == {

@@ -408,7 +408,6 @@ class TestTraceCli:
         assert (out_dir / "trace.json").is_file()
         # telemetry plane artifacts ride along
         assert (out_dir / "db" / "telemetry.jsonl").is_file()
-        assert (out_dir / "db" / "metrics.om").is_file()
         rc = main(["profile",
             "record", str(out_dir), "-o", str(tmp_path / "prof"),
             "--top", "3",
@@ -421,15 +420,20 @@ class TestTraceCli:
 
     def test_top_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["trace", "--report", str(tmp_path), "--top", "3"])
+            main(["trace", "-o", str(tmp_path), "--top", "3"])
         assert exc.value.code == 2
         assert "--top" in capsys.readouterr().err
 
     def test_trace_report_has_no_ticks(self, tmp_path, capsys):
         """carp trace prints carp profile's phase table, no tick column."""
-        out_dir = self._recorded(tmp_path, capsys)
-        assert main(["trace", "--report", str(out_dir)]) == 0
-        report = capsys.readouterr().out
+        out_dir = tmp_path / "obs"
+        assert main(["trace",
+            "-o", str(out_dir), "--ranks", "4", "--epochs", "2",
+            "--records", "300",
+        ]) == 0
+        # the report, without the footer of artifact paths (the test's
+        # own tmp_path name holds "ticks")
+        report = capsys.readouterr().out.split("\ntrace:")[0]
         assert main(["profile",
             "record", str(out_dir), "-o", str(tmp_path / "prof"),
         ]) == 0
@@ -455,61 +459,17 @@ class TestTraceCli:
         capsys.readouterr()
         assert rc == 0
 
-    def test_output_required_without_report(self, capsys):
-        assert main(["trace"]) == 2
-        assert "-o/--out is required" in capsys.readouterr().err
-
-    def test_report_mode_re_renders(self, tmp_path, capsys):
-        out_dir = self._recorded(tmp_path, capsys)
-        rc = main(["trace", "--report", str(out_dir)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "CARP run" in out
-        assert "Metrics snapshot" in out
-        assert "note:" not in out  # complete artifacts need no caveats
-
-    def test_report_mode_degrades_on_legacy_metrics(self, tmp_path, capsys):
-        """A metrics.json without histograms is annotated, not fatal."""
-        import json
-
-        out_dir = self._recorded(tmp_path, capsys)
-        metrics_path = out_dir / "metrics.json"
-        snapshot = json.loads(metrics_path.read_text())
-        del snapshot["histograms"]  # simulate a pre-histogram recording
-        metrics_path.write_text(json.dumps(snapshot))
-        rc = main(["trace", "--report", str(out_dir)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "note: legacy snapshot: no 'histograms' section" in out
-
-    def test_report_mode_degrades_on_trace_only_directory(self, tmp_path,
-                                                          capsys):
-        """Pruned archives keep their span timeline readable.
-
-        A directory holding only ``trace.json`` (metrics and telemetry
-        pruned) must render a partial report with a warning — not
-        exit 2 — because the span timeline is useful on its own.
-        """
-        out_dir = self._recorded(tmp_path, capsys)
-        (out_dir / "metrics.json").unlink()
-        (out_dir / "db" / "telemetry.jsonl").unlink()
-        rc = main(["trace", "--report", str(out_dir)])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "warning:" in captured.err
-        assert "metrics.json" in captured.err
-        assert "CARP run" in captured.out  # the report still renders
-        assert "report is partial" in captured.out
-        assert "telemetry.jsonl missing" in captured.out
-
-    def test_report_mode_missing_artifacts_exit_two(self, tmp_path, capsys):
-        assert main(["trace", "--report", str(tmp_path / "nope")]) == 2
-        assert "cannot read" in capsys.readouterr().err
+    def test_output_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace"])
+        assert exc.value.code == 2
+        assert "-o/--out" in capsys.readouterr().err
 
     def test_request_tree_from_archived_trace(self, tmp_path, capsys):
         out_dir = self._recorded(tmp_path, capsys)
-        rc = main(["trace",
-            "--report", str(out_dir), "--request", "ingest-000001",
+        rc = main(["profile",
+            "record", str(out_dir), "-o", str(tmp_path / "prof"),
+            "--request", "ingest-000001",
         ])
         out = capsys.readouterr().out
         assert rc == 0

@@ -214,10 +214,12 @@ def encode_values(rids: np.ndarray, value_size: int) -> memoryview:
 def decode_values(
     payload: bytes | bytearray | memoryview, value_size: int
 ) -> np.ndarray:
-    """Bulk value parse: slice the rid columns out of a 2-D byte view."""
+    """Bulk value parse: copy the rid column through one strided view."""
     n = len(payload) // value_size
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(n, value_size)
-    return raw[:, : RID_DTYPE.itemsize].copy().view(RID_DTYPE).reshape(n)
+    rids = np.ndarray(
+        (n,), dtype=RID_DTYPE, buffer=payload, strides=(value_size,)
+    )
+    return rids.copy()
 
 
 def filler_matches(

@@ -15,6 +15,9 @@ both ``carp trace`` and ``carp profile record``.  They show counts
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from typing import Any
+
 from repro.bench.tables import fmt_bytes, fmt_pct, render_table
 from repro.obs.profile import Profile, fold
 
@@ -50,44 +53,28 @@ def epoch_table(epochs: list[dict[str, object]]) -> str:
     return render_table(headers, rows)
 
 
-def metrics_table(snapshot: dict[str, object]) -> str:
-    """Counter/gauge totals from a metrics snapshot."""
+def metrics_table(snapshot: Mapping[str, Any]) -> str:
+    """Counter/gauge totals and histogram summaries of a
+    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`."""
     rows: list[list[object]] = []
-    counters = snapshot.get("counters")
-    if isinstance(counters, dict):
-        for name, value in sorted(counters.items()):
-            if not isinstance(value, (int, float)):
-                rows.append(["counter", name, str(value)])
-            elif "bytes" in name:
-                rows.append(["counter", name, fmt_bytes(float(value))])
-            else:
-                rows.append(["counter", name, f"{value:g}"])
-    gauges = snapshot.get("gauges")
-    if isinstance(gauges, dict):
-        for name, value in sorted(gauges.items()):
-            shown = (f"{float(value):.3f}"
-                     if isinstance(value, (int, float)) else str(value))
-            rows.append(["gauge", name, shown])
-    histograms = snapshot.get("histograms")
-    if isinstance(histograms, dict):
-        for name, h in sorted(histograms.items()):
-            if isinstance(h, dict):
-                mean = h.get("mean", 0.0)
-                mean_s = (f"{float(mean):.4g}"
-                          if isinstance(mean, (int, float)) else "-")
-                summary = f"n={h.get('count')} mean={mean_s}"
-                quantiles = " ".join(
-                    f"{q}<={float(v):.4g}"
-                    for q in ("p50", "p95", "p99")
-                    if isinstance(v := h.get(q), (int, float))
-                )
-                if quantiles:
-                    # bucket-upper-bound approximations (Histogram.quantile)
-                    summary += f" {quantiles}"
-                hmax = h.get("max")
-                if isinstance(hmax, (int, float)):
-                    summary += f" max={float(hmax):.4g}"
-                rows.append(["histogram", name, summary])
+    for name, value in sorted(snapshot.get("counters", {}).items()):
+        shown = fmt_bytes(float(value)) if "bytes" in name else f"{value:g}"
+        rows.append(["counter", name, shown])
+    for name, value in sorted(snapshot.get("gauges", {}).items()):
+        rows.append(["gauge", name, f"{float(value):.3f}"])
+    for name, h in sorted(snapshot.get("histograms", {}).items()):
+        summary = f"n={h['count']} mean={float(h['mean']):.4g}"
+        # an empty histogram has no quantiles and no max
+        quantiles = " ".join(
+            f"{q}<={float(h[q]):.4g}"
+            for q in ("p50", "p95", "p99") if h[q] is not None
+        )
+        if quantiles:
+            # bucket-upper-bound approximations (Histogram.quantile)
+            summary += f" {quantiles}"
+        if h["max"] is not None:
+            summary += f" max={float(h['max']):.4g}"
+        rows.append(["histogram", name, summary])
     return render_table(["kind", "metric", "value"], rows)
 
 

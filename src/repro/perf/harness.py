@@ -144,6 +144,7 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
                 scanned += res.cost.records_scanned
                 key_chunks += res.cost.key_chunks_read
                 key_chunks_skipped += res.cost.key_chunks_skipped
+        verified = store.key_chunks_verified
     return [
         Metric("query_latency_modeled", latency, "s"),
         Metric("query_bytes_read", bytes_read, "B"),
@@ -162,6 +163,10 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
         # open, so a reader that decodes a head more than once per open
         # (or re-reads it per probe) changes this row or the byte rows
         Metric("query_heads_decoded", heads, "heads"),
+        # a state count: key chunks the store's readers hold verified,
+        # at most query_key_chunks_read, so a reader that stops keeping
+        # its verified keys (or keeps one chunk twice) changes this row
+        Metric("query_key_chunks_verified", verified, "chunks"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 

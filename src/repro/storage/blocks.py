@@ -146,9 +146,12 @@ def _verify_chunks(
         raise BlockCorruptionError(f"{what} payload does not match its chunk table")
     view = memoryview(payload)
     step = CHUNK_RECORDS * item_size
-    for i, expect in enumerate(crcs):
-        if zlib.crc32(view[i * step : (i + 1) * step]) != expect:
-            raise BlockCorruptionError(f"{what} chunk {first + i}: CRC mismatch")
+    # every chunk's CRC in one pass, then one comparison with the table
+    got = [zlib.crc32(view[i : i + step]) for i in range(0, len(view), step)]
+    expect = list(crcs)
+    if got != expect:
+        bad = next(i for i, (g, e) in enumerate(zip(got, expect)) if g != e)
+        raise BlockCorruptionError(f"{what} chunk {first + bad}: CRC mismatch")
 
 
 def encode_key_block(keys: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -157,21 +160,33 @@ def encode_key_block(keys: np.ndarray) -> tuple[bytes, np.ndarray]:
     return payload, _chunk_crcs(payload, KEY_DTYPE.itemsize)
 
 
-def key_chunks_view(payload: _Buffer, crcs: Sequence[int], first: int = 0) -> np.ndarray:
-    """CRC-verify consecutive key chunks; return their keys as a view of ``payload``.
+def _check_finite(keys: np.ndarray, first: int) -> np.ndarray:
+    """``keys``, if all finite: no writer stores a NaN or infinite key,
+    so a chunk holding one is corrupt even when its CRC matches."""
+    finite = np.isfinite(keys)
+    if not finite.all():
+        bad = first + int(np.argmin(finite)) // CHUNK_RECORDS
+        raise BlockCorruptionError(f"key chunk {bad}: non-finite key")
+    return keys
 
-    Zero-copy, unlike :func:`decode_key_block`: the result keeps
-    ``payload`` exported, so a caller handed an mmap slice copies what
-    it keeps and drops the view before the map is closed.
+
+def key_chunks_view(payload: _Buffer, crcs: Sequence[int], first: int = 0) -> np.ndarray:
+    """Verify consecutive key chunks; return their keys as a view of ``payload``.
+
+    Every chunk is CRC-checked and its keys checked finite.  Zero-copy,
+    unlike :func:`decode_key_block`: the result keeps ``payload``
+    exported, so a caller handed an mmap slice copies what it keeps and
+    drops the view before the map is closed.
     """
     _verify_chunks(payload, crcs, KEY_DTYPE.itemsize, "key", first)
-    return np.frombuffer(payload, dtype=KEY_DTYPE)
+    return _check_finite(np.frombuffer(payload, dtype=KEY_DTYPE), first)
 
 
 def decode_key_block(payload: _Buffer, crcs: list[int]) -> np.ndarray:
-    """Parse a key block, verifying every chunk against ``crcs``."""
+    """Parse a key block, verifying every chunk against ``crcs`` and
+    that every key is finite."""
     _verify_chunks(payload, crcs, KEY_DTYPE.itemsize, "key")
-    return active_kernels().decode_keys(payload)
+    return _check_finite(active_kernels().decode_keys(payload), 0)
 
 
 def encode_chunk_index(

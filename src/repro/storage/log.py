@@ -75,6 +75,12 @@ _NO_KEYS = np.empty(0, dtype=KEY_DTYPE)
 _NO_KEYS.flags.writeable = False
 
 
+def _read_only(keys: np.ndarray) -> np.ndarray:
+    """``keys``, marked read-only: a ranged read's keys may view a key column."""
+    keys.flags.writeable = False
+    return keys
+
+
 def log_name(rank: int) -> str:
     return f"{LOG_PREFIX}{rank:08d}{LOG_SUFFIX}"
 
@@ -283,13 +289,23 @@ class _Head(NamedTuple):
     value_crcs: array[int]
 
 
+class _KeyColumn(NamedTuple):
+    """One SST's keys, filled chunk by chunk as ranged reads verify them."""
+
+    #: the SST's keys; a chunk's rows hold its keys once its flag is set
+    keys: np.ndarray
+    #: one byte per chunk, set to 1 after its keys were verified and
+    #: copied into :attr:`keys` (never before, never for a bad chunk)
+    verified: bytearray
+
+
 class _KeySearch(NamedTuple):
     """The key chunks one ranged read searched."""
 
     #: the first chunk searched
     first: int
-    #: the verified keys of the chunks searched: a view of the map,
-    #: empty when no zone meets the range
+    #: the verified keys of the chunks searched: a view of the SST's
+    #: key column, empty when no zone meets the range
     keys: np.ndarray
     bytes_read: int
     requests: int
@@ -336,6 +352,19 @@ class LogReader:
     every ranged read of that SST, so a damaged SST fails only the
     queries that touch it.  Whole reads ignore the table and verify
     every byte from the file.
+
+    Ranged reads also keep a *key column* per SST they searched: the
+    first read that needs a key chunk fetches it, checks its CRC and
+    that its keys are finite, and copies it into the column; later
+    reads search the column and fetch nothing more from the map (but
+    still count the span in their ``bytes_read`` and :attr:`touched`,
+    so accounting does not depend on what an earlier read verified).
+    A chunk that fails its check is never kept, so every read that
+    searches it raises; damage that lands after a chunk was verified
+    is served from the verified copy until the reader reopens.  The
+    columns cost 4 B per record of each SST searched, and
+    :meth:`close` drops them.  Threads sharing a reader may verify a
+    chunk twice, but none searches a chunk before its flag is set.
     """
 
     def __init__(
@@ -364,6 +393,8 @@ class LogReader:
         fh.close()
         #: SST heads this reader's open verified and decoded.
         self.heads_decoded = len(self._heads)
+        #: verified key columns of the SSTs ranged reads searched, by offset
+        self._columns: dict[int, _KeyColumn] = {}
         #: Attach a list to record the (offset, length) of every span
         #: consulted, in read order — the ground truth for the
         #: bytes-attribution tests.  ``None`` (the default) records
@@ -440,11 +471,20 @@ class LogReader:
         """Manifest entries of one epoch, in manifest order."""
         return [e for e in self._entries if e.epoch == epoch]
 
-    def _span(self, offset: int, length: int) -> memoryview:
+    @property
+    def key_chunks_verified(self) -> int:
+        """Key chunks held verified in this reader's key columns."""
+        return sum(c.verified.count(1) for c in list(self._columns.values()))
+
+    def _view(self, offset: int, length: int) -> memoryview:
         """Zero-copy view of ``length`` bytes at ``offset``."""
         if self._map is None:
             raise ValueError(f"{self.path.name}: reader holds no data")
-        view = memoryview(self._map)[offset : offset + length]
+        return memoryview(self._map)[offset : offset + length]
+
+    def _span(self, offset: int, length: int) -> memoryview:
+        """:meth:`_view`, recorded in :attr:`touched`."""
+        view = self._view(offset, length)
         if self.touched is not None:
             self.touched.append((offset, len(view)))
         return view
@@ -460,13 +500,16 @@ class LogReader:
         Without bounds the whole SST is one span and every chunk and
         zone is verified from the file.  With bounds the read is
         keys-first, against the head decoded at open: only the key
-        chunks whose zone meets the range are fetched, verified and
-        searched (binary search on a sorted SST, range mask otherwise);
-        only the value chunks covering the matched rows are fetched and
-        verified, and only the matched rows are decoded.  A range that
-        meets no zone reads nothing.  Either way every key and rid
-        returned was CRC-checked by this call, and the returned arrays
-        own their memory.
+        chunks whose zone meets the range are searched (binary search
+        on a sorted SST, range mask otherwise), in this reader's key
+        column, which fetches and verifies each chunk on its first
+        search; only the value chunks
+        covering the matched rows are fetched and verified, and only
+        the matched rows are decoded.  A range that meets no zone reads
+        nothing.  Either way every key returned was CRC-checked by this
+        reader and every rid by this call, and the returned batch holds
+        no view of the map: a ranged read's keys are a read-only view
+        of the key column (or a read-only copy), its rids its own.
         """
         err: BlockCorruptionError | None = None
         try:
@@ -493,7 +536,6 @@ class LogReader:
         info = head.info
         found = self._search_keys(entry, head, lo, hi)
         first, keys = found.first, found.keys
-        # keys is a view of the map: only copies of its rows leave here
         rows = match_rows(info, keys, lo, hi)
         if isinstance(rows, slice):
             start, stop = rows.start, rows.stop
@@ -514,24 +556,61 @@ class LogReader:
             values, head.value_crcs[vfirst:vstop], info.value_size,
             start - skip, stop - skip, vfirst,
         )
-        if isinstance(rows, slice):
-            batch = RecordBatch(keys[rows].copy(), rids, info.value_size)
-        else:
-            batch = RecordBatch(keys[rows], rids[rows - start], info.value_size)
+        if not isinstance(rows, slice):
+            rids = rids[rows - start]
+        # the column's keys passed their checks when it was filled
+        batch = RecordBatch._derived(_read_only(keys[rows]), rids, info.value_size)
         return SSTRead(batch, found.bytes_read + len(values),
                        found.requests + 1, found.chunks)
 
     def _search_keys(
         self, entry: ManifestEntry, head: _Head, lo: float, hi: float
     ) -> _KeySearch:
-        """Fetch and verify the key chunks whose zone meets ``[lo, hi]``."""
+        """The verified keys of the chunks whose zone meets ``[lo, hi]``.
+
+        Chunks of the span this reader has not verified yet are fetched,
+        checked and copied into the SST's key column first.  The whole
+        span counts as read, and is recorded in :attr:`touched`, either
+        way.
+        """
         first, stop = zone_chunks(head.info, head.zmin, head.zmax, lo, hi)
         if first >= stop:
             return _NO_SEARCH
         offset, length = key_chunks_span(entry.count, first, stop)
-        span = self._span(entry.offset + offset, length)
+        if self.touched is not None:
+            self.touched.append((entry.offset + offset, length))
+        column = self._columns.get(entry.offset)
+        if column is None:
+            column = self._columns.setdefault(entry.offset, _KeyColumn(
+                np.empty(entry.count, dtype=KEY_DTYPE),
+                bytearray(chunk_count(entry.count)),
+            ))
+        flags = column.verified
+        todo = flags.find(0, first, stop)
+        while todo >= 0:
+            end = flags.find(1, todo, stop)
+            end = stop if end < 0 else end
+            self._fill(entry, head, column, todo, end)
+            todo = flags.find(0, end, stop)
+        keys = column.keys[first * CHUNK_RECORDS : stop * CHUNK_RECORDS]
+        return _KeySearch(first, keys, length, 1)
+
+    def _fill(
+        self, entry: ManifestEntry, head: _Head, column: _KeyColumn,
+        first: int, stop: int,
+    ) -> None:
+        """Verify key chunks ``[first, stop)`` from the map into ``column``.
+
+        The keys are written before the flags are set, so a thread that
+        sees a chunk's flag sees its keys; two threads filling the same
+        chunk write the same verified bytes.
+        """
+        offset, length = key_chunks_span(entry.count, first, stop)
+        span = self._view(entry.offset + offset, length)
         keys = key_chunks_view(span, head.key_crcs[first:stop], first)
-        return _KeySearch(first, keys, len(span), 1)
+        start = first * CHUNK_RECORDS
+        column.keys[start : start + len(keys)] = keys
+        column.verified[first:stop] = b"\x01" * (stop - first)
 
     def read_sst_keys(
         self,
@@ -543,8 +622,9 @@ class LogReader:
 
         Without bounds the head and the whole key block are one span and
         every key chunk is verified.  With bounds only the key chunks
-        whose zone meets the range are fetched, verified and searched,
-        against the head decoded at open, as in :meth:`read_sst`.
+        whose zone meets the range are searched, in the reader's
+        verified key column, against the head decoded at open, as in
+        :meth:`read_sst`; the keys returned are read-only.
         """
         err: BlockCorruptionError | None = None
         try:
@@ -569,10 +649,11 @@ class LogReader:
             return SSTKeysRead(keys, len(view), 1, chunk_count(info.count))
         head = self._head(entry)
         found = self._search_keys(entry, head, lo, hi)
-        keys = found.keys[match_rows(head.info, found.keys, lo, hi)].copy()
+        keys = _read_only(found.keys[match_rows(head.info, found.keys, lo, hi)])
         return SSTKeysRead(keys, found.bytes_read, found.requests, found.chunks)
 
     def close(self) -> None:
+        self._columns = {}
         if self._map is not None and not self._map.closed:
             self._map.close()
 

@@ -19,8 +19,8 @@ which key chunks to search, and to verify whatever it fetches after::
 
 with ``C = ceil(n / 256)``.  A log reader verifies each head once, when
 it opens the log; a ranged read then searches only the key chunks
-whose zone meets the range, and fetches only the value chunks of the
-rows that match.
+whose zone meets the range (each verified once per reader, on first
+touch), and fetches only the value chunks of the rows that match.
 """
 
 from __future__ import annotations

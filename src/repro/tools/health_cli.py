@@ -11,9 +11,7 @@ rule breached — the CI-facing end of the telemetry plane::
 Exit status: 0 all rules ok (or skipped), 1 at least one breach, 2 a
 usage/input problem (unreadable stream, malformed policy).  Skipped
 rules — selectors the run never emitted, e.g. quarantine counters on a
-fault-free run — are reported but never fail the gate; pass
-``--strict-skips`` to treat them as breaches when a policy must fully
-resolve.
+fault-free run — are reported but never fail the gate.
 
 See docs/OBSERVABILITY.md for the policy format and the
 ``telemetry.jsonl`` schema.
@@ -35,8 +33,6 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", required=True, type=Path,
                    help="health policy file (JSON)")
     add_json_report(p, "also write the full report as JSON")
-    p.add_argument("--strict-skips", action="store_true",
-                   help="fail when any rule's selector never resolved")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -60,12 +56,4 @@ def run(args: argparse.Namespace) -> int:
     if args.json is not None:
         write_json_report(args.json, report.to_dict())
 
-    if not report.ok:
-        return 1
-    if args.strict_skips and any(
-        r.status == "skipped" for r in report.results
-    ):
-        print("error: unresolved selectors with --strict-skips",
-              file=sys.stderr)
-        return 1
-    return 0
+    return 0 if report.ok else 1

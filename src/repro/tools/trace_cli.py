@@ -54,6 +54,12 @@ from repro.traces.vpic import VpicTraceSpec
 from repro.traces.vpic import generate_timestep as vpic_timestep
 
 
+#: The trace generator's seed and the instrumented range queries per
+#: epoch: fixed, so every recording of one shape is the same run.
+SEED = 42
+QUERIES = 4
+
+
 def add_arguments(p: argparse.ArgumentParser) -> None:
     add_out_dir(p, "output directory (trace.json, metrics.json, "
                    "telemetry.jsonl, DB logs)", required=True)
@@ -61,10 +67,7 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--records", type=int, default=2000,
                    help="records per rank per epoch (default: 2000)")
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workload", choices=("vpic", "amr"), default="vpic")
-    p.add_argument("--queries", type=int, default=4,
-                   help="instrumented range queries per epoch (default: 4)")
 
 
 def _epoch_streams(args: argparse.Namespace, epoch: int) -> list[RecordBatch]:
@@ -77,27 +80,27 @@ def _epoch_streams(args: argparse.Namespace, epoch: int) -> list[RecordBatch]:
     if args.workload == "vpic":
         vspec = VpicTraceSpec(nranks=args.ranks,
                               particles_per_rank=args.records,
-                              seed=args.seed, value_size=8)
+                              seed=SEED, value_size=8)
         nsteps = len(vspec.timesteps)
         gen = functools.partial(vpic_timestep, vspec)
     else:
         aspec = AmrTraceSpec(nranks=args.ranks, cells_per_rank=args.records,
-                             seed=args.seed, value_size=8)
+                             seed=SEED, value_size=8)
         nsteps = len(aspec.timesteps)
         gen = functools.partial(amr_timestep, aspec)
     idx = (epoch * (nsteps - 1)) // max(args.epochs - 1, 1)
     return gen(min(idx, nsteps - 1))
 
 
-def _run_queries(session: Session, epochs: int, nqueries: int) -> int:
-    """Execute ``nqueries`` selective range queries per stored epoch."""
+def _run_queries(session: Session, epochs: int) -> int:
+    """Execute :data:`QUERIES` selective range queries per stored epoch."""
     ran = 0
     store = session.store()
     for epoch in store.epochs()[:epochs]:
         lo, hi = store.key_range(epoch)
-        width = (hi - lo) / max(nqueries * 4, 1)
-        for q in range(nqueries):
-            qlo = lo + (hi - lo) * q / max(nqueries, 1)
+        width = (hi - lo) / (QUERIES * 4)
+        for q in range(QUERIES):
+            qlo = lo + (hi - lo) * q / QUERIES
             session.query(
                 QueryRequest(lo=qlo, hi=qlo + width, epoch=epoch)
             )
@@ -145,7 +148,6 @@ def run(args: argparse.Namespace) -> int:
 
     obs = Obs.recording()
     opts = CarpOptions(value_size=8)
-    nqueries = 0
     with Session(args.ranks, db_dir, opts, obs=obs, telemetry=True) as session:
         for epoch in range(args.epochs):
             session.ingest_epoch(epoch, _epoch_streams(args, epoch))
@@ -168,8 +170,7 @@ def run(args: argparse.Namespace) -> int:
                 db.stats.memtable_flushes for db in session.run.koidbs
             ),
         }
-        if args.queries > 0:
-            nqueries = _run_queries(session, args.epochs, args.queries)
+        nqueries = _run_queries(session, args.epochs)
 
     run_doc = json.loads(manifest_path.read_text())
     errors = _reconcile(obs, run_doc, koidb_totals)

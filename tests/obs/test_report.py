@@ -58,19 +58,6 @@ def test_duplicate_name_redeclaration_last_wins():
 # -------------------------------------------------------- metrics table
 
 
-def test_metrics_table_survives_legacy_and_odd_values():
-    text = metrics_table({"counters": {"koidb.records_in": 5}})
-    assert "koidb.records_in" in text
-    # non-numeric values degrade to str(), numeric histograms summarize
-    weird = {
-        "counters": {"koidb.note": "n/a"},
-        "gauges": {"g": "broken"},
-        "histograms": {"h": {"count": 2, "mean": "?", "p50": 1.0}},
-    }
-    text = metrics_table(weird)
-    assert "n/a" in text and "broken" in text and "p50<=1" in text
-
-
 def test_render_report_on_legacy_artifacts():
     text = render_report({}, {"counters": {}}, [])
     assert "CARP run" in text

@@ -81,19 +81,6 @@ def test_json_report_written(tmp_path):
     assert {r["status"] for r in doc["results"]} <= {"ok", "skipped"}
 
 
-def test_strict_skips_fails_on_unresolved_selector(tmp_path, capsys):
-    telemetry = _telemetry_run(tmp_path / "out")
-    policy = _policy_file(tmp_path, [
-        {"selector": "counters.never.emitted", "max": 0},
-    ])
-    assert main(["health", str(telemetry), "--policy", str(policy)]) == 0
-    rc = main(["health",
-        str(telemetry), "--policy", str(policy), "--strict-skips",
-    ])
-    assert rc == 1
-    assert "unresolved selectors" in capsys.readouterr().err
-
-
 def test_usage_errors_exit_two(tmp_path, capsys):
     telemetry = _telemetry_run(tmp_path / "out")
     missing_policy = tmp_path / "nope.json"

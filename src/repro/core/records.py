@@ -56,6 +56,7 @@ _F32_INF = np.float32(np.inf)
 _F32_ZERO = np.float32(0)
 _LOW31 = np.int32(0x7FFFFFFF)
 _HALF = np.int64(32)
+_LOW32 = np.int64(0xFFFFFFFF)
 
 
 @functools.lru_cache(maxsize=256)
@@ -228,7 +229,12 @@ class RecordBatch:
         packed <<= _HALF
         packed |= np.arange(n, dtype=np.int64)
         packed.sort()
-        return self.select(packed.astype(np.uint32))
+        # the low halves are the row order; kept as int64, the index
+        # dtype both takes use without a cast
+        packed &= _LOW32
+        return RecordBatch._derived(
+            np.take(self.keys, packed), np.take(self.rids, packed), self.value_size
+        )
 
     @classmethod
     def empty(cls, value_size: int = PAPER_VALUE_SIZE) -> "RecordBatch":

@@ -145,6 +145,7 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
                 key_chunks += res.cost.key_chunks_read
                 key_chunks_skipped += res.cost.key_chunks_skipped
         verified = store.key_chunks_verified
+        values_verified = store.value_chunks_verified
     return [
         Metric("query_latency_modeled", latency, "s"),
         Metric("query_bytes_read", bytes_read, "B"),
@@ -167,6 +168,10 @@ def _run_query(spec: WorkloadSpec, scratch: Path) -> _RunnerResult:
         # at most query_key_chunks_read, so a reader that stops keeping
         # its verified keys (or keeps one chunk twice) changes this row
         Metric("query_key_chunks_verified", verified, "chunks"),
+        # a state count: value chunks whose rids the store's readers
+        # hold verified, so a reader that stops keeping its verified
+        # rids (or fills them on a keys-only read) changes this row
+        Metric("query_value_chunks_verified", values_verified, "chunks"),
     ], obs.tracer.events(), obs.metrics.snapshot()
 
 

@@ -11,9 +11,9 @@ concatenation, which is exactly why sorted layouts pay no merge cost.
 Probes are keys-first: each log's SST heads (header and chunk index)
 are verified and decoded once, when the store opens it, so a probe
 reads no head.  It searches only the key chunks whose zone meets the
-range (by binary search when the SST is sorted), each verified once per
-open reader on first touch, then fetches and verifies only the value
-chunks covering the matched rows.
+range (by binary search when the SST is sorted), then takes the rids
+of the matched rows from the value chunks covering them; each key and
+value chunk is verified once per open reader, on first touch.
 ``QueryCost.bytes_read`` / ``read_requests`` are those touched spans,
 measured on the real files.  The
 :class:`~repro.sim.iomodel.IOModel` keeps pricing the paper's client,
@@ -114,11 +114,12 @@ class PartitionedStore:
     compacted output (one log, key-disjoint sorted SSTs).  Query
     clients access logs read-only, so any number of stores may be open
     concurrently, and one store may be queried from many threads at
-    once: after the open only its readers' verified key columns grow
-    (:attr:`key_chunks_verified`; a query's answer and cost never
-    depend on them), and each query records into the ``obs`` stack it
-    is given.  Each log opens strictly at its end-of-file footer, so a
-    crash-torn log fails the open.
+    once: after the open only its readers' verified columns grow
+    (:attr:`key_chunks_verified`, :attr:`value_chunks_verified`; a
+    query's answer and cost never depend on them), and each query
+    records into the ``obs`` stack it is given.  Each log opens
+    strictly at its end-of-file footer, so a crash-torn log fails the
+    open.
 
     ``snapshot=`` (a :class:`~repro.storage.snapshot.Snapshot` from
     :func:`~repro.storage.snapshot.pin_snapshot`) opens every log at
@@ -199,8 +200,13 @@ class PartitionedStore:
 
     @property
     def key_chunks_verified(self) -> int:
-        """Key chunks held verified in the readers' key columns."""
+        """Key chunks held verified in the readers' columns."""
         return sum(r.key_chunks_verified for r in self._readers)
+
+    @property
+    def value_chunks_verified(self) -> int:
+        """Value chunks whose rids the readers' columns hold verified."""
+        return sum(r.value_chunks_verified for r in self._readers)
 
     def close(self) -> None:
         for r in self._readers:

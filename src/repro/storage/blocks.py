@@ -22,7 +22,8 @@ the structural checks stay here, so the kernels and their per-record
 test oracle produce and accept exactly the same on-disk bytes.  Decoders accept any buffer —
 ``bytes`` from a file read or a zero-copy ``memoryview`` slice of an
 mmap-backed log — and return arrays detached from the input buffer;
-the one exception, :func:`key_chunks_view`, says so in its name.
+the two exceptions, :func:`key_chunks_view` and
+:func:`value_chunks_rids`, say so in their docstrings.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ __all__ = [
     "encode_chunk_index",
     "decode_chunk_index",
     "encode_value_block",
-    "decode_value_rows",
+    "value_chunks_rids",
     "decode_value_block",
 ]
 
@@ -229,21 +230,23 @@ def encode_value_block(rids: np.ndarray, value_size: int) -> tuple[_Buffer, np.n
     return payload, _chunk_crcs(payload, value_size)
 
 
-def decode_value_rows(
-    payload: _Buffer, crcs: Sequence[int], value_size: int, start: int, stop: int,
-    first: int = 0,
+def value_chunks_rids(
+    payload: _Buffer, crcs: Sequence[int], value_size: int, first: int = 0
 ) -> np.ndarray:
-    """Verify consecutive whole value chunks; decode the rids of rows ``[start, stop)``.
+    """Verify consecutive value chunks; return their rids as a view of ``payload``.
 
-    ``payload`` is the value bytes of the chunks and ``crcs`` their
-    entries of an already-verified chunk index; every chunk handed in
-    is CRC-checked, so every rid returned was verified.  Rows count
-    from the start of ``payload``, whose first chunk is chunk ``first``
-    of its SST.
+    ``crcs`` are the chunks' entries of an already-verified chunk index,
+    and every chunk is CRC-checked.  The twin of :func:`key_chunks_view`:
+    zero-copy, a strided view of the rid column, so a caller handed an
+    mmap slice copies what it keeps and drops the view before the map is
+    closed.  ``first`` is the index of the payload's first chunk in its
+    SST.
     """
     _verify_chunks(payload, crcs, value_size, "value", first)
-    rows = memoryview(payload)[start * value_size : stop * value_size]
-    return active_kernels().decode_values(rows, value_size)
+    return np.ndarray(
+        (len(payload) // value_size,), dtype=RID_DTYPE, buffer=payload,
+        strides=(value_size,),
+    )
 
 
 def decode_value_block(

@@ -16,12 +16,13 @@ import mmap
 import os
 import warnings
 from array import array
+from collections.abc import Iterator
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from repro.core.records import KEY_DTYPE, RecordBatch
+from repro.core.records import KEY_DTYPE, RID_DTYPE, RecordBatch
 from repro.faults.plan import (
     ACTION_CRASH,
     SITE_MANIFEST_WRITE,
@@ -33,8 +34,8 @@ from repro.storage.blocks import (
     CHUNK_RECORDS,
     BlockCorruptionError,
     chunk_count,
-    decode_value_rows,
     key_chunks_view,
+    value_chunks_rids,
 )
 from repro.storage.manifest import (
     FOOTER_SIZE,
@@ -75,10 +76,10 @@ _NO_KEYS = np.empty(0, dtype=KEY_DTYPE)
 _NO_KEYS.flags.writeable = False
 
 
-def _read_only(keys: np.ndarray) -> np.ndarray:
-    """``keys``, marked read-only: a ranged read's keys may view a key column."""
-    keys.flags.writeable = False
-    return keys
+def _read_only(items: np.ndarray) -> np.ndarray:
+    """``items``, marked read-only: a ranged read's arrays may view a column."""
+    items.flags.writeable = False
+    return items
 
 
 def log_name(rank: int) -> str:
@@ -289,14 +290,50 @@ class _Head(NamedTuple):
     value_crcs: array[int]
 
 
-class _KeyColumn(NamedTuple):
-    """One SST's keys, filled chunk by chunk as ranged reads verify them."""
+class _Chunks(NamedTuple):
+    """One array of an SST's verified column, filled chunk by chunk."""
 
-    #: the SST's keys; a chunk's rows hold its keys once its flag is set
-    keys: np.ndarray
-    #: one byte per chunk, set to 1 after its keys were verified and
-    #: copied into :attr:`keys` (never before, never for a bad chunk)
+    #: one item per record; a chunk's rows hold its items once its flag is set
+    data: np.ndarray
+    #: one byte per chunk, set to 1 after its items were verified and
+    #: copied into :attr:`data` (never before, never for a bad chunk)
     verified: bytearray
+
+
+def _unverified(chunks: _Chunks, first: int, stop: int) -> Iterator[tuple[int, int]]:
+    """The runs ``[a, b)`` of chunks in ``[first, stop)`` whose flag is unset."""
+    flags = chunks.verified
+    todo = flags.find(0, first, stop)
+    while todo >= 0:
+        end = flags.find(1, todo, stop)
+        end = stop if end < 0 else end
+        yield todo, end
+        todo = flags.find(0, end, stop)
+
+
+def _keep(chunks: _Chunks, first: int, stop: int, items: np.ndarray) -> None:
+    """Copy the verified ``items`` of chunks ``[first, stop)`` into ``chunks``.
+
+    The items are written before the flags are set, so a thread that
+    sees a chunk's flag sees its items; two threads keeping the same
+    chunk write the same verified bytes.
+    """
+    start = first * CHUNK_RECORDS
+    chunks.data[start : start + len(items)] = items
+    chunks.verified[first:stop] = b"\x01" * (stop - first)
+
+
+class _Column:
+    """One SST's verified column: its keys and, once needed, its rids."""
+
+    __slots__ = ("keys", "rids")
+
+    def __init__(self, count: int) -> None:
+        self.keys = _Chunks(np.empty(count, dtype=KEY_DTYPE),
+                            bytearray(chunk_count(count)))
+        #: allocated by the first ranged read that returns this SST's
+        #: values, so keys-only reads hold no rids
+        self.rids: _Chunks | None = None
 
 
 class _KeySearch(NamedTuple):
@@ -305,7 +342,7 @@ class _KeySearch(NamedTuple):
     #: the first chunk searched
     first: int
     #: the verified keys of the chunks searched: a view of the SST's
-    #: key column, empty when no zone meets the range
+    #: verified column, empty when no zone meets the range
     keys: np.ndarray
     bytes_read: int
     requests: int
@@ -353,18 +390,23 @@ class LogReader:
     queries that touch it.  Whole reads ignore the table and verify
     every byte from the file.
 
-    Ranged reads also keep a *key column* per SST they searched: the
-    first read that needs a key chunk fetches it, checks its CRC and
-    that its keys are finite, and copies it into the column; later
-    reads search the column and fetch nothing more from the map (but
-    still count the span in their ``bytes_read`` and :attr:`touched`,
-    so accounting does not depend on what an earlier read verified).
-    A chunk that fails its check is never kept, so every read that
-    searches it raises; damage that lands after a chunk was verified
-    is served from the verified copy until the reader reopens.  The
-    columns cost 4 B per record of each SST searched, and
-    :meth:`close` drops them.  Threads sharing a reader may verify a
-    chunk twice, but none searches a chunk before its flag is set.
+    Ranged reads also keep a *verified column* per SST they searched:
+    its keys and, once a ranged read returned the SST's values, its
+    rids, each with one flag per chunk.  The first read that needs a key
+    chunk fetches it, checks its CRC and that its keys are finite, and
+    copies it into the column; the first read that needs a value chunk
+    fetches it, checks its CRC and copies its rids in.  Later reads
+    search the keys and take the rids from the column and fetch nothing
+    more from the map (but still count each span in their
+    ``bytes_read`` and :attr:`touched`, so accounting does not depend on
+    what an earlier read verified).  A chunk that fails its check is
+    never kept, so every read that needs it raises; damage that lands
+    after a chunk was verified is served from the verified copy until
+    the reader reopens.  The columns cost 4 B per record of each SST
+    searched and 8 B more per record of each SST whose values were
+    read (keys-only reads allocate no rids), and :meth:`close` drops
+    them.  Threads sharing a reader may verify a chunk twice, but none
+    reads a chunk from the column before its flag is set.
     """
 
     def __init__(
@@ -393,8 +435,8 @@ class LogReader:
         fh.close()
         #: SST heads this reader's open verified and decoded.
         self.heads_decoded = len(self._heads)
-        #: verified key columns of the SSTs ranged reads searched, by offset
-        self._columns: dict[int, _KeyColumn] = {}
+        #: verified columns of the SSTs ranged reads searched, by offset
+        self._columns: dict[int, _Column] = {}
         #: Attach a list to record the (offset, length) of every span
         #: consulted, in read order — the ground truth for the
         #: bytes-attribution tests.  ``None`` (the default) records
@@ -473,8 +515,21 @@ class LogReader:
 
     @property
     def key_chunks_verified(self) -> int:
-        """Key chunks held verified in this reader's key columns."""
-        return sum(c.verified.count(1) for c in list(self._columns.values()))
+        """Key chunks held verified in this reader's columns."""
+        return sum(c.keys.verified.count(1) for c in list(self._columns.values()))
+
+    @property
+    def value_chunks_verified(self) -> int:
+        """Value chunks whose rids this reader's columns hold verified."""
+        return sum(c.rids.verified.count(1) for c in list(self._columns.values())
+                   if c.rids is not None)
+
+    def _column(self, entry: ManifestEntry) -> _Column:
+        """The SST's verified column, created empty on first use."""
+        column = self._columns.get(entry.offset)
+        if column is None:
+            column = self._columns.setdefault(entry.offset, _Column(entry.count))
+        return column
 
     def _view(self, offset: int, length: int) -> memoryview:
         """Zero-copy view of ``length`` bytes at ``offset``."""
@@ -501,15 +556,15 @@ class LogReader:
         zone is verified from the file.  With bounds the read is
         keys-first, against the head decoded at open: only the key
         chunks whose zone meets the range are searched (binary search
-        on a sorted SST, range mask otherwise), in this reader's key
-        column, which fetches and verifies each chunk on its first
-        search; only the value chunks
-        covering the matched rows are fetched and verified, and only
-        the matched rows are decoded.  A range that meets no zone reads
-        nothing.  Either way every key returned was CRC-checked by this
-        reader and every rid by this call, and the returned batch holds
-        no view of the map: a ranged read's keys are a read-only view
-        of the key column (or a read-only copy), its rids its own.
+        on a sorted SST, range mask otherwise), in this reader's
+        verified column, which fetches and verifies each chunk on its
+        first search; the rids of the matched rows come from the same
+        column, which fetches and verifies each value chunk covering
+        them on its first use.  A range that meets no zone reads
+        nothing.  Either way every key and every rid returned was
+        CRC-checked by this reader, and the returned batch holds no
+        view of the map: a ranged read's keys and rids are read-only
+        views of the column (or read-only copies).
         """
         err: BlockCorruptionError | None = None
         try:
@@ -550,17 +605,15 @@ class LogReader:
         vfirst = first + start // CHUNK_RECORDS
         vstop = first + (stop - 1) // CHUNK_RECORDS + 1
         offset, length = value_chunks_span(info, vfirst, vstop)
-        values = self._span(entry.offset + offset, length)
-        skip = (vfirst - first) * CHUNK_RECORDS
-        rids = decode_value_rows(
-            values, head.value_crcs[vfirst:vstop], info.value_size,
-            start - skip, stop - skip, vfirst,
+        if self.touched is not None:
+            self.touched.append((entry.offset + offset, length))
+        rids = self._verified_rids(entry, head, vfirst, vstop)
+        rids = rids[first * CHUNK_RECORDS :][rows]
+        # the column's keys and rids passed their checks when it was filled
+        batch = RecordBatch._derived(
+            _read_only(keys[rows]), _read_only(rids), info.value_size
         )
-        if not isinstance(rows, slice):
-            rids = rids[rows - start]
-        # the column's keys passed their checks when it was filled
-        batch = RecordBatch._derived(_read_only(keys[rows]), rids, info.value_size)
-        return SSTRead(batch, found.bytes_read + len(values),
+        return SSTRead(batch, found.bytes_read + length,
                        found.requests + 1, found.chunks)
 
     def _search_keys(
@@ -569,9 +622,8 @@ class LogReader:
         """The verified keys of the chunks whose zone meets ``[lo, hi]``.
 
         Chunks of the span this reader has not verified yet are fetched,
-        checked and copied into the SST's key column first.  The whole
-        span counts as read, and is recorded in :attr:`touched`, either
-        way.
+        checked and copied into the SST's column first.  The whole span
+        counts as read, and is recorded in :attr:`touched`, either way.
         """
         first, stop = zone_chunks(head.info, head.zmin, head.zmax, lo, hi)
         if first >= stop:
@@ -579,38 +631,36 @@ class LogReader:
         offset, length = key_chunks_span(entry.count, first, stop)
         if self.touched is not None:
             self.touched.append((entry.offset + offset, length))
-        column = self._columns.get(entry.offset)
-        if column is None:
-            column = self._columns.setdefault(entry.offset, _KeyColumn(
-                np.empty(entry.count, dtype=KEY_DTYPE),
-                bytearray(chunk_count(entry.count)),
-            ))
-        flags = column.verified
-        todo = flags.find(0, first, stop)
-        while todo >= 0:
-            end = flags.find(1, todo, stop)
-            end = stop if end < 0 else end
-            self._fill(entry, head, column, todo, end)
-            todo = flags.find(0, end, stop)
-        keys = column.keys[first * CHUNK_RECORDS : stop * CHUNK_RECORDS]
-        return _KeySearch(first, keys, length, 1)
+        keys = self._column(entry).keys
+        for a, b in _unverified(keys, first, stop):
+            span_offset, span_length = key_chunks_span(entry.count, a, b)
+            span = self._view(entry.offset + span_offset, span_length)
+            _keep(keys, a, b, key_chunks_view(span, head.key_crcs[a:b], a))
+        found = keys.data[first * CHUNK_RECORDS : stop * CHUNK_RECORDS]
+        return _KeySearch(first, found, length, 1)
 
-    def _fill(
-        self, entry: ManifestEntry, head: _Head, column: _KeyColumn,
-        first: int, stop: int,
-    ) -> None:
-        """Verify key chunks ``[first, stop)`` from the map into ``column``.
+    def _verified_rids(
+        self, entry: ManifestEntry, head: _Head, first: int, stop: int
+    ) -> np.ndarray:
+        """The SST's rid column, with value chunks ``[first, stop)`` verified.
 
-        The keys are written before the flags are set, so a thread that
-        sees a chunk's flag sees its keys; two threads filling the same
-        chunk write the same verified bytes.
+        Chunks this reader has not verified yet are fetched, CRC-checked
+        and their rids copied into the column first.
         """
-        offset, length = key_chunks_span(entry.count, first, stop)
-        span = self._view(entry.offset + offset, length)
-        keys = key_chunks_view(span, head.key_crcs[first:stop], first)
-        start = first * CHUNK_RECORDS
-        column.keys[start : start + len(keys)] = keys
-        column.verified[first:stop] = b"\x01" * (stop - first)
+        column = self._column(entry)
+        rids = column.rids
+        if rids is None:
+            # a racing thread may install its own array: each read fills
+            # and returns from the one it took, so only work is lost
+            rids = column.rids = _Chunks(np.empty(entry.count, dtype=RID_DTYPE),
+                                         bytearray(chunk_count(entry.count)))
+        info = head.info
+        for a, b in _unverified(rids, first, stop):
+            offset, length = value_chunks_span(info, a, b)
+            span = self._view(entry.offset + offset, length)
+            _keep(rids, a, b, value_chunks_rids(
+                span, head.value_crcs[a:b], info.value_size, a))
+        return rids.data
 
     def read_sst_keys(
         self,
@@ -623,7 +673,7 @@ class LogReader:
         Without bounds the head and the whole key block are one span and
         every key chunk is verified.  With bounds only the key chunks
         whose zone meets the range are searched, in the reader's
-        verified key column, against the head decoded at open, as in
+        verified column, against the head decoded at open, as in
         :meth:`read_sst`; the keys returned are read-only.
         """
         err: BlockCorruptionError | None = None

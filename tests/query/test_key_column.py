@@ -93,7 +93,9 @@ def _assert_answer(result, records, lo, hi) -> None:
 
 
 def _column_arrays(store):
-    return [c.keys for r in store._readers for c in r._columns.values()]
+    """Every key and rid array the store's columns hold."""
+    return [chunks.data for r in store._readers for c in r._columns.values()
+            for chunks in (c.keys, c.rids) if chunks is not None]
 
 
 def test_a_repeated_query_verifies_nothing_new(built):
@@ -137,7 +139,7 @@ def test_damage_before_first_touch_fails_every_query_of_that_chunk(
                     with pytest.raises(BlockCorruptionError,
                                        match="key chunk 2: CRC mismatch"):
                         store.query(0, lo, hi, keys_only=keys_only)
-        assert reader._columns[entry.offset].verified[2] == 0
+        assert reader._columns[entry.offset].keys.verified[2] == 0
         # the SST's other chunks still answer exactly, before and after
         lo, hi = _zone(reader, entry, 0)
         _assert_answer(store.query(0, lo, hi), records, lo, hi)

@@ -7,18 +7,18 @@ wraps ``repro.exec.work.probe_entries`` by name.
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.records import RecordBatch
-from repro.storage.blocks import chunk_count
-from repro.storage.log import LogReader, SSTKeysRead, SSTRead
+from repro.storage.blocks import CHUNK_RECORDS
+from repro.storage.log import LogReader
 from repro.storage.manifest import ManifestEntry
 from repro.storage.sstable import keys_span_len
 
-@dataclasses.dataclass(frozen=True)
-class LogProbeResult:
+
+class LogProbeResult(NamedTuple):
     """Per-log probe output, in the log's candidate-entry order."""
 
     #: bytes the probe actually touched (Σ of the reader's spans)
@@ -34,20 +34,13 @@ class LogProbeResult:
     #: SSTs' chunks their zone maps pruned
     key_chunks_read: int
     key_chunks_skipped: int
+    #: records that survived the range filter in this log: the per-log
+    #: share of ``QueryCost.records_matched``.  The merged result
+    #: concatenates every log's runs, so the per-log counts sum exactly
+    #: to the query total (the reconciliation ``carp explain`` relies on)
+    matched: int
     runs: list[RecordBatch]
     key_runs: list[np.ndarray]
-
-    @property
-    def matched(self) -> int:
-        """Records that survived the range filter in this log.
-
-        The per-log share of ``QueryCost.records_matched``: the merged
-        result concatenates every log's runs, so the per-log counts sum
-        exactly to the query total (the reconciliation ``carp explain``
-        relies on).
-        """
-        return (sum(len(r) for r in self.runs)
-                + sum(len(k) for k in self.key_runs))
 
 
 def probe_entries(
@@ -63,47 +56,40 @@ def probe_entries(
     per log with candidates and concatenates the per-log results in
     reader-index order.
 
-    Probes are keys-first: against the head the reader decoded at
+    Probes are keys-first: against the probe record the reader built at
     open, each reads only the key chunks whose zone meets ``[lo, hi]``,
     and a full-record probe (``LogReader.read_sst`` with bounds) then
-    fetches value bytes for the matched rows only.  Bytes, requests and key chunks are summed
-    from what each read call reports it touched, so probes on one
-    reader from several threads each account their own.
+    fetches value bytes for the matched rows only.  Bytes, requests and
+    key chunks are summed from what each read call reports it touched,
+    so probes on one reader from several threads each account their own.
     """
-    bytes_read = 0
-    requests = 0
-    candidate_bytes = 0
-    scanned = 0
-    chunks_read = 0
-    chunks = 0
+    bytes_read = requests = candidate_bytes = 0
+    scanned = chunks_read = chunks = matched = 0
     runs: list[RecordBatch] = []
     key_runs: list[np.ndarray] = []
+    read, read_keys = reader.read_sst, reader.read_sst_keys
     for entry in entries:
-        read: SSTRead | SSTKeysRead
+        count = entry.count
         if keys_only:
-            read = reader.read_sst_keys(entry, lo, hi)
+            keys, nbytes, nrequests, nchunks = read_keys(entry, lo, hi)
             # a keys-only client fetches the head and key block whole
-            candidate_bytes += keys_span_len(entry.count)
-            if len(read.keys):
-                key_runs.append(read.keys)
+            candidate_bytes += keys_span_len(count)
         else:
-            read = reader.read_sst(entry, lo, hi)
+            batch, nbytes, nrequests, nchunks = read(entry, lo, hi)
+            keys = batch.keys
             candidate_bytes += entry.length
-            if len(read.batch):
-                runs.append(read.batch)
-        bytes_read += read.bytes_read
-        requests += read.requests
-        chunks_read += read.key_chunks
-        chunks += chunk_count(entry.count)
-        scanned += entry.count
+        if len(keys):
+            matched += len(keys)
+            if keys_only:
+                key_runs.append(keys)
+            else:
+                runs.append(batch)
+        bytes_read += nbytes
+        requests += nrequests
+        chunks_read += nchunks
+        scanned += count
+        chunks += -(-count // CHUNK_RECORDS)  # blocks.chunk_count, inlined
     return LogProbeResult(
-        bytes_read=bytes_read,
-        scanned=scanned,
-        requests=requests,
-        ssts=len(entries),
-        candidate_bytes=candidate_bytes,
-        key_chunks_read=chunks_read,
-        key_chunks_skipped=chunks - chunks_read,
-        runs=runs,
-        key_runs=key_runs,
+        bytes_read, scanned, requests, len(entries), candidate_bytes,
+        chunks_read, chunks - chunks_read, matched, runs, key_runs,
     )

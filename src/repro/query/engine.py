@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -451,7 +450,11 @@ class PartitionedStore:
         :class:`ValueError` rather than reading as empty.
         """
         check_bounds(lo, hi)
-        epoch = self.resolve_epoch(epoch)
+        pairs = self._by_epoch.get(epoch)
+        if pairs is None:
+            # latest, or an epoch this view does not hold (which raises)
+            epoch = self.resolve_epoch(epoch)
+            pairs = self._by_epoch[epoch]
         candidates: dict[int, list[ManifestEntry]] = {}
         for log, entry in self.overlapping_entries(epoch, lo, hi):
             candidates.setdefault(log, []).append(entry)
@@ -461,35 +464,43 @@ class PartitionedStore:
             ))
             for log, entries in candidates.items()
         ]
-        return rows, self._cost(len(self._by_epoch[epoch]), rows)
+        return rows, self._cost(len(pairs), rows)
 
     def _cost(self, considered: int, rows: list[_LogRow]) -> QueryCost:
         """The one place a query's measurements become a :class:`QueryCost`.
 
         ``considered`` is the epoch's SST count.  Measured fields report
-        what the probes touched; the modeled times price the candidate
-        SSTs fetched whole, one request each.
+        what the probes touched, summed in one pass; the modeled times
+        price the candidate SSTs fetched whole, one request each.
         """
-        probes = [row.probe for row in rows]
-        candidate_bytes = sum(p.candidate_bytes for p in probes)
-        ssts_read = sum(p.ssts for p in probes)
-        merge_bytes = _overlapping_run_bytes(
-            [(e.kmin, e.kmax, e.length) for row in rows for e in row.entries]
-        )
+        bytes_read = requests = candidate_bytes = ssts_read = 0
+        chunks_read = chunks_skipped = scanned = matched = 0
+        spans: list[tuple[float, float, int]] = []
+        for _log, entries, probe in rows:
+            bytes_read += probe.bytes_read
+            requests += probe.requests
+            candidate_bytes += probe.candidate_bytes
+            ssts_read += probe.ssts
+            chunks_read += probe.key_chunks_read
+            chunks_skipped += probe.key_chunks_skipped
+            scanned += probe.scanned
+            matched += probe.matched
+            spans += [(e.kmin, e.kmax, e.length) for e in entries]
+        merge_bytes = _overlapping_run_bytes(spans)
+        io = self.io
         return QueryCost(
             ssts_considered=considered,
             ssts_read=ssts_read,
-            bytes_read=sum(p.bytes_read for p in probes),
-            read_requests=sum(p.requests for p in probes),
+            bytes_read=bytes_read,
+            read_requests=requests,
             candidate_bytes=candidate_bytes,
-            key_chunks_read=sum(p.key_chunks_read for p in probes),
-            key_chunks_skipped=sum(p.key_chunks_skipped for p in probes),
-            records_scanned=sum(p.scanned for p in probes),
-            records_matched=sum(p.matched for p in probes),
+            key_chunks_read=chunks_read,
+            key_chunks_skipped=chunks_skipped,
+            records_scanned=scanned,
+            records_matched=matched,
             merge_bytes=merge_bytes,
-            read_time=self.io.read_time(candidate_bytes, ssts_read),
-            merge_time=self.io.merge_time(merge_bytes)
-            + self.io.scan_time(candidate_bytes),
+            read_time=io.read_time(candidate_bytes, ssts_read),
+            merge_time=io.merge_time(merge_bytes) + io.scan_time(candidate_bytes),
         )
 
     def _read_time(self, probe: LogProbeResult) -> float:
@@ -524,11 +535,14 @@ def _overlapping_run_bytes(spans: list[tuple[float, float, int]]) -> int:
     # next kmin is within its kmax (closed intervals: touching counts);
     # an SST that overlaps any other participates in the merge.  A
     # query's candidates are few, so a Python sweep beats arrays.
-    ordered = sorted(spans, key=itemgetter(0))
+    ordered = sorted(spans)
     total = 0
     reach = -math.inf
-    for i, (kmin, kmax, length) in enumerate(ordered):
-        if reach >= kmin or (i + 1 < len(ordered) and ordered[i + 1][0] <= kmax):
+    for (kmin, kmax, length), (after, _, _) in zip(
+        ordered, ordered[1:] + [(math.inf, math.inf, 0)]
+    ):
+        if reach >= kmin or after <= kmax:
             total += length
-        reach = max(reach, kmax)
+        if kmax > reach:
+            reach = kmax
     return total

@@ -12,17 +12,19 @@ concurrent query clients coexist (paper §V-D).
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
 import warnings
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from pathlib import Path
-from typing import BinaryIO, NamedTuple
+from typing import Any, BinaryIO, Literal, NamedTuple, overload
 
 import numpy as np
 
-from repro.core.records import KEY_DTYPE, RID_DTYPE, RecordBatch
+from repro.core.records import KEY_DTYPE, RID_DTYPE, RecordBatch, _f32_bounds, range_mask
 from repro.faults.plan import (
     ACTION_CRASH,
     SITE_MANIFEST_WRITE,
@@ -57,23 +59,23 @@ from repro.storage.sstable import (
     FLAG_SORTED,
     SSTableInfo,
     build_sstable,
+    chunks_span,
     head_span_len,
-    key_chunks_span,
     keys_span_len,
-    match_rows,
     parse_head,
     parse_keys_only,
     parse_sstable,
-    value_chunks_span,
-    zone_chunks,
 )
 
 LOG_PREFIX = "RDB-"
 LOG_SUFFIX = ".tbl"
 
-#: The keys a ranged read searches when no chunk's zone meets its range.
+_KEY_SIZE = KEY_DTYPE.itemsize
+#: What a ranged read that matches no row returns: read-only, shared.
 _NO_KEYS = np.empty(0, dtype=KEY_DTYPE)
 _NO_KEYS.flags.writeable = False
+_NO_RIDS = np.empty(0, dtype=RID_DTYPE)
+_NO_RIDS.flags.writeable = False
 
 
 def _read_only(items: np.ndarray) -> np.ndarray:
@@ -278,8 +280,20 @@ class SSTKeysRead(NamedTuple):
     key_chunks: int
 
 
-class _Head(NamedTuple):
-    """One committed SST's head, verified and decoded when its reader opened."""
+def _no_rows(
+    values: bool, value_size: int, key_bytes: int = 0, key_chunks: int = 0
+) -> SSTRead | SSTKeysRead:
+    """A ranged read that matched no row after searching ``key_chunks`` chunks."""
+    requests = int(key_chunks > 0)
+    if values:
+        return SSTRead(RecordBatch._derived(_NO_KEYS, _NO_RIDS, value_size),
+                       key_bytes, requests, key_chunks)
+    return SSTKeysRead(_NO_KEYS, key_bytes, requests, key_chunks)
+
+
+class _Probe(NamedTuple):
+    """One committed SST's head, verified and decoded when its reader
+    opened, and the constants a ranged read works out its spans from."""
 
     info: SSTableInfo
     #: the zone map's min and max columns, one float per chunk
@@ -288,6 +302,12 @@ class _Head(NamedTuple):
     #: the CRC of every key chunk and of every value chunk
     key_crcs: array[int]
     value_crcs: array[int]
+    is_sorted: bool
+    count: int
+    value_size: int
+    #: file offsets of the first key chunk and of the first value chunk
+    keys_base: int
+    values_base: int
 
 
 class _Chunks(NamedTuple):
@@ -298,6 +318,15 @@ class _Chunks(NamedTuple):
     #: one byte per chunk, set to 1 after its items were verified and
     #: copied into :attr:`data` (never before, never for a bad chunk)
     verified: bytearray
+    #: a read-only view of :attr:`data`: a ranged read's results are
+    #: slices of it, read-only without a flag set per read
+    frozen: np.ndarray
+
+
+def _new_chunks(count: int, dtype: np.dtype[Any]) -> _Chunks:
+    """An empty column array of ``count`` items, no chunk verified."""
+    data = np.empty(count, dtype=dtype)
+    return _Chunks(data, bytearray(chunk_count(count)), _read_only(data.view()))
 
 
 def _unverified(chunks: _Chunks, first: int, stop: int) -> Iterator[tuple[int, int]]:
@@ -329,31 +358,25 @@ class _Column:
     __slots__ = ("keys", "rids")
 
     def __init__(self, count: int) -> None:
-        self.keys = _Chunks(np.empty(count, dtype=KEY_DTYPE),
-                            bytearray(chunk_count(count)))
+        self.keys = _new_chunks(count, KEY_DTYPE)
         #: allocated by the first ranged read that returns this SST's
         #: values, so keys-only reads hold no rids
         self.rids: _Chunks | None = None
 
 
-class _KeySearch(NamedTuple):
-    """The key chunks one ranged read searched."""
+@functools.lru_cache(maxsize=256)
+def _rounded(lo: float, hi: float) -> tuple[float, float, np.ndarray]:
+    """``[lo, hi]`` rounded once (:func:`~repro.core.records._f32_bounds`).
 
-    #: the first chunk searched
-    first: int
-    #: the verified keys of the chunks searched: a view of the SST's
-    #: verified column, empty when no zone meets the range
-    keys: np.ndarray
-    bytes_read: int
-    requests: int
-
-    @property
-    def chunks(self) -> int:
-        return chunk_count(len(self.keys))
-
-
-#: The search of a ranged read whose range meets no chunk's zone.
-_NO_SEARCH = _KeySearch(0, _NO_KEYS, 0, 0)
+    The float32 bounds as Python floats, for :mod:`bisect` on zone maps
+    (which hold float32 values exactly), and ``(lo32, next(hi32))``: a
+    finite float32 key is at most ``hi32`` exactly when it is below the
+    next float32 up, so one left ``searchsorted`` finds the matched run.
+    """
+    lo32, hi32 = _f32_bounds(float(lo), float(hi))
+    search = np.array([lo32, np.nextafter(hi32, KEY_DTYPE.type(np.inf))],
+                      dtype=KEY_DTYPE)
+    return float(lo32), float(hi32), _read_only(search)
 
 
 class LogReader:
@@ -383,12 +406,13 @@ class LogReader:
 
     Either way the open makes one pass over the committed entries and
     verifies and decodes each SST's head (header and chunk index) into
-    a table, so a ranged read fetches only key and value chunks: the
-    head gets the manifest's trust, checked once at open.  A head that
-    fails its check does not fail the open; its error is raised by
-    every ranged read of that SST, so a damaged SST fails only the
-    queries that touch it.  Whole reads ignore the table and verify
-    every byte from the file.
+    a *probe record*, with the offsets and sizes a ranged read works
+    its spans out from, so a ranged read fetches only key and value
+    chunks, in one step (:meth:`_read_range`): the head gets the
+    manifest's trust, checked once at open.  A head that fails its check does not fail the open; its
+    error is raised by every ranged read of that SST, so a damaged SST
+    fails only the queries that touch it.  Whole reads ignore the
+    records and verify every byte from the file.
 
     Ranged reads also keep a *verified column* per SST they searched:
     its keys and, once a ranged read returned the SST's values, its
@@ -423,7 +447,7 @@ class LogReader:
                 self._entries = list(pin.entries)
             else:
                 self._entries = self._load_entries(fh)
-            self._heads = self._decode_heads(fh)
+            self._probes = self._decode_heads(fh)
             if self._size:
                 self._map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except BaseException:
@@ -434,7 +458,7 @@ class LogReader:
         # opening descriptor is not needed past this point
         fh.close()
         #: SST heads this reader's open verified and decoded.
-        self.heads_decoded = len(self._heads)
+        self.heads_decoded = len(self._probes)
         #: verified columns of the SSTs ranged reads searched, by offset
         self._columns: dict[int, _Column] = {}
         #: Attach a list to record the (offset, length) of every span
@@ -463,47 +487,50 @@ class LogReader:
 
     def _decode_heads(
         self, fh: BinaryIO
-    ) -> dict[int, "_Head | BlockCorruptionError"]:
-        """Verify and decode every committed SST's head, keyed by offset.
+    ) -> dict[int, "_Probe | BlockCorruptionError"]:
+        """Verify and decode every committed SST's head into a probe record.
 
         Reads each head with one ``pread`` rather than through the map:
         the open's reads are not a query's, so :attr:`touched` does not
-        record them, and they fault no page of the map into the process.  A head that fails its check maps to its
-        error, kept for the ranged reads of that SST.
+        record them, and they fault no page of the map into the process.
+        A head that fails its check maps to its error, kept for the
+        ranged reads of that SST.
         """
-        heads: dict[int, _Head | BlockCorruptionError] = {}
+        probes: dict[int, _Probe | BlockCorruptionError] = {}
         for entry in self._entries:
-            length = min(head_span_len(entry.count), entry.length)
+            offset, count = entry.offset, entry.count
+            length = min(head_span_len(count), entry.length)
             try:
-                info, zones, crcs = parse_head(
-                    os.pread(fh.fileno(), length, entry.offset)
-                )
+                info, zones, crcs = parse_head(os.pread(fh.fileno(), length, offset))
             except BlockCorruptionError as exc:
-                heads[entry.offset] = exc.with_traceback(None)
+                probes[offset] = exc.with_traceback(None)
                 continue
-            # compact arrays of native items: a reader holds one head
+            # compact arrays of native items: a reader holds one record
             # per committed SST for as long as it is open
-            heads[entry.offset] = _Head(
+            probes[offset] = _Probe(
                 info,
                 array("f", zones[:, 0].astype(np.single).tobytes()),
                 array("f", zones[:, 1].astype(np.single).tobytes()),
                 array("I", crcs[:, 0].astype(np.uintc).tobytes()),
                 array("I", crcs[:, 1].astype(np.uintc).tobytes()),
+                info.is_sorted, info.count, info.value_size,
+                offset + head_span_len(info.count),
+                offset + keys_span_len(info.count),
             )
-        return heads
+        return probes
 
-    def _head(self, entry: ManifestEntry) -> _Head:
-        """The head decoded at open for a committed SST, or its error."""
-        head = self._heads.get(entry.offset)
-        if isinstance(head, _Head):
-            return head
-        if head is None:
+    def _probe(self, entry: ManifestEntry) -> _Probe:
+        """The probe record built at open for a committed SST, or its error."""
+        probe = self._probes.get(entry.offset)
+        if type(probe) is _Probe:
+            return probe
+        if probe is None:
             raise ValueError(
                 f"{self.path.name}: no committed SST at offset {entry.offset}"
             )
         # a fresh error per read: the kept one is shared by every read
         # of this SST, and raising it would attach this read's traceback
-        raise BlockCorruptionError(*head.args)
+        raise BlockCorruptionError(*probe.args)
 
     @property
     def entries(self) -> list[ManifestEntry]:
@@ -523,13 +550,6 @@ class LogReader:
         """Value chunks whose rids this reader's columns hold verified."""
         return sum(c.rids.verified.count(1) for c in list(self._columns.values())
                    if c.rids is not None)
-
-    def _column(self, entry: ManifestEntry) -> _Column:
-        """The SST's verified column, created empty on first use."""
-        column = self._columns.get(entry.offset)
-        if column is None:
-            column = self._columns.setdefault(entry.offset, _Column(entry.count))
-        return column
 
     def _view(self, offset: int, length: int) -> memoryview:
         """Zero-copy view of ``length`` bytes at ``offset``."""
@@ -553,16 +573,14 @@ class LogReader:
         """Read an SSTable: all of it, or the records with keys in ``[lo, hi]``.
 
         Without bounds the whole SST is one span and every chunk and
-        zone is verified from the file.  With bounds the read is
-        keys-first, against the head decoded at open: only the key
-        chunks whose zone meets the range are searched (binary search
-        on a sorted SST, range mask otherwise), in this reader's
-        verified column, which fetches and verifies each chunk on its
-        first search; the rids of the matched rows come from the same
-        column, which fetches and verifies each value chunk covering
-        them on its first use.  A range that meets no zone reads
-        nothing.  Either way every key and every rid returned was
-        CRC-checked by this reader, and the returned batch holds no
+        zone is verified from the file.  With bounds the read is one
+        keys-first step over the SST's probe record (:meth:`_read_range`):
+        it searches only the key chunks whose zone meets the range and
+        takes the rids of the matched rows from the value chunks covering
+        them, both through this reader's verified column, which fetches
+        and verifies each chunk on its first use.  A range that meets no
+        zone reads nothing.  Either way every key and every rid returned
+        was CRC-checked by this reader, and the returned batch holds no
         view of the map: a ranged read's keys and rids are read-only
         views of the column (or read-only copies).
         """
@@ -571,7 +589,7 @@ class LogReader:
             if lo is None or hi is None:
                 read = self._read_whole(entry)
             else:
-                read = self._read_range(entry, lo, hi)
+                read = self._read_range(entry, lo, hi, True)
         except BlockCorruptionError as exc:
             # re-raised outside the handler so the original traceback —
             # whose frames hold memoryview slices of the map — is
@@ -586,81 +604,127 @@ class LogReader:
         info, batch = parse_sstable(view)
         return SSTRead(batch, len(view), 1, chunk_count(info.count))
 
-    def _read_range(self, entry: ManifestEntry, lo: float, hi: float) -> SSTRead:
-        head = self._head(entry)
-        info = head.info
-        found = self._search_keys(entry, head, lo, hi)
-        first, keys = found.first, found.keys
-        rows = match_rows(info, keys, lo, hi)
-        if isinstance(rows, slice):
-            start, stop = rows.start, rows.stop
+    @overload
+    def _read_range(
+        self, entry: ManifestEntry, lo: float, hi: float, values: Literal[True]
+    ) -> SSTRead: ...
+
+    @overload
+    def _read_range(
+        self, entry: ManifestEntry, lo: float, hi: float, values: Literal[False]
+    ) -> SSTKeysRead: ...
+
+    def _read_range(
+        self, entry: ManifestEntry, lo: float, hi: float, values: bool
+    ) -> SSTRead | SSTKeysRead:
+        """The records (or, without ``values``, the keys) of one SST in ``[lo, hi]``.
+
+        Every span is arithmetic on the SST's probe record: the key
+        chunks from the first to the last whose zone meets the range (two
+        ``bisect``s on a sorted SST, a zone scan otherwise), then the
+        value chunks covering the matched rows.  Each span counts as
+        read, and is recorded in :attr:`touched`, whatever an earlier
+        read verified; only chunks whose column flag is unset are
+        fetched, verified and kept.  The rows are one ``searchsorted``
+        on a sorted SST and :func:`range_mask` otherwise.
+        """
+        probe = self._probes.get(entry.offset)
+        if type(probe) is not _Probe:
+            probe = self._probe(entry)
+        (_info, zmin, zmax, _key_crcs, _value_crcs, is_sorted, count,
+         value_size, keys_base, values_base) = probe
+        if not lo <= hi:
+            # hi < lo or a NaN bound: nothing can match
+            return _no_rows(values, value_size)
+        lo_f, hi_f, search = _rounded(lo, hi)
+        if is_sorted:
+            # fence keys: both zone columns ascend, every chunk between meets
+            first, stop = bisect_left(zmax, lo_f), bisect_right(zmin, hi_f)
         else:
-            start, stop = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
-        if start == stop:
-            return SSTRead(RecordBatch.empty(info.value_size), found.bytes_read,
-                           found.requests, found.chunks)
+            # at a few dozen chunks a scan of the array('f') columns beats NumPy
+            hits = [i for i, (z0, z1) in enumerate(zip(zmin, zmax))
+                    if z1 >= lo_f and z0 <= hi_f]
+            first, stop = (hits[0], hits[-1] + 1) if hits else (0, 0)
+        if first >= stop:
+            return _no_rows(values, value_size)
+        start = first * CHUNK_RECORDS
+        end = min(stop * CHUNK_RECORDS, count)
+        key_bytes = (end - start) * _KEY_SIZE
+        touched = self.touched
+        if touched is not None:
+            touched.append((keys_base + start * _KEY_SIZE, key_bytes))
+        column = self._columns.get(entry.offset)
+        if column is None:
+            column = self._columns.setdefault(entry.offset, _Column(count))
+        keys = column.keys
+        if keys.verified.find(0, first, stop) >= 0:
+            self._fill_keys(probe, keys, first, stop)
+        # rows count from the first searched chunk
+        found = keys.frozen[start:end]
+        if is_sorted:
+            a, b = found.searchsorted(search).tolist()
+            # lo and hi between the same two adjacent float32s round
+            # past each other: the run is then empty
+            if a >= b:
+                return _no_rows(values, value_size, key_bytes, stop - first)
+            matched = found[a:b]
+        else:
+            rows = np.flatnonzero(range_mask(found, lo, hi))
+            if not len(rows):
+                return _no_rows(values, value_size, key_bytes, stop - first)
+            a, b = int(rows[0]), int(rows[-1]) + 1
+            matched = _read_only(found[rows])
+        if not values:
+            return SSTKeysRead(matched, key_bytes, 1, stop - first)
         # one span over the value chunks covering the matched rows:
         # contiguous for a sorted SST, first-to-last match for an
-        # unsorted one.  Rows count from the first searched chunk.
-        vfirst = first + start // CHUNK_RECORDS
-        vstop = first + (stop - 1) // CHUNK_RECORDS + 1
-        offset, length = value_chunks_span(info, vfirst, vstop)
-        if self.touched is not None:
-            self.touched.append((entry.offset + offset, length))
-        rids = self._verified_rids(entry, head, vfirst, vstop)
-        rids = rids[first * CHUNK_RECORDS :][rows]
+        # unsorted one
+        vfirst = (start + a) // CHUNK_RECORDS
+        vstop = (start + b - 1) // CHUNK_RECORDS + 1
+        vbegin = vfirst * CHUNK_RECORDS
+        value_bytes = (min(vstop * CHUNK_RECORDS, count) - vbegin) * value_size
+        if touched is not None:
+            touched.append((values_base + vbegin * value_size, value_bytes))
+        rids = column.rids
+        if rids is None or rids.verified.find(0, vfirst, vstop) >= 0:
+            rids = self._fill_rids(probe, column, vfirst, vstop)
+        if is_sorted:
+            picked = rids.frozen[start + a : start + b]
+        else:
+            picked = _read_only(rids.data[start:end][rows])
         # the column's keys and rids passed their checks when it was filled
-        batch = RecordBatch._derived(
-            _read_only(keys[rows]), _read_only(rids), info.value_size
-        )
-        return SSTRead(batch, found.bytes_read + length,
-                       found.requests + 1, found.chunks)
+        batch = RecordBatch._derived(matched, picked, value_size)
+        return SSTRead(batch, key_bytes + value_bytes, 2, stop - first)
 
-    def _search_keys(
-        self, entry: ManifestEntry, head: _Head, lo: float, hi: float
-    ) -> _KeySearch:
-        """The verified keys of the chunks whose zone meets ``[lo, hi]``.
-
-        Chunks of the span this reader has not verified yet are fetched,
-        checked and copied into the SST's column first.  The whole span
-        counts as read, and is recorded in :attr:`touched`, either way.
-        """
-        first, stop = zone_chunks(head.info, head.zmin, head.zmax, lo, hi)
-        if first >= stop:
-            return _NO_SEARCH
-        offset, length = key_chunks_span(entry.count, first, stop)
-        if self.touched is not None:
-            self.touched.append((entry.offset + offset, length))
-        keys = self._column(entry).keys
+    def _fill_keys(self, probe: _Probe, keys: _Chunks, first: int, stop: int) -> None:
+        """Fetch, check and keep the unverified key chunks of ``[first, stop)``."""
         for a, b in _unverified(keys, first, stop):
-            span_offset, span_length = key_chunks_span(entry.count, a, b)
-            span = self._view(entry.offset + span_offset, span_length)
-            _keep(keys, a, b, key_chunks_view(span, head.key_crcs[a:b], a))
-        found = keys.data[first * CHUNK_RECORDS : stop * CHUNK_RECORDS]
-        return _KeySearch(first, found, length, 1)
+            span = self._view(
+                *chunks_span(probe.keys_base, _KEY_SIZE, probe.count, a, b)
+            )
+            _keep(keys, a, b, key_chunks_view(span, probe.key_crcs[a:b], a))
 
-    def _verified_rids(
-        self, entry: ManifestEntry, head: _Head, first: int, stop: int
-    ) -> np.ndarray:
-        """The SST's rid column, with value chunks ``[first, stop)`` verified.
+    def _fill_rids(
+        self, probe: _Probe, column: _Column, first: int, stop: int
+    ) -> _Chunks:
+        """The column's rids, with value chunks ``[first, stop)`` verified.
 
         Chunks this reader has not verified yet are fetched, CRC-checked
         and their rids copied into the column first.
         """
-        column = self._column(entry)
         rids = column.rids
         if rids is None:
             # a racing thread may install its own array: each read fills
             # and returns from the one it took, so only work is lost
-            rids = column.rids = _Chunks(np.empty(entry.count, dtype=RID_DTYPE),
-                                         bytearray(chunk_count(entry.count)))
-        info = head.info
+            rids = column.rids = _new_chunks(probe.count, RID_DTYPE)
+        value_size = probe.value_size
         for a, b in _unverified(rids, first, stop):
-            offset, length = value_chunks_span(info, a, b)
-            span = self._view(entry.offset + offset, length)
+            span = self._view(
+                *chunks_span(probe.values_base, value_size, probe.count, a, b)
+            )
             _keep(rids, a, b, value_chunks_rids(
-                span, head.value_crcs[a:b], info.value_size, a))
-        return rids.data
+                span, probe.value_crcs[a:b], value_size, a))
+        return rids
 
     def read_sst_keys(
         self,
@@ -671,14 +735,17 @@ class LogReader:
         """Read an SSTable's keys: all of them, or those in ``[lo, hi]``.
 
         Without bounds the head and the whole key block are one span and
-        every key chunk is verified.  With bounds only the key chunks
-        whose zone meets the range are searched, in the reader's
-        verified column, against the head decoded at open, as in
-        :meth:`read_sst`; the keys returned are read-only.
+        every key chunk is verified.  With bounds it is :meth:`read_sst`'s
+        one-step read without the values: only the key chunks whose zone
+        meets the range are searched, in the reader's verified column,
+        and the keys returned are read-only.
         """
         err: BlockCorruptionError | None = None
         try:
-            read = self._read_keys(entry, lo, hi)
+            if lo is None or hi is None:
+                read = self._read_all_keys(entry)
+            else:
+                read = self._read_range(entry, lo, hi, False)
         except BlockCorruptionError as exc:
             # as in read_sst: no frame holding a slice of the map
             # survives in the raised error's traceback
@@ -687,20 +754,11 @@ class LogReader:
             raise err
         return read
 
-    def _read_keys(
-        self, entry: ManifestEntry, lo: float | None, hi: float | None
-    ) -> SSTKeysRead:
-        if lo is None or hi is None:
-            # head + key block length is derivable from the entry count
-            view = self._span(
-                entry.offset, min(keys_span_len(entry.count), entry.length)
-            )
-            info, keys = parse_keys_only(view)
-            return SSTKeysRead(keys, len(view), 1, chunk_count(info.count))
-        head = self._head(entry)
-        found = self._search_keys(entry, head, lo, hi)
-        keys = _read_only(found.keys[match_rows(head.info, found.keys, lo, hi)])
-        return SSTKeysRead(keys, found.bytes_read, found.requests, found.chunks)
+    def _read_all_keys(self, entry: ManifestEntry) -> SSTKeysRead:
+        # head + key block length is derivable from the entry count
+        view = self._span(entry.offset, min(keys_span_len(entry.count), entry.length))
+        info, keys = parse_keys_only(view)
+        return SSTKeysRead(keys, len(view), 1, chunk_count(info.count))
 
     def close(self) -> None:
         self._columns = {}

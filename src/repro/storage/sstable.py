@@ -27,19 +27,11 @@ from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.records import (
-    KEY_DTYPE,
-    RecordBatch,
-    _f32_bounds,
-    range_mask,
-    sorted_range,
-)
+from repro.core.records import KEY_DTYPE, RecordBatch
 from repro.storage.blocks import (
     CHUNK_RECORDS,
     BlockCorruptionError,
@@ -193,21 +185,16 @@ def keys_span_len(count: int) -> int:
 
 def key_chunks_span(count: int, first: int, stop: int) -> tuple[int, int]:
     """(offset, length), relative to the SST start, of key chunks ``[first, stop)``."""
-    return _chunks_span(
+    return chunks_span(
         head_span_len(count), KEY_DTYPE.itemsize, count, first, stop
     )
 
 
-def value_chunks_span(info: SSTableInfo, first: int, stop: int) -> tuple[int, int]:
-    """(offset, length), relative to the SST start, of value chunks ``[first, stop)``."""
-    return _chunks_span(
-        keys_span_len(info.count), info.value_size, info.count, first, stop
-    )
-
-
-def _chunks_span(
+def chunks_span(
     base: int, item_size: int, count: int, first: int, stop: int
 ) -> tuple[int, int]:
+    """(offset, length) of chunks ``[first, stop)`` of a column of ``count``
+    items of ``item_size`` bytes that starts at ``base``."""
     begin = first * CHUNK_RECORDS * item_size
     end = min(stop * CHUNK_RECORDS, count) * item_size
     return base + begin, end - begin
@@ -218,7 +205,7 @@ def parse_head(data: _Buffer) -> tuple[SSTableInfo, np.ndarray, np.ndarray]:
 
     Returns the header, the zone map (one (min, max) row per chunk) and
     the chunk table (one (key CRC, value CRC) row per chunk): what
-    :func:`zone_chunks` prunes with and what the key and value chunks
+    a ranged read prunes with and what the key and value chunks
     fetched after are checked against.
     """
     info = parse_header(data)
@@ -271,51 +258,3 @@ def _parse_keys(
         raise BlockCorruptionError("truncated SSTable key block")
     keys = decode_key_block(data[start:end], crcs[:, 0].tolist())
     return info, keys, zones, crcs
-
-
-def zone_chunks(
-    info: SSTableInfo, zmin: Sequence[float], zmax: Sequence[float],
-    lo: float, hi: float,
-) -> tuple[int, int]:
-    """The span ``[first, stop)`` of chunks whose zone meets ``[lo, hi]``.
-
-    ``zmin`` and ``zmax`` are the zone map's columns (from
-    :func:`parse_head`) as sequences that yield Python floats, such as
-    an ``array('f')``: at a few dozen chunks, :mod:`bisect` over them
-    beats ``searchsorted`` on a NumPy column.  First to last meeting
-    chunk: on a sorted SST the zones are fence keys, ascending in both
-    columns, so binary search finds the span and every chunk in it
-    meets; on an unsorted one the span is what gets searched.  The
-    bounds are rounded as :func:`~repro.core.records.sorted_range`
-    rounds them, so a chunk holding a row that
-    :func:`~repro.core.records.range_mask` would match is never pruned.
-    ``first >= stop`` when no chunk meets.
-    """
-    if not lo <= hi:
-        return 0, 0
-    lo32, hi32 = _f32_bounds(float(lo), float(hi))
-    # zones hold float32 values exactly, so comparing them with the
-    # rounded bounds as Python floats is the float32 comparison
-    lo_f, hi_f = float(lo32), float(hi32)
-    if info.is_sorted:
-        return bisect_left(zmax, lo_f), bisect_right(zmin, hi_f)
-    hits = [i for i, (a, b) in enumerate(zip(zmin, zmax))
-            if b >= lo_f and a <= hi_f]
-    if not hits:
-        return 0, 0
-    return hits[0], hits[-1] + 1
-
-
-def match_rows(
-    info: SSTableInfo, keys: np.ndarray, lo: float, hi: float
-) -> slice | np.ndarray:
-    """Rows of an SST's ``keys`` in ``[lo, hi]``.
-
-    A sorted SST (``FLAG_SORTED``) answers by binary search, as a
-    slice; any other by range mask, as an index array.  Either selects
-    exactly the rows ``np.flatnonzero(range_mask(keys, lo, hi))``.
-    ``keys`` may be any run of the SST's chunks.
-    """
-    if info.is_sorted:
-        return sorted_range(keys, lo, hi)
-    return np.flatnonzero(range_mask(keys, lo, hi))

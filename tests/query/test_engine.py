@@ -5,7 +5,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.query.engine as engine_module
 from repro.core.carp import CarpRun
@@ -268,8 +268,35 @@ _SPAN = st.tuples(_KEY, _KEY, st.integers(0, 1 << 40)).map(
 @example(spans=[(1.0, 1.0, 5), (1.0, 1.0, 7)])  # two zero-width, same key
 @example(spans=[(0.0, 1.0, 5), (1.0, 1.0, 7)])  # zero-width on an endpoint
 @example(spans=[(0.0, 9.0, 1), (1.0, 2.0, 2), (3.0, 4.0, 4)])  # covered, not adjacent
+@example(spans=[(0.0, 1.0, 3), (1.0, 2.0, 5)])  # touching endpoints
+@example(spans=[(0.5, 2.0, 3), (0.5, 2.0, 5), (2.5, 3.0, 9)])  # duplicates
 def test_overlapping_run_bytes_matches_pairwise_reference(spans):
     assert _overlapping_run_bytes(spans) == _pairwise_overlapping_run_bytes(spans)
+
+
+_FRACTION = st.integers(0, 64).map(lambda k: k / 64.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_FRACTION, b=_FRACTION, keys_only=st.booleans())
+def test_query_cost_is_summed_from_its_logs(store, a, b, keys_only):
+    """``_cost`` sums the probes in one pass: ``merge_bytes`` is the
+    pairwise overlap of the query's candidate SSTs, and every measured
+    field is the sum of ``explain``'s per-log rows."""
+    kmin, kmax = store.key_range(0)
+    lo, hi = sorted(kmin + (kmax - kmin) * f for f in (a, b))
+    cost = store.query(0, lo, hi, keys_only=keys_only).cost
+    candidates = [e for _, e in store.overlapping_entries(0, lo, hi)]
+    assert cost.merge_bytes == _pairwise_overlapping_run_bytes(
+        [(e.kmin, e.kmax, e.length) for e in candidates]
+    )
+    logs = store.explain(0, lo, hi, keys_only=keys_only).logs
+    for field in ("ssts_read", "bytes_read", "read_requests", "candidate_bytes",
+                  "key_chunks_read", "key_chunks_skipped", "records_scanned",
+                  "records_matched"):
+        assert getattr(cost, field) == sum(getattr(log, field) for log in logs)
+    assert cost.ssts_read == len(candidates)
+    assert cost.ssts_considered == len(store.entries(0))
 
 
 class TestNoExecutorOnTheReadSide:

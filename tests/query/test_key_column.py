@@ -60,13 +60,13 @@ def _first_sst(store):
     """Log 0's first SST (sorted, four chunks) and that log's reader."""
     reader = store._readers[0]
     entry = reader.entries[0]
-    assert reader._head(entry).info.is_sorted
-    assert len(reader._head(entry).zmin) == 4
+    assert reader._probe(entry).info.is_sorted
+    assert len(reader._probe(entry).zmin) == 4
     return reader, entry
 
 
 def _zone(reader, entry, chunk: int) -> tuple[float, float]:
-    head = reader._head(entry)
+    head = reader._probe(entry)
     return float(head.zmin[chunk]), float(head.zmax[chunk])
 
 

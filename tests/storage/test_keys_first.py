@@ -16,6 +16,7 @@ chunks from the first to the last whose zone meets the range.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -282,10 +283,8 @@ _KEY = st.one_of(
     st.sampled_from(_POOL),
     st.floats(-1e6, 1e6, allow_nan=False, width=32),
 )
-_COUNT = st.sampled_from(
-    [1, 2, CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 1,
-     2 * CHUNK_RECORDS + 37, 3 * CHUNK_RECORDS, 5 * CHUNK_RECORDS + 3]
-)
+_COUNT_CHOICES = [1, 2, CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 1,
+                  2 * CHUNK_RECORDS + 37, 3 * CHUNK_RECORDS, 5 * CHUNK_RECORDS + 3]
 
 
 def _neighbours(key: float) -> list[float]:
@@ -305,9 +304,16 @@ def _anchors(keys: list[float]) -> list[float]:
     return [b for k in keys for b in _neighbours(k)] + [-0.0, 0.0]
 
 
+#: bounds no store key equals: a ranged read of them is legal and
+#: matches nothing (NaN) or is open at one end (±inf)
+_SPECIAL = [math.nan, math.inf, -math.inf]
+
+
 @st.composite
-def _sst_and_bounds(draw):
-    count = draw(_COUNT)
+def _sst_and_ranges(draw):
+    # multi-chunk SSTs first: the warm path only differs from the cold
+    # one where a range reads some verified chunks and some not
+    count = draw(st.sampled_from(sorted(_COUNT_CHOICES, reverse=True)))
     seed = draw(st.integers(0, 2**16))
     base = draw(st.lists(_KEY, min_size=1, max_size=12))
     rng = np.random.default_rng(seed)
@@ -315,29 +321,96 @@ def _sst_and_bounds(draw):
     if draw(st.booleans()):
         # mostly distinct keys instead of a handful of heavy duplicates
         keys = (keys + rng.uniform(-50, 50, count)).astype(np.float32)
+    # bounds near a few stored keys, so the ranges read before the
+    # target verify some of its chunks and not others
     anchors = _anchors(draw(st.lists(st.sampled_from(keys.tolist()),
-                                     min_size=2, max_size=2)))
-    lo = draw(st.sampled_from(anchors) | _KEY)
-    hi = draw(st.sampled_from(anchors) | _KEY)
-    if hi < lo:
-        lo, hi = hi, lo
-    return keys, float(lo), float(hi), draw(st.booleans()), draw(st.booleans())
+                                     min_size=2, max_size=5)))
+    bound = st.sampled_from(anchors) | _KEY | st.sampled_from(_SPECIAL)
+
+    @st.composite
+    def ranged(draw):
+        lo, hi = draw(bound), draw(bound)
+        if hi < lo and draw(st.booleans()):
+            # mostly ordered, but lo > hi is a legal read that matches nothing
+            lo, hi = hi, lo
+        return float(lo), float(hi)
+
+    # a one-key range verifies the chunks holding that key and no other
+    one_key = st.sampled_from(keys.tolist()).map(lambda k: (k, k))
+    target = draw(ranged())
+    others = draw(st.lists(st.tuples(one_key | ranged(), st.booleans()),
+                           min_size=1, max_size=4))
+    return keys, target, others, draw(st.booleans()), draw(st.booleans())
 
 
-def _searched_chunks(keys: np.ndarray, lo: float, hi: float) -> int:
-    """Chunks from the first to the last whose [min, max] meets [lo, hi],
-    compared in float64 as ``range_mask`` compares."""
+def _reference_spans(entry, keys: np.ndarray, lo: float, hi: float):
+    """The (offset, length) spans a ranged read of ``[lo, hi]`` must count:
+    the key chunks from the first to the last whose zone meets the range
+    (float64 zone overlap), then the value chunks from the first matched
+    row's to the last's.  ``keys`` are the SST's keys in file order."""
+    if not lo <= hi:
+        return None, None, 0
     zones = zone_map(keys).astype(np.float64)
     hits = np.flatnonzero((zones[:, 1] >= lo) & (zones[:, 0] <= hi))
-    return int(hits[-1] - hits[0] + 1) if len(hits) else 0
+    if not len(hits):
+        return None, None, 0
+    first, stop = int(hits[0]), int(hits[-1]) + 1
+    begin, end = first * CHUNK_RECORDS, min(stop * CHUNK_RECORDS, entry.count)
+    key_span = (entry.offset + head_span_len(entry.count) + 4 * begin,
+                4 * (end - begin))
+    rows = np.flatnonzero(range_mask(keys, lo, hi))
+    if not len(rows):
+        return key_span, None, stop - first
+    vbegin = int(rows[0]) // CHUNK_RECORDS * CHUNK_RECORDS
+    vend = min((int(rows[-1]) // CHUNK_RECORDS + 1) * CHUNK_RECORDS, entry.count)
+    value_size = (entry.length - keys_span_len(entry.count)) // entry.count
+    value_span = (entry.offset + keys_span_len(entry.count) + value_size * vbegin,
+                  value_size * (vend - vbegin))
+    return key_span, value_span, stop - first
+
+
+def _check_ranged(reader, entry, full, lo, hi, keys_first):
+    """One ``read_sst`` and one ``read_sst_keys`` of ``[lo, hi]``: each
+    equals the whole read plus ``range_mask`` byte for byte, and counts
+    exactly the reference spans, whatever the reader verified before."""
+    want = full.select(range_mask(full.keys, lo, hi))
+    key_span, value_span, chunks = _reference_spans(entry, full.keys, lo, hi)
+    key_spans = [key_span] if key_span else []
+    spans = key_spans + ([value_span] if value_span else [])
+
+    def records():
+        reader.touched = []
+        read = reader.read_sst(entry, lo, hi)
+        assert reader.touched == spans
+        assert read.batch.keys.tobytes() == want.keys.tobytes()  # -0.0 stays -0.0
+        assert read.batch.rids.tobytes() == want.rids.tobytes()
+        assert read.batch.value_size == want.value_size
+        assert (read.bytes_read, read.requests, read.key_chunks) == (
+            sum(length for _, length in spans), len(spans), chunks)
+        for array in (read.batch.keys, read.batch.rids):
+            assert not array.flags.writeable
+
+    def keys():
+        reader.touched = []
+        read = reader.read_sst_keys(entry, lo, hi)
+        assert reader.touched == key_spans
+        assert read.keys.tobytes() == want.keys.tobytes()
+        assert (read.bytes_read, read.requests, read.key_chunks) == (
+            sum(length for _, length in key_spans), len(key_spans), chunks)
+        assert not read.keys.flags.writeable
+
+    for read in ((keys, records) if keys_first else (records, keys)):
+        read()
+    reader.touched = None
 
 
 @pytest.mark.parametrize("kernels", BACKENDS)
-@given(case=_sst_and_bounds())
-@settings(max_examples=60, deadline=None,
+@given(case=_sst_and_ranges(), keys_first=st.booleans())
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_ranged_read_equals_full_read_plus_mask(tmp_path, kernels, case):
-    keys, lo, hi, sort, stray = case
+def test_ranged_read_equals_full_read_plus_mask(tmp_path, kernels, case, keys_first):
+    """Cold, warm, and after other ranges verified part of the columns."""
+    keys, (lo, hi), others, sort, stray = case
     batch = RecordBatch.from_keys(keys, rank=3, value_size=16)
     with use_backend(kernels):
         path, entry = _write_log(
@@ -346,33 +419,18 @@ def test_ranged_read_equals_full_read_plus_mask(tmp_path, kernels, case):
         assert entry.flags == (sort * FLAG_SORTED) | (stray * FLAG_STRAY)
         with LogReader(path) as reader:
             full = reader.read_sst(entry)
-            read = reader.read_sst(entry, lo, hi)
-            keys_read = reader.read_sst_keys(entry, lo, hi)
-        want = full.batch.select(range_mask(full.batch.keys, lo, hi))
-    assert np.array_equal(read.batch.keys, want.keys)
-    assert read.batch.keys.tobytes() == want.keys.tobytes()  # -0.0 stays -0.0
-    assert np.array_equal(read.batch.rids, want.rids)
-    assert read.batch.value_size == want.value_size
-    assert keys_read.keys.tobytes() == want.keys.tobytes()
-    assert (full.bytes_read, full.requests) == (entry.length, 1)
-    assert full.key_chunks == chunk_count(entry.count)
-    # zone pruning searches exactly the first-to-last meeting chunks
-    searched = _searched_chunks(full.batch.keys, lo, hi)
-    assert read.key_chunks == keys_read.key_chunks == searched
-    # the head was read at open: a ranged read fetches chunks only
-    key_bytes = min(searched * CHUNK_RECORDS, entry.count) * 4
-    if searched:
-        assert keys_read.requests == 1
-        assert key_bytes >= keys_read.bytes_read > 0
-    else:
-        assert (keys_read.bytes_read, keys_read.requests) == (0, 0)
-    if len(want):
-        assert read.requests == 2
-        assert keys_read.bytes_read < read.bytes_read <= entry.length
-    else:
-        assert (read.bytes_read, read.requests) == (
-            keys_read.bytes_read, keys_read.requests
-        )
+        assert (full.bytes_read, full.requests) == (entry.length, 1)
+        assert full.key_chunks == chunk_count(entry.count)
+        with LogReader(path) as reader:
+            _check_ranged(reader, entry, full.batch, lo, hi, keys_first)  # cold
+            _check_ranged(reader, entry, full.batch, lo, hi, keys_first)  # warm
+        with LogReader(path) as reader:
+            for (a, b), keys_only in others:
+                if keys_only:
+                    reader.read_sst_keys(entry, a, b)
+                else:
+                    reader.read_sst(entry, a, b)
+            _check_ranged(reader, entry, full.batch, lo, hi, keys_first)
 
 
 @pytest.fixture(scope="module", params=[True, False],

@@ -5,15 +5,19 @@ Reproduces the guided demo of the CARP artifact evaluation:
 
 1. write a VPIC micro-trace to disk in the artifact's ``eparticle``
    format (``T.<ts>/eparticle.<rank>``, raw little-endian float32),
-2. replay the trace through CARP (``range-runner + carp``),
-3. analyze the partitioned output (``range-reader -a``),
-4. run a range query against CARP output (``range-reader -q``),
-5. build the fully sorted layout (``compactor``),
+2. replay the trace through CARP (the artifact's ``range-runner``),
+3. analyze the partitioned output (``carp range-reader -a``),
+4. run a range query against CARP output,
+5. build the fully sorted layout (the artifact's ``compactor``),
 6. run the same query against the sorted layout and compare.
+
+Exits 1 unless both layouts return the same records, so the chain is
+a check, not only a demo.
 
 Run:  python examples/vpic_end_to_end.py
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -32,7 +36,7 @@ SPEC = VpicTraceSpec(
 CARP_RANKS = 16  # the demo scripts run CARP with 16 ranks
 
 
-def main() -> None:
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         trace_dir = root / "vpic-trace-small"
@@ -86,12 +90,17 @@ def main() -> None:
         # -- step 6: the same query against the sorted layout
         with PartitionedStore(epoch_dir) as store:
             sorted_res = store.query(epoch, lo, hi)
-        same = set(carp_res.rids.tolist()) == set(sorted_res.rids.tolist())
+        same = np.array_equal(np.sort(carp_res.rids), np.sort(sorted_res.rids))
         print(f"sorted query: {len(sorted_res):,} matches "
               f"(identical result set: {same})")
         print(f"latency CARP {carp_res.cost.latency * 1e3:.2f} ms "
               f"(incl. merge) vs sorted {sorted_res.cost.latency * 1e3:.2f} ms")
+    if not same:
+        print("error: CARP and sorted layouts returned different records",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,21 +3,18 @@
 Each subcommand is a module exporting ``add_arguments(parser)`` and
 ``run(args) -> int`` (see :mod:`repro.tools`).  ``python -m repro
 <subcommand>`` is the same command without an installed script.
+``carp`` is the only console script, and every subcommand is one that
+a CI step runs (docs/API.md § Command-line tools keeps the table).
 
-The paper artifact's three binaries keep their names as console-script
-aliases, each forwarding its argv unchanged: ``carp-range-runner``
-(A3), ``carp-compactor`` (A4) and ``carp-range-reader`` (A5).
-
-    carp tracegen -o /tmp/trace --ranks 4 --records 300 --timesteps 100
-    carp range-runner -i /tmp/trace -o /tmp/carp-out -n 4
-    carp fsck -i /tmp/carp-out
+    carp trace -o /tmp/carp-obs --ranks 4 --epochs 2 --records 300
+    carp fsck -i /tmp/carp-obs/db
+    carp range-reader -i /tmp/carp-obs/db -a
     carp lint src/repro
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from collections.abc import Sequence
 from types import ModuleType
 
@@ -25,36 +22,21 @@ from repro.analysis import cli as lint_cli
 from repro.perf import cli as perf_cli
 from repro.tools import (
     chaos_cli,
-    compactor_cli,
     explain_cli,
     fsck_cli,
     health_cli,
     profile_cli,
     range_reader_cli,
-    range_runner,
     serve_cli,
     trace_cli,
-    tracegen,
 )
 
 #: Subcommand name -> (module, description).
 SUBCOMMANDS: dict[str, tuple[ModuleType, str]] = {
-    "range-runner": (
-        range_runner,
-        "Replay an eparticle trace through CARP's in-situ range "
-        "partitioner.",
-    ),
-    "compactor": (
-        compactor_cli,
-        "Merge CARP output into a fully sorted clustered index.",
-    ),
     "range-reader": (
         range_reader_cli,
-        "Query client for CARP / sorted partitioned output.",
-    ),
-    "tracegen": (
-        tracegen,
-        "Generate a synthetic VPIC/AMR trace in eparticle format.",
+        "Analyze CARP / sorted partitioned output: store statistics and "
+        "selectivity at keyspace probes.",
     ),
     "fsck": (fsck_cli, "Verify CRCs and invariants of KoiDB output."),
     "lint": (
@@ -64,9 +46,8 @@ SUBCOMMANDS: dict[str, tuple[ModuleType, str]] = {
     ),
     "trace": (
         trace_cli,
-        "Run an instrumented synthetic CARP ingestion and write a "
-        "Perfetto-loadable trace plus metrics/telemetry snapshots; or "
-        "re-render reports from archived artifacts.",
+        "Run an instrumented synthetic CARP ingestion and write its store, "
+        "a Perfetto-loadable trace and metrics/telemetry snapshots.",
     ),
     "explain": (
         explain_cli,
@@ -78,8 +59,7 @@ SUBCOMMANDS: dict[str, tuple[ModuleType, str]] = {
     "profile": (
         profile_cli,
         "Fold archived trace/metrics artifacts into deterministic "
-        "count-attribution profiles; diff profiles to blame changes on "
-        "span paths.",
+        "count-attribution profiles.",
     ),
     "chaos": (chaos_cli, "Seeded ingest → kill → recover → query trials."),
     "health": (
@@ -98,8 +78,8 @@ SUBCOMMANDS: dict[str, tuple[ModuleType, str]] = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carp",
-        description="CARP reproduction tools: ingest, compact, query, "
-        "verify, trace, profile and gate.",
+        description="CARP reproduction tools: record, verify, query, "
+        "profile, serve and gate.",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND",
                                 required=True)
@@ -115,14 +95,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     status: int = args.handler(args)
     return status
 
-
-def range_runner_alias() -> int:
-    return main(["range-runner", *sys.argv[1:]])
-
-
-def compactor_alias() -> int:
-    return main(["compactor", *sys.argv[1:]])
-
-
-def range_reader_alias() -> int:
-    return main(["range-reader", *sys.argv[1:]])

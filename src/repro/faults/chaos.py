@@ -228,7 +228,7 @@ def _run_faulted(
                 result.error = repr(exc)
 
     # ---- recover: fsck --repair must leave a clean directory
-    report = fsck(directory, deep=True, repair=True)
+    report = fsck(directory, repair=True)
     result.fsck_summary = report.summary()
     if not report.ok:
         benign_empty = result.epochs_completed == 0 and all(
@@ -273,7 +273,7 @@ def _run_faulted(
             db.finish_epoch()
         finally:
             db.close()
-    final = fsck(directory, deep=True)
+    final = fsck(directory)
     if not final.ok:
         result.failures.append(
             f"fsck not clean after redo epoch: {final.errors}"
@@ -311,14 +311,13 @@ def run_seeds(
     seeds: list[int],
     base_dir: Path | str,
     bundle_dir: Path | str | None = None,
-    keep: bool = False,
     progress: Callable[[SeedResult], None] | None = None,
 ) -> list[SeedResult]:
     """Run many seeds; write repro bundles for failures.
 
     ``progress`` is an optional callable invoked with each finished
     :class:`SeedResult`.  Scratch directories for passing seeds are
-    removed unless ``keep`` is set.
+    removed; a failing seed's stay under ``base_dir``.
     """
     base_dir = Path(base_dir)
     base_dir.mkdir(parents=True, exist_ok=True)
@@ -331,7 +330,7 @@ def run_seeds(
             bundle.mkdir(parents=True, exist_ok=True)
             target = bundle / f"chaos-seed-{seed}.json"
             target.write_text(json.dumps(result.to_bundle(), indent=2))
-        if result.ok and not keep:
+        if result.ok:
             for name in ("ref", "run"):
                 shutil.rmtree(base_dir / f"seed{seed}-{name}", ignore_errors=True)
         if progress is not None:

@@ -1,8 +1,7 @@
 """``carp perf`` — run perf workloads and gate on committed baselines.
 
-Four subcommands:
+Two subcommands:
 
-* ``carp perf list`` — the registered workloads.
 * ``carp perf run [WORKLOAD ...]`` — run workloads and (re)write their
   baselines under ``results/baselines/`` (set ``REPRO_RESULTS_DIR`` to
   redirect), including the cost-attribution profile committed under
@@ -10,19 +9,16 @@ Four subcommands:
 * ``carp perf compare [WORKLOAD ...] [--json PATH]`` — re-run and diff
   against the committed baselines; exits nonzero when any row
   ``changed`` (is no longer equal to its baseline) or went
-  ``missing`` — every row is deterministic and every row blocks.
-  ``--json`` additionally writes the full comparison document (the CI
-  artifact).  When a gate trips, the failure output names a diff
-  profile (written under ``--profile-dir``) and the top-3 changed
-  span paths inline, so the CI log itself attributes the change.
-* ``carp perf profile [WORKLOAD ...] --out DIR`` — run workloads and
-  write *fresh* profiles (profile.json + .folded) under ``DIR``
-  without touching baselines; CI ``cmp``s these against the committed
-  ones and attributes any mismatch with ``carp profile diff``.
+  ``missing``, or when the fresh profile's ``.json`` or ``.folded``
+  rendering is not byte-identical to the committed one — every row
+  and every profile is deterministic, and each blocks.  ``--json``
+  additionally writes the full comparison document (the CI artifact).
+  When a gate trips, the failure output names a diff profile (written
+  under ``--profile-dir``) and the top-3 changed span paths inline, so
+  the CI log itself attributes the change.
 
     carp perf run
     carp perf compare --json results/perf_compare.json
-    carp perf profile ingest-serial --out profiles/
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from pathlib import Path
 
 from repro.bench.results import results_dir
 from repro.bench.tables import render_table
-from repro.obs.profile import diff_profiles
+from repro.obs.profile import diff_profiles, fold
 from repro.perf.harness import (
     WorkloadComparison,
     compare_workload,
@@ -43,13 +39,11 @@ from repro.perf.harness import (
     write_baseline,
 )
 from repro.perf.workloads import WORKLOADS
-from repro.tools import add_json_report, add_out_dir, write_json_report
+from repro.tools import add_json_report, write_json_report
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
     sub = p.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list registered workloads")
 
     runp = sub.add_parser("run", help="run workloads and write baselines")
     runp.add_argument("workloads", nargs="*", metavar="WORKLOAD",
@@ -66,14 +60,6 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
                       help="where diff profiles are written when a gate "
                            "trips (default: <results>/profile-diffs/)")
 
-    prof = sub.add_parser(
-        "profile", help="run workloads and write fresh profiles"
-    )
-    prof.add_argument("workloads", nargs="*", metavar="WORKLOAD",
-                      help="workload names (default: all)")
-    add_out_dir(prof, "output directory (default: profiles/)",
-                default=Path("profiles"))
-
 
 def _select(names: list[str]) -> list[str]:
     if not names:
@@ -84,18 +70,6 @@ def _select(names: list[str]) -> list[str]:
             f"unknown workload(s) {unknown}; have {sorted(WORKLOADS)}"
         )
     return names
-
-
-def _cmd_list() -> int:
-    print(render_table(
-        ("workload", "kind", "ranks", "records/rank", "epochs"),
-        [
-            (s.name, s.kind, s.nranks, s.records_per_rank, s.epochs)
-            for s in WORKLOADS.values()
-        ],
-        title="carp-perf workloads",
-    ))
-    return 0
 
 
 def _cmd_run(names: list[str]) -> int:
@@ -112,23 +86,6 @@ def _cmd_run(names: list[str]) -> int:
     return 0
 
 
-def _cmd_profile(names: list[str], out_dir: Path) -> int:
-    """Fresh profiles (no baseline writes) — the CI diff input."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    status = 0
-    for name in names:
-        run = run_workload(WORKLOADS[name])
-        for err in run.reconcile_errors:
-            print(f"error: {name}: profile reconcile: {err}",
-                  file=sys.stderr)
-            status = 1
-        json_path = out_dir / f"{name}.json"
-        json_path.write_text(run.profile.to_json())
-        (out_dir / f"{name}.folded").write_text(run.profile.to_folded())
-        print(f"wrote {json_path}")
-    return status
-
-
 def _fmt_value(value: float | None) -> str:
     # repr: a one-ulp change must be visible in the table it fails
     return "-" if value is None else repr(float(value))
@@ -141,7 +98,8 @@ def _fmt_comparison(comparison: WorkloadComparison) -> str:
             (m.metric, _fmt_value(m.baseline), _fmt_value(m.current),
              m.status)
             for m in comparison.metrics
-        ],
+        ] + [("profile (.json, .folded)", "-", "-",
+              comparison.profile_status)],
         title=f"carp-perf compare: {comparison.workload}",
     )
 
@@ -152,17 +110,16 @@ def _emit_diff_profile(
     """Blame a tripped gate on span paths, inline in the failure log.
 
     Diffs the fresh run's profile against the committed baseline
-    profile, writes the full diff document as a CI artifact, and
-    prints its path plus the top-3 changed span paths — so the log
-    alone says *where* the change lives, no artifact download needed.
+    profile (an empty one when none is committed), writes the full diff
+    document as a CI artifact, and prints its path plus the top-3
+    changed span paths — so the log alone says *where* the change
+    lives, no artifact download needed.
     """
-    if comparison.current_profile is None:
-        return
     base = load_profile_baseline(comparison.workload)
     if base is None:
-        print(f"note: no baseline profile for {comparison.workload}; "
+        print(f"error: no baseline profile for {comparison.workload}; "
               "re-run `carp perf run` to commit one", file=sys.stderr)
-        return
+        base = fold(())
     diff = diff_profiles(base, comparison.current_profile)
     profile_dir.mkdir(parents=True, exist_ok=True)
     path = profile_dir / f"{comparison.workload}.profile-diff.json"
@@ -208,11 +165,15 @@ def _cmd_compare(names: list[str], json_path: Path | None,
         failed = [
             f"{c.workload}.{m.metric} ({m.status})"
             for c in comparisons for m in c.metrics if m.blocking
+        ] + [
+            f"{c.workload}.profile ({c.profile_status})"
+            for c in comparisons if c.profile_status != "ok"
         ]
         print(f"error: perf regression gate failed: {', '.join(failed)}",
               file=sys.stderr)
         stale = [c.workload for c in comparisons
-                 if any(m.status == "missing" for m in c.metrics)]
+                 if c.profile_status == "missing"
+                 or any(m.status == "missing" for m in c.metrics)]
         if stale:
             print("error: baseline rows the run no longer produces; "
                   f"re-record the baseline (`carp perf run {' '.join(stale)}`)",
@@ -224,8 +185,6 @@ def _cmd_compare(names: list[str], json_path: Path | None,
 
 
 def run(args: argparse.Namespace) -> int:
-    if args.command == "list":
-        return _cmd_list()
     try:
         names = _select(list(args.workloads))
     except KeyError as exc:
@@ -233,6 +192,4 @@ def run(args: argparse.Namespace) -> int:
         return 2
     if args.command == "run":
         return _cmd_run(names)
-    if args.command == "profile":
-        return _cmd_profile(names, args.out)
     return _cmd_compare(names, args.json, args.profile_dir)

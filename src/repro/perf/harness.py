@@ -10,16 +10,18 @@ the gate).  :func:`write_baseline` persists the metrics through
 :func:`repro.bench.results.emit` (rows + units + git SHA) into
 ``results/baselines/<name>.json`` and the profile beside them under
 ``results/baselines/profiles/``; :func:`compare_workload` re-runs the
-workload and diffs fresh metrics against the committed baseline.
+workload, diffs fresh metrics against the committed baseline and
+checks the fresh profile byte for byte against the committed one.
 
 Every row is either an exact workload output (bytes, records, counts,
 digests) or an output of the ``IOModel`` cost model (modeled query and
 serve latency), so every row is deterministic and compared by
 equality: a fresh value is ``ok`` when it equals the baseline,
 ``missing`` when the run no longer produces the row, and ``changed``
-otherwise — all three non-``ok`` outcomes block.  This package never
-reads the host clock (rule O501 enforces it); wall time is measured in
-one place, the top-level ``ledger/``.
+otherwise — both non-``ok`` outcomes block.  The profile gets the same
+three verdicts, from its ``.json`` and ``.folded`` renderings.  This
+package never reads the host clock (rule O501 enforces it); wall time
+is measured in one place, the top-level ``ledger/``.
 """
 
 from __future__ import annotations
@@ -432,11 +434,16 @@ class WorkloadComparison:
     #: the fresh run's folded profile — what ``carp perf compare``
     #: diffs against the committed baseline profile when this
     #: comparison blocks, to name the changed span paths
-    current_profile: Profile | None = None
+    current_profile: Profile
+    #: the fresh profile against the committed ``.json`` and
+    #: ``.folded``: ``ok`` (both byte-identical) | ``changed`` |
+    #: ``missing`` (either file absent)
+    profile_status: str
 
     @property
     def blocking(self) -> bool:
-        return any(m.blocking for m in self.metrics)
+        return (self.profile_status != "ok"
+                or any(m.blocking for m in self.metrics))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -444,6 +451,7 @@ class WorkloadComparison:
             "baseline_sha": self.baseline_sha,
             "blocking": self.blocking,
             "metrics": [m.to_dict() for m in self.metrics],
+            "profile": self.profile_status,
         }
 
 
@@ -457,6 +465,17 @@ def _compare_metric(row: dict[str, Any], current: Metric | None) -> MetricCompar
         str(row["metric"]), str(row.get("unit", "")), base,
         None if current is None else current.value, status,
     )
+
+
+def _compare_profile(name: str, profile: Profile) -> str:
+    """The verdict on a fresh profile's two committed renderings."""
+    path = profile_baseline_path(name)
+    folded = path.with_suffix(".folded")
+    if not (path.is_file() and folded.is_file()):
+        return "missing"
+    same = (path.read_bytes() == profile.to_json().encode()
+            and folded.read_bytes() == profile.to_folded().encode())
+    return "ok" if same else "changed"
 
 
 def compare_workload(
@@ -483,4 +502,5 @@ def compare_workload(
         baseline_sha=str(sha) if isinstance(sha, str) else None,
         metrics=tuple(comparisons),
         current_profile=run.profile,
+        profile_status=_compare_profile(spec.name, run.profile),
     )

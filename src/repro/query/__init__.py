@@ -8,15 +8,7 @@ from repro.query.metrics import (
     selectivity,
     selectivity_profile,
 )
-from repro.query.reader import (
-    BatchQuerySpec,
-    BatchResult,
-    StoreAnalysis,
-    analyze_store,
-    read_batch_csv,
-    run_batch,
-    write_batch_csv,
-)
+from repro.query.reader import StoreAnalysis, analyze_store
 from repro.query.request import (
     LIVE_TOKEN,
     STATUS_DEADLINE_EXCEEDED,
@@ -33,8 +25,7 @@ __all__ = [
     "PartitionedStore", "QueryCost", "QueryResult",
     "LogExplain", "QueryExplain", "raf_percentiles",
     "read_amplification_profile", "selectivity", "selectivity_profile",
-    "BatchQuerySpec", "BatchResult", "StoreAnalysis", "analyze_store",
-    "read_batch_csv", "run_batch", "write_batch_csv",
+    "StoreAnalysis", "analyze_store",
     "LIVE_TOKEN", "STATUS_DEADLINE_EXCEEDED", "STATUS_ERROR", "STATUS_OK",
     "STATUS_REJECTED", "QueryRequest", "QueryResponse",
     "response_from_result", "PendingQuery", "QueryService", "ServeStats",

@@ -77,12 +77,11 @@ class FsckReport:
         return line
 
 
-def fsck(directory: Path | str, deep: bool = True,
-         recover: bool = False, repair: bool = False) -> FsckReport:
-    """Verify a KoiDB output directory.
+def fsck(directory: Path | str, recover: bool = False,
+         repair: bool = False) -> FsckReport:
+    """Verify a KoiDB output directory: every manifest, footer and
+    committed SSTable.
 
-    ``deep=False`` checks only manifests/footers (fast); ``deep=True``
-    additionally reads and verifies every committed SSTable.
     ``recover`` accepts a crash-torn tail after a log's commit point
     instead of reporting it as an error.  ``repair`` physically fixes
     the damage first (quarantine + truncate, see
@@ -91,7 +90,7 @@ def fsck(directory: Path | str, deep: bool = True,
     """
     directory = Path(directory)
     # a repair's diff shows every tail it is about to quarantine
-    report, diagnoses = _walk(directory, deep, recover and not repair)
+    report, diagnoses = _walk(directory, recover and not repair)
     if not repair:
         return report
     quarantine = directory / QUARANTINE_DIR
@@ -100,7 +99,7 @@ def fsck(directory: Path | str, deep: bool = True,
         action = repair_log(diag, quarantine)
         if action.changed:
             repairs.append(action.describe())
-    after, _ = _walk(directory, deep, recover=False)
+    after, _ = _walk(directory, recover=False)
     after.errors_before = report.errors
     after.classifications = report.classifications
     after.repairs = repairs
@@ -108,7 +107,7 @@ def fsck(directory: Path | str, deep: bool = True,
 
 
 def _walk(
-    directory: Path, deep: bool, recover: bool
+    directory: Path, recover: bool
 ) -> tuple[FsckReport, list[LogDiagnosis]]:
     """One pass: each log classified once, its committed prefix verified."""
     report = FsckReport()
@@ -139,8 +138,6 @@ def _walk(
             for entry in reader.entries:
                 report.ssts_checked += 1
                 report.epochs.add(entry.epoch)
-                if not deep:
-                    continue
                 batch, problems = check_sst(reader, entry)
                 if problems and diag.kind == KIND_CLEAN:
                     report.classifications[path.name] = KIND_CORRUPT_SST

@@ -2,14 +2,10 @@
 
 Each module here exports ``add_arguments(parser)`` and
 ``run(args) -> int``; :mod:`repro.cli` builds one parser from them.
-The artifact-equivalent tools keep their paper names as aliases:
-
-* ``carp range-runner`` (``carp-range-runner``) — replay an eparticle
-  trace through CARP (A3),
-* ``carp compactor``    (``carp-compactor``)    — build the fully
-  sorted layout (A4),
-* ``carp range-reader`` (``carp-range-reader``) — analyze / query /
-  batch-query output (A5).
+The paper artifact's ingest and compaction steps (A3, A4) are library
+calls (:class:`~repro.core.carp.CarpRun`,
+:func:`~repro.storage.compactor.compact_all_epochs`); its query client
+(A5) is ``carp range-reader -a`` plus ``carp explain``.
 
 Two conventions every subcommand shares, through the helpers below: a
 directory it writes is ``-o/--out DIR``, and a report document it
@@ -25,10 +21,10 @@ from typing import Any
 
 
 def add_out_dir(parser: argparse.ArgumentParser, help: str, *,
-                required: bool = False, default: Path | None = None) -> None:
+                required: bool = False) -> None:
     """Add the output-directory option, spelled ``-o/--out DIR``."""
     parser.add_argument("-o", "--out", type=Path, required=required,
-                        default=default, metavar="DIR", help=help)
+                        metavar="DIR", help=help)
 
 
 def add_json_report(parser: argparse.ArgumentParser, help: str) -> None:

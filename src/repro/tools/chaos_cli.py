@@ -30,18 +30,11 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--seed-start", type=int, default=0,
         help="first seed (default: 0)",
     )
-    add_out_dir(parser, "scratch directory (default: a temporary directory)")
+    add_out_dir(parser, "scratch directory; a failing seed's logs stay "
+                        "there (default: a temporary directory)")
     parser.add_argument(
         "--bundle-dir", type=Path, default=None,
         help="where to write JSON repro bundles for failing seeds",
-    )
-    parser.add_argument(
-        "--keep", action="store_true",
-        help="keep scratch directories for passing seeds",
-    )
-    parser.add_argument(
-        "-q", "--quiet", action="store_true",
-        help="only print the final summary",
     )
 
 
@@ -52,8 +45,6 @@ def run(args: argparse.Namespace) -> int:
     seeds = list(range(args.seed_start, args.seed_start + args.seeds))
 
     def report(result: SeedResult) -> None:
-        if args.quiet and result.ok:
-            return
         status = "ok" if result.ok else "FAIL"
         crashed = "crashed" if result.crashed else "clean"
         faults = len(result.plan.specs)
@@ -69,7 +60,6 @@ def run(args: argparse.Namespace) -> int:
         return run_seeds(
             seeds, base,
             bundle_dir=args.bundle_dir,
-            keep=args.keep,
             progress=report,
         )
 

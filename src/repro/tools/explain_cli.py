@@ -1,13 +1,13 @@
 """``carp explain`` — plan + cost report for a range query.
 
 Opens a directory of KoiDB logs (CARP or compacted output), builds the
-EXPLAIN report for one range query, and — unless ``--no-verify`` —
-also *executes* the query and reconciles the report's cost
-field-for-field against the measured :class:`QueryCost`.  A zero exit
+EXPLAIN report for one range query, then *executes* the query and
+reconciles the report's cost field-for-field against the measured
+:class:`QueryCost`.  A zero exit
 status therefore certifies that the report is exact, not an estimate.
 
     carp explain out/db --epoch 0 --lo 0.5 --hi 2.0
-    carp explain out/db --epoch 1 --keys-only --json explain.json
+    carp explain out/db --epoch 1 --json explain.json
 
 With ``--lo``/``--hi`` omitted the query covers the epoch's central
 half (25th-75th percentile of the key range), a selective-but-nonempty
@@ -38,13 +38,9 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
                    help="range lower bound (default: 25th pct of key range)")
     p.add_argument("--hi", type=float, default=None,
                    help="range upper bound (default: 75th pct of key range)")
-    p.add_argument("--keys-only", action="store_true",
-                   help="explain a key-block-only query")
     p.add_argument("--recover", action="store_true",
                    help="tolerate crash-torn log tails")
     add_json_report(p, "also write the report as JSON")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip executing the query for reconciliation")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -78,18 +74,15 @@ def _explain(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        report = store.explain(epoch, lo, hi, keys_only=args.keys_only)
-        measured = None
-        if not args.no_verify:
-            measured = store.query(epoch, lo, hi,
-                                   keys_only=args.keys_only).cost
+        report = store.explain(epoch, lo, hi)
+        measured = store.query(epoch, lo, hi).cost
     errors = report.reconcile(measured)
     print(report.render_text())
-    if measured is not None and not errors:
+    if not errors:
         print("reconciliation: explain cost == measured QueryCost (exact)")
     if args.json is not None:
         doc = report.to_dict()
-        doc["verified"] = measured is not None and not errors
+        doc["verified"] = not errors
         write_json_report(args.json, doc)
     if errors:
         for e in errors:

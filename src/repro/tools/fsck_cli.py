@@ -7,7 +7,6 @@ chains, and the metadata invariants the query engine relies on.
 Examples::
 
     carp fsck -i /tmp/carp-out
-    carp fsck -i /tmp/carp-out --fast        # manifests only
     carp fsck -i /tmp/carp-out --recover     # tolerate torn tails
     carp fsck -i /tmp/carp-out --repair      # quarantine + truncate damage
 """
@@ -24,8 +23,6 @@ from repro.storage.fsck import fsck
 def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-i", "--input", required=True, type=Path,
                    help="partitioned output directory")
-    p.add_argument("--fast", action="store_true",
-                   help="check manifests/footers only (skip SST bodies)")
     p.add_argument("--recover", action="store_true",
                    help="accept crash-torn tails after each log's commit "
                         "point (the committed prefix is verified either way)")
@@ -35,8 +32,7 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    report = fsck(args.input, deep=not args.fast,
-                  recover=args.recover, repair=args.repair)
+    report = fsck(args.input, recover=args.recover, repair=args.repair)
     print(report.summary())
     if args.repair:
         for name, kind in sorted(report.classifications.items()):

@@ -1,13 +1,13 @@
 """``carp serve`` — closed-loop serving-plane workload driver.
 
-Runs a registered ``serve`` workload (``clients`` concurrent
+Runs the ``serve-mixed`` workload (``clients`` concurrent
 closed-loop clients against :meth:`repro.api.Session.serve` while
 epochs keep ingesting), prints served-latency p50/p95/p99 from
 :meth:`~repro.obs.metrics.Histogram.quantile` plus the exact workload
 counters, and optionally persists the run's observability artifacts
 (metrics.json / trace.json / telemetry.jsonl) for ``carp health``::
 
-    carp serve                          # serve-mixed, table on stdout
+    carp serve                          # table on stdout
     carp serve --out serve-obs          # + artifacts under serve-obs/
     carp serve --json serve-report.json
 
@@ -35,10 +35,11 @@ from repro.perf.serve import ServeReport, run_serve_workload
 from repro.perf.workloads import WORKLOADS
 from repro.tools import add_json_report, add_out_dir, write_json_report
 
+#: The one registered serve workload, and the one CI gates.
+WORKLOAD = "serve-mixed"
+
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workload", default="serve-mixed", metavar="NAME",
-                   help="registered serve workload (default: serve-mixed)")
     add_out_dir(p, "persist metrics/trace/telemetry artifacts to DIR")
     add_json_report(p, "also write the full report as JSON")
 
@@ -69,18 +70,7 @@ def render_report(report: ServeReport) -> str:
 
 
 def run(args: argparse.Namespace) -> int:
-    spec = WORKLOADS.get(args.workload)
-    if spec is None or spec.kind != "serve":
-        serve_names = sorted(
-            n for n, s in WORKLOADS.items() if s.kind == "serve"
-        )
-        print(
-            f"error: unknown serve workload {args.workload!r}; "
-            f"have {serve_names}",
-            file=sys.stderr,
-        )
-        return 2
-
+    spec = WORKLOADS[WORKLOAD]
     with tempfile.TemporaryDirectory(prefix="carp-serve-") as scratch:
         report = run_serve_workload(spec, Path(scratch), out_dir=args.out)
 

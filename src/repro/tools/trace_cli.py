@@ -29,8 +29,8 @@ The terminal report folds the trace through
 :func:`repro.obs.profile.fold`, the same reader ``carp profile record``
 uses, and prints counts (spans, bytes, records per span path), never
 tick durations.  Archived artifacts are read by ``carp profile record
-DIR``: ``--top N`` for the busiest span paths of the run, ``--request
-ID`` for one request's frames.
+DIR``: the busiest span paths of the run, or ``--request ID`` for one
+request's frames.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Session-scoped so the (comparatively expensive) ingest runs once and
 every query/metrics test reads from the same on-disk artifacts —
-mirroring how the paper's artifacts chain range-runner -> compactor ->
-range-reader.
+mirroring how the paper's artifacts chain ingest -> compaction ->
+query client.
 """
 
 from __future__ import annotations

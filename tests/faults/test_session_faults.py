@@ -67,7 +67,7 @@ def _query_digests(out_dir, plan):
 
 def _committed_epochs(out_dir) -> list[set[int]]:
     """Per rank, the epochs its log holds after ``fsck --repair``."""
-    report = fsck(out_dir, deep=True, repair=True)
+    report = fsck(out_dir, repair=True)
     assert report.ok, report.errors
     epochs = []
     for path in list_logs(out_dir):

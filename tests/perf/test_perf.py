@@ -3,8 +3,9 @@
 The gate's contract is exercised end-to-end through the CLI against a
 redirected ``REPRO_RESULTS_DIR``: a fresh baseline compares clean
 (exit 0), a baseline moved by as little as one ulp fails (exit
-nonzero), and a stale baseline row the run no longer produces is
-``missing`` and blocks with a re-record hint.
+nonzero), a stale baseline row the run no longer produces is
+``missing`` and blocks with a re-record hint, and a committed profile
+that is not byte-identical to the fresh one, or is absent, blocks too.
 """
 
 from __future__ import annotations
@@ -121,17 +122,6 @@ class TestCompareMetric:
 
 
 class TestCli:
-    def test_list(self, capsys):
-        assert main(["perf", "list"]) == 0
-        out = capsys.readouterr().out
-        for name in WORKLOADS:
-            assert name in out
-        assert sorted(WORKLOADS) == [
-            "compact-serial", "ingest-serial", "obs-overhead",
-            "query-serial", "serve-mixed",
-        ]
-        assert "backend" not in out
-
     def test_unknown_workload_exits_2(self, results_dir):
         assert main(["perf", "run", "no-such-workload"]) == 2
 
@@ -214,13 +204,33 @@ class TestProfileIntegration:
         assert reconcile == {"metric": "profile_reconcile_errors",
                              "unit": "errors", "value": 0.0}
 
-    def test_profile_subcommand_writes_fresh_profiles(self, results_dir,
-                                                      capsys):
-        out = results_dir / "fresh"
-        assert main(["perf", "profile", "ingest-serial",
-                     "--out", str(out)]) == 0
-        assert (out / "ingest-serial.json").is_file()
-        assert (out / "ingest-serial.folded").is_file()
+    @pytest.mark.parametrize("suffix", [".json", ".folded"])
+    def test_tampered_profile_alone_fails_gate(self, results_dir, capsys,
+                                               suffix):
+        """Every row equal, one committed profile rendering changed:
+        the byte-for-byte profile check blocks and writes the diff."""
+        assert main(["perf", "run", "ingest-serial"]) == 0
+        path = profile_baseline_path("ingest-serial").with_suffix(suffix)
+        if suffix == ".json":
+            doc = json.loads(path.read_text())
+            doc["frames"][0]["count"] += 1
+            path.write_text(json.dumps(doc))
+        else:
+            path.write_text(path.read_text() + "extra;frame 1\n")
+        capsys.readouterr()
+        json_out = results_dir / "cmp.json"
+        assert main(["perf", "compare", "ingest-serial",
+                     "--json", str(json_out)]) == 1
+        err = capsys.readouterr().err
+        assert "ingest-serial.profile (changed)" in err
+        diff_path = (results_dir / "profile-diffs"
+                     / "ingest-serial.profile-diff.json")
+        assert f"diff profile: {diff_path}" in err
+        doc = json.loads(json_out.read_text())
+        workload = doc["workloads"][0]
+        assert workload["profile"] == "changed"
+        assert workload["blocking"] is True
+        assert {m["status"] for m in workload["metrics"]} == {"ok"}
 
     def test_gate_failure_blames_injected_hot_span(self, results_dir,
                                                    capsys):
@@ -257,10 +267,15 @@ class TestProfileIntegration:
 
     def test_gate_failure_without_profile_baseline_notes_it(
             self, results_dir, capsys):
+        """A missing committed profile blocks on its own, every row
+        equal, and the diff against nothing is still written."""
         assert main(["perf", "run", "ingest-serial"]) == 0
-        _tamper("ingest-serial", "records_ingested", shift=1.0)
         profile_baseline_path("ingest-serial").unlink()
         capsys.readouterr()
         assert main(["perf", "compare", "ingest-serial"]) == 1
         err = capsys.readouterr().err
         assert "no baseline profile" in err
+        assert "ingest-serial.profile (missing)" in err
+        assert "re-record the baseline (`carp perf run ingest-serial`)" in err
+        assert (results_dir / "profile-diffs"
+                / "ingest-serial.profile-diff.json").is_file()

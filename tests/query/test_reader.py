@@ -1,17 +1,9 @@
-"""Tests for the range-reader modes (analyze / query / batch)."""
-
-import csv
+"""Tests for the range-reader's analyze mode and a single query."""
 
 import pytest
 
 from repro.query.engine import PartitionedStore
-from repro.query.reader import (
-    BatchQuerySpec,
-    analyze_store,
-    read_batch_csv,
-    run_batch,
-    write_batch_csv,
-)
+from repro.query.reader import analyze_store
 
 
 @pytest.fixture(scope="module")
@@ -46,46 +38,3 @@ class TestQuery:
         res = store.query(0, 0.5, 2.0)
         mask = (trace_keys[0] >= 0.5) & (trace_keys[0] <= 2.0)
         assert set(res.rids.tolist()) == set(trace_rids[0][mask].tolist())
-
-
-class TestBatch:
-    def test_run_batch(self, store):
-        queries = [
-            BatchQuerySpec(0, 0.1, 0.5),
-            BatchQuerySpec(0, 1.0, 5.0),
-            BatchQuerySpec(1, 0.1, 0.5),
-        ]
-        batch = run_batch(store, queries)
-        assert len(batch.results) == 3
-        assert batch.total_latency > 0
-        assert batch.total_matched == sum(len(r) for r in batch.results)
-        assert batch.total_bytes_read > 0
-
-    def test_query_log_written(self, store, tmp_path):
-        log = tmp_path / "querylog.csv"
-        run_batch(store, [BatchQuerySpec(0, 0.1, 0.2)], log_path=log)
-        rows = list(csv.reader(log.read_text().splitlines()))
-        assert rows[0][0] == "epoch"
-        assert len(rows) == 2
-        assert rows[1][0] == "0"
-
-
-class TestBatchCSV:
-    def test_roundtrip(self, tmp_path):
-        queries = [BatchQuerySpec(0, 0.25, 0.75), BatchQuerySpec(3, 1.5, 2.5)]
-        path = tmp_path / "batch.csv"
-        write_batch_csv(queries, path)
-        assert read_batch_csv(path) == queries
-
-    def test_artifact_format(self, tmp_path):
-        """The artifact's format: epoch,query_begin,query_end rows."""
-        path = tmp_path / "batch.csv"
-        path.write_text("0,1.0,2.0\n# comment\n1,3.0,4.0\n")
-        queries = read_batch_csv(path)
-        assert queries == [BatchQuerySpec(0, 1.0, 2.0), BatchQuerySpec(1, 3.0, 4.0)]
-
-    def test_bad_row_rejected(self, tmp_path):
-        path = tmp_path / "batch.csv"
-        path.write_text("0,1.0\n")
-        with pytest.raises(ValueError, match="bad batch row"):
-            read_batch_csv(path)

@@ -35,10 +35,6 @@ class TestServeWorkload:
 
 
 class TestServeCli:
-    def test_unknown_workload_exits_2(self, capsys):
-        assert main(["serve", "--workload", "ingest-serial"]) == 2
-        assert "unknown serve workload" in capsys.readouterr().err
-
     def test_run_reports_and_persists_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "obs"
         report_path = tmp_path / "serve-report.json"

@@ -104,6 +104,19 @@ class TestCompactAll:
         with pytest.raises(FileNotFoundError):
             compact_all_epochs(tmp_path / "in", tmp_path / "out")
 
+    def test_damaged_sst_fails_its_epoch_task(self, tmp_path):
+        # damage inside an SST is found by the epoch task that reads it,
+        # and the caller gets that task's error, not a partial layout
+        write_carp_like(tmp_path / "in", epochs=(0, 1))
+        log = list_logs(tmp_path / "in")[0]
+        with LogReader(log) as reader:
+            entry = reader.entries[0]
+        raw = bytearray(log.read_bytes())
+        raw[entry.offset + entry.length // 2] ^= 0xFF
+        log.write_bytes(bytes(raw))
+        with pytest.raises(RuntimeError, match="CRC mismatch"):
+            compact_all_epochs(tmp_path / "in", tmp_path / "out")
+
     def test_validation_precedes_fan_out(self, tmp_path):
         # the caller sees the plain ValueError, not a WorkerTaskError
         # wrapping it from inside an epoch task

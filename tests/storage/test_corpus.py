@@ -138,7 +138,7 @@ def test_plain_fsck_checks_committed_prefix(tmp_path, name):
 @pytest.mark.parametrize("name", CASES)
 def test_fsck_repair_round_trip(tmp_path, name):
     _install(tmp_path, name)
-    report = fsck(tmp_path, deep=True, repair=True)
+    report = fsck(tmp_path, repair=True)
     committed = EXPECTED[name]["committed_epochs"]
     kind = EXPECTED[name]["kind"]
     assert report.classifications == {log_name(0): kind}

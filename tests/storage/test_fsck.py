@@ -39,12 +39,6 @@ class TestFsck:
         assert report.records_checked == 1600
         assert report.epochs == {0}
 
-    def test_fast_mode_skips_bodies(self, clean_output):
-        report = fsck(clean_output, deep=False)
-        assert report.ok
-        assert report.records_checked == 0
-        assert report.ssts_checked > 0
-
     def test_missing_dir(self, tmp_path):
         report = fsck(tmp_path / "nope")
         assert not report.ok

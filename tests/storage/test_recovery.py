@@ -162,14 +162,14 @@ def test_koidb_open_recovers_and_appends(tmp_path):
     with pytest.raises(InjectedCrashError):
         db.finish_epoch()
     db.close()
-    assert not fsck(tmp_path, deep=True).ok  # torn tail on disk
+    assert not fsck(tmp_path).ok  # torn tail on disk
 
     db = KoiDB.open(0, tmp_path, OPTS)
     assert db.recovery is not None and db.recovery.changed
     _koidb_epoch(db, 1)
     db.close()
 
-    report = fsck(tmp_path, deep=True)
+    report = fsck(tmp_path)
     assert report.ok, report.errors
     assert sorted(report.epochs) == [0, 1]
 

@@ -15,13 +15,6 @@ def test_passing_seeds_exit_zero(tmp_path, capsys):
     assert "0 failed" in captured.out
 
 
-def test_keep_retains_scratch_directories(tmp_path):
-    out = tmp_path / "scratch"
-    rc = main(["chaos", "--seeds", "1", "--out", str(out), "--keep"])
-    assert rc == 0
-    assert {p.name for p in out.iterdir()} == {"seed0-ref", "seed0-run"}
-
-
 def test_scratch_removed_for_passing_seeds(tmp_path):
     out = tmp_path / "scratch"
     rc = main(["chaos", "--seeds", "1", "--out", str(out)])

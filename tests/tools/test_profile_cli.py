@@ -1,4 +1,4 @@
-"""carp profile: record/diff over archived artifacts, byte-stable.
+"""carp profile record: folds archived artifacts, byte-stable.
 
 The CLI never runs a workload — everything here operates on artifact
 directories built by hand (exact, fast) plus one real ``carp trace``
@@ -90,84 +90,6 @@ class TestRecord:
     def test_missing_trace_exits_two(self, tmp_path, capsys):
         assert main(["profile", "record", str(tmp_path / "nope")]) == 2
         assert "cannot read" in capsys.readouterr().err
-
-    def test_output_redirect(self, tmp_path, capsys):
-        d = _write_artifacts(tmp_path / "run")
-        out = tmp_path / "elsewhere"
-        assert main(["profile", "record", str(d), "-o", str(out)]) == 0
-        assert (out / "profile.json").is_file()
-        assert not (d / "profile.json").exists()
-
-
-class TestDiff:
-    def test_identical_profiles(self, tmp_path, capsys):
-        a = _write_artifacts(tmp_path / "a")
-        b = _write_artifacts(tmp_path / "b")
-        for d in (a, b):
-            main(["profile", "record", str(d)])
-        capsys.readouterr()
-        assert main(["profile", "diff", str(a), str(b)]) == 0
-        assert "profiles are identical" in capsys.readouterr().out
-
-    def test_regression_blames_injected_hot_span(self, tmp_path, capsys):
-        a = _write_artifacts(tmp_path / "a")
-        b = _write_artifacts(tmp_path / "b", hot_span=True)
-        for d in (a, b):
-            main(["profile", "record", str(d)])
-        capsys.readouterr()
-        json_out = tmp_path / "diff.json"
-        rc = main(["profile", "diff", str(a), str(b), "--json", str(json_out)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "flush;flush;checksum" in out
-        doc = json.loads(json_out.read_text())
-        assert doc["schema"] == "carp-profile-diff-v2"
-        # entries are sorted by contribution: the injected span is the
-        # top blame, and the only changed path
-        assert doc["entries"] == [{
-            "stack": ["flush", "flush", "checksum"],
-            "count_a": 0, "count_b": 1, "count_delta": 1,
-            "bytes_a": 0, "bytes_b": 0, "bytes_delta": 0,
-        }]
-
-    def test_diff_document_is_byte_stable(self, tmp_path, capsys):
-        a = _write_artifacts(tmp_path / "a")
-        b = _write_artifacts(tmp_path / "b", hot_span=True)
-        json_out = tmp_path / "diff.json"
-        renders = []
-        for _ in range(2):
-            assert main(
-                ["profile", "diff", str(a), str(b), "--json", str(json_out)]
-            ) == 0
-            renders.append(json_out.read_bytes())
-        capsys.readouterr()
-        assert renders[0] == renders[1]
-
-    def test_folds_trace_on_the_fly_with_note(self, tmp_path, capsys):
-        a = _write_artifacts(tmp_path / "a")  # no committed profile.json
-        b = _write_artifacts(tmp_path / "b")
-        assert main(["profile", "diff", str(a), str(b)]) == 0
-        out = capsys.readouterr().out
-        assert "folded" in out and "on the fly" in out
-
-    def test_accepts_profile_json_files(self, tmp_path, capsys):
-        a = _write_artifacts(tmp_path / "a")
-        main(["profile", "record", str(a)])
-        capsys.readouterr()
-        rc = main(["profile",
-            "diff", str(a / "profile.json"), str(a / "profile.json"),
-        ])
-        assert rc == 0
-        assert "profiles are identical" in capsys.readouterr().out
-
-    def test_unreadable_source_exits_two(self, tmp_path, capsys):
-        a = _write_artifacts(tmp_path / "a")
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert main(["profile", "diff", str(a), str(empty)]) == 2
-        assert "neither profile.json nor trace.json" in (
-            capsys.readouterr().err
-        )
 
 
 class TestEndToEnd:
